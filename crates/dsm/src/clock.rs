@@ -140,24 +140,35 @@ impl DeltaVc {
     /// # Panics
     /// If the clocks have different lengths.
     pub fn encode(prev: &VectorClock, next: &VectorClock) -> DeltaVc {
-        assert_eq!(prev.len(), next.len(), "clocks over different process sets");
-        let changes: Vec<(u32, u64)> = prev
-            .entries
-            .iter()
-            .zip(&next.entries)
+        // `encoded_bytes` holds the size rule; dense is the fallback when
+        // the sparse form would not be smaller.
+        if Self::encoded_bytes(prev, next) == next.wire_bytes() {
+            return DeltaVc::Dense(next.clone());
+        }
+        let changes = (prev.entries.iter().zip(&next.entries))
             .enumerate()
             .filter(|(_, (p, n))| p != n)
             .map(|(i, (_, n))| (i as u32, *n))
             .collect();
-        let sparse_bytes = 4 + 12 * changes.len();
-        if sparse_bytes < next.wire_bytes() {
-            DeltaVc::Sparse {
-                len: next.len(),
-                changes,
-            }
-        } else {
-            DeltaVc::Dense(next.clone())
+        DeltaVc::Sparse {
+            len: next.len(),
+            changes,
         }
+    }
+
+    /// The wire size [`DeltaVc::encode`]`(prev, next)` has — the smaller of
+    /// the sparse form (`4 + 12·changes`) and the dense one (`8n`) —
+    /// without building the encoding: what a protocol that only *charges*
+    /// the delta form needs per write.
+    ///
+    /// # Panics
+    /// If the clocks have different lengths.
+    pub fn encoded_bytes(prev: &VectorClock, next: &VectorClock) -> usize {
+        assert_eq!(prev.len(), next.len(), "clocks over different process sets");
+        let changes = (prev.entries.iter().zip(&next.entries))
+            .filter(|(p, n)| p != n)
+            .count();
+        (4 + 12 * changes).min(next.wire_bytes())
     }
 
     /// Reconstruct the encoded clock from the reference it was encoded

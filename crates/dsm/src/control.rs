@@ -18,16 +18,30 @@
 
 use histories::{ProcId, VarId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
+
+/// One variable's counters at one node.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+struct Slot {
+    tracked: bool,
+    sent_bytes: u64,
+    received_bytes: u64,
+    sent_entries: u64,
+    received_entries: u64,
+}
 
 /// Per-node control-information counters.
+///
+/// A dense ledger: one [`Slot`] per variable, indexed by `VarId` and grown
+/// on first touch, so a charge on the delivery path is one bounds check
+/// and three adds. Variable ids are dense and small (`0..m` for the `m`
+/// variables of a distribution). The ledger ends at the highest variable
+/// the node ever touched — growing always marks the new last slot tracked
+/// — so two ledgers holding the same charges have the same slots, and
+/// derived equality is equality of what was charged.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ControlStats {
-    tracked: BTreeSet<VarId>,
-    sent_bytes: BTreeMap<VarId, u64>,
-    received_bytes: BTreeMap<VarId, u64>,
-    sent_entries: BTreeMap<VarId, u64>,
-    received_entries: BTreeMap<VarId, u64>,
+    slots: Vec<Slot>,
 }
 
 impl ControlStats {
@@ -36,75 +50,108 @@ impl ControlStats {
         Self::default()
     }
 
+    /// The slot of `x`, grown into existence if `x` was never touched.
+    /// Always `Some`: the ledger is grown to cover `x` first; the `Option`
+    /// only spares the delivery path an indexing panic.
+    fn slot_mut(&mut self, x: VarId) -> Option<&mut Slot> {
+        let i = x.index();
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, Slot::default());
+        }
+        self.slots.get_mut(i)
+    }
+
+    fn slot(&self, x: VarId) -> Slot {
+        self.slots.get(x.index()).copied().unwrap_or_default()
+    }
+
     /// Record that this node manages metadata about `x`.
     pub fn track(&mut self, x: VarId) {
-        self.tracked.insert(x);
+        if let Some(slot) = self.slot_mut(x) {
+            slot.tracked = true;
+        }
     }
 
     /// Record `bytes` of control information about `x` sent by this node.
     pub fn charge_sent(&mut self, x: VarId, bytes: usize) {
-        self.track(x);
-        *self.sent_bytes.entry(x).or_default() += bytes as u64;
-        *self.sent_entries.entry(x).or_default() += 1;
+        let Some(slot) = self.slot_mut(x) else {
+            return;
+        };
+        slot.tracked = true;
+        slot.sent_bytes += bytes as u64;
+        slot.sent_entries += 1;
     }
 
     /// Record `bytes` of control information about `x` received by this node.
     pub fn charge_received(&mut self, x: VarId, bytes: usize) {
-        self.track(x);
-        *self.received_bytes.entry(x).or_default() += bytes as u64;
-        *self.received_entries.entry(x).or_default() += 1;
+        let Some(slot) = self.slot_mut(x) else {
+            return;
+        };
+        slot.tracked = true;
+        slot.received_bytes += bytes as u64;
+        slot.received_entries += 1;
     }
 
     /// The variables this node manages metadata about.
-    pub fn tracked_vars(&self) -> &BTreeSet<VarId> {
-        &self.tracked
+    pub fn tracked_vars(&self) -> BTreeSet<VarId> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.tracked)
+            .map(|(i, _)| VarId(i))
+            .collect()
+    }
+
+    /// How many variables this node manages metadata about.
+    pub fn tracked_count(&self) -> usize {
+        self.slots.iter().filter(|s| s.tracked).count()
     }
 
     /// Whether this node handled any metadata about `x`.
     pub fn tracks(&self, x: VarId) -> bool {
-        self.tracked.contains(&x)
+        self.slot(x).tracked
     }
 
     /// Control bytes sent about `x`.
     pub fn sent_bytes(&self, x: VarId) -> u64 {
-        self.sent_bytes.get(&x).copied().unwrap_or(0)
+        self.slot(x).sent_bytes
     }
 
     /// Control bytes received about `x`.
     pub fn received_bytes(&self, x: VarId) -> u64 {
-        self.received_bytes.get(&x).copied().unwrap_or(0)
+        self.slot(x).received_bytes
     }
 
     /// Control entries (records) sent about `x`. Batching and multicast
     /// change *bytes*, never entry counts: one entry per destination per
     /// record, however the wire encodes it.
     pub fn sent_entries(&self, x: VarId) -> u64 {
-        self.sent_entries.get(&x).copied().unwrap_or(0)
+        self.slot(x).sent_entries
     }
 
     /// Control entries (records) received about `x`.
     pub fn received_entries(&self, x: VarId) -> u64 {
-        self.received_entries.get(&x).copied().unwrap_or(0)
+        self.slot(x).received_entries
     }
 
     /// Total control bytes sent by this node (all variables).
     pub fn total_sent_bytes(&self) -> u64 {
-        self.sent_bytes.values().sum()
+        self.slots.iter().map(|s| s.sent_bytes).sum()
     }
 
     /// Total control bytes received by this node (all variables).
     pub fn total_received_bytes(&self) -> u64 {
-        self.received_bytes.values().sum()
+        self.slots.iter().map(|s| s.received_bytes).sum()
     }
 
     /// Total control entries (messages or piggybacked records) sent.
     pub fn total_sent_entries(&self) -> u64 {
-        self.sent_entries.values().sum()
+        self.slots.iter().map(|s| s.sent_entries).sum()
     }
 
     /// Total control entries (messages or piggybacked records) received.
     pub fn total_received_entries(&self) -> u64 {
-        self.received_entries.values().sum()
+        self.slots.iter().map(|s| s.received_entries).sum()
     }
 }
 
@@ -156,7 +203,7 @@ impl ControlSummary {
         if self.per_node.is_empty() {
             return 0.0;
         }
-        let total: usize = self.per_node.iter().map(|s| s.tracked_vars().len()).sum();
+        let total: usize = self.per_node.iter().map(|s| s.tracked_count()).sum();
         total as f64 / self.per_node.len() as f64
     }
 }

@@ -18,6 +18,7 @@ use crate::protocol::{McsNode, ProtocolSpec};
 use histories::{Distribution, ProcId, Value, VarId};
 use simnet::{Node, NodeContext, NodeId, WireSize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A causally timestamped update.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -28,8 +29,10 @@ pub struct CausalMsg {
     pub var: VarId,
     /// The written value.
     pub value: i64,
-    /// The writer's vector clock *after* incrementing its own entry.
-    pub vc: VectorClock,
+    /// The writer's vector clock *after* incrementing its own entry —
+    /// stamped once per write and shared by every copy of the update (one
+    /// per destination and per relay fork).
+    pub vc: Arc<VectorClock>,
     /// The wire size charged for `vc`: its dense size classically, or its
     /// [`DeltaVc`] size against the writer's previous broadcast under a
     /// delta delivery mode. Accounting only — the dense clock above is
@@ -45,7 +48,7 @@ impl CausalMsg {
             writer,
             var,
             value,
-            vc,
+            vc: Arc::new(vc),
             encoded,
         }
     }
@@ -105,15 +108,17 @@ impl WireSize for CausalFullMsg {
 #[derive(Clone, Debug, PartialEq)]
 pub struct CausalFullNode {
     me: ProcId,
-    n: usize,
     store: BTreeMap<VarId, Value>,
     vc: VectorClock,
     pending: Vec<CausalMsg>,
     control: ControlStats,
     delivered: u64,
-    /// Persisted log of this node's own writes, in program order — the
-    /// material catch-up responses are served from.
-    log: Vec<CausalMsg>,
+    /// Persisted log of this node's own writes (variable, value, clock at
+    /// the write), in program order — the material catch-up responses
+    /// are served from. Each entry owns its clock: a stamp shared with the
+    /// write's messages would pin a second, reference-counted allocation
+    /// per write for the life of the node.
+    log: Vec<(VarId, i64, VectorClock)>,
     /// Whether broadcast clocks are charged at their delta-encoded size.
     delta: bool,
     /// The clock carried by this node's previous broadcast — the
@@ -121,6 +126,8 @@ pub struct CausalFullNode {
     /// FIFO), so the next broadcast's clock can be charged as a delta
     /// against it.
     prev_write_vc: VectorClock,
+    /// Every other process: the destinations of each broadcast.
+    peers: Vec<NodeId>,
 }
 
 impl CausalFullNode {
@@ -135,7 +142,6 @@ impl CausalFullNode {
     pub fn with_delta(me: ProcId, n: usize, delta: bool) -> Self {
         CausalFullNode {
             me,
-            n,
             store: BTreeMap::new(),
             vc: VectorClock::new(n),
             pending: Vec::new(),
@@ -144,6 +150,7 @@ impl CausalFullNode {
             log: Vec::new(),
             delta,
             prev_write_vc: VectorClock::new(n),
+            peers: (0..n).filter(|&i| i != me.index()).map(NodeId).collect(),
         }
     }
 
@@ -190,7 +197,7 @@ impl CausalFullNode {
                     // Applying a message may turn other pending copies of
                     // the same write (duplicates) permanently stale —
                     // purge them so they cannot pile up.
-                    let vc = self.vc.clone();
+                    let vc = &self.vc;
                     self.pending
                         .retain(|m| m.vc.get(m.writer) > vc.get(m.writer));
                 }
@@ -227,21 +234,24 @@ impl Node<CausalFullMsg> for CausalFullNode {
                 // later one against the previous resend, sound because
                 // the link delivers them FIFO.
                 let mut base = vc.clone();
-                let delta = self.delta;
+                let (me, delta) = (self.me.index(), self.delta);
                 let missing: Vec<CausalMsg> = self
                     .log
                     .iter()
-                    .filter(|m| m.vc.get(self.me.index()) > vc.get(self.me.index()))
-                    .map(|m| {
+                    .filter(|(_, _, wvc)| wvc.get(me) > vc.get(me))
+                    .map(|(var, value, wvc)| {
                         let encoded = if delta {
-                            DeltaVc::encode(&base, &m.vc).wire_bytes()
+                            DeltaVc::encoded_bytes(&base, wvc)
                         } else {
-                            m.vc.wire_bytes()
+                            wvc.wire_bytes()
                         };
-                        base.clone_from(&m.vc);
+                        base.clone_from(wvc);
                         CausalMsg {
+                            writer: me,
+                            var: *var,
+                            value: *value,
+                            vc: Arc::new(wvc.clone()),
                             encoded,
-                            ..m.clone()
                         }
                     })
                     .collect();
@@ -266,7 +276,7 @@ impl McsNode for CausalFullNode {
         self.store.insert(var, Value::Int(value));
         self.control.track(var);
         let encoded = if self.delta {
-            DeltaVc::encode(&self.prev_write_vc, &self.vc).wire_bytes()
+            DeltaVc::encoded_bytes(&self.prev_write_vc, &self.vc)
         } else {
             self.vc.wire_bytes()
         };
@@ -275,23 +285,19 @@ impl McsNode for CausalFullNode {
             writer: self.me.index(),
             var,
             value,
-            vc: self.vc.clone(),
+            vc: Arc::new(self.vc.clone()),
             encoded,
         };
-        self.log.push(msg.clone());
+        self.log.push((var, value, self.vc.clone()));
         let bytes = msg.control_size();
         // One logical record per destination (the control accounting the
         // paper reasons about), handed to the transport as one
         // multi-destination send so a multicast wire can deduplicate the
         // identical payload along its broadcast tree.
-        let targets: Vec<NodeId> = (0..self.n)
-            .filter(|&i| i != self.me.index())
-            .map(NodeId)
-            .collect();
-        for _ in &targets {
+        for _ in &self.peers {
             self.control.charge_sent(var, bytes);
         }
-        ctx.send_multi(targets, CausalFullMsg::Update(msg));
+        ctx.send_multi(self.peers.iter().copied(), CausalFullMsg::Update(msg));
     }
 
     fn replicates(&self, _var: VarId) -> bool {
@@ -309,11 +315,7 @@ impl McsNode for CausalFullNode {
             from: self.me.index(),
             vc: self.vc.clone(),
         };
-        let targets: Vec<NodeId> = (0..self.n)
-            .filter(|&i| i != self.me.index())
-            .map(NodeId)
-            .collect();
-        ctx.send_multi(targets, req);
+        ctx.send_multi(self.peers.iter().copied(), req);
     }
 }
 
@@ -497,7 +499,7 @@ mod tests {
             for v in 1..=4 {
                 nodes[0].local_write(&mut ctx, VarId(0), v);
             }
-            let clocks: Vec<VectorClock> = ctx
+            let clocks: Vec<Arc<VectorClock>> = ctx
                 .outgoing()
                 .iter()
                 .map(|o| match o {

@@ -42,6 +42,7 @@ use crate::protocol::{McsNode, ProtocolSpec};
 use histories::{Distribution, ProcId, Value, VarId};
 use simnet::{DeliveryMode, Node, NodeContext, NodeId, SimDuration, WireSize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Incremental wire cost of a control record that rides with a carrier
 /// already bearing a full vector clock (writer id + variable id + clock
@@ -62,8 +63,9 @@ pub struct ControlRecord {
     pub writer: usize,
     /// The written variable.
     pub var: VarId,
-    /// The writer's vector clock after the write.
-    pub vc: VectorClock,
+    /// The writer's vector clock after the write — stamped once per
+    /// write and shared by every record and update that carries it.
+    pub vc: Arc<VectorClock>,
     /// The wire size charged for `vc`: dense classically, the
     /// [`DeltaVc`] size against the writer's previous broadcast under a
     /// delta delivery mode. Accounting only — delivery logic reads the
@@ -78,7 +80,7 @@ impl ControlRecord {
         ControlRecord {
             writer,
             var,
-            vc,
+            vc: Arc::new(vc),
             encoded,
         }
     }
@@ -105,8 +107,9 @@ pub enum CausalPartialMsg {
         var: VarId,
         /// The written value.
         value: i64,
-        /// The writer's vector clock after the write.
-        vc: VectorClock,
+        /// The writer's vector clock after the write (shared, see
+        /// [`ControlRecord::vc`]).
+        vc: Arc<VectorClock>,
         /// The wire size charged for `vc` (dense, or its [`DeltaVc`] size
         /// under a delta delivery mode).
         encoded: usize,
@@ -122,8 +125,9 @@ pub enum CausalPartialMsg {
         writer: usize,
         /// The written variable.
         var: VarId,
-        /// The writer's vector clock after the write.
-        vc: VectorClock,
+        /// The writer's vector clock after the write (shared, see
+        /// [`ControlRecord::vc`]).
+        vc: Arc<VectorClock>,
         /// The wire size charged for `vc` (dense, or its [`DeltaVc`] size
         /// under a delta delivery mode).
         encoded: usize,
@@ -229,7 +233,9 @@ impl WireSize for CausalPartialMsg {
 #[derive(Clone, Debug, PartialEq)]
 pub struct CausalPartialNode {
     me: ProcId,
-    dist: Distribution,
+    /// `replicas[x]`: the processes replicating variable `x`, in id order
+    /// — one table shared by all nodes of a deployment.
+    replicas: Arc<[Vec<NodeId>]>,
     store: BTreeMap<VarId, Value>,
     vc: VectorClock,
     pending: Vec<CausalPartialMsg>,
@@ -252,30 +258,59 @@ pub struct CausalPartialNode {
     flush_armed: bool,
     /// Persisted log of this node's own writes (variable, value, clock at
     /// the write), in program order — the material catch-up responses are
-    /// served from.
+    /// served from. Each entry owns its clock: a stamp shared with the
+    /// write's messages would pin a second, reference-counted allocation
+    /// per write for the life of the node.
     log: Vec<(VarId, i64, VectorClock)>,
+}
+
+/// The replicas of every variable of `dist`, in id order.
+fn replica_table(dist: &Distribution) -> Arc<[Vec<NodeId>]> {
+    let mut table = vec![Vec::new(); dist.var_count()];
+    for p in 0..dist.process_count() {
+        for x in dist.vars_of(ProcId(p)) {
+            if let Some(replicas) = table.get_mut(x.index()) {
+                replicas.push(NodeId(p));
+            }
+        }
+    }
+    table.into()
 }
 
 impl CausalPartialNode {
     /// Build the node for process `me` under the given distribution, with
     /// control-record batching per `delivery`.
     pub fn new(me: ProcId, dist: &Distribution, delivery: DeliveryMode) -> Self {
+        Self::with_replicas(me, dist.process_count(), replica_table(dist), delivery)
+    }
+
+    fn with_replicas(
+        me: ProcId,
+        n: usize,
+        replicas: Arc<[Vec<NodeId>]>,
+        delivery: DeliveryMode,
+    ) -> Self {
         CausalPartialNode {
             me,
-            dist: dist.clone(),
+            replicas,
             store: BTreeMap::new(),
-            vc: VectorClock::new(dist.process_count()),
+            vc: VectorClock::new(n),
             pending: Vec::new(),
             control: ControlStats::new(),
             delivered_updates: 0,
             delivered_control: 0,
             batching: delivery.batching,
             delta: delivery.delta,
-            prev_write_vc: VectorClock::new(dist.process_count()),
-            buffers: vec![Vec::new(); dist.process_count()],
+            prev_write_vc: VectorClock::new(n),
+            buffers: vec![Vec::new(); n],
             flush_armed: false,
             log: Vec::new(),
         }
+    }
+
+    /// Whether process `p` replicates `var`.
+    fn is_replica(&self, p: usize, var: VarId) -> bool {
+        (self.replicas.get(var.index())).is_some_and(|r| r.binary_search(&NodeId(p)).is_ok())
     }
 
     /// The node's current vector clock.
@@ -342,7 +377,7 @@ impl CausalPartialNode {
                     // Applying a message may turn other pending copies of
                     // the same write permanently stale — purge them so
                     // duplicates cannot pile up.
-                    let vc = self.vc.clone();
+                    let vc = &self.vc;
                     self.pending
                         .retain(|m| m.vc().get(m.writer()) > vc.get(m.writer()));
                 }
@@ -473,12 +508,12 @@ impl Node<CausalPartialMsg> for CausalPartialNode {
                 let mut base = vc;
                 for (var, value, wvc) in missing {
                     let encoded = if self.delta {
-                        DeltaVc::encode(&base, &wvc).wire_bytes()
+                        DeltaVc::encoded_bytes(&base, &wvc)
                     } else {
                         wvc.wire_bytes()
                     };
                     base.clone_from(&wvc);
-                    if self.dist.replicates(ProcId(from), var) {
+                    if self.is_replica(from, var) {
                         self.control.charge_sent(var, encoded + 8);
                         ctx.send(
                             NodeId(from),
@@ -486,7 +521,7 @@ impl Node<CausalPartialMsg> for CausalPartialNode {
                                 writer: me,
                                 var,
                                 value,
-                                vc: wvc,
+                                vc: Arc::new(wvc),
                                 encoded,
                                 piggyback: Vec::new(),
                             },
@@ -498,7 +533,7 @@ impl Node<CausalPartialMsg> for CausalPartialNode {
                             CausalPartialMsg::Control {
                                 writer: me,
                                 var,
-                                vc: wvc,
+                                vc: Arc::new(wvc),
                                 encoded,
                             },
                         );
@@ -531,31 +566,30 @@ impl McsNode for CausalPartialNode {
         self.vc.increment(self.me.index());
         self.store.insert(var, Value::Int(value));
         self.control.track(var);
-        self.log.push((var, value, self.vc.clone()));
-        let replicas = self.dist.replicas_of(var);
         let encoded = if self.delta {
-            DeltaVc::encode(&self.prev_write_vc, &self.vc).wire_bytes()
+            DeltaVc::encoded_bytes(&self.prev_write_vc, &self.vc)
         } else {
             self.vc.wire_bytes()
         };
         self.prev_write_vc.clone_from(&self.vc);
+        self.log.push((var, value, self.vc.clone()));
+        // The write's clock, stamped once: every update and record sent
+        // below shares it.
+        let stamp = Arc::new(self.vc.clone());
         let update_bytes = encoded + 8;
         let record = ControlRecord {
             writer: self.me.index(),
             var,
-            vc: self.vc.clone(),
+            vc: Arc::clone(&stamp),
             encoded,
         };
-        let replica_targets: Vec<NodeId> = (0..self.dist.process_count())
-            .map(ProcId)
-            .filter(|&p| p != self.me && replicas.contains(&p))
-            .map(|p| NodeId(p.index()))
-            .collect();
-        let other_targets: Vec<NodeId> = (0..self.dist.process_count())
-            .map(ProcId)
-            .filter(|&p| p != self.me && !replicas.contains(&p))
-            .map(|p| NodeId(p.index()))
-            .collect();
+        let me = NodeId(self.me.index());
+        let table = Arc::clone(&self.replicas);
+        let replicas: &[NodeId] = table.get(var.index()).map_or(&[], Vec::as_slice);
+        let replica_targets = replicas.iter().copied().filter(|&t| t != me);
+        let other_targets = (0..self.buffers.len())
+            .map(NodeId)
+            .filter(|&t| t != me && replicas.binary_search(&t).is_err());
 
         if !self.batching {
             // Classical wire format: one full message per destination.
@@ -563,21 +597,21 @@ impl McsNode for CausalPartialNode {
                 writer: self.me.index(),
                 var,
                 value,
-                vc: self.vc.clone(),
+                vc: Arc::clone(&stamp),
                 encoded,
                 piggyback: Vec::new(),
             };
-            for _ in &replica_targets {
+            for _ in replica_targets.clone() {
                 self.control.charge_sent(var, update_bytes);
             }
             ctx.send_multi(replica_targets, update);
             let control = CausalPartialMsg::Control {
                 writer: self.me.index(),
                 var,
-                vc: self.vc.clone(),
+                vc: stamp,
                 encoded,
             };
-            for _ in &other_targets {
+            for _ in other_targets.clone() {
                 self.control.charge_sent(var, record.full_bytes());
             }
             ctx.send_multi(other_targets, control);
@@ -613,7 +647,7 @@ impl McsNode for CausalPartialNode {
                         writer: self.me.index(),
                         var,
                         value,
-                        vc: self.vc.clone(),
+                        vc: Arc::clone(&stamp),
                         encoded,
                         piggyback,
                     },
@@ -626,7 +660,7 @@ impl McsNode for CausalPartialNode {
                 writer: self.me.index(),
                 var,
                 value,
-                vc: self.vc.clone(),
+                vc: stamp,
                 encoded,
                 piggyback: Vec::new(),
             },
@@ -642,7 +676,7 @@ impl McsNode for CausalPartialNode {
     }
 
     fn replicates(&self, var: VarId) -> bool {
-        self.dist.replicates(self.me, var)
+        self.is_replica(self.me.index(), var)
     }
 
     fn control(&self) -> &ControlStats {
@@ -663,10 +697,9 @@ impl McsNode for CausalPartialNode {
             from: self.me.index(),
             vc: self.vc.clone(),
         };
-        let targets: Vec<NodeId> = (0..self.dist.process_count())
+        let targets = (0..self.buffers.len())
             .filter(|&p| p != self.me.index())
-            .map(NodeId)
-            .collect();
+            .map(NodeId);
         ctx.send_multi(targets, req);
     }
 }
@@ -681,8 +714,12 @@ impl ProtocolSpec for CausalPartial {
     const KIND: ProtocolKind = ProtocolKind::CausalPartial;
 
     fn build_nodes(dist: &Distribution, delivery: DeliveryMode) -> Vec<CausalPartialNode> {
-        (0..dist.process_count())
-            .map(|i| CausalPartialNode::new(ProcId(i), dist, delivery))
+        let n = dist.process_count();
+        let replicas = replica_table(dist);
+        (0..n)
+            .map(|i| {
+                CausalPartialNode::with_replicas(ProcId(i), n, Arc::clone(&replicas), delivery)
+            })
             .collect()
     }
 }
@@ -697,7 +734,7 @@ mod tests {
         CausalPartialMsg::Control {
             writer,
             var,
-            vc,
+            vc: vc.into(),
             encoded,
         }
     }
@@ -708,7 +745,7 @@ mod tests {
             writer: 0,
             var: VarId(0),
             value: 1,
-            vc: VectorClock::new(4),
+            vc: VectorClock::new(4).into(),
             encoded: 4 * 8,
             piggyback: Vec::new(),
         };
@@ -744,7 +781,7 @@ mod tests {
             writer: 0,
             var: VarId(0),
             value: 1,
-            vc: VectorClock::new(4),
+            vc: VectorClock::new(4).into(),
             encoded: 4 * 8,
             piggyback: vec![record(0)],
         };
@@ -976,7 +1013,7 @@ mod tests {
                     vc: VectorClock::new(3),
                 },
             );
-            let resent: Vec<(VectorClock, usize)> = resp_ctx
+            let resent: Vec<(Arc<VectorClock>, usize)> = resp_ctx
                 .outgoing()
                 .iter()
                 .map(|o| match o {

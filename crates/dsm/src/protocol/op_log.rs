@@ -514,21 +514,27 @@ impl McsNode for OpLogNode {
         // while down. Like the sequencer baseline, the request is not
         // charged to any one variable's control stats (it concerns the
         // shard stream); the network still pays its wire bytes.
-        let mut per_owner: BTreeMap<usize, Vec<(VarId, u64)>> = BTreeMap::new();
+        let mut marks: Vec<(usize, VarId, u64)> = Vec::new();
         for &var in self.dist.vars_of(self.me) {
             let owner = self.owner_of(var);
             if owner == self.me.index() {
                 continue;
             }
             let mark = self.committed.get(&var).map(|&(s, _)| s).unwrap_or(0);
-            per_owner.entry(owner).or_default().push((var, mark));
+            marks.push((owner, var, mark));
         }
-        for (owner, watermarks) in per_owner {
+        // One request per owner, owners in id order; the sort is stable,
+        // so each owner's variables stay in id order.
+        marks.sort_by_key(|&(owner, ..)| owner);
+        for shard in marks.chunk_by(|a, b| a.0 == b.0) {
+            let Some(&(owner, ..)) = shard.first() else {
+                continue;
+            };
             ctx.send(
                 NodeId(owner),
                 OpLogMsg::CatchupReq {
                     from: self.me.index(),
-                    watermarks,
+                    watermarks: shard.iter().map(|&(_, var, mark)| (var, mark)).collect(),
                 },
             );
         }

@@ -5,6 +5,7 @@
 use dsm::{ControlStats, ControlSummary, DeltaVc, SequenceTracker, VectorClock};
 use histories::{ProcId, VarId};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn clock(entries: Vec<u64>) -> VectorClock {
     let mut vc = VectorClock::new(entries.len());
@@ -151,6 +152,9 @@ proptest! {
         let delta = DeltaVc::encode(&prev, &next);
         let decoded = delta.decode(&prev);
         prop_assert_eq!(&decoded, &next, "decode must reproduce the encoded clock");
+        // The size-only shortcut the write path charges with agrees with
+        // the encoding it skips building.
+        prop_assert_eq!(DeltaVc::encoded_bytes(&prev, &next), delta.wire_bytes());
         prop_assert!(
             delta.wire_bytes() <= next.wire_bytes(),
             "delta wire size {} exceeds dense {}",
@@ -249,4 +253,83 @@ proptest! {
             }
         }
     }
+    /// The dense ledger against the map-based one it replaced: any
+    /// sequence of `track` / `charge_sent` / `charge_received` leaves every
+    /// per-variable getter, every total and the tracked set equal to the
+    /// model's, and a ledger rebuilt from its own getters in another
+    /// order (so grown differently) compares equal.
+    #[test]
+    fn control_ledger_matches_the_map_model(
+        ops in proptest::collection::vec((0u8..3, 0usize..24, 0usize..200), 0..60)
+    ) {
+        #[derive(Default)]
+        struct Model {
+            tracked: BTreeSet<VarId>,
+            sent: BTreeMap<VarId, (u64, u64)>,
+            received: BTreeMap<VarId, (u64, u64)>,
+        }
+        let mut ledger = ControlStats::new();
+        let mut model = Model::default();
+        for &(op, var, bytes) in &ops {
+            let x = VarId(var);
+            model.tracked.insert(x);
+            match op {
+                0 => ledger.track(x),
+                1 => {
+                    ledger.charge_sent(x, bytes);
+                    let e = model.sent.entry(x).or_default();
+                    *e = (e.0 + bytes as u64, e.1 + 1);
+                }
+                _ => {
+                    ledger.charge_received(x, bytes);
+                    let e = model.received.entry(x).or_default();
+                    *e = (e.0 + bytes as u64, e.1 + 1);
+                }
+            }
+        }
+        // Variables 24..32 were never touched: reads of them see zeroes.
+        for var in 0..32 {
+            let x = VarId(var);
+            let (sent_bytes, sent_entries) = model.sent.get(&x).copied().unwrap_or_default();
+            let (recv_bytes, recv_entries) = model.received.get(&x).copied().unwrap_or_default();
+            prop_assert_eq!(ledger.tracks(x), model.tracked.contains(&x));
+            prop_assert_eq!(ledger.sent_bytes(x), sent_bytes);
+            prop_assert_eq!(ledger.sent_entries(x), sent_entries);
+            prop_assert_eq!(ledger.received_bytes(x), recv_bytes);
+            prop_assert_eq!(ledger.received_entries(x), recv_entries);
+        }
+        prop_assert_eq!(ledger.tracked_vars(), model.tracked.clone());
+        prop_assert_eq!(ledger.tracked_count(), model.tracked.len());
+        prop_assert_eq!(ledger.total_sent_bytes(), model.sent.values().map(|e| e.0).sum::<u64>());
+        prop_assert_eq!(ledger.total_sent_entries(), model.sent.values().map(|e| e.1).sum::<u64>());
+        prop_assert_eq!(
+            ledger.total_received_bytes(),
+            model.received.values().map(|e| e.0).sum::<u64>()
+        );
+        prop_assert_eq!(
+            ledger.total_received_entries(),
+            model.received.values().map(|e| e.1).sum::<u64>()
+        );
+        // Rebuild from the getters, variables in descending order so the
+        // copy's slots are allocated differently: still equal. `entries`
+        // charges summing to `bytes`: the first carries the bytes.
+        let mut rebuilt = ControlStats::new();
+        for x in ledger.tracked_vars().into_iter().rev() {
+            rebuilt.track(x);
+            for i in 0..ledger.sent_entries(x) {
+                rebuilt.charge_sent(x, if i == 0 { ledger.sent_bytes(x) as usize } else { 0 });
+            }
+            for i in 0..ledger.received_entries(x) {
+                rebuilt.charge_received(x, if i == 0 { ledger.received_bytes(x) as usize } else { 0 });
+            }
+        }
+        prop_assert_eq!(&rebuilt, &ledger);
+        // Reading an untouched variable grows nothing; touching it does.
+        let mut probe = ledger.clone();
+        prop_assert_eq!(probe.sent_bytes(VarId(99)), 0);
+        prop_assert_eq!(&probe, &ledger);
+        probe.charge_sent(VarId(40), 0);
+        prop_assert!(probe != ledger, "a charge, even of 0 bytes, is an entry");
+    }
+
 }

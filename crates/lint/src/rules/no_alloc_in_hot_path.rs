@@ -9,9 +9,13 @@
 //! hot functions `no-panic-in-delivery` guards (the scope lists are
 //! shared), this rule bans the three easy ways to reintroduce a
 //! per-event allocation: `Box::new(..)`, `.to_vec()`, and the `vec![..]`
-//! macro. `Vec::with_capacity` at construction time and pool
-//! acquire/release remain legal. Survivors live in the allowlist with a
-//! written justification.
+//! macro. It also bans building an ordered container per event —
+//! `BTreeMap::new()` / `BTreeSet::new()`, or a `.collect()` into either:
+//! that allocates a node per few entries and pays a tree walk per insert,
+//! where the delivery spine indexes dense tables instead.
+//! `Vec::with_capacity` at construction time and pool acquire/release
+//! remain legal. Survivors live in the allowlist with a written
+//! justification.
 
 use super::no_panic_in_delivery::scope_fns;
 use super::{diag_at, Rule};
@@ -22,13 +26,28 @@ use crate::source::{FileKind, SourceFile};
 /// See module docs.
 pub struct NoAllocInHotPath;
 
+/// Whether the statement around token `at` (bounded by `;`, or by the
+/// body span `[start, end]`) calls `.collect` — so a `BTreeMap`/`BTreeSet`
+/// named in it, as a `let` annotation or a turbofish, is what the
+/// `.collect()` builds.
+fn statement_collects(file: &SourceFile, start: usize, end: usize, at: usize) -> bool {
+    let toks = &file.toks;
+    let end = end.min(toks.len().saturating_sub(1));
+    let first = (start..at)
+        .rev()
+        .find(|&j| toks[j].is_punct(';'))
+        .map_or(start, |j| j + 1);
+    let last = (at..=end).find(|&j| toks[j].is_punct(';')).unwrap_or(end);
+    (first.max(1)..=last).any(|j| toks[j].is_ident("collect") && toks[j - 1].is_punct('.'))
+}
+
 impl Rule for NoAllocInHotPath {
     fn name(&self) -> &'static str {
         "no-alloc-in-hot-path"
     }
 
     fn description(&self) -> &'static str {
-        "ban Box::new/.to_vec()/vec![ in delivery hot paths; reuse pooled buffers"
+        "ban Box::new/.to_vec()/vec![ and BTreeMap/BTreeSet construction in delivery hot paths"
     }
 
     fn check(&self, file: &SourceFile) -> Vec<Diagnostic> {
@@ -76,6 +95,22 @@ impl Rule for NoAllocInHotPath {
                             "`vec![..]` allocates per event in hot path `{fn_name}`; acquire from the buffer pool"
                         ),
                     ));
+                } else if t.text == "BTreeMap" || t.text == "BTreeSet" {
+                    let constructed = i + 3 < file.toks.len()
+                        && file.toks[i + 1].is_punct(':')
+                        && file.toks[i + 2].is_punct(':')
+                        && file.toks[i + 3].is_ident("new");
+                    if constructed || statement_collects(file, start, end, i) {
+                        out.push(diag_at(
+                            self.name(),
+                            file,
+                            i,
+                            format!(
+                                "`{}` built per event in hot path `{fn_name}`; index a dense table instead",
+                                t.text
+                            ),
+                        ));
+                    }
                 }
             }
         }

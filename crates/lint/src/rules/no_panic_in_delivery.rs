@@ -3,9 +3,10 @@
 //! A panic inside the delivery path tears down the whole simulation —
 //! including every *other* node — which is exactly the failure mode the
 //! fault layer exists to model gracefully. The functions listed in
-//! [`scope_fns`] form the delivery spine: the simulator's event pump,
-//! the channel sampler, the overlay relay, and every protocol's
-//! `on_message`/`on_restart` handler. Within their bodies this rule
+//! [`scope_fns`] form the delivery spine: the simulator's event pump
+//! and event queue, the channel sampler, the overlay relay, every
+//! protocol's `on_message`/`on_restart` handler, and the control ledger
+//! they charge. Within their bodies this rule
 //! bans `.unwrap()` / `.expect()`, panicking macros, and slice
 //! indexing (`debug_assert!` stays legal: it documents invariants and
 //! compiles out of release builds). Survivors live in the allowlist
@@ -47,13 +48,21 @@ pub(crate) fn scope_fns(rel_path: &str) -> Option<&'static [&'static str]> {
             "on_message",
             "on_timer",
             "while_down",
-            "route_outbox",
-            "group_by_hop",
+            "with_inner",
+            "split",
+            "children_of",
+            "subtree_span",
             "next_hop",
             "hop_count",
             "tree_parent",
             "tree_next_hop",
         ]),
+        "crates/simnet/src/event.rs" => {
+            Some(&["push", "pop", "pop_ready_into", "requeue", "store"])
+        }
+        "crates/dsm/src/control.rs" => {
+            Some(&["track", "charge_sent", "charge_received", "slot_mut"])
+        }
         _ => {
             if rel_path.starts_with("crates/dsm/src/protocol/")
                 && rel_path != "crates/dsm/src/protocol/mod.rs"

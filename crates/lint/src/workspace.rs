@@ -129,7 +129,10 @@ pub fn run_workspace(root: &Path) -> Outcome {
 }
 
 /// Run the per-rule fixture harness: each rule's `violation.rs` must
-/// fire at least one diagnostic and its `clean.rs` must fire none.
+/// fire at least one diagnostic and its `clean.rs` must fire none. A rule
+/// that checks several unrelated patterns may ship further pairs named
+/// `violation_<what>.rs` / `clean_<what>.rs`, held to the same standard,
+/// so each pattern is pinned by a fixture that contains nothing else.
 /// A rule with a scoped [`crate::rules::Exemption`] must additionally
 /// ship an `exempt.rs` that fires under the rule's normal context and
 /// stays silent when lexed under the exempt path — pinning both sides
@@ -172,7 +175,17 @@ pub fn run_fixture_harness(root: &Path) -> Vec<String> {
                 }
             }
         }
-        for (case, want_fire) in [("violation.rs", true), ("clean.rs", false)] {
+        let mut cases = vec!["violation.rs".to_string(), "clean.rs".to_string()];
+        let extra = fs::read_dir(&dir).into_iter().flatten().flatten();
+        cases.extend(
+            extra
+                .map(|e| e.file_name().to_string_lossy().into_owned())
+                .filter(|n| n.ends_with(".rs"))
+                .filter(|n| n.starts_with("violation_") || n.starts_with("clean_")),
+        );
+        cases.sort();
+        for case in &cases {
+            let want_fire = case.starts_with("violation");
             let path = dir.join(case);
             let text = match fs::read_to_string(&path) {
                 Ok(t) => t,

@@ -16,7 +16,7 @@ use crate::time::{SimDuration, SimTime};
 /// multicast [`DeliveryMode`](crate::transport::DeliveryMode) one envelope
 /// carrying the destination set is deduplicated along the sender's
 /// broadcast tree so the payload traverses each tree edge once.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Outgoing<P> {
     /// A unicast send to one destination.
     One(NodeId, P),
@@ -113,17 +113,24 @@ impl<P> NodeContext<P> {
     /// multicast delivery is enabled, which is why fan-outs of an
     /// identical payload should prefer this entry point over a send loop.
     pub fn send_multi(&mut self, targets: impl IntoIterator<Item = NodeId>, payload: P) {
-        let mut seen = Vec::new();
-        let targets: Vec<NodeId> = targets
-            .into_iter()
-            .filter(|&t| {
-                let fresh = !seen.contains(&t);
-                if fresh {
-                    seen.push(t);
-                }
-                fresh
-            })
-            .collect();
+        let mut targets: Vec<NodeId> = targets.into_iter().collect();
+        // Drop duplicates in place, keeping first occurrences in order. A
+        // target above every one kept so far cannot be a repeat, so an
+        // ascending list (what the protocols send) costs one compare per
+        // target; only out-of-order targets scan the kept prefix.
+        let mut kept = 0;
+        let mut highest = None;
+        for i in 0..targets.len() {
+            let t = targets[i];
+            if highest.is_none_or(|h| t > h) {
+                highest = Some(t);
+            } else if targets[..kept].contains(&t) {
+                continue;
+            }
+            targets[kept] = t;
+            kept += 1;
+        }
+        targets.truncate(kept);
         match targets.len() {
             0 => {}
             1 => self.outbox.push(Outgoing::One(targets[0], payload)),

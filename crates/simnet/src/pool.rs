@@ -61,9 +61,17 @@ impl PoolStats {
 }
 
 /// A free-list pool of `Vec<T>` buffers keyed by capacity size class.
+///
+/// A buffer that never grew holds no allocation, so its round trip is
+/// free and uncounted: `acquire(0)` on a pool that retains nothing hands
+/// out `Vec::new()` without scanning, and releasing a capacity-0 buffer
+/// drops nothing. (A pool whose users never push — the timer buffers of a
+/// protocol that sets no timers — would otherwise read as all misses.)
 #[derive(Debug)]
 pub struct BufferPool<T> {
     classes: Vec<Vec<Vec<T>>>,
+    /// Buffers currently held on the free lists.
+    retained: usize,
     stats: PoolStats,
 }
 
@@ -85,6 +93,7 @@ impl<T> BufferPool<T> {
     pub fn new() -> Self {
         BufferPool {
             classes: (0..CLASSES).map(|_| Vec::new()).collect(),
+            retained: 0,
             stats: PoolStats::default(),
         }
     }
@@ -93,14 +102,20 @@ impl<T> BufferPool<T> {
     /// scanning size classes upward; allocates fresh on a miss. The
     /// returned buffer is always empty.
     pub fn acquire(&mut self, min_capacity: usize) -> Vec<T> {
-        let start = class_of(min_capacity);
-        for class in start..CLASSES {
-            if let Some(list) = self.classes.get_mut(class) {
-                if let Some(buf) = list.pop() {
-                    self.stats.hits += 1;
-                    return buf;
+        if self.retained > 0 {
+            let start = class_of(min_capacity);
+            for class in start..CLASSES {
+                if let Some(list) = self.classes.get_mut(class) {
+                    if let Some(buf) = list.pop() {
+                        self.retained -= 1;
+                        self.stats.hits += 1;
+                        return buf;
+                    }
                 }
             }
+        }
+        if min_capacity == 0 {
+            return Vec::new();
         }
         self.stats.misses += 1;
         Vec::with_capacity(min_capacity)
@@ -111,8 +126,6 @@ impl<T> BufferPool<T> {
     /// exceeds the top class) are dropped instead.
     pub fn release(&mut self, mut buf: Vec<T>) {
         if buf.capacity() == 0 {
-            // Nothing worth recycling.
-            self.stats.discarded += 1;
             return;
         }
         buf.clear();
@@ -120,6 +133,7 @@ impl<T> BufferPool<T> {
         if let Some(list) = self.classes.get_mut(class) {
             if list.len() < PER_CLASS {
                 list.push(buf);
+                self.retained += 1;
                 self.stats.recycled += 1;
                 return;
             }
@@ -140,7 +154,7 @@ mod tests {
     #[test]
     fn acquire_miss_then_hit_round_trip() {
         let mut pool: BufferPool<u64> = BufferPool::new();
-        let mut buf = pool.acquire(0);
+        let mut buf = pool.acquire(8);
         assert_eq!(pool.stats().misses, 1);
         buf.extend(0..100u64);
         let cap = buf.capacity();
@@ -156,7 +170,7 @@ mod tests {
     #[test]
     fn acquire_respects_the_requested_size_class() {
         let mut pool: BufferPool<u8> = BufferPool::new();
-        let mut small = pool.acquire(0);
+        let mut small = pool.acquire(2);
         small.reserve_exact(2);
         pool.release(small);
         // A request for a much larger buffer must not return the small
@@ -187,7 +201,17 @@ mod tests {
         let mut pool: BufferPool<u8> = BufferPool::new();
         pool.release(Vec::new());
         assert_eq!(pool.stats().recycled, 0);
-        assert_eq!(pool.stats().discarded, 1);
+        // Nothing was allocated, so nothing was discarded either: a
+        // buffer that never grew makes a free, uncounted round trip.
+        let untouched = pool.acquire(0);
+        assert_eq!(untouched.capacity(), 0);
+        pool.release(untouched);
+        assert_eq!(pool.stats(), PoolStats::default());
+        // Once a grown buffer is retained, `acquire(0)` is a real hit.
+        pool.release(Vec::with_capacity(4));
+        assert!(pool.acquire(0).capacity() >= 4);
+        assert_eq!(pool.stats().hits, 1);
+        assert_eq!(pool.stats().misses, 0);
     }
 
     #[test]

@@ -29,7 +29,9 @@
 //!   splits the remaining set among the subtrees that contain them, and
 //!   forwards one copy per subtree — so the payload traverses each tree
 //!   edge at most once, instead of once per destination as a unicast
-//!   fan-out would.
+//!   fan-out would. The destinations travel as one shared list in the
+//!   Euler-tour order of the source's tree, so every subtree's share is a
+//!   contiguous range of it and a split allocates nothing.
 //! * [`Packet`] — what actually travels a routed network: a unicast
 //!   [`Routed`] envelope or a [`Multicast`] one.
 //!
@@ -43,8 +45,9 @@ use crate::fault::DownAction;
 use crate::message::{NodeId, WireSize};
 use crate::network::Topology;
 use crate::node::{Node, NodeContext, Outgoing};
-use std::collections::BTreeMap;
+use crate::time::SimDuration;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Why a [`Router`] could not be built for a topology.
@@ -87,6 +90,15 @@ pub struct Router {
     parent: Vec<Option<NodeId>>,
     /// `hops[src * n + dst]`: path length in links (0 for src → src).
     hops: Vec<u32>,
+    /// `span[src * n + v]`: the half-open range of Euler-tour (preorder,
+    /// children in id order) positions that `v`'s subtree occupies in
+    /// `src`'s broadcast tree; its start is `v`'s own position.
+    span: Vec<(u32, u32)>,
+    /// Broadcast-tree children in compressed rows: the children of `v` in
+    /// `src`'s tree, in id order, are `children[src * (n - 1)..]` between
+    /// the offsets `child_from[src * (n + 1) + v]` and `[.. + v + 1]`.
+    child_from: Vec<u32>,
+    children: Vec<NodeId>,
 }
 
 impl Router {
@@ -98,8 +110,14 @@ impl Router {
         let mut next_hop = vec![NodeId(0); n * n];
         let mut parent = vec![None; n * n];
         let mut hops = vec![0u32; n * n];
+        let mut span = vec![(0u32, 0u32); n * n];
+        let mut child_from = vec![0u32; n * (n + 1)];
+        let mut children = vec![NodeId(0); n * n.saturating_sub(1)];
         let neighbours: Vec<Vec<NodeId>> = (0..n).map(|i| topology.neighbours(NodeId(i))).collect();
         let mut queue = Vec::with_capacity(n);
+        let mut cursor = vec![0u32; n];
+        let mut size = vec![0u32; n];
+        let mut stack = Vec::with_capacity(n);
         for src in 0..n {
             let base = src * n;
             let mut seen = vec![false; n];
@@ -133,12 +151,51 @@ impl Router {
                     to: NodeId(unreached),
                 });
             }
+            // Children rows: count, prefix-sum, then fill in id order so
+            // every row comes out sorted.
+            let offsets = &mut child_from[src * (n + 1)..(src + 1) * (n + 1)];
+            for p in parent[base..base + n].iter().flatten() {
+                offsets[p.index() + 1] += 1;
+            }
+            for v in 0..n {
+                offsets[v + 1] += offsets[v];
+            }
+            cursor.copy_from_slice(&offsets[..n]);
+            let row = &mut children[src * (n - 1)..(src + 1) * (n - 1)];
+            for v in 0..n {
+                if let Some(p) = parent[base + v] {
+                    row[cursor[p.index()] as usize] = NodeId(v);
+                    cursor[p.index()] += 1;
+                }
+            }
+            // Euler tour: preorder positions, children visited in id
+            // order. `queue` (the BFS order) lists parents before
+            // children, so one reverse pass sums subtree sizes.
+            stack.clear();
+            stack.push(NodeId(src));
+            let mut position = 0u32;
+            while let Some(u) = stack.pop() {
+                span[base + u.index()].0 = position;
+                position += 1;
+                let kids = offsets[u.index()] as usize..offsets[u.index() + 1] as usize;
+                stack.extend(row[kids].iter().rev());
+            }
+            size.fill(1);
+            for &u in queue.iter().rev() {
+                span[base + u.index()].1 = span[base + u.index()].0 + size[u.index()];
+                if let Some(p) = parent[base + u.index()] {
+                    size[p.index()] += size[u.index()];
+                }
+            }
         }
         Ok(Router {
             n,
             next_hop,
             parent,
             hops,
+            span,
+            child_from,
+            children,
         })
     }
 
@@ -167,10 +224,102 @@ impl Router {
     /// broadcast from `src` forwarded along these edges reaches every node
     /// exactly once over shortest paths.
     pub fn tree_children(&self, src: NodeId, node: NodeId) -> Vec<NodeId> {
-        (0..self.n)
-            .map(NodeId)
-            .filter(|&v| self.tree_parent(src, v) == Some(node))
-            .collect()
+        self.children_of(src, node).to_vec()
+    }
+
+    /// The row of `node`'s children in `src`'s broadcast tree (empty for
+    /// ids the router does not cover).
+    fn children_of(&self, src: NodeId, node: NodeId) -> &[NodeId] {
+        if src.index() >= self.n || node.index() >= self.n {
+            return &[];
+        }
+        let offsets = src.index() * (self.n + 1) + node.index();
+        let row = src.index() * (self.n - 1);
+        match (
+            self.child_from.get(offsets),
+            self.child_from.get(offsets + 1),
+        ) {
+            (Some(&from), Some(&to)) => self
+                .children
+                .get(row + from as usize..row + to as usize)
+                .unwrap_or_default(),
+            _ => &[],
+        }
+    }
+
+    /// The Euler-tour positions `node`'s subtree occupies in `src`'s
+    /// broadcast tree (`None` for ids the router does not cover).
+    fn subtree_span(&self, src: NodeId, node: NodeId) -> Option<(u32, u32)> {
+        if node.index() >= self.n {
+            return None;
+        }
+        self.span.get(src.index() * self.n + node.index()).copied()
+    }
+
+    /// Sort multicast destinations into the Euler-tour order of `src`'s
+    /// broadcast tree — the order [`Multicast`] carries them in, which
+    /// makes every subtree's share of the list one contiguous range.
+    fn sort_for_multicast(&self, src: NodeId, dsts: &mut [NodeId]) {
+        dsts.sort_unstable_by_key(|&d| self.subtree_span(src, d).map_or(u32::MAX, |s| s.0));
+    }
+
+    /// Split the multicast destinations `dsts` (a run of a list in the
+    /// Euler-tour order of `src`'s broadcast tree) at node `at` of that
+    /// tree: `forward(child, range)` is called once per child of `at`
+    /// whose subtree holds destinations, in child id order, with the
+    /// range of `dsts` inside that subtree. Returns whether `at` itself
+    /// is a destination, and how many destinations lie outside `at`'s
+    /// subtree — strays that no child can serve, dropped rather than
+    /// forwarded.
+    ///
+    /// This is the tree-splitting rule shared by the source (where `at`
+    /// is `src`, and the child is the [`Router::next_hop`] the unicast
+    /// route would take) and by every transit relay, so the stages can
+    /// never disagree on how a destination set splits.
+    pub(crate) fn split(
+        &self,
+        src: NodeId,
+        at: NodeId,
+        dsts: &[NodeId],
+        mut forward: impl FnMut(NodeId, Range<usize>),
+    ) -> (bool, u64) {
+        let kids = self.children_of(src, at);
+        let (mut here, mut strays) = (false, 0);
+        let mut i = 0;
+        while let Some(&d) = dsts.get(i) {
+            i += 1;
+            if d == at {
+                here = true;
+                continue;
+            }
+            // The child whose subtree holds `d`: the last one entered at
+            // or before `d`'s position, if `d` is also before its end.
+            let found = self.subtree_span(src, d).and_then(|(d_at, _)| {
+                let after = kids.partition_point(|&c| {
+                    self.subtree_span(src, c)
+                        .is_some_and(|(c_at, _)| c_at <= d_at)
+                });
+                let child = *kids.get(after.checked_sub(1)?)?;
+                let (from, to) = self.subtree_span(src, child)?;
+                (d_at < to).then_some((child, from..to))
+            });
+            let Some((child, subtree)) = found else {
+                strays += 1;
+                continue;
+            };
+            let run = dsts
+                .get(i..)
+                .unwrap_or_default()
+                .iter()
+                .take_while(|&&t| {
+                    self.subtree_span(src, t)
+                        .is_some_and(|(t_at, _)| subtree.contains(&t_at))
+                })
+                .count();
+            forward(child, i - 1..i + run);
+            i += run;
+        }
+        (here, strays)
     }
 
     /// The next node after `at` on `src`'s broadcast-tree path to `dst`
@@ -243,14 +392,60 @@ impl<P: WireSize> WireSize for Routed<P> {
 /// forwards one copy per subtree. Destination sets shrink monotonically
 /// toward the leaves, and every destination receives the payload exactly
 /// once.
+///
+/// All copies of one fan-out share a single destination list, in the
+/// Euler-tour order of `src`'s broadcast tree; a copy serves a contiguous
+/// range of it, so forking a copy clones a handle and narrows the range.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Multicast<P> {
     /// The logical sender (whose broadcast tree the envelope follows).
     pub src: NodeId,
-    /// The destinations still to be served by this copy.
-    pub dsts: Vec<NodeId>,
+    /// Every destination of the fan-out, in the Euler-tour order of
+    /// `src`'s broadcast tree.
+    all: Arc<[NodeId]>,
+    /// The part of `all` this copy still serves.
+    serves: Range<u32>,
     /// The protocol payload (one copy, shared by all destinations).
     pub payload: P,
+}
+
+impl<P> Multicast<P> {
+    /// An envelope carrying `payload` from `src` to every node of `dsts`,
+    /// put into the order `router` splits them in.
+    pub fn new(router: &Router, src: NodeId, mut dsts: Vec<NodeId>, payload: P) -> Self {
+        router.sort_for_multicast(src, &mut dsts);
+        let all = dsts.into();
+        Self::part(src, &all, 0..all.len(), payload)
+    }
+
+    /// The copy of a fan-out to `all` that serves `all[range]`.
+    fn part(src: NodeId, all: &Arc<[NodeId]>, range: Range<usize>, payload: P) -> Self {
+        Multicast {
+            src,
+            all: Arc::clone(all),
+            serves: range.start as u32..range.end as u32,
+            payload,
+        }
+    }
+
+    /// The destinations still to be served by this copy.
+    pub fn dsts(&self) -> &[NodeId] {
+        self.all
+            .get(self.serves.start as usize..self.serves.end as usize)
+            .unwrap_or_default()
+    }
+
+    /// A copy of this envelope carrying `payload` to the destinations at
+    /// `range` of [`Multicast::dsts`].
+    fn fork(&self, range: Range<usize>, payload: P) -> Self {
+        let start = self.serves.start as usize;
+        Self::part(
+            self.src,
+            &self.all,
+            start + range.start..start + range.end,
+            payload,
+        )
+    }
 }
 
 impl<P: WireSize> WireSize for Multicast<P> {
@@ -300,7 +495,7 @@ impl<P: WireSize> WireSize for Packet<P> {
 /// [`SendError`](crate::sim::SendError), the relay instead forwards the
 /// envelope to [`Router::next_hop`].
 #[derive(Clone, Debug)]
-pub struct Relay<N> {
+pub struct Relay<P, N> {
     inner: N,
     me: NodeId,
     router: Arc<Router>,
@@ -310,9 +505,13 @@ pub struct Relay<N> {
     multicast: bool,
     forwarded: u64,
     misrouted: u64,
+    /// The buffers of the inner node's context, kept between callbacks
+    /// (and empty then) so a delivery that sends allocates no outbox.
+    outbox: Vec<Outgoing<P>>,
+    timers: Vec<(SimDuration, u64)>,
 }
 
-impl<N> Relay<N> {
+impl<P, N> Relay<P, N> {
     /// Host `inner` as node `me` on the routed network described by
     /// `router`. When `multicast` is set, multi-destination sends are
     /// deduplicated along `me`'s broadcast tree; otherwise they fan out
@@ -325,6 +524,8 @@ impl<N> Relay<N> {
             multicast,
             forwarded: 0,
             misrouted: 0,
+            outbox: Vec::new(),
+            timers: Vec::new(),
         }
     }
 
@@ -369,104 +570,87 @@ impl<N> Relay<N> {
     }
 }
 
-/// Partition multicast destinations by their next hop, preserving input
-/// order within each group. One [`Multicast`] envelope is then emitted per
-/// group — this is the tree-splitting rule shared by the source (keyed by
-/// [`Router::next_hop`], which at the tree root *is* the broadcast-tree
-/// child) and by transit relays (keyed by [`Router::tree_next_hop`]), so
-/// the two stages can never disagree on how a destination set splits.
-/// Destinations whose hop is unknown (`hop` returns `None`) are dropped
-/// and tallied in the second return value rather than grouped — on the
-/// transit path that means a misrouted destination costs one counter
-/// bump, not a simulation-wide panic.
-fn group_by_hop(
-    targets: impl IntoIterator<Item = NodeId>,
-    mut hop: impl FnMut(NodeId) -> Option<NodeId>,
-) -> (BTreeMap<NodeId, Vec<NodeId>>, u64) {
-    let mut groups: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-    let mut lost = 0u64;
-    for t in targets {
-        match hop(t) {
-            Some(h) => groups.entry(h).or_default().push(t),
-            None => lost += 1,
-        }
-    }
-    (groups, lost)
-}
-
-/// Drain an inner context into an outer routed context: unicast sends are
-/// wrapped in [`Routed`] envelopes addressed to their first hop;
-/// multi-destination sends become one [`Multicast`] envelope per
-/// broadcast-tree child when `multicast` is enabled (and degrade to the
-/// unicast fan-out otherwise); timers pass through unchanged.
-pub(crate) fn route_outbox<P: Clone>(
-    router: &Router,
-    me: NodeId,
-    multicast: bool,
-    inner: NodeContext<P>,
-    outer: &mut NodeContext<Packet<P>>,
-) {
-    let (outbox, timers) = inner.into_parts();
-    let unicast = |outer: &mut NodeContext<Packet<P>>, to: NodeId, payload: P| {
-        outer.send(
-            router.next_hop(me, to),
-            Packet::One(Routed {
-                src: me,
-                dst: to,
-                payload,
-            }),
+impl<P: Clone, N> Relay<P, N> {
+    /// Run `f` against the hosted protocol node with a context of its
+    /// own, then re-address what it sent onto `outer`: unicast sends are
+    /// wrapped in [`Routed`] envelopes addressed to their first hop;
+    /// multi-destination sends become one [`Multicast`] envelope per
+    /// broadcast-tree child when multicast is enabled (and degrade to
+    /// the unicast fan-out otherwise); timers pass through unchanged.
+    pub(crate) fn with_inner<R>(
+        &mut self,
+        outer: &mut NodeContext<Packet<P>>,
+        f: impl FnOnce(&mut N, &mut NodeContext<P>) -> R,
+    ) -> R {
+        let mut ctx = NodeContext::with_buffers(
+            self.me,
+            outer.now(),
+            std::mem::take(&mut self.outbox),
+            std::mem::take(&mut self.timers),
         );
-    };
-    for out in outbox {
-        match out {
-            Outgoing::One(to, payload) => unicast(outer, to, payload),
-            Outgoing::Many(targets, payload) if !multicast => {
-                for to in targets {
-                    unicast(outer, to, payload.clone());
+        let result = f(&mut self.inner, &mut ctx);
+        let (mut outbox, mut timers) = ctx.into_parts();
+        let (me, router) = (self.me, &*self.router);
+        let unicast = |outer: &mut NodeContext<Packet<P>>, to: NodeId, payload: P| {
+            outer.send(
+                router.next_hop(me, to),
+                Packet::One(Routed {
+                    src: me,
+                    dst: to,
+                    payload,
+                }),
+            );
+        };
+        for out in outbox.drain(..) {
+            match out {
+                Outgoing::One(to, payload) => unicast(outer, to, payload),
+                Outgoing::Many(targets, payload) if !self.multicast => {
+                    for to in targets {
+                        unicast(outer, to, payload.clone());
+                    }
                 }
-            }
-            Outgoing::Many(targets, payload) => {
-                // One envelope per broadcast-tree child of the source,
-                // carrying the subset of targets inside that subtree.
-                // `next_hop` is total, so no destination can be lost here.
-                let (groups, _none_lost) =
-                    group_by_hop(targets, |to| Some(router.next_hop(me, to)));
-                for (first_hop, dsts) in groups {
-                    outer.send(
-                        first_hop,
-                        Packet::Many(Multicast {
-                            src: me,
-                            dsts,
-                            payload: payload.clone(),
-                        }),
-                    );
+                Outgoing::Many(mut targets, payload) => {
+                    // One envelope per broadcast-tree child of the source,
+                    // carrying the targets inside that subtree.
+                    router.sort_for_multicast(me, &mut targets);
+                    let all: Arc<[NodeId]> = targets.into();
+                    let (to_self, _) = router.split(me, me, &all, |child, range| {
+                        let copy = Multicast::part(me, &all, range, payload.clone());
+                        outer.send(child, Packet::Many(copy));
+                    });
+                    if to_self {
+                        // Not a link: let the simulator refuse it, as it
+                        // refuses a unicast to oneself.
+                        unicast(outer, me, payload);
+                    }
                 }
             }
         }
-    }
-    for (delay, tag) in timers {
-        outer.set_timer(delay, tag);
+        for (delay, tag) in timers.drain(..) {
+            outer.set_timer(delay, tag);
+        }
+        self.outbox = outbox;
+        self.timers = timers;
+        result
     }
 }
 
-impl<P, N> Node<Packet<P>> for Relay<N>
+impl<P, N> Node<Packet<P>> for Relay<P, N>
 where
     P: WireSize + fmt::Debug + Clone,
     N: Node<P>,
 {
     fn on_start(&mut self, ctx: &mut NodeContext<Packet<P>>) {
-        let mut inner_ctx = NodeContext::new(self.me, ctx.now());
-        self.inner.on_start(&mut inner_ctx);
-        route_outbox(&self.router, self.me, self.multicast, inner_ctx, ctx);
+        self.with_inner(ctx, |inner, inner_ctx| inner.on_start(inner_ctx));
     }
 
     fn on_message(&mut self, ctx: &mut NodeContext<Packet<P>>, _from: NodeId, packet: Packet<P>) {
         match packet {
             Packet::One(env) => {
                 if env.dst == self.me {
-                    let mut inner_ctx = NodeContext::new(self.me, ctx.now());
-                    self.inner.on_message(&mut inner_ctx, env.src, env.payload);
-                    route_outbox(&self.router, self.me, self.multicast, inner_ctx, ctx);
+                    self.with_inner(ctx, |inner, inner_ctx| {
+                        inner.on_message(inner_ctx, env.src, env.payload);
+                    });
                 } else {
                     // Transit traffic: forward along the shortest path
                     // without waking the protocol node.
@@ -475,44 +659,33 @@ where
                 }
             }
             Packet::Many(env) => {
-                let Multicast { src, dsts, payload } = env;
                 // Split the remaining destinations among the children of
                 // this node in `src`'s broadcast tree; one copy per child
-                // keeps the payload on each tree edge at most once.
-                let deliver_here = dsts.contains(&self.me);
-                // A destination this node cannot reach inside `src`'s
-                // broadcast tree means the envelope strayed off its
-                // splitting path; drop that destination and count it
-                // rather than panicking mid-delivery.
-                let (groups, lost) =
-                    group_by_hop(dsts.into_iter().filter(|&d| d != self.me), |d| {
-                        self.router.tree_next_hop(src, self.me, d)
-                    });
-                self.misrouted += lost;
-                for (next, dsts) in groups {
-                    self.forwarded += 1;
-                    ctx.send(
-                        next,
-                        Packet::Many(Multicast {
-                            src,
-                            dsts,
-                            payload: payload.clone(),
-                        }),
-                    );
-                }
+                // keeps the payload on each tree edge at most once. A
+                // destination this node cannot reach inside that tree
+                // means the envelope strayed off its splitting path; it
+                // is dropped and counted rather than panicking
+                // mid-delivery.
+                let mut forwards = 0;
+                let (deliver_here, strays) =
+                    self.router
+                        .split(env.src, self.me, env.dsts(), |child, range| {
+                            forwards += 1;
+                            ctx.send(child, Packet::Many(env.fork(range, env.payload.clone())));
+                        });
+                self.forwarded += forwards;
+                self.misrouted += strays;
                 if deliver_here {
-                    let mut inner_ctx = NodeContext::new(self.me, ctx.now());
-                    self.inner.on_message(&mut inner_ctx, src, payload);
-                    route_outbox(&self.router, self.me, self.multicast, inner_ctx, ctx);
+                    self.with_inner(ctx, |inner, inner_ctx| {
+                        inner.on_message(inner_ctx, env.src, env.payload);
+                    });
                 }
             }
         }
     }
 
     fn on_timer(&mut self, ctx: &mut NodeContext<Packet<P>>, tag: u64) {
-        let mut inner_ctx = NodeContext::new(self.me, ctx.now());
-        self.inner.on_timer(&mut inner_ctx, tag);
-        route_outbox(&self.router, self.me, self.multicast, inner_ctx, ctx);
+        self.with_inner(ctx, |inner, inner_ctx| inner.on_timer(inner_ctx, tag));
     }
 
     /// While this relay's host is crashed, envelopes addressed to the
@@ -529,7 +702,7 @@ where
         match packet {
             Packet::One(env) if env.dst == self.me => DownAction::Lose,
             Packet::One(_) => DownAction::Park,
-            Packet::Many(m) if m.dsts.iter().all(|&d| d == self.me) => DownAction::Lose,
+            Packet::Many(m) if m.dsts().iter().all(|&d| d == self.me) => DownAction::Lose,
             Packet::Many(_) => DownAction::Park,
         }
     }
@@ -540,6 +713,189 @@ mod tests {
     use super::*;
     use crate::message::RawPayload;
     use crate::time::SimTime;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The reference model of the multicast split: the map-based rule the
+    /// range partition replaced. Destinations are grouped by their next
+    /// hop (input order kept within a group), one envelope is emitted per
+    /// group in hop id order, and a destination with no hop is dropped
+    /// and tallied.
+    fn group_by_hop(
+        targets: impl IntoIterator<Item = NodeId>,
+        mut hop: impl FnMut(NodeId) -> Option<NodeId>,
+    ) -> (BTreeMap<NodeId, Vec<NodeId>>, u64) {
+        let mut groups: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
+        let mut lost = 0u64;
+        for t in targets {
+            match hop(t) {
+                Some(h) => groups.entry(h).or_default().push(t),
+                None => lost += 1,
+            }
+        }
+        (groups, lost)
+    }
+
+    /// What one relay emits for one envelope, under either rule: the
+    /// forwards in emission order, whether it delivers locally, and the
+    /// destinations it drops.
+    type Emission = (Vec<(NodeId, Vec<NodeId>)>, bool, u64);
+
+    fn model_emission(r: &Router, src: NodeId, at: NodeId, dsts: &[NodeId]) -> Emission {
+        let here = dsts.contains(&at);
+        let (groups, lost) = group_by_hop(dsts.iter().copied().filter(|&d| d != at), |d| {
+            if at == src {
+                Some(r.next_hop(src, d))
+            } else {
+                r.tree_next_hop(src, at, d)
+            }
+        });
+        (groups.into_iter().collect(), here, lost)
+    }
+
+    fn split_emission(r: &Router, src: NodeId, at: NodeId, dsts: &[NodeId]) -> Emission {
+        let mut forwards = Vec::new();
+        let (here, strays) = r.split(src, at, dsts, |child, range| {
+            forwards.push((child, dsts[range].to_vec()));
+        });
+        (forwards, here, strays)
+    }
+
+    /// A strongly connected topology: a ring backbone plus `chords`.
+    fn ring_with_chords(n: usize, chords: &[(usize, usize)]) -> Topology {
+        let mut links = Vec::new();
+        for i in 0..n {
+            links.push((i, (i + 1) % n));
+            links.push(((i + 1) % n, i));
+        }
+        for &(a, b) in chords {
+            let (a, b) = (a % n, b % n);
+            if a != b {
+                links.push((a, b));
+                links.push((b, a));
+            }
+        }
+        Topology::explicit(n, links)
+    }
+
+    fn sorted(mut set: Vec<NodeId>) -> Vec<NodeId> {
+        set.sort_unstable();
+        set
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Follow one multicast from its source to every leaf, splitting
+        /// at each relay with the range partition and with the old
+        /// map-based rule: every relay must forward to the same children
+        /// in the same order with the same destination sets, deliver
+        /// locally in the same cases, and drop nothing.
+        #[test]
+        fn range_split_matches_the_map_based_split(
+            n in 2usize..14,
+            chords in proptest::collection::vec((0usize..14, 0usize..14), 0..10),
+            src in 0usize..14,
+            picks in proptest::collection::vec(0usize..14, 1..14),
+        ) {
+            let r = Router::new(&ring_with_chords(n, &chords)).unwrap();
+            let src = NodeId(src % n);
+            let mut dsts: Vec<NodeId> = picks.iter().map(|p| NodeId(p % n)).collect();
+            dsts.sort_unstable();
+            dsts.dedup();
+            dsts.retain(|&d| d != src);
+            r.sort_for_multicast(src, &mut dsts);
+            let mut reached = Vec::new();
+            let mut frontier = vec![(src, dsts.clone())];
+            while let Some((at, set)) = frontier.pop() {
+                let (forwards, here, strays) = split_emission(&r, src, at, &set);
+                let (model_forwards, model_here, model_lost) = model_emission(&r, src, at, &set);
+                prop_assert_eq!(here, model_here);
+                prop_assert_eq!((strays, model_lost), (0, 0));
+                prop_assert_eq!(forwards.len(), model_forwards.len());
+                for ((child, share), (model_child, model_share)) in
+                    forwards.iter().zip(&model_forwards)
+                {
+                    prop_assert_eq!(child, model_child);
+                    prop_assert_eq!(sorted(share.clone()), sorted(model_share.clone()));
+                }
+                if here {
+                    reached.push(at);
+                }
+                frontier.extend(forwards);
+            }
+            prop_assert_eq!(sorted(reached), sorted(dsts));
+        }
+
+        /// Hand a relay an envelope it should never have received — any
+        /// destination list, sorted or not, at any node: the split must
+        /// not panic, must drop exactly the destinations the parent-chain
+        /// walk cannot reach from here, and must forward every other one
+        /// exactly once, to the child the walk names.
+        #[test]
+        fn stray_destinations_are_counted_never_fatal(
+            n in 2usize..12,
+            chords in proptest::collection::vec((0usize..12, 0usize..12), 0..8),
+            src in 0usize..12,
+            at in 0usize..12,
+            picks in proptest::collection::vec(0usize..16, 0..12),
+            sort in 0usize..2,
+        ) {
+            let r = Router::new(&ring_with_chords(n, &chords)).unwrap();
+            let (src, at) = (NodeId(src % n), NodeId(at % n));
+            // Ids up to 15 on at most 11 nodes: some name no node at all.
+            let mut dsts: Vec<NodeId> = picks.iter().map(|&p| NodeId(p)).collect();
+            dsts.sort_unstable();
+            dsts.dedup();
+            if sort == 1 {
+                r.sort_for_multicast(src, &mut dsts);
+            }
+            let (forwards, here, strays) = split_emission(&r, src, at, &dsts);
+            prop_assert_eq!(here, dsts.contains(&at));
+            let hop = |d: NodeId| {
+                (d.index() < n).then(|| r.tree_next_hop(src, at, d)).flatten()
+            };
+            let unreachable = dsts.iter().filter(|&&d| d != at && hop(d).is_none()).count();
+            prop_assert_eq!(strays, unreachable as u64);
+            let mut forwarded = Vec::new();
+            for (child, share) in forwards {
+                for d in share {
+                    prop_assert_eq!(hop(d), Some(child));
+                    forwarded.push(d);
+                }
+            }
+            let expected: Vec<NodeId> =
+                dsts.iter().copied().filter(|&d| hop(d).is_some()).collect();
+            prop_assert_eq!(sorted(forwarded), sorted(expected));
+        }
+    }
+
+    #[test]
+    fn euler_order_keeps_every_subtree_contiguous() {
+        for topo in [
+            Topology::ring(7),
+            Topology::grid(3, 4),
+            Topology::star(6),
+            Topology::line(5),
+            Topology::full_mesh(5),
+        ] {
+            let n = topo.node_count();
+            let r = Router::new(&topo).unwrap();
+            for src in (0..n).map(NodeId) {
+                let mut all: Vec<NodeId> = (0..n).map(NodeId).collect();
+                r.sort_for_multicast(src, &mut all);
+                assert_eq!(all[0], src, "the root opens its own tour");
+                for v in (0..n).map(NodeId) {
+                    // v's subtree: everything whose tree path passes v.
+                    let inside = |d: NodeId| d == v || r.tree_next_hop(src, v, d).is_some();
+                    let first = all.iter().position(|&d| inside(d)).unwrap();
+                    let count = all.iter().filter(|&&d| inside(d)).count();
+                    assert_eq!(all[first], v, "a subtree's run starts at its root");
+                    assert!(all[first..first + count].iter().all(|&d| inside(d)));
+                }
+            }
+        }
+    }
 
     #[test]
     fn full_mesh_routes_are_all_direct() {
@@ -755,11 +1111,12 @@ mod tests {
 
     #[test]
     fn multicast_envelope_bytes_delegate_to_the_payload_once() {
-        let env = Multicast {
-            src: NodeId(0),
-            dsts: vec![NodeId(1), NodeId(2), NodeId(3)],
-            payload: RawPayload::new(8, 16),
-        };
+        let env = Multicast::new(
+            &Router::new(&Topology::ring(4)).unwrap(),
+            NodeId(0),
+            vec![NodeId(1), NodeId(2), NodeId(3)],
+            RawPayload::new(8, 16),
+        );
         // One payload on the wire regardless of how many destinations the
         // envelope still serves.
         assert_eq!(env.data_bytes(), 8);
@@ -811,16 +1168,17 @@ mod tests {
         // On ring(4), node 0's broadcast tree reaches 3 via the direct
         // edge 0→3, so node 2 is not an ancestor of 3 in that tree.
         assert_eq!(router.tree_next_hop(NodeId(0), NodeId(2), NodeId(3)), None);
-        let mut relay = Relay::new(Sink::default(), NodeId(2), router, true);
+        let mut relay = Relay::new(Sink::default(), NodeId(2), Arc::clone(&router), true);
         let mut ctx = NodeContext::new(NodeId(2), SimTime::ZERO);
         relay.on_message(
             &mut ctx,
             NodeId(1),
-            Packet::Many(Multicast {
-                src: NodeId(0),
-                dsts: vec![NodeId(2), NodeId(3)],
-                payload: RawPayload::new(8, 4),
-            }),
+            Packet::Many(Multicast::new(
+                &router,
+                NodeId(0),
+                vec![NodeId(2), NodeId(3)],
+                RawPayload::new(8, 4),
+            )),
         );
         // The local copy was delivered, the unreachable destination was
         // dropped and tallied, and nothing was forwarded.

@@ -301,6 +301,8 @@ where
                     from,
                     to: node,
                     seq,
+                    data_bytes: payload.data_bytes(),
+                    control_bytes: payload.control_bytes(),
                     payload,
                 },
             );
@@ -461,13 +463,14 @@ where
                 from,
                 to,
                 seq,
+                data_bytes,
+                control_bytes,
                 payload,
             } => {
                 if self.is_down(to, self.now) {
                     return self.handle_down_delivery(from, to, seq, payload);
                 }
-                self.stats
-                    .record_delivery(to, payload.data_bytes(), payload.control_bytes());
+                self.stats.record_delivery(to, data_bytes, control_bytes);
                 if self.trace.is_enabled() {
                     self.trace.record(TraceEntry::Delivered {
                         at: self.now,
@@ -554,6 +557,8 @@ where
                                 from,
                                 to,
                                 seq,
+                                data_bytes: payload.data_bytes(),
+                                control_bytes: payload.control_bytes(),
                                 payload,
                             },
                         ),
@@ -576,13 +581,13 @@ where
 
     /// Fallible variant of [`Simulator::run_until_quiescent`].
     ///
-    /// The run loop drains all events sharing the earliest timestamp in
-    /// one heap pass ([`EventQueue::pop_ready_into`]) instead of
-    /// re-peeking per event; the interleaving is bit-identical to the
-    /// single-step loop because events scheduled while a batch is
-    /// processed always carry larger order numbers (see the batch-drain
-    /// docs). On budget expiry or a send error mid-batch the unprocessed
-    /// remainder is requeued at its original positions.
+    /// The run loop drains all events sharing the earliest timestamp at
+    /// once ([`EventQueue::pop_ready_into`]) instead of popping per
+    /// event; the interleaving is bit-identical to the single-step loop
+    /// because events scheduled while a batch is processed always carry
+    /// larger order numbers (see the batch-drain docs). On budget expiry
+    /// or a send error mid-batch the unprocessed remainder is requeued at
+    /// its original positions.
     pub fn try_run_until_quiescent(&mut self) -> Result<RunOutcome, SendError> {
         self.try_start()?;
         let mut processed = 0u64;
@@ -687,28 +692,33 @@ where
         to: NodeId,
         payload: Payload<P>,
     ) -> Result<(), SendError> {
-        if !self.topology.connected(from, to) {
-            return Err(SendError::NoLink { from, to });
+        let n = self.topology.node_count();
+        let no_link = SendError::NoLink { from, to };
+        if to.index() >= n {
+            return Err(no_link);
         }
-        let bytes = payload.total_bytes();
-        let slot = from.index() * self.topology.node_count() + to.index();
-        let config = &self.config;
         let channel_slot = self
             .channels
-            .get_mut(slot)
-            .ok_or(SendError::UnknownNode { node: to })?;
-        let channel = channel_slot.get_or_insert_with(|| {
-            Channel::with_faults(
+            .get_mut(from.index() * n + to.index())
+            .ok_or(no_link)?;
+        let channel = match channel_slot {
+            Some(channel) => channel,
+            // A channel exists only where the topology has a link, so the
+            // link is checked once, when its channel is created.
+            None if self.topology.connected(from, to) => channel_slot.insert(Channel::with_faults(
                 from,
                 to,
-                config.latency.clone(),
-                config.seed,
-                &config.faults,
-            )
-        });
-        let transmission = channel.transmit(self.now, bytes);
-        let seq = channel.sent_count();
+                self.config.latency.clone(),
+                self.config.seed,
+                &self.config.faults,
+            )),
+            None => return Err(no_link),
+        };
+        // The payload's sizes are computed here, once per hop, and ride
+        // with the delivery event.
         let (data, control) = (payload.data_bytes(), payload.control_bytes());
+        let transmission = channel.transmit(self.now, data + control);
+        let seq = channel.sent_count();
         self.stats.record_send(from, to, data, control);
         self.stats
             .record_retransmits(from, to, transmission.drops, data, control);
@@ -721,7 +731,7 @@ where
                 at: self.now,
                 from,
                 to,
-                bytes,
+                bytes: data + control,
                 label: format!("{payload:?}"),
             });
         }
@@ -731,6 +741,8 @@ where
                 from,
                 to,
                 seq,
+                data_bytes: data,
+                control_bytes: control,
                 payload,
             },
         );

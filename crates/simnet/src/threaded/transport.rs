@@ -20,7 +20,7 @@ use crate::message::{NodeId, WireSize};
 use crate::network::Topology;
 use crate::node::{Node, NodeContext};
 use crate::pool::PoolStats;
-use crate::route::{route_outbox, Packet, Relay, RouteError, Router};
+use crate::route::{Packet, Relay, RouteError, Router};
 use crate::sim::{RunOutcome, SimConfig};
 use crate::stats::NetworkStats;
 use crate::time::SimTime;
@@ -39,7 +39,7 @@ where
     /// Direct sends over a full mesh of rings.
     Direct(ThreadedNet<P, N>),
     /// Relay nodes on worker threads forwarding envelopes hop by hop.
-    Routed(ThreadedNet<Packet<P>, Relay<N>>),
+    Routed(ThreadedNet<Packet<P>, Relay<P, N>>),
 }
 
 impl<P, N> ThreadedTransport<P, N>
@@ -129,21 +129,12 @@ where
     {
         match self {
             ThreadedTransport::Direct(net) => net.try_with_node(id, f),
-            ThreadedTransport::Routed(net) => net.try_with_node(id, move |relay, ctx| {
-                // Same wrapping as `Transport::try_with_node`: run the
-                // closure against the inner protocol node, then route
-                // whatever it sent into per-hop envelopes.
-                let mut inner_ctx = NodeContext::new(id, ctx.now());
-                let r = f(relay.inner_mut(), &mut inner_ctx);
-                route_outbox(
-                    relay.router(),
-                    id,
-                    relay.multicast_enabled(),
-                    inner_ctx,
-                    ctx,
-                );
-                r
-            }),
+            // Same wrapping as `Transport::try_with_node`: run the closure
+            // against the inner protocol node, then route whatever it
+            // sent into per-hop envelopes.
+            ThreadedTransport::Routed(net) => {
+                net.try_with_node(id, move |relay, ctx| relay.with_inner(ctx, &f))
+            }
         }
     }
 
@@ -166,17 +157,9 @@ where
     {
         match self {
             ThreadedTransport::Direct(net) => net.try_with_node_async(id, f),
-            ThreadedTransport::Routed(net) => net.try_with_node_async(id, move |relay, ctx| {
-                let mut inner_ctx = NodeContext::new(id, ctx.now());
-                f(relay.inner_mut(), &mut inner_ctx);
-                route_outbox(
-                    relay.router(),
-                    id,
-                    relay.multicast_enabled(),
-                    inner_ctx,
-                    ctx,
-                );
-            }),
+            ThreadedTransport::Routed(net) => {
+                net.try_with_node_async(id, move |relay, ctx| relay.with_inner(ctx, &f))
+            }
         }
     }
 

@@ -21,7 +21,7 @@
 use crate::message::{NodeId, WireSize};
 use crate::network::Topology;
 use crate::node::{Node, NodeContext};
-use crate::route::{route_outbox, Packet, Relay, RouteError, Router};
+use crate::route::{Packet, Relay, RouteError, Router};
 use crate::sim::{RunOutcome, SimConfig, Simulator};
 use crate::stats::NetworkStats;
 use crate::time::SimTime;
@@ -184,7 +184,7 @@ pub enum Transport<P, N> {
     Direct(Simulator<P, N>),
     /// Multi-hop relaying over BFS shortest paths, with optional
     /// broadcast-tree multicast for multi-destination sends.
-    Routed(Simulator<Packet<P>, Relay<N>>),
+    Routed(Simulator<Packet<P>, Relay<P, N>>),
 }
 
 impl<P, N> Transport<P, N>
@@ -380,18 +380,7 @@ where
     ) -> Result<R, crate::sim::SendError> {
         match self {
             Transport::Direct(sim) => sim.try_with_node(id, f),
-            Transport::Routed(sim) => sim.try_with_node(id, |relay, ctx| {
-                let mut inner_ctx = NodeContext::new(id, ctx.now());
-                let r = f(relay.inner_mut(), &mut inner_ctx);
-                route_outbox(
-                    relay.router(),
-                    id,
-                    relay.multicast_enabled(),
-                    inner_ctx,
-                    ctx,
-                );
-                r
-            }),
+            Transport::Routed(sim) => sim.try_with_node(id, |relay, ctx| relay.with_inner(ctx, f)),
         }
     }
 
