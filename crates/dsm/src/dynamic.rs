@@ -417,6 +417,43 @@ mod tests {
         }
     }
 
+    /// Reads run in place on the free-running backend, writes are
+    /// pipelined to the worker: program order must survive the split. `p0`
+    /// is the writer because it sequences `x0` under the sequencer and
+    /// op-log protocols, so no echo of an earlier write of the burst can
+    /// pass through its replica after the optimistic apply of the last.
+    #[test]
+    fn a_read_on_threads_sees_the_writes_pipelined_before_it() {
+        use simnet::ThreadedMode;
+        for kind in ProtocolKind::ALL {
+            for n in [2, 4] {
+                let mut sys = DynDsm::with_backend(
+                    kind,
+                    Distribution::full(n, 1),
+                    SimConfig::default(),
+                    ExecBackend::Threaded(ThreadedMode::FreeRunning),
+                );
+                sys.disable_recording();
+                let mut last = 0;
+                for _ in 0..10_000 {
+                    for _ in 0..4 {
+                        last += 1;
+                        sys.write(ProcId(0), VarId(0), last).unwrap();
+                    }
+                    assert_eq!(
+                        sys.read(ProcId(0), VarId(0)),
+                        Ok(Value::Int(last)),
+                        "{kind} n={n}"
+                    );
+                }
+                sys.settle();
+                for p in 0..n {
+                    assert_eq!(sys.peek(ProcId(p), VarId(0)), Value::Int(last));
+                }
+            }
+        }
+    }
+
     #[test]
     fn step_and_now_advance_virtual_time() {
         let mut sys = DynDsm::new(ProtocolKind::CausalFull, Distribution::full(3, 1));

@@ -430,9 +430,10 @@ impl<P: ProtocolSpec> DsmSystem<P> {
             }
             NetBackend::Threaded(net) => {
                 // Writes return nothing, so they pipeline: the invoke is
-                // posted on the worker's FIFO control lane and the next
-                // settle (or synchronous read) is the barrier. A worker
-                // death after the post surfaces there as `WorkerDied`.
+                // posted on the node's FIFO lane for its worker thread,
+                // and the next settle (or read by `p`, which waits for
+                // that lane to drain) is the barrier. A worker death
+                // after the post surfaces there as `WorkerDied`.
                 net.try_with_node_async(NodeId(p.index()), move |node, ctx| {
                     node.local_write(ctx, var, value);
                 })
@@ -449,8 +450,12 @@ impl<P: ProtocolSpec> DsmSystem<P> {
             NetBackend::Sim(net) => {
                 net.try_with_node(NodeId(p.index()), |node, _ctx| node.local_read(var))?
             }
+            // A read is local on threads too: `local_read` takes `&self`
+            // and sends nothing, so it runs in place under the node's
+            // site lock (after `p`'s pipelined writes) with no handler
+            // context, and the replay oracle has nothing to mirror.
             NetBackend::Threaded(net) => net
-                .try_with_node(NodeId(p.index()), move |node, _ctx| node.local_read(var))
+                .try_query(NodeId(p.index()), |node| node.local_read(var))
                 .map_err(worker_died)?,
         };
         self.recorder.record_read(p, var, value);
@@ -529,9 +534,7 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     pub fn peek(&self, p: ProcId, var: VarId) -> Value {
         match &self.net {
             NetBackend::Sim(net) => net.node(NodeId(p.index())).local_read(var),
-            NetBackend::Threaded(net) => {
-                net.query(NodeId(p.index()), move |node| node.local_read(var))
-            }
+            NetBackend::Threaded(net) => net.query(NodeId(p.index()), |node| node.local_read(var)),
         }
     }
 }

@@ -61,6 +61,13 @@ pub trait Rule {
     /// fixtures are lexed, chosen so the rule actually applies to them.
     fn fixture_context(&self) -> (&'static str, &'static str, FileKind);
 
+    /// The context for one fixture file, by file name. Only a rule whose
+    /// scope spans files it holds to different standards needs more than
+    /// the one [`Rule::fixture_context`].
+    fn fixture_context_for(&self, _case: &str) -> (&'static str, &'static str, FileKind) {
+        self.fixture_context()
+    }
+
     /// The rule's scoped waiver, if it has one (see [`Exemption`]).
     /// Rules with an exemption must ship an `exempt.rs` fixture; the
     /// fixture harness enforces both sides of the boundary.

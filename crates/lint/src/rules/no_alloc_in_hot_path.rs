@@ -16,6 +16,13 @@
 //! `Vec::with_capacity` at construction time and pool acquire/release
 //! remain legal. Survivors live in the allowlist with a written
 //! justification.
+//!
+//! The threaded backend's synchronous path ([`SYNC_PATH_FNS`] in
+//! `crates/simnet/src/threaded/mod.rs`) is in scope too: a read there is
+//! one lock on the local replica, run in place on the calling thread. On
+//! top of the bans above, those functions may not build what the old
+//! control-lane round trip was made of — a `mpsc::channel()` per call, an
+//! `Arc::new` result slot, a `Box::new`-ed closure.
 
 use super::no_panic_in_delivery::scope_fns;
 use super::{diag_at, Rule};
@@ -25,6 +32,23 @@ use crate::source::{FileKind, SourceFile};
 
 /// See module docs.
 pub struct NoAllocInHotPath;
+
+/// The file holding the threaded backend's synchronous path.
+const SYNC_PATH_FILE: &str = "crates/simnet/src/threaded/mod.rs";
+
+/// The synchronous path itself: the two public entry points, the
+/// site-lock helper they share, and the in-place runner.
+const SYNC_PATH_FNS: [&str; 4] = ["try_with_node", "try_query", "site", "invoke"];
+
+/// Whether the tokens at `i` spell the path call `head::tail`.
+fn is_path_call(file: &SourceFile, i: usize, head: &str, tail: &str) -> bool {
+    let toks = &file.toks;
+    i + 3 < toks.len()
+        && toks[i].is_ident(head)
+        && toks[i + 1].is_punct(':')
+        && toks[i + 2].is_punct(':')
+        && toks[i + 3].is_ident(tail)
+}
 
 /// Whether the statement around token `at` (bounded by `;`, or by the
 /// body span `[start, end]`) calls `.collect` — so a `BTreeMap`/`BTreeSet`
@@ -47,11 +71,16 @@ impl Rule for NoAllocInHotPath {
     }
 
     fn description(&self) -> &'static str {
-        "ban Box::new/.to_vec()/vec![ and BTreeMap/BTreeSet construction in delivery hot paths"
+        "ban Box::new/.to_vec()/vec![ and BTreeMap/BTreeSet construction in delivery hot paths, plus mpsc::channel()/Arc::new on the threaded synchronous path"
     }
 
     fn check(&self, file: &SourceFile) -> Vec<Diagnostic> {
-        let Some(names) = scope_fns(&file.rel_path) else {
+        let sync_path = file.rel_path == SYNC_PATH_FILE;
+        let names = if sync_path {
+            &SYNC_PATH_FNS[..]
+        } else if let Some(names) = scope_fns(&file.rel_path) {
+            names
+        } else {
             return Vec::new();
         };
         let mut out = Vec::new();
@@ -63,12 +92,25 @@ impl Rule for NoAllocInHotPath {
                 }
                 let prev_is_dot = i >= 1 && file.toks[i - 1].is_punct('.');
                 let next_is_bang = i + 1 < file.toks.len() && file.toks[i + 1].is_punct('!');
-                let is_box_new = t.is_ident("Box")
-                    && i + 3 < file.toks.len()
-                    && file.toks[i + 1].is_punct(':')
-                    && file.toks[i + 2].is_punct(':')
-                    && file.toks[i + 3].is_ident("new");
-                if is_box_new {
+                if sync_path && is_path_call(file, i, "mpsc", "channel") {
+                    out.push(diag_at(
+                        self.name(),
+                        file,
+                        i,
+                        format!(
+                            "`mpsc::channel()` per call in synchronous path `{fn_name}`; run the closure in place under the site lock"
+                        ),
+                    ));
+                } else if sync_path && is_path_call(file, i, "Arc", "new") {
+                    out.push(diag_at(
+                        self.name(),
+                        file,
+                        i,
+                        format!(
+                            "`Arc::new` per call in synchronous path `{fn_name}`; return the result by value"
+                        ),
+                    ));
+                } else if is_path_call(file, i, "Box", "new") {
                     out.push(diag_at(
                         self.name(),
                         file,
@@ -96,10 +138,7 @@ impl Rule for NoAllocInHotPath {
                         ),
                     ));
                 } else if t.text == "BTreeMap" || t.text == "BTreeSet" {
-                    let constructed = i + 3 < file.toks.len()
-                        && file.toks[i + 1].is_punct(':')
-                        && file.toks[i + 2].is_punct(':')
-                        && file.toks[i + 3].is_ident("new");
+                    let constructed = is_path_call(file, i, &t.text, "new");
                     if constructed || statement_collects(file, start, end, i) {
                         out.push(diag_at(
                             self.name(),
@@ -119,5 +158,13 @@ impl Rule for NoAllocInHotPath {
 
     fn fixture_context(&self) -> (&'static str, &'static str, FileKind) {
         ("simnet", "crates/simnet/src/sim.rs", FileKind::Lib)
+    }
+
+    fn fixture_context_for(&self, case: &str) -> (&'static str, &'static str, FileKind) {
+        if case.ends_with("_sync_path.rs") {
+            ("simnet", SYNC_PATH_FILE, FileKind::Lib)
+        } else {
+            self.fixture_context()
+        }
     }
 }

@@ -198,7 +198,7 @@ pub fn run_fixture_harness(root: &Path) -> Vec<String> {
                     continue;
                 }
             };
-            let (crate_name, rel_path, kind) = rule.fixture_context();
+            let (crate_name, rel_path, kind) = rule.fixture_context_for(case);
             let file = SourceFile::new(crate_name, rel_path, kind, &text);
             let fired = !rule.check(&file).is_empty();
             if fired != want_fire {
@@ -227,6 +227,7 @@ pub fn run_single_rule(rule_name: &str, file_path: &Path) -> Result<Vec<Diagnost
         .ok_or_else(|| format!("unknown rule `{rule_name}` (see --list)"))?;
     let text =
         fs::read_to_string(file_path).map_err(|e| format!("{}: {e}", file_path.display()))?;
-    let (crate_name, rel_path, kind) = rule.fixture_context();
+    let case = file_path.file_name().map(|n| n.to_string_lossy());
+    let (crate_name, rel_path, kind) = rule.fixture_context_for(case.as_deref().unwrap_or(""));
     Ok(rule.check(&SourceFile::new(crate_name, rel_path, kind, &text)))
 }

@@ -27,7 +27,7 @@
 //! Three more pieces round out the fabric:
 //!
 //! * a **control sidecar** per receiver (`Mutex<VecDeque>`) for the cold
-//!   coordinator → worker path (invokes, replay windows, stat collection,
+//!   coordinator → worker path (pipelined invokes, replay windows,
 //!   shutdown), keeping the hot rings single-producer;
 //! * a per-receiver **waker** implementing the adaptive
 //!   spin → yield → park strategy (see [`Mailbox::wait`]): producers
@@ -181,7 +181,7 @@ struct Shared<M, C> {
     /// `rings[to][from]`: the ring carrying lane `from`'s messages to
     /// consumer `to`.
     rings: Vec<Vec<Ring<M>>>,
-    /// Cold coordinator → worker control lane, one per receiver.
+    /// Cold coordinator → worker lane, one per receiver.
     ctl: Vec<Mutex<VecDeque<C>>>,
     wakers: Vec<Waker>,
     /// Spin budget before yielding. Zero when the host cannot actually
@@ -201,8 +201,16 @@ impl<M, C> Shared<M, C> {
     }
 }
 
-/// A worker's producer handle: one lane of the ring matrix. Not `Clone` —
-/// exactly one thread may drive a lane (the SPSC contract).
+/// A producer handle: one lane of the ring matrix. Not `Clone` — the SPSC
+/// contract is one producer per lane *at a time*: the holder of the site
+/// that owns the `Post`. The threaded backend keeps each `Post` (and the
+/// matching [`Mailbox`]) inside a `Mutex`-guarded site that its worker
+/// thread and the coordinator take turns holding. That is sound because
+/// the lock hand-off is a happens-before edge: the `Relaxed` loads a side
+/// makes of its *own* cursor (`tail` in `try_push`, `head` in `pop`) see
+/// the previous holder's last store to it, exactly as if one thread had
+/// done both, and the `Acquire`/`Release` pairs on the *other* side's
+/// cursor never depended on which thread runs a side.
 #[derive(Debug)]
 pub struct Post<M, C> {
     shared: Arc<Shared<M, C>>,
@@ -266,7 +274,8 @@ impl<M, C> CtlPost<M, C> {
 }
 
 /// A consumer's receiving end: its row of rings plus its control sidecar.
-/// Owned by exactly one worker thread.
+/// One consumer at a time: the holder of the owning site (see [`Post`]
+/// for why handing the end from thread to thread under a lock is sound).
 #[derive(Debug)]
 pub struct Mailbox<M, C> {
     shared: Arc<Shared<M, C>>,
@@ -274,6 +283,17 @@ pub struct Mailbox<M, C> {
 }
 
 impl<M, C> Mailbox<M, C> {
+    /// A second handle on this inbox, for its worker thread to
+    /// [`register`](Mailbox::register) and [`wait`](Mailbox::wait) on
+    /// while the mailbox itself sits in a site someone else may hold.
+    /// Consuming through it is subject to the same one-at-a-time rule.
+    pub fn handle(&self) -> Mailbox<M, C> {
+        Mailbox {
+            shared: Arc::clone(&self.shared),
+            me: self.me,
+        }
+    }
+
     /// Register the calling thread as this mailbox's consumer. Must run
     /// on the worker thread before its first [`Mailbox::wait`].
     pub fn register(&self) {

@@ -3,19 +3,35 @@
 //! to a simnet oracle.
 //!
 //! The discrete-event simulator gives bit-identical runs and exact wire
-//! accounting; this module gives real cores. Each protocol node moves
-//! onto its own worker thread and exchanges the *same* payload types over
-//! pre-allocated per-link rings. The protocol code is reused unchanged:
-//! workers drive the [`Node`] trait exactly as the simulator does
-//! (handler, then flush timers and outbox in order), with the handler
-//! contexts backed by per-worker [`BufferPool`]s so steady-state delivery
-//! allocates nothing.
+//! accounting; this module gives real cores. Each protocol node lives in
+//! a *site* — the node plus its fabric ends, counters and buffers —
+//! and exchanges the *same* payload types over pre-allocated per-link
+//! rings. The protocol code is reused unchanged: a site drives the
+//! [`Node`] trait exactly as the simulator does (handler, then flush
+//! timers and outbox in order), with the handler contexts backed by
+//! per-site [`BufferPool`]s so steady-state delivery allocates nothing.
+//!
+//! A site sits behind one `Mutex` and is run by whichever thread holds
+//! it. Its worker thread takes it per drained batch: the deliveries and
+//! timers waiting on its rings, at most [`INVOKE_BATCH`] pipelined
+//! invokes, or a whole replay window. The coordinator takes it for
+//! every synchronous operation ([`ThreadedNet::try_with_node`],
+//! [`ThreadedNet::try_query`], [`ThreadedNet::restore_node`], the
+//! settle-time counter merge) and runs the closure in place on the
+//! calling thread — a read is one lock on the local replica, as in the
+//! paper, not a round trip. Writes stay pipelined:
+//! [`ThreadedNet::try_with_node_async`] posts a boxed invoke on the
+//! site's FIFO lane for the worker, so the nodes' write-side work runs
+//! on their own cores in parallel. Program order per node is a count of
+//! lane messages posted (kept by the coordinator) against lane messages
+//! finished (an atomic only the worker writes): a synchronous call
+//! yields until its site's lane has drained, then locks.
 //!
 //! Two modes, chosen by [`ThreadedMode`]:
 //!
 //! * **Replay** — the net embeds a [`Transport`] oracle (the exact
 //!   object the simnet backend runs on). Every local operation is
-//!   applied to the oracle *and* to the live worker; at settle time the
+//!   applied to the oracle *and* to the live site; at settle time the
 //!   oracle runs to quiescence, its event trace is cut into a replay
 //!   window (one entry per delivery / timer firing, in oracle order),
 //!   and the workers execute the window step by step: a shared atomic
@@ -36,20 +52,26 @@
 //! local backlog while it retries, so a cycle of full rings always makes
 //! progress and total in-flight data is bounded only by the heap — the
 //! same guarantee the old unbounded-mpsc fabric gave, now with
-//! allocation-free steady state.
+//! allocation-free steady state. The coordinator sending from a
+//! synchronous closure is such a sender too, and handles whatever
+//! backlog it absorbed before it lets go of the site.
 //!
 //! A worker thread that panics marks itself in a shared [`DeadSet`] on
-//! the way down; the coordinator's waits poll that set and surface a
-//! typed [`WorkerDead`] error instead of hanging, and peers drop
-//! messages addressed to the corpse so their own sends cannot stall
+//! the way down and leaves its site's lock poisoned; the coordinator's
+//! waits poll that set (and a poisoned lock reads as the same death) and
+//! surface a typed [`WorkerDead`] error instead of hanging, and peers
+//! drop messages addressed to the corpse so their own sends cannot stall
 //! forever. Once any worker is dead the net is poisoned: every fallible
-//! operation reports the failure.
+//! operation reports the failure. A panic inside a closure the
+//! coordinator runs in place unwinds to the caller; it poisons the site
+//! all the same, so the worker dies on its next turn and the site reports
+//! dead from then on.
 //!
 //! Remaining scope limits (the DSM layer turns these into typed errors):
 //! no fault injection, and no `on_start` hooks that emit messages or
 //! timers (none of the DSM protocols use them). Sparse topologies are
 //! supported by hosting [`Relay`](crate::route::Relay) nodes on the
-//! workers — see [`ThreadedTransport`].
+//! sites — see [`ThreadedTransport`].
 //!
 //! Host time is confined to the [`clock`] watchdog module, the sole
 //! holder of the `no-wall-clock` lint exemption.
@@ -71,19 +93,14 @@ use crate::transport::{RoutingMode, Transport};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-/// Coordinator-side yield rounds before falling back to a blocking
-/// timed receive while waiting on worker acknowledgements. See
-/// [`ThreadedNet::await_acks`].
-const ACK_YIELD_ROUNDS: usize = 64;
-
-/// How often blocking coordinator waits wake up to poll the [`DeadSet`]
-/// (the wait itself returns as soon as the awaited message arrives; this
-/// only bounds how stale a death notice can get).
-const DEAD_POLL: Duration = Duration::from_millis(2);
+/// Most lane messages (pipelined invokes, replay windows) a worker runs
+/// per hold of its site lock, each with a drain of the rings before it.
+/// Bounds how long a synchronous call that found the lane drained can
+/// then wait for the lock: one such batch.
+const INVOKE_BATCH: usize = 32;
 
 /// Trace capacity the replay oracle is configured with. The oracle's
 /// trace must hold every delivery of the run (the replay schedule is cut
@@ -162,7 +179,8 @@ impl fmt::Display for WorkerDead {
 impl std::error::Error for WorkerDead {}
 
 /// Shared liveness flags, one per worker, set by a panicking worker's
-/// drop sentinel on its way down.
+/// drop sentinel on its way down (or by the coordinator when it finds a
+/// site's lock poisoned).
 #[derive(Debug)]
 struct DeadSet {
     flags: Vec<AtomicBool>,
@@ -188,13 +206,6 @@ impl DeadSet {
             .iter()
             .position(|f| f.load(Ordering::SeqCst))
             .map(NodeId)
-    }
-
-    fn count(&self) -> usize {
-        self.flags
-            .iter()
-            .filter(|f| f.load(Ordering::SeqCst))
-            .count()
     }
 }
 
@@ -238,8 +249,8 @@ struct ReplayWindow {
     pos: AtomicUsize,
 }
 
-/// A boxed closure run against a worker's live node (the local
-/// read/write/query path serialized through the control lane).
+/// A boxed closure the worker runs against its site's node: the
+/// pipelined write path. Synchronous calls run unboxed, in place.
 type InvokeFn<P, N> = Box<dyn FnOnce(&mut N, &mut NodeContext<P>) + Send>;
 
 /// Hot-path link messages: what travels on the SPSC rings. The sender is
@@ -247,41 +258,38 @@ type InvokeFn<P, N> = Box<dyn FnOnce(&mut N, &mut NodeContext<P>) + Send>;
 enum LinkMsg<P> {
     /// A protocol payload (a real link message).
     Deliver(P),
-    /// A free-running timer firing (posted by the owning worker itself
-    /// on its self-link).
+    /// A free-running timer firing (posted by the owning site itself on
+    /// its self-link).
     Timer(u64),
 }
 
-/// Cold-path control messages from the coordinator, carried by the
-/// fabric's per-worker control sidecar.
+/// What the coordinator posts on a site's FIFO lane (the fabric's
+/// per-worker control sidecar) for the worker thread to run.
 enum Ctl<P, N> {
-    /// Run a closure against the node (local read/write/query). With
-    /// `ack`, signal the shared ack channel after the closure ran *and*
-    /// its outbox flushed.
-    Invoke { f: InvokeFn<P, N>, ack: bool },
-    /// Run a closure without any acknowledgement — the pipelined write
-    /// path. The coordinator counts the invoke in-flight when it posts;
-    /// the worker repays the debt after the flush, so a settle is the
-    /// barrier that observes it applied. Program order per node is the
-    /// control lane's FIFO order.
+    /// Run a closure nobody waits for — the pipelined write path. The
+    /// coordinator counts the invoke in-flight when it posts; the worker
+    /// repays the debt after the flush, so a settle is the barrier that
+    /// observes it applied.
     InvokeAsync(InvokeFn<P, N>),
-    /// Execute a replay window; ack when the cursor passes the end.
+    /// Execute a replay window; the coordinator watches its cursor.
     Replay(Arc<ReplayWindow>),
-    /// Report local stats/pool/fabric counters on the report channel.
-    Collect,
-    /// Exit the worker loop, returning the node on the exit channel.
+    /// Exit the worker loop. Not counted as a lane message.
     Stop,
 }
 
-/// One worker's answer to [`Ctl::Collect`].
-struct WorkerReport {
-    stats: NetworkStats,
-    pool: PoolStats,
-    fabric: FabricStats,
+/// What one hold of the site lock by its worker came to.
+enum Turn {
+    /// Something was handled; take the lock again.
+    Busy,
+    /// Nothing was waiting; wait on the inbox before the next turn.
+    Idle,
+    /// `Ctl::Stop` was popped.
+    Stop,
 }
 
-/// Worker-thread state: the node it owns plus fabric ends and buffers.
-struct Worker<P, N> {
+/// One node's site: the node plus its fabric ends, counters and
+/// buffers. Run by whichever thread holds the lock around it.
+struct Site<P, N> {
     me: NodeId,
     mode: ThreadedMode,
     node: N,
@@ -290,9 +298,6 @@ struct Worker<P, N> {
     inflight: Arc<InFlight>,
     events: Arc<AtomicU64>,
     dead: Arc<DeadSet>,
-    acks: mpsc::Sender<()>,
-    reports: mpsc::Sender<WorkerReport>,
-    nodes_out: mpsc::Sender<(usize, N)>,
     stats: NetworkStats,
     fabric: FabricStats,
     /// Recycled outbox buffers for handler contexts (satisfying the
@@ -302,6 +307,7 @@ struct Worker<P, N> {
     timer_pool: BufferPool<(SimDuration, u64)>,
     /// Free-running: drained but not yet handled link messages, in
     /// arrival order (also the overflow backlog while a send stalls).
+    /// Empty whenever the lock is released.
     pending: VecDeque<(NodeId, LinkMsg<P>)>,
     /// Replay mode: per-sender FIFO of payloads received but not yet
     /// scheduled by the oracle.
@@ -310,82 +316,88 @@ struct Worker<P, N> {
     pending_timers: Vec<u64>,
 }
 
-impl<P, N> Worker<P, N>
+/// A site and the one thing its two users share outside its lock.
+struct SiteCell<P, N> {
+    site: Mutex<Site<P, N>>,
+    /// Lane messages the worker has finished, written only by the worker
+    /// (`Release`) and read by the coordinator (`Acquire`) against its
+    /// own count of messages posted.
+    lane_done: AtomicU64,
+}
+
+impl<P, N> SiteCell<P, N>
 where
     P: WireSize + fmt::Debug + Clone + Send + 'static,
     N: Node<P> + Send + 'static,
 {
-    fn run(mut self) {
-        self.mailbox.register();
+    /// The worker thread: one [`Site::turn`] per hold of the lock, a wait
+    /// on `inbox` (a second handle on the site's mailbox) in between.
+    fn work(&self, inbox: &Mailbox<LinkMsg<P>, Ctl<P, N>>) {
+        inbox.register();
         loop {
-            let drained = self.drain_links();
-            while let Some((from, msg)) = self.pending.pop_front() {
-                match msg {
-                    LinkMsg::Deliver(payload) => {
-                        self.deliver(from, payload);
-                        self.inflight.down();
-                    }
-                    LinkMsg::Timer(tag) => {
-                        self.fire_timer(tag);
-                        self.inflight.down();
-                    }
+            let turn = self
+                .site
+                .lock()
+                .expect("a closure run in place by the coordinator panicked holding this site")
+                .turn(&self.lane_done);
+            match turn {
+                Turn::Busy => {}
+                Turn::Idle => inbox.wait(),
+                Turn::Stop => return,
+            }
+        }
+    }
+}
+
+impl<P, N> Site<P, N>
+where
+    P: WireSize + fmt::Debug + Clone + Send + 'static,
+    N: Node<P> + Send + 'static,
+{
+    /// The worker's share of the work: drain the rings, handle what
+    /// arrived, run the next lane message; up to [`INVOKE_BATCH`] times
+    /// while the lane has more.
+    fn turn(&mut self, lane_done: &AtomicU64) -> Turn {
+        let mut busy = false;
+        for _ in 0..INVOKE_BATCH {
+            busy |= self.drain_links() > 0;
+            self.run_pending();
+            match self.mailbox.pop_ctl() {
+                Some(Ctl::InvokeAsync(f)) => {
+                    // Flush first: its sends raise the in-flight count
+                    // before the invoke's own debt is repaid, so the
+                    // coordinator's settle can never observe zero
+                    // between the two.
+                    self.invoke(f);
+                    self.inflight.down();
                 }
+                Some(Ctl::Replay(window)) => self.replay(&window),
+                Some(Ctl::Stop) => return Turn::Stop,
+                None if busy => return Turn::Busy,
+                None => return Turn::Idle,
             }
-            if let Some(ctl) = self.mailbox.pop_ctl() {
-                match ctl {
-                    Ctl::Invoke { f, ack } => {
-                        let mut ctx = self.context();
-                        f(&mut self.node, &mut ctx);
-                        self.flush(ctx);
-                        if ack {
-                            let _ = self.acks.send(());
-                        }
-                    }
-                    Ctl::InvokeAsync(f) => {
-                        let mut ctx = self.context();
-                        f(&mut self.node, &mut ctx);
-                        // Flush first: its sends raise the in-flight
-                        // count before the invoke's own debt is repaid,
-                        // so the coordinator's settle can never observe
-                        // zero between the two.
-                        self.flush(ctx);
-                        self.inflight.down();
-                    }
-                    Ctl::Replay(window) => {
-                        self.replay(&window);
-                        let _ = self.acks.send(());
-                    }
-                    Ctl::Collect => {
-                        let mut pool = self.outbox_pool.stats();
-                        pool.merge(self.timer_pool.stats());
-                        let _ = self.reports.send(WorkerReport {
-                            stats: self.stats.clone(),
-                            pool,
-                            fabric: self.fabric,
-                        });
-                    }
-                    Ctl::Stop => {
-                        // A run can end without a final settle (via
-                        // `into_nodes()` or drop): report the counters one
-                        // last time so teardown can fold them into the
-                        // coordinator's caches instead of losing every
-                        // event since the previous settle.
-                        let mut pool = self.outbox_pool.stats();
-                        pool.merge(self.timer_pool.stats());
-                        let _ = self.reports.send(WorkerReport {
-                            stats: self.stats.clone(),
-                            pool,
-                            fabric: self.fabric,
-                        });
-                        let _ = self.nodes_out.send((self.me.index(), self.node));
-                        return;
-                    }
-                }
-                continue;
+            lane_done.fetch_add(1, Ordering::Release);
+            busy = true;
+        }
+        Turn::Busy
+    }
+
+    /// Run a closure against the node and flush what it sent.
+    fn invoke<R>(&mut self, f: impl FnOnce(&mut N, &mut NodeContext<P>) -> R) -> R {
+        let mut ctx = self.context();
+        let result = f(&mut self.node, &mut ctx);
+        self.flush(ctx);
+        result
+    }
+
+    /// Handle every drained link message, in arrival order.
+    fn run_pending(&mut self) {
+        while let Some((from, msg)) = self.pending.pop_front() {
+            match msg {
+                LinkMsg::Deliver(payload) => self.deliver(from, payload),
+                LinkMsg::Timer(tag) => self.fire_timer(tag),
             }
-            if drained == 0 && self.pending.is_empty() {
-                self.mailbox.wait();
-            }
+            self.inflight.down();
         }
     }
 
@@ -625,21 +637,20 @@ where
     n: usize,
     topology: crate::network::Topology,
     ctl: CtlPost<LinkMsg<P>, Ctl<P, N>>,
-    handles: Vec<Option<JoinHandle<()>>>,
+    /// One site per node; emptied by shutdown.
+    sites: Vec<Arc<SiteCell<P, N>>>,
+    /// Lane messages posted per site so far; a site's lane has drained
+    /// when its `lane_done` has caught up with this.
+    lane_posted: Vec<u64>,
+    /// Worker threads not yet joined.
+    handles: Vec<JoinHandle<()>>,
     inflight: Arc<InFlight>,
     events: Arc<AtomicU64>,
     dead: Arc<DeadSet>,
-    acks: mpsc::Receiver<()>,
-    reports: mpsc::Receiver<WorkerReport>,
-    nodes_out: mpsc::Receiver<(usize, N)>,
-    /// Per-worker stats merged at the last settle (free-running) or a
-    /// copy of the oracle's stats (replay).
-    stats_cache: NetworkStats,
-    /// Merged per-worker buffer-pool counters as of the last settle
-    /// (free-running; replay reports the oracle's pools instead).
-    pool_cache: PoolStats,
-    /// Merged per-worker fabric counters as of the last settle.
-    fabric_cache: FabricStats,
+    /// The sites' counters as merged at the last settle (free-running);
+    /// in replay mode `stats` is a copy of the oracle's and the rest
+    /// stays zero.
+    counters: Counters,
     /// Replay mode: the simnet transport whose delivery order the
     /// threads follow. `None` in free-running mode.
     oracle: Option<Transport<P, N>>,
@@ -716,31 +727,31 @@ where
         let inflight = Arc::new(InFlight::default());
         let events = Arc::new(AtomicU64::new(0));
         let dead = Arc::new(DeadSet::new(n));
-        let (ack_tx, ack_rx) = mpsc::channel();
-        let (report_tx, report_rx) = mpsc::channel();
-        let (node_tx, node_rx) = mpsc::channel();
+        let mut sites = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
         for (i, (node, (post, mailbox))) in nodes.into_iter().zip(ends).enumerate() {
-            let worker = Worker {
-                me: NodeId(i),
-                mode,
-                node,
-                mailbox,
-                post,
-                inflight: Arc::clone(&inflight),
-                events: Arc::clone(&events),
-                dead: Arc::clone(&dead),
-                acks: ack_tx.clone(),
-                reports: report_tx.clone(),
-                nodes_out: node_tx.clone(),
-                stats: NetworkStats::with_nodes(n),
-                fabric: FabricStats::default(),
-                outbox_pool: BufferPool::new(),
-                timer_pool: BufferPool::new(),
-                pending: VecDeque::new(),
-                buffered: std::iter::repeat_with(VecDeque::new).take(n).collect(),
-                pending_timers: Vec::new(),
-            };
+            let inbox = mailbox.handle();
+            let cell = Arc::new(SiteCell {
+                site: Mutex::new(Site {
+                    me: NodeId(i),
+                    mode,
+                    node,
+                    mailbox,
+                    post,
+                    inflight: Arc::clone(&inflight),
+                    events: Arc::clone(&events),
+                    dead: Arc::clone(&dead),
+                    stats: NetworkStats::with_nodes(n),
+                    fabric: FabricStats::default(),
+                    outbox_pool: BufferPool::new(),
+                    timer_pool: BufferPool::new(),
+                    pending: VecDeque::new(),
+                    buffered: std::iter::repeat_with(VecDeque::new).take(n).collect(),
+                    pending_timers: Vec::new(),
+                }),
+                lane_done: AtomicU64::new(0),
+            });
+            let worker_cell = Arc::clone(&cell);
             let sentinel_dead = Arc::clone(&dead);
             let handle = std::thread::Builder::new()
                 .name(format!("simnet-worker-{i}"))
@@ -749,26 +760,24 @@ where
                         dead: sentinel_dead,
                         me: i,
                     };
-                    worker.run();
+                    worker_cell.work(&inbox);
                 })
                 .expect("spawn worker thread");
-            handles.push(Some(handle));
+            sites.push(cell);
+            handles.push(handle);
         }
         ThreadedNet {
             mode,
             n,
             topology,
             ctl,
+            sites,
+            lane_posted: vec![0; n],
             handles,
             inflight,
             events,
             dead,
-            acks: ack_rx,
-            reports: report_rx,
-            nodes_out: node_rx,
-            stats_cache: NetworkStats::with_nodes(n),
-            pool_cache: PoolStats::default(),
-            fabric_cache: FabricStats::default(),
+            counters: Counters::new(n),
             oracle,
             trace_cursor: 0,
             events_at_last_settle: 0,
@@ -800,59 +809,56 @@ where
         }
     }
 
-    /// Wait for `count` acknowledgements on the shared ack channel,
-    /// surfacing a dead worker instead of stalling on it. Yields first:
-    /// on a host with fewer cores than threads, `yield_now` hands the CPU
-    /// straight to the worker that is about to ack, so the common case
-    /// completes without the coordinator ever futex-sleeping.
-    fn await_acks(&self, count: usize) -> Result<(), WorkerDead> {
-        let watchdog = clock::Watchdog::standard();
-        let mut got = 0;
-        for _ in 0..ACK_YIELD_ROUNDS {
-            if got == count {
-                return Ok(());
+    /// Post a message on `id`'s lane, counting it towards the lane's
+    /// drain condition.
+    fn post(&mut self, id: NodeId, msg: Ctl<P, N>) {
+        self.lane_posted[id.index()] += 1;
+        self.ctl.to(id, msg);
+    }
+
+    /// Take `id`'s site for a synchronous operation. Yields until the
+    /// worker has finished every message posted on the site's lane —
+    /// program order: whatever was pipelined to this node before now has
+    /// run — and only then locks; other nodes' lanes are not waited for.
+    /// A poisoned lock is the worker's death.
+    fn site(&self, id: NodeId) -> Result<MutexGuard<'_, Site<P, N>>, WorkerDead> {
+        let cell = &self.sites[id.index()];
+        let posted = self.lane_posted[id.index()];
+        let mut watchdog = None;
+        loop {
+            self.ensure_alive()?;
+            if cell.lane_done.load(Ordering::Acquire) == posted {
+                break;
             }
-            while let Ok(()) = self.acks.try_recv() {
-                got += 1;
-            }
-            if got == count {
-                return Ok(());
-            }
+            assert!(
+                !watchdog
+                    .get_or_insert_with(clock::Watchdog::standard)
+                    .expired(),
+                "lane of {id} stalled with {posted} message(s) posted"
+            );
             std::thread::yield_now();
         }
-        while got < count {
-            match self.acks.recv_timeout(DEAD_POLL) {
-                Ok(()) => got += 1,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    self.ensure_alive()?;
-                    assert!(
-                        !watchdog.expired(),
-                        "threaded backend stalled waiting for worker acknowledgements"
-                    );
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(WorkerDead {
-                        node: self.dead.first_dead().unwrap_or(NodeId(0)),
-                    })
-                }
-            }
-        }
-        Ok(())
+        cell.site.lock().map_err(|_| {
+            self.dead.mark(id.index());
+            WorkerDead { node: id }
+        })
     }
 
     /// Run a closure against a node, scheduling whatever it sends — the
-    /// threaded counterpart of [`Transport::with_node`]. In replay mode
-    /// the closure is applied to the oracle's copy first (to keep the
-    /// schedule source in lock-step), then to the live worker; the
-    /// worker's result is returned, so callers always observe the
-    /// threaded execution.
+    /// threaded counterpart of [`Transport::with_node`]. The closure runs
+    /// in place, on the calling thread, under the node's site lock, once
+    /// everything pipelined to that node has run; its sends are flushed
+    /// into the fabric (full-ring back-pressure included) before this
+    /// returns. In replay mode the closure is applied to the oracle's
+    /// copy as well (to keep the schedule source in lock-step); the live
+    /// site's result is returned, so callers always observe the threaded
+    /// execution.
     ///
     /// Panics if a worker thread has died; use
     /// [`ThreadedNet::try_with_node`] to handle that case.
     pub fn with_node<R, F>(&mut self, id: NodeId, f: F) -> R
     where
-        F: Fn(&mut N, &mut NodeContext<P>) -> R + Send + 'static,
-        R: Send + 'static,
+        F: Fn(&mut N, &mut NodeContext<P>) -> R,
     {
         self.try_with_node(id, f).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -861,48 +867,33 @@ where
     /// [`WorkerDead`] instead of panicking when a worker thread is gone.
     pub fn try_with_node<R, F>(&mut self, id: NodeId, f: F) -> Result<R, WorkerDead>
     where
-        F: Fn(&mut N, &mut NodeContext<P>) -> R + Send + 'static,
-        R: Send + 'static,
+        F: Fn(&mut N, &mut NodeContext<P>) -> R,
     {
         assert!(id.index() < self.n, "unknown node {id}");
-        self.ensure_alive()?;
+        let mut site = self.site(id)?;
+        let result = site.invoke(&f);
+        // A send that stalled on a full ring absorbed this site's own
+        // rings into the backlog; handle it before letting go.
+        site.run_pending();
+        drop(site);
         if let Some(oracle) = &mut self.oracle {
             let _ = oracle.with_node(id, &f);
         }
-        let slot = Arc::new(Mutex::new(None));
-        let out = Arc::clone(&slot);
-        self.ctl.to(
-            id,
-            Ctl::Invoke {
-                f: Box::new(move |node, ctx| {
-                    *out.lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(f(node, ctx));
-                }),
-                ack: true,
-            },
-        );
-        // The ack arrives only after the closure ran *and* its sends
-        // were flushed into the fabric.
-        self.await_acks(1)?;
-        let result = slot
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take()
-            .expect("acknowledged invoke produced a result");
         Ok(result)
     }
 
     /// Pipelined variant of [`ThreadedNet::with_node`] for closures whose
     /// result nobody reads (the DSM write path): post the invoke on the
-    /// node's control lane and return without waiting for it to run.
-    /// Program order is preserved — the lane is FIFO, so a later
-    /// [`ThreadedNet::with_node`] or [`ThreadedNet::query`] on the same
-    /// node observes this closure applied — and [`ThreadedNet::settle`]
-    /// is the global barrier: the invoke is counted in-flight until its
-    /// flush completes. This is what makes the threaded backend fast on
-    /// few cores: writes stop paying a coordinator⇄worker context-switch
-    /// round trip each, and workers drain whole batches of them per
-    /// wakeup.
+    /// node's lane and return without waiting for it to run. Program
+    /// order is preserved — a later [`ThreadedNet::with_node`] or
+    /// [`ThreadedNet::query`] on the same node waits for the lane to
+    /// drain, so it observes this closure applied — and
+    /// [`ThreadedNet::settle`] is the global barrier: the invoke is
+    /// counted in-flight until its flush completes. This is what makes
+    /// the threaded backend fast on few cores: writes stop paying a
+    /// coordinator⇄worker context-switch round trip each, workers drain
+    /// whole batches of them per wakeup, and the nodes' write-side
+    /// protocol work runs on their own threads in parallel.
     ///
     /// Panics if a worker thread has died; use
     /// [`ThreadedNet::try_with_node_async`] to handle that case.
@@ -928,23 +919,19 @@ where
             oracle.with_node(id, &f);
         }
         self.inflight.up();
-        self.ctl.to(
-            id,
-            Ctl::InvokeAsync(Box::new(move |node, ctx| f(node, ctx))),
-        );
+        self.post(id, Ctl::InvokeAsync(Box::new(f)));
         Ok(())
     }
 
-    /// Run a read-only closure against a node's live state. Works from
-    /// `&self` because the closure is serialized through the worker's
-    /// control lane like any other event.
+    /// Run a read-only closure against a node's live state, in place
+    /// under the node's site lock (see [`ThreadedNet::with_node`] for the
+    /// ordering).
     ///
     /// Panics if the worker thread has died; use
     /// [`ThreadedNet::try_query`] to handle that case.
     pub fn query<R, F>(&self, id: NodeId, f: F) -> R
     where
-        F: FnOnce(&N) -> R + Send + 'static,
-        R: Send + 'static,
+        F: FnOnce(&N) -> R,
     {
         self.try_query(id, f).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -952,54 +939,21 @@ where
     /// Fallible variant of [`ThreadedNet::query`].
     pub fn try_query<R, F>(&self, id: NodeId, f: F) -> Result<R, WorkerDead>
     where
-        F: FnOnce(&N) -> R + Send + 'static,
-        R: Send + 'static,
+        F: FnOnce(&N) -> R,
     {
         assert!(id.index() < self.n, "unknown node {id}");
-        self.ensure_alive()?;
-        let (tx, rx) = mpsc::channel();
-        self.ctl.to(
-            id,
-            Ctl::Invoke {
-                f: Box::new(move |node, _ctx| {
-                    let _ = tx.send(f(node));
-                }),
-                ack: false,
-            },
-        );
-        // Same yield-first fast path as `await_acks`.
-        for _ in 0..ACK_YIELD_ROUNDS {
-            if let Ok(result) = rx.try_recv() {
-                return Ok(result);
-            }
-            std::thread::yield_now();
-        }
-        let watchdog = clock::Watchdog::standard();
-        loop {
-            match rx.recv_timeout(DEAD_POLL) {
-                Ok(result) => return Ok(result),
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    self.ensure_alive()?;
-                    assert!(!watchdog.expired(), "query on {id} stalled");
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(WorkerDead {
-                        node: self.dead.first_dead().unwrap_or(id),
-                    })
-                }
-            }
-        }
+        Ok(f(&self.site(id)?.node))
     }
 
     /// Overwrite a node's state (the DSM layer's restore-from-snapshot
     /// path). In replay mode the oracle's copy is overwritten too.
+    ///
+    /// Panics if a worker thread has died.
     pub fn restore_node(&mut self, id: NodeId, node: N) {
         if let Some(oracle) = &mut self.oracle {
             *oracle.node_mut(id) = node.clone();
         }
-        self.with_node(id, move |slot, _ctx| {
-            *slot = node.clone();
-        });
+        self.site(id).unwrap_or_else(|e| panic!("{e}")).node = node;
     }
 
     /// Drive the net to quiescence.
@@ -1007,7 +961,7 @@ where
     /// Replay: run the oracle to quiescence, cut the new slice of its
     /// trace into a replay window, execute it on the workers, refresh
     /// the stats cache from the oracle. Free-running: wait for the
-    /// in-flight counter to reach zero, then merge worker stats.
+    /// in-flight counter to reach zero, then merge the sites' counters.
     ///
     /// Panics if a worker thread has died; use
     /// [`ThreadedNet::try_settle`] to handle that case.
@@ -1048,11 +1002,22 @@ where
                         pos: AtomicUsize::new(0),
                     });
                     for i in 0..self.n {
-                        self.ctl.to(NodeId(i), Ctl::Replay(Arc::clone(&window)));
+                        self.post(NodeId(i), Ctl::Replay(Arc::clone(&window)));
                     }
-                    self.await_acks(self.n)?;
+                    // The window is done when its cursor passes the end;
+                    // a worker still on its way out of `replay` is what
+                    // the next synchronous call's lane wait covers.
+                    let watchdog = clock::Watchdog::standard();
+                    while window.pos.load(Ordering::Acquire) < window.steps.len() {
+                        self.ensure_alive()?;
+                        assert!(
+                            !watchdog.expired(),
+                            "threaded backend stalled waiting for a replay window"
+                        );
+                        std::thread::yield_now();
+                    }
                 }
-                self.stats_cache = self.oracle.as_ref().expect("oracle").stats().clone();
+                self.counters.stats = self.oracle.as_ref().expect("oracle").stats().clone();
                 Ok(outcome)
             }
             ThreadedMode::FreeRunning => {
@@ -1066,7 +1031,11 @@ where
                     );
                     std::thread::yield_now();
                 }
-                self.collect_reports()?;
+                let mut counters = Counters::new(self.n);
+                for i in 0..self.n {
+                    counters.add(&*self.site(NodeId(i))?);
+                }
+                self.counters = counters;
                 let total = self.events.load(Ordering::SeqCst);
                 let events = total - self.events_at_last_settle;
                 self.events_at_last_settle = total;
@@ -1075,51 +1044,15 @@ where
         }
     }
 
-    /// Merge every worker's local stats / pool / fabric counters into
-    /// the caches.
-    fn collect_reports(&mut self) -> Result<(), WorkerDead> {
-        for i in 0..self.n {
-            self.ctl.to(NodeId(i), Ctl::Collect);
-        }
-        let mut stats = NetworkStats::with_nodes(self.n);
-        let mut pool = PoolStats::default();
-        let mut fabric = FabricStats::default();
-        let watchdog = clock::Watchdog::standard();
-        let mut got = 0;
-        while got < self.n {
-            match self.reports.recv_timeout(DEAD_POLL) {
-                Ok(report) => {
-                    stats.merge(&report.stats);
-                    pool.merge(report.pool);
-                    fabric.merge(&report.fabric);
-                    got += 1;
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    self.ensure_alive()?;
-                    assert!(!watchdog.expired(), "worker stat collection stalled");
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(WorkerDead {
-                        node: self.dead.first_dead().unwrap_or(NodeId(0)),
-                    })
-                }
-            }
-        }
-        self.stats_cache = stats;
-        self.pool_cache = pool;
-        self.fabric_cache = fabric;
-        Ok(())
-    }
-
     /// Wire statistics as of the last settle. Replay mode reports the
     /// oracle's (simnet-identical) accounting; free-running mode reports
-    /// the merged per-worker counters.
+    /// the merged per-site counters.
     pub fn stats(&self) -> &NetworkStats {
-        &self.stats_cache
+        &self.counters.stats
     }
 
     /// Events processed so far: oracle events in replay mode (identical
-    /// to the simnet run), handler executions across workers otherwise.
+    /// to the simnet run), handler executions across sites otherwise.
     pub fn events_processed(&self) -> u64 {
         match &self.oracle {
             Some(oracle) => oracle.events_processed(),
@@ -1146,82 +1079,77 @@ where
     }
 
     /// Buffer-pool statistics: the replay oracle's pools (mirroring the
-    /// simnet accounting the replayed run pins), or the merged
-    /// per-worker handler-context pools as of the last settle when
-    /// free-running.
+    /// simnet accounting the replayed run pins), or the merged per-site
+    /// handler-context pools as of the last settle when free-running.
     pub fn pool_stats(&self) -> PoolStats {
         match &self.oracle {
             Some(oracle) => oracle.pool_stats(),
-            None => self.pool_cache,
+            None => self.counters.pool,
         }
     }
 
     /// Link-fabric contention counters (full-ring stalls, drain batch
-    /// lengths) merged across workers as of the last settle. Replay mode
-    /// reports zeros until a settle has run its window (its drains are
-    /// step-paced, so the numbers mostly describe the schedule, not the
-    /// fabric).
+    /// lengths) merged across sites as of the last free-running settle;
+    /// all zero in replay mode, whose drains are step-paced by the oracle.
     pub fn fabric_stats(&self) -> FabricStats {
-        self.fabric_cache
+        self.counters.fabric
     }
 
     /// Stop every worker and collect the nodes in id order. Workers that
-    /// died are skipped (their nodes are gone with their threads).
+    /// died are skipped (their sites are left poisoned).
     pub fn into_nodes(mut self) -> Vec<N> {
         self.shutdown()
     }
 
     fn shutdown(&mut self) -> Vec<N> {
-        // Discard reports left over from an interrupted collection (a
-        // dead-worker bailout mid-settle), so the teardown merge below
-        // only folds the final per-worker snapshots.
-        while self.reports.try_recv().is_ok() {}
+        // `Stop` queues behind whatever is still on the lanes, so every
+        // pipelined invoke runs before its worker exits.
         for i in 0..self.n {
             self.ctl.to(NodeId(i), Ctl::Stop);
         }
-        let mut pairs: Vec<(usize, N)> = Vec::with_capacity(self.n);
-        let watchdog = clock::Watchdog::standard();
-        while pairs.len() + self.dead.count() < self.n {
-            match self.nodes_out.recv_timeout(DEAD_POLL) {
-                Ok(pair) => pairs.push(pair),
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    assert!(!watchdog.expired(), "threaded shutdown stalled");
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
         }
-        for handle in &mut self.handles {
-            if let Some(handle) = handle.take() {
-                let _ = handle.join();
-            }
-        }
-        // Every worker sends a final report before returning its node, so
-        // after the joins the channel holds one complete teardown
-        // snapshot per live worker. Fold it into the caches: a run that
-        // ends without a settle would otherwise lose every counter since
+        // The workers are gone, so each cell is ours alone.
+        let sites: Vec<Site<P, N>> = std::mem::take(&mut self.sites)
+            .into_iter()
+            .filter_map(|cell| Arc::into_inner(cell)?.site.into_inner().ok())
+            .collect();
+        // A run can end without a final settle: fold the sites' final
+        // counters into the caches instead of losing every event since
         // the previous one. Replay mode keeps the oracle's
-        // (simnet-identical) accounting, and a partial report set (some
-        // workers died) keeps the last complete settle snapshot instead
-        // of an under-counting merge.
-        if self.oracle.is_none() {
-            let mut stats = NetworkStats::with_nodes(self.n);
-            let mut pool = PoolStats::default();
-            let mut fabric = FabricStats::default();
-            let mut got = 0;
-            while let Ok(report) = self.reports.try_recv() {
-                stats.merge(&report.stats);
-                pool.merge(report.pool);
-                fabric.merge(&report.fabric);
-                got += 1;
-            }
-            if got == self.n {
-                self.stats_cache = stats;
-                self.pool_cache = pool;
-                self.fabric_cache = fabric;
-            }
+        // (simnet-identical) accounting, and a partial set (some workers
+        // died) keeps the last complete settle snapshot instead of an
+        // under-counting merge.
+        if self.oracle.is_none() && sites.len() == self.n {
+            self.counters = Counters::new(self.n);
+            sites.iter().for_each(|site| self.counters.add(site));
         }
-        pairs.sort_by_key(|&(i, _)| i);
-        pairs.into_iter().map(|(_, node)| node).collect()
+        sites.into_iter().map(|site| site.node).collect()
+    }
+}
+
+/// The sites' counters, merged.
+struct Counters {
+    stats: NetworkStats,
+    pool: PoolStats,
+    fabric: FabricStats,
+}
+
+impl Counters {
+    fn new(n: usize) -> Self {
+        Counters {
+            stats: NetworkStats::with_nodes(n),
+            pool: PoolStats::default(),
+            fabric: FabricStats::default(),
+        }
+    }
+
+    fn add<P, N>(&mut self, site: &Site<P, N>) {
+        self.stats.merge(&site.stats);
+        self.pool.merge(site.outbox_pool.stats());
+        self.pool.merge(site.timer_pool.stats());
+        self.fabric.merge(&site.fabric);
     }
 }
 
@@ -1231,7 +1159,7 @@ where
     N: Node<P> + Clone + Send + 'static,
 {
     fn drop(&mut self) {
-        if self.handles.iter().any(Option::is_some) {
+        if !self.handles.is_empty() {
             let _ = self.shutdown();
         }
     }
@@ -1314,8 +1242,8 @@ mod tests {
 
     /// Regression test: a free-running run that never settles used to
     /// lose every stats/pool/fabric counter on teardown — the merge only
-    /// happened inside `settle()`. The workers now report one final
-    /// snapshot on `Ctl::Stop` and `shutdown()` folds it into the caches.
+    /// happened inside `settle()`. `shutdown()` now folds the sites'
+    /// final counters into the caches.
     #[test]
     fn teardown_merges_counters_for_a_settle_free_run() {
         let mut net = net(ThreadedMode::FreeRunning, 3);
@@ -1343,7 +1271,7 @@ mod tests {
         let nodes = net.shutdown();
         assert_eq!(nodes.len(), 3);
         assert_eq!(nodes[1].seen + nodes[2].seen, 40);
-        // The teardown reports carried everything the run did.
+        // The teardown merge carried everything the run did.
         assert_eq!(net.stats().total_messages(), 40);
         let fabric = net.fabric_stats();
         assert!(
@@ -1368,8 +1296,8 @@ mod tests {
                     ctx.send(NodeId(1 + (round % 2)), RawPayload::new(round, 1));
                 });
             }
-            // A synchronous call on the same lane acts as a FIFO barrier:
-            // it returns only after all 50 invokes have applied.
+            // A synchronous call on the same node is a barrier: it runs
+            // only after all 50 invokes on the node's lane have applied.
             net.with_node(NodeId(0), |_, _ctx| ());
             assert!(net.settle().is_quiescent());
             assert_eq!(net.query(NodeId(1), |n| n.seen), 25, "{mode:?}");
@@ -1521,6 +1449,10 @@ mod tests {
         );
         assert_eq!(
             net.try_query(NodeId(1), |n| n.seen).unwrap_err(),
+            WorkerDead { node: NodeId(2) }
+        );
+        assert_eq!(
+            net.try_query(NodeId(2), |n| n.seen).unwrap_err(),
             WorkerDead { node: NodeId(2) }
         );
         // Shutdown still returns the survivors (in id order).

@@ -115,8 +115,7 @@ where
     /// has died; use [`ThreadedTransport::try_with_node`] otherwise.
     pub fn with_node<R, F>(&mut self, id: NodeId, f: F) -> R
     where
-        F: Fn(&mut N, &mut NodeContext<P>) -> R + Send + 'static,
-        R: Send + 'static,
+        F: Fn(&mut N, &mut NodeContext<P>) -> R,
     {
         self.try_with_node(id, f).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -124,8 +123,7 @@ where
     /// Fallible variant of [`ThreadedTransport::with_node`].
     pub fn try_with_node<R, F>(&mut self, id: NodeId, f: F) -> Result<R, WorkerDead>
     where
-        F: Fn(&mut N, &mut NodeContext<P>) -> R + Send + 'static,
-        R: Send + 'static,
+        F: Fn(&mut N, &mut NodeContext<P>) -> R,
     {
         match self {
             ThreadedTransport::Direct(net) => net.try_with_node(id, f),
@@ -168,8 +166,7 @@ where
     /// [`ThreadedTransport::try_query`] otherwise.
     pub fn query<R, F>(&self, id: NodeId, f: F) -> R
     where
-        F: FnOnce(&N) -> R + Send + 'static,
-        R: Send + 'static,
+        F: FnOnce(&N) -> R,
     {
         self.try_query(id, f).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -177,8 +174,7 @@ where
     /// Fallible variant of [`ThreadedTransport::query`].
     pub fn try_query<R, F>(&self, id: NodeId, f: F) -> Result<R, WorkerDead>
     where
-        F: FnOnce(&N) -> R + Send + 'static,
-        R: Send + 'static,
+        F: FnOnce(&N) -> R,
     {
         match self {
             ThreadedTransport::Direct(net) => net.try_query(id, f),
@@ -193,9 +189,7 @@ where
         match self {
             ThreadedTransport::Direct(net) => net.restore_node(id, node),
             ThreadedTransport::Routed(net) => {
-                net.with_node(id, move |relay, _ctx| {
-                    *relay.inner_mut() = node.clone();
-                });
+                net.with_node(id, |relay, _ctx| *relay.inner_mut() = node.clone());
             }
         }
     }
