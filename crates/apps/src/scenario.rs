@@ -582,6 +582,12 @@ pub struct RunReport {
     pub fabric: simnet::FabricStats,
     /// Execution backend the run used.
     pub backend: ExecBackend,
+    /// The most recovery-log entries any process held for its peers'
+    /// catch-up, sampled just before every settle of the script (where
+    /// the logs are fullest: an all-up quiescent settle cuts them). It
+    /// grows with the longest stretch between two such settles — with a
+    /// process down, across the whole outage — not with the run.
+    pub max_retained: usize,
 }
 
 impl RunReport {
@@ -694,7 +700,7 @@ fn run_script_on(
     if !record {
         dsm.disable_recording();
     }
-    apply_script(&mut dsm, ops, crash);
+    let max_retained = apply_script(&mut dsm, ops, crash);
     RunReport {
         protocol: kind,
         history: dsm.history(),
@@ -707,6 +713,7 @@ fn run_script_on(
         pool: dsm.pool_stats(),
         fabric: dsm.fabric_stats(),
         backend,
+        max_retained,
     }
 }
 
@@ -715,8 +722,16 @@ fn run_script_on(
 /// loop — [`run_script_faulted`] and the differential fault tests both
 /// go through it, so the crash semantics (where the window sits, which
 /// ops a down process skips, the forced restart before the final
-/// settle) can never drift between the engine and its oracle.
-pub fn apply_script(dsm: &mut DynDsm, ops: &[WorkloadOp], crash: Option<CrashSchedule>) {
+/// settle) can never drift between the engine and its oracle. Returns the
+/// most recovery-log entries any process retained, sampled before each
+/// settle (see [`RunReport::max_retained`]).
+pub fn apply_script(dsm: &mut DynDsm, ops: &[WorkloadOp], crash: Option<CrashSchedule>) -> usize {
+    let mut max_retained = 0;
+    let mut settle = |dsm: &mut DynDsm| {
+        let held = (0..dsm.process_count()).map(|p| dsm.recovery_retained(ProcId(p)));
+        max_retained = max_retained.max(held.max().unwrap_or(0));
+        dsm.settle();
+    };
     for (i, op) in ops.iter().enumerate() {
         if let Some(c) = crash {
             if i == c.crash_before_op {
@@ -743,9 +758,7 @@ pub fn apply_script(dsm: &mut DynDsm, ops: &[WorkloadOp], crash: Option<CrashSch
                     .read(proc, var)
                     .expect("workload respects the distribution");
             }
-            WorkloadOp::Settle => {
-                dsm.settle();
-            }
+            WorkloadOp::Settle => settle(dsm),
         }
     }
     if let Some(c) = crash {
@@ -753,7 +766,8 @@ pub fn apply_script(dsm: &mut DynDsm, ops: &[WorkloadOp], crash: Option<CrashSch
             dsm.restart(c.proc).expect("restart follows the crash");
         }
     }
-    dsm.settle();
+    settle(dsm);
+    max_retained
 }
 
 /// Run a scenario under one protocol.
@@ -1243,6 +1257,35 @@ mod tests {
                 report.history.pretty()
             );
         }
+    }
+
+    #[test]
+    fn retained_recovery_entries_follow_the_settle_policy_not_the_run() {
+        let every_six = Scenario {
+            ops_per_process: 40,
+            settle: SettlePolicy::Every(6),
+            ..Scenario::default()
+        };
+        for kind in ProtocolKind::ALL {
+            let report = run_scenario(kind, &every_six);
+            assert!(
+                (1..=6).contains(&report.max_retained),
+                "{kind}: {} entries retained with a settle every 6 ops",
+                report.max_retained
+            );
+        }
+        // Without settles a writer holds every write of the run; with a
+        // process down across settles, its peers hold the whole outage.
+        let at_end = Scenario {
+            settle: SettlePolicy::AtEnd,
+            ..every_six.clone()
+        };
+        assert!(run_scenario(ProtocolKind::PramPartial, &at_end).max_retained > 6);
+        let crashed = Scenario {
+            faults: FaultFamily::CrashRestart,
+            ..every_six
+        };
+        assert!(run_scenario(ProtocolKind::PramPartial, &crashed).max_retained > 6);
     }
 
     #[test]

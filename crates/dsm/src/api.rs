@@ -175,6 +175,18 @@ pub enum DsmError {
         /// Human-readable description of the unsupported combination.
         reason: String,
     },
+    /// The replica image handed to a restore was taken before the latest
+    /// recovery-log cut: the peers have since dropped the entries its
+    /// catch-up would ask for, so restoring it would leave the replica
+    /// silently behind. Take a fresh image instead.
+    StaleImage {
+        /// The process the image was to be restored into.
+        proc: ProcId,
+        /// Cuts taken when the image was.
+        image_cuts: u64,
+        /// Cuts taken by now.
+        system_cuts: u64,
+    },
 }
 
 impl fmt::Display for DsmError {
@@ -198,6 +210,16 @@ impl fmt::Display for DsmError {
             DsmError::Unsupported { reason } => {
                 write!(f, "unsupported on this execution backend: {reason}")
             }
+            DsmError::StaleImage {
+                proc,
+                image_cuts,
+                system_cuts,
+            } => write!(
+                f,
+                "stale replica image for process {proc}: taken at recovery-log cut \
+                 {image_cuts}, the system is at cut {system_cuts} and its peers can no \
+                 longer serve the catch-up"
+            ),
         }
     }
 }
@@ -288,6 +310,13 @@ mod tests {
         assert!(e.to_string().contains("x7"));
         let u = DsmError::UnknownProcess { proc: ProcId(9) };
         assert!(u.to_string().contains("p9"));
+        let s = DsmError::StaleImage {
+            proc: ProcId(3),
+            image_cuts: 4,
+            system_cuts: 6,
+        };
+        assert!(s.to_string().contains("p3"));
+        assert!(s.to_string().contains("cut 4") && s.to_string().contains("cut 6"));
     }
 
     #[test]

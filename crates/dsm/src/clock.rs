@@ -171,6 +171,17 @@ impl DeltaVc {
         (4 + 12 * changes).min(next.wire_bytes())
     }
 
+    /// What a protocol charges for shipping `next` to a peer that holds
+    /// `prev`: [`DeltaVc::encoded_bytes`] under a delta delivery mode, the
+    /// dense clock otherwise.
+    pub fn charged_bytes(delta: bool, prev: &VectorClock, next: &VectorClock) -> usize {
+        if delta {
+            Self::encoded_bytes(prev, next)
+        } else {
+            next.wire_bytes()
+        }
+    }
+
     /// Reconstruct the encoded clock from the reference it was encoded
     /// against. `decode(prev)` of `encode(prev, next)` is exactly `next`.
     ///

@@ -304,14 +304,26 @@ impl DynDsm {
     /// Replace process `p`'s state machine with a snapshot previously
     /// taken from a system of the same protocol. Panics if the
     /// snapshot's protocol disagrees with this system's (a snapshot is
-    /// not portable across protocols).
+    /// not portable across protocols), and where [`DynDsm::try_restore`]
+    /// would return an error.
     pub fn restore(&mut self, p: ProcId, snapshot: ReplicaSnapshot) {
+        self.try_restore(p, snapshot)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible variant of [`DynDsm::restore`]: an image taken before the
+    /// latest recovery-log cut is refused with [`DsmError::StaleImage`]
+    /// (see [`DsmSystem::try_restore`]). A snapshot of another protocol
+    /// still panics — that is a programming error, not a run-time fault.
+    pub fn try_restore(&mut self, p: ProcId, snapshot: ReplicaSnapshot) -> Result<(), DsmError> {
         match (self, snapshot) {
-            (DynDsm::CausalFull(sys), ReplicaSnapshot::CausalFull(n)) => sys.restore(p, *n),
-            (DynDsm::CausalPartial(sys), ReplicaSnapshot::CausalPartial(n)) => sys.restore(p, *n),
-            (DynDsm::PramPartial(sys), ReplicaSnapshot::PramPartial(n)) => sys.restore(p, *n),
-            (DynDsm::Sequential(sys), ReplicaSnapshot::Sequential(n)) => sys.restore(p, *n),
-            (DynDsm::OpLog(sys), ReplicaSnapshot::OpLog(n)) => sys.restore(p, *n),
+            (DynDsm::CausalFull(sys), ReplicaSnapshot::CausalFull(n)) => sys.try_restore(p, *n),
+            (DynDsm::CausalPartial(sys), ReplicaSnapshot::CausalPartial(n)) => {
+                sys.try_restore(p, *n)
+            }
+            (DynDsm::PramPartial(sys), ReplicaSnapshot::PramPartial(n)) => sys.try_restore(p, *n),
+            (DynDsm::Sequential(sys), ReplicaSnapshot::Sequential(n)) => sys.try_restore(p, *n),
+            (DynDsm::OpLog(sys), ReplicaSnapshot::OpLog(n)) => sys.try_restore(p, *n),
             (sys, snap) => panic!(
                 "snapshot of {} cannot restore into a {} system",
                 snap.kind(),
@@ -337,6 +349,17 @@ impl DynDsm {
     /// awaiting its restart; 0 on direct transports).
     pub fn parked_messages(&self, p: ProcId) -> usize {
         dispatch!(self, sys => sys.parked_messages(p))
+    }
+
+    /// Recovery-log entries process `p` currently retains for its peers'
+    /// catch-up (see [`DsmSystem::recovery_retained`]).
+    pub fn recovery_retained(&self, p: ProcId) -> usize {
+        dispatch!(self, sys => sys.recovery_retained(p))
+    }
+
+    /// Recovery-log cuts taken so far (see [`DsmSystem::recovery_cuts`]).
+    pub fn recovery_cuts(&self) -> u64 {
+        dispatch!(self, sys => sys.recovery_cuts())
     }
 }
 

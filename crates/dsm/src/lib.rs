@@ -54,6 +54,9 @@ pub mod protocol;
 pub mod recorder;
 pub mod runtime;
 
+#[cfg(test)]
+mod recovery_tests;
+
 pub use api::{DsmError, ProtocolKind};
 pub use clock::{DeltaVc, SequenceTracker, VectorClock};
 pub use control::{ControlStats, ControlSummary};
@@ -66,6 +69,6 @@ pub use protocol::causal_partial::{
 pub use protocol::op_log::{OpLog, OpLogMsg, OpLogNode};
 pub use protocol::pram_partial::{PramMsg, PramNode, PramPartial, PramPartialMsg};
 pub use protocol::sequential::{SeqMsg, Sequential, SequentialNode};
-pub use protocol::{McsNode, ProtocolSpec};
+pub use protocol::{McsNode, ProtocolSpec, RecoveryLog, RecoveryState};
 pub use recorder::Recorder;
 pub use runtime::DsmSystem;

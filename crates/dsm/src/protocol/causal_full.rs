@@ -14,7 +14,7 @@
 use crate::api::ProtocolKind;
 use crate::clock::{DeltaVc, VectorClock};
 use crate::control::ControlStats;
-use crate::protocol::{McsNode, ProtocolSpec};
+use crate::protocol::{McsNode, ProtocolSpec, RecoveryLog, RecoveryState};
 use histories::{Distribution, ProcId, Value, VarId};
 use simnet::{Node, NodeContext, NodeId, WireSize};
 use std::collections::BTreeMap;
@@ -113,19 +113,17 @@ pub struct CausalFullNode {
     pending: Vec<CausalMsg>,
     control: ControlStats,
     delivered: u64,
-    /// Persisted log of this node's own writes (variable, value, clock at
-    /// the write), in program order — the material catch-up responses
-    /// are served from. Each entry owns its clock: a stamp shared with the
-    /// write's messages would pin a second, reference-counted allocation
-    /// per write for the life of the node.
-    log: Vec<(VarId, i64, VectorClock)>,
+    /// This node's own writes since the last cut, in program order — the
+    /// material catch-up responses are served from. Entry `k` is the write
+    /// that set this node's own clock entry to `k`; it shares the clock
+    /// stamp of the write's messages, and dies at the next cut.
+    log: RecoveryLog<CausalMsg>,
     /// Whether broadcast clocks are charged at their delta-encoded size.
     delta: bool,
-    /// The clock carried by this node's previous broadcast — the
-    /// reference every destination already holds (writer streams are
-    /// FIFO), so the next broadcast's clock can be charged as a delta
-    /// against it.
-    prev_write_vc: VectorClock,
+    /// The stamp of this node's previous broadcast — the reference every
+    /// destination already holds (writer streams are FIFO), so the next
+    /// broadcast's clock can be charged as a delta against it.
+    prev_stamp: Arc<VectorClock>,
     /// Every other process: the destinations of each broadcast.
     peers: Vec<NodeId>,
 }
@@ -147,9 +145,9 @@ impl CausalFullNode {
             pending: Vec::new(),
             control: ControlStats::new(),
             delivered: 0,
-            log: Vec::new(),
+            log: RecoveryLog::new(),
             delta,
-            prev_write_vc: VectorClock::new(n),
+            prev_stamp: Arc::new(VectorClock::new(n)),
             peers: (0..n).filter(|&i| i != me.index()).map(NodeId).collect(),
         }
     }
@@ -233,29 +231,14 @@ impl Node<CausalFullMsg> for CausalFullNode {
                 // so it is exactly the base the decoder holds — and each
                 // later one against the previous resend, sound because
                 // the link delivers them FIFO.
-                let mut base = vc.clone();
-                let (me, delta) = (self.me.index(), self.delta);
-                let missing: Vec<CausalMsg> = self
-                    .log
-                    .iter()
-                    .filter(|(_, _, wvc)| wvc.get(me) > vc.get(me))
-                    .map(|(var, value, wvc)| {
-                        let encoded = if delta {
-                            DeltaVc::encoded_bytes(&base, wvc)
-                        } else {
-                            wvc.wire_bytes()
-                        };
-                        base.clone_from(wvc);
-                        CausalMsg {
-                            writer: me,
-                            var: *var,
-                            value: *value,
-                            vc: Arc::new(wvc.clone()),
-                            encoded,
-                        }
-                    })
-                    .collect();
-                for m in missing {
+                let mut base: &VectorClock = &vc;
+                for (_, m) in self.log.after(vc.get(self.me.index())) {
+                    let encoded = DeltaVc::charged_bytes(self.delta, base, &m.vc);
+                    base = m.vc.as_ref();
+                    let m = CausalMsg {
+                        encoded,
+                        ..m.clone()
+                    };
                     self.control.charge_sent(m.var, m.control_size());
                     ctx.send(NodeId(from), CausalFullMsg::Update(m));
                 }
@@ -275,20 +258,19 @@ impl McsNode for CausalFullNode {
         self.vc.increment(self.me.index());
         self.store.insert(var, Value::Int(value));
         self.control.track(var);
-        let encoded = if self.delta {
-            DeltaVc::encoded_bytes(&self.prev_write_vc, &self.vc)
-        } else {
-            self.vc.wire_bytes()
-        };
-        self.prev_write_vc.clone_from(&self.vc);
+        // The write's clock, copied once: the messages, the recovery log
+        // and the next write's delta reference all share this stamp.
+        let stamp = Arc::new(self.vc.clone());
+        let encoded = DeltaVc::charged_bytes(self.delta, &self.prev_stamp, &stamp);
+        self.prev_stamp = Arc::clone(&stamp);
         let msg = CausalMsg {
             writer: self.me.index(),
             var,
             value,
-            vc: Arc::new(self.vc.clone()),
+            vc: stamp,
             encoded,
         };
-        self.log.push((var, value, self.vc.clone()));
+        self.log.push(msg.clone());
         let bytes = msg.control_size();
         // One logical record per destination (the control accounting the
         // paper reasons about), handed to the transport as one
@@ -316,6 +298,14 @@ impl McsNode for CausalFullNode {
             vc: self.vc.clone(),
         };
         ctx.send_multi(self.peers.iter().copied(), req);
+    }
+
+    fn checkpoint(&mut self) {
+        self.log.cut();
+    }
+
+    fn recovery(&self) -> RecoveryState {
+        self.log.state()
     }
 }
 

@@ -38,7 +38,7 @@
 use crate::api::ProtocolKind;
 use crate::clock::{DeltaVc, VectorClock};
 use crate::control::ControlStats;
-use crate::protocol::{McsNode, ProtocolSpec};
+use crate::protocol::{replica_table, McsNode, ProtocolSpec, RecoveryLog, RecoveryState};
 use histories::{Distribution, ProcId, Value, VarId};
 use simnet::{DeliveryMode, Node, NodeContext, NodeId, SimDuration, WireSize};
 use std::collections::BTreeMap;
@@ -246,35 +246,22 @@ pub struct CausalPartialNode {
     batching: bool,
     /// Whether broadcast clocks are charged at their delta-encoded size.
     delta: bool,
-    /// The clock carried by this node's previous write — the reference
-    /// every destination already holds (each destination sees this
-    /// writer's full write stream, as updates or control records), so the
-    /// next write's clock can be charged as a delta against it.
-    prev_write_vc: VectorClock,
+    /// The stamp of this node's previous write — the reference every
+    /// destination already holds (each destination sees this writer's
+    /// full write stream, as updates or control records), so the next
+    /// write's clock can be charged as a delta against it.
+    prev_stamp: Arc<VectorClock>,
     /// Per-destination buffers of not-yet-sent control records (batching
     /// mode only; indexed by destination process id, own slot unused).
     buffers: Vec<Vec<ControlRecord>>,
     /// Whether a flush timer is currently pending.
     flush_armed: bool,
-    /// Persisted log of this node's own writes (variable, value, clock at
-    /// the write), in program order — the material catch-up responses are
-    /// served from. Each entry owns its clock: a stamp shared with the
-    /// write's messages would pin a second, reference-counted allocation
-    /// per write for the life of the node.
-    log: Vec<(VarId, i64, VectorClock)>,
-}
-
-/// The replicas of every variable of `dist`, in id order.
-fn replica_table(dist: &Distribution) -> Arc<[Vec<NodeId>]> {
-    let mut table = vec![Vec::new(); dist.var_count()];
-    for p in 0..dist.process_count() {
-        for x in dist.vars_of(ProcId(p)) {
-            if let Some(replicas) = table.get_mut(x.index()) {
-                replicas.push(NodeId(p));
-            }
-        }
-    }
-    table.into()
+    /// This node's own writes since the last cut (variable, value, the
+    /// write's clock stamp), in program order — the material catch-up
+    /// responses are served from. Entry `k` is the write that set this
+    /// node's own clock entry to `k`; its stamp is the one the write's
+    /// updates and records carry, and dies with the entry at the next cut.
+    log: RecoveryLog<(VarId, i64, Arc<VectorClock>)>,
 }
 
 impl CausalPartialNode {
@@ -301,10 +288,10 @@ impl CausalPartialNode {
             delivered_control: 0,
             batching: delivery.batching,
             delta: delivery.delta,
-            prev_write_vc: VectorClock::new(n),
+            prev_stamp: Arc::new(VectorClock::new(n)),
             buffers: vec![Vec::new(); n],
             flush_armed: false,
-            log: Vec::new(),
+            log: RecoveryLog::new(),
         }
     }
 
@@ -491,12 +478,6 @@ impl Node<CausalPartialMsg> for CausalPartialNode {
                 // requester replicates the variable, a control record
                 // otherwise — mirroring the fault-free wire exactly.
                 let me = self.me.index();
-                let missing: Vec<(VarId, i64, VectorClock)> = self
-                    .log
-                    .iter()
-                    .filter(|(_, _, wvc)| wvc.get(me) > vc.get(me))
-                    .cloned()
-                    .collect();
                 // Under delta delivery the resends are chained through the
                 // cheaper-of-two encoder like live traffic: the first
                 // clock is encoded against the requester's restored clock
@@ -505,39 +486,30 @@ impl Node<CausalPartialMsg> for CausalPartialNode {
                 // whether that travelled as an update or a control
                 // record — both carry the clock, and the link delivers
                 // them FIFO.
-                let mut base = vc;
-                for (var, value, wvc) in missing {
-                    let encoded = if self.delta {
-                        DeltaVc::encoded_bytes(&base, &wvc)
+                let mut base: &VectorClock = &vc;
+                for (_, &(var, value, ref stamp)) in self.log.after(vc.get(me)) {
+                    let encoded = DeltaVc::charged_bytes(self.delta, base, stamp);
+                    base = stamp.as_ref();
+                    let vc = Arc::clone(stamp);
+                    let resend = if self.is_replica(from, var) {
+                        CausalPartialMsg::Update {
+                            writer: me,
+                            var,
+                            value,
+                            vc,
+                            encoded,
+                            piggyback: Vec::new(),
+                        }
                     } else {
-                        wvc.wire_bytes()
+                        CausalPartialMsg::Control {
+                            writer: me,
+                            var,
+                            vc,
+                            encoded,
+                        }
                     };
-                    base.clone_from(&wvc);
-                    if self.is_replica(from, var) {
-                        self.control.charge_sent(var, encoded + 8);
-                        ctx.send(
-                            NodeId(from),
-                            CausalPartialMsg::Update {
-                                writer: me,
-                                var,
-                                value,
-                                vc: Arc::new(wvc),
-                                encoded,
-                                piggyback: Vec::new(),
-                            },
-                        );
-                    } else {
-                        self.control.charge_sent(var, encoded + 8);
-                        ctx.send(
-                            NodeId(from),
-                            CausalPartialMsg::Control {
-                                writer: me,
-                                var,
-                                vc: Arc::new(wvc),
-                                encoded,
-                            },
-                        );
-                    }
+                    self.control.charge_sent(var, encoded + 8);
+                    ctx.send(NodeId(from), resend);
                 }
             }
         }
@@ -566,16 +538,13 @@ impl McsNode for CausalPartialNode {
         self.vc.increment(self.me.index());
         self.store.insert(var, Value::Int(value));
         self.control.track(var);
-        let encoded = if self.delta {
-            DeltaVc::encoded_bytes(&self.prev_write_vc, &self.vc)
-        } else {
-            self.vc.wire_bytes()
-        };
-        self.prev_write_vc.clone_from(&self.vc);
-        self.log.push((var, value, self.vc.clone()));
-        // The write's clock, stamped once: every update and record sent
-        // below shares it.
+        // The write's clock, copied once: every update and record sent
+        // below, the recovery log and the next write's delta reference
+        // share this stamp.
         let stamp = Arc::new(self.vc.clone());
+        let encoded = DeltaVc::charged_bytes(self.delta, &self.prev_stamp, &stamp);
+        self.prev_stamp = Arc::clone(&stamp);
+        self.log.push((var, value, Arc::clone(&stamp)));
         let update_bytes = encoded + 8;
         let record = ControlRecord {
             writer: self.me.index(),
@@ -701,6 +670,14 @@ impl McsNode for CausalPartialNode {
             .filter(|&p| p != self.me.index())
             .map(NodeId);
         ctx.send_multi(targets, req);
+    }
+
+    fn checkpoint(&mut self) {
+        self.log.cut();
+    }
+
+    fn recovery(&self) -> RecoveryState {
+        self.log.state()
     }
 }
 

@@ -5,25 +5,42 @@
 //! application-facing read/write interface) and a message type that
 //! accounts for its own data/control byte split.
 //!
-//! | module | criterion | replication | control metadata |
-//! |---|---|---|---|
-//! | [`causal_full`] | causal | full | vector clock per update, broadcast |
-//! | [`causal_partial`] | causal | partial | vector clock per update to replicas **plus** control-only records to every other node |
-//! | [`pram_partial`] | PRAM | partial | per-writer sequence number, sent only to replicas |
-//! | [`sequential`] | sequential (baseline) | full | sequencer round trip + global sequence number |
-//! | [`op_log`] | sequential at settle (PRAM always) | partial | per-shard log append/echo + shard sequence number to replicas |
+//! | module | criterion | replication | control metadata | retained for a restarted peer's catch-up, until the next all-up settle cuts it ([`RecoveryLog`]) |
+//! |---|---|---|---|---|
+//! | [`causal_full`] | causal | full | vector clock per update, broadcast | own writes with their clock stamp, served by index from the requester's clock |
+//! | [`causal_partial`] | causal | partial | vector clock per update to replicas **plus** control-only records to every other node | as [`causal_full`]; resent as update or record |
+//! | [`pram_partial`] | PRAM | partial | per-writer sequence number, sent only to replicas | own writes, served by index from the requester's next expected number, filtered to its variables |
+//! | [`sequential`] | sequential (baseline) | full | sequencer round trip + global sequence number | the ordered stream at the sequencer, served by index |
+//! | [`op_log`] | sequential at settle (PRAM always) | partial | per-shard log append/echo + shard sequence number to replicas | the last sequenced entry per owned variable (a winners table) |
 
 pub mod causal_full;
 pub mod causal_partial;
 pub mod op_log;
 pub mod pram_partial;
+mod recovery;
 pub mod sequential;
+
+pub use recovery::{RecoveryLog, RecoveryState};
 
 use crate::api::ProtocolKind;
 use crate::control::ControlStats;
-use histories::{Distribution, Value, VarId};
-use simnet::{DeliveryMode, Node, NodeContext, WireSize};
+use histories::{Distribution, ProcId, Value, VarId};
+use simnet::{DeliveryMode, Node, NodeContext, NodeId, WireSize};
 use std::fmt;
+use std::sync::Arc;
+
+/// `table[x]`: the processes replicating `x`, in id order — one table per
+/// deployment, so a write's fan-out walks a slice, not an ordered set.
+pub(crate) fn replica_table(dist: &Distribution) -> Arc<[Vec<NodeId>]> {
+    let mut table = vec![Vec::new(); dist.var_count()];
+    for p in 0..dist.process_count() {
+        for x in dist.vars_of(ProcId(p)) {
+            // In range: `Distribution::assign` grows `var_count` to fit.
+            table[x.index()].push(NodeId(p));
+        }
+    }
+    table.into()
+}
 
 /// The application-facing interface of an MCS process.
 ///
@@ -61,6 +78,18 @@ pub trait McsNode: Node<<Self as McsNode>::Msg> {
     /// died with the crash). The default is a no-op: a protocol with no
     /// recovery obligations restarts silently.
     fn on_restart(&mut self, _ctx: &mut NodeContext<Self::Msg>) {}
+
+    /// Cut what this node retains for its peers' recovery. Called at a
+    /// quiescent settle with every process up, when nothing retained can
+    /// be asked for again (see [`RecoveryLog`]); sends nothing, cannot
+    /// fail. Default: nothing retained, nothing to cut.
+    fn checkpoint(&mut self) {}
+
+    /// What is retained, and how many cuts were taken — a replica image
+    /// carries the count, and the runtime refuses one older than the last.
+    fn recovery(&self) -> RecoveryState {
+        RecoveryState::default()
+    }
 }
 
 /// A protocol family: how to instantiate one node per process for a given

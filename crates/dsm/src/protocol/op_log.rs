@@ -39,10 +39,11 @@
 
 use crate::api::ProtocolKind;
 use crate::control::ControlStats;
-use crate::protocol::{McsNode, ProtocolSpec};
+use crate::protocol::{replica_table, McsNode, ProtocolSpec, RecoveryState};
 use histories::{Distribution, ProcId, Value, VarId};
 use simnet::{Node, NodeContext, NodeId, WireSize};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// Control bytes of an append's first operation (shard id + batch length
 /// + variable id).
@@ -150,15 +151,6 @@ struct Lane {
     buffered: Vec<u64>,
 }
 
-/// One sequenced entry in a shard owner's persisted log.
-#[derive(Clone, Debug, PartialEq)]
-struct LogEntry {
-    seq: u64,
-    writer: usize,
-    var: VarId,
-    value: i64,
-}
-
 /// A node of the shared-operation-log protocol. Every node is a writer
 /// and replica for the variables it holds, and doubles as the shard
 /// owner (log sequencer) for the variables whose smallest-id replica it
@@ -167,6 +159,9 @@ struct LogEntry {
 pub struct OpLogNode {
     me: ProcId,
     dist: Distribution,
+    /// `replicas[x]`: the processes replicating `x`, in id order — the
+    /// first owns `x`'s shard (shared).
+    replicas: Arc<[Vec<NodeId>]>,
     /// The visible replica (wait-free reads; own writes apply
     /// optimistically and are reconciled against the log order).
     store: BTreeMap<VarId, Value>,
@@ -181,9 +176,12 @@ pub struct OpLogNode {
     lanes: BTreeMap<usize, Lane>,
     /// Owner state: last shard sequence number assigned.
     next_seq: u64,
-    /// Owner state: the persisted shard log catch-up answers are served
-    /// from.
-    log: Vec<LogEntry>,
+    /// Owner state: per owned variable, the last entry sequenced since the
+    /// last cut, as (shard seq, writer, value). Catch-up is served from it:
+    /// replicas apply highest-seq-wins, so no older entry is ever resent.
+    winners: BTreeMap<VarId, (u64, usize, i64)>,
+    /// Cuts of `winners` taken so far.
+    cuts: u64,
     /// Log entries applied to the visible store so far.
     applied: u64,
 }
@@ -191,9 +189,15 @@ pub struct OpLogNode {
 impl OpLogNode {
     /// Build the node for process `me` under `dist`.
     pub fn new(me: ProcId, dist: Distribution) -> Self {
+        let replicas = replica_table(&dist);
+        Self::with_replicas(me, dist, replicas)
+    }
+
+    fn with_replicas(me: ProcId, dist: Distribution, replicas: Arc<[Vec<NodeId>]>) -> Self {
         OpLogNode {
             me,
             dist,
+            replicas,
             store: BTreeMap::new(),
             committed: BTreeMap::new(),
             control: ControlStats::new(),
@@ -201,19 +205,17 @@ impl OpLogNode {
             outstanding: VecDeque::new(),
             lanes: BTreeMap::new(),
             next_seq: 0,
-            log: Vec::new(),
+            winners: BTreeMap::new(),
+            cuts: 0,
             applied: 0,
         }
     }
 
     /// The shard owner (log sequencer) of `var`: its smallest-id replica.
     pub fn owner_of(&self, var: VarId) -> usize {
-        self.dist
-            .replicas_of(var)
-            .iter()
-            .next()
-            .map(|p| p.index())
-            .unwrap_or(self.me.index())
+        (self.replicas.get(var.index()))
+            .and_then(|r| r.first())
+            .map_or(self.me.index(), |p| p.index())
     }
 
     /// Whether this node sequences the shard `var` belongs to.
@@ -231,24 +233,14 @@ impl OpLogNode {
         self.outstanding.len()
     }
 
-    /// Entries in this node's shard log (0 unless it owns a shard).
-    pub fn log_len(&self) -> usize {
-        self.log.len()
-    }
-
     /// Owner role: assign `ops` consecutive shard sequence numbers and
-    /// persist them in the shard log. Returns the batch's base sequence
-    /// number.
+    /// record each as its variable's winner. Returns the batch's base
+    /// sequence number.
     fn sequence_batch(&mut self, writer: usize, ops: &[(VarId, i64)]) -> u64 {
         let base = self.next_seq + 1;
         for &(var, value) in ops {
             self.next_seq += 1;
-            self.log.push(LogEntry {
-                seq: self.next_seq,
-                writer,
-                var,
-                value,
-            });
+            self.winners.insert(var, (self.next_seq, writer, value));
         }
         base
     }
@@ -317,17 +309,10 @@ impl OpLogNode {
                 continue;
             };
             self.commit(seq, p.var, p.value);
-            let targets: Vec<NodeId> = self
-                .dist
-                .replicas_of(p.var)
-                .iter()
-                .filter(|r| r.index() != self.me.index())
-                .map(|r| NodeId(r.index()))
-                .collect();
-            if targets.is_empty() {
-                continue;
-            }
-            for _ in &targets {
+            let me = NodeId(self.me.index());
+            let replicas: &[NodeId] = (self.replicas.get(p.var.index())).map_or(&[], Vec::as_slice);
+            let targets = replicas.iter().copied().filter(|&t| t != me);
+            for _ in targets.clone() {
                 self.control.charge_sent(p.var, ENTRY_BYTES);
             }
             // One identical payload to every other replica — one
@@ -422,20 +407,18 @@ impl Node<OpLogMsg> for OpLogNode {
                 // replicas apply per-variable highest-seq-wins, so
                 // overtaken entries would be discarded on arrival anyway.
                 for (var, mark) in watermarks {
-                    let Some(e) = self.log.iter().rev().find(|e| e.var == var) else {
+                    let winner = self.winners.get(&var).filter(|w| w.0 > mark);
+                    let Some(&(seq, writer, value)) = winner else {
                         continue;
                     };
-                    if e.seq <= mark {
-                        continue;
-                    }
                     self.control.charge_sent(var, ENTRY_BYTES);
                     ctx.send(
                         NodeId(from),
                         OpLogMsg::Entry {
-                            seq: e.seq,
-                            writer: e.writer,
-                            var: e.var,
-                            value: e.value,
+                            seq,
+                            writer,
+                            var,
+                            value,
                         },
                     );
                 }
@@ -489,8 +472,8 @@ impl McsNode for OpLogNode {
     fn on_restart(&mut self, ctx: &mut NodeContext<OpLogMsg>) {
         // Re-append every write whose echo we never saw: the append or
         // its echo may have died with us. A re-sequenced duplicate
-        // converges (same value, higher shard sequence number), and the
-        // owner's shard log keeps both harmlessly.
+        // converges (same value, higher shard sequence number), and
+        // becomes the variable's winner at the owner.
         self.lanes.clear();
         let mut unechoed: Vec<(usize, u64)> = Vec::new();
         for p in &self.outstanding {
@@ -540,6 +523,18 @@ impl McsNode for OpLogNode {
         }
         self.broadcast_ready(ctx);
     }
+
+    fn checkpoint(&mut self) {
+        self.winners.clear();
+        self.cuts += 1;
+    }
+
+    fn recovery(&self) -> RecoveryState {
+        RecoveryState {
+            retained: self.winners.len(),
+            cuts: self.cuts,
+        }
+    }
 }
 
 /// Marker type selecting the shared-operation-log protocol.
@@ -552,8 +547,9 @@ impl ProtocolSpec for OpLog {
     const KIND: ProtocolKind = ProtocolKind::OpLog;
 
     fn build_nodes(dist: &Distribution, _delivery: simnet::DeliveryMode) -> Vec<OpLogNode> {
+        let replicas = replica_table(dist);
         (0..dist.process_count())
-            .map(|i| OpLogNode::new(ProcId(i), dist.clone()))
+            .map(|i| OpLogNode::with_replicas(ProcId(i), dist.clone(), Arc::clone(&replicas)))
             .collect()
     }
 }
@@ -629,7 +625,7 @@ mod tests {
         // Owner of x0: no append round trip, one Entry to replica 1.
         assert_eq!(ctx.queued_messages(), 1);
         assert_eq!(nodes[0].local_read(VarId(0)), Value::Int(7));
-        assert_eq!(nodes[0].log_len(), 1);
+        assert_eq!(nodes[0].recovery().retained, 1);
         assert_eq!(nodes[0].pending_writes(), 0);
         assert_eq!(nodes[0].applied_count(), 1);
     }
@@ -740,7 +736,9 @@ mod tests {
                 ops: vec![(VarId(1), 5), (VarId(1), 6)],
             },
         );
-        assert_eq!(nodes[1].log_len(), 2);
+        // Two entries sequenced for x1: the winners table keeps the last.
+        assert_eq!(nodes[1].recovery().retained, 1);
+        assert_eq!(nodes[1].winners.get(&VarId(1)), Some(&(2, 2, 6)));
         // The owner echoes but does NOT apply at sequencing time: it
         // applies via the writer's program-ordered Entry like everyone
         // else, so its view of the writer stays FIFO.

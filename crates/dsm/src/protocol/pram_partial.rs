@@ -16,10 +16,11 @@
 
 use crate::api::ProtocolKind;
 use crate::control::ControlStats;
-use crate::protocol::{McsNode, ProtocolSpec};
+use crate::protocol::{replica_table, McsNode, ProtocolSpec, RecoveryLog, RecoveryState};
 use histories::{Distribution, ProcId, Value, VarId};
 use simnet::{Node, NodeContext, NodeId, WireSize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::clock::SequenceTracker;
 
@@ -93,13 +94,16 @@ impl WireSize for PramPartialMsg {
 pub struct PramNode {
     me: ProcId,
     dist: Distribution,
+    /// `replicas[x]`: the processes replicating `x`, in id order (shared).
+    replicas: Arc<[Vec<NodeId>]>,
     store: BTreeMap<VarId, Value>,
     seq: u64,
     seen: SequenceTracker,
     control: ControlStats,
-    /// Persisted log of this node's own writes, in program order — the
-    /// material catch-up responses are served from.
-    log: Vec<PramMsg>,
+    /// This node's own writes since the last cut, in program order (entry
+    /// `k` is the write with sequence number `k`) — the material catch-up
+    /// responses are served from.
+    log: RecoveryLog<PramMsg>,
     /// Highest sequence number applied per (writer, variable) — the
     /// idempotence/ordering guard. PRAM's per-writer numbering is
     /// gap-tolerant (a node only sees the subsequence touching variables
@@ -114,14 +118,19 @@ pub struct PramNode {
 impl PramNode {
     /// Build the node for process `me` under the given distribution.
     pub fn new(me: ProcId, dist: &Distribution) -> Self {
+        Self::with_replicas(me, dist, replica_table(dist))
+    }
+
+    fn with_replicas(me: ProcId, dist: &Distribution, replicas: Arc<[Vec<NodeId>]>) -> Self {
         PramNode {
             me,
             dist: dist.clone(),
+            replicas,
             store: BTreeMap::new(),
             seq: 0,
             seen: SequenceTracker::new(dist.process_count()),
             control: ControlStats::new(),
-            log: Vec::new(),
+            log: RecoveryLog::new(),
             applied: BTreeMap::new(),
         }
     }
@@ -171,17 +180,12 @@ impl Node<PramPartialMsg> for PramNode {
             PramPartialMsg::CatchupReq { from, expected } => {
                 // Resend the requester's missing subsequence of our own
                 // writes (only the variables it replicates), in order.
-                let me = self.me.index();
-                let next = expected.get(me).copied().unwrap_or(1);
-                let missing: Vec<PramMsg> = self
-                    .log
-                    .iter()
-                    .filter(|m| m.seq >= next && self.dist.replicates(ProcId(from), m.var))
-                    .cloned()
-                    .collect();
-                for m in missing {
-                    self.control.charge_sent(m.var, PramMsg::CONTROL_BYTES);
-                    ctx.send(NodeId(from), PramPartialMsg::Update(m));
+                let next = expected.get(self.me.index()).copied().unwrap_or(1);
+                for (_, m) in self.log.after(next.saturating_sub(1)) {
+                    if self.dist.replicates(ProcId(from), m.var) {
+                        self.control.charge_sent(m.var, PramMsg::CONTROL_BYTES);
+                        ctx.send(NodeId(from), PramPartialMsg::Update(m.clone()));
+                    }
                 }
             }
         }
@@ -209,14 +213,10 @@ impl McsNode for PramNode {
         // One multi-destination send to the replica set: the metadata
         // never leaves C(x), and a multicast wire shares tree edges the
         // replicas' paths have in common.
-        let targets: Vec<NodeId> = self
-            .dist
-            .replicas_of(var)
-            .iter()
-            .filter(|&&r| r != self.me)
-            .map(|r| NodeId(r.index()))
-            .collect();
-        for _ in &targets {
+        let me = NodeId(self.me.index());
+        let replicas: &[NodeId] = self.replicas.get(var.index()).map_or(&[], Vec::as_slice);
+        let targets = replicas.iter().copied().filter(|&t| t != me);
+        for _ in targets.clone() {
             self.control.charge_sent(var, PramMsg::CONTROL_BYTES);
         }
         ctx.send_multi(targets, PramPartialMsg::Update(msg));
@@ -251,6 +251,14 @@ impl McsNode for PramNode {
             .collect();
         ctx.send_multi(targets, PramPartialMsg::CatchupReq { from: me, expected });
     }
+
+    fn checkpoint(&mut self) {
+        self.log.cut();
+    }
+
+    fn recovery(&self) -> RecoveryState {
+        self.log.state()
+    }
 }
 
 /// Marker type selecting the PRAM partial-replication protocol.
@@ -263,8 +271,9 @@ impl ProtocolSpec for PramPartial {
     const KIND: ProtocolKind = ProtocolKind::PramPartial;
 
     fn build_nodes(dist: &Distribution, _delivery: simnet::DeliveryMode) -> Vec<PramNode> {
+        let replicas = replica_table(dist);
         (0..dist.process_count())
-            .map(|i| PramNode::new(ProcId(i), dist))
+            .map(|i| PramNode::with_replicas(ProcId(i), dist, Arc::clone(&replicas)))
             .collect()
     }
 }

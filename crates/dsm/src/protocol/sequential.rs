@@ -20,7 +20,7 @@
 
 use crate::api::ProtocolKind;
 use crate::control::ControlStats;
-use crate::protocol::{McsNode, ProtocolSpec};
+use crate::protocol::{McsNode, ProtocolSpec, RecoveryLog, RecoveryState};
 use histories::{Distribution, ProcId, Value, VarId};
 use simnet::{Node, NodeContext, NodeId, WireSize};
 use std::collections::BTreeMap;
@@ -83,19 +83,21 @@ impl WireSize for SeqMsg {
 #[derive(Clone, Debug, PartialEq)]
 pub struct SequentialNode {
     me: ProcId,
-    n: usize,
+    /// Every other process: the destinations of each ordered broadcast.
+    peers: Vec<NodeId>,
     store: BTreeMap<VarId, Value>,
     /// Sequencer state: next sequence number to assign.
     next_seq: u64,
     /// Replica state: next sequence number to apply.
     next_apply: u64,
     /// Ordered writes received out of order, keyed by sequence number.
-    pending: BTreeMap<u64, (usize, VarId, i64)>,
+    pending: BTreeMap<u64, (VarId, i64)>,
     control: ControlStats,
     applied: u64,
-    /// Sequencer state: the persisted log of every ordered write, indexed
-    /// by `seq - 1` — the material catch-up responses are served from.
-    log: Vec<(usize, VarId, i64)>,
+    /// Sequencer state: the ordered writes since the last cut (entry `k`
+    /// is the write with global sequence number `k`) — the material
+    /// catch-up responses are served from.
+    log: RecoveryLog<(usize, VarId, i64)>,
 }
 
 impl SequentialNode {
@@ -103,14 +105,14 @@ impl SequentialNode {
     pub fn new(me: ProcId, n: usize) -> Self {
         SequentialNode {
             me,
-            n,
+            peers: (0..n).filter(|&i| i != me.index()).map(NodeId).collect(),
             store: BTreeMap::new(),
             next_seq: 1,
             next_apply: 1,
             pending: BTreeMap::new(),
             control: ControlStats::new(),
             applied: 0,
-            log: Vec::new(),
+            log: RecoveryLog::new(),
         }
     }
 
@@ -144,28 +146,28 @@ impl SequentialNode {
         // The ordered write is one identical payload to everyone else —
         // one multi-destination send, so the wire can multicast it along
         // the sequencer's broadcast tree.
-        let targets: Vec<NodeId> = (0..self.n)
-            .filter(|&i| i != self.me.index())
-            .map(NodeId)
-            .collect();
-        for _ in &targets {
+        for _ in &self.peers {
             self.control.charge_sent(var, ordered.control_bytes());
         }
-        ctx.send_multi(targets, ordered);
+        ctx.send_multi(self.peers.iter().copied(), ordered);
         // The sequencer applies locally in order as well.
-        self.enqueue_ordered(seq, writer, var, value);
+        self.enqueue_ordered(seq, var, value);
     }
 
     /// Callers guarantee `seq >= next_apply`: the sequencer only passes
     /// fresh sequence numbers, and `on_message` discards stale `Ordered`
     /// duplicates (the idempotence guard) before calling here.
-    fn enqueue_ordered(&mut self, seq: u64, writer: usize, var: VarId, value: i64) {
-        self.pending.insert(seq, (writer, var, value));
-        while let Some(&(_, var, value)) = self.pending.get(&self.next_apply) {
-            self.pending.remove(&self.next_apply);
+    fn enqueue_ordered(&mut self, seq: u64, var: VarId, value: i64) {
+        // In order (the common case on FIFO links): never enters the map.
+        let mut next = (seq == self.next_apply).then_some((var, value));
+        if next.is_none() {
+            self.pending.insert(seq, (var, value));
+        }
+        while let Some((var, value)) = next {
             self.store.insert(var, Value::Int(value));
             self.applied += 1;
             self.next_apply += 1;
+            next = self.pending.remove(&self.next_apply);
         }
     }
 }
@@ -178,31 +180,20 @@ impl Node<SeqMsg> for SequentialNode {
                 self.sequence_and_broadcast(ctx, writer, var, value);
             }
             SeqMsg::Ordered {
-                seq,
-                writer,
-                var,
-                value,
+                seq, var, value, ..
             } => {
                 if seq < self.next_apply {
                     // Duplicate of an applied write: discard uncharged.
                     return;
                 }
                 self.control.charge_received(var, 16);
-                self.enqueue_ordered(seq, writer, var, value);
+                self.enqueue_ordered(seq, var, value);
             }
             SeqMsg::CatchupReq { from, next_apply } => {
                 debug_assert!(self.is_sequencer(), "catch-up requests go to the sequencer");
                 // Replay the ordered stream the replica missed, from its
                 // persisted position on, in order.
-                let start = next_apply.max(1) as usize;
-                let replay: Vec<(u64, (usize, VarId, i64))> = self
-                    .log
-                    .iter()
-                    .enumerate()
-                    .skip(start - 1)
-                    .map(|(idx, &entry)| (idx as u64 + 1, entry))
-                    .collect();
-                for (seq, (writer, var, value)) in replay {
+                for (seq, &(writer, var, value)) in self.log.after(next_apply.saturating_sub(1)) {
                     let ordered = SeqMsg::Ordered {
                         seq,
                         writer,
@@ -268,6 +259,14 @@ impl McsNode for SequentialNode {
                 },
             );
         }
+    }
+
+    fn checkpoint(&mut self) {
+        self.log.cut();
+    }
+
+    fn recovery(&self) -> RecoveryState {
+        self.log.state()
     }
 }
 

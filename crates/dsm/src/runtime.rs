@@ -17,7 +17,7 @@
 
 use crate::api::{DsmError, ProtocolKind};
 use crate::control::ControlSummary;
-use crate::protocol::{McsNode, ProtocolSpec};
+use crate::protocol::{McsNode, ProtocolSpec, RecoveryState};
 use crate::recorder::Recorder;
 use histories::{Distribution, History, ProcId, Value, VarId};
 use simnet::{
@@ -58,12 +58,25 @@ pub struct DsmSystem<P: ProtocolSpec> {
     /// Per-process persisted snapshot, present while that process is
     /// crashed (`None` = live).
     crashed: Vec<Option<P::Node>>,
+    /// Reference runs of the cut-equivalence tests keep every log entry.
+    #[cfg(test)]
+    keep_logs: bool,
 }
 
 impl<P: ProtocolSpec> DsmSystem<P> {
     /// Build a system with the default simulation configuration.
     pub fn new(dist: Distribution) -> Self {
         Self::with_config(dist, SimConfig::default())
+    }
+
+    /// A default-configured system that never cuts its recovery logs —
+    /// the reference the cut-equivalence tests compare against. Test-only
+    /// on purpose: whether to cut is not a setting.
+    #[cfg(test)]
+    pub(crate) fn keeping_logs(dist: Distribution) -> Self {
+        let mut sys = Self::new(dist);
+        sys.keep_logs = true;
+        sys
     }
 
     /// Build a system with an explicit simulation configuration.
@@ -156,6 +169,8 @@ impl<P: ProtocolSpec> DsmSystem<P> {
                     delivery,
                     recorder,
                     crashed,
+                    #[cfg(test)]
+                    keep_logs: false,
                 })
             }
         }
@@ -203,6 +218,8 @@ impl<P: ProtocolSpec> DsmSystem<P> {
             delivery,
             recorder,
             crashed,
+            #[cfg(test)]
+            keep_logs: false,
         })
     }
 
@@ -333,7 +350,9 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// logs) — the image a restart would restore. The snapshot model is
     /// synchronous persistence: everything a node applied is on stable
     /// storage, so the only thing a crash loses is the messages delivered
-    /// while the node was down.
+    /// while the node was down. The image carries the recovery-log cut
+    /// count it was taken at; [`DsmSystem::try_restore`] refuses it once a
+    /// later cut has dropped what its catch-up would need.
     pub fn snapshot(&self, p: ProcId) -> P::Node {
         match &self.net {
             NetBackend::Sim(net) => net.node(NodeId(p.index())).clone(),
@@ -344,11 +363,75 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// Replace process `p`'s state machine with `snapshot` (the restore
     /// half of the persistence round trip; normally driven by
     /// [`DsmSystem::restart`]).
+    ///
+    /// Panics where [`DsmSystem::try_restore`] would return an error.
     pub fn restore(&mut self, p: ProcId, snapshot: P::Node) {
+        self.try_restore(p, snapshot)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible variant of [`DsmSystem::restore`]. An image taken before
+    /// the latest recovery-log cut (see [`DsmSystem::try_settle`]) is
+    /// refused with [`DsmError::StaleImage`]: its peers have dropped what
+    /// its catch-up would need. Staleness is read off the cut count the
+    /// image carries, never off sequence numbers — under PRAM's
+    /// gap-tolerant numbering a current image may well expect a number
+    /// below a peer's cut.
+    pub fn try_restore(&mut self, p: ProcId, snapshot: P::Node) -> Result<(), DsmError> {
+        if p.index() >= self.dist.process_count() {
+            return Err(DsmError::UnknownProcess { proc: p });
+        }
+        self.check_current(p, &snapshot)?;
         match &mut self.net {
             NetBackend::Sim(net) => *net.node_mut(NodeId(p.index())) = snapshot,
             NetBackend::Threaded(net) => net.restore_node(NodeId(p.index()), snapshot),
         }
+        Ok(())
+    }
+
+    /// `Err(StaleImage)` if `image` was taken before the latest cut.
+    fn check_current(&self, p: ProcId, image: &P::Node) -> Result<(), DsmError> {
+        // The node being replaced was up at every cut so far, or has been
+        // down since before the first one it missed — and nothing is cut
+        // while a process is down — so its count is the system's.
+        let (image_cuts, system_cuts) = (image.recovery().cuts, self.recovery(p)?.cuts);
+        if image_cuts < system_cuts {
+            return Err(DsmError::StaleImage {
+                proc: p,
+                image_cuts,
+                system_cuts,
+            });
+        }
+        Ok(())
+    }
+
+    fn recovery(&self, p: ProcId) -> Result<RecoveryState, DsmError> {
+        match &self.net {
+            NetBackend::Sim(net) => Ok(net.node(NodeId(p.index())).recovery()),
+            NetBackend::Threaded(net) => net
+                .try_query(NodeId(p.index()), |node| node.recovery())
+                .map_err(worker_died),
+        }
+    }
+
+    /// Recovery-log entries process `p` currently retains for its peers'
+    /// catch-up: its writes (under the sequencer: the ordered stream;
+    /// under op-log: the owned variables sequenced) since the last cut.
+    /// Zero right after an all-up quiescent settle. One site lock on the
+    /// threaded backend.
+    pub fn recovery_retained(&self, p: ProcId) -> usize {
+        self.recovery(p).unwrap_or_else(|e| panic!("{e}")).retained
+    }
+
+    /// Recovery-log cuts taken so far (one per all-up quiescent settle).
+    /// Every node counts them; this reads process 0's copy.
+    pub fn recovery_cuts(&self) -> u64 {
+        if self.process_count() == 0 {
+            return 0;
+        }
+        self.recovery(ProcId(0))
+            .unwrap_or_else(|e| panic!("{e}"))
+            .cuts
     }
 
     /// Crash process `p`: persist its snapshot and take its node down.
@@ -398,6 +481,10 @@ impl<P: ProtocolSpec> DsmSystem<P> {
         let snapshot = self.crashed[p.index()]
             .take()
             .ok_or(DsmError::Crashed { proc: p })?;
+        if let Err(e) = self.check_current(p, &snapshot) {
+            self.crashed[p.index()] = Some(snapshot);
+            return Err(e);
+        }
         let NetBackend::Sim(net) = &mut self.net else {
             unreachable!("threaded backends never crash a process");
         };
@@ -471,11 +558,38 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     }
 
     /// Fallible variant of [`DsmSystem::settle`].
+    ///
+    /// A settle that ends quiescent with every process up also cuts the
+    /// recovery logs ([`McsNode::checkpoint`] on every node): each write
+    /// issued so far has then been delivered to every live peer, hence
+    /// sits in every image a restart could restore, hence will never be
+    /// asked for again. While a process is down nothing is cut — its
+    /// peers keep everything it will ask for at restart.
     pub fn try_settle(&mut self) -> Result<RunOutcome, DsmError> {
-        match &mut self.net {
-            NetBackend::Sim(net) => Ok(net.try_run_until_quiescent()?),
-            NetBackend::Threaded(net) => net.try_settle().map_err(worker_died),
+        let outcome = match &mut self.net {
+            NetBackend::Sim(net) => net.try_run_until_quiescent()?,
+            NetBackend::Threaded(net) => net.try_settle().map_err(worker_died)?,
+        };
+        if outcome.is_quiescent() && self.crashed.iter().all(Option::is_none) {
+            self.checkpoint()?;
         }
+        Ok(outcome)
+    }
+
+    fn checkpoint(&mut self) -> Result<(), DsmError> {
+        #[cfg(test)]
+        if self.keep_logs {
+            return Ok(());
+        }
+        for i in (0..self.process_count()).map(NodeId) {
+            match &mut self.net {
+                NetBackend::Sim(net) => net.node_mut(i).checkpoint(),
+                NetBackend::Threaded(net) => net
+                    .try_with_node(i, |node, _ctx| node.checkpoint())
+                    .map_err(worker_died)?,
+            }
+        }
+        Ok(())
     }
 
     /// Deliver at most one pending message; returns `false` when idle.

@@ -5,8 +5,10 @@
 //! fault layer exists to model gracefully. The functions listed in
 //! [`scope_fns`] form the delivery spine: the simulator's event pump
 //! and event queue, the channel sampler, the overlay relay, every
-//! protocol's `on_message`/`on_restart` handler, and the control ledger
-//! they charge. Within their bodies this rule
+//! protocol's `on_message`/`on_restart` handler and recovery-log
+//! `checkpoint` (with the `cut` it calls — the runtime runs it on every
+//! node at every all-up settle), and the control ledger they charge.
+//! Within their bodies this rule
 //! bans `.unwrap()` / `.expect()`, panicking macros, and slice
 //! indexing (`debug_assert!` stays legal: it documents invariants and
 //! compiles out of release builds). Survivors live in the allowlist
@@ -67,7 +69,7 @@ pub(crate) fn scope_fns(rel_path: &str) -> Option<&'static [&'static str]> {
             if rel_path.starts_with("crates/dsm/src/protocol/")
                 && rel_path != "crates/dsm/src/protocol/mod.rs"
             {
-                Some(&["on_message", "on_restart"])
+                Some(&["on_message", "on_restart", "checkpoint", "cut"])
             } else {
                 None
             }
@@ -159,4 +161,21 @@ impl Rule for NoPanicInDelivery {
     fn fixture_context(&self) -> (&'static str, &'static str, FileKind) {
         ("simnet", "crates/simnet/src/sim.rs", FileKind::Lib)
     }
+
+    fn fixture_context_for(&self, case: &str) -> (&'static str, &'static str, FileKind) {
+        protocol_fixture_context(case).unwrap_or_else(|| self.fixture_context())
+    }
+}
+
+/// The context of the `*_checkpoint.rs` fixtures (shared with
+/// `no-alloc-in-hot-path`, like the scope lists): a protocol file, where
+/// `checkpoint` is in scope.
+pub(crate) fn protocol_fixture_context(
+    case: &str,
+) -> Option<(&'static str, &'static str, FileKind)> {
+    case.ends_with("_checkpoint.rs").then_some((
+        "dsm",
+        "crates/dsm/src/protocol/op_log.rs",
+        FileKind::Lib,
+    ))
 }
