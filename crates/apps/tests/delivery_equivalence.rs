@@ -23,6 +23,12 @@
 //!    received entry counts and tracked-variable sets are equal across
 //!    all modes, and byte totals never exceed the unicast/unbatched
 //!    wire's.
+//! 4. **Grouping changes envelopes, never charges.** `multicast-batched`
+//!    is `batched` with each distinct batch riding the sender's tree once:
+//!    it never pays more messages or wire control bytes, for any script,
+//!    and on race-free scripts the whole `ControlSummary` — logical bytes
+//!    included — is equal under the two. On a sparse topology the saving
+//!    is strict for causal-partial, whose batches are mostly shared.
 
 use apps::scenario::{generate_family_ops, SettlePolicy, WorkloadFamily};
 use apps::workload::{generate, WorkloadOp, WorkloadSpec};
@@ -147,6 +153,38 @@ fn single_writer_setup() -> impl Strategy<Value = (Distribution, Vec<WorkloadOp>
         })
 }
 
+/// Invariant 4, fed one cell's observations mode by mode in
+/// `DeliveryMode::ALL` order: keeps the `batched` one, and holds
+/// `multicast-batched` against it — never more messages or wire control
+/// bytes, and on a race-free script the same logical charges.
+fn check_grouping(
+    batched: &mut Option<Observation>,
+    mode: DeliveryMode,
+    out: Observation,
+    race_free: bool,
+    cell: &str,
+) {
+    if mode == DeliveryMode::BATCHED {
+        *batched = Some(out);
+    } else if mode == DeliveryMode::MULTICAST_BATCHED {
+        let batched = batched.as_ref().expect("ALL lists batched first");
+        assert!(
+            out.network.total_messages() <= batched.network.total_messages(),
+            "{cell} pays more messages multicast-batched than batched"
+        );
+        assert!(
+            out.network.total_control_bytes() <= batched.network.total_control_bytes(),
+            "{cell} pays more wire control bytes multicast-batched than batched"
+        );
+        if race_free {
+            assert_eq!(
+                batched.control, out.control,
+                "{cell}: logical charges moved"
+            );
+        }
+    }
+}
+
 /// Mesh + the sparse topologies where tree dedup actually has shared
 /// prefixes to exploit.
 fn topologies(n: usize) -> Vec<Option<Topology>> {
@@ -172,6 +210,7 @@ proptest! {
             for topology in topologies(dist.process_count()) {
                 let reference = run(kind, &dist, &ops, topology.clone(), DeliveryMode::UNICAST);
                 prop_assert_eq!(pram_spot_check(&reference.history), Ok(()));
+                let mut batched = None;
                 for mode in DeliveryMode::ALL {
                     if mode == DeliveryMode::UNICAST {
                         continue;
@@ -196,6 +235,7 @@ proptest! {
                         out.network.total_control_bytes() <= reference.network.total_control_bytes()
                     );
                     prop_assert!(out.network.total_data_bytes() <= reference.network.total_data_bytes());
+                    check_grouping(&mut batched, mode, out, true, &format!("{kind} on {topology:?}"));
                 }
             }
         }
@@ -227,6 +267,7 @@ proptest! {
         for kind in ProtocolKind::ALL {
             for topology in [None, Some(Topology::star(dist.process_count()))] {
                 let reference = run(kind, &dist, &ops, topology.clone(), DeliveryMode::UNICAST);
+                let mut batched = None;
                 for mode in DeliveryMode::ALL {
                     if mode == DeliveryMode::UNICAST {
                         continue;
@@ -242,8 +283,53 @@ proptest! {
                     prop_assert!(
                         out.network.total_control_bytes() <= reference.network.total_control_bytes()
                     );
+                    check_grouping(&mut batched, mode, out, false, &format!("{kind} on {topology:?}"));
                 }
             }
         }
+    }
+}
+
+/// Invariant 4, the strict half, on fixed cells: with eight processes on a
+/// line or a grid most of a causal-partial writer's batches are owed to
+/// several destinations at once, so carrying each distinct batch once per
+/// tree edge must send strictly fewer messages (and wire control bytes)
+/// than one private batch per destination — where, before batches rode
+/// the tree, the two modes paid exactly the same.
+#[test]
+fn shared_batches_strictly_cut_causal_partial_messages_on_sparse_topologies() {
+    let dist = Distribution::random(8, 12, 2, 11);
+    let ops = generate_family_ops(
+        &dist,
+        &WorkloadFamily::ProducerConsumer,
+        6,
+        SettlePolicy::Every(4),
+        11,
+    );
+    for topology in [Topology::line(8), Topology::grid_of(8)] {
+        let observe = |mode| {
+            run(
+                ProtocolKind::CausalPartial,
+                &dist,
+                &ops,
+                Some(topology.clone()),
+                mode,
+            )
+        };
+        let batched = observe(DeliveryMode::BATCHED);
+        let grouped = observe(DeliveryMode::MULTICAST_BATCHED);
+        assert_eq!(batched.history, grouped.history);
+        assert_eq!(batched.settled, grouped.settled);
+        assert_eq!(batched.control, grouped.control);
+        assert!(
+            grouped.network.total_messages() < batched.network.total_messages(),
+            "{topology:?}: {} messages grouped, {} batched",
+            grouped.network.total_messages(),
+            batched.network.total_messages()
+        );
+        assert!(
+            grouped.network.total_control_bytes() < batched.network.total_control_bytes(),
+            "{topology:?}: wire control bytes did not fall"
+        );
     }
 }

@@ -1301,7 +1301,8 @@ pub const BASELINE_COORDS: (usize, usize, u64) = (8, 6, 11);
 /// remains a sub-minute CI gate.
 pub const BASELINE_LARGE_TIERS: [(usize, usize); 2] = [(64, 2), (256, 2)];
 
-/// One control-byte regression found by [`compare_to_baseline`].
+/// One difference found by [`compare_to_baseline`]: a failure, unless it
+/// is an [`BaselineDiff::Improved`] cell (see [`BaselineDiff::fails`]).
 #[derive(Clone, Debug, PartialEq)]
 pub enum BaselineDiff {
     /// The cell's control bytes grew beyond the tolerance.
@@ -1325,6 +1326,24 @@ pub enum BaselineDiff {
         /// The unexpected coordinate.
         coordinate: String,
     },
+    /// The cell's control bytes fell below the baseline by more than the
+    /// tolerance. Never a failure — but the ledger is stale, and says so.
+    Improved {
+        /// The cell coordinate ([`ScenarioMatrixRow::coordinate`]).
+        coordinate: String,
+        /// Control bytes recorded in the baseline.
+        baseline: u64,
+        /// Control bytes measured now.
+        current: u64,
+    },
+}
+
+impl BaselineDiff {
+    /// Whether this difference fails the check (everything but an
+    /// improvement does).
+    pub fn fails(&self) -> bool {
+        !matches!(self, BaselineDiff::Improved { .. })
+    }
 }
 
 impl std::fmt::Display for BaselineDiff {
@@ -1345,15 +1364,26 @@ impl std::fmt::Display for BaselineDiff {
             BaselineDiff::New { coordinate } => {
                 write!(f, "NEW {coordinate}: cell has no baseline entry")
             }
+            BaselineDiff::Improved {
+                coordinate,
+                baseline,
+                current,
+            } => write!(
+                f,
+                "IMPROVED {coordinate}: control bytes {baseline} -> {current} ({:.1}%)",
+                (*current as f64 / *baseline as f64 - 1.0) * 100.0
+            ),
         }
     }
 }
 
 /// Compare a sweep against a recorded baseline. A cell regresses when its
 /// control bytes exceed the baseline by more than `tolerance` (relative,
-/// e.g. `0.02` = 2%); improvements never fail. Shape changes (missing or
-/// new coordinates) are also reported, so a deliberately regenerated
-/// baseline is the only way to change the matrix silently.
+/// e.g. `0.02` = 2%); a cell that fell by more than the tolerance is
+/// reported too but never fails ([`BaselineDiff::fails`]), so a stale
+/// ledger is visible. Shape changes (missing or new coordinates) are also
+/// reported, so a deliberately regenerated baseline is the only way to
+/// change the matrix silently.
 pub fn compare_to_baseline(
     baseline: &[ScenarioMatrixRow],
     current: &[ScenarioMatrixRow],
@@ -1371,12 +1401,19 @@ pub fn compare_to_baseline(
                 coordinate: coordinate.clone(),
             }),
             Some(cur) => {
-                let limit = base.control_bytes as f64 * (1.0 + tolerance);
-                if cur.control_bytes as f64 > limit {
+                let (coordinate, baseline, current) =
+                    (coordinate.clone(), base.control_bytes, cur.control_bytes);
+                if current as f64 > baseline as f64 * (1.0 + tolerance) {
                     diffs.push(BaselineDiff::Regression {
-                        coordinate: coordinate.clone(),
-                        baseline: base.control_bytes,
-                        current: cur.control_bytes,
+                        coordinate,
+                        baseline,
+                        current,
+                    });
+                } else if (current as f64) < baseline as f64 * (1.0 - tolerance) {
+                    diffs.push(BaselineDiff::Improved {
+                        coordinate,
+                        baseline,
+                        current,
                     });
                 }
             }
@@ -1917,12 +1954,20 @@ mod tests {
         // …but passes at 20% tolerance.
         assert!(compare_to_baseline(&rows, &worse, 0.20).is_empty());
 
-        // Improvements never fail.
+        // Improvements never fail — but past the tolerance they are
+        // reported, so a stale ledger shows.
         let mut better = rows.clone();
         for r in &mut better {
             r.control_bytes /= 2;
         }
-        assert!(compare_to_baseline(&rows, &better, 0.0).is_empty());
+        let diffs = compare_to_baseline(&rows, &better, 0.02);
+        assert!(!diffs.is_empty() && diffs.iter().all(|d| !d.fails()));
+        assert!(diffs[0].to_string().contains("IMPROVED"));
+        let mut slightly = rows.clone();
+        for r in &mut slightly {
+            r.control_bytes -= r.control_bytes / 100;
+        }
+        assert!(compare_to_baseline(&rows, &slightly, 0.02).is_empty());
 
         // Shape changes are loud in both directions.
         let shrunk = &rows[1..];

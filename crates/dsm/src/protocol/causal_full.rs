@@ -178,7 +178,7 @@ impl CausalFullNode {
 
     fn apply(&mut self, msg: &CausalMsg) {
         self.store.insert(msg.var, Value::Int(msg.value));
-        self.vc.merge(&msg.vc);
+        self.vc.deliver(&msg.vc, msg.writer);
         self.delivered += 1;
     }
 
@@ -219,8 +219,14 @@ impl Node<CausalFullMsg> for CausalFullNode {
                     return;
                 }
                 self.control.charge_received(msg.var, msg.control_size());
-                self.pending.push(msg);
-                self.deliver_ready();
+                // In order and nothing waiting (the common case): apply
+                // without a trip through `pending`.
+                if self.pending.is_empty() && self.vc.deliverable_from(&msg.vc, msg.writer) {
+                    self.apply(&msg);
+                } else {
+                    self.pending.push(msg);
+                    self.deliver_ready();
+                }
             }
             CausalFullMsg::CatchupReq { from, vc } => {
                 // Resend every own write the requester's clock is missing,

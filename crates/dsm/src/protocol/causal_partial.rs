@@ -25,10 +25,25 @@
 //!   piggybacked record costs only its [`RECORD_DELTA_BYTES`] delta;
 //! * **flushed** as a [`CausalPartialMsg::ControlBatch`] — triggered by a
 //!   zero-delay timer armed on the first buffered record (so running the
-//!   network to quiescence always drains every buffer) or by the
-//!   [`MAX_BATCH`] size cap. A batch pays one full record plus the delta
-//!   for each additional one, the delta-encoding a real wire format would
-//!   use for consecutive clocks from one sender.
+//!   network to quiescence always drains every buffer), by the
+//!   [`MAX_BATCH`] size cap, or by a restart. A batch pays one full record
+//!   plus the delta for each additional one, the delta-encoding a real
+//!   wire format would use for consecutive clocks from one sender.
+//!
+//! Flushes are **grouped**: a control record is a broadcast by nature, so
+//! the processes that replicate none of the variables written in a window
+//! are owed the same records in the same order, and one flush sends each
+//! *distinct* list once — one shared payload handed to
+//! [`NodeContext::send_multi`] for all the destinations owed it, which a
+//! multicast wire carries once per edge of the writer's tree (and a
+//! unicast wire expands back into one message per destination). A
+//! destination whose list differs — it replicates a variable of the
+//! window, or a piggyback already served it the earlier records — gets a
+//! private batch. What is shared is the envelope, never the accounting:
+//! [`ControlStats`] is charged per destination per record, first record in
+//! full and the rest at the delta *in that destination's own list*,
+//! because the paper's metric counts what each process is told, not how
+//! the wire packs it.
 //!
 //! Batching changes *bytes on the wire*, never *what is delivered*: every
 //! write still produces exactly one control record per non-replica, and
@@ -91,6 +106,22 @@ impl ControlRecord {
     pub fn full_bytes(&self) -> usize {
         self.encoded + 8
     }
+
+    /// Wire cost as the `i`-th record of a batch: the first pays in full,
+    /// each later one its delta.
+    fn batch_bytes(&self, i: usize) -> usize {
+        if i == 0 {
+            self.full_bytes()
+        } else {
+            RECORD_DELTA_BYTES
+        }
+    }
+}
+
+/// Whether two record lists are the same writes in the same order: every
+/// copy of a write's record shares the write's stamp, so pointers decide.
+fn same_writes(a: &[ControlRecord], b: &[ControlRecord]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(a, b)| Arc::ptr_eq(&a.vc, &b.vc))
 }
 
 /// Messages of the partially replicated causal protocol.
@@ -132,12 +163,13 @@ pub enum CausalPartialMsg {
         /// under a delta delivery mode).
         encoded: usize,
     },
-    /// A flushed batch of control records for one destination (batching
-    /// mode; never empty). Costs one full record plus a delta per
+    /// A flushed batch of control records (batching mode; never empty),
+    /// one shared payload for every destination owed exactly these
+    /// records. Costs each of them one full record plus a delta per
     /// additional record.
     ControlBatch {
         /// The buffered records, in the order they were produced.
-        records: Vec<ControlRecord>,
+        records: Arc<[ControlRecord]>,
     },
     /// A restarted node's catch-up request: "resend me everything of
     /// yours I have not seen". Each peer answers from its persisted log
@@ -330,11 +362,11 @@ impl CausalPartialNode {
         match msg {
             CausalPartialMsg::Update { var, value, vc, .. } => {
                 self.store.insert(*var, Value::Int(*value));
-                self.vc.merge(vc);
+                self.vc.deliver(vc, msg.writer());
                 self.delivered_updates += 1;
             }
             CausalPartialMsg::Control { vc, .. } => {
-                self.vc.merge(vc);
+                self.vc.deliver(vc, msg.writer());
                 self.delivered_control += 1;
             }
             CausalPartialMsg::ControlBatch { .. } | CausalPartialMsg::CatchupReq { .. } => {
@@ -373,6 +405,17 @@ impl CausalPartialNode {
         }
     }
 
+    /// Hand a received (charged, not stale) message to causal delivery:
+    /// applied at once when it is in order and nothing is waiting — the
+    /// common case — and parked in `pending` otherwise.
+    fn enqueue(&mut self, msg: CausalPartialMsg) {
+        if self.pending.is_empty() && self.vc.deliverable_from(msg.vc(), msg.writer()) {
+            self.apply(&msg);
+        } else {
+            self.pending.push(msg);
+        }
+    }
+
     /// Enqueue one control record for causal delivery, charging `bytes` of
     /// received control information to its variable. Stale records
     /// (duplicates of already-applied writes) are discarded uncharged.
@@ -381,7 +424,7 @@ impl CausalPartialNode {
             return;
         }
         self.control.charge_received(record.var, bytes);
-        self.pending.push(CausalPartialMsg::Control {
+        self.enqueue(CausalPartialMsg::Control {
             writer: record.writer,
             var: record.var,
             vc: record.vc,
@@ -389,21 +432,31 @@ impl CausalPartialNode {
         });
     }
 
-    /// Send destination `d`'s buffered records as one batch.
-    fn flush_dest(&mut self, ctx: &mut NodeContext<CausalPartialMsg>, d: usize) {
-        let records = std::mem::take(&mut self.buffers[d]);
-        if records.is_empty() {
-            return;
+    /// Flush every buffer holding at least `at_least ≥ 1` records — 1 at
+    /// the timer and on restart (every obligation), [`MAX_BATCH`] for the
+    /// ones a write just filled. Destinations owed the same writes in the
+    /// same order (the same shared stamps, compared by pointer) share one
+    /// [`CausalPartialMsg::ControlBatch`], handed over as one
+    /// multi-destination send; a destination with a list of its own gets
+    /// a private batch. Charges stay per destination per record.
+    fn flush(&mut self, ctx: &mut NodeContext<CausalPartialMsg>, at_least: usize) {
+        let mut groups: Vec<(Arc<[ControlRecord]>, Vec<NodeId>)> = Vec::new();
+        for (d, buffer) in self.buffers.iter_mut().enumerate() {
+            if buffer.len() < at_least {
+                continue;
+            }
+            for (i, r) in buffer.iter().enumerate() {
+                self.control.charge_sent(r.var, r.batch_bytes(i));
+            }
+            match (groups.iter_mut()).find(|(records, _)| same_writes(records, buffer)) {
+                Some((_, dests)) => dests.push(NodeId(d)),
+                None => groups.push((buffer.as_slice().into(), vec![NodeId(d)])),
+            }
+            buffer.clear();
         }
-        for (i, r) in records.iter().enumerate() {
-            let bytes = if i == 0 {
-                r.full_bytes()
-            } else {
-                RECORD_DELTA_BYTES
-            };
-            self.control.charge_sent(r.var, bytes);
+        for (records, dests) in groups {
+            ctx.send_multi(dests, CausalPartialMsg::ControlBatch { records });
         }
-        ctx.send(NodeId(d), CausalPartialMsg::ControlBatch { records });
     }
 }
 
@@ -436,7 +489,7 @@ impl Node<CausalPartialMsg> for CausalPartialNode {
                 for record in piggyback {
                     self.receive_record(record, RECORD_DELTA_BYTES);
                 }
-                self.pending.push(CausalPartialMsg::Update {
+                self.enqueue(CausalPartialMsg::Update {
                     writer,
                     var,
                     value,
@@ -461,15 +514,8 @@ impl Node<CausalPartialMsg> for CausalPartialNode {
                 self.receive_record(record, bytes);
             }
             CausalPartialMsg::ControlBatch { records } => {
-                let mut first = true;
-                for record in records {
-                    let bytes = if first {
-                        record.full_bytes()
-                    } else {
-                        RECORD_DELTA_BYTES
-                    };
-                    first = false;
-                    self.receive_record(record, bytes);
+                for (i, record) in records.iter().enumerate() {
+                    self.receive_record(record.clone(), record.batch_bytes(i));
                 }
             }
             CausalPartialMsg::CatchupReq { from, vc } => {
@@ -517,12 +563,9 @@ impl Node<CausalPartialMsg> for CausalPartialNode {
     }
 
     fn on_timer(&mut self, ctx: &mut NodeContext<CausalPartialMsg>, tag: u64) {
-        if tag != FLUSH_TAG {
-            return;
-        }
-        self.flush_armed = false;
-        for d in 0..self.buffers.len() {
-            self.flush_dest(ctx, d);
+        if tag == FLUSH_TAG {
+            self.flush_armed = false;
+            self.flush(ctx, 1);
         }
     }
 }
@@ -587,13 +630,16 @@ impl McsNode for CausalPartialNode {
             return;
         }
 
-        // Batching: buffer the record per non-replica (flushing a
-        // destination that hits the size cap)…
+        // Batching: buffer the record per non-replica (flushing the
+        // destinations that hit the size cap)…
+        let mut full = false;
         for t in other_targets {
-            self.buffers[t.index()].push(record.clone());
-            if self.buffers[t.index()].len() >= MAX_BATCH {
-                self.flush_dest(ctx, t.index());
-            }
+            let buffer = &mut self.buffers[t.index()];
+            buffer.push(record.clone());
+            full |= buffer.len() >= MAX_BATCH;
+        }
+        if full {
+            self.flush(ctx, MAX_BATCH);
         }
         // …and send the update, piggybacking each destination's buffered
         // records on its copy. Destinations with empty buffers share one
@@ -657,9 +703,7 @@ impl McsNode for CausalPartialNode {
         // records are persisted state: flush every obligation now so no
         // destination waits forever for records only this node holds.
         self.flush_armed = false;
-        for d in 0..self.buffers.len() {
-            self.flush_dest(ctx, d);
-        }
+        self.flush(ctx, 1);
         // Then re-request everything missed while down — peers answer
         // with updates or control records carrying original timestamps.
         let req = CausalPartialMsg::CatchupReq {
@@ -739,7 +783,7 @@ mod tests {
     fn batches_and_piggybacks_delta_encode_their_records() {
         let record = |w: usize| ControlRecord::dense(w, VarId(1), VectorClock::new(4));
         let single = CausalPartialMsg::ControlBatch {
-            records: vec![record(0)],
+            records: [record(0)].into(),
         };
         // A batch of one costs the same as a standalone control message.
         assert_eq!(
@@ -747,7 +791,7 @@ mod tests {
             control_msg(0, VarId(1), VectorClock::new(4)).control_bytes()
         );
         let triple = CausalPartialMsg::ControlBatch {
-            records: vec![record(0), record(1), record(2)],
+            records: [record(0), record(1), record(2)].into(),
         };
         assert_eq!(triple.control_bytes(), (4 * 8 + 8) + 2 * RECORD_DELTA_BYTES);
         assert_eq!(triple.data_bytes(), 0);
@@ -859,6 +903,118 @@ mod tests {
         assert_eq!(batches, 1);
     }
 
+    /// 8 processes; p0 shares x0 with p1 and x1 with p2, so p3..p7
+    /// replicate nothing p0 writes.
+    fn two_variable_nodes() -> Vec<CausalPartialNode> {
+        let mut dist = Distribution::new(8, 2);
+        dist.assign(ProcId(0), VarId(0));
+        dist.assign(ProcId(1), VarId(0));
+        dist.assign(ProcId(0), VarId(1));
+        dist.assign(ProcId(2), VarId(1));
+        CausalPartial::build_nodes(&dist, DeliveryMode::BATCHED)
+    }
+
+    /// The batches among `out` as (destinations, variables of the
+    /// records), in emission order.
+    fn batches(out: &[simnet::Outgoing<CausalPartialMsg>]) -> Vec<(Vec<usize>, Vec<usize>)> {
+        let vars = |records: &[ControlRecord]| records.iter().map(|r| r.var.index()).collect();
+        out.iter()
+            .filter_map(|o| match o {
+                simnet::Outgoing::One(d, CausalPartialMsg::ControlBatch { records }) => {
+                    Some((vec![d.index()], vars(records)))
+                }
+                simnet::Outgoing::Many(ds, CausalPartialMsg::ControlBatch { records }) => {
+                    Some((ds.iter().map(|d| d.index()).collect(), vars(records)))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_timer_flush_shares_one_batch_among_destinations_owed_the_same_records() {
+        let mut nodes = two_variable_nodes();
+        let mut ctx = NodeContext::new(NodeId(0), SimTime::ZERO);
+        nodes[0].local_write(&mut ctx, VarId(0), 5);
+        nodes[0].local_write(&mut ctx, VarId(1), 6);
+        assert!(batches(ctx.outgoing()).is_empty());
+        let mut flush_ctx = NodeContext::new(NodeId(0), SimTime::ZERO);
+        nodes[0].on_timer(&mut flush_ctx, FLUSH_TAG);
+        // p1 is owed x1's record alone (a private batch); p2 had x0's
+        // piggybacked on its update of x1; the five that replicate neither
+        // variable are owed the same two records and share one envelope.
+        assert_eq!(
+            batches(flush_ctx.outgoing()),
+            vec![(vec![1], vec![1]), (vec![3, 4, 5, 6, 7], vec![0, 1])]
+        );
+        assert_eq!(flush_ctx.outgoing().len(), 2);
+        assert_eq!(nodes[0].buffered_records(), 0);
+        // The logical charges are the per-destination ones: a full record
+        // (8·8 + 8 bytes) first in each destination's own list, a delta after.
+        let (full, delta) = (72, RECORD_DELTA_BYTES as u64);
+        let control = nodes[0].control();
+        assert_eq!(control.sent_entries(VarId(0)), 1 + 1 + 5);
+        assert_eq!(control.sent_bytes(VarId(0)), full + delta + 5 * full);
+        assert_eq!(control.sent_entries(VarId(1)), 1 + 1 + 5);
+        assert_eq!(control.sent_bytes(VarId(1)), full + full + 5 * delta);
+    }
+
+    #[test]
+    fn a_destination_served_by_a_piggyback_gets_only_the_later_records() {
+        let mut nodes = two_variable_nodes();
+        let mut ctx = NodeContext::new(NodeId(0), SimTime::ZERO);
+        for (var, value) in [(0, 5), (1, 6), (0, 7)] {
+            nodes[0].local_write(&mut ctx, VarId(var), value);
+        }
+        let mut flush_ctx = NodeContext::new(NodeId(0), SimTime::ZERO);
+        nodes[0].on_timer(&mut flush_ctx, FLUSH_TAG);
+        // The update of x1 carried p2 the first record, so its batch holds
+        // the third write only; p1's record rode on the third write's update.
+        assert_eq!(
+            batches(flush_ctx.outgoing()),
+            vec![(vec![2], vec![0]), (vec![3, 4, 5, 6, 7], vec![0, 1, 0])]
+        );
+    }
+
+    #[test]
+    fn the_cap_and_the_restart_flush_group_like_the_timer() {
+        let mut nodes = two_variable_nodes();
+        let mut ctx = NodeContext::new(NodeId(0), SimTime::ZERO);
+        // x0 once, then x1 sixteen times: p3..p7 are owed all of them and
+        // fill together at the fifteenth; p1 (a replica of x0, so one
+        // record behind) fills alone one write later.
+        nodes[0].local_write(&mut ctx, VarId(0), 0);
+        for i in 1..=MAX_BATCH as i64 {
+            nodes[0].local_write(&mut ctx, VarId(1), i);
+        }
+        let mut x0_then_x1s = vec![1; MAX_BATCH];
+        x0_then_x1s[0] = 0;
+        assert_eq!(
+            batches(ctx.outgoing()),
+            vec![
+                (vec![3, 4, 5, 6, 7], x0_then_x1s),
+                (vec![1], vec![1; MAX_BATCH])
+            ]
+        );
+        assert_eq!(nodes[0].buffered_records(), 5);
+        // A crash kills the timer; the restart flushes what is still owed,
+        // grouped, before it asks for catch-up.
+        let mut restart_ctx = NodeContext::new(NodeId(0), SimTime::ZERO);
+        nodes[0].on_restart(&mut restart_ctx);
+        assert_eq!(
+            batches(restart_ctx.outgoing()),
+            vec![(vec![3, 4, 5, 6, 7], vec![1])]
+        );
+        assert!(matches!(
+            restart_ctx.outgoing(),
+            [
+                simnet::Outgoing::Many(_, CausalPartialMsg::ControlBatch { .. }),
+                simnet::Outgoing::Many(_, CausalPartialMsg::CatchupReq { .. })
+            ]
+        ));
+        assert_eq!(nodes[0].buffered_records(), 0);
+    }
+
     #[test]
     fn received_batches_deliver_record_by_record() {
         let mut dist = Distribution::new(3, 1);
@@ -874,10 +1030,11 @@ mod tests {
             &mut ctx,
             NodeId(0),
             CausalPartialMsg::ControlBatch {
-                records: vec![
+                records: [
                     ControlRecord::dense(0, VarId(0), vc1),
                     ControlRecord::dense(0, VarId(0), vc2),
-                ],
+                ]
+                .into(),
             },
         );
         assert_eq!(node.delivered_control(), 2);

@@ -111,6 +111,56 @@ proptest! {
         prop_assert_eq!(local.total(), messages.len() as u64);
     }
 
+    /// The one-pass delivery condition is the textbook one, and whenever it
+    /// holds the merge a delivery performs is exactly an increment of the
+    /// sender's entry — what lets `VectorClock::deliver` skip the O(n) join.
+    #[test]
+    fn deliverable_means_merge_is_an_increment(
+        local in proptest::collection::vec(0u64..4, 1..8),
+        bumps in proptest::collection::vec(0u64..3, 1..8),
+        sender in 0usize..8,
+    ) {
+        let n = local.len().min(bumps.len());
+        let local = clock(local[..n].to_vec());
+        // A message clock near the local one: mostly behind or equal, the
+        // sender's entry often exactly one ahead.
+        let msg = clock((0..n).map(|k| (local.get(k) + bumps[k]).saturating_sub(1)).collect());
+        let sender = sender % n;
+        let textbook = msg.get(sender) == local.get(sender) + 1
+            && (0..n).all(|k| k == sender || msg.get(k) <= local.get(k));
+        prop_assert_eq!(local.deliverable_from(&msg, sender), textbook);
+        if textbook {
+            let (mut merged, mut incremented, mut delivered) =
+                (local.clone(), local.clone(), local.clone());
+            merged.merge(&msg);
+            incremented.increment(sender);
+            delivered.deliver(&msg, sender);
+            prop_assert_eq!(&merged, &incremented);
+            prop_assert_eq!(&merged, &delivered);
+        }
+    }
+
+    /// Clocks over different process sets are never deliverable — and the
+    /// check says so instead of indexing out of bounds, whichever side is
+    /// the shorter one and wherever the sender lies.
+    #[test]
+    fn clocks_of_different_lengths_are_not_deliverable(
+        a in 0usize..6,
+        longer_by in 1usize..4,
+        swap in any::<bool>(),
+        sender in 0usize..8,
+    ) {
+        let (a, b) = if swap { (a + longer_by, a) } else { (a, a + longer_by) };
+        let local = VectorClock::new(a);
+        let mut msg = VectorClock::new(b);
+        if sender < b {
+            msg.increment(sender);
+        }
+        prop_assert!(!local.deliverable_from(&msg, sender));
+        // Same length, sender outside the process set: not deliverable either.
+        prop_assert!(!local.deliverable_from(&VectorClock::new(a), a + sender));
+    }
+
     /// Sequence trackers accept monotonically increasing (possibly gappy)
     /// sequences and reject regressions.
     #[test]

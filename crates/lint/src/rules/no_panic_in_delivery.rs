@@ -8,6 +8,9 @@
 //! protocol's `on_message`/`on_restart` handler and recovery-log
 //! `checkpoint` (with the `cut` it calls — the runtime runs it on every
 //! node at every all-up settle), and the control ledger they charge.
+//! Here only (see [`FLUSH_FNS`]), the protocols' batching flush joins
+//! them: `on_timer` and the grouped `flush` decide what every
+//! non-replica hears.
 //! Within their bodies this rule
 //! bans `.unwrap()` / `.expect()`, panicking macros, and slice
 //! indexing (`debug_assert!` stays legal: it documents invariants and
@@ -66,16 +69,21 @@ pub(crate) fn scope_fns(rel_path: &str) -> Option<&'static [&'static str]> {
             Some(&["track", "charge_sent", "charge_received", "slot_mut"])
         }
         _ => {
-            if rel_path.starts_with("crates/dsm/src/protocol/")
-                && rel_path != "crates/dsm/src/protocol/mod.rs"
-            {
-                Some(&["on_message", "on_restart", "checkpoint", "cut"])
-            } else {
-                None
-            }
+            is_protocol_file(rel_path).then_some(&["on_message", "on_restart", "checkpoint", "cut"])
         }
     }
 }
+
+fn is_protocol_file(rel_path: &str) -> bool {
+    rel_path.starts_with("crates/dsm/src/protocol/") && rel_path != "crates/dsm/src/protocol/mod.rs"
+}
+
+/// The protocols' batching flush: the timer that triggers it and the
+/// grouped flush itself. It runs once per window, not once per event, and
+/// builds its group list as it goes — so it must not panic, but stays out
+/// of `no-alloc-in-hot-path` (which is why these names are not in
+/// [`scope_fns`]).
+const FLUSH_FNS: [&str; 2] = ["on_timer", "flush"];
 
 const PANIC_MACROS: [&str; 7] = [
     "panic",
@@ -101,7 +109,11 @@ impl Rule for NoPanicInDelivery {
             return Vec::new();
         };
         let mut out = Vec::new();
-        for (fn_name, start, end) in file.fn_body_spans(names) {
+        let mut spans = file.fn_body_spans(names);
+        if is_protocol_file(&file.rel_path) {
+            spans.extend(file.fn_body_spans(&FLUSH_FNS));
+        }
+        for (fn_name, start, end) in spans {
             for i in start..=end.min(file.toks.len().saturating_sub(1)) {
                 let t = &file.toks[i];
                 match t.kind {
@@ -168,12 +180,13 @@ impl Rule for NoPanicInDelivery {
 }
 
 /// The context of the `*_checkpoint.rs` fixtures (shared with
-/// `no-alloc-in-hot-path`, like the scope lists): a protocol file, where
-/// `checkpoint` is in scope.
+/// `no-alloc-in-hot-path`, like the scope lists) and of this rule's
+/// `*_flush.rs` pair: a protocol file, where `checkpoint` and the
+/// batching flush are in scope.
 pub(crate) fn protocol_fixture_context(
     case: &str,
 ) -> Option<(&'static str, &'static str, FileKind)> {
-    case.ends_with("_checkpoint.rs").then_some((
+    (case.ends_with("_checkpoint.rs") || case.ends_with("_flush.rs")).then_some((
         "dsm",
         "crates/dsm/src/protocol/op_log.rs",
         FileKind::Lib,
