@@ -69,6 +69,6 @@ pub use protocol::causal_partial::{
 pub use protocol::op_log::{OpLog, OpLogMsg, OpLogNode};
 pub use protocol::pram_partial::{PramMsg, PramNode, PramPartial, PramPartialMsg};
 pub use protocol::sequential::{SeqMsg, Sequential, SequentialNode};
-pub use protocol::{McsNode, ProtocolSpec, RecoveryLog, RecoveryState};
+pub use protocol::{McsNode, ProtocolSpec, RecoveryLog, RecoveryState, Stamp};
 pub use recorder::Recorder;
 pub use runtime::DsmSystem;

@@ -18,14 +18,19 @@
 //! still charged per destination when written, a batch's [`WireSize`] is
 //! its members' sum, and each member is received like an `Update`. A
 //! restart flushes the unsent updates its crash snapshot held.
+//!
+//! Receipt, causal delivery and the replica itself are the shared
+//! `CausalReplica` kernel: updates are applied into a dense store, and
+//! an update whose writer applied nothing since its previous write is
+//! found in order by one comparison instead of an `n`-entry clock scan.
 
 use crate::api::ProtocolKind;
 use crate::clock::{DeltaVc, VectorClock};
 use crate::control::ControlStats;
+use crate::protocol::causal::{CausalReplica, Stamp};
 use crate::protocol::{FlushWindow, McsNode, ProtocolSpec, RecoveryLog, RecoveryState};
 use histories::{Distribution, ProcId, Value, VarId};
 use simnet::{DeliveryMode, Node, NodeContext, NodeId, WireSize};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A causally timestamped update.
@@ -37,26 +42,28 @@ pub struct CausalMsg {
     pub var: VarId,
     /// The written value.
     pub value: i64,
-    /// The writer's vector clock *after* incrementing its own entry —
-    /// stamped once per write and shared by every copy of the update (one
-    /// per destination and per relay fork).
-    pub vc: Arc<VectorClock>,
-    /// The wire size charged for `vc`: its dense size classically, or its
-    /// [`DeltaVc`] size against the writer's previous broadcast under a
-    /// delta delivery mode. Accounting only — the dense clock above is
-    /// what delivery logic reads, so histories are mode-independent.
+    /// The write's [`Stamp`]: the writer's vector clock *after*
+    /// incrementing its own entry — stamped once per write and shared by
+    /// every copy of the update (one per destination and per relay fork).
+    pub stamp: Arc<Stamp>,
+    /// The wire size charged for the stamp's clock: its dense size
+    /// classically, or its [`DeltaVc`] size against the writer's previous
+    /// broadcast under a delta delivery mode. Accounting only — the dense
+    /// clock is what delivery logic reads, so histories are
+    /// mode-independent.
     pub encoded: usize,
 }
 
 impl CausalMsg {
-    /// An update charged at the classical dense clock size.
+    /// An update charged at the classical dense clock size, its stamp
+    /// checked by the full scan.
     pub fn dense(writer: usize, var: VarId, value: i64, vc: VectorClock) -> Self {
         let encoded = vc.wire_bytes();
         CausalMsg {
             writer,
             var,
             value,
-            vc: Arc::new(vc),
+            stamp: Arc::new(Stamp::new(vc)),
             encoded,
         }
     }
@@ -120,22 +127,18 @@ impl WireSize for CausalFullMsg {
 #[derive(Clone, Debug, PartialEq)]
 pub struct CausalFullNode {
     me: ProcId,
-    store: BTreeMap<VarId, Value>,
-    vc: VectorClock,
-    pending: Vec<CausalMsg>,
+    /// Clock, store and parked updates (the shared causal kernel).
+    replica: CausalReplica,
     control: ControlStats,
-    delivered: u64,
     /// This node's own writes since the last cut, in program order — the
     /// material catch-up responses are served from. Entry `k` is the write
     /// that set this node's own clock entry to `k`; it shares the clock
     /// stamp of the write's messages, and dies at the next cut.
     log: RecoveryLog<CausalMsg>,
-    /// Whether broadcast clocks are charged at their delta-encoded size.
+    /// Whether broadcast clocks are charged at their delta-encoded size
+    /// (against the previous broadcast's stamp, which every destination
+    /// already holds: writer streams are FIFO).
     delta: bool,
-    /// The stamp of this node's previous broadcast — the reference every
-    /// destination already holds (writer streams are FIFO), so the next
-    /// broadcast's clock can be charged as a delta against it.
-    prev_stamp: Arc<VectorClock>,
     /// Every other process: the destinations of each broadcast.
     peers: Vec<NodeId>,
     /// The flush window and its updates (`None`: broadcasts leave at once).
@@ -155,14 +158,10 @@ impl CausalFullNode {
     pub fn with_delta(me: ProcId, n: usize, delta: bool) -> Self {
         CausalFullNode {
             me,
-            store: BTreeMap::new(),
-            vc: VectorClock::new(n),
-            pending: Vec::new(),
+            replica: CausalReplica::new(n),
             control: ControlStats::new(),
-            delivered: 0,
             log: RecoveryLog::new(),
             delta,
-            prev_stamp: Arc::new(VectorClock::new(n)),
             peers: (0..n).filter(|&i| i != me.index()).map(NodeId).collect(),
             window: FlushWindow::default(),
             unsent: None,
@@ -171,45 +170,30 @@ impl CausalFullNode {
 
     /// The node's current vector clock.
     pub fn clock(&self) -> &VectorClock {
-        &self.vc
+        self.replica.clock()
     }
 
     /// Updates applied (excluding the node's own writes).
     pub fn delivered_count(&self) -> u64 {
-        self.delivered
+        self.replica.updates()
+    }
+
+    /// Updates applied whose stamp was an own step of its writer, so the
+    /// O(1) in-order check decided them (see [`Stamp::own_step`]).
+    pub fn in_order_deliveries(&self) -> u64 {
+        self.replica.in_order()
     }
 
     /// Messages buffered awaiting causal delivery.
     pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Whether `msg` is already covered by the local clock: the writer's
-    /// `msg.vc[writer]`-th write has been applied here, so this copy is a
-    /// duplicate (a retransmission, a parked late delivery, or a catch-up
-    /// response overlapping one). Applying it again would be wrong;
-    /// discarding it is always safe.
-    fn already_seen(&self, msg: &CausalMsg) -> bool {
-        msg.vc.get(msg.writer) <= self.vc.get(msg.writer)
-    }
-
-    fn apply(&mut self, msg: &CausalMsg) {
-        self.store.insert(msg.var, Value::Int(msg.value));
-        self.vc.deliver(&msg.vc, msg.writer);
-        self.delivered += 1;
+        self.replica.pending_count()
     }
 
     /// Discard a duplicate uncharged; apply in order, else park.
     fn receive(&mut self, msg: &CausalMsg) {
-        if self.already_seen(msg) {
-            return;
-        }
-        self.control.charge_received(msg.var, msg.control_size());
-        if self.pending.is_empty() && self.vc.deliverable_from(&msg.vc, msg.writer) {
-            self.apply(msg);
-        } else {
-            self.pending.push(msg.clone());
-            self.deliver_ready();
+        let fresh = (self.replica).receive(msg.writer, msg.var, Some(msg.value), &msg.stamp);
+        if fresh {
+            self.control.charge_received(msg.var, msg.control_size());
         }
     }
 
@@ -217,28 +201,6 @@ impl CausalFullNode {
         if let Some(unsent) = self.unsent.as_mut().filter(|u| !u.is_empty()) {
             let batch = CausalFullMsg::Batch(unsent.drain(..).collect());
             ctx.send_multi(self.peers.iter().copied(), batch);
-        }
-    }
-
-    fn deliver_ready(&mut self) {
-        loop {
-            let ready = self
-                .pending
-                .iter()
-                .position(|m| self.vc.deliverable_from(&m.vc, m.writer));
-            match ready {
-                Some(i) => {
-                    let msg = self.pending.remove(i);
-                    self.apply(&msg);
-                    // Applying a message may turn other pending copies of
-                    // the same write (duplicates) permanently stale —
-                    // purge them so they cannot pile up.
-                    let vc = &self.vc;
-                    self.pending
-                        .retain(|m| m.vc.get(m.writer) > vc.get(m.writer));
-                }
-                None => break,
-            }
         }
     }
 }
@@ -268,8 +230,8 @@ impl Node<CausalFullMsg> for CausalFullNode {
                 // the link delivers them FIFO.
                 let mut base: &VectorClock = &vc;
                 for (_, m) in self.log.after(vc.get(self.me.index())) {
-                    let encoded = DeltaVc::charged_bytes(self.delta, base, &m.vc);
-                    base = m.vc.as_ref();
+                    let encoded = DeltaVc::charged_bytes(self.delta, base, m.stamp.clock());
+                    base = m.stamp.clock();
                     let m = CausalMsg {
                         encoded,
                         ..m.clone()
@@ -292,23 +254,19 @@ impl McsNode for CausalFullNode {
     type Msg = CausalFullMsg;
 
     fn local_read(&self, var: VarId) -> Value {
-        self.store.get(&var).copied().unwrap_or(Value::Bottom)
+        self.replica.read(var)
     }
 
     fn local_write(&mut self, ctx: &mut NodeContext<CausalFullMsg>, var: VarId, value: i64) {
-        self.vc.increment(self.me.index());
-        self.store.insert(var, Value::Int(value));
-        self.control.track(var);
         // The write's clock, copied once: the messages, the recovery log
         // and the next write's delta reference all share this stamp.
-        let stamp = Arc::new(self.vc.clone());
-        let encoded = DeltaVc::charged_bytes(self.delta, &self.prev_stamp, &stamp);
-        self.prev_stamp = Arc::clone(&stamp);
+        let (stamp, encoded) = self.replica.write(self.me.index(), var, value, self.delta);
+        self.control.track(var);
         let msg = CausalMsg {
             writer: self.me.index(),
             var,
             value,
-            vc: stamp,
+            stamp,
             encoded,
         };
         self.log.push(msg.clone());
@@ -344,7 +302,7 @@ impl McsNode for CausalFullNode {
         // tells each peer exactly which of its writes to resend.
         let req = CausalFullMsg::CatchupReq {
             from: self.me.index(),
-            vc: self.vc.clone(),
+            vc: self.clock().clone(),
         };
         ctx.send_multi(self.peers.iter().copied(), req);
     }
@@ -542,11 +500,11 @@ mod tests {
             for v in 1..=4 {
                 nodes[0].local_write(&mut ctx, VarId(0), v);
             }
-            let clocks: Vec<Arc<VectorClock>> = ctx
+            let clocks: Vec<Arc<Stamp>> = ctx
                 .outgoing()
                 .iter()
                 .map(|o| match o {
-                    simnet::Outgoing::Many(_, CausalFullMsg::Update(m)) => m.vc.clone(),
+                    simnet::Outgoing::Many(_, CausalFullMsg::Update(m)) => m.stamp.clone(),
                     other => panic!("unexpected send {other:?}"),
                 })
                 .collect();
@@ -597,17 +555,18 @@ mod tests {
         };
         // Dense mode: both resends pay the full clock.
         for m in run(simnet::DeliveryMode::UNICAST) {
-            assert_eq!(m.encoded, m.vc.wire_bytes());
+            assert_eq!(m.encoded, m.stamp.clock().wire_bytes());
         }
         // Delta mode: the chain starts at the requester's (empty) restored
         // clock, so each resend pays one changed entry — and never more
         // than the dense fallback.
         let mut base = VectorClock::new(3);
         for m in run(simnet::DeliveryMode::DELTA) {
-            assert_eq!(m.encoded, DeltaVc::encode(&base, &m.vc).wire_bytes());
-            assert!(m.encoded <= m.vc.wire_bytes());
+            let vc = m.stamp.clock();
+            assert_eq!(m.encoded, DeltaVc::encode(&base, vc).wire_bytes());
+            assert!(m.encoded <= vc.wire_bytes());
             assert_eq!(m.encoded, 4 + 12);
-            base.clone_from(&m.vc);
+            base.clone_from(vc);
         }
     }
 

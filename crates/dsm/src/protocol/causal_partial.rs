@@ -49,16 +49,26 @@
 //! write still produces exactly one control record per non-replica, and
 //! the causal delivery condition is evaluated record by record exactly as
 //! in the unbatched mode. The differential proptests pin this down.
+//!
+//! ## Receipt
+//!
+//! Updates and records go through the shared `CausalReplica` kernel, the
+//! same receive path as causal-full's: a record is a write without a
+//! value, which advances the clock and stores nothing. A batch's records
+//! are received by reference — the shared stamp is cloned only for a
+//! record that has to be parked — and a record or update whose writer
+//! applied nothing since its previous write is found in order by one
+//! comparison instead of an `n`-entry clock scan.
 
 use crate::api::ProtocolKind;
 use crate::clock::{DeltaVc, VectorClock};
 use crate::control::ControlStats;
+use crate::protocol::causal::{CausalReplica, Stamp};
 use crate::protocol::{
-    replica_table, FlushWindow, McsNode, ProtocolSpec, RecoveryLog, RecoveryState,
+    replica_table, replicates, FlushWindow, McsNode, ProtocolSpec, RecoveryLog, RecoveryState,
 };
 use histories::{Distribution, ProcId, Value, VarId};
 use simnet::{DeliveryMode, Node, NodeContext, NodeId, WireSize};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Incremental wire cost of a control record that rides with a carrier
@@ -77,24 +87,26 @@ pub struct ControlRecord {
     pub writer: usize,
     /// The written variable.
     pub var: VarId,
-    /// The writer's vector clock after the write — stamped once per
-    /// write and shared by every record and update that carries it.
-    pub vc: Arc<VectorClock>,
-    /// The wire size charged for `vc`: dense classically, the
+    /// The write's [`Stamp`] (the writer's vector clock after the write) —
+    /// stamped once per write and shared by every record and update that
+    /// carries it.
+    pub stamp: Arc<Stamp>,
+    /// The wire size charged for the stamp's clock: dense classically, the
     /// [`DeltaVc`] size against the writer's previous broadcast under a
     /// delta delivery mode. Accounting only — delivery logic reads the
-    /// dense clock above, so what is delivered is mode-independent.
+    /// dense clock, so what is delivered is mode-independent.
     pub encoded: usize,
 }
 
 impl ControlRecord {
-    /// A record charged at the classical dense clock size.
+    /// A record charged at the classical dense clock size, its stamp
+    /// checked by the full scan.
     pub fn dense(writer: usize, var: VarId, vc: VectorClock) -> Self {
         let encoded = vc.wire_bytes();
         ControlRecord {
             writer,
             var,
-            vc: Arc::new(vc),
+            stamp: Arc::new(Stamp::new(vc)),
             encoded,
         }
     }
@@ -120,7 +132,8 @@ impl ControlRecord {
 /// Whether two record lists are the same writes in the same order: every
 /// copy of a write's record shares the write's stamp, so pointers decide.
 fn same_writes(a: &[ControlRecord], b: &[ControlRecord]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(a, b)| Arc::ptr_eq(&a.vc, &b.vc))
+    let same = |(a, b): (&ControlRecord, &ControlRecord)| Arc::ptr_eq(&a.stamp, &b.stamp);
+    a.len() == b.len() && a.iter().zip(b).all(same)
 }
 
 /// Messages of the partially replicated causal protocol.
@@ -137,11 +150,10 @@ pub enum CausalPartialMsg {
         var: VarId,
         /// The written value.
         value: i64,
-        /// The writer's vector clock after the write (shared, see
-        /// [`ControlRecord::vc`]).
-        vc: Arc<VectorClock>,
-        /// The wire size charged for `vc` (dense, or its [`DeltaVc`] size
-        /// under a delta delivery mode).
+        /// The write's stamp (shared, see [`ControlRecord::stamp`]).
+        stamp: Arc<Stamp>,
+        /// The wire size charged for the stamp's clock (dense, or its
+        /// [`DeltaVc`] size under a delta delivery mode).
         encoded: usize,
         /// Control records buffered for this destination, riding along at
         /// [`RECORD_DELTA_BYTES`] each.
@@ -155,11 +167,10 @@ pub enum CausalPartialMsg {
         writer: usize,
         /// The written variable.
         var: VarId,
-        /// The writer's vector clock after the write (shared, see
-        /// [`ControlRecord::vc`]).
-        vc: Arc<VectorClock>,
-        /// The wire size charged for `vc` (dense, or its [`DeltaVc`] size
-        /// under a delta delivery mode).
+        /// The write's stamp (shared, see [`ControlRecord::stamp`]).
+        stamp: Arc<Stamp>,
+        /// The wire size charged for the stamp's clock (dense, or its
+        /// [`DeltaVc`] size under a delta delivery mode).
         encoded: usize,
     },
     /// A flushed batch of control records (batching mode; never empty),
@@ -228,9 +239,11 @@ impl CausalPartialMsg {
     /// produces one.
     pub fn vc(&self) -> &VectorClock {
         match self {
-            CausalPartialMsg::Update { vc, .. } | CausalPartialMsg::Control { vc, .. } => vc,
+            CausalPartialMsg::Update { stamp, .. } | CausalPartialMsg::Control { stamp, .. } => {
+                stamp.clock()
+            }
             CausalPartialMsg::ControlBatch { records } => {
-                &records.first().expect(Self::EMPTY_BATCH).vc
+                records.first().expect(Self::EMPTY_BATCH).stamp.clock()
             }
             CausalPartialMsg::CatchupReq { vc, .. } => vc,
         }
@@ -267,21 +280,16 @@ pub struct CausalPartialNode {
     /// `replicas[x]`: the processes replicating variable `x`, in id order
     /// — one table shared by all nodes of a deployment.
     replicas: Arc<[Vec<NodeId>]>,
-    store: BTreeMap<VarId, Value>,
-    vc: VectorClock,
-    pending: Vec<CausalPartialMsg>,
+    /// Clock, store and parked writes (the shared causal kernel).
+    replica: CausalReplica,
     control: ControlStats,
-    delivered_updates: u64,
-    delivered_control: u64,
     /// Whether control records are batched per destination.
     batching: bool,
-    /// Whether broadcast clocks are charged at their delta-encoded size.
+    /// Whether broadcast clocks are charged at their delta-encoded size
+    /// (against the previous write's stamp, which every destination
+    /// already holds: each sees this writer's full write stream, as
+    /// updates or control records).
     delta: bool,
-    /// The stamp of this node's previous write — the reference every
-    /// destination already holds (each destination sees this writer's
-    /// full write stream, as updates or control records), so the next
-    /// write's clock can be charged as a delta against it.
-    prev_stamp: Arc<VectorClock>,
     /// Per-destination buffers of not-yet-sent control records (batching
     /// mode only; indexed by destination process id, own slot unused).
     buffers: Vec<Vec<ControlRecord>>,
@@ -292,7 +300,7 @@ pub struct CausalPartialNode {
     /// responses are served from. Entry `k` is the write that set this
     /// node's own clock entry to `k`; its stamp is the one the write's
     /// updates and records carry, and dies with the entry at the next cut.
-    log: RecoveryLog<(VarId, i64, Arc<VectorClock>)>,
+    log: RecoveryLog<(VarId, i64, Arc<Stamp>)>,
 }
 
 impl CausalPartialNode {
@@ -310,46 +318,43 @@ impl CausalPartialNode {
     ) -> Self {
         CausalPartialNode {
             me,
+            replica: CausalReplica::new(n),
             replicas,
-            store: BTreeMap::new(),
-            vc: VectorClock::new(n),
-            pending: Vec::new(),
             control: ControlStats::new(),
-            delivered_updates: 0,
-            delivered_control: 0,
             batching: delivery.batching,
             delta: delivery.delta,
-            prev_stamp: Arc::new(VectorClock::new(n)),
             buffers: vec![Vec::new(); n],
             window: FlushWindow::default(),
             log: RecoveryLog::new(),
         }
     }
 
-    /// Whether process `p` replicates `var`.
-    fn is_replica(&self, p: usize, var: VarId) -> bool {
-        (self.replicas.get(var.index())).is_some_and(|r| r.binary_search(&NodeId(p)).is_ok())
-    }
-
     /// The node's current vector clock.
     pub fn clock(&self) -> &VectorClock {
-        &self.vc
+        self.replica.clock()
     }
 
     /// Data updates applied so far.
     pub fn delivered_updates(&self) -> u64 {
-        self.delivered_updates
+        self.replica.updates()
     }
 
     /// Control records processed so far — each one is metadata about a
     /// variable this node does not replicate.
     pub fn delivered_control(&self) -> u64 {
-        self.delivered_control
+        self.replica.records()
     }
 
-    /// Messages buffered awaiting causal delivery.
+    /// Updates and records applied whose stamp was an own step of its
+    /// writer, so the O(1) in-order check decided them (see
+    /// [`Stamp::own_step`]).
+    pub fn in_order_deliveries(&self) -> u64 {
+        self.replica.in_order()
+    }
+
+    /// Writes (updates or records) buffered awaiting causal delivery.
     pub fn pending_count(&self) -> usize {
-        self.pending.len()
+        self.replica.pending_count()
     }
 
     /// Control records buffered for later sending (0 unless batching).
@@ -357,78 +362,14 @@ impl CausalPartialNode {
         self.buffers.iter().map(Vec::len).sum()
     }
 
-    fn apply(&mut self, msg: &CausalPartialMsg) {
-        match msg {
-            CausalPartialMsg::Update { var, value, vc, .. } => {
-                self.store.insert(*var, Value::Int(*value));
-                self.vc.deliver(vc, msg.writer());
-                self.delivered_updates += 1;
-            }
-            CausalPartialMsg::Control { vc, .. } => {
-                self.vc.deliver(vc, msg.writer());
-                self.delivered_control += 1;
-            }
-            CausalPartialMsg::ControlBatch { .. } | CausalPartialMsg::CatchupReq { .. } => {
-                unreachable!("batches are decomposed on receipt and requests answered on receipt")
-            }
+    /// Receive one control record, charging `bytes` of received control
+    /// information to its variable. Stale records (duplicates of
+    /// already-applied writes) are discarded uncharged.
+    fn receive_record(&mut self, record: &ControlRecord, bytes: usize) {
+        let fresh = (self.replica).receive(record.writer, record.var, None, &record.stamp);
+        if fresh {
+            self.control.charge_received(record.var, bytes);
         }
-    }
-
-    /// Whether the writer's `vc[writer]`-th write is already reflected in
-    /// the local clock — i.e. this message or record is a duplicate (a
-    /// replay, a parked late delivery, or a catch-up overlap). Applying it
-    /// again would be wrong; discarding it is always safe.
-    fn already_seen(&self, writer: usize, vc: &VectorClock) -> bool {
-        vc.get(writer) <= self.vc.get(writer)
-    }
-
-    fn deliver_ready(&mut self) {
-        loop {
-            let ready = self
-                .pending
-                .iter()
-                .position(|m| self.vc.deliverable_from(m.vc(), m.writer()));
-            match ready {
-                Some(i) => {
-                    let msg = self.pending.remove(i);
-                    self.apply(&msg);
-                    // Applying a message may turn other pending copies of
-                    // the same write permanently stale — purge them so
-                    // duplicates cannot pile up.
-                    let vc = &self.vc;
-                    self.pending
-                        .retain(|m| m.vc().get(m.writer()) > vc.get(m.writer()));
-                }
-                None => break,
-            }
-        }
-    }
-
-    /// Hand a received (charged, not stale) message to causal delivery:
-    /// applied at once when it is in order and nothing is waiting — the
-    /// common case — and parked in `pending` otherwise.
-    fn enqueue(&mut self, msg: CausalPartialMsg) {
-        if self.pending.is_empty() && self.vc.deliverable_from(msg.vc(), msg.writer()) {
-            self.apply(&msg);
-        } else {
-            self.pending.push(msg);
-        }
-    }
-
-    /// Enqueue one control record for causal delivery, charging `bytes` of
-    /// received control information to its variable. Stale records
-    /// (duplicates of already-applied writes) are discarded uncharged.
-    fn receive_record(&mut self, record: ControlRecord, bytes: usize) {
-        if self.already_seen(record.writer, &record.vc) {
-            return;
-        }
-        self.control.charge_received(record.var, bytes);
-        self.enqueue(CausalPartialMsg::Control {
-            writer: record.writer,
-            var: record.var,
-            vc: record.vc,
-            encoded: record.encoded,
-        });
     }
 
     /// Flush every buffer holding at least `at_least ≥ 1` records — 1 at
@@ -471,11 +412,11 @@ impl Node<CausalPartialMsg> for CausalPartialNode {
                 writer,
                 var,
                 value,
-                vc,
+                stamp,
                 encoded,
                 piggyback,
             } => {
-                if self.already_seen(writer, &vc) {
+                if self.replica.already_seen(writer, &stamp) {
                     // Idempotence guard: a duplicate of an applied write.
                     // Its piggybacked records (the writer's own, buffered
                     // strictly earlier in its stream) are stale too.
@@ -483,38 +424,30 @@ impl Node<CausalPartialMsg> for CausalPartialNode {
                 }
                 self.control.charge_received(var, encoded + 8);
                 // Piggybacked records precede their carrier in the
-                // writer's stream; enqueue them first so per-writer order
+                // writer's stream; receive them first so per-writer order
                 // is preserved even before the causal check runs.
-                for record in piggyback {
+                for record in &piggyback {
                     self.receive_record(record, RECORD_DELTA_BYTES);
                 }
-                self.enqueue(CausalPartialMsg::Update {
-                    writer,
-                    var,
-                    value,
-                    vc,
-                    encoded,
-                    piggyback: Vec::new(),
-                });
+                self.replica.receive(writer, var, Some(value), &stamp);
             }
             CausalPartialMsg::Control {
                 writer,
                 var,
-                vc,
+                stamp,
                 encoded,
             } => {
                 let record = ControlRecord {
                     writer,
                     var,
-                    vc,
+                    stamp,
                     encoded,
                 };
-                let bytes = record.full_bytes();
-                self.receive_record(record, bytes);
+                self.receive_record(&record, record.full_bytes());
             }
             CausalPartialMsg::ControlBatch { records } => {
                 for (i, record) in records.iter().enumerate() {
-                    self.receive_record(record.clone(), record.batch_bytes(i));
+                    self.receive_record(record, record.batch_bytes(i));
                 }
             }
             CausalPartialMsg::CatchupReq { from, vc } => {
@@ -533,15 +466,15 @@ impl Node<CausalPartialMsg> for CausalPartialNode {
                 // them FIFO.
                 let mut base: &VectorClock = &vc;
                 for (_, &(var, value, ref stamp)) in self.log.after(vc.get(me)) {
-                    let encoded = DeltaVc::charged_bytes(self.delta, base, stamp);
-                    base = stamp.as_ref();
-                    let vc = Arc::clone(stamp);
-                    let resend = if self.is_replica(from, var) {
+                    let encoded = DeltaVc::charged_bytes(self.delta, base, stamp.clock());
+                    base = stamp.clock();
+                    let stamp = Arc::clone(stamp);
+                    let resend = if replicates(&self.replicas, NodeId(from), var) {
                         CausalPartialMsg::Update {
                             writer: me,
                             var,
                             value,
-                            vc,
+                            stamp,
                             encoded,
                             piggyback: Vec::new(),
                         }
@@ -549,7 +482,7 @@ impl Node<CausalPartialMsg> for CausalPartialNode {
                         CausalPartialMsg::Control {
                             writer: me,
                             var,
-                            vc,
+                            stamp,
                             encoded,
                         }
                     };
@@ -558,7 +491,6 @@ impl Node<CausalPartialMsg> for CausalPartialNode {
                 }
             }
         }
-        self.deliver_ready();
     }
 
     fn on_timer(&mut self, ctx: &mut NodeContext<CausalPartialMsg>, tag: u64) {
@@ -572,25 +504,21 @@ impl McsNode for CausalPartialNode {
     type Msg = CausalPartialMsg;
 
     fn local_read(&self, var: VarId) -> Value {
-        self.store.get(&var).copied().unwrap_or(Value::Bottom)
+        self.replica.read(var)
     }
 
     fn local_write(&mut self, ctx: &mut NodeContext<CausalPartialMsg>, var: VarId, value: i64) {
-        self.vc.increment(self.me.index());
-        self.store.insert(var, Value::Int(value));
-        self.control.track(var);
         // The write's clock, copied once: every update and record sent
         // below, the recovery log and the next write's delta reference
         // share this stamp.
-        let stamp = Arc::new(self.vc.clone());
-        let encoded = DeltaVc::charged_bytes(self.delta, &self.prev_stamp, &stamp);
-        self.prev_stamp = Arc::clone(&stamp);
+        let (stamp, encoded) = self.replica.write(self.me.index(), var, value, self.delta);
+        self.control.track(var);
         self.log.push((var, value, Arc::clone(&stamp)));
         let update_bytes = encoded + 8;
         let record = ControlRecord {
             writer: self.me.index(),
             var,
-            vc: Arc::clone(&stamp),
+            stamp: Arc::clone(&stamp),
             encoded,
         };
         let me = NodeId(self.me.index());
@@ -607,7 +535,7 @@ impl McsNode for CausalPartialNode {
                 writer: self.me.index(),
                 var,
                 value,
-                vc: Arc::clone(&stamp),
+                stamp: Arc::clone(&stamp),
                 encoded,
                 piggyback: Vec::new(),
             };
@@ -618,7 +546,7 @@ impl McsNode for CausalPartialNode {
             let control = CausalPartialMsg::Control {
                 writer: self.me.index(),
                 var,
-                vc: stamp,
+                stamp,
                 encoded,
             };
             for _ in other_targets.clone() {
@@ -660,7 +588,7 @@ impl McsNode for CausalPartialNode {
                         writer: self.me.index(),
                         var,
                         value,
-                        vc: Arc::clone(&stamp),
+                        stamp: Arc::clone(&stamp),
                         encoded,
                         piggyback,
                     },
@@ -673,7 +601,7 @@ impl McsNode for CausalPartialNode {
                 writer: self.me.index(),
                 var,
                 value,
-                vc: stamp,
+                stamp,
                 encoded,
                 piggyback: Vec::new(),
             },
@@ -688,7 +616,7 @@ impl McsNode for CausalPartialNode {
     }
 
     fn replicates(&self, var: VarId) -> bool {
-        self.is_replica(self.me.index(), var)
+        replicates(&self.replicas, NodeId(self.me.index()), var)
     }
 
     fn control(&self) -> &ControlStats {
@@ -705,7 +633,7 @@ impl McsNode for CausalPartialNode {
         // with updates or control records carrying original timestamps.
         let req = CausalPartialMsg::CatchupReq {
             from: self.me.index(),
-            vc: self.vc.clone(),
+            vc: self.clock().clone(),
         };
         let targets = (0..self.buffers.len())
             .filter(|&p| p != self.me.index())
@@ -753,7 +681,7 @@ mod tests {
         CausalPartialMsg::Control {
             writer,
             var,
-            vc: vc.into(),
+            stamp: Stamp::new(vc).into(),
             encoded,
         }
     }
@@ -764,7 +692,7 @@ mod tests {
             writer: 0,
             var: VarId(0),
             value: 1,
-            vc: VectorClock::new(4).into(),
+            stamp: Stamp::new(VectorClock::new(4)).into(),
             encoded: 4 * 8,
             piggyback: Vec::new(),
         };
@@ -800,7 +728,7 @@ mod tests {
             writer: 0,
             var: VarId(0),
             value: 1,
-            vc: VectorClock::new(4).into(),
+            stamp: Stamp::new(VectorClock::new(4)).into(),
             encoded: 4 * 8,
             piggyback: vec![record(0)],
         };
@@ -1145,15 +1073,15 @@ mod tests {
                     vc: VectorClock::new(3),
                 },
             );
-            let resent: Vec<(Arc<VectorClock>, usize)> = resp_ctx
+            let resent: Vec<(VectorClock, usize)> = resp_ctx
                 .outgoing()
                 .iter()
                 .map(|o| match o {
                     simnet::Outgoing::One(
                         NodeId(2),
-                        CausalPartialMsg::Control { vc, encoded, .. }
-                        | CausalPartialMsg::Update { vc, encoded, .. },
-                    ) => (vc.clone(), *encoded),
+                        CausalPartialMsg::Control { stamp, encoded, .. }
+                        | CausalPartialMsg::Update { stamp, encoded, .. },
+                    ) => (stamp.clock().clone(), *encoded),
                     other => panic!("unexpected response {other:?}"),
                 })
                 .collect();

@@ -12,16 +12,40 @@
 //! | [`pram_partial`] | PRAM | partial | per-writer sequence number, sent only to replicas | own writes, served by index from the requester's next expected number, filtered to its variables |
 //! | [`sequential`] | sequential (baseline) | full | sequencer round trip + global sequence number | the ordered stream at the sequencer, served by index |
 //! | [`op_log`] | sequential at settle (PRAM always) | partial | per-shard log append/echo + shard sequence number to replicas | the last sequenced entry per owned variable (a winners table) |
+//!
+//! ## Node state
+//!
+//! What the protocols share lives here, not in five copies:
+//!
+//! * **Per-variable state is dense.** Every replica store — `Value`s for
+//!   the causal protocols and PRAM, `Slot`s for the sequencer and the
+//!   op-log — and every other table keyed by variable (PRAM's
+//!   per-(writer, variable) guard, one store per writer; the op-log's
+//!   committed and winner tables) is a `Store<T>` (`store.rs`): a `Vec`
+//!   indexed by [`VarId`], where a never-written slot reads absent, so a
+//!   delivery pays one bounds check instead of an ordered-map walk.
+//! * **Who replicates what** is one `replica_table` per deployment,
+//!   shared by every node of it (no node keeps a `Distribution`): write
+//!   fan-out walks `table[x]`, and `replicates` answers membership by
+//!   binary search.
+//! * **Causal delivery** is one kernel (`causal.rs`) for both causal
+//!   protocols: clock, store, parked writes, and the [`Stamp`] that lets
+//!   a receiver find an in-order write in O(1).
+//! * **Recovery and batching**: [`RecoveryLog`], `FlushWindow`.
 
+mod causal;
 pub mod causal_full;
 pub mod causal_partial;
 pub mod op_log;
 pub mod pram_partial;
 mod recovery;
 pub mod sequential;
+mod store;
 mod window;
 
+pub use causal::Stamp;
 pub use recovery::{RecoveryLog, RecoveryState};
+pub(crate) use store::Store;
 pub(crate) use window::FlushWindow;
 
 use crate::api::ProtocolKind;
@@ -42,6 +66,11 @@ pub(crate) fn replica_table(dist: &Distribution) -> Arc<[Vec<NodeId>]> {
         }
     }
     table.into()
+}
+
+/// Whether process `p` replicates `var`, by the shared [`replica_table`].
+pub(crate) fn replicates(table: &[Vec<NodeId>], p: NodeId, var: VarId) -> bool {
+    (table.get(var.index())).is_some_and(|r| r.binary_search(&p).is_ok())
 }
 
 /// A replica slot of the write-ordering protocols (sequencer, op-log):

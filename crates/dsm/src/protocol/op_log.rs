@@ -42,7 +42,9 @@
 
 use crate::api::ProtocolKind;
 use crate::control::ControlStats;
-use crate::protocol::{replica_table, McsNode, ProtocolSpec, RecoveryState, Slot};
+use crate::protocol::{
+    replica_table, replicates, McsNode, ProtocolSpec, RecoveryState, Slot, Store,
+};
 use histories::{Distribution, ProcId, Value, VarId};
 use simnet::{Node, NodeContext, NodeId, WireSize};
 use std::collections::{BTreeMap, VecDeque};
@@ -161,15 +163,14 @@ struct Lane {
 #[derive(Clone, Debug, PartialEq)]
 pub struct OpLogNode {
     me: ProcId,
-    dist: Distribution,
     /// `replicas[x]`: the processes replicating `x`, in id order — the
     /// first owns `x`'s shard (shared).
     replicas: Arc<[Vec<NodeId>]>,
     /// The visible replica (wait-free reads; own writes apply
     /// optimistically and are reconciled against the log order).
-    store: BTreeMap<VarId, Slot>,
+    store: Store<Slot>,
     /// Per-variable log winner applied so far: (shard seq, value).
-    committed: BTreeMap<VarId, (u64, i64)>,
+    committed: Store<(u64, i64)>,
     control: ControlStats,
     /// Writer state: own program-order write counter.
     wseq: u64,
@@ -182,7 +183,7 @@ pub struct OpLogNode {
     /// Owner state: per owned variable, the last entry sequenced since the
     /// last cut, as (shard seq, writer, value). Catch-up is served from it:
     /// replicas apply highest-seq-wins, so no older entry is ever resent.
-    winners: BTreeMap<VarId, (u64, usize, i64)>,
+    winners: Store<(u64, usize, i64)>,
     /// Cuts of `winners` taken so far.
     cuts: u64,
     /// Log entries applied to the visible store so far.
@@ -192,23 +193,21 @@ pub struct OpLogNode {
 impl OpLogNode {
     /// Build the node for process `me` under `dist`.
     pub fn new(me: ProcId, dist: Distribution) -> Self {
-        let replicas = replica_table(&dist);
-        Self::with_replicas(me, dist, replicas)
+        Self::with_replicas(me, replica_table(&dist))
     }
 
-    fn with_replicas(me: ProcId, dist: Distribution, replicas: Arc<[Vec<NodeId>]>) -> Self {
+    fn with_replicas(me: ProcId, replicas: Arc<[Vec<NodeId>]>) -> Self {
         OpLogNode {
             me,
-            dist,
             replicas,
-            store: BTreeMap::new(),
-            committed: BTreeMap::new(),
+            store: Store::default(),
+            committed: Store::default(),
             control: ControlStats::new(),
             wseq: 0,
             outstanding: VecDeque::new(),
             lanes: BTreeMap::new(),
             next_seq: 0,
-            winners: BTreeMap::new(),
+            winners: Store::default(),
             cuts: 0,
             applied: 0,
         }
@@ -255,7 +254,7 @@ impl OpLogNode {
     /// `var` is still outstanding: its optimistic value is newer than
     /// anything committed so far, and its own commit reconciles the store.
     fn commit(&mut self, seq: u64, var: VarId, value: i64, own: bool) {
-        let (cur, winner) = self.committed.get(&var).copied().unwrap_or((0, value));
+        let (cur, winner) = self.committed.get(var).copied().unwrap_or((0, value));
         let winner = if seq > cur {
             self.committed.insert(var, (seq, value));
             self.applied += 1;
@@ -263,7 +262,7 @@ impl OpLogNode {
         } else {
             winner
         };
-        self.store.entry(var).or_default().order(winner, own);
+        self.store.update(var, |slot| slot.order(winner, own));
     }
 
     /// If `owner`'s lane is idle and has buffered writes, flush them as
@@ -401,7 +400,7 @@ impl Node<OpLogMsg> for OpLogNode {
                 // receive-side accounting a pure function of the message
                 // count, identical on every topology.
                 self.control.charge_received(var, ENTRY_BYTES);
-                let cur = self.committed.get(&var).map(|&(s, _)| s).unwrap_or(0);
+                let cur = self.committed.get(var).map_or(0, |&(s, _)| s);
                 if seq <= cur {
                     // Stale resend of an overtaken entry: value discarded.
                     return;
@@ -414,7 +413,7 @@ impl Node<OpLogMsg> for OpLogNode {
                 // replicas apply per-variable highest-seq-wins, so
                 // overtaken entries would be discarded on arrival anyway.
                 for (var, mark) in watermarks {
-                    let winner = self.winners.get(&var).filter(|w| w.0 > mark);
+                    let winner = self.winners.get(var).filter(|w| w.0 > mark);
                     let Some(&(seq, writer, value)) = winner else {
                         continue;
                     };
@@ -438,13 +437,13 @@ impl McsNode for OpLogNode {
     type Msg = OpLogMsg;
 
     fn local_read(&self, var: VarId) -> Value {
-        Slot::read(self.store.get(&var))
+        Slot::read(self.store.get(var))
     }
 
     fn local_write(&mut self, ctx: &mut NodeContext<OpLogMsg>, var: VarId, value: i64) {
         // Optimistic local apply for read-your-writes; the log order is
         // authoritative and reconciles on commit.
-        self.store.entry(var).or_default().write(value, true);
+        self.store.update(var, |slot| slot.write(value, true));
         self.control.track(var);
         self.wseq += 1;
         let owner = self.owner_of(var);
@@ -469,7 +468,7 @@ impl McsNode for OpLogNode {
     }
 
     fn replicates(&self, var: VarId) -> bool {
-        self.dist.replicates(self.me, var)
+        replicates(&self.replicas, NodeId(self.me.index()), var)
     }
 
     fn control(&self) -> &ControlStats {
@@ -505,12 +504,12 @@ impl McsNode for OpLogNode {
         // charged to any one variable's control stats (it concerns the
         // shard stream); the network still pays its wire bytes.
         let mut marks: Vec<(usize, VarId, u64)> = Vec::new();
-        for &var in self.dist.vars_of(self.me) {
+        for var in (0..self.replicas.len()).map(VarId) {
             let owner = self.owner_of(var);
-            if owner == self.me.index() {
+            if owner == self.me.index() || !self.replicates(var) {
                 continue;
             }
-            let mark = self.committed.get(&var).map(|&(s, _)| s).unwrap_or(0);
+            let mark = self.committed.get(var).map_or(0, |&(s, _)| s);
             marks.push((owner, var, mark));
         }
         // One request per owner, owners in id order; the sort is stable,
@@ -556,7 +555,7 @@ impl ProtocolSpec for OpLog {
     fn build_nodes(dist: &Distribution, _delivery: simnet::DeliveryMode) -> Vec<OpLogNode> {
         let replicas = replica_table(dist);
         (0..dist.process_count())
-            .map(|i| OpLogNode::with_replicas(ProcId(i), dist.clone(), Arc::clone(&replicas)))
+            .map(|i| OpLogNode::with_replicas(ProcId(i), Arc::clone(&replicas)))
             .collect()
     }
 }
@@ -775,7 +774,7 @@ mod tests {
         );
         // Two entries sequenced for x1: the winners table keeps the last.
         assert_eq!(nodes[1].recovery().retained, 1);
-        assert_eq!(nodes[1].winners.get(&VarId(1)), Some(&(2, 2, 6)));
+        assert_eq!(nodes[1].winners.get(VarId(1)), Some(&(2, 2, 6)));
         // The owner echoes but does NOT apply at sequencing time: it
         // applies via the writer's program-ordered Entry like everyone
         // else, so its view of the writer stays FIFO.

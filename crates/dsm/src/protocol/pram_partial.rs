@@ -16,10 +16,11 @@
 
 use crate::api::ProtocolKind;
 use crate::control::ControlStats;
-use crate::protocol::{replica_table, McsNode, ProtocolSpec, RecoveryLog, RecoveryState};
+use crate::protocol::{
+    replica_table, replicates, McsNode, ProtocolSpec, RecoveryLog, RecoveryState, Store,
+};
 use histories::{Distribution, ProcId, Value, VarId};
 use simnet::{Node, NodeContext, NodeId, WireSize};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::clock::SequenceTracker;
@@ -93,10 +94,9 @@ impl WireSize for PramPartialMsg {
 #[derive(Clone, Debug, PartialEq)]
 pub struct PramNode {
     me: ProcId,
-    dist: Distribution,
     /// `replicas[x]`: the processes replicating `x`, in id order (shared).
     replicas: Arc<[Vec<NodeId>]>,
-    store: BTreeMap<VarId, Value>,
+    store: Store<Value>,
     seq: u64,
     seen: SequenceTracker,
     control: ControlStats,
@@ -104,15 +104,16 @@ pub struct PramNode {
     /// `k` is the write with sequence number `k`) — the material catch-up
     /// responses are served from.
     log: RecoveryLog<PramMsg>,
-    /// Highest sequence number applied per (writer, variable) — the
-    /// idempotence/ordering guard. PRAM's per-writer numbering is
-    /// gap-tolerant (a node only sees the subsequence touching variables
-    /// it replicates), so a *global* per-writer watermark cannot tell a
-    /// duplicate from a missed write re-sent by catch-up once a newer
-    /// in-flight update has overtaken the response; per-(writer, var)
-    /// monotonicity is exactly the PRAM obligation and makes replays of
-    /// applied writes no-ops without ever losing a recovered one.
-    applied: BTreeMap<(usize, VarId), u64>,
+    /// Highest sequence number applied per (writer, variable) — one store
+    /// per writer, indexed by variable: the idempotence/ordering guard.
+    /// PRAM's per-writer numbering is gap-tolerant (a node only sees the
+    /// subsequence touching variables it replicates), so a *global*
+    /// per-writer watermark cannot tell a duplicate from a missed write
+    /// re-sent by catch-up once a newer in-flight update has overtaken the
+    /// response; per-(writer, var) monotonicity is exactly the PRAM
+    /// obligation and makes replays of applied writes no-ops without ever
+    /// losing a recovered one.
+    applied: Vec<Store<u64>>,
 }
 
 impl PramNode {
@@ -122,16 +123,16 @@ impl PramNode {
     }
 
     fn with_replicas(me: ProcId, dist: &Distribution, replicas: Arc<[Vec<NodeId>]>) -> Self {
+        let n = dist.process_count();
         PramNode {
             me,
-            dist: dist.clone(),
             replicas,
-            store: BTreeMap::new(),
+            store: Store::default(),
             seq: 0,
-            seen: SequenceTracker::new(dist.process_count()),
+            seen: SequenceTracker::new(n),
             control: ControlStats::new(),
             log: RecoveryLog::new(),
-            applied: BTreeMap::new(),
+            applied: vec![Store::default(); n],
         }
     }
 
@@ -156,11 +157,13 @@ impl Node<PramPartialMsg> for PramNode {
         match msg {
             PramPartialMsg::Update(msg) => {
                 debug_assert!(
-                    self.dist.replicates(self.me, msg.var),
+                    self.replicates(msg.var),
                     "PRAM partial replication never sends updates to non-replicas"
                 );
-                let slot = (msg.writer, msg.var);
-                if msg.seq <= self.applied.get(&slot).copied().unwrap_or(0) {
+                let Some(applied) = self.applied.get_mut(msg.writer) else {
+                    return;
+                };
+                if msg.seq <= applied.get(msg.var).copied().unwrap_or(0) {
                     // Idempotence/ordering guard: this writer's write to
                     // this variable is already reflected here (a replay,
                     // or a catch-up response overtaken by a newer write).
@@ -173,8 +176,8 @@ impl Node<PramPartialMsg> for PramNode {
                 // advances; a catch-up response arriving after a newer
                 // in-flight write is the one legitimate regression, and
                 // `observe` simply leaves the watermark in place then.
+                applied.insert(msg.var, msg.seq);
                 self.seen.observe(msg.writer, msg.seq);
-                self.applied.insert(slot, msg.seq);
                 self.store.insert(msg.var, Value::Int(msg.value));
             }
             PramPartialMsg::CatchupReq { from, expected } => {
@@ -182,7 +185,7 @@ impl Node<PramPartialMsg> for PramNode {
                 // writes (only the variables it replicates), in order.
                 let next = expected.get(self.me.index()).copied().unwrap_or(1);
                 for (_, m) in self.log.after(next.saturating_sub(1)) {
-                    if self.dist.replicates(ProcId(from), m.var) {
+                    if replicates(&self.replicas, NodeId(from), m.var) {
                         self.control.charge_sent(m.var, PramMsg::CONTROL_BYTES);
                         ctx.send(NodeId(from), PramPartialMsg::Update(m.clone()));
                     }
@@ -196,7 +199,7 @@ impl McsNode for PramNode {
     type Msg = PramPartialMsg;
 
     fn local_read(&self, var: VarId) -> Value {
-        self.store.get(&var).copied().unwrap_or(Value::Bottom)
+        self.store.get(var).copied().unwrap_or(Value::Bottom)
     }
 
     fn local_write(&mut self, ctx: &mut NodeContext<PramPartialMsg>, var: VarId, value: i64) {
@@ -223,7 +226,7 @@ impl McsNode for PramNode {
     }
 
     fn replicates(&self, var: VarId) -> bool {
-        self.dist.replicates(self.me, var)
+        replicates(&self.replicas, NodeId(self.me.index()), var)
     }
 
     fn control(&self) -> &ControlStats {
@@ -235,20 +238,18 @@ impl McsNode for PramNode {
         // missed; peers we share nothing with cannot have sent us
         // anything (metadata never leaves C(x)).
         let me = self.me.index();
-        let expected: Vec<u64> = (0..self.dist.process_count())
+        // One guard per writer: `applied` spans the processes.
+        let expected: Vec<u64> = (0..self.applied.len())
             .map(|w| self.seen.expected(w))
             .collect();
-        let targets: Vec<NodeId> = (0..self.dist.process_count())
-            .filter(|&p| {
-                p != me
-                    && self
-                        .dist
-                        .vars_of(ProcId(p))
-                        .iter()
-                        .any(|&x| self.dist.replicates(self.me, x))
-            })
-            .map(NodeId)
+        let mut targets: Vec<NodeId> = (self.replicas.iter())
+            .filter(|r| r.contains(&NodeId(me)))
+            .flatten()
+            .copied()
+            .filter(|&p| p != NodeId(me))
             .collect();
+        targets.sort_unstable();
+        targets.dedup();
         ctx.send_multi(targets, PramPartialMsg::CatchupReq { from: me, expected });
     }
 

@@ -30,7 +30,9 @@
 
 use crate::api::ProtocolKind;
 use crate::control::ControlStats;
-use crate::protocol::{FlushWindow, McsNode, ProtocolSpec, RecoveryLog, RecoveryState, Slot};
+use crate::protocol::{
+    FlushWindow, McsNode, ProtocolSpec, RecoveryLog, RecoveryState, Slot, Store,
+};
 use histories::{Distribution, ProcId, Value, VarId};
 use simnet::{DeliveryMode, Node, NodeContext, NodeId, WireSize};
 use std::collections::BTreeMap;
@@ -108,7 +110,7 @@ pub struct SequentialNode {
     me: ProcId,
     /// Every other process: the destinations of each ordered broadcast.
     peers: Vec<NodeId>,
-    store: BTreeMap<VarId, Slot>,
+    store: Store<Slot>,
     /// Sequencer state: next sequence number to assign.
     next_seq: u64,
     /// Replica state: next sequence number to apply.
@@ -132,7 +134,7 @@ impl SequentialNode {
         SequentialNode {
             me,
             peers: (0..n).filter(|&i| i != me.index()).map(NodeId).collect(),
-            store: BTreeMap::new(),
+            store: Store::default(),
             next_seq: 1,
             next_apply: 1,
             pending: BTreeMap::new(),
@@ -232,8 +234,8 @@ impl SequentialNode {
         }
         let me = self.me.index();
         while let Some((writer, var, value)) = next {
-            let slot = self.store.entry(var).or_default();
-            slot.order(value, writer == me);
+            let own = writer == me;
+            self.store.update(var, |slot| slot.order(value, own));
             self.applied += 1;
             self.next_apply += 1;
             next = self.pending.remove(&self.next_apply);
@@ -275,14 +277,14 @@ impl McsNode for SequentialNode {
     type Msg = SeqMsg;
 
     fn local_read(&self, var: VarId) -> Value {
-        Slot::read(self.store.get(&var))
+        Slot::read(self.store.get(var))
     }
 
     fn local_write(&mut self, ctx: &mut NodeContext<SeqMsg>, var: VarId, value: i64) {
         // Optimistic local apply for read-your-writes; the authoritative
         // state follows the sequencer order (a writer awaits its echo).
-        let slot = self.store.entry(var).or_default();
-        slot.write(value, self.me.index() != 0);
+        let unordered = self.me.index() != 0;
+        self.store.update(var, |slot| slot.write(value, unordered));
         self.control.track(var);
         if self.is_sequencer() {
             self.sequence_and_broadcast(ctx, self.me.index(), var, value);

@@ -533,14 +533,12 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// Issue `r_p(var)` and return the value the local replica holds.
     pub fn read(&mut self, p: ProcId, var: VarId) -> Result<Value, DsmError> {
         self.validate(p, var)?;
-        let value = match &mut self.net {
-            NetBackend::Sim(net) => {
-                net.try_with_node(NodeId(p.index()), |node, _ctx| node.local_read(var))?
-            }
-            // A read is local on threads too: `local_read` takes `&self`
-            // and sends nothing, so it runs in place under the node's
-            // site lock (after `p`'s pipelined writes) with no handler
-            // context, and the replay oracle has nothing to mirror.
+        // A read is local: `local_read` takes `&self` and sends nothing, so
+        // it needs no handler context — no pooled buffers, no flush. On
+        // threads it runs in place under the node's site lock (after `p`'s
+        // pipelined writes), and the replay oracle has nothing to mirror.
+        let value = match &self.net {
+            NetBackend::Sim(net) => net.node(NodeId(p.index())).local_read(var),
             NetBackend::Threaded(net) => net
                 .try_query(NodeId(p.index()), |node| node.local_read(var))
                 .map_err(worker_died)?,

@@ -7,7 +7,9 @@
 //! and event queue, the channel sampler, the overlay relay, every
 //! protocol's `on_message`/`on_restart` handler and recovery-log
 //! `checkpoint` (with the `cut` it calls — the runtime runs it on every
-//! node at every all-up settle), and the control ledger they charge.
+//! node at every all-up settle), the control ledger they charge, and the
+//! replica kernel every delivery goes through: the dense `Store`'s
+//! accessors and the causal receive path with its in-order check.
 //! Here only (see [`FLUSH_FNS`]), the protocols' batching flush joins
 //! them: `on_timer` and the grouped `flush` decide what every
 //! non-replica hears.
@@ -68,6 +70,14 @@ pub(crate) fn scope_fns(rel_path: &str) -> Option<&'static [&'static str]> {
         "crates/dsm/src/control.rs" => {
             Some(&["track", "charge_sent", "charge_received", "slot_mut"])
         }
+        "crates/dsm/src/protocol/store.rs" => Some(&["get", "insert", "update"]),
+        "crates/dsm/src/protocol/causal.rs" => Some(&[
+            "deliverable_at",
+            "already_seen",
+            "receive",
+            "apply",
+            "drain",
+        ]),
         _ => {
             is_protocol_file(rel_path).then_some(&["on_message", "on_restart", "checkpoint", "cut"])
         }
@@ -182,13 +192,20 @@ impl Rule for NoPanicInDelivery {
 /// The context of the `*_checkpoint.rs` fixtures (shared with
 /// `no-alloc-in-hot-path`, like the scope lists) and of this rule's
 /// `*_flush.rs` pair: a protocol file, where `checkpoint` and the
-/// batching flush are in scope.
+/// batching flush are in scope. The `*_kernel.rs` and `*_store.rs`
+/// fixtures are lexed as the replica kernel's two files: the causal
+/// receive path with its in-order check, and the dense store.
 pub(crate) fn protocol_fixture_context(
     case: &str,
 ) -> Option<(&'static str, &'static str, FileKind)> {
-    (case.ends_with("_checkpoint.rs") || case.ends_with("_flush.rs")).then_some((
-        "dsm",
-        "crates/dsm/src/protocol/op_log.rs",
-        FileKind::Lib,
-    ))
+    let path = if case.ends_with("_checkpoint.rs") || case.ends_with("_flush.rs") {
+        "crates/dsm/src/protocol/op_log.rs"
+    } else if case.ends_with("_kernel.rs") {
+        "crates/dsm/src/protocol/causal.rs"
+    } else if case.ends_with("_store.rs") {
+        "crates/dsm/src/protocol/store.rs"
+    } else {
+        return None;
+    };
+    Some(("dsm", path, FileKind::Lib))
 }
