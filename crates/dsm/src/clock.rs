@@ -23,6 +23,11 @@ impl VectorClock {
         }
     }
 
+    /// The clock with the given entries, one per process.
+    pub fn from_entries(entries: Vec<u64>) -> Self {
+        VectorClock { entries }
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -80,9 +85,16 @@ impl VectorClock {
         let (mine, theirs) = (self.entries.as_slice(), msg.entries.as_slice());
         let next = (mine.get(sender).zip(theirs.get(sender))).is_some_and(|(m, t)| *t == m + 1);
         // The sender's entry is ahead, so it must be the only one: one pass
-        // over the two slices, no per-index bounds checks, so it vectorises.
-        let ahead = || mine.iter().zip(theirs).filter(|(m, t)| t > m).count();
-        next && mine.len() == theirs.len() && ahead() == 1
+        // over the two slices, no per-index bounds checks. Entries count
+        // writes, so they stay below 2^63, and `m - t` wraps into the top
+        // bit exactly when `t > m`: summing that bit vectorises even where
+        // the target has no unsigned 64-bit compare (baseline x86-64).
+        debug_assert!(
+            mine.iter().chain(theirs).all(|&e| e < 1 << 63),
+            "clock entries count writes and stay below 2^63"
+        );
+        let ahead = || (mine.iter().zip(theirs)).map(|(m, t)| m.wrapping_sub(*t) >> 63);
+        next && mine.len() == theirs.len() && ahead().sum::<u64>() == 1
     }
 
     /// Apply a message [`VectorClock::deliverable_from`] just accepted: the

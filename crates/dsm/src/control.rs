@@ -10,7 +10,8 @@
 //!   does not replicate is the runtime witness of x-relevance beyond
 //!   `C(x)`.
 //! * `charge_sent(x, bytes)` / `charge_received(x, bytes)` — control bytes
-//!   attributable to `x` that crossed the wire at this node.
+//!   attributable to `x` that crossed the wire at this node
+//!   (`charge_sent_n` charges one payload sent to several destinations).
 //!
 //! [`ControlSummary`] aggregates the per-node stats for a whole run and
 //! answers the questions the benchmarks ask: how many processes handled
@@ -80,6 +81,18 @@ impl ControlStats {
         slot.tracked = true;
         slot.sent_bytes += bytes as u64;
         slot.sent_entries += 1;
+    }
+
+    /// Record `count` sends of `bytes` of control information about `x`:
+    /// the same totals as `count` calls of [`ControlStats::charge_sent`],
+    /// for one payload that goes to `count` destinations.
+    pub fn charge_sent_n(&mut self, x: VarId, bytes: usize, count: usize) {
+        let Some(slot) = self.slot_mut(x) else {
+            return;
+        };
+        slot.tracked = true;
+        slot.sent_bytes += (bytes * count) as u64;
+        slot.sent_entries += count as u64;
     }
 
     /// Record `bytes` of control information about `x` received by this node.
@@ -228,6 +241,19 @@ mod tests {
         assert_eq!(s.total_received_bytes(), 8);
         assert_eq!(s.total_sent_entries(), 2);
         assert_eq!(s.tracked_vars().len(), 2);
+    }
+
+    #[test]
+    fn a_charge_for_n_destinations_equals_n_charges() {
+        let mut one_by_one = ControlStats::new();
+        for _ in 0..5 {
+            one_by_one.charge_sent(VarId(2), 72);
+        }
+        let mut at_once = ControlStats::new();
+        at_once.charge_sent_n(VarId(2), 72, 5);
+        assert_eq!(at_once, one_by_one);
+        assert_eq!(at_once.sent_entries(VarId(2)), 5);
+        assert_eq!(at_once.sent_bytes(VarId(2)), 360);
     }
 
     #[test]

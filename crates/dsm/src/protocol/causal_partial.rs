@@ -17,18 +17,20 @@
 //!
 //! The naive wire format pays a full control message (an `O(n)` vector
 //! clock plus ids) per write per non-replica. Under a batching
-//! [`DeliveryMode`] the records are **buffered per destination** and
-//! drained two ways:
+//! [`DeliveryMode`] each write's record is **logged once**, in an owed
+//! log with one cursor per destination (`OwedLog`, `protocol/owed.rs`),
+//! and what a destination is owed is drained two ways:
 //!
 //! * **piggybacked** on the next data update sent to that destination —
 //!   the update already carries the writer's current clock, so each
 //!   piggybacked record costs only its [`RECORD_DELTA_BYTES`] delta;
 //! * **flushed** as a [`CausalPartialMsg::ControlBatch`] — triggered by a
-//!   zero-delay timer armed on the first buffered record (so running the
-//!   network to quiescence always drains every buffer), by the
-//!   [`MAX_BATCH`] size cap, or by a restart. A batch pays one full record
-//!   plus the delta for each additional one, the delta-encoding a real
-//!   wire format would use for consecutive clocks from one sender.
+//!   zero-delay timer armed on the first owed record (so running the
+//!   network to quiescence always drains the log), by the [`MAX_BATCH`]
+//!   size cap on what one destination is owed, or by a restart. A batch
+//!   pays one full record plus the delta for each additional one, the
+//!   delta-encoding a real wire format would use for consecutive clocks
+//!   from one sender.
 //!
 //! Flushes are **grouped**: a control record is a broadcast by nature, so
 //! the processes that replicate none of the variables written in a window
@@ -37,13 +39,15 @@
 //! [`NodeContext::send_multi`] for all the destinations owed it, which a
 //! multicast wire carries once per edge of the writer's tree (and a
 //! unicast wire expands back into one message per destination). A
-//! destination whose list differs — it replicates a variable of the
-//! window, or a piggyback already served it the earlier records — gets a
-//! private batch. What is shared is the envelope, never the accounting:
-//! [`ControlStats`] is charged per destination per record, first record in
-//! full and the rest at the delta *in that destination's own list*,
-//! because the paper's metric counts what each process is told, not how
-//! the wire packs it.
+//! destination that replicates a variable of the window had the records
+//! before that write piggybacked on its update, so every owed list is a
+//! suffix of the log: destinations with equal cursors share a batch, and
+//! one with a cursor of its own gets a private one. What is shared is the
+//! envelope, never the accounting: [`ControlStats`] is charged per
+//! destination per record (one [`ControlStats::charge_sent_n`] per record
+//! of a group), first record in full and the rest at the delta *in that
+//! destination's own list*, because the paper's metric counts what each
+//! process is told, not how the wire packs it.
 //!
 //! Batching changes *bytes on the wire*, never *what is delivered*: every
 //! write still produces exactly one control record per non-replica, and
@@ -65,7 +69,8 @@ use crate::clock::{DeltaVc, VectorClock};
 use crate::control::ControlStats;
 use crate::protocol::causal::{CausalReplica, Stamp};
 use crate::protocol::{
-    replica_table, replicates, FlushWindow, McsNode, ProtocolSpec, RecoveryLog, RecoveryState,
+    replica_table, replicates, FlushWindow, McsNode, OwedLog, ProtocolSpec, RecoveryLog,
+    RecoveryState,
 };
 use histories::{Distribution, ProcId, Value, VarId};
 use simnet::{DeliveryMode, Node, NodeContext, NodeId, WireSize};
@@ -76,8 +81,8 @@ use std::sync::Arc;
 /// delta).
 pub const RECORD_DELTA_BYTES: usize = 16;
 
-/// Buffered records per destination beyond which the buffer is flushed
-/// immediately, without waiting for a piggyback opportunity or the timer.
+/// Records owed to one destination at which they are flushed immediately,
+/// without waiting for a piggyback opportunity or the timer.
 pub const MAX_BATCH: usize = 16;
 
 /// A dependency control record: everything about a write except its data.
@@ -127,13 +132,6 @@ impl ControlRecord {
             RECORD_DELTA_BYTES
         }
     }
-}
-
-/// Whether two record lists are the same writes in the same order: every
-/// copy of a write's record shares the write's stamp, so pointers decide.
-fn same_writes(a: &[ControlRecord], b: &[ControlRecord]) -> bool {
-    let same = |(a, b): (&ControlRecord, &ControlRecord)| Arc::ptr_eq(&a.stamp, &b.stamp);
-    a.len() == b.len() && a.iter().zip(b).all(same)
 }
 
 /// Messages of the partially replicated causal protocol.
@@ -290,9 +288,9 @@ pub struct CausalPartialNode {
     /// already holds: each sees this writer's full write stream, as
     /// updates or control records).
     delta: bool,
-    /// Per-destination buffers of not-yet-sent control records (batching
-    /// mode only; indexed by destination process id, own slot unused).
-    buffers: Vec<Vec<ControlRecord>>,
+    /// The control records not yet sent, each logged once with a cursor
+    /// per destination (batching mode only).
+    owed: OwedLog<ControlRecord>,
     /// The batching flush window (shared with the other broadcasters).
     window: FlushWindow,
     /// This node's own writes since the last cut (variable, value, the
@@ -323,7 +321,7 @@ impl CausalPartialNode {
             control: ControlStats::new(),
             batching: delivery.batching,
             delta: delivery.delta,
-            buffers: vec![Vec::new(); n],
+            owed: OwedLog::new(n, me.index()),
             window: FlushWindow::default(),
             log: RecoveryLog::new(),
         }
@@ -357,9 +355,10 @@ impl CausalPartialNode {
         self.replica.pending_count()
     }
 
-    /// Control records buffered for later sending (0 unless batching).
+    /// Control records owed for later sending, counted once per
+    /// destination owed each (0 unless batching).
     pub fn buffered_records(&self) -> usize {
-        self.buffers.iter().map(Vec::len).sum()
+        self.owed.owed_total()
     }
 
     /// Receive one control record, charging `bytes` of received control
@@ -372,31 +371,20 @@ impl CausalPartialNode {
         }
     }
 
-    /// Flush every buffer holding at least `at_least ≥ 1` records — 1 at
-    /// the timer and on restart (every obligation), [`MAX_BATCH`] for the
-    /// ones a write just filled. Destinations owed the same writes in the
-    /// same order (the same shared stamps, compared by pointer) share one
-    /// [`CausalPartialMsg::ControlBatch`], handed over as one
-    /// multi-destination send; a destination with a list of its own gets
-    /// a private batch. Charges stay per destination per record.
+    /// Flush every destination owed at least `at_least ≥ 1` records — 1
+    /// at the timer and on restart (every obligation), [`MAX_BATCH`] for
+    /// the ones a write just filled. Destinations owed the same suffix of
+    /// the log share one [`CausalPartialMsg::ControlBatch`], handed over
+    /// as one multi-destination send; a destination with a cursor of its
+    /// own gets a private batch. Charges stay per destination per record.
     fn flush(&mut self, ctx: &mut NodeContext<CausalPartialMsg>, at_least: usize) {
-        let mut groups: Vec<(Arc<[ControlRecord]>, Vec<NodeId>)> = Vec::new();
-        for (d, buffer) in self.buffers.iter_mut().enumerate() {
-            if buffer.len() < at_least {
-                continue;
+        let control = &mut self.control;
+        self.owed.flush(at_least, |records, dests| {
+            for (i, r) in records.iter().enumerate() {
+                control.charge_sent_n(r.var, r.batch_bytes(i), dests.len());
             }
-            for (i, r) in buffer.iter().enumerate() {
-                self.control.charge_sent(r.var, r.batch_bytes(i));
-            }
-            match (groups.iter_mut()).find(|(records, _)| same_writes(records, buffer)) {
-                Some((_, dests)) => dests.push(NodeId(d)),
-                None => groups.push((buffer.as_slice().into(), vec![NodeId(d)])),
-            }
-            buffer.clear();
-        }
-        for (records, dests) in groups {
             ctx.send_multi(dests, CausalPartialMsg::ControlBatch { records });
-        }
+        });
     }
 }
 
@@ -525,12 +513,12 @@ impl McsNode for CausalPartialNode {
         let table = Arc::clone(&self.replicas);
         let replicas: &[NodeId] = table.get(var.index()).map_or(&[], Vec::as_slice);
         let replica_targets = replicas.iter().copied().filter(|&t| t != me);
-        let other_targets = (0..self.buffers.len())
-            .map(NodeId)
-            .filter(|&t| t != me && replicas.binary_search(&t).is_err());
 
         if !self.batching {
             // Classical wire format: one full message per destination.
+            let other_targets = (0..self.clock().len())
+                .map(NodeId)
+                .filter(|&t| t != me && replicas.binary_search(&t).is_err());
             let update = CausalPartialMsg::Update {
                 writer: self.me.index(),
                 var,
@@ -556,44 +544,46 @@ impl McsNode for CausalPartialNode {
             return;
         }
 
-        // Batching: buffer the record per non-replica (flushing the
-        // destinations that hit the size cap)…
-        let mut full = false;
-        for t in other_targets {
-            let buffer = &mut self.buffers[t.index()];
-            buffer.push(record.clone());
-            full |= buffer.len() >= MAX_BATCH;
-        }
-        if full {
-            self.flush(ctx, MAX_BATCH);
-        }
-        // …and send the update, piggybacking each destination's buffered
-        // records on its copy. Destinations with empty buffers share one
-        // multi-destination send (so a multicast wire can deduplicate the
-        // identical payload); the rest get a personalized copy.
+        // Batching: log the record once, owed to every non-replica. Each
+        // replica is served what it was owed before this write, to ride on
+        // its update…
+        self.owed.push(record);
         let mut clean = Vec::new();
+        let mut served = Vec::new();
         for t in replica_targets {
-            if self.buffers[t.index()].is_empty() {
-                self.control.charge_sent(var, update_bytes);
+            self.control.charge_sent(var, update_bytes);
+            let piggyback = self.owed.serve(t.index());
+            if piggyback.is_empty() {
                 clean.push(t);
             } else {
-                let piggyback = std::mem::take(&mut self.buffers[t.index()]);
-                self.control.charge_sent(var, update_bytes);
-                for r in &piggyback {
+                for r in piggyback {
                     self.control.charge_sent(r.var, RECORD_DELTA_BYTES);
                 }
-                ctx.send(
-                    t,
-                    CausalPartialMsg::Update {
-                        writer: self.me.index(),
-                        var,
-                        value,
-                        stamp: Arc::clone(&stamp),
-                        encoded,
-                        piggyback,
-                    },
-                );
+                served.push((t, piggyback.to_vec()));
             }
+        }
+        // …the destinations the record brought to the size cap are
+        // flushed…
+        let mut owed = self.owed.most_owed();
+        if owed >= MAX_BATCH {
+            self.flush(ctx, MAX_BATCH);
+            owed = self.owed.most_owed();
+        }
+        // …and the update leaves: a personalized copy for each replica
+        // with a piggyback, one multi-destination send for the rest (so a
+        // multicast wire can deduplicate the identical payload).
+        for (t, piggyback) in served {
+            ctx.send(
+                t,
+                CausalPartialMsg::Update {
+                    writer: self.me.index(),
+                    var,
+                    value,
+                    stamp: Arc::clone(&stamp),
+                    encoded,
+                    piggyback,
+                },
+            );
         }
         ctx.send_multi(
             clean,
@@ -610,7 +600,7 @@ impl McsNode for CausalPartialNode {
         // running the network to quiescence therefore always delivers
         // every record, so settle points see the same state as the
         // unbatched wire.
-        if self.buffers.iter().any(|b| !b.is_empty()) {
+        if owed > 0 {
             self.window.arm(ctx);
         }
     }
@@ -624,8 +614,8 @@ impl McsNode for CausalPartialNode {
     }
 
     fn on_restart(&mut self, ctx: &mut NodeContext<CausalPartialMsg>) {
-        // The crash killed any armed flush timer, but the buffered
-        // records are persisted state: flush every obligation now so no
+        // The crash killed any armed flush timer, but the owed records
+        // are persisted state: flush every obligation now so no
         // destination waits forever for records only this node holds.
         self.window = FlushWindow::default();
         self.flush(ctx, 1);
@@ -635,7 +625,7 @@ impl McsNode for CausalPartialNode {
             from: self.me.index(),
             vc: self.clock().clone(),
         };
-        let targets = (0..self.buffers.len())
+        let targets = (0..self.clock().len())
             .filter(|&p| p != self.me.index())
             .map(NodeId);
         ctx.send_multi(targets, req);
@@ -674,6 +664,7 @@ impl ProtocolSpec for CausalPartial {
 mod tests {
     use super::*;
     use crate::protocol::window::FLUSH_TAG;
+    use proptest::prelude::*;
     use simnet::SimTime;
 
     fn control_msg(writer: usize, var: VarId, vc: VectorClock) -> CausalPartialMsg {
@@ -1102,6 +1093,237 @@ mod tests {
             assert!(encoded <= vc.wire_bytes());
             assert_eq!(encoded, 4 + 12);
             base.clone_from(&vc);
+        }
+    }
+
+    /// The per-destination buffers the owed-record log replaced, kept as its
+    /// reference model: the batching write, the grouped flush and the
+    /// restart flush as they were, on a ledger of their own. It is handed
+    /// each write's record, so both sides send the same stamps.
+    struct PerDestination {
+        me: NodeId,
+        replicas: Arc<[Vec<NodeId>]>,
+        buffers: Vec<Vec<ControlRecord>>,
+        control: ControlStats,
+        window: FlushWindow,
+    }
+
+    /// Whether two record lists are the same writes in the same order.
+    fn same_writes(a: &[ControlRecord], b: &[ControlRecord]) -> bool {
+        let same = |(a, b): (&ControlRecord, &ControlRecord)| Arc::ptr_eq(&a.stamp, &b.stamp);
+        a.len() == b.len() && a.iter().zip(b).all(same)
+    }
+
+    impl PerDestination {
+        fn write(
+            &mut self,
+            ctx: &mut NodeContext<CausalPartialMsg>,
+            record: ControlRecord,
+            value: i64,
+        ) {
+            let (var, encoded, me) = (record.var, record.encoded, self.me);
+            let stamp = Arc::clone(&record.stamp);
+            self.control.track(var);
+            let table = Arc::clone(&self.replicas);
+            let replicas: &[NodeId] = table.get(var.index()).map_or(&[], Vec::as_slice);
+            let mut full = false;
+            for t in (0..self.buffers.len()).map(NodeId) {
+                if t != me && replicas.binary_search(&t).is_err() {
+                    self.buffers[t.index()].push(record.clone());
+                    full |= self.buffers[t.index()].len() >= MAX_BATCH;
+                }
+            }
+            if full {
+                self.flush(ctx, MAX_BATCH);
+            }
+            let update = |piggyback| CausalPartialMsg::Update {
+                writer: me.index(),
+                var,
+                value,
+                stamp: Arc::clone(&stamp),
+                encoded,
+                piggyback,
+            };
+            let mut clean = Vec::new();
+            for t in replicas.iter().copied().filter(|&t| t != me) {
+                self.control.charge_sent(var, encoded + 8);
+                let piggyback = std::mem::take(&mut self.buffers[t.index()]);
+                if piggyback.is_empty() {
+                    clean.push(t);
+                    continue;
+                }
+                for r in &piggyback {
+                    self.control.charge_sent(r.var, RECORD_DELTA_BYTES);
+                }
+                ctx.send(t, update(piggyback));
+            }
+            ctx.send_multi(clean, update(Vec::new()));
+            if self.buffers.iter().any(|b| !b.is_empty()) {
+                self.window.arm(ctx);
+            }
+        }
+
+        fn flush(&mut self, ctx: &mut NodeContext<CausalPartialMsg>, at_least: usize) {
+            let mut groups: Vec<(Arc<[ControlRecord]>, Vec<NodeId>)> = Vec::new();
+            for (d, buffer) in self.buffers.iter_mut().enumerate() {
+                if buffer.len() < at_least {
+                    continue;
+                }
+                for (i, r) in buffer.iter().enumerate() {
+                    self.control.charge_sent(r.var, r.batch_bytes(i));
+                }
+                match (groups.iter_mut()).find(|(records, _)| same_writes(records, buffer)) {
+                    Some((_, dests)) => dests.push(NodeId(d)),
+                    None => groups.push((buffer.as_slice().into(), vec![NodeId(d)])),
+                }
+                buffer.clear();
+            }
+            for (records, dests) in groups {
+                ctx.send_multi(dests, CausalPartialMsg::ControlBatch { records });
+            }
+        }
+
+        fn on_restart(&mut self, ctx: &mut NodeContext<CausalPartialMsg>, vc: VectorClock) {
+            self.window = FlushWindow::default();
+            self.flush(ctx, 1);
+            let me = self.me;
+            let targets = (0..self.buffers.len()).map(NodeId).filter(|&p| p != me);
+            let from = me.index();
+            ctx.send_multi(targets, CausalPartialMsg::CatchupReq { from, vc });
+        }
+    }
+
+    /// A record as the model test compares it: writer, variable, the
+    /// stamp's address and the charged clock size.
+    type Sent = (usize, VarId, *const Stamp, usize);
+
+    /// An envelope as the model test compares it: its destinations, then
+    /// the message with every stamp replaced by its address.
+    #[derive(Debug, PartialEq)]
+    enum Wire {
+        Update(i64, Sent, Vec<Sent>),
+        Control(Sent),
+        Batch(Vec<Sent>),
+        Catchup(usize, VectorClock),
+    }
+
+    fn wire(out: &[simnet::Outgoing<CausalPartialMsg>]) -> Vec<(Vec<NodeId>, Wire)> {
+        let sent = |r: &ControlRecord| (r.writer, r.var, Arc::as_ptr(&r.stamp), r.encoded);
+        let envelope = |msg: &CausalPartialMsg| match msg {
+            CausalPartialMsg::Update {
+                writer,
+                var,
+                value,
+                stamp,
+                encoded,
+                piggyback,
+            } => Wire::Update(
+                *value,
+                (*writer, *var, Arc::as_ptr(stamp), *encoded),
+                piggyback.iter().map(sent).collect(),
+            ),
+            CausalPartialMsg::Control {
+                writer,
+                var,
+                stamp,
+                encoded,
+            } => Wire::Control((*writer, *var, Arc::as_ptr(stamp), *encoded)),
+            CausalPartialMsg::ControlBatch { records } => {
+                Wire::Batch(records.iter().map(sent).collect())
+            }
+            CausalPartialMsg::CatchupReq { from, vc } => Wire::Catchup(*from, vc.clone()),
+        };
+        out.iter()
+            .map(|o| match o {
+                simnet::Outgoing::One(d, msg) => (vec![*d], envelope(msg)),
+                simnet::Outgoing::Many(ds, msg) => (ds.clone(), envelope(msg)),
+            })
+            .collect()
+    }
+
+    /// `C(x)` for one variable among `n` processes, never empty: everyone,
+    /// one process, or the set bits of `mask`.
+    fn holders(n: usize, (kind, mask): (u8, u16)) -> Vec<usize> {
+        let bits: Vec<usize> = (0..n).filter(|&p| mask >> p & 1 == 1).collect();
+        match kind {
+            0 => (0..n).collect(),
+            1 => vec![usize::from(mask) % n],
+            _ if bits.is_empty() => vec![usize::from(mask) % n],
+            _ => bits,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// The owed-record log sends what per-destination buffers sent:
+        /// under random distributions, random interleavings of writes,
+        /// flush-timer firings and restarts, and windows long enough to
+        /// hit `MAX_BATCH`, every step emits the same envelopes (the same
+        /// destinations, the same stamps by address, the same piggybacks),
+        /// leaves an equal ledger, the same flush window and the same
+        /// records owed to each destination.
+        #[test]
+        fn the_owed_log_sends_what_per_destination_buffers_sent(
+            n in 2usize..10,
+            me in 0usize..9,
+            vars in proptest::collection::vec((0u8..4, 0u16..512), 1..5),
+            timer_rate in 1u8..12,
+            delta in 0u8..2,
+            steps in proptest::collection::vec((0u8..64, 0usize..5), 0..150),
+        ) {
+            let me = me % n;
+            let mut dist = Distribution::new(n, vars.len());
+            for (x, &v) in vars.iter().enumerate() {
+                for p in holders(n, v) {
+                    dist.assign(ProcId(p), VarId(x));
+                }
+            }
+            let delta = delta == 1;
+            let mode = DeliveryMode { delta, ..DeliveryMode::BATCHED };
+            let mut node = CausalPartialNode::new(ProcId(me), &dist, mode);
+            let mut model = PerDestination {
+                me: NodeId(me),
+                replicas: replica_table(&dist),
+                buffers: vec![Vec::new(); n],
+                control: ControlStats::new(),
+                window: FlushWindow::default(),
+            };
+            let mut prev = VectorClock::new(n);
+            for (i, &(kind, x)) in steps.iter().enumerate() {
+                let mut ctx = NodeContext::new(NodeId(me), SimTime::ZERO);
+                let mut model_ctx = NodeContext::new(NodeId(me), SimTime::ZERO);
+                if kind == 63 {
+                    node.on_restart(&mut ctx);
+                    model.on_restart(&mut model_ctx, node.clock().clone());
+                } else if kind < timer_rate {
+                    node.on_timer(&mut ctx, FLUSH_TAG);
+                    if model.window.closes(FLUSH_TAG) {
+                        model.flush(&mut model_ctx, 1);
+                    }
+                } else {
+                    let (var, value) = (VarId(x % vars.len()), i as i64);
+                    node.local_write(&mut ctx, var, value);
+                    let (_, (_, _, stamp)) = node.log.after(0).last().unwrap();
+                    let encoded = DeltaVc::charged_bytes(delta, &prev, stamp.clock());
+                    prev.clone_from(stamp.clock());
+                    let record = ControlRecord {
+                        writer: me,
+                        var,
+                        stamp: Arc::clone(stamp),
+                        encoded,
+                    };
+                    model.write(&mut model_ctx, record, value);
+                }
+                prop_assert_eq!(wire(ctx.outgoing()), wire(model_ctx.outgoing()), "step {}", i);
+                prop_assert_eq!(node.control(), &model.control);
+                prop_assert_eq!(node.window, model.window);
+                for (d, buffer) in model.buffers.iter().enumerate() {
+                    prop_assert!(same_writes(node.owed.owed(d), buffer), "owed to p{}", d);
+                }
+                let buffered: usize = model.buffers.iter().map(Vec::len).sum();
+                prop_assert_eq!(node.buffered_records(), buffered);
+            }
         }
     }
 }

@@ -31,12 +31,15 @@
 //! * **Causal delivery** is one kernel (`causal.rs`) for both causal
 //!   protocols: clock, store, parked writes, and the [`Stamp`] that lets
 //!   a receiver find an in-order write in O(1).
-//! * **Recovery and batching**: [`RecoveryLog`], `FlushWindow`.
+//! * **Recovery and batching**: [`RecoveryLog`], `FlushWindow`, and the
+//!   `OwedLog` of control records a causal-partial writer still owes its
+//!   peers (`owed.rs`: each record logged once, a cursor per destination).
 
 mod causal;
 pub mod causal_full;
 pub mod causal_partial;
 pub mod op_log;
+mod owed;
 pub mod pram_partial;
 mod recovery;
 pub mod sequential;
@@ -44,6 +47,7 @@ mod store;
 mod window;
 
 pub use causal::Stamp;
+pub(crate) use owed::OwedLog;
 pub use recovery::{RecoveryLog, RecoveryState};
 pub(crate) use store::Store;
 pub(crate) use window::FlushWindow;

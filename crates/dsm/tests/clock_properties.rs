@@ -165,6 +165,57 @@ proptest! {
         prop_assert!(!local.deliverable_from(&VectorClock::new(a), a + sender));
     }
 
+    /// The scan's wrapped-subtraction count is the per-entry definition for
+    /// every entry a clock can hold (below 2^63): equal clocks, the sender
+    /// one ahead, concurrent clocks, random pairs and mismatched lengths,
+    /// with entries near zero, near 2^63 and anywhere between.
+    #[test]
+    fn deliverability_matches_the_per_entry_definition_below_2_pow_63(
+        base in proptest::collection::vec((0u8..3, any::<u64>()), 1..10),
+        noise in proptest::collection::vec((0u8..3, any::<u64>()), 1..10),
+        shape in 0u8..5,
+        sender in 0usize..10,
+        other in 0usize..10,
+    ) {
+        const TOP: u64 = (1 << 63) - 1;
+        // Never TOP itself, so the sender's entry can still step.
+        let entry = |&(end, r): &(u8, u64)| match end {
+            0 => r % 8,
+            1 => TOP - 1 - r % 8,
+            _ => r % TOP,
+        };
+        let local: Vec<u64> = base.iter().map(entry).collect();
+        let n = local.len();
+        let (s, o) = (sender % n, other % n);
+        let mut msg = local.clone();
+        match shape {
+            0 => {}
+            1 => msg[s] += 1,
+            2 => {
+                msg[s] += 1;
+                if n > 1 {
+                    msg[(s + 1 + o % (n - 1)) % n] += 1;
+                }
+            }
+            3 => msg = (0..n).map(|k| entry(&noise[k % noise.len()])).collect(),
+            _ if o % 2 == 0 => msg.push(entry(&noise[0])),
+            _ => {
+                msg.pop();
+            }
+        }
+        let by_definition = |sender: usize| {
+            msg.len() == n
+                && sender < n
+                && msg[sender] == local[sender] + 1
+                && (0..n).all(|k| k == sender || msg[k] <= local[k])
+        };
+        let (local_vc, msg_vc) =
+            (VectorClock::from_entries(local.clone()), VectorClock::from_entries(msg.clone()));
+        prop_assert_eq!(local_vc.deliverable_from(&msg_vc, s), by_definition(s));
+        prop_assert_eq!(local_vc.deliverable_from(&msg_vc, n), false);
+        prop_assert!(shape != 1 || by_definition(s), "one ahead at the sender is deliverable");
+    }
+
     /// Sequence trackers accept monotonically increasing (possibly gappy)
     /// sequences and reject regressions.
     #[test]

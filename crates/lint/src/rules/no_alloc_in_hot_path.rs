@@ -24,7 +24,7 @@
 //! control-lane round trip was made of — a `mpsc::channel()` per call, an
 //! `Arc::new` result slot, a `Box::new`-ed closure.
 
-use super::no_panic_in_delivery::{protocol_fixture_context, scope_fns};
+use super::no_panic_in_delivery::{scope_fns, scoped_fixture_context};
 use super::{diag_at, Rule};
 use crate::diag::Diagnostic;
 use crate::lexer::TokKind;
@@ -164,7 +164,7 @@ impl Rule for NoAllocInHotPath {
         if case.ends_with("_sync_path.rs") {
             ("simnet", SYNC_PATH_FILE, FileKind::Lib)
         } else {
-            protocol_fixture_context(case).unwrap_or_else(|| self.fixture_context())
+            scoped_fixture_context(case).unwrap_or_else(|| self.fixture_context())
         }
     }
 }

@@ -9,7 +9,11 @@
 //! `checkpoint` (with the `cut` it calls — the runtime runs it on every
 //! node at every all-up settle), the control ledger they charge, and the
 //! replica kernel every delivery goes through: the dense `Store`'s
-//! accessors and the causal receive path with its in-order check.
+//! accessors, the causal receive path with its in-order check and the
+//! clock scan behind it (`VectorClock::deliverable_from`), and the
+//! per-write helpers of causal-partial's owed-record log. The relay's
+//! multicast sort (`Router::sort_for_multicast`) runs per fan-out and is
+//! in scope too.
 //! Here only (see [`FLUSH_FNS`]), the protocols' batching flush joins
 //! them: `on_timer` and the grouped `flush` decide what every
 //! non-replica hears.
@@ -59,6 +63,7 @@ pub(crate) fn scope_fns(rel_path: &str) -> Option<&'static [&'static str]> {
             "split",
             "children_of",
             "subtree_span",
+            "sort_for_multicast",
             "next_hop",
             "hop_count",
             "tree_parent",
@@ -67,10 +72,16 @@ pub(crate) fn scope_fns(rel_path: &str) -> Option<&'static [&'static str]> {
         "crates/simnet/src/event.rs" => {
             Some(&["push", "pop", "pop_ready_into", "requeue", "store"])
         }
-        "crates/dsm/src/control.rs" => {
-            Some(&["track", "charge_sent", "charge_received", "slot_mut"])
-        }
+        "crates/dsm/src/control.rs" => Some(&[
+            "track",
+            "charge_sent",
+            "charge_sent_n",
+            "charge_received",
+            "slot_mut",
+        ]),
+        "crates/dsm/src/clock.rs" => Some(&["deliverable_from"]),
         "crates/dsm/src/protocol/store.rs" => Some(&["get", "insert", "update"]),
+        "crates/dsm/src/protocol/owed.rs" => Some(&["push", "serve", "most_owed"]),
         "crates/dsm/src/protocol/causal.rs" => Some(&[
             "deliverable_at",
             "already_seen",
@@ -185,27 +196,31 @@ impl Rule for NoPanicInDelivery {
     }
 
     fn fixture_context_for(&self, case: &str) -> (&'static str, &'static str, FileKind) {
-        protocol_fixture_context(case).unwrap_or_else(|| self.fixture_context())
+        scoped_fixture_context(case).unwrap_or_else(|| self.fixture_context())
     }
 }
 
-/// The context of the `*_checkpoint.rs` fixtures (shared with
-/// `no-alloc-in-hot-path`, like the scope lists) and of this rule's
-/// `*_flush.rs` pair: a protocol file, where `checkpoint` and the
-/// batching flush are in scope. The `*_kernel.rs` and `*_store.rs`
-/// fixtures are lexed as the replica kernel's two files: the causal
-/// receive path with its in-order check, and the dense store.
-pub(crate) fn protocol_fixture_context(
-    case: &str,
-) -> Option<(&'static str, &'static str, FileKind)> {
-    let path = if case.ends_with("_checkpoint.rs") || case.ends_with("_flush.rs") {
-        "crates/dsm/src/protocol/op_log.rs"
-    } else if case.ends_with("_kernel.rs") {
-        "crates/dsm/src/protocol/causal.rs"
-    } else if case.ends_with("_store.rs") {
-        "crates/dsm/src/protocol/store.rs"
-    } else {
-        return None;
-    };
-    Some(("dsm", path, FileKind::Lib))
+/// Fixture name suffixes (shared with `no-alloc-in-hot-path`, like the
+/// scope lists) and the crate and file each fixture is lexed as:
+/// `*_checkpoint.rs` and this rule's `*_flush.rs` pair as a protocol file,
+/// where `checkpoint` and the batching flush are in scope; the rest as the
+/// file whose scoped functions they exercise — the causal receive path
+/// (`_kernel`), the dense store, the owed-record log, the clock scan and
+/// the router's multicast sort.
+const FIXTURE_FILES: [(&str, &str, &str); 7] = [
+    ("_checkpoint.rs", "dsm", "crates/dsm/src/protocol/op_log.rs"),
+    ("_flush.rs", "dsm", "crates/dsm/src/protocol/op_log.rs"),
+    ("_kernel.rs", "dsm", "crates/dsm/src/protocol/causal.rs"),
+    ("_store.rs", "dsm", "crates/dsm/src/protocol/store.rs"),
+    ("_owed.rs", "dsm", "crates/dsm/src/protocol/owed.rs"),
+    ("_clock.rs", "dsm", "crates/dsm/src/clock.rs"),
+    ("_route.rs", "simnet", "crates/simnet/src/route.rs"),
+];
+
+/// The context a fixture named `case` is lexed in, if its suffix is one of
+/// [`FIXTURE_FILES`].
+pub(crate) fn scoped_fixture_context(case: &str) -> Option<(&'static str, &'static str, FileKind)> {
+    (FIXTURE_FILES.iter())
+        .find(|(suffix, _, _)| case.ends_with(suffix))
+        .map(|&(_, krate, path)| (krate, path, FileKind::Lib))
 }

@@ -258,9 +258,19 @@ impl Router {
 
     /// Sort multicast destinations into the Euler-tour order of `src`'s
     /// broadcast tree — the order [`Multicast`] carries them in, which
-    /// makes every subtree's share of the list one contiguous range.
-    fn sort_for_multicast(&self, src: NodeId, dsts: &mut [NodeId]) {
-        dsts.sort_unstable_by_key(|&d| self.subtree_span(src, d).map_or(u32::MAX, |s| s.0));
+    /// makes every subtree's share of the list one contiguous range. Each
+    /// destination's position is looked up once, into `keys`: scratch the
+    /// caller keeps, so a sort allocates nothing once it has grown. Ids the
+    /// router does not cover sort last.
+    fn sort_for_multicast(&self, src: NodeId, dsts: &mut [NodeId], keys: &mut Vec<(u32, NodeId)>) {
+        keys.clear();
+        keys.extend(
+            (dsts.iter()).map(|&d| (self.subtree_span(src, d).map_or(u32::MAX, |s| s.0), d)),
+        );
+        keys.sort_unstable();
+        for (d, &(_, sorted)) in dsts.iter_mut().zip(keys.iter()) {
+            *d = sorted;
+        }
     }
 
     /// Split the multicast destinations `dsts` (a run of a list in the
@@ -413,7 +423,7 @@ impl<P> Multicast<P> {
     /// An envelope carrying `payload` from `src` to every node of `dsts`,
     /// put into the order `router` splits them in.
     pub fn new(router: &Router, src: NodeId, mut dsts: Vec<NodeId>, payload: P) -> Self {
-        router.sort_for_multicast(src, &mut dsts);
+        router.sort_for_multicast(src, &mut dsts, &mut Vec::new());
         let all = dsts.into();
         Self::part(src, &all, 0..all.len(), payload)
     }
@@ -509,6 +519,8 @@ pub struct Relay<P, N> {
     /// (and empty then) so a delivery that sends allocates no outbox.
     outbox: Vec<Outgoing<P>>,
     timers: Vec<(SimDuration, u64)>,
+    /// Scratch for sorting a multicast's destinations, kept likewise.
+    keys: Vec<(u32, NodeId)>,
 }
 
 impl<P, N> Relay<P, N> {
@@ -526,6 +538,7 @@ impl<P, N> Relay<P, N> {
             misrouted: 0,
             outbox: Vec::new(),
             timers: Vec::new(),
+            keys: Vec::new(),
         }
     }
 
@@ -612,7 +625,7 @@ impl<P: Clone, N> Relay<P, N> {
                 Outgoing::Many(mut targets, payload) => {
                     // One envelope per broadcast-tree child of the source,
                     // carrying the targets inside that subtree.
-                    router.sort_for_multicast(me, &mut targets);
+                    router.sort_for_multicast(me, &mut targets, &mut self.keys);
                     let all: Arc<[NodeId]> = targets.into();
                     let (to_self, _) = router.split(me, me, &all, |child, range| {
                         let copy = Multicast::part(me, &all, range, payload.clone());
@@ -804,7 +817,7 @@ mod tests {
             dsts.sort_unstable();
             dsts.dedup();
             dsts.retain(|&d| d != src);
-            r.sort_for_multicast(src, &mut dsts);
+            r.sort_for_multicast(src, &mut dsts, &mut Vec::new());
             let mut reached = Vec::new();
             let mut frontier = vec![(src, dsts.clone())];
             while let Some((at, set)) = frontier.pop() {
@@ -848,7 +861,7 @@ mod tests {
             dsts.sort_unstable();
             dsts.dedup();
             if sort == 1 {
-                r.sort_for_multicast(src, &mut dsts);
+                r.sort_for_multicast(src, &mut dsts, &mut Vec::new());
             }
             let (forwards, here, strays) = split_emission(&r, src, at, &dsts);
             prop_assert_eq!(here, dsts.contains(&at));
@@ -868,6 +881,46 @@ mod tests {
                 dsts.iter().copied().filter(|&d| hop(d).is_some()).collect();
             prop_assert_eq!(sorted(forwarded), sorted(expected));
         }
+
+        /// Keying each destination's Euler position once orders a
+        /// multicast exactly as sorting by `subtree_span` inside every
+        /// comparison did: the same list for the ids the router covers,
+        /// and the ids it does not (only a corrupted envelope has them)
+        /// last, where a relay drops and counts each one.
+        #[test]
+        fn keyed_multicast_order_matches_the_span_sort(
+            n in 2usize..14,
+            chords in proptest::collection::vec((0usize..14, 0usize..14), 0..10),
+            src in 0usize..14,
+            picks in proptest::collection::vec(0usize..18, 0..18),
+        ) {
+            let router = Arc::new(Router::new(&ring_with_chords(n, &chords)).unwrap());
+            let src = NodeId(src % n);
+            // A set in arbitrary order, as `send_multi` hands it over.
+            let mut dsts: Vec<NodeId> = Vec::new();
+            for d in picks.into_iter().map(NodeId) {
+                if !dsts.contains(&d) {
+                    dsts.push(d);
+                }
+            }
+            let mut by_span = dsts.clone();
+            by_span.sort_unstable_by_key(|&d| router.subtree_span(src, d).map_or(u32::MAX, |s| s.0));
+            let mut keyed = dsts.clone();
+            router.sort_for_multicast(src, &mut keyed, &mut Vec::new());
+            let covered = dsts.iter().filter(|d| d.index() < n).count();
+            prop_assert_eq!(&keyed[..covered], &by_span[..covered]);
+            prop_assert!(keyed[covered..].iter().all(|d| d.index() >= n));
+            prop_assert_eq!(sorted(keyed[covered..].to_vec()), sorted(by_span[covered..].to_vec()));
+            // Handed to a relay at the source, every covered destination
+            // is served and every other one counted.
+            let mut relay = Relay::new(Sink::default(), src, Arc::clone(&router), true);
+            let mut ctx = NodeContext::new(src, SimTime::ZERO);
+            let env = Multicast::new(&router, src, dsts.clone(), RawPayload::new(8, 4));
+            prop_assert_eq!(env.dsts(), &keyed[..]);
+            relay.on_message(&mut ctx, src, Packet::Many(env));
+            prop_assert_eq!(relay.misrouted(), (dsts.len() - covered) as u64);
+            prop_assert_eq!(relay.inner().received.len(), usize::from(dsts.contains(&src)));
+        }
     }
 
     #[test]
@@ -883,7 +936,7 @@ mod tests {
             let r = Router::new(&topo).unwrap();
             for src in (0..n).map(NodeId) {
                 let mut all: Vec<NodeId> = (0..n).map(NodeId).collect();
-                r.sort_for_multicast(src, &mut all);
+                r.sort_for_multicast(src, &mut all, &mut Vec::new());
                 assert_eq!(all[0], src, "the root opens its own tour");
                 for v in (0..n).map(NodeId) {
                     // v's subtree: everything whose tree path passes v.
