@@ -28,8 +28,8 @@
 //! sweep and rewrites, in place, only the rows whose deterministic columns
 //! changed, printing each spliced coordinate. Every other line stays
 //! byte-identical, and a spliced row keeps its recorded host-dependent
-//! columns (`pool_misses`, `sweep_workers`), so the diff shows exactly the
-//! cells a change moved. It never adds or drops rows: a shape change still
+//! column (`sweep_workers`), so the diff shows exactly the cells a change
+//! moved. It never adds or drops rows: a shape change still
 //! needs `--write`.
 //!
 //! `--threaded` switches both modes to the threaded-backend throughput
@@ -77,11 +77,10 @@ fn parse(text: &str) -> Vec<ScenarioMatrixRow> {
         .collect()
 }
 
-/// `row` with its host-dependent columns (`pool_misses`, `sweep_workers`)
-/// replaced by `host`'s.
+/// `row` with its host-dependent column (`sweep_workers`) replaced by
+/// `host`'s.
 fn with_host_columns(row: &ScenarioMatrixRow, host: &ScenarioMatrixRow) -> ScenarioMatrixRow {
     ScenarioMatrixRow {
-        pool_misses: host.pool_misses,
         sweep_workers: host.sweep_workers,
         ..row.clone()
     }
@@ -89,7 +88,7 @@ fn with_host_columns(row: &ScenarioMatrixRow, host: &ScenarioMatrixRow) -> Scena
 
 /// Rewrite the rows of `ledger` whose deterministic columns differ from
 /// the `current` row at the same coordinate; every other line, and the
-/// host-dependent columns of a rewritten one, stay as recorded. Returns
+/// host-dependent column of a rewritten one, stay as recorded. Returns
 /// the new ledger text and the spliced coordinates, in ledger order.
 fn splice(ledger: &str, current: &[ScenarioMatrixRow]) -> (String, Vec<String>) {
     let by_coordinate: std::collections::BTreeMap<String, &ScenarioMatrixRow> =
@@ -267,7 +266,7 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn row(protocol: &str, messages: u64, pool_misses: u64) -> ScenarioMatrixRow {
+    fn row(protocol: &str, messages: u64, sweep_workers: usize) -> ScenarioMatrixRow {
         ScenarioMatrixRow {
             protocol: protocol.into(),
             distribution: "full".into(),
@@ -285,31 +284,25 @@ mod tests {
             drops: 0,
             duplicates: 0,
             virtual_nanos: 80_000,
-            pool_hits: 10,
-            pool_misses,
-            sweep_workers: 2,
+            sweep_workers,
         }
     }
 
     #[test]
     fn splice_rewrites_only_the_rows_whose_deterministic_columns_moved() {
-        let recorded = [row("causal-full", 40, 7), row("pram-partial", 12, 7)];
+        let recorded = [row("causal-full", 40, 2), row("pram-partial", 12, 2)];
         let ledger = render(&recorded);
         // A new sweep: causal-full sends fewer messages, and every row ran
-        // on a host with different pool misses and worker count.
-        let mut current = [row("causal-full", 30, 99), row("pram-partial", 12, 99)];
-        for r in &mut current {
-            r.sweep_workers = 16;
-        }
+        // on a host with a different worker count.
+        let current = [row("causal-full", 30, 16), row("pram-partial", 12, 16)];
         let (spliced, coordinates) = splice(&ledger, &current);
         assert_eq!(coordinates, vec![recorded[0].coordinate()]);
         let lines: Vec<&str> = spliced.lines().collect();
         let old: Vec<&str> = ledger.lines().collect();
         assert_eq!(lines.len(), old.len());
         // The moved row takes the new deterministic columns and keeps the
-        // recorded host columns and its trailing comma…
+        // recorded host column and its trailing comma…
         let expected = ScenarioMatrixRow {
-            pool_misses: 7,
             sweep_workers: 2,
             ..current[0].clone()
         };

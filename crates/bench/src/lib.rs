@@ -192,11 +192,6 @@ pub struct ScenarioMatrixRow {
     pub duplicates: u64,
     /// Virtual nanoseconds until quiescence.
     pub virtual_nanos: u64,
-    /// Event-buffer-pool acquisitions served from a free list during the
-    /// cell's run (deterministic, like every non-wall-clock column).
-    pub pool_hits: u64,
-    /// Event-buffer-pool acquisitions that had to allocate fresh.
-    pub pool_misses: u64,
     /// Worker threads the sweep's [`apps::scenario::parallel_map`] fan-out
     /// actually used (identical for every row of one sweep; recorded so a
     /// checked-in JSON names the parallelism it was produced under).
@@ -228,7 +223,7 @@ impl ScenarioMatrixRow {
              \"topology\":\"{}\",\"delivery\":\"{}\",\"fault\":\"{}\",\"processes\":{},\
              \"messages\":{},\"data_bytes\":{},\"control_bytes\":{},\"control_bytes_per_op\":{:.3},\
              \"forwarded\":{},\"drops\":{},\"duplicates\":{},\"virtual_nanos\":{},\
-             \"pool_hits\":{},\"pool_misses\":{},\"sweep_workers\":{}}}",
+             \"sweep_workers\":{}}}",
             self.protocol,
             self.distribution,
             self.workload,
@@ -245,8 +240,6 @@ impl ScenarioMatrixRow {
             self.drops,
             self.duplicates,
             self.virtual_nanos,
-            self.pool_hits,
-            self.pool_misses,
             self.sweep_workers
         )
     }
@@ -288,15 +281,9 @@ impl ScenarioMatrixRow {
             drops: num_field(line, "drops")?.parse().ok()?,
             duplicates: num_field(line, "duplicates")?.parse().ok()?,
             virtual_nanos: num_field(line, "virtual_nanos")?.parse().ok()?,
-            // Columns added after a baseline was recorded default to zero,
-            // so older checked-in `BENCH_*.json` rows keep parsing (the
-            // baseline gate compares control bytes only).
-            pool_hits: num_field(line, "pool_hits")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
-            pool_misses: num_field(line, "pool_misses")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
+            // A column added after a baseline was recorded defaults to
+            // zero, so older checked-in `BENCH_*.json` rows keep parsing
+            // (the baseline gate compares control bytes only).
             sweep_workers: num_field(line, "sweep_workers")
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(0),
@@ -433,8 +420,6 @@ pub fn scenario_matrix(n: usize, ops_per_process: usize, seed: u64) -> Vec<Scena
             drops: out.drops(),
             duplicates: out.duplicates(),
             virtual_nanos: out.virtual_time.as_nanos(),
-            pool_hits: out.pool.hits,
-            pool_misses: out.pool.misses,
             sweep_workers,
         }
     })
@@ -925,8 +910,6 @@ pub fn scenario_matrix_large(
             drops: out.drops(),
             duplicates: out.duplicates(),
             virtual_nanos: out.virtual_time.as_nanos(),
-            pool_hits: out.pool.hits,
-            pool_misses: out.pool.misses,
             sweep_workers,
         }
     })
@@ -1893,8 +1876,6 @@ mod tests {
             assert_eq!(parsed.control_bytes, row.control_bytes);
             assert_eq!(parsed.forwarded, row.forwarded);
             assert_eq!(parsed.virtual_nanos, row.virtual_nanos);
-            assert_eq!(parsed.pool_hits, row.pool_hits);
-            assert_eq!(parsed.pool_misses, row.pool_misses);
             assert_eq!(parsed.sweep_workers, row.sweep_workers);
         }
         // Array framing (trailing comma, whitespace) is tolerated; other
@@ -1903,37 +1884,33 @@ mod tests {
         assert!(ScenarioMatrixRow::from_json(&line).is_some());
         assert!(ScenarioMatrixRow::from_json("[").is_none());
         assert!(ScenarioMatrixRow::from_json("]").is_none());
-        // Rows recorded before the pool/worker columns existed still
-        // parse, with the new columns defaulting to zero — the checked-in
-        // baseline stays valid without regeneration.
-        let legacy = line
-            .replace(&format!(",\"pool_hits\":{}", rows[0].pool_hits), "")
-            .replace(&format!(",\"pool_misses\":{}", rows[0].pool_misses), "")
-            .replace(&format!(",\"sweep_workers\":{}", rows[0].sweep_workers), "");
+        // Rows recorded before the worker column existed still parse, with
+        // it defaulting to zero — the checked-in baseline stays valid
+        // without regeneration.
+        let legacy = line.replace(&format!(",\"sweep_workers\":{}", rows[0].sweep_workers), "");
         let parsed = ScenarioMatrixRow::from_json(&legacy).unwrap();
         assert_eq!(parsed.coordinate(), rows[0].coordinate());
         assert_eq!(parsed.control_bytes, rows[0].control_bytes);
-        assert_eq!(parsed.pool_hits, 0);
-        assert_eq!(parsed.pool_misses, 0);
         assert_eq!(parsed.sweep_workers, 0);
     }
 
-    /// The sweep rows carry the scheduler's pool accounting: after warmup
-    /// the event path recycles buffers, so hits dominate somewhere, and
-    /// every row records the fan-out width it ran under.
+    /// Every row records the fan-out width its sweep ran under: one
+    /// value per sweep, what `effective_sweep_workers` picks for the
+    /// sweep's cell count — and the only column a rerun on another host
+    /// may change.
     #[test]
-    fn matrix_rows_report_pool_and_worker_columns() {
+    fn matrix_rows_report_their_sweep_workers() {
         let rows = scenario_matrix(5, 3, 9);
         let workers = rows[0].sweep_workers;
-        assert!(workers >= 1);
+        assert_eq!(workers, effective_sweep_workers(rows.len()));
         assert!(rows.iter().all(|r| r.sweep_workers == workers));
-        assert!(rows.iter().any(|r| r.pool_hits > 0));
-        // Pool accounting is part of the deterministic row payload: two
-        // identical sweeps agree column for column.
         let again = scenario_matrix(5, 3, 9);
         for (a, b) in rows.iter().zip(&again) {
-            assert_eq!(a.pool_hits, b.pool_hits, "{}", a.coordinate());
-            assert_eq!(a.pool_misses, b.pool_misses, "{}", a.coordinate());
+            let same_host = ScenarioMatrixRow {
+                sweep_workers: a.sweep_workers,
+                ..b.clone()
+            };
+            assert_eq!(a.to_json(), same_host.to_json(), "{}", a.coordinate());
         }
     }
 
