@@ -24,8 +24,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use simnet::{
-    DeliveryMode, ExecBackend, FaultPlan, LatencyModel, NetworkStats, PoolStats, SimConfig,
-    SimDuration, SimTime, Topology,
+    DeliveryMode, ExecBackend, FaultPlan, LatencyModel, NetworkStats, SimConfig, SimDuration,
+    SimTime, Topology,
 };
 
 /// The variable-distribution families the experiments sweep.
@@ -570,11 +570,6 @@ pub struct RunReport {
     /// Total simulator events (deliveries + timers) processed — the work
     /// unit the scaling sweeps report throughput in.
     pub events: u64,
-    /// Buffer-pool hit/miss accounting: the event scheduler's pools on
-    /// simnet, the per-worker handler-context pools (merged at the last
-    /// settle) on the threaded free-running backend, and the replay
-    /// oracle's pools in threaded replay mode.
-    pub pool: PoolStats,
     /// Link-fabric contention counters (ring-full stalls, mailbox drain
     /// batches) merged across workers at the last settle. All-zero on
     /// simnet and in threaded replay mode — only free-running workers
@@ -710,7 +705,6 @@ fn run_script_on(
         virtual_time: dsm.now(),
         forwarded: dsm.forwarded_messages(),
         events: dsm.events_processed(),
-        pool: dsm.pool_stats(),
         fabric: dsm.fabric_stats(),
         backend,
         max_retained,

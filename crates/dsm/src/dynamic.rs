@@ -221,7 +221,7 @@ impl DynDsm {
         dispatch!(self, sys => sys.events_processed())
     }
 
-    /// Buffer-pool hit/miss statistics of the event-driven scheduler
+    /// Buffer-pool hit/miss statistics of the threaded backend's sites
     /// (see [`DsmSystem::pool_stats`]).
     pub fn pool_stats(&self) -> PoolStats {
         dispatch!(self, sys => sys.pool_stats())

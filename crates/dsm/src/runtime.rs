@@ -303,14 +303,13 @@ impl<P: ProtocolSpec> DsmSystem<P> {
         }
     }
 
-    /// Buffer-pool hit/miss statistics. On simnet this is the
-    /// event-driven scheduler's pools; on the free-running threaded
-    /// backend it is the per-worker handler-context pools merged at the
-    /// last settle, and in replay mode the oracle's (simnet-identical)
-    /// pools.
+    /// Buffer-pool hit/miss statistics of the threaded backend's sites
+    /// (their handler-context pools, merged at the last settle). All
+    /// zeros on simnet, which lends its own two buffers to every callback
+    /// and keeps no pool.
     pub fn pool_stats(&self) -> PoolStats {
         match &self.net {
-            NetBackend::Sim(net) => net.pool_stats(),
+            NetBackend::Sim(_) => PoolStats::default(),
             NetBackend::Threaded(net) => net.pool_stats(),
         }
     }

@@ -1,15 +1,14 @@
-// Fixture: lexed as crates/simnet/src/sim.rs — pooled buffers and
-// Rc-shared payloads in the hot fn, plus allocations in a fn outside
-// the delivery spine, must stay silent.
+// Fixture: lexed as crates/simnet/src/sim.rs — lent buffers handed back
+// and a fan-out scheduled as one entry holding its payload once in the
+// hot fn, plus allocations in a fn outside the delivery spine, must stay
+// silent.
 fn flush_context(&mut self, id: NodeId, ctx: NodeContext<P>) {
-    let (outbox, timers) = ctx.into_parts();
-    for outgoing in outbox {
-        let shared = Payload::Shared(Rc::new(outgoing.payload));
-        for to in outgoing.destinations.iter().copied() {
-            self.send_message(id, to, shared.clone());
-        }
+    let (mut outbox, timers) = ctx.into_parts();
+    for outgoing in outbox.drain(..) {
+        self.send_many(id, &outgoing.destinations, outgoing.payload);
     }
-    self.timer_pool.release(timers);
+    self.outbox = outbox;
+    self.timers = timers;
 }
 
 fn report(&self) -> Vec<String> {

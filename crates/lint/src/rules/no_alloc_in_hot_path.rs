@@ -2,12 +2,13 @@
 //! event.
 //!
 //! The arena wire path exists so that steady-state delivery reuses
-//! pooled buffers (`simnet::pool::BufferPool`) and shared payloads
-//! instead of hitting the allocator once per envelope — at the large
-//! scenario tier (n = 64..1024) per-event allocation is the difference
-//! between a sweep that completes and one that thrashes. Within the same
-//! hot functions `no-panic-in-delivery` guards (the scope lists are
-//! shared), this rule bans the three easy ways to reintroduce a
+//! buffers (the simulator's lent context buffers, the event queue's
+//! recycled cells, the threaded sites' `simnet::pool::BufferPool`s) and
+//! shared payloads instead of hitting the allocator once per envelope —
+//! at the large scenario tier (n = 64..1024) per-event allocation is the
+//! difference between a sweep that completes and one that thrashes.
+//! Within the same hot functions `no-panic-in-delivery` guards (the
+//! scope lists are shared), this rule bans the three easy ways to reintroduce a
 //! per-event allocation: `Box::new(..)`, `.to_vec()`, and the `vec![..]`
 //! macro. It also bans building an ordered container per event —
 //! `BTreeMap::new()` / `BTreeSet::new()`, or a `.collect()` into either:

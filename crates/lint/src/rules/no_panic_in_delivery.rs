@@ -4,7 +4,9 @@
 //! including every *other* node — which is exactly the failure mode the
 //! fault layer exists to model gracefully. The functions listed in
 //! [`scope_fns`] form the delivery spine: the simulator's event pump
-//! and event queue, the channel sampler, the overlay relay, every
+//! with the buffers it lends each callback and its fan-out sends, the
+//! event queue with its fan-out entries and their hand-out, the channel
+//! sampler, the overlay relay, every
 //! protocol's `on_message`/`on_restart` handler and recovery-log
 //! `checkpoint` (with the `cut` it calls — the runtime runs it on every
 //! node at every all-up settle), the control ledger they charge, and the
@@ -43,10 +45,12 @@ pub(crate) fn scope_fns(rel_path: &str) -> Option<&'static [&'static str]> {
             "try_with_node",
             "try_step",
             "process_event",
-            "recycled_context",
+            "lend_context",
             "handle_down_delivery",
             "flush_context",
-            "send_message",
+            "send_one",
+            "send_many",
+            "transmit",
             "set_down",
             "set_up",
             "is_down",
@@ -69,9 +73,15 @@ pub(crate) fn scope_fns(rel_path: &str) -> Option<&'static [&'static str]> {
             "tree_parent",
             "tree_next_hop",
         ]),
-        "crates/simnet/src/event.rs" => {
-            Some(&["push", "pop", "pop_ready_into", "requeue", "store"])
-        }
+        "crates/simnet/src/event.rs" => Some(&[
+            "push",
+            "push_fan_out",
+            "shelve_walked_run",
+            "pop",
+            "hand_out",
+            "pop_ready_into",
+            "store",
+        ]),
         "crates/dsm/src/control.rs" => Some(&[
             "track",
             "charge_sent",
@@ -205,9 +215,9 @@ impl Rule for NoPanicInDelivery {
 /// `*_checkpoint.rs` and this rule's `*_flush.rs` pair as a protocol file,
 /// where `checkpoint` and the batching flush are in scope; the rest as the
 /// file whose scoped functions they exercise — the causal receive path
-/// (`_kernel`), the dense store, the owed-record log, the clock scan and
-/// the router's multicast sort.
-const FIXTURE_FILES: [(&str, &str, &str); 7] = [
+/// (`_kernel`), the dense store, the owed-record log, the clock scan, the
+/// router's multicast sort and the event queue.
+const FIXTURE_FILES: [(&str, &str, &str); 8] = [
     ("_checkpoint.rs", "dsm", "crates/dsm/src/protocol/op_log.rs"),
     ("_flush.rs", "dsm", "crates/dsm/src/protocol/op_log.rs"),
     ("_kernel.rs", "dsm", "crates/dsm/src/protocol/causal.rs"),
@@ -215,6 +225,7 @@ const FIXTURE_FILES: [(&str, &str, &str); 7] = [
     ("_owed.rs", "dsm", "crates/dsm/src/protocol/owed.rs"),
     ("_clock.rs", "dsm", "crates/dsm/src/clock.rs"),
     ("_route.rs", "simnet", "crates/simnet/src/route.rs"),
+    ("_event.rs", "simnet", "crates/simnet/src/event.rs"),
 ];
 
 /// The context a fixture named `case` is lexed in, if its suffix is one of

@@ -17,13 +17,25 @@
 //! open run without touching the heap and a whole run leaves with one heap
 //! pop. With jittered latencies every event is a run of its own and the
 //! queue is a binary heap again — O(log n) per event — over small keys
-//! instead of whole events. Either way one slab cell per pending event is
+//! instead of whole events. Either way one slab cell per pending entry is
 //! the only storage, recycled through a free list.
+//!
+//! A cell holds one event, or one *fan-out entry*
+//! ([`EventQueue::push_fan_out`]): one payload delivered to several
+//! receivers at one instant. The entry reserves one sequence number per
+//! receiver — the numbers consecutive pushes would have taken — and
+//! [`EventQueue::pop`] hands it out one receiver at a time, cloning the
+//! payload for every receiver but the last. Everything outside the queue
+//! sees the per-receiver events; the queue stores the payload once.
+//!
+//! `pop` takes the earliest run off the heap once and walks it with a
+//! cursor. Taking a run closes the open run, so a push at the timestamp
+//! being walked starts a run of its own, which pops after the walked one.
 
 use crate::message::NodeId;
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::collections::binary_heap::BinaryHeap;
 
 /// What happens when an event fires.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -76,12 +88,21 @@ pub struct Event<P> {
 /// "No cell": ends a run and the free list.
 const NIL: u32 = u32::MAX;
 
-/// One slab cell: a pending event and the next cell of its run, or a free
+/// One slab cell: a pending entry and the next cell of its run, or a free
 /// cell and the next free one.
 #[derive(Debug)]
 struct Cell<P> {
+    /// The entry's next event; for a fan-out entry, the delivery to the
+    /// receiver whose turn it is.
     event: Option<Event<P>>,
     next: u32,
+    /// A fan-out entry's later receivers with their channel sequence
+    /// numbers, handed out from `cursor` on; emptied (keeping its
+    /// capacity) once the last of them is handed out, so `rest` is empty
+    /// in every free cell and a fan-out allocates nothing once cells have
+    /// grown.
+    rest: Vec<(NodeId, u64)>,
+    cursor: u32,
 }
 
 /// One run in the heap: `(time, order of its first event, first cell)`.
@@ -90,16 +111,20 @@ type RunHead = Reverse<(SimTime, u64, u32)>;
 /// A deterministic min-priority queue of events.
 #[derive(Debug)]
 pub struct EventQueue<P> {
-    /// Event storage; a run is linked through `Cell::next`.
+    /// Entry storage; a run is linked through `Cell::next`.
     cells: Vec<Cell<P>>,
     /// First cell of the free list.
     free: u32,
-    /// The pending runs, earliest `(time, order)` first. Indexes events,
-    /// never holds one.
+    /// The pending runs, earliest `(time, order)` first, except the one
+    /// being walked. Indexes events, never holds one.
     runs: BinaryHeap<RunHead>,
+    /// The run `pop` is walking, as `(time, next cell)`: taken off the
+    /// heap, and the earliest pending run.
+    walking: Option<(SimTime, u32)>,
     /// The run the latest push went to, as `(time, last cell)`: the only
     /// run a push may extend.
     open: Option<(SimTime, u32)>,
+    /// Pending events, counting a fan-out entry once per receiver left.
     len: usize,
     next_order: u64,
 }
@@ -117,28 +142,33 @@ impl<P> EventQueue<P> {
             cells: Vec::new(),
             free: NIL,
             runs: BinaryHeap::new(),
+            walking: None,
             open: None,
             len: 0,
             next_order: 0,
         }
     }
 
-    /// Store `event` in a cell that ends a run.
-    fn store(&mut self, event: Event<P>) -> u32 {
-        let filled = Cell {
-            event: Some(event),
-            next: NIL,
-        };
-        let index = self.free;
-        match self.cells.get_mut(index as usize) {
+    /// Store `event`, followed by the receivers of `rest`, in a cell that
+    /// ends a run.
+    fn store(&mut self, event: Event<P>, rest: &[(NodeId, u64)]) -> u32 {
+        match self.cells.get_mut(self.free as usize) {
             Some(cell) => {
-                self.free = cell.next;
-                *cell = filled;
-                index
+                cell.event = Some(event);
+                if !rest.is_empty() {
+                    cell.rest.extend_from_slice(rest);
+                }
+                let next_free = std::mem::replace(&mut cell.next, NIL);
+                std::mem::replace(&mut self.free, next_free)
             }
             None => {
                 debug_assert!(self.cells.len() < NIL as usize);
-                self.cells.push(filled);
+                self.cells.push(Cell {
+                    event: Some(event),
+                    next: NIL,
+                    rest: Vec::from(rest),
+                    cursor: 0,
+                });
                 (self.cells.len() - 1) as u32
             }
         }
@@ -146,9 +176,31 @@ impl<P> EventQueue<P> {
 
     /// Schedule `kind` to fire at `at`.
     pub fn push(&mut self, at: SimTime, kind: EventKind<P>) {
+        self.push_fan_out(at, kind, &[]);
+    }
+
+    /// Schedule the delivery `first` to fire at `at`, followed by one
+    /// delivery of its payload to each receiver of `rest` (with that
+    /// receiver's channel sequence number) — as one entry that reserves
+    /// the order numbers the deliveries would have taken as consecutive
+    /// [`EventQueue::push`]es, and that [`EventQueue::pop`] hands out one
+    /// delivery at a time. With `rest` empty this is `push`.
+    pub fn push_fan_out(&mut self, at: SimTime, first: EventKind<P>, rest: &[(NodeId, u64)]) {
+        debug_assert!(rest.is_empty() || matches!(first, EventKind::Deliver { .. }));
+        if self.walking.is_some_and(|(walked_at, _)| at < walked_at) {
+            self.shelve_walked_run();
+        }
         let order = self.next_order;
-        self.next_order += 1;
-        let cell = self.store(Event { at, order, kind });
+        let count = 1 + rest.len();
+        self.next_order += count as u64;
+        let cell = self.store(
+            Event {
+                at,
+                order,
+                kind: first,
+            },
+            rest,
+        );
         let tail = match self.open {
             Some((open_at, last)) if open_at == at => self.cells.get_mut(last as usize),
             _ => None,
@@ -158,92 +210,37 @@ impl<P> EventQueue<P> {
             None => self.runs.push(Reverse((at, order, cell))),
         }
         self.open = Some((at, cell));
-        self.len += 1;
+        self.len += count;
     }
 
-    /// Remove and return the earliest event, if any.
-    pub fn pop(&mut self) -> Option<Event<P>> {
-        let mut run = self.runs.peek_mut()?;
-        let Reverse((at, _, first)) = *run;
-        let cell = self.cells.get_mut(first as usize)?;
-        let event = cell.event.take()?;
-        let next = std::mem::replace(&mut cell.next, self.free);
-        self.free = first;
-        self.len -= 1;
-        // The run goes on with its next event, or is over.
-        match self.cells.get(next as usize).and_then(|c| c.event.as_ref()) {
-            Some(following) => *run = Reverse((at, following.order, next)),
-            None => {
-                PeekMut::pop(run);
-                if self.open.is_some_and(|(_, last)| last == first) {
-                    self.open = None;
-                }
-            }
-        }
-        Some(event)
-    }
-
-    /// Drain every event sharing the earliest pending timestamp into
-    /// `into` (appending, in `(time, order)` order). Returns the number of
-    /// events drained.
-    ///
-    /// This is the batched-delivery entry point: each run of the timestamp
-    /// costs one heap pop, and its cells go back to the free list in one
-    /// splice. Order is preserved exactly: events scheduled *while the
-    /// batch is processed* carry strictly larger order numbers than every
-    /// drained event (order numbers are global and monotone), so they sort
-    /// after the batch even at the same timestamp — the interleaving is
-    /// bit-identical to the one-at-a-time loop.
-    pub fn pop_ready_into(&mut self, into: &mut Vec<Event<P>>) -> usize {
-        let Some(at) = self.peek_time() else {
-            return 0;
+    /// Put what is left of the run being walked back on the heap, keyed by
+    /// the order of its next event: an earlier timestamp was pushed, so
+    /// the run is no longer the earliest. (The simulator never schedules
+    /// into the past; this keeps the queue exact for any caller.)
+    fn shelve_walked_run(&mut self) {
+        let Some((at, index)) = self.walking.take() else {
+            return;
         };
-        let before = into.len();
-        while let Some(run) = self.runs.peek_mut() {
-            let Reverse((run_at, _, first)) = *run;
-            if run_at != at {
-                break;
-            }
-            PeekMut::pop(run);
-            let (mut index, mut last) = (first, first);
-            while let Some(cell) = self.cells.get_mut(index as usize) {
-                into.extend(cell.event.take());
-                last = index;
-                index = cell.next;
-            }
-            if let Some(cell) = self.cells.get_mut(last as usize) {
-                cell.next = self.free;
-                self.free = first;
-            }
-            if self.open.is_some_and(|(_, open_last)| open_last == last) {
-                self.open = None;
-            }
+        let next_order = self
+            .cells
+            .get(index as usize)
+            .and_then(|cell| cell.event.as_ref())
+            .map(|event| event.order);
+        if let Some(order) = next_order {
+            self.runs.push(Reverse((at, order, index)));
         }
-        let drained = into.len() - before;
-        self.len -= drained;
-        drained
-    }
-
-    /// Reinsert an event that was drained (via [`EventQueue::pop`] or
-    /// [`EventQueue::pop_ready_into`]) but not processed — for example
-    /// when an event budget expires mid-batch. The event keeps its
-    /// original `order` and comes back as a run of its own, so it pops
-    /// again in exactly the position it would have occupied had it never
-    /// been drained: what is left of the run it came from starts at a
-    /// larger order, and no other run's range contains its order.
-    pub fn requeue(&mut self, event: Event<P>) {
-        let (at, order) = (event.at, event.order);
-        let cell = self.store(event);
-        self.runs.push(Reverse((at, order, cell)));
-        self.len += 1;
     }
 
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.runs.peek().map(|Reverse((at, ..))| *at)
+        match self.walking {
+            Some((at, _)) => Some(at),
+            None => self.runs.peek().map(|Reverse((at, ..))| *at),
+        }
     }
 
-    /// Number of pending events.
+    /// Number of pending events (a fan-out entry counts once per receiver
+    /// still to be handed out).
     pub fn len(&self) -> usize {
         self.len
     }
@@ -253,9 +250,79 @@ impl<P> EventQueue<P> {
         self.len == 0
     }
 
-    /// Total number of events ever scheduled.
+    /// Total number of events ever scheduled (a fan-out entry counts once
+    /// per receiver).
     pub fn scheduled_total(&self) -> u64 {
         self.next_order
+    }
+}
+
+impl<P: Clone> EventQueue<P> {
+    /// Remove and return the earliest event, if any. A fan-out entry with
+    /// receivers left hands out a copy addressed to the receiver whose
+    /// turn it is; its last receiver gets the stored payload itself.
+    pub fn pop(&mut self) -> Option<Event<P>> {
+        let (at, index) = match self.walking.take() {
+            Some(walking) => walking,
+            None => {
+                let Reverse((at, _, first)) = self.runs.pop()?;
+                self.open = None;
+                (at, first)
+            }
+        };
+        let cell = self.cells.get_mut(index as usize)?;
+        if !cell.rest.is_empty() {
+            return self.hand_out(at, index);
+        }
+        let event = cell.event.take()?;
+        let next = std::mem::replace(&mut cell.next, self.free);
+        self.free = index;
+        self.walking = (next != NIL).then_some((at, next));
+        self.len -= 1;
+        Some(event)
+    }
+
+    /// Hand out a copy of fan-out entry `index`'s event, and address the
+    /// entry to its next receiver: the entry stays the run's next. Kept
+    /// out of line, so that `pop` stays small for the single events most
+    /// runs are made of.
+    #[inline(never)]
+    fn hand_out(&mut self, at: SimTime, index: u32) -> Option<Event<P>> {
+        let cell = self.cells.get_mut(index as usize)?;
+        let &(to, seq) = cell.rest.get(cell.cursor as usize)?;
+        let event = cell.event.as_mut()?;
+        let copy = event.clone();
+        event.order += 1;
+        if let EventKind::Deliver {
+            to: next_to,
+            seq: next_seq,
+            ..
+        } = &mut event.kind
+        {
+            (*next_to, *next_seq) = (to, seq);
+        }
+        cell.cursor += 1;
+        if cell.cursor as usize == cell.rest.len() {
+            cell.rest.clear();
+            cell.cursor = 0;
+        }
+        self.walking = Some((at, index));
+        self.len -= 1;
+        Some(copy)
+    }
+
+    /// Pop every event sharing the earliest pending timestamp into `into`
+    /// (appending, in `(time, order)` order). Returns the number of events
+    /// popped.
+    pub fn pop_ready_into(&mut self, into: &mut Vec<Event<P>>) -> usize {
+        let Some(at) = self.peek_time() else {
+            return 0;
+        };
+        let before = into.len();
+        while self.peek_time() == Some(at) {
+            into.extend(self.pop());
+        }
+        into.len() - before
     }
 }
 
@@ -295,10 +362,23 @@ mod tests {
         }
     }
 
+    /// An event's model key: a timer's tag, a delivery's sequence number.
     fn key(e: &Event<()>) -> (SimTime, u64, u64) {
         match e.kind {
             EventKind::Timer { tag, .. } => (e.at, e.order, tag),
-            _ => unreachable!("the model test schedules timers only"),
+            EventKind::Deliver { seq, .. } => (e.at, e.order, seq),
+            EventKind::Duplicate { .. } => unreachable!("the model test schedules no duplicates"),
+        }
+    }
+
+    fn deliver<P>(to: usize, seq: u64, payload: P) -> EventKind<P> {
+        EventKind::Deliver {
+            from: NodeId(0),
+            to: NodeId(to),
+            seq,
+            data_bytes: 0,
+            control_bytes: 0,
+            payload,
         }
     }
 
@@ -310,17 +390,16 @@ mod tests {
         let mut model = HeapModel::default();
         let mut batch = Vec::new();
         for (i, &(op, a, b)) in ops.iter().enumerate() {
-            match op % 4 {
+            let at = SimTime(time_of(a, i));
+            match op % 5 {
                 0 | 1 => {
-                    let at = SimTime(time_of(a, i));
                     queue.push(at, timer(0, b));
                     model.push(at, b);
                 }
                 2 => assert_eq!(queue.pop().as_ref().map(key), model.pop()),
-                _ => {
-                    // Drain the earliest timestamp (into an empty buffer
-                    // or behind leftovers), process a prefix, requeue the
-                    // rest — the event-budget path of the simulator.
+                3 => {
+                    // Drain the earliest timestamp, into an empty buffer
+                    // or behind what an earlier drain left there.
                     let leftovers = batch.len();
                     let drained = queue.pop_ready_into(&mut batch);
                     let ready = model.pop_ready();
@@ -329,17 +408,20 @@ mod tests {
                         batch[leftovers..].iter().map(key).collect::<Vec<_>>(),
                         ready
                     );
-                    let processed = if drained == 0 {
-                        0
-                    } else {
-                        a as usize % (drained + 1)
-                    };
-                    for event in batch.drain(leftovers + processed..) {
-                        model.heap.push(Reverse(key(&event)));
-                        queue.requeue(event);
-                    }
                     if b % 2 == 0 {
                         batch.clear();
+                    }
+                }
+                _ => {
+                    // A fan-out entry of 2–6 receivers, one order number
+                    // and one model event each.
+                    let receivers: Vec<(NodeId, u64)> = (1..2 + b % 5)
+                        .map(|r| (NodeId(r as usize), b * 8 + r))
+                        .collect();
+                    queue.push_fan_out(at, deliver(0, b * 8, ()), &receivers);
+                    model.push(at, b * 8);
+                    for &(_, seq) in &receivers {
+                        model.push(at, seq);
                     }
                 }
             }
@@ -359,31 +441,32 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// Four timestamps for up to 200 operations: each timestamp
-        /// holds many short runs, requeues land in front of later pushes
-        /// at their time.
+        /// holds many short runs and fan-out entries, and pushes land at
+        /// the timestamp being walked, mid-run and mid-entry.
         #[test]
         fn matches_the_heap_model_under_heavy_ties(
-            ops in proptest::collection::vec((0u8..4, 0u64..4, 0u64..1000), 0..200)
+            ops in proptest::collection::vec((0u8..5, 0u64..4, 0u64..1000), 0..200)
         ) {
             run_against_model(&ops, |t, _| t);
         }
 
         /// Every push gets a timestamp of its own, in no particular
-        /// order: one event per run, the jittered-latency regime.
+        /// order: one entry per run, the jittered-latency regime — and
+        /// pushes earlier than the run being walked.
         #[test]
         fn matches_the_heap_model_with_distinct_timestamps(
-            ops in proptest::collection::vec((0u8..4, 0u64..50, 0u64..1000), 0..200)
+            ops in proptest::collection::vec((0u8..5, 0u64..50, 0u64..1000), 0..200)
         ) {
             run_against_model(&ops, |t, i| t * 1000 + i as u64);
         }
 
         /// Ten operations in a row share a timestamp, cycling over three:
-        /// long runs that are popped from, drained and requeued while
-        /// still open, and several runs per timestamp — the
-        /// constant-latency regime.
+        /// long runs of events and fan-out entries that are popped from
+        /// and drained while still open, and several runs per timestamp —
+        /// the constant-latency regime.
         #[test]
         fn matches_the_heap_model_with_long_runs(
-            ops in proptest::collection::vec((0u8..4, 0u64..4, 0u64..1000), 0..300)
+            ops in proptest::collection::vec((0u8..5, 0u64..4, 0u64..1000), 0..300)
         ) {
             run_against_model(&ops, |_, i| (i as u64 / 10) % 3);
         }
@@ -393,6 +476,14 @@ mod tests {
         EventKind::Timer {
             node: NodeId(node),
             tag,
+        }
+    }
+
+    fn tag_of<P>(e: &Event<P>) -> u64 {
+        match e.kind {
+            EventKind::Timer { tag, .. } => tag,
+            EventKind::Deliver { seq, .. } => seq,
+            EventKind::Duplicate { .. } => unreachable!(),
         }
     }
 
@@ -414,12 +505,7 @@ mod tests {
         for tag in 0..10u64 {
             q.push(SimTime(100), timer(0, tag));
         }
-        let tags: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|e| match e.kind {
-                EventKind::Timer { tag, .. } => tag,
-                _ => unreachable!(),
-            })
-            .collect();
+        let tags: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| tag_of(&e)).collect();
         assert_eq!(tags, (0..10).collect::<Vec<_>>());
     }
 
@@ -446,13 +532,7 @@ mod tests {
         q.push(SimTime(30), timer(3, 3));
         let mut batch = Vec::new();
         assert_eq!(q.pop_ready_into(&mut batch), 2);
-        let tags: Vec<u64> = batch
-            .iter()
-            .map(|e| match e.kind {
-                EventKind::Timer { tag, .. } => tag,
-                _ => unreachable!(),
-            })
-            .collect();
+        let tags: Vec<u64> = batch.iter().map(tag_of).collect();
         // Insertion order within the shared timestamp.
         assert_eq!(tags, vec![1, 2]);
         assert_eq!(q.len(), 2);
@@ -491,29 +571,77 @@ mod tests {
     }
 
     #[test]
-    fn requeue_restores_the_original_position() {
+    fn a_push_at_the_walked_timestamp_pops_after_the_run() {
         let mut q = EventQueue::new();
         for tag in 0..5u64 {
             q.push(SimTime(10), timer(0, tag));
         }
-        let mut batch = Vec::new();
-        q.pop_ready_into(&mut batch);
-        assert!(q.is_empty());
-        // Process the first two, put the rest back (budget expiry).
-        for e in batch.drain(..).skip(2) {
-            q.requeue(e);
-        }
-        // New events scheduled "during processing" sort after them.
+        // Walk the run part of the way, as a budget-bounded run does…
+        assert_eq!(q.pop().map(|e| tag_of(&e)), Some(0));
+        assert_eq!(q.pop().map(|e| tag_of(&e)), Some(1));
+        // …then schedule "during processing" at the same timestamp: the
+        // new event sorts after the rest of the run.
         q.push(SimTime(10), timer(0, 99));
-        let tags: Vec<u64> = std::iter::from_fn(|| q.pop())
+        let tags: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| tag_of(&e)).collect();
+        assert_eq!(tags, vec![2, 3, 4, 99]);
+        assert_eq!(q.scheduled_total(), 6);
+    }
+
+    /// A payload that counts its clones.
+    #[derive(Debug)]
+    struct Counted(std::rc::Rc<std::cell::Cell<u32>>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.0.set(self.0.get() + 1);
+            Counted(std::rc::Rc::clone(&self.0))
+        }
+    }
+
+    #[test]
+    fn a_fan_out_entry_hands_out_one_receiver_per_pop() {
+        let clones = std::rc::Rc::new(std::cell::Cell::new(0));
+        let mut q = EventQueue::new();
+        q.push(
+            SimTime(10),
+            deliver(9, 0, Counted(std::rc::Rc::clone(&clones))),
+        );
+        q.push_fan_out(
+            SimTime(10),
+            deliver(1, 11, Counted(std::rc::Rc::clone(&clones))),
+            &[(NodeId(2), 12), (NodeId(3), 13)],
+        );
+        // One order number and one pending event per receiver.
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.scheduled_total(), 4);
+        let popped: Vec<(u64, usize, u64)> = std::iter::from_fn(|| q.pop())
             .map(|e| match e.kind {
-                EventKind::Timer { tag, .. } => tag,
+                EventKind::Deliver { to, seq, .. } => (e.order, to.index(), seq),
                 _ => unreachable!(),
             })
             .collect();
-        assert_eq!(tags, vec![2, 3, 4, 99]);
-        // Requeues do not inflate the scheduled total.
-        assert_eq!(q.scheduled_total(), 6);
+        assert_eq!(popped, vec![(0, 9, 0), (1, 1, 11), (2, 2, 12), (3, 3, 13)]);
+        // Every receiver but the last got a copy.
+        assert_eq!(clones.get(), 2);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_push_mid_entry_waits_for_the_entry_to_finish() {
+        let mut q = EventQueue::new();
+        q.push_fan_out(
+            SimTime(10),
+            deliver(1, 1, ()),
+            &[(NodeId(2), 2), (NodeId(3), 3)],
+        );
+        assert_eq!(q.pop().map(|e| tag_of(&e)), Some(1));
+        q.push(SimTime(10), timer(0, 99));
+        q.push(SimTime(5), timer(0, 50));
+        assert_eq!(q.len(), 4);
+        // The earlier timestamp first, then the rest of the entry, then
+        // the push made while it was being handed out.
+        let tags: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| tag_of(&e)).collect();
+        assert_eq!(tags, vec![50, 2, 3, 99]);
     }
 
     #[test]

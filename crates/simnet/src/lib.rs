@@ -58,7 +58,7 @@ pub use backend::{ExecBackend, ThreadedMode};
 pub use channel::{Channel, LatencyModel, Transmission};
 pub use event::{Event, EventKind, EventQueue};
 pub use fault::{CrashWindow, DownAction, FaultError, FaultPlan};
-pub use message::{Envelope, NodeId, Payload, WireSize};
+pub use message::{Envelope, NodeId, WireSize};
 pub use network::Topology;
 pub use node::{Node, NodeContext, Outgoing};
 pub use pool::{BufferPool, PoolStats};

@@ -7,6 +7,13 @@
 //! into *data bytes* (the application value being written) and *control
 //! bytes* (timestamps, vector clocks, dependency summaries, sequence
 //! numbers...). The statistics module aggregates both per link and per node.
+//!
+//! Payloads travel by value: a delivery event owns its payload, and a
+//! fan-out's receivers share one queue entry that stores the payload once
+//! and clones it per receiver as they come due (see [`crate::event`]). A
+//! payload that a fan-out sends to many receivers should therefore be
+//! cheap to clone — the protocols keep their vector-clock stamps and
+//! record batches behind an `Arc`, so a clone is a reference-count bump.
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -98,89 +105,6 @@ impl<P: WireSize> Envelope<P> {
     }
 }
 
-/// A queued payload: owned outright by its delivery event (the unicast
-/// case) or shared behind an [`Rc`](std::rc::Rc) by every delivery event
-/// of one multicast fan-out.
-///
-/// Expanding an [`Outgoing::Many`](crate::node::Outgoing::Many) used to
-/// clone the payload once per destination, so a single causal broadcast
-/// at `n` nodes held `n - 1` live copies of an `O(n)` vector clock in the
-/// event queue — `O(n²)` bytes of queued payload per write. Sharing one
-/// allocation makes the queued cost `O(n)` again. The sharing is purely
-/// a memory optimization: [`Payload::into_owned`] materializes a private
-/// copy at delivery time (reclaiming the allocation without a copy for
-/// the last receiver), so nodes observe exactly the cloned-per-
-/// destination semantics, bit for bit.
-pub enum Payload<P> {
-    /// The event owns its payload.
-    Owned(P),
-    /// The payload is shared with the other events of its fan-out.
-    Shared(std::rc::Rc<P>),
-}
-
-impl<P> Payload<P> {
-    /// Borrow the payload value, wherever it lives.
-    pub fn value(&self) -> &P {
-        match self {
-            Payload::Owned(p) => p,
-            Payload::Shared(rc) => rc,
-        }
-    }
-}
-
-impl<P: Clone> Payload<P> {
-    /// Take ownership of the payload value: by move when owned, by
-    /// unwrapping when this is the last live handle of its fan-out, and
-    /// by clone only while other deliveries still share it.
-    pub fn into_owned(self) -> P {
-        match self {
-            Payload::Owned(p) => p,
-            Payload::Shared(rc) => {
-                std::rc::Rc::try_unwrap(rc).unwrap_or_else(|shared| (*shared).clone())
-            }
-        }
-    }
-}
-
-impl<P> Clone for Payload<P>
-where
-    P: Clone,
-{
-    fn clone(&self) -> Self {
-        match self {
-            Payload::Owned(p) => Payload::Owned(p.clone()),
-            Payload::Shared(rc) => Payload::Shared(std::rc::Rc::clone(rc)),
-        }
-    }
-}
-
-impl<P: fmt::Debug> fmt::Debug for Payload<P> {
-    /// Transparent: traces print the payload value itself, so trace
-    /// output is identical whether or not the payload was shared.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.value().fmt(f)
-    }
-}
-
-impl<P: PartialEq> PartialEq for Payload<P> {
-    /// Value equality: an owned payload equals a shared one carrying the
-    /// same value.
-    fn eq(&self, other: &Self) -> bool {
-        self.value() == other.value()
-    }
-}
-
-impl<P: Eq> Eq for Payload<P> {}
-
-impl<P: WireSize> WireSize for Payload<P> {
-    fn data_bytes(&self) -> usize {
-        self.value().data_bytes()
-    }
-    fn control_bytes(&self) -> usize {
-        self.value().control_bytes()
-    }
-}
-
 /// A trivial payload with explicit sizes; useful for tests and for traffic
 /// generators that only care about volume.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -246,38 +170,5 @@ mod tests {
     fn node_id_ordering_is_by_index() {
         assert!(NodeId(1) < NodeId(2));
         assert!(NodeId(10) > NodeId(2));
-    }
-
-    #[test]
-    fn payload_sharing_is_observably_transparent() {
-        let owned: Payload<RawPayload> = Payload::Owned(RawPayload::new(4, 8));
-        let shared: Payload<RawPayload> = Payload::Shared(std::rc::Rc::new(RawPayload::new(4, 8)));
-        // Value equality across representations.
-        assert_eq!(owned, shared);
-        // Wire accounting and debug output delegate to the value.
-        assert_eq!(shared.data_bytes(), 4);
-        assert_eq!(shared.control_bytes(), 8);
-        assert_eq!(shared.total_bytes(), 12);
-        assert_eq!(format!("{owned:?}"), format!("{shared:?}"));
-        assert_eq!(
-            format!("{shared:?}"),
-            format!("{:?}", RawPayload::new(4, 8))
-        );
-    }
-
-    #[test]
-    fn into_owned_reclaims_the_last_shared_handle() {
-        let rc = std::rc::Rc::new(RawPayload::new(1, 2));
-        let a: Payload<RawPayload> = Payload::Shared(std::rc::Rc::clone(&rc));
-        let b: Payload<RawPayload> = Payload::Shared(std::rc::Rc::clone(&rc));
-        drop(rc);
-        // First materialization clones (the fan-out still shares)...
-        assert_eq!(a.into_owned(), RawPayload::new(1, 2));
-        // ...the last one unwraps the allocation without copying.
-        assert_eq!(b.into_owned(), RawPayload::new(1, 2));
-        assert_eq!(
-            Payload::Owned(RawPayload::new(9, 9)).into_owned(),
-            RawPayload::new(9, 9)
-        );
     }
 }

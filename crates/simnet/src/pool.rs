@@ -1,12 +1,13 @@
-//! Recycled buffer pools for the delivery hot path.
+//! Recycled buffer pools for the threaded sites' handler contexts.
 //!
-//! Every delivered event used to allocate (and drop) a fresh outbox and
-//! timer `Vec` for its [`NodeContext`](crate::node::NodeContext), and
-//! every batch drain a fresh scratch `Vec` of events — millions of
-//! round trips through the allocator on a large sweep. A [`BufferPool`]
-//! keeps emptied buffers on free lists keyed by capacity size class
-//! (powers of two), so steady-state delivery reuses the same handful of
-//! allocations for the whole run.
+//! Every handler a threaded site runs needs an outbox and a timer `Vec`
+//! for its [`NodeContext`](crate::node::NodeContext); allocating and
+//! dropping two fresh ones per delivery is millions of round trips
+//! through the allocator on a large sweep. A [`BufferPool`] keeps emptied
+//! buffers on free lists keyed by capacity size class (powers of two), so
+//! steady-state delivery reuses the same handful of allocations for the
+//! whole run. (The simulator needs no pool: its callbacks never nest, so
+//! it lends its one outbox and one timer buffer to every context.)
 //!
 //! The pool is deliberately simple and fully deterministic: free lists
 //! are plain LIFO stacks, acquisition scans upward from the requested

@@ -567,12 +567,14 @@ impl<P, N> Relay<P, N> {
         self.forwarded
     }
 
-    /// Number of multicast destinations dropped because this node is not
-    /// on the envelope's broadcast-tree path to them. Always zero when
-    /// envelopes follow the tree the source split them on; a nonzero
-    /// count means an envelope was corrupted or injected out-of-band,
-    /// and the delivery path drops the stray destination (counting it
-    /// here) instead of tearing the whole simulation down.
+    /// Number of destinations dropped because this node has no route to
+    /// them: a multicast destination off the envelope's broadcast-tree
+    /// path, or a transit envelope bound for an id the router does not
+    /// cover. Always zero when envelopes follow the routes their source
+    /// chose; a nonzero count means an envelope was corrupted or
+    /// injected out-of-band, and the delivery path drops the stray
+    /// destination (counting it here) instead of tearing the whole
+    /// simulation down.
     pub fn misrouted(&self) -> u64 {
         self.misrouted
     }
@@ -590,6 +592,11 @@ impl<P: Clone, N> Relay<P, N> {
     /// multi-destination sends become one [`Multicast`] envelope per
     /// broadcast-tree child when multicast is enabled (and degrade to
     /// the unicast fan-out otherwise); timers pass through unchanged.
+    ///
+    /// A destination with no route — the sender itself, or an id the
+    /// router does not cover — is no link either: it goes to `outer`
+    /// addressed to itself, so the simulator refuses it with the error
+    /// the direct transport returns.
     pub(crate) fn with_inner<R>(
         &mut self,
         outer: &mut NodeContext<Packet<P>>,
@@ -604,9 +611,15 @@ impl<P: Clone, N> Relay<P, N> {
         let result = f(&mut self.inner, &mut ctx);
         let (mut outbox, mut timers) = ctx.into_parts();
         let (me, router) = (self.me, &*self.router);
+        let covered = |to: NodeId| to.index() < router.node_count();
         let unicast = |outer: &mut NodeContext<Packet<P>>, to: NodeId, payload: P| {
+            let hop = if covered(to) {
+                router.next_hop(me, to)
+            } else {
+                to
+            };
             outer.send(
-                router.next_hop(me, to),
+                hop,
                 Packet::One(Routed {
                     src: me,
                     dst: to,
@@ -625,16 +638,18 @@ impl<P: Clone, N> Relay<P, N> {
                 Outgoing::Many(mut targets, payload) => {
                     // One envelope per broadcast-tree child of the source,
                     // carrying the targets inside that subtree.
+                    // The ids the router does not cover sort last.
                     router.sort_for_multicast(me, &mut targets, &mut self.keys);
+                    let routable = targets.partition_point(|&to| covered(to));
                     let all: Arc<[NodeId]> = targets.into();
-                    let (to_self, _) = router.split(me, me, &all, |child, range| {
+                    let (tree, unroutable) = all.split_at_checked(routable).unwrap_or_default();
+                    let (to_self, _) = router.split(me, me, tree, |child, range| {
                         let copy = Multicast::part(me, &all, range, payload.clone());
                         outer.send(child, Packet::Many(copy));
                     });
-                    if to_self {
-                        // Not a link: let the simulator refuse it, as it
-                        // refuses a unicast to oneself.
-                        unicast(outer, me, payload);
+                    let refused = to_self.then_some(me).into_iter();
+                    for to in refused.chain(unroutable.iter().copied()) {
+                        unicast(outer, to, payload.clone());
                     }
                 }
             }
@@ -664,11 +679,16 @@ where
                     self.with_inner(ctx, |inner, inner_ctx| {
                         inner.on_message(inner_ctx, env.src, env.payload);
                     });
-                } else {
+                } else if env.dst.index() < self.router.node_count() {
                     // Transit traffic: forward along the shortest path
                     // without waking the protocol node.
                     self.forwarded += 1;
                     ctx.send(self.router.next_hop(self.me, env.dst), Packet::One(env));
+                } else {
+                    // No route exists (the source refuses such a send, so
+                    // the envelope was corrupted or injected): dropped
+                    // and counted, like a multicast's stray destination.
+                    self.misrouted += 1;
                 }
             }
             Packet::Many(env) => {
@@ -1240,5 +1260,28 @@ mod tests {
         assert_eq!(relay.forwarded(), 0);
         let (outbox, _) = ctx.into_parts();
         assert!(outbox.is_empty());
+    }
+
+    /// A transit envelope bound for an id the router does not cover has
+    /// no next hop: it is dropped and counted, never looked up in the
+    /// routing table (which would read another source's row, or run past
+    /// the table's end).
+    #[test]
+    fn a_transit_envelope_bound_outside_the_topology_is_counted_not_forwarded() {
+        let router = Arc::new(Router::new(&Topology::grid_of(64)).unwrap());
+        let mut relay = Relay::new(Sink::default(), NodeId(63), Arc::clone(&router), false);
+        let mut ctx = NodeContext::new(NodeId(63), SimTime::ZERO);
+        relay.on_message(
+            &mut ctx,
+            NodeId(62),
+            Packet::One(Routed {
+                src: NodeId(0),
+                dst: NodeId(70),
+                payload: RawPayload::new(8, 4),
+            }),
+        );
+        assert_eq!((relay.forwarded(), relay.misrouted()), (0, 1));
+        assert!(relay.inner().received.is_empty());
+        assert!(ctx.outgoing().is_empty());
     }
 }

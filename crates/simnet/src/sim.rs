@@ -7,19 +7,17 @@
 //! then advancing virtual time with [`Simulator::run_until_quiescent`] or
 //! [`Simulator::step`].
 
-use crate::channel::{Channel, LatencyModel};
+use crate::channel::{Channel, LatencyModel, Transmission};
 use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::{DownAction, FaultError, FaultPlan};
-use crate::message::{NodeId, Payload, WireSize};
+use crate::message::{NodeId, WireSize};
 use crate::network::Topology;
 use crate::node::{Node, NodeContext, Outgoing};
-use crate::pool::{BufferPool, PoolStats};
 use crate::stats::NetworkStats;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{EventTrace, TraceEntry};
 use crate::transport::{DeliveryMode, RoutingMode};
 use std::fmt;
-use std::rc::Rc;
 
 /// Why the simulator could not carry a message.
 ///
@@ -169,9 +167,7 @@ pub struct Simulator<P, N> {
     config: SimConfig,
     nodes: Vec<N>,
     channels: Vec<Option<Channel>>,
-    /// Queued payloads are [`Payload`]-wrapped so one multicast fan-out
-    /// shares a single allocation across all of its delivery events.
-    queue: EventQueue<Payload<P>>,
+    queue: EventQueue<P>,
     now: SimTime,
     stats: NetworkStats,
     trace: EventTrace,
@@ -183,13 +179,15 @@ pub struct Simulator<P, N> {
     manual_down: Vec<bool>,
     /// Envelopes parked at runtime-crashed nodes, redelivered in order by
     /// [`Simulator::set_up`].
-    parked: Vec<Vec<(NodeId, u64, Payload<P>)>>,
-    /// Recycled outbox buffers for delivery-path [`NodeContext`]s.
-    outbox_pool: BufferPool<Outgoing<P>>,
-    /// Recycled timer-request buffers for delivery-path [`NodeContext`]s.
-    timer_pool: BufferPool<(SimDuration, u64)>,
-    /// Recycled scratch buffers for the batched event drain.
-    batch_pool: BufferPool<Event<Payload<P>>>,
+    parked: Vec<Vec<(NodeId, u64, P)>>,
+    /// The outbox and timer buffers of the one live [`NodeContext`]:
+    /// callbacks never nest, so [`Simulator::lend_context`] lends these
+    /// and [`Simulator::flush_context`] takes them back, emptied.
+    outbox: Vec<Outgoing<P>>,
+    timers: Vec<(SimDuration, u64)>,
+    /// Scratch for [`Simulator::send_many`]: the receivers, with their
+    /// sequence numbers, of the fan-out entry being assembled.
+    fan: Vec<(NodeId, u64)>,
 }
 
 impl<P, N> Simulator<P, N>
@@ -235,9 +233,9 @@ where
             started: false,
             manual_down: vec![false; n],
             parked: (0..n).map(|_| Vec::new()).collect(),
-            outbox_pool: BufferPool::new(),
-            timer_pool: BufferPool::new(),
-            batch_pool: BufferPool::new(),
+            outbox: Vec::new(),
+            timers: Vec::new(),
+            fan: Vec::new(),
         }
     }
 
@@ -324,32 +322,15 @@ where
         &self.stats
     }
 
-    /// Combined buffer-pool counters (outbox + timer + event-batch
-    /// pools): how often the delivery hot path reused a recycled buffer
-    /// instead of allocating. Purely observational — pooling never
-    /// changes simulation results.
-    pub fn pool_stats(&self) -> PoolStats {
-        let (a, b, c) = (
-            self.outbox_pool.stats(),
-            self.timer_pool.stats(),
-            self.batch_pool.stats(),
-        );
-        PoolStats {
-            hits: a.hits + b.hits + c.hits,
-            misses: a.misses + b.misses + c.misses,
-            recycled: a.recycled + b.recycled + c.recycled,
-            discarded: a.discarded + b.discarded + c.discarded,
-        }
-    }
-
-    /// A [`NodeContext`] for `me` at the current time, backed by pooled
-    /// buffers ([`Simulator::flush_context`] returns them).
-    fn recycled_context(&mut self, me: NodeId) -> NodeContext<P> {
+    /// A [`NodeContext`] for `me` at the current time, on the
+    /// simulator's own buffers ([`Simulator::flush_context`] takes them
+    /// back).
+    fn lend_context(&mut self, me: NodeId) -> NodeContext<P> {
         NodeContext::with_buffers(
             me,
             self.now,
-            self.outbox_pool.acquire(0),
-            self.timer_pool.acquire(0),
+            std::mem::take(&mut self.outbox),
+            std::mem::take(&mut self.timers),
         )
     }
 
@@ -363,7 +344,8 @@ where
         self.events_processed
     }
 
-    /// Number of messages/timers still pending.
+    /// Number of messages/timers still pending (a fan-out counts once per
+    /// receiver not yet delivered).
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }
@@ -384,7 +366,7 @@ where
         }
         self.started = true;
         for i in 0..self.nodes.len() {
-            let mut ctx = self.recycled_context(NodeId(i));
+            let mut ctx = self.lend_context(NodeId(i));
             if let Some(node) = self.nodes.get_mut(i) {
                 node.on_start(&mut ctx);
             }
@@ -420,7 +402,7 @@ where
         f: impl FnOnce(&mut N, &mut NodeContext<P>) -> R,
     ) -> Result<R, SendError> {
         self.try_start()?;
-        let mut ctx = self.recycled_context(id);
+        let mut ctx = self.lend_context(id);
         let node = self
             .nodes
             .get_mut(id.index())
@@ -451,10 +433,10 @@ where
         Ok(true)
     }
 
-    /// Handle one drained event: advance virtual time and dispatch to the
-    /// destination node. Shared by the single-step path and the batched
-    /// drain in [`Simulator::try_run_until_quiescent`].
-    fn process_event(&mut self, event: Event<Payload<P>>) -> Result<(), SendError> {
+    /// Handle one popped event: advance virtual time and dispatch to the
+    /// destination node. Shared by the single-step path and the run loop
+    /// of [`Simulator::try_run_until_quiescent`].
+    fn process_event(&mut self, event: Event<P>) -> Result<(), SendError> {
         debug_assert!(event.at >= self.now, "time must not run backwards");
         self.now = event.at;
         self.events_processed += 1;
@@ -479,12 +461,12 @@ where
                         label: format!("{payload:?}"),
                     });
                 }
-                let mut ctx = self.recycled_context(to);
+                let mut ctx = self.lend_context(to);
                 let node = self
                     .nodes
                     .get_mut(to.index())
                     .ok_or(SendError::UnknownNode { node: to })?;
-                node.on_message(&mut ctx, from, payload.into_owned());
+                node.on_message(&mut ctx, from, payload);
                 self.flush_context(to, ctx)?;
             }
             EventKind::Timer { node, tag } => {
@@ -499,7 +481,7 @@ where
                         tag,
                     });
                 }
-                let mut ctx = self.recycled_context(node);
+                let mut ctx = self.lend_context(node);
                 let state = self
                     .nodes
                     .get_mut(node.index())
@@ -522,13 +504,13 @@ where
         from: NodeId,
         to: NodeId,
         seq: u64,
-        payload: Payload<P>,
+        payload: P,
     ) -> Result<(), SendError> {
         let action = self
             .nodes
             .get(to.index())
             .ok_or(SendError::UnknownNode { node: to })?
-            .while_down(payload.value());
+            .while_down(&payload);
         match action {
             DownAction::Lose => {
                 self.stats.record_crash_loss(to);
@@ -579,44 +561,22 @@ where
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible variant of [`Simulator::run_until_quiescent`].
-    ///
-    /// The run loop drains all events sharing the earliest timestamp at
-    /// once ([`EventQueue::pop_ready_into`]) instead of popping per
-    /// event; the interleaving is bit-identical to the single-step loop
-    /// because events scheduled while a batch is processed always carry
-    /// larger order numbers (see the batch-drain docs). On budget expiry
-    /// or a send error mid-batch the unprocessed remainder is requeued at
-    /// its original positions.
+    /// Fallible variant of [`Simulator::run_until_quiescent`]. The event
+    /// budget is checked before each pop, so an exhausted run leaves the
+    /// queue exactly as the next pop would find it.
     pub fn try_run_until_quiescent(&mut self) -> Result<RunOutcome, SendError> {
         self.try_start()?;
         let mut processed = 0u64;
-        let mut batch = self.batch_pool.acquire(0);
         while !self.queue.is_empty() {
-            self.queue.pop_ready_into(&mut batch);
-            let mut events = batch.drain(..);
-            while let Some(event) = events.next() {
-                if self.config.max_events > 0 && processed >= self.config.max_events {
-                    self.queue.requeue(event);
-                    for rest in events {
-                        self.queue.requeue(rest);
-                    }
-                    self.batch_pool.release(batch);
-                    return Ok(RunOutcome::Exhausted { events: processed });
-                }
-                match self.process_event(event) {
-                    Ok(()) => processed += 1,
-                    Err(e) => {
-                        for rest in events {
-                            self.queue.requeue(rest);
-                        }
-                        self.batch_pool.release(batch);
-                        return Err(e);
-                    }
-                }
+            if self.config.max_events > 0 && processed >= self.config.max_events {
+                return Ok(RunOutcome::Exhausted { events: processed });
             }
+            let Some(event) = self.queue.pop() else {
+                break;
+            };
+            self.process_event(event)?;
+            processed += 1;
         }
-        self.batch_pool.release(batch);
         Ok(RunOutcome::Quiescent { events: processed })
     }
 
@@ -646,6 +606,8 @@ where
         (self.nodes, self.stats, self.trace)
     }
 
+    /// Schedule what a callback requested — its timers, then its sends
+    /// in order — and take the lent buffers back.
     fn flush_context(&mut self, origin: NodeId, ctx: NodeContext<P>) -> Result<(), SendError> {
         let (mut outbox, mut timers) = ctx.into_parts();
         // Timers cannot fail; schedule them first so a SendError on a later
@@ -654,44 +616,105 @@ where
             self.queue
                 .push(self.now + delay, EventKind::Timer { node: origin, tag });
         }
-        self.timer_pool.release(timers);
-        // The raw simulator has no routing tables, so a multi-destination
-        // entry degrades to its definition: one delivery per destination,
-        // in order — but the fan-out's events share one payload
-        // allocation instead of cloning it per destination. Tree
-        // deduplication lives in the routed transport alone.
+        self.timers = timers;
         let mut result = Ok(());
         for out in outbox.drain(..) {
             result = match out {
-                Outgoing::One(to, payload) => {
-                    self.send_message(origin, to, Payload::Owned(payload))
-                }
-                Outgoing::Many(targets, payload) => {
-                    let shared = Rc::new(payload);
-                    let mut fanned = Ok(());
-                    for to in targets {
-                        fanned = self.send_message(origin, to, Payload::Shared(Rc::clone(&shared)));
-                        if fanned.is_err() {
-                            break;
-                        }
-                    }
-                    fanned
-                }
+                Outgoing::One(to, payload) => self.send_one(origin, to, payload),
+                Outgoing::Many(targets, payload) => self.send_many(origin, &targets, payload),
             };
             if result.is_err() {
                 break;
             }
         }
-        self.outbox_pool.release(outbox);
+        self.outbox = outbox;
         result
     }
 
-    fn send_message(
+    fn send_one(&mut self, from: NodeId, to: NodeId, payload: P) -> Result<(), SendError> {
+        let (data, control) = (payload.data_bytes(), payload.control_bytes());
+        let (sent, seq) = self.transmit(from, to, data, control, &payload)?;
+        if let Some(at) = sent.duplicate_at {
+            self.queue.push(at, EventKind::Duplicate { from, to });
+        }
+        self.queue.push(
+            sent.delivery,
+            EventKind::Deliver {
+                from,
+                to,
+                seq,
+                data_bytes: data,
+                control_bytes: control,
+                payload,
+            },
+        );
+        Ok(())
+    }
+
+    /// Send one payload to every receiver of `targets`, in order — the
+    /// raw simulator has no routing tables, so a fan-out is its
+    /// definition: one transmission per receiver, exactly as
+    /// [`Simulator::send_one`] would make them. Consecutive receivers
+    /// whose copies land at one instant, with no duplicate copy
+    /// scheduled between them, become one queue entry holding the
+    /// payload once ([`EventQueue::push_fan_out`]); a receiver that
+    /// cannot join closes the entry with a copy of its own. A send error
+    /// schedules the receivers before it.
+    fn send_many(&mut self, from: NodeId, targets: &[NodeId], payload: P) -> Result<(), SendError> {
+        let (data, control) = (payload.data_bytes(), payload.control_bytes());
+        let deliver = |(to, seq): (NodeId, u64), payload| EventKind::Deliver {
+            from,
+            to,
+            seq,
+            data_bytes: data,
+            control_bytes: control,
+            payload,
+        };
+        let mut fan = std::mem::take(&mut self.fan);
+        fan.clear();
+        let mut at = self.now;
+        let mut result = Ok(());
+        for &to in targets {
+            let (sent, seq) = match self.transmit(from, to, data, control, &payload) {
+                Ok(sent) => sent,
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
+            };
+            if sent.delivery != at || sent.duplicate_at.is_some() {
+                if let Some((&first, rest)) = fan.split_first() {
+                    self.queue
+                        .push_fan_out(at, deliver(first, payload.clone()), rest);
+                    fan.clear();
+                }
+            }
+            if let Some(duplicate_at) = sent.duplicate_at {
+                self.queue
+                    .push(duplicate_at, EventKind::Duplicate { from, to });
+            }
+            at = sent.delivery;
+            fan.push((to, seq));
+        }
+        if let Some((&first, rest)) = fan.split_first() {
+            self.queue.push_fan_out(at, deliver(first, payload), rest);
+        }
+        self.fan = fan;
+        result
+    }
+
+    /// Put one copy of a `data` + `control`-byte payload on the channel
+    /// `from → to`: the channel's draws and sequence number, the
+    /// send-side counters and the trace's `Sent` entry. The caller
+    /// schedules the delivery and the fault plan's duplicate, if any.
+    fn transmit(
         &mut self,
         from: NodeId,
         to: NodeId,
-        payload: Payload<P>,
-    ) -> Result<(), SendError> {
+        data: usize,
+        control: usize,
+        payload: &P,
+    ) -> Result<(Transmission, u64), SendError> {
         let n = self.topology.node_count();
         let no_link = SendError::NoLink { from, to };
         if to.index() >= n {
@@ -714,17 +737,13 @@ where
             )),
             None => return Err(no_link),
         };
-        // The payload's sizes are computed here, once per hop, and ride
-        // with the delivery event.
-        let (data, control) = (payload.data_bytes(), payload.control_bytes());
         let transmission = channel.transmit(self.now, data + control);
         let seq = channel.sent_count();
         self.stats.record_send(from, to, data, control);
         self.stats
             .record_retransmits(from, to, transmission.drops, data, control);
-        if let Some(at) = transmission.duplicate_at {
+        if transmission.duplicate_at.is_some() {
             self.stats.record_duplicate(from, to, data, control);
-            self.queue.push(at, EventKind::Duplicate { from, to });
         }
         if self.trace.is_enabled() {
             self.trace.record(TraceEntry::Sent {
@@ -735,18 +754,7 @@ where
                 label: format!("{payload:?}"),
             });
         }
-        self.queue.push(
-            transmission.delivery,
-            EventKind::Deliver {
-                from,
-                to,
-                seq,
-                data_bytes: data,
-                control_bytes: control,
-                payload,
-            },
-        );
-        Ok(())
+        Ok((transmission, seq))
     }
 }
 
@@ -832,6 +840,181 @@ mod tests {
         let outcome = sim.run_until_quiescent();
         assert_eq!(outcome, RunOutcome::Exhausted { events: 7 });
         assert!(sim.pending_events() > 0);
+    }
+
+    /// Floods a full mesh: every message with hops left goes on to every
+    /// other node — through `send_multi`, or through the `send` loop it is
+    /// documented to equal — and an even payload also arms a zero-delay
+    /// timer whose unicast lands between the fan-outs.
+    #[derive(Debug)]
+    struct Flood {
+        id: usize,
+        n: usize,
+        multi: bool,
+        got: Vec<(NodeId, RawPayload)>,
+        timers: u64,
+    }
+
+    impl Flood {
+        fn broadcast(&self, ctx: &mut NodeContext<RawPayload>, p: RawPayload) {
+            let others = (0..self.n).filter(|&i| i != self.id).map(NodeId);
+            if self.multi {
+                ctx.send_multi(others, p);
+            } else {
+                others.for_each(|to| ctx.send(to, p));
+            }
+        }
+    }
+
+    impl Node<RawPayload> for Flood {
+        fn on_start(&mut self, ctx: &mut NodeContext<RawPayload>) {
+            if self.id < 2 {
+                self.broadcast(ctx, RawPayload::new(self.id, 2));
+            }
+        }
+
+        fn on_message(&mut self, ctx: &mut NodeContext<RawPayload>, from: NodeId, p: RawPayload) {
+            self.got.push((from, p));
+            if p.control > 0 {
+                self.broadcast(ctx, RawPayload::new(p.data + self.id, p.control - 1));
+            }
+            if p.data.is_multiple_of(2) {
+                ctx.set_timer(SimDuration::ZERO, p.data as u64);
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut NodeContext<RawPayload>, tag: u64) {
+            self.timers += 1;
+            ctx.send(
+                NodeId((self.id + 1) % self.n),
+                RawPayload::new(tag as usize + 1, 0),
+            );
+        }
+    }
+
+    /// Everything a run shows: trace, wire counters, what each node
+    /// received and how many timers it saw, time, events processed.
+    type Observed = (
+        Vec<TraceEntry>,
+        NetworkStats,
+        Vec<(Vec<(NodeId, RawPayload)>, u64)>,
+        SimTime,
+        u64,
+    );
+
+    fn flood(config: &SimConfig, multi: bool, budget: u64) -> Simulator<RawPayload, Flood> {
+        let n = 5;
+        let nodes = (0..n)
+            .map(|id| Flood {
+                id,
+                n,
+                multi,
+                got: Vec::new(),
+                timers: 0,
+            })
+            .collect();
+        let config = SimConfig {
+            trace_capacity: Some(1 << 16),
+            max_events: budget,
+            ..config.clone()
+        };
+        Simulator::new(Topology::full_mesh(n), config, nodes)
+    }
+
+    fn observe(sim: Simulator<RawPayload, Flood>) -> Observed {
+        let (now, events) = (sim.now(), sim.events_processed());
+        let (nodes, stats, trace) = sim.into_parts();
+        let states = nodes.into_iter().map(|node| (node.got, node.timers));
+        (
+            trace.entries().to_vec(),
+            stats,
+            states.collect(),
+            now,
+            events,
+        )
+    }
+
+    #[test]
+    fn send_multi_equals_a_send_loop_under_every_latency_and_budget() {
+        let configs = [
+            SimConfig::default(),
+            SimConfig {
+                latency: LatencyModel::Uniform {
+                    min: SimDuration::from_micros(1),
+                    max: SimDuration::from_micros(50),
+                },
+                ..SimConfig::default()
+            },
+            SimConfig {
+                faults: FaultPlan::duplicating(0.5, 7),
+                ..SimConfig::default()
+            },
+        ];
+        for config in &configs {
+            let run = |multi: bool| {
+                let mut sim = flood(config, multi, 0);
+                assert!(sim.run_until_quiescent().is_quiescent());
+                observe(sim)
+            };
+            let reference = run(false);
+            assert!(reference.1.total_duplicates() > 0 || config.faults.duplicate_rate == 0.0);
+            assert_eq!(run(true), reference, "{:?}", config.latency);
+            // Every event, duplicates included, pops at the same
+            // `(time, order)` with the same action.
+            let popped = |multi: bool| {
+                let mut sim = flood(config, multi, 0);
+                sim.start();
+                let mut log = Vec::new();
+                while let Some(event) = sim.queue.pop() {
+                    log.push((event.at, event.order, format!("{:?}", event.kind)));
+                    sim.process_event(event).unwrap();
+                }
+                log
+            };
+            assert_eq!(popped(true), popped(false), "{:?}", config.latency);
+            // Stopped by the budget after every k events, then resumed:
+            // the same pending count at the stop, the same run in the end.
+            let total = reference.4;
+            for k in 1..=total {
+                let stopped = |multi: bool| {
+                    let mut sim = flood(config, multi, k);
+                    let outcome = sim.run_until_quiescent();
+                    assert_eq!(outcome.events(), k);
+                    assert_eq!(outcome.is_quiescent(), k == total);
+                    sim
+                };
+                let (mut multi, mut looped) = (stopped(true), stopped(false));
+                assert_eq!(multi.pending_events(), looped.pending_events(), "k = {k}");
+                for sim in [&mut multi, &mut looped] {
+                    if k % 2 == 0 {
+                        while sim.step() {}
+                    } else {
+                        while !sim.run_until_quiescent().is_quiescent() {}
+                    }
+                }
+                assert_eq!(observe(multi), reference, "k = {k}");
+                assert_eq!(observe(looped), reference, "k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_fan_out_is_pending_once_per_receiver() {
+        let mut sim = Simulator::new(
+            Topology::full_mesh(4),
+            SimConfig::default(),
+            (0..4).map(|_| Parker::default()).collect(),
+        );
+        // One queue entry, three pending events: one per receiver.
+        sim.with_node(NodeId(0), |_, ctx| {
+            ctx.send_multi([1, 2, 3].map(NodeId), RawPayload::new(1, 0));
+        });
+        assert_eq!(sim.pending_events(), 3);
+        assert!(sim.step());
+        assert_eq!(sim.pending_events(), 2);
+        sim.run_until_quiescent();
+        assert_eq!(sim.pending_events(), 0);
+        assert!((1..4).all(|i| sim.node(NodeId(i)).got == 1));
     }
 
     #[test]

@@ -349,6 +349,15 @@ where
     }
 }
 
+impl<P, N> Site<P, N> {
+    /// The handler-context pools' counters, merged.
+    fn pool_stats(&self) -> PoolStats {
+        let mut pool = self.outbox_pool.stats();
+        pool.merge(self.timer_pool.stats());
+        pool
+    }
+}
+
 impl<P, N> Site<P, N>
 where
     P: WireSize + fmt::Debug + Clone + Send + 'static,
@@ -647,9 +656,8 @@ where
     inflight: Arc<InFlight>,
     events: Arc<AtomicU64>,
     dead: Arc<DeadSet>,
-    /// The sites' counters as merged at the last settle (free-running);
-    /// in replay mode `stats` is a copy of the oracle's and the rest
-    /// stays zero.
+    /// The sites' counters as merged at the last settle; in replay mode
+    /// `stats` is a copy of the oracle's and `fabric` stays zero.
     counters: Counters,
     /// Replay mode: the simnet transport whose delivery order the
     /// threads follow. `None` in free-running mode.
@@ -1018,6 +1026,11 @@ where
                     }
                 }
                 self.counters.stats = self.oracle.as_ref().expect("oracle").stats().clone();
+                let mut pool = PoolStats::default();
+                for i in 0..self.n {
+                    pool.merge(self.site(NodeId(i))?.pool_stats());
+                }
+                self.counters.pool = pool;
                 Ok(outcome)
             }
             ThreadedMode::FreeRunning => {
@@ -1078,14 +1091,10 @@ where
         }
     }
 
-    /// Buffer-pool statistics: the replay oracle's pools (mirroring the
-    /// simnet accounting the replayed run pins), or the merged per-site
-    /// handler-context pools as of the last settle when free-running.
+    /// Buffer-pool statistics: the sites' handler-context pools, merged
+    /// as of the last settle, in either mode.
     pub fn pool_stats(&self) -> PoolStats {
-        match &self.oracle {
-            Some(oracle) => oracle.pool_stats(),
-            None => self.counters.pool,
-        }
+        self.counters.pool
     }
 
     /// Link-fabric contention counters (full-ring stalls, drain batch
@@ -1118,12 +1127,16 @@ where
         // A run can end without a final settle: fold the sites' final
         // counters into the caches instead of losing every event since
         // the previous one. Replay mode keeps the oracle's
-        // (simnet-identical) accounting, and a partial set (some workers
-        // died) keeps the last complete settle snapshot instead of an
-        // under-counting merge.
-        if self.oracle.is_none() && sites.len() == self.n {
-            self.counters = Counters::new(self.n);
-            sites.iter().for_each(|site| self.counters.add(site));
+        // (simnet-identical) wire accounting and takes only the pools,
+        // and a partial set (some workers died) keeps the last complete
+        // settle snapshot instead of an under-counting merge.
+        if sites.len() == self.n {
+            let mut merged = Counters::new(self.n);
+            sites.iter().for_each(|site| merged.add(site));
+            match self.oracle {
+                None => self.counters = merged,
+                Some(_) => self.counters.pool = merged.pool,
+            }
         }
         sites.into_iter().map(|site| site.node).collect()
     }
@@ -1147,8 +1160,7 @@ impl Counters {
 
     fn add<P, N>(&mut self, site: &Site<P, N>) {
         self.stats.merge(&site.stats);
-        self.pool.merge(site.outbox_pool.stats());
-        self.pool.merge(site.timer_pool.stats());
+        self.pool.merge(site.pool_stats());
         self.fabric.merge(&site.fabric);
     }
 }

@@ -318,15 +318,6 @@ where
         }
     }
 
-    /// Combined buffer-pool counters of the underlying simulator (see
-    /// [`Simulator::pool_stats`]).
-    pub fn pool_stats(&self) -> crate::pool::PoolStats {
-        match self {
-            Transport::Direct(sim) => sim.pool_stats(),
-            Transport::Routed(sim) => sim.pool_stats(),
-        }
-    }
-
     /// Number of messages/timers still pending.
     pub fn pending_events(&self) -> usize {
         match self {
@@ -655,6 +646,54 @@ mod tests {
             multicast_msgs < unicast_msgs,
             "{multicast_msgs} vs {unicast_msgs}"
         );
+    }
+
+    /// A send to an id outside the topology fails the same way whether
+    /// it is routed or direct — from every source, as a unicast and as a
+    /// fan-out, under either wire — and the routed one is refused at its
+    /// source: nothing is forwarded, nothing counted as misrouted.
+    #[test]
+    fn a_send_outside_the_topology_fails_alike_routed_and_direct() {
+        for topology in [Topology::ring(4), Topology::grid_of(64), Topology::star(6)] {
+            let n = topology.node_count();
+            for delivery in [DeliveryMode::UNICAST, DeliveryMode::MULTICAST] {
+                let transport = |routing: RoutingMode| {
+                    let config = SimConfig {
+                        routing,
+                        delivery,
+                        ..SimConfig::default()
+                    };
+                    Transport::new(topology.clone(), config, sinks(n)).unwrap()
+                };
+                let mut direct = transport(RoutingMode::Direct);
+                let mut routed = transport(RoutingMode::ForceRouted);
+                assert!(routed.is_routed() && !direct.is_routed());
+                for src in (0..n).map(NodeId) {
+                    // `send_multi` to one target is a unicast.
+                    let target_sets = [vec![n + 1], vec![n], vec![n, n + 6]];
+                    for targets in &target_sets {
+                        let send = |ctx: &mut NodeContext<RawPayload>| {
+                            ctx.send_multi(
+                                targets.iter().map(|&t| NodeId(t)),
+                                RawPayload::new(1, 0),
+                            );
+                        };
+                        let expected = direct.try_with_node(src, |_, ctx| send(ctx)).unwrap_err();
+                        assert!(
+                            matches!(expected, crate::sim::SendError::NoLink { from, .. } if from == src)
+                        );
+                        let got = routed.try_with_node(src, |_, ctx| send(ctx)).unwrap_err();
+                        assert_eq!(got, expected, "{topology:?} {} {src}", delivery.label());
+                    }
+                }
+                routed.run_until_quiescent();
+                assert_eq!(routed.stats().total_messages(), 0);
+                assert_eq!(
+                    (routed.forwarded_messages(), routed.misrouted_messages()),
+                    (0, 0)
+                );
+            }
+        }
     }
 
     #[test]
