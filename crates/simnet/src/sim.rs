@@ -631,6 +631,8 @@ where
         result
     }
 
+    /// [`Simulator::send_many`] to one receiver, written out: going
+    /// through the fan-out assembly costs every unicast a few nanoseconds.
     fn send_one(&mut self, from: NodeId, to: NodeId, payload: P) -> Result<(), SendError> {
         let (data, control) = (payload.data_bytes(), payload.control_bytes());
         let (sent, seq) = self.transmit(from, to, data, control, &payload)?;
