@@ -6,7 +6,7 @@ fn flush_context(&mut self, id: NodeId, ctx: NodeContext<P>) {
         let copies = outgoing.destinations.to_vec();
         let staged = vec![outgoing.payload.clone(); copies.len()];
         for (to, payload) in copies.into_iter().zip(staged) {
-            self.send_one(id, to, Box::new(payload));
+            self.send_many(id, &[to], Box::new(payload));
         }
     }
     drop(timers);

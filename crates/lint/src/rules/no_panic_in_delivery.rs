@@ -48,7 +48,6 @@ pub(crate) fn scope_fns(rel_path: &str) -> Option<&'static [&'static str]> {
             "lend_context",
             "handle_down_delivery",
             "flush_context",
-            "send_one",
             "send_many",
             "transmit",
             "set_down",

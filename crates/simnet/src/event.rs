@@ -29,8 +29,12 @@
 //! sees the per-receiver events; the queue stores the payload once.
 //!
 //! `pop` takes the earliest run off the heap once and walks it with a
-//! cursor. Taking a run closes the open run, so a push at the timestamp
-//! being walked starts a run of its own, which pops after the walked one.
+//! cursor. The open run stays open while another run is walked: it is the
+//! newest run of its timestamp, so extending it keeps the order. If the
+//! walked run is itself the open one, it is the only run of its timestamp
+//! and a push there joins its tail, where the cursor reaches it; once its
+//! last cell is popped and freed, the next push at that timestamp starts
+//! a run of its own.
 
 use crate::message::NodeId;
 use crate::time::SimTime;
@@ -266,7 +270,6 @@ impl<P: Clone> EventQueue<P> {
             Some(walking) => walking,
             None => {
                 let Reverse((at, _, first)) = self.runs.pop()?;
-                self.open = None;
                 (at, first)
             }
         };
@@ -277,7 +280,15 @@ impl<P: Clone> EventQueue<P> {
         let event = cell.event.take()?;
         let next = std::mem::replace(&mut cell.next, self.free);
         self.free = index;
-        self.walking = (next != NIL).then_some((at, next));
+        if next == NIL {
+            // The walked run is used up; its last cell is free now, so if
+            // the run is the open one, a later push must start a new run.
+            if self.open == Some((at, index)) {
+                self.open = None;
+            }
+        } else {
+            self.walking = Some((at, next));
+        }
         self.len -= 1;
         Some(event)
     }

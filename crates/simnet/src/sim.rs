@@ -620,7 +620,9 @@ where
         let mut result = Ok(());
         for out in outbox.drain(..) {
             result = match out {
-                Outgoing::One(to, payload) => self.send_one(origin, to, payload),
+                Outgoing::One(to, payload) => {
+                    self.send_many(origin, std::slice::from_ref(&to), payload)
+                }
                 Outgoing::Many(targets, payload) => self.send_many(origin, &targets, payload),
             };
             if result.is_err() {
@@ -631,33 +633,11 @@ where
         result
     }
 
-    /// [`Simulator::send_many`] to one receiver, written out: going
-    /// through the fan-out assembly costs every unicast a few nanoseconds.
-    fn send_one(&mut self, from: NodeId, to: NodeId, payload: P) -> Result<(), SendError> {
-        let (data, control) = (payload.data_bytes(), payload.control_bytes());
-        let (sent, seq) = self.transmit(from, to, data, control, &payload)?;
-        if let Some(at) = sent.duplicate_at {
-            self.queue.push(at, EventKind::Duplicate { from, to });
-        }
-        self.queue.push(
-            sent.delivery,
-            EventKind::Deliver {
-                from,
-                to,
-                seq,
-                data_bytes: data,
-                control_bytes: control,
-                payload,
-            },
-        );
-        Ok(())
-    }
-
-    /// Send one payload to every receiver of `targets`, in order — the
-    /// raw simulator has no routing tables, so a fan-out is its
-    /// definition: one transmission per receiver, exactly as
-    /// [`Simulator::send_one`] would make them. Consecutive receivers
-    /// whose copies land at one instant, with no duplicate copy
+    /// Send one payload to every receiver of `targets`, in order; a
+    /// unicast is a fan-out to one receiver. The raw simulator has no
+    /// routing tables, so a fan-out is its definition: one transmission
+    /// per receiver, as a loop of unicasts would make them. Consecutive
+    /// receivers whose copies land at one instant, with no duplicate copy
     /// scheduled between them, become one queue entry holding the
     /// payload once ([`EventQueue::push_fan_out`]); a receiver that
     /// cannot join closes the entry with a copy of its own. A send error

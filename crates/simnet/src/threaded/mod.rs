@@ -1252,50 +1252,86 @@ mod tests {
         );
     }
 
-    /// Regression test: a free-running run that never settles used to
-    /// lose every stats/pool/fabric counter on teardown — the merge only
-    /// happened inside `settle()`. `shutdown()` now folds the sites'
-    /// final counters into the caches.
+    /// Replay mode reports the sites' pools too (its wire accounting is
+    /// the oracle's), and each settle reads them afresh.
     #[test]
-    fn teardown_merges_counters_for_a_settle_free_run() {
-        let mut net = net(ThreadedMode::FreeRunning, 3);
-        for round in 0..20 {
+    fn replay_settle_reports_the_sites_pools() {
+        let mut net = net(ThreadedMode::Replay, 3);
+        let mut previous = PoolStats::default();
+        for round in 0..3 {
             for to in 1..3usize {
                 net.with_node(NodeId(0), move |_, ctx| {
-                    // control = 1: counted on arrival, never echoed, so
-                    // the traffic is exactly 40 deliveries.
-                    ctx.send(NodeId(to), RawPayload::new(round, 1));
+                    ctx.send(NodeId(to), RawPayload::new(round, 0));
                 });
             }
+            net.settle();
+            let pool = net.pool_stats();
+            assert!(
+                pool.hits > 0,
+                "replayed contexts must recycle buffers: {pool:?}"
+            );
+            assert!(
+                pool.hits > previous.hits,
+                "settle {round} must count the contexts it replayed: {previous:?} -> {pool:?}"
+            );
+            previous = pool;
         }
-        // Wait for the workers to drain everything — but never settle, so
-        // no collection round runs before teardown.
-        let watchdog = clock::Watchdog::standard();
-        while net.pending() > 0 {
-            assert!(!watchdog.expired(), "settle-free run stalled");
-            std::thread::yield_now();
+        // The oracle paces replay drains: there is no contention to count.
+        assert_eq!(net.fabric_stats(), FabricStats::default());
+    }
+
+    /// Regression test: a run that never settles used to lose every
+    /// stats/pool/fabric counter on teardown — the merge only happened
+    /// inside `settle()`. `shutdown()` now folds the sites' final
+    /// counters into the caches: all of them when free-running, the
+    /// pools alone in replay mode, whose wire accounting is the oracle's.
+    #[test]
+    fn teardown_merges_counters_for_a_settle_free_run() {
+        for mode in [ThreadedMode::FreeRunning, ThreadedMode::Replay] {
+            let mut net = net(mode, 3);
+            for round in 0..20 {
+                for to in 1..3usize {
+                    net.with_node(NodeId(0), move |_, ctx| {
+                        // control = 1: counted on arrival, never echoed, so
+                        // the traffic is exactly 40 deliveries.
+                        ctx.send(NodeId(to), RawPayload::new(round, 1));
+                    });
+                }
+            }
+            // Free-running: wait for the workers to drain everything. Replay
+            // delivers only what a settle replays. Either way no settle
+            // runs, so no collection round runs before teardown.
+            let watchdog = clock::Watchdog::standard();
+            while mode == ThreadedMode::FreeRunning && net.pending() > 0 {
+                assert!(!watchdog.expired(), "settle-free run stalled");
+                std::thread::yield_now();
+            }
+            assert_eq!(net.fabric_stats().batches, 0, "{mode:?}: no settle ran");
+            assert_eq!(net.pool_stats(), PoolStats::default(), "{mode:?}");
+            let nodes = net.shutdown();
+            assert_eq!(nodes.len(), 3);
+            let pool = net.pool_stats();
+            assert!(
+                pool.hits > 0,
+                "{mode:?}: pooled-context accounting must survive teardown: {pool:?}"
+            );
+            if mode == ThreadedMode::Replay {
+                // Nothing was replayed, and the wire accounting stays the
+                // oracle's as of its last settle.
+                assert_eq!(nodes[1].seen + nodes[2].seen, 0);
+                assert_eq!(net.stats().total_messages(), 0);
+                continue;
+            }
+            assert_eq!(nodes[1].seen + nodes[2].seen, 40);
+            // The teardown merge carried everything the run did.
+            assert_eq!(net.stats().total_messages(), 40);
+            let fabric = net.fabric_stats();
+            assert!(
+                fabric.batches > 0,
+                "drains must survive teardown: {fabric:?}"
+            );
+            assert!(fabric.batched_messages >= fabric.batches);
         }
-        assert_eq!(
-            net.fabric_stats().batches,
-            0,
-            "no settle ran, so the caches must still be empty"
-        );
-        let nodes = net.shutdown();
-        assert_eq!(nodes.len(), 3);
-        assert_eq!(nodes[1].seen + nodes[2].seen, 40);
-        // The teardown merge carried everything the run did.
-        assert_eq!(net.stats().total_messages(), 40);
-        let fabric = net.fabric_stats();
-        assert!(
-            fabric.batches > 0,
-            "drains must survive teardown: {fabric:?}"
-        );
-        assert!(fabric.batched_messages >= fabric.batches);
-        let pool = net.pool_stats();
-        assert!(
-            pool.hits + pool.misses > 0,
-            "pooled-context accounting must survive teardown: {pool:?}"
-        );
     }
 
     #[test]
