@@ -7,7 +7,7 @@ use std::fmt;
 /// The Memory Consistency System protocols provided by this crate.
 ///
 /// Every protocol issues *logical* sends — "this payload to these
-/// processes" — and the [`simnet::Transport`] underneath decides how they
+/// processes" — and the [`simnet::Net`] underneath decides how they
 /// travel: direct links on a full mesh, BFS shortest-path relays on any
 /// sparse connected topology ([`simnet::RoutingMode`]), and, under a
 /// multicast [`simnet::DeliveryMode`], one envelope per broadcast-tree
@@ -230,9 +230,17 @@ impl fmt::Display for DsmError {
 
 impl std::error::Error for DsmError {}
 
-impl From<simnet::SendError> for DsmError {
-    fn from(e: simnet::SendError) -> Self {
-        DsmError::Network(e)
+impl From<simnet::NetError> for DsmError {
+    fn from(e: simnet::NetError) -> Self {
+        match e {
+            simnet::NetError::Send(e) => DsmError::Network(e),
+            simnet::NetError::WorkerDead(e) => DsmError::WorkerDied {
+                proc: ProcId(e.node.index()),
+            },
+            simnet::NetError::Unsupported(what) => DsmError::Unsupported {
+                reason: what.to_string(),
+            },
+        }
     }
 }
 

@@ -33,7 +33,7 @@ struct Slot {
 
 /// Per-node control-information counters.
 ///
-/// A dense ledger: one [`Slot`] per variable, indexed by `VarId` and grown
+/// A dense ledger: one `Slot` per variable, indexed by `VarId` and grown
 /// on first touch, so a charge on the delivery path is one bounds check
 /// and three adds. Variable ids are dense and small (`0..m` for the `m`
 /// variables of a distribution). The ledger ends at the highest variable

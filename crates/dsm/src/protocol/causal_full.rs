@@ -1,7 +1,7 @@
 //! Causal consistency with full replication.
 //!
-//! The classical implementation the paper cites as the norm ([3], [4],
-//! [8]): every node replicates every variable; each update carries the
+//! The classical implementation the paper cites as the norm (\[3\], \[4\],
+//! \[8\]): every node replicates every variable; each update carries the
 //! writer's vector clock and is broadcast to all other nodes; delivery is
 //! delayed until the causal-broadcast condition holds, so applying updates
 //! in delivery order yields a causally consistent memory.

@@ -8,8 +8,8 @@
 //! it can (a) order later updates it *does* replicate after that write
 //! and (b) relay the dependency when its own writes are causally after it.
 //!
-//! This is the style of implementation the paper attributes to [7] and
-//! [14] and criticizes: partial replication of the *data* without partial
+//! This is the style of implementation the paper attributes to \[7\] and
+//! \[14\] and criticizes: partial replication of the *data* without partial
 //! replication of the *metadata*. Its measured control overhead is what the
 //! efficiency benchmarks compare against the PRAM protocol.
 //!

@@ -1,19 +1,21 @@
 //! The DSM runtime: application processes issuing reads and writes against
 //! MCS nodes hosted on a simulated cluster.
 //!
-//! [`DsmSystem`] glues the pieces together: it owns a
-//! [`simnet::Transport`] whose nodes are the protocol's MCS processes,
-//! validates that application accesses respect the variable distribution
-//! (under partial replication a process may only touch the variables it
-//! replicates), records every operation for offline consistency checking,
-//! and exposes the network and control-information statistics the
-//! benchmarks report.
+//! [`DsmSystem`] glues the pieces together: it owns one network object (a
+//! `Box<dyn` [`simnet::Net`]`>`, built by [`simnet::deploy`]) whose nodes
+//! are the protocol's MCS processes, validates that application accesses
+//! respect the variable distribution (under partial replication a process
+//! may only touch the variables it replicates), records every operation
+//! for offline consistency checking, and exposes the network and
+//! control-information statistics the benchmarks report. Which scheduler
+//! delivers the messages — the simulator or the threaded ring fabric — is
+//! the net's business; every operation here is one call on it.
 //!
 //! The MCS protocols assume any process can message any other. On a full
-//! mesh the transport sends directly, exactly as the paper's model; on a
-//! sparse topology ([`SimConfig::topology`]) the transport relays every
-//! logical send over BFS shortest paths, so all four protocols run
-//! unmodified on rings, grids, stars, or any strongly connected link set.
+//! mesh the net sends directly, exactly as the paper's model; on a sparse
+//! topology ([`SimConfig::topology`]) it relays every logical send over
+//! BFS shortest paths, so all the protocols run unmodified on rings,
+//! grids, stars, or any strongly connected link set.
 
 use crate::api::{DsmError, ProtocolKind};
 use crate::control::ControlSummary;
@@ -21,36 +23,13 @@ use crate::protocol::{McsNode, ProtocolSpec, RecoveryState};
 use crate::recorder::Recorder;
 use histories::{Distribution, History, ProcId, Value, VarId};
 use simnet::{
-    DeliveryMode, ExecBackend, FabricStats, NetworkStats, NodeId, PoolStats, RunOutcome, SimConfig,
-    SimTime, ThreadedTransport, Topology, Transport, WorkerDead,
+    DeliveryMode, ExecBackend, FabricStats, Net, NetworkStats, NodeContext, NodeId, PoolStats,
+    RunOutcome, SimConfig, SimTime, Topology,
 };
-
-/// The execution substrate a [`DsmSystem`] drives its nodes on: the
-/// discrete-event transport or the threaded ring fabric. The protocol
-/// nodes are identical either way; only the scheduler differs.
-// Both variants are hundreds of bytes and exactly one exists per system,
-// so boxing either would buy nothing and put a pointer chase on the
-// simulator's per-event hot path.
-#[allow(clippy::large_enum_variant)]
-enum NetBackend<P: ProtocolSpec> {
-    /// Discrete-event simulation (virtual time, full feature set).
-    Sim(Transport<P::Msg, P::Node>),
-    /// One OS thread per process, over every topology and delivery mode
-    /// (replay or free-running; fault injection stays simnet-only — see
-    /// [`DsmError::Unsupported`]).
-    Threaded(ThreadedTransport<P::Msg, P::Node>),
-}
-
-/// Map a dead worker thread to the DSM-level error naming its process.
-fn worker_died(e: WorkerDead) -> DsmError {
-    DsmError::WorkerDied {
-        proc: ProcId(e.node.index()),
-    }
-}
 
 /// A complete simulated DSM deployment for protocol `P`.
 pub struct DsmSystem<P: ProtocolSpec> {
-    net: NetBackend<P>,
+    net: Box<dyn Net<P::Msg, P::Node>>,
     backend: ExecBackend,
     dist: Distribution,
     delivery: DeliveryMode,
@@ -120,104 +99,51 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// [`DsmSystem::try_with_config`] accepts.
     /// [`ExecBackend::Threaded`] accepts every delivery mode and any
     /// strongly connected topology (sparse deployments host relay nodes
-    /// on the worker threads), but no fault plan — fault injection stays
-    /// simnet-only and returns [`DsmError::Unsupported`].
+    /// on the worker threads; unrouted sends need a full mesh), but no
+    /// fault plan — fault injection stays simnet-only and returns
+    /// [`DsmError::Unsupported`].
     pub fn try_with_backend(
         dist: Distribution,
         config: SimConfig,
         backend: ExecBackend,
     ) -> Result<Self, DsmError> {
-        match backend {
-            ExecBackend::Simnet => Self::build_simnet(dist, config, backend),
-            ExecBackend::Threaded(mode) => {
-                if !config.faults.is_trivial() {
-                    return Err(DsmError::Unsupported {
-                        reason: "fault injection on the threaded backend (drops, duplicates, \
-                                 and crash windows are simnet-only)"
-                            .to_string(),
-                    });
-                }
-                let topology = match &config.topology {
-                    Some(t) => {
-                        if t.node_count() != dist.process_count() {
-                            return Err(DsmError::InvalidConfig {
-                                reason: format!(
-                                    "topology must have one node per process \
-                                     ({} nodes for {} processes)",
-                                    t.node_count(),
-                                    dist.process_count()
-                                ),
-                            });
-                        }
-                        t.clone()
-                    }
-                    None => Topology::full_mesh(dist.process_count()),
-                };
-                let delivery = config.delivery;
-                let nodes = P::build_nodes(&dist, delivery);
-                let net = ThreadedTransport::new(mode, topology, config, nodes).map_err(|e| {
-                    DsmError::InvalidConfig {
-                        reason: e.to_string(),
-                    }
-                })?;
-                let recorder = Recorder::new(dist.process_count());
-                let crashed = (0..dist.process_count()).map(|_| None).collect();
-                Ok(DsmSystem {
-                    net: NetBackend::Threaded(net),
-                    backend,
-                    dist,
-                    delivery,
-                    recorder,
-                    crashed,
-                    #[cfg(test)]
-                    keep_logs: false,
-                })
-            }
-        }
-    }
-
-    fn build_simnet(
-        dist: Distribution,
-        config: SimConfig,
-        backend: ExecBackend,
-    ) -> Result<Self, DsmError> {
-        if !config.faults.crashes.is_empty() {
-            return Err(DsmError::InvalidConfig {
-                reason: "scheduled FaultPlan crash windows bypass DSM recovery; drive crashes \
-                         with DsmSystem::crash/restart (or a scenario CrashSchedule) instead"
+        if backend.is_threaded() && !config.faults.is_trivial() {
+            return Err(DsmError::Unsupported {
+                reason: "fault injection on the threaded backend (drops, duplicates, \
+                         and crash windows are simnet-only)"
                     .to_string(),
             });
         }
+        let invalid = |reason: String| DsmError::InvalidConfig { reason };
+        if !config.faults.crashes.is_empty() {
+            return Err(invalid(
+                "scheduled FaultPlan crash windows bypass DSM recovery; drive crashes \
+                 with DsmSystem::crash/restart (or a scenario CrashSchedule) instead"
+                    .to_string(),
+            ));
+        }
+        let n = dist.process_count();
+        let topology = config
+            .topology
+            .clone()
+            .unwrap_or_else(|| Topology::full_mesh(n));
+        if topology.node_count() != n {
+            return Err(invalid(format!(
+                "topology must have one node per process ({} nodes for {n} processes)",
+                topology.node_count()
+            )));
+        }
         let delivery = config.delivery;
         let nodes = P::build_nodes(&dist, delivery);
-        let topology = match &config.topology {
-            Some(t) => {
-                if t.node_count() != dist.process_count() {
-                    return Err(DsmError::InvalidConfig {
-                        reason: format!(
-                            "topology must have one node per process \
-                             ({} nodes for {} processes)",
-                            t.node_count(),
-                            dist.process_count()
-                        ),
-                    });
-                }
-                t.clone()
-            }
-            None => Topology::full_mesh(dist.process_count()),
-        };
-        let net = Transport::new(topology, config, nodes).map_err(|e| DsmError::InvalidConfig {
-            reason: e.to_string(),
-        })?;
-        let recorder = Recorder::new(dist.process_count());
-        let crashed = (0..dist.process_count()).map(|_| None).collect();
+        let net =
+            simnet::deploy(backend, topology, config, nodes).map_err(|e| invalid(e.to_string()))?;
         Ok(DsmSystem {
-            net: NetBackend::Sim(net),
+            net,
             backend,
+            recorder: Recorder::new(n),
+            crashed: (0..n).map(|_| None).collect(),
             dist,
             delivery,
-            recorder,
-            crashed,
             #[cfg(test)]
             keep_logs: false,
         })
@@ -252,18 +178,12 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// is no virtual clock and this is always zero; in replay mode it is
     /// the oracle's clock (identical to the simnet run).
     pub fn now(&self) -> SimTime {
-        match &self.net {
-            NetBackend::Sim(net) => net.now(),
-            NetBackend::Threaded(net) => net.now(),
-        }
+        self.net.now()
     }
 
     /// The network topology the deployment runs over.
     pub fn topology(&self) -> &Topology {
-        match &self.net {
-            NetBackend::Sim(net) => net.topology(),
-            NetBackend::Threaded(net) => net.topology(),
-        }
+        self.net.topology()
     }
 
     /// Whether sends are relayed over shortest paths (sparse topology or
@@ -271,10 +191,7 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// threaded backend a routed deployment hosts relay nodes on the
     /// worker threads.
     pub fn is_routed(&self) -> bool {
-        match &self.net {
-            NetBackend::Sim(net) => net.is_routed(),
-            NetBackend::Threaded(net) => net.is_routed(),
-        }
+        self.net.is_routed()
     }
 
     /// The wire delivery mode (multicast / batching) this deployment runs
@@ -286,10 +203,7 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// Transit envelopes forwarded by intermediate nodes — the extra hops
     /// the overlay pays compared to a full mesh (0 when direct).
     pub fn forwarded_messages(&self) -> u64 {
-        match &self.net {
-            NetBackend::Sim(net) => net.forwarded_messages(),
-            NetBackend::Threaded(net) => net.forwarded_messages(),
-        }
+        self.net.forwarded()
     }
 
     /// Total events (deliveries + timers) processed so far — the work
@@ -297,10 +211,7 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// backend this counts handler executions across the workers (oracle
     /// events in replay mode, so the number matches the simnet run).
     pub fn events_processed(&self) -> u64 {
-        match &self.net {
-            NetBackend::Sim(net) => net.events_processed(),
-            NetBackend::Threaded(net) => net.events_processed(),
-        }
+        self.net.events_processed()
     }
 
     /// Buffer-pool hit/miss statistics of the threaded backend's sites
@@ -308,20 +219,21 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// zeros on simnet, which lends its own two buffers to every callback
     /// and keeps no pool.
     pub fn pool_stats(&self) -> PoolStats {
-        match &self.net {
-            NetBackend::Sim(_) => PoolStats::default(),
-            NetBackend::Threaded(net) => net.pool_stats(),
-        }
+        self.net.pool_stats()
     }
 
     /// Link-fabric contention counters of the threaded backend (full-ring
     /// stalls, drain batch-length histogram), merged across workers at
     /// the last settle. All zeros on simnet, which has no ring fabric.
     pub fn fabric_stats(&self) -> FabricStats {
-        match &self.net {
-            NetBackend::Sim(_) => FabricStats::default(),
-            NetBackend::Threaded(net) => net.fabric_stats(),
-        }
+        self.net.fabric_stats()
+    }
+
+    /// Run `f` against process `p`'s node, panicking on a dead worker.
+    fn query<R>(&self, p: ProcId, f: impl FnOnce(&P::Node) -> R) -> R {
+        self.net
+            .query(NodeId(p.index()), f)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn validate(&self, p: ProcId, var: VarId) -> Result<(), DsmError> {
@@ -353,10 +265,7 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// count it was taken at; [`DsmSystem::try_restore`] refuses it once a
     /// later cut has dropped what its catch-up would need.
     pub fn snapshot(&self, p: ProcId) -> P::Node {
-        match &self.net {
-            NetBackend::Sim(net) => net.node(NodeId(p.index())).clone(),
-            NetBackend::Threaded(net) => net.query(NodeId(p.index()), |node| node.clone()),
-        }
+        self.query(p, P::Node::clone)
     }
 
     /// Replace process `p`'s state machine with `snapshot` (the restore
@@ -377,13 +286,16 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// gap-tolerant numbering a current image may well expect a number
     /// below a peer's cut.
     pub fn try_restore(&mut self, p: ProcId, snapshot: P::Node) -> Result<(), DsmError> {
+        self.check_process(p)?;
+        self.check_current(p, &snapshot)?;
+        self.net
+            .update(NodeId(p.index()), &mut |node| *node = snapshot.clone())?;
+        Ok(())
+    }
+
+    fn check_process(&self, p: ProcId) -> Result<(), DsmError> {
         if p.index() >= self.dist.process_count() {
             return Err(DsmError::UnknownProcess { proc: p });
-        }
-        self.check_current(p, &snapshot)?;
-        match &mut self.net {
-            NetBackend::Sim(net) => *net.node_mut(NodeId(p.index())) = snapshot,
-            NetBackend::Threaded(net) => net.restore_node(NodeId(p.index()), snapshot),
         }
         Ok(())
     }
@@ -405,12 +317,7 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     }
 
     fn recovery(&self, p: ProcId) -> Result<RecoveryState, DsmError> {
-        match &self.net {
-            NetBackend::Sim(net) => Ok(net.node(NodeId(p.index())).recovery()),
-            NetBackend::Threaded(net) => net
-                .try_query(NodeId(p.index()), |node| node.recovery())
-                .map_err(worker_died),
-        }
+        Ok(self.net.query(NodeId(p.index()), |node| node.recovery())?)
     }
 
     /// Recovery-log entries process `p` currently retains for its peers'
@@ -419,7 +326,7 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// Zero right after an all-up quiescent settle. One site lock on the
     /// threaded backend.
     pub fn recovery_retained(&self, p: ProcId) -> usize {
-        self.recovery(p).unwrap_or_else(|e| panic!("{e}")).retained
+        self.query(p, |node| node.recovery().retained)
     }
 
     /// Recovery-log cuts taken so far (one per all-up quiescent settle).
@@ -428,34 +335,22 @@ impl<P: ProtocolSpec> DsmSystem<P> {
         if self.process_count() == 0 {
             return 0;
         }
-        self.recovery(ProcId(0))
-            .unwrap_or_else(|e| panic!("{e}"))
-            .cuts
+        self.query(ProcId(0), |node| node.recovery().cuts)
     }
 
     /// Crash process `p`: persist its snapshot and take its node down.
     /// While down, protocol messages delivered to it are lost (and
     /// counted); on a routed topology, transit traffic relayed through it
     /// is parked and redelivered at restart. Operations issued by a
-    /// crashed process fail with [`DsmError::Crashed`].
+    /// crashed process fail with [`DsmError::Crashed`]. The threaded
+    /// backend cannot crash a process ([`DsmError::Unsupported`]).
     pub fn crash(&mut self, p: ProcId) -> Result<(), DsmError> {
-        if self.backend.is_threaded() {
-            return Err(DsmError::Unsupported {
-                reason: "crash/restart on the threaded backend (worker threads cannot lose \
-                         in-flight channel messages deterministically yet)"
-                    .to_string(),
-            });
-        }
-        if p.index() >= self.dist.process_count() {
-            return Err(DsmError::UnknownProcess { proc: p });
-        }
+        self.check_process(p)?;
         if self.crashed[p.index()].is_some() {
             return Err(DsmError::Crashed { proc: p });
         }
+        self.net.set_down(NodeId(p.index()))?;
         self.crashed[p.index()] = Some(self.snapshot(p));
-        if let NetBackend::Sim(net) = &mut self.net {
-            net.set_down(NodeId(p.index()));
-        }
         Ok(())
     }
 
@@ -467,30 +362,18 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// protocol's gap-tolerant sequence numbers require catch-up traffic
     /// not to race with new writes).
     pub fn restart(&mut self, p: ProcId) -> Result<(), DsmError> {
-        if self.backend.is_threaded() {
-            return Err(DsmError::Unsupported {
-                reason: "crash/restart on the threaded backend (worker threads cannot lose \
-                         in-flight channel messages deterministically yet)"
-                    .to_string(),
-            });
+        self.check_process(p)?;
+        if let Some(image) = &self.crashed[p.index()] {
+            self.check_current(p, image)?;
         }
-        if p.index() >= self.dist.process_count() {
-            return Err(DsmError::UnknownProcess { proc: p });
-        }
+        let id = NodeId(p.index());
+        self.net.set_up(id)?;
         let snapshot = self.crashed[p.index()]
             .take()
             .ok_or(DsmError::Crashed { proc: p })?;
-        if let Err(e) = self.check_current(p, &snapshot) {
-            self.crashed[p.index()] = Some(snapshot);
-            return Err(e);
-        }
-        let NetBackend::Sim(net) = &mut self.net else {
-            unreachable!("threaded backends never crash a process");
-        };
-        net.set_up(NodeId(p.index()));
-        *net.node_mut(NodeId(p.index())) = snapshot;
-        net.try_with_node(NodeId(p.index()), |node, ctx| node.on_restart(ctx))?;
-        net.try_run_until_quiescent()?;
+        self.net.update(id, &mut |node| *node = snapshot.clone())?;
+        self.net.invoke(id, &mut |node, ctx| node.on_restart(ctx))?;
+        self.net.settle()?;
         Ok(())
     }
 
@@ -498,34 +381,21 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// awaiting its restart; 0 on direct transports and on the threaded
     /// backend, which has no crashes).
     pub fn parked_messages(&self, p: ProcId) -> usize {
-        match &self.net {
-            NetBackend::Sim(net) => net.parked_count(NodeId(p.index())),
-            NetBackend::Threaded(_) => 0,
-        }
+        self.net.parked(NodeId(p.index()))
     }
 
-    /// Issue `w_p(var)value`.
+    /// Issue `w_p(var)value`. Writes return nothing, so on threads they
+    /// pipeline: the invoke is posted on the node's FIFO lane for its
+    /// worker thread, and the next settle (or read by `p`, which waits
+    /// for that lane to drain) is the barrier. A worker death after the
+    /// post surfaces there as [`DsmError::WorkerDied`].
     pub fn write(&mut self, p: ProcId, var: VarId, value: i64) -> Result<(), DsmError> {
         self.validate(p, var)?;
         self.recorder.record_write(p, var, value);
-        match &mut self.net {
-            NetBackend::Sim(net) => {
-                net.try_with_node(NodeId(p.index()), |node, ctx| {
-                    node.local_write(ctx, var, value);
-                })?;
-            }
-            NetBackend::Threaded(net) => {
-                // Writes return nothing, so they pipeline: the invoke is
-                // posted on the node's FIFO lane for its worker thread,
-                // and the next settle (or read by `p`, which waits for
-                // that lane to drain) is the barrier. A worker death
-                // after the post surfaces there as `WorkerDied`.
-                net.try_with_node_async(NodeId(p.index()), move |node, ctx| {
-                    node.local_write(ctx, var, value);
-                })
-                .map_err(worker_died)?;
-            }
-        }
+        let write = move |node: &mut P::Node, ctx: &mut NodeContext<P::Msg>| {
+            node.local_write(ctx, var, value);
+        };
+        self.net.post(NodeId(p.index()), &mut Some(write))?;
         Ok(())
     }
 
@@ -536,20 +406,17 @@ impl<P: ProtocolSpec> DsmSystem<P> {
         // it needs no handler context — no pooled buffers, no flush. On
         // threads it runs in place under the node's site lock (after `p`'s
         // pipelined writes), and the replay oracle has nothing to mirror.
-        let value = match &self.net {
-            NetBackend::Sim(net) => net.node(NodeId(p.index())).local_read(var),
-            NetBackend::Threaded(net) => net
-                .try_query(NodeId(p.index()), |node| node.local_read(var))
-                .map_err(worker_died)?,
-        };
+        let value = self
+            .net
+            .query(NodeId(p.index()), |node| node.local_read(var))?;
         self.recorder.record_read(p, var, value);
         Ok(value)
     }
 
     /// Deliver every in-flight message (run the network to quiescence).
     ///
-    /// Panics with a [`simnet::SendError`] message on an uncarryable
-    /// send; use [`DsmSystem::try_settle`] to handle it.
+    /// Panics with the error's message on an uncarryable send or a dead
+    /// worker; use [`DsmSystem::try_settle`] to handle it.
     pub fn settle(&mut self) -> RunOutcome {
         self.try_settle().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -563,10 +430,7 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// asked for again. While a process is down nothing is cut — its
     /// peers keep everything it will ask for at restart.
     pub fn try_settle(&mut self) -> Result<RunOutcome, DsmError> {
-        let outcome = match &mut self.net {
-            NetBackend::Sim(net) => net.try_run_until_quiescent()?,
-            NetBackend::Threaded(net) => net.try_settle().map_err(worker_died)?,
-        };
+        let outcome = self.net.settle()?;
         if outcome.is_quiescent() && self.crashed.iter().all(Option::is_none) {
             self.checkpoint()?;
         }
@@ -579,12 +443,7 @@ impl<P: ProtocolSpec> DsmSystem<P> {
             return Ok(());
         }
         for i in (0..self.process_count()).map(NodeId) {
-            match &mut self.net {
-                NetBackend::Sim(net) => net.node_mut(i).checkpoint(),
-                NetBackend::Threaded(net) => net
-                    .try_with_node(i, |node, _ctx| node.checkpoint())
-                    .map_err(worker_died)?,
-            }
+            self.net.update(i, &mut |node| node.checkpoint())?;
         }
         Ok(())
     }
@@ -594,18 +453,12 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// no event queue to step and always returns `false` (use
     /// [`DsmSystem::settle`] there).
     pub fn step(&mut self) -> bool {
-        match &mut self.net {
-            NetBackend::Sim(net) => net.step(),
-            NetBackend::Threaded(_) => false,
-        }
+        self.net.step().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Number of messages still in flight.
     pub fn pending_messages(&self) -> usize {
-        match &self.net {
-            NetBackend::Sim(net) => net.pending_events(),
-            NetBackend::Threaded(net) => net.pending(),
-        }
+        self.net.pending()
     }
 
     /// Network-level statistics (messages, data bytes, control bytes).
@@ -613,19 +466,13 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// boundaries (replay mode reports the oracle's simnet-identical
     /// accounting; free-running mode merges per-worker counters).
     pub fn network_stats(&self) -> &NetworkStats {
-        match &self.net {
-            NetBackend::Sim(net) => net.stats(),
-            NetBackend::Threaded(net) => net.stats(),
-        }
+        self.net.stats()
     }
 
     /// Per-node control-information accounting.
     pub fn control_summary(&self) -> ControlSummary {
         let stats = (0..self.process_count())
-            .map(|i| match &self.net {
-                NetBackend::Sim(net) => net.node(NodeId(i)).control().clone(),
-                NetBackend::Threaded(net) => net.query(NodeId(i), |node| node.control().clone()),
-            })
+            .map(|i| self.query(ProcId(i), |node| node.control().clone()))
             .collect();
         ControlSummary::new(stats)
     }
@@ -643,10 +490,7 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// Direct read of a node's replica without recording an application
     /// operation (used by tests and convergence checks).
     pub fn peek(&self, p: ProcId, var: VarId) -> Value {
-        match &self.net {
-            NetBackend::Sim(net) => net.node(NodeId(p.index())).local_read(var),
-            NetBackend::Threaded(net) => net.query(NodeId(p.index()), |node| node.local_read(var)),
-        }
+        self.query(p, |node| node.local_read(var))
     }
 }
 
@@ -1137,6 +981,35 @@ mod tests {
         assert_eq!(sys.forwarded_messages(), 0);
         assert_eq!(sys.parked_messages(ProcId(0)), 0);
         assert!(!sys.step());
+    }
+
+    /// The ring fabric links every pair, so unrouted threads on a sparse
+    /// topology could not refuse a missing link: the deployment is
+    /// refused instead, while the simulator refuses the send itself.
+    #[test]
+    fn direct_sends_on_a_sparse_topology_are_refused_on_threads() {
+        use simnet::{ExecBackend, RoutingMode, ThreadedMode};
+        let config = SimConfig {
+            topology: Some(Topology::ring(4)),
+            routing: RoutingMode::Direct,
+            ..SimConfig::default()
+        };
+        for mode in [ThreadedMode::Replay, ThreadedMode::FreeRunning] {
+            let backend = ExecBackend::Threaded(mode);
+            let refused = DsmSystem::<CausalFull>::try_with_backend(
+                Distribution::full(4, 1),
+                config.clone(),
+                backend,
+            );
+            assert!(
+                matches!(&refused, Err(DsmError::InvalidConfig { reason }) if reason.contains("full mesh")),
+                "{mode:?}"
+            );
+        }
+        // p0 → p2 is no ring link.
+        let mut sys: DsmSystem<CausalFull> =
+            DsmSystem::with_config(Distribution::full(4, 1), config);
+        sys.write(ProcId(0), VarId(0), 1).unwrap_err();
     }
 
     #[test]

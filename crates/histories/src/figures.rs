@@ -9,7 +9,7 @@
 //! which under the *strict* reading of Definition 5 requires an operation
 //! on `y` between `w2(y)e` and `w2(z)c` in `p2`'s program order (a write is
 //! only lazily ordered before later operations on the same variable).
-//! [`fig6`] therefore inserts the auxiliary read `r2(y)e` at that point,
+//! [`fig6_history`] therefore inserts the auxiliary read `r2(y)e` at that point,
 //! which makes the implicit `→li` chain explicit without changing the
 //! figure's meaning: `p2` still relays the dependency from `y` to `z`, and
 //! the history is still not lazy semi-causally consistent.

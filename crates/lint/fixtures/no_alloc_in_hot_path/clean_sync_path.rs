@@ -11,17 +11,18 @@ fn site(&self, id: NodeId) -> Result<MutexGuard<'_, Site<P, N>>, WorkerDead> {
     cell.site.lock().map_err(|_| WorkerDead { node: id })
 }
 
-fn try_query<R, F>(&self, id: NodeId, f: F) -> Result<R, WorkerDead> {
-    Ok(f(&self.site(id)?.node))
+fn inspect(&self, id: NodeId, f: &mut dyn FnMut(&N)) -> Result<(), NetError> {
+    f(&self.site(id)?.node);
+    Ok(())
 }
 
-fn try_with_node<R, F>(&mut self, id: NodeId, f: F) -> Result<R, WorkerDead> {
+fn invoke(&mut self, id: NodeId, f: &mut dyn FnMut(&mut N, &mut NodeContext<P>)) -> Result<(), NetError> {
     let mut site = self.site(id)?;
-    Ok(site.invoke(f))
+    Ok(site.invoke(f)?)
 }
 
-fn try_with_node_async<F>(&mut self, id: NodeId, f: F) -> Result<(), WorkerDead> {
+fn post(&mut self, id: NodeId, f: F) -> Result<(), NetError> {
     self.inflight.up();
-    self.post(id, Ctl::InvokeAsync(Box::new(f)));
+    self.post_lane(id, Ctl::InvokeAsync(Box::new(f)));
     Ok(())
 }

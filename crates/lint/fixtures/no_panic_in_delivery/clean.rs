@@ -1,7 +1,7 @@
 // Fixture: lexed as crates/simnet/src/sim.rs — checked access plus
 // debug_assert! in the hot fn, and an unwrap in a fn outside the
 // delivery spine, must stay silent.
-pub fn try_step(&mut self) -> Result<bool, SendError> {
+fn step(&mut self) -> Result<bool, NetError> {
     let Some(event) = self.queue.pop() else {
         return Ok(false);
     };

@@ -1,7 +1,7 @@
 // Fixture: lexed as crates/simnet/src/sim.rs — panicking constructs and
-// slice indexing inside the hot fn `try_step` must fire
+// slice indexing inside the hot fn `step` must fire
 // `no-panic-in-delivery`.
-pub fn try_step(&mut self) -> Result<bool, SendError> {
+fn step(&mut self) -> Result<bool, NetError> {
     let event = self.queue.pop().unwrap();
     let node = &mut self.nodes[event.to.index()];
     if node.is_none() {

@@ -20,8 +20,8 @@ mod wire_accounting;
 
 pub use crate_hygiene::CrateHygiene;
 pub use layering::Layering;
-pub use no_alloc_in_hot_path::NoAllocInHotPath;
-pub use no_panic_in_delivery::NoPanicInDelivery;
+pub use no_alloc_in_hot_path::{NoAllocInHotPath, SYNC_PATH_FILE, SYNC_PATH_FNS};
+pub use no_panic_in_delivery::{NoPanicInDelivery, DELIVERY_SCOPE};
 pub use no_unordered_state::NoUnorderedState;
 pub use no_unseeded_rng::NoUnseededRng;
 pub use no_wall_clock::NoWallClock;

@@ -35,11 +35,12 @@ use crate::source::{FileKind, SourceFile};
 pub struct NoAllocInHotPath;
 
 /// The file holding the threaded backend's synchronous path.
-const SYNC_PATH_FILE: &str = "crates/simnet/src/threaded/mod.rs";
+pub const SYNC_PATH_FILE: &str = "crates/simnet/src/threaded/mod.rs";
 
-/// The synchronous path itself: the two public entry points, the
-/// site-lock helper they share, and the in-place runner.
-const SYNC_PATH_FNS: [&str; 4] = ["try_with_node", "try_query", "site", "invoke"];
+/// The synchronous path itself: the net's closure and read entry points
+/// (`invoke` is also the site's in-place runner), the context-free state
+/// access, and the site-lock helper they share.
+pub const SYNC_PATH_FNS: [&str; 4] = ["invoke", "inspect", "update", "site"];
 
 /// Whether the tokens at `i` spell the path call `head::tail`.
 fn is_path_call(file: &SourceFile, i: usize, head: &str, tail: &str) -> bool {

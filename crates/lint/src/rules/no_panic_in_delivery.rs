@@ -3,7 +3,7 @@
 //! A panic inside the delivery path tears down the whole simulation —
 //! including every *other* node — which is exactly the failure mode the
 //! fault layer exists to model gracefully. The functions listed in
-//! [`scope_fns`] form the delivery spine: the simulator's event pump
+//! [`DELIVERY_SCOPE`] form the delivery spine: the simulator's event pump
 //! with the buffers it lends each callback and its fan-out sends, the
 //! event queue with its fan-out entries and their hand-out, the channel
 //! sampler, the overlay relay, every
@@ -33,17 +33,24 @@ use crate::source::{FileKind, SourceFile};
 /// See module docs.
 pub struct NoPanicInDelivery;
 
-/// The delivery-spine functions checked per file; `None` means the file
-/// is out of scope for this rule. Shared with `no-alloc-in-hot-path`:
-/// the functions that must not panic are exactly the per-event hot path
-/// that must not allocate either.
-pub(crate) fn scope_fns(rel_path: &str) -> Option<&'static [&'static str]> {
-    match rel_path {
-        "crates/simnet/src/channel.rs" => Some(&["schedule", "transmit", "sample"]),
-        "crates/simnet/src/sim.rs" => Some(&[
+/// The delivery-spine functions checked per file. Shared with
+/// `no-alloc-in-hot-path`: the functions that must not panic are exactly
+/// the per-event hot path that must not allocate either. Every pair must
+/// name a function of the live tree (a self-check test holds it to
+/// that), so an entry cannot silently check nothing.
+pub const DELIVERY_SCOPE: [(&str, &[&str]); 10] = [
+    (
+        "crates/simnet/src/channel.rs",
+        &["schedule", "transmit", "sample"],
+    ),
+    (
+        "crates/simnet/src/sim.rs",
+        &[
             "try_start",
-            "try_with_node",
-            "try_step",
+            "invoke",
+            "post",
+            "step",
+            "settle",
             "process_event",
             "lend_context",
             "handle_down_delivery",
@@ -53,11 +60,15 @@ pub(crate) fn scope_fns(rel_path: &str) -> Option<&'static [&'static str]> {
             "set_down",
             "set_up",
             "is_down",
-        ]),
-        "crates/simnet/src/transport.rs" => {
-            Some(&["try_with_node", "try_step", "try_run_until_quiescent"])
-        }
-        "crates/simnet/src/route.rs" => Some(&[
+        ],
+    ),
+    (
+        "crates/simnet/src/transport.rs",
+        &["invoke", "post", "step", "settle"],
+    ),
+    (
+        "crates/simnet/src/route.rs",
+        &[
             "on_start",
             "on_message",
             "on_timer",
@@ -71,8 +82,11 @@ pub(crate) fn scope_fns(rel_path: &str) -> Option<&'static [&'static str]> {
             "hop_count",
             "tree_parent",
             "tree_next_hop",
-        ]),
-        "crates/simnet/src/event.rs" => Some(&[
+        ],
+    ),
+    (
+        "crates/simnet/src/event.rs",
+        &[
             "push",
             "push_fan_out",
             "shelve_walked_run",
@@ -80,27 +94,49 @@ pub(crate) fn scope_fns(rel_path: &str) -> Option<&'static [&'static str]> {
             "hand_out",
             "pop_ready_into",
             "store",
-        ]),
-        "crates/dsm/src/control.rs" => Some(&[
+        ],
+    ),
+    (
+        "crates/dsm/src/control.rs",
+        &[
             "track",
             "charge_sent",
             "charge_sent_n",
             "charge_received",
             "slot_mut",
-        ]),
-        "crates/dsm/src/clock.rs" => Some(&["deliverable_from"]),
-        "crates/dsm/src/protocol/store.rs" => Some(&["get", "insert", "update"]),
-        "crates/dsm/src/protocol/owed.rs" => Some(&["push", "serve", "most_owed"]),
-        "crates/dsm/src/protocol/causal.rs" => Some(&[
+        ],
+    ),
+    ("crates/dsm/src/clock.rs", &["deliverable_from"]),
+    (
+        "crates/dsm/src/protocol/store.rs",
+        &["get", "insert", "update"],
+    ),
+    (
+        "crates/dsm/src/protocol/owed.rs",
+        &["push", "serve", "most_owed"],
+    ),
+    (
+        "crates/dsm/src/protocol/causal.rs",
+        &[
             "deliverable_at",
             "already_seen",
             "receive",
             "apply",
             "drain",
-        ]),
-        _ => {
-            is_protocol_file(rel_path).then_some(&["on_message", "on_restart", "checkpoint", "cut"])
-        }
+        ],
+    ),
+];
+
+/// What every other protocol file (`crates/dsm/src/protocol/*.rs` but
+/// `mod.rs`) has in scope.
+const PROTOCOL_FNS: [&str; 4] = ["on_message", "on_restart", "checkpoint", "cut"];
+
+/// The functions of [`DELIVERY_SCOPE`] (or [`PROTOCOL_FNS`]) checked in
+/// the file at `rel_path`; `None` means the file is out of scope.
+pub(crate) fn scope_fns(rel_path: &str) -> Option<&'static [&'static str]> {
+    match DELIVERY_SCOPE.iter().find(|(path, _)| *path == rel_path) {
+        Some(&(_, fns)) => Some(fns),
+        None => is_protocol_file(rel_path).then_some(&PROTOCOL_FNS[..]),
     }
 }
 

@@ -54,3 +54,23 @@ fn suppressed_violations_stay_rare() {
         outcome.suppressed.len()
     );
 }
+
+/// Every (file, function) pair the scope tables name exists in the live
+/// tree: a renamed or deleted function would otherwise leave its entry
+/// silently checking nothing.
+#[test]
+fn every_scoped_function_exists_in_the_live_tree() {
+    let root = workspace_root();
+    let sync_path = (lint::rules::SYNC_PATH_FILE, &lint::rules::SYNC_PATH_FNS[..]);
+    for (path, fns) in lint::rules::DELIVERY_SCOPE.into_iter().chain([sync_path]) {
+        let text = std::fs::read_to_string(root.join(path))
+            .unwrap_or_else(|e| panic!("scope names {path}, which cannot be read: {e}"));
+        let file = lint::SourceFile::new("scope", path, lint::FileKind::Lib, &text);
+        for name in fns {
+            assert!(
+                !file.fn_body_spans(&[name]).is_empty(),
+                "scope names `{name}` in {path}, which has no such function outside tests"
+            );
+        }
+    }
+}

@@ -7,7 +7,7 @@
 //! earlier on the same channel, even if the latency model would reorder
 //! them (delivery times are monotonically clamped).
 //!
-//! Under a non-trivial [`FaultPlan`](crate::fault::FaultPlan) the channel
+//! Under a non-trivial [`FaultPlan`] the channel
 //! additionally models a lossy wire beneath the reliable abstraction:
 //! dropped transmissions are retransmitted (extra delay + extra counted
 //! attempts) and duplicated transmissions schedule a second copy the

@@ -22,9 +22,10 @@
 //! * [`route::Router`] / [`route::Relay`] — overlay routing: BFS
 //!   shortest-path tables and relay envelopes that let any-to-any
 //!   protocols run on sparse topologies.
-//! * [`transport::Transport`] — the send surface drivers use instead of
-//!   the raw simulator; picks direct or routed delivery per
-//!   [`transport::RoutingMode`].
+//! * [`transport::Net`] — the one network surface drivers hold, which
+//!   the simulator and the threaded net ([`threaded::ThreadedNet`])
+//!   implement; [`transport::deploy`] picks the backend and direct or
+//!   routed delivery per [`transport::RoutingMode`].
 //! * [`stats::NetworkStats`] — per-link and per-node counters used by the
 //!   benchmark harness to quantify "control information" overhead.
 //! * [`trace::EventTrace`] — optional structured trace of every delivery.
@@ -65,7 +66,9 @@ pub use pool::{BufferPool, PoolStats};
 pub use route::{Multicast, Packet, Relay, RouteError, Routed, Router};
 pub use sim::{RunOutcome, SendError, SimConfig, Simulator};
 pub use stats::{LinkStats, NetworkStats, NodeStats};
-pub use threaded::{FabricStats, ThreadedNet, ThreadedTransport, WorkerDead};
+pub use threaded::{FabricStats, ThreadedNet, WorkerDead};
 pub use time::{SimDuration, SimTime};
 pub use trace::{EventTrace, TraceEntry};
-pub use transport::{DeliveryMode, RoutingMode, Transport};
+pub use transport::{
+    deploy, BoxedPost, DeliveryMode, Net, NetError, Posted, RoutingMode, Transport,
+};

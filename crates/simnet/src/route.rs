@@ -60,6 +60,10 @@ pub enum RouteError {
         /// The unreachable destination.
         to: NodeId,
     },
+    /// Direct sends were asked of the threaded backend on a topology
+    /// sparser than a full mesh: its ring fabric links every pair, so it
+    /// could not refuse a send over a missing link.
+    DirectOnSparseThreads,
 }
 
 impl fmt::Display for RouteError {
@@ -68,6 +72,10 @@ impl fmt::Display for RouteError {
             RouteError::Disconnected { from, to } => {
                 write!(f, "topology has no path from {from} to {to}; routing needs a strongly connected topology")
             }
+            RouteError::DirectOnSparseThreads => f.write_str(
+                "direct sends on the threaded backend need a full mesh; \
+                 route a sparse topology instead",
+            ),
         }
     }
 }

@@ -3,9 +3,9 @@
 //! A [`Simulator`] owns a set of protocol nodes (implementing [`Node`]), the
 //! reliable FIFO channels between them, the event queue, and the run
 //! statistics. Client code (the DSM runtime in the `dsm` crate) drives the
-//! simulation by injecting work into nodes with [`Simulator::with_node`] and
-//! then advancing virtual time with [`Simulator::run_until_quiescent`] or
-//! [`Simulator::step`].
+//! simulation through the [`Net`] surface it implements: injecting work
+//! into nodes with [`Net::invoke`], then advancing virtual time with
+//! [`Net::settle`] or [`Net::step`].
 
 use crate::channel::{Channel, LatencyModel, Transmission};
 use crate::event::{Event, EventKind, EventQueue};
@@ -16,7 +16,7 @@ use crate::node::{Node, NodeContext, Outgoing};
 use crate::stats::NetworkStats;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{EventTrace, TraceEntry};
-use crate::transport::{DeliveryMode, RoutingMode};
+use crate::transport::{DeliveryMode, Net, NetError, Posted, RoutingMode};
 use std::fmt;
 
 /// Why the simulator could not carry a message.
@@ -25,8 +25,8 @@ use std::fmt;
 /// surfaces [`SendError::NoLink`] (or panics with its message, in the
 /// infallible entry points). The routing layer ([`crate::route`]) is the
 /// only place that converts a missing link into a routing decision —
-/// anything built on [`Transport`](crate::transport::Transport) never
-/// sees that variant on a connected topology. [`SendError::Fault`] is
+/// a routed net from [`deploy`](crate::transport::deploy) never sees
+/// that variant on a connected topology. [`SendError::Fault`] is
 /// the fault layer's loud failure: a message had to be parked at a node
 /// that is crashed with no scheduled restart (see
 /// [`crate::fault::FaultError`]).
@@ -93,9 +93,9 @@ pub struct SimConfig {
     /// the driver's default" (a full mesh for the DSM protocols).
     pub topology: Option<Topology>,
     /// Whether sends are relayed over shortest paths or must be direct
-    /// links. Only honoured by drivers that build a
-    /// [`Transport`](crate::transport::Transport) (like the DSM runtime);
-    /// a raw [`Simulator`] is always direct.
+    /// links. Honoured by [`deploy`](crate::transport::deploy) (which the
+    /// DSM runtime builds its net with); a raw [`Simulator`] is always
+    /// direct.
     pub routing: RoutingMode,
     /// How identical-payload fan-outs travel the wire (tree multicast) and
     /// whether protocols may batch control records
@@ -126,7 +126,7 @@ impl Default for SimConfig {
     }
 }
 
-/// How a call to [`Simulator::run_until_quiescent`] ended.
+/// How a call to [`Net::settle`] ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RunOutcome {
     /// No events remain; the system is quiescent.
@@ -173,12 +173,12 @@ pub struct Simulator<P, N> {
     trace: EventTrace,
     events_processed: u64,
     started: bool,
-    /// Nodes taken down at runtime via [`Simulator::set_down`] (the
+    /// Nodes taken down at runtime via [`Net::set_down`] (the
     /// scripted crash path; scheduled outages live in
     /// `config.faults.crashes`).
     manual_down: Vec<bool>,
     /// Envelopes parked at runtime-crashed nodes, redelivered in order by
-    /// [`Simulator::set_up`].
+    /// [`Net::set_up`].
     parked: Vec<Vec<(NodeId, u64, P)>>,
     /// The outbox and timer buffers of the one live [`NodeContext`]:
     /// callbacks never nest, so [`Simulator::lend_context`] lends these
@@ -239,87 +239,12 @@ where
         }
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The topology in use.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// Immutable access to a node's state machine.
-    pub fn node(&self, id: NodeId) -> &N {
-        &self.nodes[id.index()]
-    }
-
-    /// Mutable access to a node's state machine. Used by the crash
-    /// recovery path to restore a restarted node from its persisted
-    /// snapshot; sends are not possible through this accessor (use
-    /// [`Simulator::with_node`] for that).
-    pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        &mut self.nodes[id.index()]
-    }
-
     /// Whether `node` is down at virtual time `at` — either taken down at
-    /// runtime ([`Simulator::set_down`]) or inside a scheduled crash
-    /// window of the fault plan.
-    pub fn is_down(&self, node: NodeId, at: SimTime) -> bool {
+    /// runtime ([`Net::set_down`]) or inside a scheduled crash window of
+    /// the fault plan.
+    fn is_down(&self, node: NodeId, at: SimTime) -> bool {
         self.manual_down.get(node.index()).copied().unwrap_or(false)
             || self.config.faults.window_covering(node, at).is_some()
-    }
-
-    /// Take `node` down at the current virtual time (the scripted crash
-    /// path, driven by the DSM runtime). Deliveries to a down node follow
-    /// its [`Node::while_down`] policy: lost (and counted) or parked for
-    /// redelivery at restart.
-    pub fn set_down(&mut self, node: NodeId) {
-        if let Some(flag) = self.manual_down.get_mut(node.index()) {
-            *flag = true;
-        }
-    }
-
-    /// Bring a runtime-crashed node back up, redelivering every parked
-    /// envelope at the current virtual time in its original arrival
-    /// order (the event queue's insertion-order tie-break preserves it).
-    pub fn set_up(&mut self, node: NodeId) {
-        if let Some(flag) = self.manual_down.get_mut(node.index()) {
-            *flag = false;
-        }
-        let parked = self
-            .parked
-            .get_mut(node.index())
-            .map(std::mem::take)
-            .unwrap_or_default();
-        for (from, seq, payload) in parked {
-            self.queue.push(
-                self.now,
-                EventKind::Deliver {
-                    from,
-                    to: node,
-                    seq,
-                    data_bytes: payload.data_bytes(),
-                    control_bytes: payload.control_bytes(),
-                    payload,
-                },
-            );
-        }
-    }
-
-    /// Envelopes currently parked at a runtime-crashed node.
-    pub fn parked_count(&self, node: NodeId) -> usize {
-        self.parked[node.index()].len()
-    }
-
-    /// Number of hosted nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Accumulated network statistics.
-    pub fn stats(&self) -> &NetworkStats {
-        &self.stats
     }
 
     /// A [`NodeContext`] for `me` at the current time, on the
@@ -339,23 +264,12 @@ where
         &self.trace
     }
 
-    /// Total number of events processed since construction.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// Number of messages/timers still pending (a fan-out counts once per
-    /// receiver not yet delivered).
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Invoke `on_start` on every node (in id order) if not already done.
     /// Called automatically by the run methods; exposed for tests that want
     /// to inspect the state between start-up and the first delivery.
     ///
     /// Panics if a start-up send targets a missing link (see
-    /// [`Simulator::try_with_node`] for the error contract).
+    /// [`Net::invoke`] for the error contract).
     pub fn start(&mut self) {
         self.try_start().unwrap_or_else(|e| panic!("{e}"));
     }
@@ -376,66 +290,32 @@ where
     }
 
     /// Run `f` against node `id`'s state machine with a messaging context,
-    /// then schedule whatever it sent. This is how application-level
-    /// operations (reads/writes issued by application processes) enter the
-    /// protocol.
+    /// then schedule whatever it sent ([`Net::invoke`] for one closure
+    /// with a result). This is how application-level operations enter
+    /// the protocol.
     ///
-    /// Panics with a [`SendError`] message if `f` sent to a node pair the
-    /// topology does not link; use [`Simulator::try_with_node`] to handle
-    /// that case.
+    /// Panics with the error's message if `f` sent to a node pair the
+    /// topology does not link.
     pub fn with_node<R>(
         &mut self,
         id: NodeId,
         f: impl FnOnce(&mut N, &mut NodeContext<P>) -> R,
     ) -> R {
-        self.try_with_node(id, f).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`Simulator::with_node`]: returns the
-    /// [`SendError`] of the first buffered send that targets a missing
-    /// link. The node's state change still applies (the callback already
-    /// ran); its timers and the sends buffered before the offending one
-    /// are scheduled.
-    pub fn try_with_node<R>(
-        &mut self,
-        id: NodeId,
-        f: impl FnOnce(&mut N, &mut NodeContext<P>) -> R,
-    ) -> Result<R, SendError> {
-        self.try_start()?;
-        let mut ctx = self.lend_context(id);
-        let node = self
-            .nodes
-            .get_mut(id.index())
-            .ok_or(SendError::UnknownNode { node: id })?;
-        let r = f(node, &mut ctx);
-        self.flush_context(id, ctx)?;
-        Ok(r)
-    }
-
-    /// Process the next pending event, if any. Returns `false` when the
-    /// queue is empty.
-    ///
-    /// Panics with a [`SendError`] message if the handled event caused a
-    /// send over a missing link; use [`Simulator::try_step`] to handle it.
-    pub fn step(&mut self) -> bool {
-        self.try_step().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`Simulator::step`]: returns the [`SendError`]
-    /// of the first send over a missing link triggered by the handled
-    /// event (the event itself is still consumed).
-    pub fn try_step(&mut self) -> Result<bool, SendError> {
-        self.try_start()?;
-        let Some(event) = self.queue.pop() else {
-            return Ok(false);
-        };
-        self.process_event(event)?;
-        Ok(true)
+        // The simulator runs the closure exactly once, so it may be
+        // `FnOnce` here (`dyn Net::with_node` asks for `Fn`).
+        let (mut f, mut out) = (Some(f), None);
+        self.invoke(id, &mut |node, ctx| {
+            if let Some(f) = f.take() {
+                out = Some(f(node, ctx));
+            }
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
+        out.expect("a successful invoke runs its closure")
     }
 
     /// Handle one popped event: advance virtual time and dispatch to the
-    /// destination node. Shared by the single-step path and the run loop
-    /// of [`Simulator::try_run_until_quiescent`].
+    /// destination node. Shared by [`Net::step`] and the run loop of
+    /// [`Net::settle`].
     fn process_event(&mut self, event: Event<P>) -> Result<(), SendError> {
         debug_assert!(event.at >= self.now, "time must not run backwards");
         self.now = event.at;
@@ -552,32 +432,9 @@ where
         Ok(())
     }
 
-    /// Run until no events remain or the `max_events` budget is exhausted.
-    ///
-    /// Panics with a [`SendError`] message on a send over a missing link;
-    /// use [`Simulator::try_run_until_quiescent`] to handle it.
+    /// [`Net::settle`], panicking with the error's message.
     pub fn run_until_quiescent(&mut self) -> RunOutcome {
-        self.try_run_until_quiescent()
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`Simulator::run_until_quiescent`]. The event
-    /// budget is checked before each pop, so an exhausted run leaves the
-    /// queue exactly as the next pop would find it.
-    pub fn try_run_until_quiescent(&mut self) -> Result<RunOutcome, SendError> {
-        self.try_start()?;
-        let mut processed = 0u64;
-        while !self.queue.is_empty() {
-            if self.config.max_events > 0 && processed >= self.config.max_events {
-                return Ok(RunOutcome::Exhausted { events: processed });
-            }
-            let Some(event) = self.queue.pop() else {
-                break;
-            };
-            self.process_event(event)?;
-            processed += 1;
-        }
-        Ok(RunOutcome::Quiescent { events: processed })
+        self.settle().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Run until virtual time reaches `deadline` or the system quiesces.
@@ -593,17 +450,11 @@ where
                     if self.config.max_events > 0 && processed >= self.config.max_events {
                         return RunOutcome::Exhausted { events: processed };
                     }
-                    self.step();
+                    self.step().unwrap_or_else(|e| panic!("{e}"));
                     processed += 1;
                 }
             }
         }
-    }
-
-    /// Consume the simulator, returning its nodes (for post-run inspection)
-    /// and the accumulated statistics.
-    pub fn into_parts(self) -> (Vec<N>, NetworkStats, EventTrace) {
-        (self.nodes, self.stats, self.trace)
     }
 
     /// Schedule what a callback requested — its timers, then its sends
@@ -740,11 +591,150 @@ where
     }
 }
 
+impl<P, N> Net<P, N> for Simulator<P, N>
+where
+    P: WireSize + fmt::Debug + Clone,
+    N: Node<P>,
+{
+    /// The node's state change still applies when a send fails (the
+    /// callback already ran); its timers and the sends buffered before
+    /// the offending one are scheduled.
+    fn invoke(
+        &mut self,
+        id: NodeId,
+        f: &mut dyn FnMut(&mut N, &mut NodeContext<P>),
+    ) -> Result<(), NetError> {
+        self.try_start()?;
+        let mut ctx = self.lend_context(id);
+        let node = self
+            .nodes
+            .get_mut(id.index())
+            .ok_or(SendError::UnknownNode { node: id })?;
+        f(node, &mut ctx);
+        Ok(self.flush_context(id, ctx)?)
+    }
+
+    fn post(&mut self, id: NodeId, f: &mut dyn Posted<P, N>) -> Result<(), NetError> {
+        self.invoke(id, &mut |node, ctx| f.run(node, ctx))
+    }
+
+    fn inspect(&self, id: NodeId, f: &mut dyn FnMut(&N)) -> Result<(), NetError> {
+        let unknown = SendError::UnknownNode { node: id };
+        f(self.nodes.get(id.index()).ok_or(unknown)?);
+        Ok(())
+    }
+
+    fn update(&mut self, id: NodeId, f: &mut dyn FnMut(&mut N)) -> Result<(), NetError> {
+        let unknown = SendError::UnknownNode { node: id };
+        f(self.nodes.get_mut(id.index()).ok_or(unknown)?);
+        Ok(())
+    }
+
+    /// The event budget is checked before each pop, so an exhausted run
+    /// leaves the queue exactly as the next pop would find it.
+    fn settle(&mut self) -> Result<RunOutcome, NetError> {
+        self.try_start()?;
+        let mut processed = 0u64;
+        while !self.queue.is_empty() {
+            if self.config.max_events > 0 && processed >= self.config.max_events {
+                return Ok(RunOutcome::Exhausted { events: processed });
+            }
+            let Some(event) = self.queue.pop() else {
+                break;
+            };
+            self.process_event(event)?;
+            processed += 1;
+        }
+        Ok(RunOutcome::Quiescent { events: processed })
+    }
+
+    /// A failed send consumes the event that caused it.
+    fn step(&mut self) -> Result<bool, NetError> {
+        self.try_start()?;
+        let Some(event) = self.queue.pop() else {
+            return Ok(false);
+        };
+        self.process_event(event)?;
+        Ok(true)
+    }
+
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    fn topology(&self) -> &Topology {
+        &self.topology
+    }
+
+    fn stats(&self) -> &NetworkStats {
+        &self.stats
+    }
+
+    fn events_processed(&self) -> u64 {
+        self.events_processed
+    }
+
+    /// A fan-out counts once per receiver not yet delivered.
+    fn pending(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// Deliveries to a down node follow its [`Node::while_down`] policy:
+    /// lost (and counted) or parked for redelivery at restart.
+    fn set_down(&mut self, id: NodeId) -> Result<(), NetError> {
+        let unknown = SendError::UnknownNode { node: id };
+        *self.manual_down.get_mut(id.index()).ok_or(unknown)? = true;
+        Ok(())
+    }
+
+    /// Parked envelopes are redelivered at the current virtual time in
+    /// their original arrival order (the event queue's insertion-order
+    /// tie-break preserves it).
+    fn set_up(&mut self, id: NodeId) -> Result<(), NetError> {
+        let unknown = SendError::UnknownNode { node: id };
+        *self.manual_down.get_mut(id.index()).ok_or(unknown)? = false;
+        let parked = self
+            .parked
+            .get_mut(id.index())
+            .map(std::mem::take)
+            .unwrap_or_default();
+        for (from, seq, payload) in parked {
+            self.queue.push(
+                self.now,
+                EventKind::Deliver {
+                    from,
+                    to: id,
+                    seq,
+                    data_bytes: payload.data_bytes(),
+                    control_bytes: payload.control_bytes(),
+                    payload,
+                },
+            );
+        }
+        Ok(())
+    }
+
+    fn parked(&self, id: NodeId) -> usize {
+        self.parked.get(id.index()).map_or(0, Vec::len)
+    }
+
+    fn into_nodes(self: Box<Self>) -> Vec<N> {
+        self.nodes
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::message::RawPayload;
     use crate::time::SimDuration;
+
+    impl<P, N> Simulator<P, N> {
+        /// Node `id`'s state, for assertions.
+        pub(crate) fn node(&self, id: NodeId) -> &N {
+            &self.nodes[id.index()]
+        }
+    }
 
     /// A node that relays a token around the ring `k` times, counting hops.
     #[derive(Debug)]
@@ -821,7 +811,7 @@ mod tests {
         let mut sim = Simulator::new(Topology::ring(5), config, nodes);
         let outcome = sim.run_until_quiescent();
         assert_eq!(outcome, RunOutcome::Exhausted { events: 7 });
-        assert!(sim.pending_events() > 0);
+        assert!(sim.pending() > 0);
     }
 
     /// Floods a full mesh: every message with hops left goes on to every
@@ -905,15 +895,10 @@ mod tests {
 
     fn observe(sim: Simulator<RawPayload, Flood>) -> Observed {
         let (now, events) = (sim.now(), sim.events_processed());
-        let (nodes, stats, trace) = sim.into_parts();
+        let (trace, stats) = (sim.trace().entries().to_vec(), sim.stats().clone());
+        let nodes = Box::new(sim).into_nodes();
         let states = nodes.into_iter().map(|node| (node.got, node.timers));
-        (
-            trace.entries().to_vec(),
-            stats,
-            states.collect(),
-            now,
-            events,
-        )
+        (trace, stats, states.collect(), now, events)
     }
 
     #[test]
@@ -966,10 +951,10 @@ mod tests {
                     sim
                 };
                 let (mut multi, mut looped) = (stopped(true), stopped(false));
-                assert_eq!(multi.pending_events(), looped.pending_events(), "k = {k}");
+                assert_eq!(multi.pending(), looped.pending(), "k = {k}");
                 for sim in [&mut multi, &mut looped] {
                     if k % 2 == 0 {
-                        while sim.step() {}
+                        while sim.step().unwrap() {}
                     } else {
                         while !sim.run_until_quiescent().is_quiescent() {}
                     }
@@ -991,11 +976,11 @@ mod tests {
         sim.with_node(NodeId(0), |_, ctx| {
             ctx.send_multi([1, 2, 3].map(NodeId), RawPayload::new(1, 0));
         });
-        assert_eq!(sim.pending_events(), 3);
-        assert!(sim.step());
-        assert_eq!(sim.pending_events(), 2);
+        assert_eq!(sim.pending(), 3);
+        assert!(sim.step().unwrap());
+        assert_eq!(sim.pending(), 2);
         sim.run_until_quiescent();
-        assert_eq!(sim.pending_events(), 0);
+        assert_eq!(sim.pending(), 0);
         assert!((1..4).all(|i| sim.node(NodeId(i)).got == 1));
     }
 
@@ -1011,10 +996,10 @@ mod tests {
     fn run_until_deadline_leaves_later_events_pending() {
         let mut sim = ring_sim(4, 1);
         sim.run_until(SimTime::from_micros(25));
-        assert!(sim.pending_events() > 0);
+        assert!(sim.pending() > 0);
         assert!(sim.now() <= SimTime::from_micros(25));
         sim.run_until_quiescent();
-        assert_eq!(sim.pending_events(), 0);
+        assert_eq!(sim.pending(), 0);
     }
 
     #[test]
@@ -1023,7 +1008,7 @@ mod tests {
         sim.with_node(NodeId(2), |_n, ctx| {
             ctx.send(NodeId(0), RawPayload::new(1, 1));
         });
-        assert_eq!(sim.pending_events(), 1);
+        assert_eq!(sim.pending(), 1);
         sim.run_until_quiescent();
         assert_eq!(sim.node(NodeId(0)).hops_seen, 1);
     }
@@ -1042,25 +1027,25 @@ mod tests {
     fn sending_outside_topology_is_a_typed_error() {
         let mut sim = ring_sim(5, 0);
         let err = sim
-            .try_with_node(NodeId(0), |_n, ctx| {
+            .invoke(NodeId(0), &mut |_n, ctx| {
                 ctx.send(NodeId(2), RawPayload::new(1, 0));
             })
             .unwrap_err();
         assert_eq!(
             err,
-            SendError::NoLink {
+            NetError::Send(SendError::NoLink {
                 from: NodeId(0),
                 to: NodeId(2)
-            }
+            })
         );
         assert!(err.to_string().contains("n0"));
         assert!(err.to_string().contains("n2"));
         // Legal sends keep working afterwards.
-        let ok = sim.try_with_node(NodeId(0), |_n, ctx| {
+        let ok = sim.invoke(NodeId(0), &mut |_n, ctx| {
             ctx.send(NodeId(1), RawPayload::new(1, 0));
         });
         assert!(ok.is_ok());
-        assert!(sim.try_run_until_quiescent().is_ok());
+        assert!(sim.settle().is_ok());
     }
 
     #[test]
@@ -1152,9 +1137,8 @@ mod tests {
     fn into_parts_returns_nodes_and_stats() {
         let mut sim = ring_sim(3, 1);
         sim.run_until_quiescent();
-        let (nodes, stats, _trace) = sim.into_parts();
-        assert_eq!(nodes.len(), 3);
-        assert_eq!(stats.total_messages(), 3);
+        assert_eq!(sim.stats().total_messages(), 3);
+        assert_eq!(Box::new(sim).into_nodes().len(), 3);
     }
 
     use crate::fault::{CrashWindow, FaultPlan};
@@ -1261,7 +1245,7 @@ mod tests {
     #[test]
     fn manual_down_parks_nothing_by_default_and_counts_losses() {
         let mut sim = ring_sim(4, 0);
-        sim.set_down(NodeId(1));
+        sim.set_down(NodeId(1)).unwrap();
         assert!(sim.is_down(NodeId(1), SimTime::ZERO));
         sim.with_node(NodeId(0), |_n, ctx| {
             ctx.send(NodeId(1), RawPayload::new(8, 0));
@@ -1270,8 +1254,8 @@ mod tests {
         // Default while_down policy loses protocol deliveries.
         assert_eq!(sim.node(NodeId(1)).hops_seen, 0);
         assert_eq!(sim.stats().total_crash_losses(), 1);
-        assert_eq!(sim.parked_count(NodeId(1)), 0);
-        sim.set_up(NodeId(1));
+        assert_eq!(sim.parked(NodeId(1)), 0);
+        sim.set_up(NodeId(1)).unwrap();
         assert!(!sim.is_down(NodeId(1), sim.now()));
         // The lost message stays lost; the node works again.
         sim.with_node(NodeId(0), |_n, ctx| {
@@ -1304,16 +1288,16 @@ mod tests {
             SimConfig::default(),
             vec![Parker::default(), Parker::default(), Parker::default()],
         );
-        sim.set_down(NodeId(2));
+        sim.set_down(NodeId(2)).unwrap();
         sim.with_node(NodeId(0), |_n, ctx| {
             ctx.send(NodeId(2), RawPayload::new(1, 0));
             ctx.send(NodeId(2), RawPayload::new(2, 0));
         });
         sim.run_until_quiescent();
         assert_eq!(sim.node(NodeId(2)).got, 0);
-        assert_eq!(sim.parked_count(NodeId(2)), 2);
-        sim.set_up(NodeId(2));
-        assert_eq!(sim.parked_count(NodeId(2)), 0);
+        assert_eq!(sim.parked(NodeId(2)), 2);
+        sim.set_up(NodeId(2)).unwrap();
+        assert_eq!(sim.parked(NodeId(2)), 0);
         sim.run_until_quiescent();
         assert_eq!(sim.node(NodeId(2)).got, 2);
     }
@@ -1340,8 +1324,8 @@ mod tests {
         sim.with_node(NodeId(0), |_n, ctx| {
             ctx.send(NodeId(1), RawPayload::new(1, 0));
         });
-        let err = sim.try_run_until_quiescent().unwrap_err();
-        assert_eq!(err, SendError::Fault(FaultError { node: NodeId(1) }));
+        let err = sim.settle().unwrap_err();
+        assert_eq!(err, SendError::Fault(FaultError { node: NodeId(1) }).into());
         assert!(err.to_string().contains("no scheduled restart"));
     }
 

@@ -13,15 +13,14 @@
 //!
 //! A site sits behind one `Mutex` and is run by whichever thread holds
 //! it. Its worker thread takes it per drained batch: the deliveries and
-//! timers waiting on its rings, at most [`INVOKE_BATCH`] pipelined
+//! timers waiting on its rings, at most `INVOKE_BATCH` pipelined
 //! invokes, or a whole replay window. The coordinator takes it for
-//! every synchronous operation ([`ThreadedNet::try_with_node`],
-//! [`ThreadedNet::try_query`], [`ThreadedNet::restore_node`], the
-//! settle-time counter merge) and runs the closure in place on the
-//! calling thread — a read is one lock on the local replica, as in the
-//! paper, not a round trip. Writes stay pipelined:
-//! [`ThreadedNet::try_with_node_async`] posts a boxed invoke on the
-//! site's FIFO lane for the worker, so the nodes' write-side work runs
+//! every synchronous operation ([`Net::invoke`], [`Net::inspect`],
+//! [`Net::update`], the settle-time counter merge) and runs the closure
+//! in place on the calling thread — a read is one lock on the local
+//! replica, as in the paper, not a round trip. Writes stay pipelined:
+//! [`Net::post`] puts a boxed invoke on the site's FIFO lane for the
+//! worker, so the nodes' write-side work runs
 //! on their own cores in parallel. Program order per node is a count of
 //! lane messages posted (kept by the coordinator) against lane messages
 //! finished (an atomic only the worker writes): a synchronous call
@@ -29,8 +28,8 @@
 //!
 //! Two modes, chosen by [`ThreadedMode`]:
 //!
-//! * **Replay** — the net embeds a [`Transport`] oracle (the exact
-//!   object the simnet backend runs on). Every local operation is
+//! * **Replay** — the net embeds a [`Simulator`] oracle over the same
+//!   nodes (relays included, when routed). Every local operation is
 //!   applied to the oracle *and* to the live site; at settle time the
 //!   oracle runs to quiescence, its event trace is cut into a replay
 //!   window (one entry per delivery / timer firing, in oracle order),
@@ -56,7 +55,7 @@
 //! synchronous closure is such a sender too, and handles whatever
 //! backlog it absorbed before it lets go of the site.
 //!
-//! A worker thread that panics marks itself in a shared [`DeadSet`] on
+//! A worker thread that panics marks itself in a shared `DeadSet` on
 //! the way down and leaves its site's lock poisoned; the coordinator's
 //! waits poll that set (and a poisoned lock reads as the same death) and
 //! surface a typed [`WorkerDead`] error instead of hanging, and peers
@@ -65,31 +64,35 @@
 //! operation reports the failure. A panic inside a closure the
 //! coordinator runs in place unwinds to the caller; it poisons the site
 //! all the same, so the worker dies on its next turn and the site reports
-//! dead from then on.
+//! dead from then on. A handler run by a worker that sends to an id
+//! outside the fabric dies the same way, with the send's error as its
+//! message; a closure the coordinator runs gets that error back instead.
 //!
 //! Remaining scope limits (the DSM layer turns these into typed errors):
 //! no fault injection, and no `on_start` hooks that emit messages or
-//! timers (none of the DSM protocols use them). Sparse topologies are
-//! supported by hosting [`Relay`](crate::route::Relay) nodes on the
-//! sites — see [`ThreadedTransport`].
+//! timers (none of the DSM protocols use them), and no crash/restart
+//! ([`NetError::Unsupported`]). Sparse topologies are supported by
+//! hosting [`Relay`](crate::route::Relay) nodes on the sites — see
+//! [`deploy`](crate::transport::deploy).
 //!
-//! Host time is confined to the [`clock`] watchdog module, the sole
+//! Host time is confined to the `clock` watchdog module, the sole
 //! holder of the `no-wall-clock` lint exemption.
 
 pub(crate) mod clock;
+#[cfg(test)]
 mod transport;
-
-pub use transport::ThreadedTransport;
 
 use crate::backend::ThreadedMode;
 use crate::chan::{fabric, CtlPost, InFlight, Mailbox, Post};
 use crate::message::{NodeId, WireSize};
+use crate::network::Topology;
 use crate::node::{Node, NodeContext, Outgoing};
 use crate::pool::{BufferPool, PoolStats};
-use crate::sim::{RunOutcome, SimConfig};
+use crate::sim::{RunOutcome, SendError, SimConfig, Simulator};
 use crate::stats::NetworkStats;
 use crate::time::{SimDuration, SimTime};
-use crate::transport::{RoutingMode, Transport};
+use crate::trace::TraceEntry;
+use crate::transport::{BoxedPost, Net, NetError, Posted};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -249,10 +252,6 @@ struct ReplayWindow {
     pos: AtomicUsize,
 }
 
-/// A boxed closure the worker runs against its site's node: the
-/// pipelined write path. Synchronous calls run unboxed, in place.
-type InvokeFn<P, N> = Box<dyn FnOnce(&mut N, &mut NodeContext<P>) + Send>;
-
 /// Hot-path link messages: what travels on the SPSC rings. The sender is
 /// implied by the ring's lane, so no per-message sender field is paid.
 enum LinkMsg<P> {
@@ -270,7 +269,7 @@ enum Ctl<P, N> {
     /// coordinator counts the invoke in-flight when it posts; the worker
     /// repays the debt after the flush, so a settle is the barrier that
     /// observes it applied.
-    InvokeAsync(InvokeFn<P, N>),
+    InvokeAsync(BoxedPost<P, N>),
     /// Execute a replay window; the coordinator watches its cursor.
     Replay(Arc<ReplayWindow>),
     /// Exit the worker loop. Not counted as a lane message.
@@ -291,6 +290,8 @@ enum Turn {
 /// buffers. Run by whichever thread holds the lock around it.
 struct Site<P, N> {
     me: NodeId,
+    /// Nodes in the fabric; a send to an id at or past it fails.
+    n: usize,
     mode: ThreadedMode,
     node: N,
     mailbox: Mailbox<LinkMsg<P>, Ctl<P, N>>,
@@ -377,7 +378,9 @@ where
                     // before the invoke's own debt is repaid, so the
                     // coordinator's settle can never observe zero
                     // between the two.
-                    self.invoke(f);
+                    if let Err(e) = self.invoke(f) {
+                        panic!("{e}");
+                    }
                     self.inflight.down();
                 }
                 Some(Ctl::Replay(window)) => self.replay(&window),
@@ -392,11 +395,10 @@ where
     }
 
     /// Run a closure against the node and flush what it sent.
-    fn invoke<R>(&mut self, f: impl FnOnce(&mut N, &mut NodeContext<P>) -> R) -> R {
+    fn invoke(&mut self, f: impl FnOnce(&mut N, &mut NodeContext<P>)) -> Result<(), SendError> {
         let mut ctx = self.context();
-        let result = f(&mut self.node, &mut ctx);
-        self.flush(ctx);
-        result
+        f(&mut self.node, &mut ctx);
+        self.flush(ctx)
     }
 
     /// Handle every drained link message, in arrival order.
@@ -461,7 +463,9 @@ where
         self.events.fetch_add(1, Ordering::Relaxed);
         let mut ctx = self.context();
         self.node.on_message(&mut ctx, from, payload);
-        self.flush(ctx);
+        if let Err(e) = self.flush(ctx) {
+            panic!("{e}");
+        }
     }
 
     /// Run the timer handler and flush.
@@ -469,14 +473,17 @@ where
         self.events.fetch_add(1, Ordering::Relaxed);
         let mut ctx = self.context();
         self.node.on_timer(&mut ctx, tag);
-        self.flush(ctx);
+        if let Err(e) = self.flush(ctx) {
+            panic!("{e}");
+        }
     }
 
     /// Schedule whatever a handler produced, mirroring the simulator's
     /// flush: timers first, then the outbox in order, with `Many`
-    /// expanded to one link message per destination in target order.
-    /// The context's buffers return to the pools afterwards.
-    fn flush(&mut self, ctx: NodeContext<P>) {
+    /// expanded to one link message per destination in target order, up
+    /// to the first send to an id outside the fabric. The context's
+    /// buffers return to the pools afterwards.
+    fn flush(&mut self, ctx: NodeContext<P>) -> Result<(), SendError> {
         let (mut outbox, mut timers) = ctx.into_parts();
         for (_delay, tag) in timers.drain(..) {
             match self.mode {
@@ -493,32 +500,45 @@ where
             }
         }
         self.timer_pool.release(timers);
+        let mut result = Ok(());
         for out in outbox.drain(..) {
-            match out {
+            result = match out {
                 Outgoing::One(to, payload) => self.send_payload(to, payload),
-                Outgoing::Many(targets, payload) => {
-                    let last = targets.len().saturating_sub(1);
-                    for (k, to) in targets.into_iter().enumerate() {
-                        if k == last {
-                            self.send_payload(to, payload);
-                            break;
-                        }
-                        self.send_payload(to, payload.clone());
-                    }
-                }
+                Outgoing::Many(targets, payload) => self.send_many(targets, payload),
+            };
+            if result.is_err() {
+                break;
             }
         }
         self.outbox_pool.release(outbox);
+        result
+    }
+
+    /// Send one payload to every receiver of `targets`, in order, up to
+    /// the first that fails.
+    fn send_many(&mut self, targets: Vec<NodeId>, payload: P) -> Result<(), SendError> {
+        let last = targets.len().saturating_sub(1);
+        for (k, to) in targets.into_iter().enumerate() {
+            if k == last {
+                return self.send_payload(to, payload);
+            }
+            self.send_payload(to, payload.clone())?;
+        }
+        Ok(())
     }
 
     /// Put one payload on the wire with send-side accounting.
-    fn send_payload(&mut self, to: NodeId, payload: P) {
+    fn send_payload(&mut self, to: NodeId, payload: P) -> Result<(), SendError> {
+        if to.index() >= self.n {
+            return Err(SendError::NoLink { from: self.me, to });
+        }
         self.stats
             .record_send(self.me, to, payload.data_bytes(), payload.control_bytes());
         if self.mode == ThreadedMode::FreeRunning {
             self.inflight.up();
         }
         self.send_link(to, LinkMsg::Deliver(payload));
+        Ok(())
     }
 
     /// Push a link message, absorbing our own backlog while the
@@ -636,15 +656,15 @@ where
 
 /// A set of protocol nodes running on real OS threads, linked by the
 /// SPSC ring fabric, optionally pinned to a simnet oracle. See the
-/// module docs for the execution model.
+/// module docs for the execution model; its operations are those of
+/// [`Net`].
 pub struct ThreadedNet<P, N>
 where
     P: WireSize + fmt::Debug + Clone + Send + 'static,
     N: Node<P> + Clone + Send + 'static,
 {
-    mode: ThreadedMode,
     n: usize,
-    topology: crate::network::Topology,
+    topology: Topology,
     ctl: CtlPost<LinkMsg<P>, Ctl<P, N>>,
     /// One site per node; emptied by shutdown.
     sites: Vec<Arc<SiteCell<P, N>>>,
@@ -659,9 +679,9 @@ where
     /// The sites' counters as merged at the last settle; in replay mode
     /// `stats` is a copy of the oracle's and `fabric` stays zero.
     counters: Counters,
-    /// Replay mode: the simnet transport whose delivery order the
-    /// threads follow. `None` in free-running mode.
-    oracle: Option<Transport<P, N>>,
+    /// Replay mode: the simulator whose delivery order the threads
+    /// follow. `None` in free-running mode.
+    oracle: Option<Simulator<P, N>>,
     /// Index of the first oracle trace entry not yet replayed.
     trace_cursor: usize,
     /// Worker event count at the end of the previous settle, so settle
@@ -674,12 +694,12 @@ where
     P: WireSize + fmt::Debug + Clone + Send + 'static,
     N: Node<P> + Clone + Send + 'static,
 {
-    /// Spawn one worker thread per node over a full-mesh ring fabric —
-    /// the classical any-to-any deployment. See
-    /// [`ThreadedNet::with_topology`] for sparse topologies.
+    /// Spawn one worker thread per node over a full mesh — the classical
+    /// any-to-any deployment. [`deploy`](crate::transport::deploy)
+    /// builds threaded nets over other topologies.
     pub fn new(mode: ThreadedMode, config: SimConfig, nodes: Vec<N>) -> Self {
         let n = nodes.len();
-        Self::with_topology(mode, crate::network::Topology::full_mesh(n), config, nodes)
+        Self::with_topology(mode, Topology::full_mesh(n), config, nodes)
     }
 
     /// Spawn one worker thread per node, with the replay oracle (if any)
@@ -697,9 +717,9 @@ where
     /// Panics if an `on_start` hook emits messages or timers: the
     /// threaded backend supports only passive starts (all DSM protocol
     /// nodes qualify).
-    pub fn with_topology(
+    pub(crate) fn with_topology(
         mode: ThreadedMode,
-        topology: crate::network::Topology,
+        topology: Topology,
         config: SimConfig,
         mut nodes: Vec<N>,
     ) -> Self {
@@ -709,16 +729,12 @@ where
             ThreadedMode::Replay => {
                 let mut cfg = config;
                 cfg.topology = None;
-                cfg.routing = RoutingMode::Direct;
                 cfg.trace_capacity =
                     Some(cfg.trace_capacity.unwrap_or(0).max(REPLAY_TRACE_CAPACITY));
                 // The oracle runs `on_start` on its own copies lazily;
                 // clone before the local `on_start` pass so every copy
                 // sees the hook exactly once.
-                Some(
-                    Transport::new(topology.clone(), cfg, nodes.clone())
-                        .expect("a direct transport never routes"),
-                )
+                Some(Simulator::new(topology.clone(), cfg, nodes.clone()))
             }
             ThreadedMode::FreeRunning => None,
         };
@@ -742,6 +758,7 @@ where
             let cell = Arc::new(SiteCell {
                 site: Mutex::new(Site {
                     me: NodeId(i),
+                    n,
                     mode,
                     node,
                     mailbox,
@@ -775,7 +792,6 @@ where
             handles.push(handle);
         }
         ThreadedNet {
-            mode,
             n,
             topology,
             ctl,
@@ -792,22 +808,6 @@ where
         }
     }
 
-    /// The scheduling mode this net was built with.
-    pub fn mode(&self) -> ThreadedMode {
-        self.mode
-    }
-
-    /// Number of worker threads (= protocol nodes).
-    pub fn node_count(&self) -> usize {
-        self.n
-    }
-
-    /// The topology this net was deployed over (the replay oracle's
-    /// topology; the ring fabric itself is always a full matrix).
-    pub fn topology(&self) -> &crate::network::Topology {
-        &self.topology
-    }
-
     /// `Err` with the first dead worker if any worker thread has
     /// panicked (the net is then poisoned).
     fn ensure_alive(&self) -> Result<(), WorkerDead> {
@@ -817,9 +817,18 @@ where
         }
     }
 
+    /// `Err` unless `id` names a hosted node.
+    fn check(&self, id: NodeId) -> Result<(), NetError> {
+        if id.index() < self.n {
+            Ok(())
+        } else {
+            Err(SendError::UnknownNode { node: id }.into())
+        }
+    }
+
     /// Post a message on `id`'s lane, counting it towards the lane's
     /// drain condition.
-    fn post(&mut self, id: NodeId, msg: Ctl<P, N>) {
+    fn post_lane(&mut self, id: NodeId, msg: Ctl<P, N>) {
         self.lane_posted[id.index()] += 1;
         self.ctl.to(id, msg);
     }
@@ -852,262 +861,27 @@ where
         })
     }
 
-    /// Run a closure against a node, scheduling whatever it sends — the
-    /// threaded counterpart of [`Transport::with_node`]. The closure runs
-    /// in place, on the calling thread, under the node's site lock, once
-    /// everything pipelined to that node has run; its sends are flushed
-    /// into the fabric (full-ring back-pressure included) before this
-    /// returns. In replay mode the closure is applied to the oracle's
-    /// copy as well (to keep the schedule source in lock-step); the live
-    /// site's result is returned, so callers always observe the threaded
-    /// execution.
-    ///
-    /// Panics if a worker thread has died; use
-    /// [`ThreadedNet::try_with_node`] to handle that case.
-    pub fn with_node<R, F>(&mut self, id: NodeId, f: F) -> R
-    where
-        F: Fn(&mut N, &mut NodeContext<P>) -> R,
-    {
-        self.try_with_node(id, f).unwrap_or_else(|e| panic!("{e}"))
+    /// [`Net::invoke`] returning the closure's result.
+    pub fn try_with_node<R>(
+        &mut self,
+        id: NodeId,
+        f: impl Fn(&mut N, &mut NodeContext<P>) -> R,
+    ) -> Result<R, NetError> {
+        <dyn Net<P, N>>::try_with_node(self, id, f)
     }
 
-    /// Fallible variant of [`ThreadedNet::with_node`]: reports a
-    /// [`WorkerDead`] instead of panicking when a worker thread is gone.
-    pub fn try_with_node<R, F>(&mut self, id: NodeId, f: F) -> Result<R, WorkerDead>
-    where
-        F: Fn(&mut N, &mut NodeContext<P>) -> R,
-    {
-        assert!(id.index() < self.n, "unknown node {id}");
-        let mut site = self.site(id)?;
-        let result = site.invoke(&f);
-        // A send that stalled on a full ring absorbed this site's own
-        // rings into the backlog; handle it before letting go.
-        site.run_pending();
-        drop(site);
-        if let Some(oracle) = &mut self.oracle {
-            let _ = oracle.with_node(id, &f);
-        }
-        Ok(result)
+    /// [`Net::post`] of one closure.
+    pub fn try_with_node_async(
+        &mut self,
+        id: NodeId,
+        f: impl Fn(&mut N, &mut NodeContext<P>) + Send + 'static,
+    ) -> Result<(), NetError> {
+        self.post(id, &mut Some(f))
     }
 
-    /// Pipelined variant of [`ThreadedNet::with_node`] for closures whose
-    /// result nobody reads (the DSM write path): post the invoke on the
-    /// node's lane and return without waiting for it to run. Program
-    /// order is preserved — a later [`ThreadedNet::with_node`] or
-    /// [`ThreadedNet::query`] on the same node waits for the lane to
-    /// drain, so it observes this closure applied — and
-    /// [`ThreadedNet::settle`] is the global barrier: the invoke is
-    /// counted in-flight until its flush completes. This is what makes
-    /// the threaded backend fast on few cores: writes stop paying a
-    /// coordinator⇄worker context-switch round trip each, workers drain
-    /// whole batches of them per wakeup, and the nodes' write-side
-    /// protocol work runs on their own threads in parallel.
-    ///
-    /// Panics if a worker thread has died; use
-    /// [`ThreadedNet::try_with_node_async`] to handle that case.
-    pub fn with_node_async<F>(&mut self, id: NodeId, f: F)
-    where
-        F: Fn(&mut N, &mut NodeContext<P>) + Send + 'static,
-    {
-        self.try_with_node_async(id, f)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`ThreadedNet::with_node_async`]. A death that
-    /// happens after this returns `Ok` surfaces at the next settle (or
-    /// the next synchronous call) — the closure itself may then never
-    /// run, which is indistinguishable from the panic interrupting it.
-    pub fn try_with_node_async<F>(&mut self, id: NodeId, f: F) -> Result<(), WorkerDead>
-    where
-        F: Fn(&mut N, &mut NodeContext<P>) + Send + 'static,
-    {
-        assert!(id.index() < self.n, "unknown node {id}");
-        self.ensure_alive()?;
-        if let Some(oracle) = &mut self.oracle {
-            oracle.with_node(id, &f);
-        }
-        self.inflight.up();
-        self.post(id, Ctl::InvokeAsync(Box::new(f)));
-        Ok(())
-    }
-
-    /// Run a read-only closure against a node's live state, in place
-    /// under the node's site lock (see [`ThreadedNet::with_node`] for the
-    /// ordering).
-    ///
-    /// Panics if the worker thread has died; use
-    /// [`ThreadedNet::try_query`] to handle that case.
-    pub fn query<R, F>(&self, id: NodeId, f: F) -> R
-    where
-        F: FnOnce(&N) -> R,
-    {
-        self.try_query(id, f).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`ThreadedNet::query`].
-    pub fn try_query<R, F>(&self, id: NodeId, f: F) -> Result<R, WorkerDead>
-    where
-        F: FnOnce(&N) -> R,
-    {
-        assert!(id.index() < self.n, "unknown node {id}");
-        Ok(f(&self.site(id)?.node))
-    }
-
-    /// Overwrite a node's state (the DSM layer's restore-from-snapshot
-    /// path). In replay mode the oracle's copy is overwritten too.
-    ///
-    /// Panics if a worker thread has died.
-    pub fn restore_node(&mut self, id: NodeId, node: N) {
-        if let Some(oracle) = &mut self.oracle {
-            *oracle.node_mut(id) = node.clone();
-        }
-        self.site(id).unwrap_or_else(|e| panic!("{e}")).node = node;
-    }
-
-    /// Drive the net to quiescence.
-    ///
-    /// Replay: run the oracle to quiescence, cut the new slice of its
-    /// trace into a replay window, execute it on the workers, refresh
-    /// the stats cache from the oracle. Free-running: wait for the
-    /// in-flight counter to reach zero, then merge the sites' counters.
-    ///
-    /// Panics if a worker thread has died; use
-    /// [`ThreadedNet::try_settle`] to handle that case.
-    pub fn settle(&mut self) -> RunOutcome {
-        self.try_settle().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`ThreadedNet::settle`].
-    pub fn try_settle(&mut self) -> Result<RunOutcome, WorkerDead> {
-        self.ensure_alive()?;
-        match self.mode {
-            ThreadedMode::Replay => {
-                let oracle = self.oracle.as_mut().expect("replay mode has an oracle");
-                let outcome = oracle.run_until_quiescent();
-                let trace = oracle.trace();
-                assert_eq!(
-                    trace.dropped(),
-                    0,
-                    "replay oracle trace overflowed {REPLAY_TRACE_CAPACITY} entries; \
-                     this run is too large for replay mode — use free-running"
-                );
-                let steps: Vec<(NodeId, Step)> = trace.entries()[self.trace_cursor..]
-                    .iter()
-                    .filter_map(|e| match *e {
-                        crate::trace::TraceEntry::Delivered { from, to, .. } => {
-                            Some((to, Step::Deliver { from }))
-                        }
-                        crate::trace::TraceEntry::TimerFired { node, tag, .. } => {
-                            Some((node, Step::Timer { tag }))
-                        }
-                        crate::trace::TraceEntry::Sent { .. } => None,
-                    })
-                    .collect();
-                self.trace_cursor = trace.entries().len();
-                if !steps.is_empty() {
-                    let window = Arc::new(ReplayWindow {
-                        steps,
-                        pos: AtomicUsize::new(0),
-                    });
-                    for i in 0..self.n {
-                        self.post(NodeId(i), Ctl::Replay(Arc::clone(&window)));
-                    }
-                    // The window is done when its cursor passes the end;
-                    // a worker still on its way out of `replay` is what
-                    // the next synchronous call's lane wait covers.
-                    let watchdog = clock::Watchdog::standard();
-                    while window.pos.load(Ordering::Acquire) < window.steps.len() {
-                        self.ensure_alive()?;
-                        assert!(
-                            !watchdog.expired(),
-                            "threaded backend stalled waiting for a replay window"
-                        );
-                        std::thread::yield_now();
-                    }
-                }
-                self.counters.stats = self.oracle.as_ref().expect("oracle").stats().clone();
-                let mut pool = PoolStats::default();
-                for i in 0..self.n {
-                    pool.merge(self.site(NodeId(i))?.pool_stats());
-                }
-                self.counters.pool = pool;
-                Ok(outcome)
-            }
-            ThreadedMode::FreeRunning => {
-                let watchdog = clock::Watchdog::standard();
-                while self.inflight.load() > 0 {
-                    self.ensure_alive()?;
-                    assert!(
-                        !watchdog.expired(),
-                        "free-running settle stalled with {} event(s) in flight",
-                        self.inflight.load()
-                    );
-                    std::thread::yield_now();
-                }
-                let mut counters = Counters::new(self.n);
-                for i in 0..self.n {
-                    counters.add(&*self.site(NodeId(i))?);
-                }
-                self.counters = counters;
-                let total = self.events.load(Ordering::SeqCst);
-                let events = total - self.events_at_last_settle;
-                self.events_at_last_settle = total;
-                Ok(RunOutcome::Quiescent { events })
-            }
-        }
-    }
-
-    /// Wire statistics as of the last settle. Replay mode reports the
-    /// oracle's (simnet-identical) accounting; free-running mode reports
-    /// the merged per-site counters.
-    pub fn stats(&self) -> &NetworkStats {
-        &self.counters.stats
-    }
-
-    /// Events processed so far: oracle events in replay mode (identical
-    /// to the simnet run), handler executions across sites otherwise.
-    pub fn events_processed(&self) -> u64 {
-        match &self.oracle {
-            Some(oracle) => oracle.events_processed(),
-            None => self.events.load(Ordering::SeqCst),
-        }
-    }
-
-    /// Virtual time: the oracle clock in replay mode. Free-running mode
-    /// has no virtual clock and always reports zero.
-    pub fn now(&self) -> SimTime {
-        match &self.oracle {
-            Some(oracle) => oracle.now(),
-            None => SimTime::ZERO,
-        }
-    }
-
-    /// Events not yet fully processed (oracle queue length in replay
-    /// mode, in-flight counter otherwise).
-    pub fn pending(&self) -> usize {
-        match &self.oracle {
-            Some(oracle) => oracle.pending_events(),
-            None => self.inflight.load() as usize,
-        }
-    }
-
-    /// Buffer-pool statistics: the sites' handler-context pools, merged
-    /// as of the last settle, in either mode.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.counters.pool
-    }
-
-    /// Link-fabric contention counters (full-ring stalls, drain batch
-    /// lengths) merged across sites as of the last free-running settle;
-    /// all zero in replay mode, whose drains are step-paced by the oracle.
-    pub fn fabric_stats(&self) -> FabricStats {
-        self.counters.fabric
-    }
-
-    /// Stop every worker and collect the nodes in id order. Workers that
-    /// died are skipped (their sites are left poisoned).
-    pub fn into_nodes(mut self) -> Vec<N> {
-        self.shutdown()
+    /// [`Net::settle`].
+    pub fn try_settle(&mut self) -> Result<RunOutcome, NetError> {
+        self.settle()
     }
 
     fn shutdown(&mut self) -> Vec<N> {
@@ -1139,6 +913,206 @@ where
             }
         }
         sites.into_iter().map(|site| site.node).collect()
+    }
+}
+
+impl<P, N> Net<P, N> for ThreadedNet<P, N>
+where
+    P: WireSize + fmt::Debug + Clone + Send + 'static,
+    N: Node<P> + Clone + Send + 'static,
+{
+    /// The closure runs in place, on the calling thread, under the node's
+    /// site lock, once everything pipelined to that node has run; its
+    /// sends are flushed into the fabric (full-ring back-pressure
+    /// included) before this returns. In replay mode it runs on the
+    /// oracle's copy as well, to keep the schedule source in lock-step.
+    fn invoke(
+        &mut self,
+        id: NodeId,
+        f: &mut dyn FnMut(&mut N, &mut NodeContext<P>),
+    ) -> Result<(), NetError> {
+        self.check(id)?;
+        let mut site = self.site(id)?;
+        let live = site.invoke(&mut *f);
+        // A send that stalled on a full ring absorbed this site's own
+        // rings into the backlog; handle it before letting go.
+        site.run_pending();
+        drop(site);
+        let mirrored = match &mut self.oracle {
+            Some(oracle) => oracle.invoke(id, f),
+            None => Ok(()),
+        };
+        live?;
+        mirrored
+    }
+
+    /// The closure is boxed onto the node's lane and this returns without
+    /// waiting for it. Program order holds — a later synchronous call on
+    /// the same node waits for the lane to drain — and a settle is the
+    /// global barrier: the invoke is counted in-flight until its flush
+    /// completes. Writes so stop paying a coordinator⇄worker round trip
+    /// each, workers drain whole batches of them per wakeup, and the
+    /// nodes' write-side work runs on their own cores in parallel. A
+    /// death after this returns `Ok` surfaces at the next settle or
+    /// synchronous call; the closure may then never run.
+    fn post(&mut self, id: NodeId, f: &mut dyn Posted<P, N>) -> Result<(), NetError> {
+        self.check(id)?;
+        self.ensure_alive()?;
+        let mirrored = match &mut self.oracle {
+            Some(oracle) => oracle.invoke(id, &mut |node, ctx| f.run(node, ctx)),
+            None => Ok(()),
+        };
+        if let Some(f) = f.boxed() {
+            self.inflight.up();
+            self.post_lane(id, Ctl::InvokeAsync(f));
+        }
+        mirrored
+    }
+
+    /// In place under the node's site lock (ordered as [`Net::invoke`]).
+    fn inspect(&self, id: NodeId, f: &mut dyn FnMut(&N)) -> Result<(), NetError> {
+        self.check(id)?;
+        f(&self.site(id)?.node);
+        Ok(())
+    }
+
+    /// In replay mode the oracle's copy changes too.
+    fn update(&mut self, id: NodeId, f: &mut dyn FnMut(&mut N)) -> Result<(), NetError> {
+        self.check(id)?;
+        if let Some(oracle) = &mut self.oracle {
+            oracle.update(id, f)?;
+        }
+        f(&mut self.site(id)?.node);
+        Ok(())
+    }
+
+    /// Replay: run the oracle to quiescence, cut the new slice of its
+    /// trace into a replay window, execute it on the workers, refresh
+    /// the stats cache from the oracle. Free-running: wait for the
+    /// in-flight counter to reach zero, then merge the sites' counters.
+    fn settle(&mut self) -> Result<RunOutcome, NetError> {
+        self.ensure_alive()?;
+        let Some(oracle) = self.oracle.as_mut() else {
+            let watchdog = clock::Watchdog::standard();
+            while self.inflight.load() > 0 {
+                self.ensure_alive()?;
+                assert!(
+                    !watchdog.expired(),
+                    "free-running settle stalled with {} event(s) in flight",
+                    self.inflight.load()
+                );
+                std::thread::yield_now();
+            }
+            let mut counters = Counters::new(self.n);
+            for i in 0..self.n {
+                counters.add(&*self.site(NodeId(i))?);
+            }
+            self.counters = counters;
+            let total = self.events.load(Ordering::SeqCst);
+            let events = total - self.events_at_last_settle;
+            self.events_at_last_settle = total;
+            return Ok(RunOutcome::Quiescent { events });
+        };
+        let outcome = oracle.settle()?;
+        let trace = oracle.trace();
+        assert_eq!(
+            trace.dropped(),
+            0,
+            "replay oracle trace overflowed {REPLAY_TRACE_CAPACITY} entries; \
+             this run is too large for replay mode — use free-running"
+        );
+        let steps: Vec<(NodeId, Step)> = trace.entries()[self.trace_cursor..]
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEntry::Delivered { from, to, .. } => Some((to, Step::Deliver { from })),
+                TraceEntry::TimerFired { node, tag, .. } => Some((node, Step::Timer { tag })),
+                TraceEntry::Sent { .. } => None,
+            })
+            .collect();
+        self.trace_cursor = trace.entries().len();
+        self.counters.stats = oracle.stats().clone();
+        if !steps.is_empty() {
+            let window = Arc::new(ReplayWindow {
+                steps,
+                pos: AtomicUsize::new(0),
+            });
+            for i in 0..self.n {
+                self.post_lane(NodeId(i), Ctl::Replay(Arc::clone(&window)));
+            }
+            // The window is done when its cursor passes the end; a
+            // worker still on its way out of `replay` is what the next
+            // synchronous call's lane wait covers.
+            let watchdog = clock::Watchdog::standard();
+            while window.pos.load(Ordering::Acquire) < window.steps.len() {
+                self.ensure_alive()?;
+                assert!(
+                    !watchdog.expired(),
+                    "threaded backend stalled waiting for a replay window"
+                );
+                std::thread::yield_now();
+            }
+        }
+        let mut pool = PoolStats::default();
+        for i in 0..self.n {
+            pool.merge(self.site(NodeId(i))?.pool_stats());
+        }
+        self.counters.pool = pool;
+        Ok(outcome)
+    }
+
+    /// The oracle clock in replay mode; zero when free-running.
+    fn now(&self) -> SimTime {
+        self.oracle
+            .as_ref()
+            .map_or(SimTime::ZERO, |oracle| oracle.now())
+    }
+
+    /// The ring fabric itself is always a full matrix.
+    fn topology(&self) -> &Topology {
+        &self.topology
+    }
+
+    /// Replay mode reports the oracle's (simnet-identical) accounting;
+    /// free-running mode the per-site counters merged at the last
+    /// settle.
+    fn stats(&self) -> &NetworkStats {
+        &self.counters.stats
+    }
+
+    /// Oracle events in replay mode (identical to the simnet run),
+    /// handler executions across sites otherwise.
+    fn events_processed(&self) -> u64 {
+        match &self.oracle {
+            Some(oracle) => oracle.events_processed(),
+            None => self.events.load(Ordering::SeqCst),
+        }
+    }
+
+    /// The oracle's queue length in replay mode, the in-flight counter
+    /// otherwise.
+    fn pending(&self) -> usize {
+        match &self.oracle {
+            Some(oracle) => oracle.pending(),
+            None => self.inflight.load() as usize,
+        }
+    }
+
+    /// The sites' handler-context pools, merged as of the last settle, in
+    /// either mode.
+    fn pool_stats(&self) -> PoolStats {
+        self.counters.pool
+    }
+
+    /// Full-ring stalls and drain batch lengths merged across sites as of
+    /// the last free-running settle; all zero in replay mode, whose
+    /// drains are step-paced by the oracle.
+    fn fabric_stats(&self) -> FabricStats {
+        self.counters.fabric
+    }
+
+    /// Workers that died are skipped (their sites are left poisoned).
+    fn into_nodes(mut self: Box<Self>) -> Vec<N> {
+        self.shutdown()
     }
 }
 
@@ -1199,8 +1173,12 @@ mod tests {
         }
     }
 
-    fn net(mode: ThreadedMode, n: usize) -> ThreadedNet<RawPayload, Echo> {
-        ThreadedNet::new(mode, SimConfig::default(), vec![Echo::default(); n])
+    fn net(mode: ThreadedMode, n: usize) -> Box<dyn Net<RawPayload, Echo>> {
+        Box::new(ThreadedNet::new(
+            mode,
+            SimConfig::default(),
+            vec![Echo::default(); n],
+        ))
     }
 
     #[test]
@@ -1211,14 +1189,17 @@ mod tests {
                 ctx.send(NodeId(to), RawPayload::new(8, 0));
             });
         }
-        let outcome = net.settle();
+        let outcome = net.settle().unwrap();
         assert!(outcome.is_quiescent());
         // 3 pings delivered + 3 echoes delivered.
         assert_eq!(outcome.events(), 6);
-        let echoes = net.query(NodeId(0), |n| n.seen);
+        let echoes = net.query(NodeId(0), |n| n.seen).unwrap();
         assert_eq!(echoes, 3);
         for to in 1..4usize {
-            assert_eq!(net.query(NodeId(to), |n| (n.seen, n.echoed)), (1, 1));
+            assert_eq!(
+                net.query(NodeId(to), |n| (n.seen, n.echoed)).unwrap(),
+                (1, 1)
+            );
         }
         assert_eq!(net.stats().total_messages(), 6);
         assert_eq!(net.pending(), 0);
@@ -1234,7 +1215,7 @@ mod tests {
                 });
             }
         }
-        net.settle();
+        net.settle().unwrap();
         let pool = net.pool_stats();
         assert!(
             pool.hits + pool.misses > 0,
@@ -1264,7 +1245,7 @@ mod tests {
                     ctx.send(NodeId(to), RawPayload::new(round, 0));
                 });
             }
-            net.settle();
+            net.settle().unwrap();
             let pool = net.pool_stats();
             assert!(
                 pool.hits > 0,
@@ -1288,14 +1269,15 @@ mod tests {
     #[test]
     fn teardown_merges_counters_for_a_settle_free_run() {
         for mode in [ThreadedMode::FreeRunning, ThreadedMode::Replay] {
-            let mut net = net(mode, 3);
+            let mut net = ThreadedNet::new(mode, SimConfig::default(), vec![Echo::default(); 3]);
             for round in 0..20 {
                 for to in 1..3usize {
-                    net.with_node(NodeId(0), move |_, ctx| {
-                        // control = 1: counted on arrival, never echoed, so
-                        // the traffic is exactly 40 deliveries.
+                    // control = 1: counted on arrival, never echoed, so
+                    // the traffic is exactly 40 deliveries.
+                    let send = move |_: &mut Echo, ctx: &mut NodeContext<RawPayload>| {
                         ctx.send(NodeId(to), RawPayload::new(round, 1));
-                    });
+                    };
+                    net.try_with_node(NodeId(0), send).unwrap();
                 }
             }
             // Free-running: wait for the workers to drain everything. Replay
@@ -1340,16 +1322,17 @@ mod tests {
             let mut net = net(mode, 3);
             // A burst of pipelined sends from node 0 — nothing waits.
             for round in 0..50usize {
-                net.with_node_async(NodeId(0), move |_, ctx| {
+                let send = move |_: &mut Echo, ctx: &mut NodeContext<RawPayload>| {
                     ctx.send(NodeId(1 + (round % 2)), RawPayload::new(round, 1));
-                });
+                };
+                net.post(NodeId(0), &mut Some(send)).unwrap();
             }
             // A synchronous call on the same node is a barrier: it runs
             // only after all 50 invokes on the node's lane have applied.
             net.with_node(NodeId(0), |_, _ctx| ());
-            assert!(net.settle().is_quiescent());
-            assert_eq!(net.query(NodeId(1), |n| n.seen), 25, "{mode:?}");
-            assert_eq!(net.query(NodeId(2), |n| n.seen), 25, "{mode:?}");
+            assert!(net.settle().unwrap().is_quiescent());
+            assert_eq!(net.query(NodeId(1), |n| n.seen).unwrap(), 25, "{mode:?}");
+            assert_eq!(net.query(NodeId(2), |n| n.seen).unwrap(), 25, "{mode:?}");
             assert_eq!(net.stats().total_messages(), 50, "{mode:?}");
             assert_eq!(net.pending(), 0, "{mode:?}");
         }
@@ -1371,12 +1354,15 @@ mod tests {
         net.with_node(NodeId(0), |_, ctx| {
             ctx.send_multi([NodeId(1), NodeId(2)], RawPayload::new(4, 0));
         });
-        let outcome = net.settle();
+        let outcome = net.settle().unwrap();
         assert!(outcome.is_quiescent());
         assert_eq!(net.events_processed(), sim.events_processed());
         assert_eq!(net.now(), sim.now());
         assert_eq!(net.stats(), sim.stats());
-        assert_eq!(net.query(NodeId(0), |n| n.seen), sim.node(NodeId(0)).seen);
+        assert_eq!(
+            net.query(NodeId(0), |n| n.seen).unwrap(),
+            sim.node(NodeId(0)).seen
+        );
         let nodes = net.into_nodes();
         assert_eq!(nodes.len(), 3);
         for (i, node) in nodes.iter().enumerate() {
@@ -1391,15 +1377,15 @@ mod tests {
         net.with_node(NodeId(0), |_, ctx| {
             ctx.send(NodeId(1), RawPayload::new(1, 0));
         });
-        assert!(net.settle().is_quiescent());
+        assert!(net.settle().unwrap().is_quiescent());
         let after_first = net.events_processed();
         assert!(after_first > 0);
         net.with_node(NodeId(1), |_, ctx| {
             ctx.send(NodeId(0), RawPayload::new(2, 0));
         });
-        assert!(net.settle().is_quiescent());
+        assert!(net.settle().unwrap().is_quiescent());
         assert!(net.events_processed() > after_first);
-        assert_eq!(net.query(NodeId(1), |n| n.seen), 2); // ping + echo
+        assert_eq!(net.query(NodeId(1), |n| n.seen).unwrap(), 2); // ping + echo
     }
 
     /// A node that arms a zero-delay timer on every message and counts
@@ -1428,13 +1414,16 @@ mod tests {
     #[test]
     fn timers_fire_in_both_modes() {
         for mode in [ThreadedMode::FreeRunning, ThreadedMode::Replay] {
-            let mut net: ThreadedNet<RawPayload, TimerKick> =
-                ThreadedNet::new(mode, SimConfig::default(), vec![TimerKick::default(); 2]);
+            let mut net: Box<dyn Net<RawPayload, TimerKick>> = Box::new(ThreadedNet::new(
+                mode,
+                SimConfig::default(),
+                vec![TimerKick::default(); 2],
+            ));
             net.with_node(NodeId(0), |_, ctx| {
                 ctx.send(NodeId(1), RawPayload::new(1, 1));
             });
-            assert!(net.settle().is_quiescent());
-            assert_eq!(net.query(NodeId(1), |n| n.fired), 1, "{mode:?}");
+            assert!(net.settle().unwrap().is_quiescent());
+            assert_eq!(net.query(NodeId(1), |n| n.fired).unwrap(), 1, "{mode:?}");
         }
     }
 
@@ -1444,10 +1433,11 @@ mod tests {
         net.with_node(NodeId(0), |_, ctx| {
             ctx.send(NodeId(1), RawPayload::new(1, 0));
         });
-        net.settle();
-        assert_eq!(net.query(NodeId(1), |n| n.seen), 1);
-        net.restore_node(NodeId(1), Echo::default());
-        assert_eq!(net.query(NodeId(1), |n| n.seen), 0);
+        net.settle().unwrap();
+        assert_eq!(net.query(NodeId(1), |n| n.seen).unwrap(), 1);
+        net.update(NodeId(1), &mut |n| *n = Echo::default())
+            .unwrap();
+        assert_eq!(net.query(NodeId(1), |n| n.seen).unwrap(), 0);
     }
 
     /// A node that panics when poked with a marked payload.
@@ -1466,13 +1456,75 @@ mod tests {
         }
     }
 
+    /// Sends every payload on to an id outside the fabric.
+    #[derive(Clone, Debug, Default)]
+    struct Stray;
+
+    impl Node<RawPayload> for Stray {
+        fn on_message(&mut self, ctx: &mut NodeContext<RawPayload>, _: NodeId, msg: RawPayload) {
+            ctx.send(NodeId(99), msg);
+        }
+    }
+
+    /// A send to an id outside the fabric is the simulator's `NoLink`:
+    /// returned to a closure the coordinator runs (after the sends before
+    /// it went out), a typed death for a handler a worker runs — never an
+    /// index panic, never a poisoned coordinator site.
+    #[test]
+    fn a_send_outside_the_fabric_is_a_typed_error() {
+        let no_link = |from| {
+            NetError::Send(SendError::NoLink {
+                from,
+                to: NodeId(99),
+            })
+        };
+        for mode in [ThreadedMode::FreeRunning, ThreadedMode::Replay] {
+            let mut net: Box<dyn Net<RawPayload, Stray>> =
+                Box::new(ThreadedNet::new(mode, SimConfig::default(), vec![Stray; 4]));
+            let stray = |_: &mut Stray, ctx: &mut NodeContext<RawPayload>| {
+                ctx.send(NodeId(2), RawPayload::new(1, 0));
+                ctx.send_multi([NodeId(3), NodeId(99)], RawPayload::new(1, 0));
+            };
+            assert_eq!(
+                net.try_with_node(NodeId(0), stray).unwrap_err(),
+                no_link(NodeId(0))
+            );
+            // The sends before the stray one went out; their handlers,
+            // run by workers (or by the replay oracle first), stray too.
+            let err = net.settle().unwrap_err();
+            match mode {
+                ThreadedMode::FreeRunning => assert!(
+                    matches!(err, NetError::WorkerDead(WorkerDead { node }) if node.index() >= 2),
+                    "{err}"
+                ),
+                // The oracle refuses first, so no worker died: node 0's
+                // site survived the error returned to its closure.
+                ThreadedMode::Replay => {
+                    assert_eq!(err, no_link(NodeId(2)));
+                    assert!(net.query(NodeId(0), |_| ()).is_ok());
+                }
+            }
+        }
+        let mut net = ThreadedNet::new(
+            ThreadedMode::FreeRunning,
+            SimConfig::default(),
+            vec![Stray; 2],
+        );
+        let stray = |_: &mut Stray, ctx: &mut NodeContext<RawPayload>| {
+            ctx.send(NodeId(99), RawPayload::new(1, 0))
+        };
+        net.try_with_node_async(NodeId(1), stray).unwrap();
+        let dead = WorkerDead { node: NodeId(1) };
+        assert_eq!(net.try_settle(), Err(dead.into()));
+    }
+
     #[test]
     fn dead_worker_surfaces_as_a_typed_error() {
-        let mut net: ThreadedNet<RawPayload, Grenade> = ThreadedNet::new(
+        let mut net: Box<dyn Net<RawPayload, Grenade>> = Box::new(ThreadedNet::new(
             ThreadedMode::FreeRunning,
             SimConfig::default(),
             vec![Grenade::default(); 3],
-        );
+        ));
         // Poke the doomed node; its handler panics on delivery.
         net.with_node(NodeId(0), |_, ctx| {
             ctx.send(NodeId(2), RawPayload::new(1, 99));
@@ -1480,7 +1532,7 @@ mod tests {
         // The panic is asynchronous; keep operating until it surfaces.
         let watchdog = clock::Watchdog::standard();
         let err = loop {
-            match net.try_settle() {
+            match net.settle() {
                 Ok(_) => {
                     assert!(!watchdog.expired(), "worker death never surfaced");
                     std::thread::yield_now();
@@ -1488,20 +1540,20 @@ mod tests {
                 Err(e) => break e,
             }
         };
-        assert_eq!(err, WorkerDead { node: NodeId(2) });
+        assert_eq!(err, WorkerDead { node: NodeId(2) }.into());
         assert!(err.to_string().contains("node n2"), "{err}");
         // The net is poisoned: every subsequent fallible op reports it.
         assert_eq!(
             net.try_with_node(NodeId(0), |_, _| ()).unwrap_err(),
-            WorkerDead { node: NodeId(2) }
+            WorkerDead { node: NodeId(2) }.into()
         );
         assert_eq!(
-            net.try_query(NodeId(1), |n| n.seen).unwrap_err(),
-            WorkerDead { node: NodeId(2) }
+            net.query(NodeId(1), |n| n.seen).unwrap_err(),
+            WorkerDead { node: NodeId(2) }.into()
         );
         assert_eq!(
-            net.try_query(NodeId(2), |n| n.seen).unwrap_err(),
-            WorkerDead { node: NodeId(2) }
+            net.query(NodeId(2), |n| n.seen).unwrap_err(),
+            WorkerDead { node: NodeId(2) }.into()
         );
         // Shutdown still returns the survivors (in id order).
         let nodes = net.into_nodes();

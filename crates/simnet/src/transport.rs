@@ -1,34 +1,442 @@
-//! The transport layer: one send surface over direct and routed networks.
+//! The network surface: one [`Net`] contract over every scheduler.
 //!
-//! Protocol drivers (the DSM runtime in the `dsm` crate) do not talk to
-//! [`Simulator`] directly any more; they go through a [`Transport`], which
-//! decides *how* a logical send reaches its destination:
+//! Protocol drivers (the DSM runtime in the `dsm` crate) hold a
+//! `Box<dyn Net<P, N>>` and never learn which scheduler delivers their
+//! messages. Two backends implement the trait — the discrete-event
+//! [`Simulator`] and the threaded [`ThreadedNet`] — and one adapter,
+//! private to this module, implements routing over either of them: it
+//! hosts every protocol node inside a [`Relay`] and runs each closure
+//! through it, so a logical send travels as
+//! [`Routed`](crate::route::Routed) envelopes over BFS shortest paths,
+//! one channel hop at a time.
 //!
-//! * [`Transport::Direct`] — every send uses the topology link it names.
-//!   This is the classical full-mesh deployment; a send between
-//!   non-neighbours is a [`SendError`].
-//! * [`Transport::Routed`] — protocol nodes are wrapped in
-//!   [`Relay`](crate::route::Relay)s and every logical send travels as a
-//!   [`Routed`] envelope over BFS shortest paths, one channel hop at a
-//!   time. Any connected topology works, and per-hop latency and
-//!   statistics are accounted by the simulator as usual.
+//! [`deploy`] picks the backend and makes the routing decision once, per
+//! [`RoutingMode`]: [`RoutingMode::Auto`] (the default) sends directly on
+//! a full mesh and routes anything sparser, so full-mesh runs stay
+//! byte-identical while sparse topologies just work. `ForceRouted`
+//! exists so differential tests can pin routed-full-mesh ≡
+//! direct-full-mesh. On direct sends a missing link is a [`SendError`].
 //!
-//! [`RoutingMode::Auto`] (the default) picks direct on a full mesh and
-//! routed otherwise, so existing full-mesh runs keep byte-identical
-//! behaviour while sparse topologies just work. `ForceRouted` exists so
-//! differential tests can pin routed-full-mesh ≡ direct-full-mesh.
+//! The dynamic call happens once per operation (invoke, query, settle);
+//! the simulator's and the worker threads' run loops stay monomorphic.
 
+use crate::backend::ExecBackend;
 use crate::message::{NodeId, WireSize};
 use crate::network::Topology;
 use crate::node::{Node, NodeContext};
+use crate::pool::PoolStats;
 use crate::route::{Packet, Relay, RouteError, Router};
-use crate::sim::{RunOutcome, SimConfig, Simulator};
+use crate::sim::{RunOutcome, SendError, SimConfig, Simulator};
 use crate::stats::NetworkStats;
+use crate::threaded::{FabricStats, ThreadedNet, WorkerDead};
 use crate::time::SimTime;
-use crate::trace::EventTrace;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
+
+/// Why a [`Net`] operation failed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum NetError {
+    /// A send could not be carried (or named a node the net does not
+    /// host).
+    Send(SendError),
+    /// A worker thread died; the threaded net is poisoned.
+    WorkerDead(WorkerDead),
+    /// The backend does not offer this operation; the text names it.
+    Unsupported(&'static str),
+}
+
+impl fmt::Display for NetError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            NetError::Send(e) => e.fmt(f),
+            NetError::WorkerDead(e) => e.fmt(f),
+            NetError::Unsupported(what) => write!(f, "unsupported on this backend: {what}"),
+        }
+    }
+}
+
+impl std::error::Error for NetError {}
+
+impl From<SendError> for NetError {
+    fn from(e: SendError) -> Self {
+        NetError::Send(e)
+    }
+}
+
+impl From<WorkerDead> for NetError {
+    fn from(e: WorkerDead) -> Self {
+        NetError::WorkerDead(e)
+    }
+}
+
+/// A closure moved to a worker thread by [`Net::post`].
+pub type BoxedPost<P, N> = Box<dyn FnOnce(&mut N, &mut NodeContext<P>) + Send>;
+
+/// A pipelined closure as [`Net::post`] receives it: the simulator runs
+/// it in place, the threaded net boxes it for the node's worker. An
+/// `Option` of a closure is one (`&mut Some(f)`), so the simnet write
+/// path allocates nothing. The closure is `Fn`: a replaying net runs it
+/// on its oracle too, and both runs must do the same.
+pub trait Posted<P, N> {
+    /// Run the closure against `node` in place (a no-op once boxed).
+    fn run(&mut self, node: &mut N, ctx: &mut NodeContext<P>);
+    /// Move the closure into a box; `None` once it has been.
+    fn boxed(&mut self) -> Option<BoxedPost<P, N>>;
+}
+
+impl<P, N, F> Posted<P, N> for Option<F>
+where
+    F: Fn(&mut N, &mut NodeContext<P>) + Send + 'static,
+{
+    fn run(&mut self, node: &mut N, ctx: &mut NodeContext<P>) {
+        if let Some(f) = self {
+            f(node, ctx);
+        }
+    }
+
+    fn boxed(&mut self) -> Option<BoxedPost<P, N>> {
+        self.take().map(|f| Box::new(f) as BoxedPost<P, N>)
+    }
+}
+
+/// A network hosting one protocol node `N` per topology node, exchanging
+/// payloads `P`. Object safe: drivers hold a `Box<dyn Net<P, N>>`; the
+/// generic helpers ([`with_node`](#method.with_node),
+/// [`query`](#method.query), …) are inherent methods on `dyn Net`.
+pub trait Net<P, N> {
+    /// Run `f` against node `id` with a messaging context and schedule
+    /// what it sent. The node's state change applies even when a send
+    /// fails; the sends before the failing one are scheduled. A
+    /// replaying threaded net runs `f` twice — on the live node and on
+    /// its oracle's copy — so `f` must not depend on its own state: the
+    /// generic entry points ([`dyn Net::try_with_node`](#method.try_with_node),
+    /// [`Posted`] for `Option<F>`) take `Fn` closures for that reason.
+    fn invoke(
+        &mut self,
+        id: NodeId,
+        f: &mut dyn FnMut(&mut N, &mut NodeContext<P>),
+    ) -> Result<(), NetError>;
+    /// [`Net::invoke`] for a closure whose result nobody reads (the write
+    /// path): the simulator runs it in place, the threaded net pipelines
+    /// it on the node's lane, and the next settle is its barrier there.
+    fn post(&mut self, id: NodeId, f: &mut dyn Posted<P, N>) -> Result<(), NetError>;
+    /// Run a read-only closure against node `id`'s state.
+    fn inspect(&self, id: NodeId, f: &mut dyn FnMut(&N)) -> Result<(), NetError>;
+    /// Change node `id`'s state without a messaging context (restore and
+    /// checkpoint: nothing is sent).
+    fn update(&mut self, id: NodeId, f: &mut dyn FnMut(&mut N)) -> Result<(), NetError>;
+    /// Deliver everything in flight: run to quiescence or to the
+    /// configured event budget.
+    fn settle(&mut self) -> Result<RunOutcome, NetError>;
+    /// Deliver at most one event; `false` when idle (always, by default:
+    /// the threaded net has no event queue to step).
+    fn step(&mut self) -> Result<bool, NetError> {
+        Ok(false)
+    }
+    /// Virtual time (zero when free-running: threads have no clock).
+    fn now(&self) -> SimTime;
+    /// The topology deployed over.
+    fn topology(&self) -> &Topology;
+    /// Whether sends are relayed over shortest paths.
+    fn is_routed(&self) -> bool {
+        false
+    }
+    /// Wire statistics (per hop when routed; as of the last settle on
+    /// threads).
+    fn stats(&self) -> &NetworkStats;
+    /// Events (deliveries and timer firings) processed so far.
+    fn events_processed(&self) -> u64;
+    /// Events not yet processed.
+    fn pending(&self) -> usize;
+    /// Transit envelopes forwarded by intermediate nodes (0 when direct).
+    fn forwarded(&self) -> u64 {
+        0
+    }
+    /// Envelopes a relay dropped because the router does not cover their
+    /// destination (0 when direct; see [`Relay::misrouted`]).
+    fn misrouted(&self) -> u64 {
+        0
+    }
+    /// Handler-context buffer-pool counters (zero on the simulator,
+    /// which keeps no pool).
+    fn pool_stats(&self) -> PoolStats {
+        PoolStats::default()
+    }
+    /// Ring-fabric contention counters (zero on the simulator).
+    fn fabric_stats(&self) -> FabricStats {
+        FabricStats::default()
+    }
+    /// Take node `id` down: its protocol traffic is lost (and counted),
+    /// transit traffic through it parked until [`Net::set_up`]. Refused
+    /// by default: worker threads cannot lose in-flight messages
+    /// deterministically.
+    fn set_down(&mut self, _id: NodeId) -> Result<(), NetError> {
+        Err(NetError::Unsupported(NO_CRASHES))
+    }
+    /// Bring node `id` back up, redelivering what was parked there.
+    fn set_up(&mut self, _id: NodeId) -> Result<(), NetError> {
+        Err(NetError::Unsupported(NO_CRASHES))
+    }
+    /// Envelopes parked at node `id`.
+    fn parked(&self, _id: NodeId) -> usize {
+        0
+    }
+    /// Stop the net and return the protocol nodes in id order.
+    fn into_nodes(self: Box<Self>) -> Vec<N>;
+}
+
+/// What a net that cannot take nodes down refuses.
+const NO_CRASHES: &str = "crash/restart on the threaded backend (worker threads cannot lose \
+                          in-flight channel messages deterministically yet)";
+
+/// The network drivers send through: a simulator, direct or routed per
+/// [`SimConfig::routing`].
+pub type Transport<P, N> = dyn Net<P, N>;
+
+impl<P, N> dyn Net<P, N>
+where
+    P: WireSize + fmt::Debug + Clone + Send + 'static,
+    N: Node<P> + Clone + Send + 'static,
+{
+    /// A simulator over `topology` hosting `nodes` (see [`deploy`]).
+    pub fn new(
+        topology: Topology,
+        config: SimConfig,
+        nodes: Vec<N>,
+    ) -> Result<Box<Self>, RouteError> {
+        deploy(ExecBackend::Simnet, topology, config, nodes)
+    }
+}
+
+impl<'a, P, N> dyn Net<P, N> + 'a {
+    /// [`Net::invoke`] returning the closure's result (the first one,
+    /// when a replaying net also runs it on its oracle).
+    pub fn try_with_node<R>(
+        &mut self,
+        id: NodeId,
+        f: impl Fn(&mut N, &mut NodeContext<P>) -> R,
+    ) -> Result<R, NetError> {
+        let mut out = None;
+        self.invoke(id, &mut |node, ctx| {
+            let r = f(node, ctx);
+            out.get_or_insert(r);
+        })?;
+        Ok(out.expect("a successful invoke runs its closure"))
+    }
+
+    /// [`dyn Net::try_with_node`](#method.try_with_node), panicking with
+    /// the error's message.
+    pub fn with_node<R>(&mut self, id: NodeId, f: impl Fn(&mut N, &mut NodeContext<P>) -> R) -> R {
+        self.try_with_node(id, f).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Net::inspect`] returning the closure's result.
+    pub fn query<R>(&self, id: NodeId, f: impl FnOnce(&N) -> R) -> Result<R, NetError> {
+        let (mut f, mut out) = (Some(f), None);
+        self.inspect(id, &mut |node| {
+            if let Some(f) = f.take() {
+                out = Some(f(node));
+            }
+        })?;
+        Ok(out.expect("a successful inspect runs its closure"))
+    }
+
+    /// [`Net::settle`], panicking with the error's message.
+    pub fn run_until_quiescent(&mut self) -> RunOutcome {
+        self.settle().unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+/// Build the net `nodes` run on: `backend` over `topology`, honouring
+/// `config.routing` and `config.delivery`. Routed nets host each node in
+/// a [`Relay`]. Fails with [`RouteError::Disconnected`] when routing is
+/// required on a topology that is not strongly connected, and with
+/// [`RouteError::DirectOnSparseThreads`] for direct sends on threads
+/// over a topology sparser than a full mesh.
+pub fn deploy<P, N>(
+    backend: ExecBackend,
+    topology: Topology,
+    config: SimConfig,
+    nodes: Vec<N>,
+) -> Result<Box<dyn Net<P, N>>, RouteError>
+where
+    P: WireSize + fmt::Debug + Clone + Send + 'static,
+    N: Node<P> + Clone + Send + 'static,
+{
+    let routed = match config.routing {
+        RoutingMode::Direct => false,
+        RoutingMode::ForceRouted => true,
+        RoutingMode::Auto => !topology.is_full_mesh(),
+    };
+    if !routed {
+        return match backend {
+            ExecBackend::Simnet => Ok(Box::new(Simulator::new(topology, config, nodes))),
+            // The ring fabric links every pair, so it cannot refuse the
+            // missing links of a sparse topology.
+            ExecBackend::Threaded(_) if !topology.is_full_mesh() => {
+                Err(RouteError::DirectOnSparseThreads)
+            }
+            ExecBackend::Threaded(mode) => Ok(Box::new(ThreadedNet::with_topology(
+                mode, topology, config, nodes,
+            ))),
+        };
+    }
+    let router = Arc::new(Router::new(&topology)?);
+    let multicast = config.delivery.multicast;
+    let relays = nodes
+        .into_iter()
+        .enumerate()
+        .map(|(i, node)| Relay::new(node, NodeId(i), Arc::clone(&router), multicast))
+        .collect();
+    Ok(match backend {
+        ExecBackend::Simnet => Box::new(Routed(Simulator::new(topology, config, relays))),
+        ExecBackend::Threaded(mode) => Box::new(Routed(ThreadedNet::with_topology(
+            mode, topology, config, relays,
+        ))),
+    })
+}
+
+/// Routing over any backend `B` hosting [`Relay`]s: closures run on the
+/// relay's inner node through [`Relay::with_inner`], which re-addresses
+/// their sends hop by hop; queries read the inner node.
+struct Routed<B>(B);
+
+impl<B> Routed<B> {
+    /// Sum a relay counter over every node.
+    fn sum_relays<P, N>(&self, count: fn(&Relay<P, N>) -> u64) -> u64
+    where
+        B: Net<Packet<P>, Relay<P, N>>,
+    {
+        let mut total = 0;
+        for id in (0..self.0.topology().node_count()).map(NodeId) {
+            // A dead worker's relay is gone; the live ones still count.
+            let _ = self.0.inspect(id, &mut |relay| total += count(relay));
+        }
+        total
+    }
+}
+
+/// A posted closure that runs on a relay's inner node.
+struct InRelay<'a, P, N>(&'a mut dyn Posted<P, N>);
+
+impl<P, N> Posted<Packet<P>, Relay<P, N>> for InRelay<'_, P, N>
+where
+    P: Clone + 'static,
+    N: 'static,
+{
+    fn run(&mut self, relay: &mut Relay<P, N>, ctx: &mut NodeContext<Packet<P>>) {
+        relay.with_inner(ctx, |node, ctx| self.0.run(node, ctx));
+    }
+
+    /// The inner closure's type is erased by now, so a routed threaded
+    /// post boxes twice; the simulator boxes nothing.
+    fn boxed(&mut self) -> Option<BoxedPost<Packet<P>, Relay<P, N>>> {
+        let f = self.0.boxed()?;
+        Some(Box::new(
+            move |relay: &mut Relay<P, N>, ctx: &mut NodeContext<Packet<P>>| {
+                relay.with_inner(ctx, f)
+            },
+        ))
+    }
+}
+
+impl<P, N, B> Net<P, N> for Routed<B>
+where
+    P: Clone + 'static,
+    N: 'static,
+    B: Net<Packet<P>, Relay<P, N>>,
+{
+    fn invoke(
+        &mut self,
+        id: NodeId,
+        f: &mut dyn FnMut(&mut N, &mut NodeContext<P>),
+    ) -> Result<(), NetError> {
+        self.0
+            .invoke(id, &mut |relay, ctx| relay.with_inner(ctx, &mut *f))
+    }
+
+    fn post(&mut self, id: NodeId, f: &mut dyn Posted<P, N>) -> Result<(), NetError> {
+        self.0.post(id, &mut InRelay(f))
+    }
+
+    fn inspect(&self, id: NodeId, f: &mut dyn FnMut(&N)) -> Result<(), NetError> {
+        self.0.inspect(id, &mut |relay| f(relay.inner()))
+    }
+
+    fn update(&mut self, id: NodeId, f: &mut dyn FnMut(&mut N)) -> Result<(), NetError> {
+        self.0.update(id, &mut |relay| f(relay.inner_mut()))
+    }
+
+    fn settle(&mut self) -> Result<RunOutcome, NetError> {
+        self.0.settle()
+    }
+
+    fn step(&mut self) -> Result<bool, NetError> {
+        self.0.step()
+    }
+
+    fn now(&self) -> SimTime {
+        self.0.now()
+    }
+
+    fn topology(&self) -> &Topology {
+        self.0.topology()
+    }
+
+    fn is_routed(&self) -> bool {
+        true
+    }
+
+    fn stats(&self) -> &NetworkStats {
+        self.0.stats()
+    }
+
+    fn events_processed(&self) -> u64 {
+        self.0.events_processed()
+    }
+
+    fn pending(&self) -> usize {
+        self.0.pending()
+    }
+
+    fn forwarded(&self) -> u64 {
+        self.sum_relays(Relay::forwarded)
+    }
+
+    fn misrouted(&self) -> u64 {
+        self.sum_relays(Relay::misrouted)
+    }
+
+    fn pool_stats(&self) -> PoolStats {
+        self.0.pool_stats()
+    }
+
+    fn fabric_stats(&self) -> FabricStats {
+        self.0.fabric_stats()
+    }
+
+    fn set_down(&mut self, id: NodeId) -> Result<(), NetError> {
+        self.0.set_down(id)
+    }
+
+    fn set_up(&mut self, id: NodeId) -> Result<(), NetError> {
+        self.0.set_up(id)
+    }
+
+    fn parked(&self, id: NodeId) -> usize {
+        self.0.parked(id)
+    }
+
+    fn into_nodes(self: Box<Self>) -> Vec<N> {
+        let Routed(backend) = *self;
+        Box::new(backend)
+            .into_nodes()
+            .into_iter()
+            .map(Relay::into_inner)
+            .collect()
+    }
+}
 
 /// How a [`Transport`] carries logical sends over the topology.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -178,280 +586,15 @@ impl DeliveryMode {
     }
 }
 
-/// A simulated network that protocol nodes send through.
-///
-/// Mirrors the [`Simulator`] surface (`with_node`, `step`,
-/// `run_until_quiescent`, statistics, traces, `into_parts`) while hiding
-/// whether messages are delivered directly or relayed hop by hop.
-pub enum Transport<P, N> {
-    /// Direct sends over topology links.
-    Direct(Simulator<P, N>),
-    /// Multi-hop relaying over BFS shortest paths, with optional
-    /// broadcast-tree multicast for multi-destination sends.
-    Routed(Simulator<Packet<P>, Relay<P, N>>),
-}
-
-impl<P, N> Transport<P, N>
-where
-    P: WireSize + fmt::Debug + Clone,
-    N: Node<P>,
-{
-    /// Build a transport over `topology` hosting `nodes`, honouring
-    /// `config.routing` and `config.delivery`. Fails with
-    /// [`RouteError::Disconnected`] when a routed mode is selected on a
-    /// topology that is not strongly connected.
-    pub fn new(topology: Topology, config: SimConfig, nodes: Vec<N>) -> Result<Self, RouteError> {
-        let routed = match config.routing {
-            RoutingMode::Direct => false,
-            RoutingMode::ForceRouted => true,
-            RoutingMode::Auto => !topology.is_full_mesh(),
-        };
-        if routed {
-            let multicast = config.delivery.multicast;
-            let router = Arc::new(Router::new(&topology)?);
-            let relays = nodes
-                .into_iter()
-                .enumerate()
-                .map(|(i, node)| Relay::new(node, NodeId(i), Arc::clone(&router), multicast))
-                .collect();
-            Ok(Transport::Routed(Simulator::new(topology, config, relays)))
-        } else {
-            Ok(Transport::Direct(Simulator::new(topology, config, nodes)))
-        }
-    }
-
-    /// Whether sends are relayed over shortest paths.
-    pub fn is_routed(&self) -> bool {
-        matches!(self, Transport::Routed(_))
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        match self {
-            Transport::Direct(sim) => sim.now(),
-            Transport::Routed(sim) => sim.now(),
-        }
-    }
-
-    /// The topology in use.
-    pub fn topology(&self) -> &Topology {
-        match self {
-            Transport::Direct(sim) => sim.topology(),
-            Transport::Routed(sim) => sim.topology(),
-        }
-    }
-
-    /// Immutable access to a protocol node's state machine.
-    pub fn node(&self, id: NodeId) -> &N {
-        match self {
-            Transport::Direct(sim) => sim.node(id),
-            Transport::Routed(sim) => sim.node(id).inner(),
-        }
-    }
-
-    /// Mutable access to a protocol node's state machine (used by the
-    /// crash-recovery path to restore a restarted node from its
-    /// persisted snapshot; no sends are possible through this accessor).
-    pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        match self {
-            Transport::Direct(sim) => sim.node_mut(id),
-            Transport::Routed(sim) => sim.node_mut(id).inner_mut(),
-        }
-    }
-
-    /// Take node `id` down at the current virtual time. While down, its
-    /// deliveries follow its `while_down` policy: protocol traffic is
-    /// lost (and counted), transit traffic on a routed transport is
-    /// parked for redelivery at restart.
-    pub fn set_down(&mut self, id: NodeId) {
-        match self {
-            Transport::Direct(sim) => sim.set_down(id),
-            Transport::Routed(sim) => sim.set_down(id),
-        }
-    }
-
-    /// Bring node `id` back up, redelivering any parked envelopes.
-    pub fn set_up(&mut self, id: NodeId) {
-        match self {
-            Transport::Direct(sim) => sim.set_up(id),
-            Transport::Routed(sim) => sim.set_up(id),
-        }
-    }
-
-    /// Envelopes currently parked at a runtime-crashed node.
-    pub fn parked_count(&self, id: NodeId) -> usize {
-        match self {
-            Transport::Direct(sim) => sim.parked_count(id),
-            Transport::Routed(sim) => sim.parked_count(id),
-        }
-    }
-
-    /// Number of hosted protocol nodes.
-    pub fn node_count(&self) -> usize {
-        match self {
-            Transport::Direct(sim) => sim.node_count(),
-            Transport::Routed(sim) => sim.node_count(),
-        }
-    }
-
-    /// Accumulated network statistics (per hop, when routed).
-    pub fn stats(&self) -> &NetworkStats {
-        match self {
-            Transport::Direct(sim) => sim.stats(),
-            Transport::Routed(sim) => sim.stats(),
-        }
-    }
-
-    /// The event trace (empty if tracing is disabled).
-    pub fn trace(&self) -> &EventTrace {
-        match self {
-            Transport::Direct(sim) => sim.trace(),
-            Transport::Routed(sim) => sim.trace(),
-        }
-    }
-
-    /// Total number of events processed since construction.
-    pub fn events_processed(&self) -> u64 {
-        match self {
-            Transport::Direct(sim) => sim.events_processed(),
-            Transport::Routed(sim) => sim.events_processed(),
-        }
-    }
-
-    /// Number of messages/timers still pending.
-    pub fn pending_events(&self) -> usize {
-        match self {
-            Transport::Direct(sim) => sim.pending_events(),
-            Transport::Routed(sim) => sim.pending_events(),
-        }
-    }
-
-    /// Total transit envelopes forwarded by intermediate nodes — the
-    /// extra hops sparse routing pays compared to a full mesh (always 0
-    /// when direct).
-    pub fn forwarded_messages(&self) -> u64 {
-        match self {
-            Transport::Direct(_) => 0,
-            Transport::Routed(sim) => (0..sim.node_count())
-                .map(|i| sim.node(NodeId(i)).forwarded())
-                .sum(),
-        }
-    }
-
-    /// Total multicast destinations dropped by relays because the
-    /// envelope strayed off its broadcast-tree path (always 0 when
-    /// direct, and 0 in any healthy routed run — see
-    /// [`Relay::misrouted`](crate::route::Relay::misrouted)).
-    pub fn misrouted_messages(&self) -> u64 {
-        match self {
-            Transport::Direct(_) => 0,
-            Transport::Routed(sim) => (0..sim.node_count())
-                .map(|i| sim.node(NodeId(i)).misrouted())
-                .sum(),
-        }
-    }
-
-    /// Run `f` against node `id`'s state machine; its sends enter the
-    /// network according to the routing mode.
-    ///
-    /// Panics with a [`SendError`](crate::sim::SendError) message on a
-    /// send over a missing link; use [`Transport::try_with_node`] to
-    /// handle that case.
-    pub fn with_node<R>(
-        &mut self,
-        id: NodeId,
-        f: impl FnOnce(&mut N, &mut NodeContext<P>) -> R,
-    ) -> R {
-        self.try_with_node(id, f).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`Transport::with_node`]: returns the
-    /// [`SendError`](crate::sim::SendError) of the first buffered send
-    /// that could not be carried.
-    pub fn try_with_node<R>(
-        &mut self,
-        id: NodeId,
-        f: impl FnOnce(&mut N, &mut NodeContext<P>) -> R,
-    ) -> Result<R, crate::sim::SendError> {
-        match self {
-            Transport::Direct(sim) => sim.try_with_node(id, f),
-            Transport::Routed(sim) => sim.try_with_node(id, |relay, ctx| relay.with_inner(ctx, f)),
-        }
-    }
-
-    /// Process the next pending event, if any; `false` when idle.
-    ///
-    /// Panics with a [`SendError`](crate::sim::SendError) message on a
-    /// failed send; use [`Transport::try_step`] to handle it.
-    pub fn step(&mut self) -> bool {
-        match self {
-            Transport::Direct(sim) => sim.step(),
-            Transport::Routed(sim) => sim.step(),
-        }
-    }
-
-    /// Fallible variant of [`Transport::step`].
-    pub fn try_step(&mut self) -> Result<bool, crate::sim::SendError> {
-        match self {
-            Transport::Direct(sim) => sim.try_step(),
-            Transport::Routed(sim) => sim.try_step(),
-        }
-    }
-
-    /// Run until no events remain or the `max_events` budget is
-    /// exhausted.
-    ///
-    /// Panics with a [`SendError`](crate::sim::SendError) message on a
-    /// failed send; use [`Transport::try_run_until_quiescent`] to handle
-    /// it.
-    pub fn run_until_quiescent(&mut self) -> RunOutcome {
-        match self {
-            Transport::Direct(sim) => sim.run_until_quiescent(),
-            Transport::Routed(sim) => sim.run_until_quiescent(),
-        }
-    }
-
-    /// Fallible variant of [`Transport::run_until_quiescent`].
-    pub fn try_run_until_quiescent(&mut self) -> Result<RunOutcome, crate::sim::SendError> {
-        match self {
-            Transport::Direct(sim) => sim.try_run_until_quiescent(),
-            Transport::Routed(sim) => sim.try_run_until_quiescent(),
-        }
-    }
-
-    /// Run until virtual time reaches `deadline` or the system quiesces.
-    pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        match self {
-            Transport::Direct(sim) => sim.run_until(deadline),
-            Transport::Routed(sim) => sim.run_until(deadline),
-        }
-    }
-
-    /// Consume the transport, returning the protocol nodes and the
-    /// accumulated statistics and trace.
-    pub fn into_parts(self) -> (Vec<N>, NetworkStats, EventTrace) {
-        match self {
-            Transport::Direct(sim) => sim.into_parts(),
-            Transport::Routed(sim) => {
-                let (relays, stats, trace) = sim.into_parts();
-                (
-                    relays.into_iter().map(Relay::into_inner).collect(),
-                    stats,
-                    trace,
-                )
-            }
-        }
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::backend::ThreadedMode;
     use crate::message::RawPayload;
 
-    /// Counts deliveries and answers each incoming payload's source.
-    #[derive(Debug, Default)]
-    struct Sink {
+    /// Remembers who sent what.
+    #[derive(Clone, Debug, Default)]
+    pub(crate) struct Sink {
         got: Vec<(NodeId, usize)>,
     }
 
@@ -462,106 +605,225 @@ mod tests {
     }
 
     fn sinks(n: usize) -> Vec<Sink> {
-        (0..n).map(|_| Sink::default()).collect()
+        vec![Sink::default(); n]
+    }
+
+    pub(crate) fn net(
+        backend: ExecBackend,
+        topology: &Topology,
+        config: SimConfig,
+    ) -> Box<dyn Net<RawPayload, Sink>> {
+        let n = topology.node_count();
+        deploy(backend, topology.clone(), config, sinks(n)).unwrap()
+    }
+
+    /// What a settled run leaves behind.
+    #[derive(Debug, PartialEq)]
+    pub(crate) struct Run {
+        pub(crate) got: Vec<Vec<(NodeId, usize)>>,
+        pub(crate) stats: NetworkStats,
+        events: u64,
+        now: SimTime,
+        pub(crate) forwarded: u64,
+        misrouted: u64,
+    }
+
+    pub(crate) fn run(
+        backend: ExecBackend,
+        topology: &Topology,
+        config: SimConfig,
+        script: &dyn Fn(&mut dyn Net<RawPayload, Sink>),
+    ) -> Run {
+        let mut net = net(backend, topology, config);
+        script(&mut *net);
+        assert!(net.settle().unwrap().is_quiescent());
+        Run {
+            stats: net.stats().clone(),
+            events: net.events_processed(),
+            now: net.now(),
+            forwarded: net.forwarded(),
+            misrouted: net.misrouted(),
+            got: net.into_nodes().into_iter().map(|s| s.got).collect(),
+        }
+    }
+
+    /// Run `script` on every backend and return the simulator's run.
+    /// Replay must equal it in everything; free-running in what each
+    /// node received (its interleaving across senders is the host's),
+    /// the message and byte counts, the forwards and the misroutes.
+    fn on_every_backend(
+        topology: &Topology,
+        config: SimConfig,
+        script: &dyn Fn(&mut dyn Net<RawPayload, Sink>),
+    ) -> Run {
+        let [sim, replay, free] =
+            ExecBackend::ALL.map(|backend| run(backend, topology, config.clone(), script));
+        assert_eq!(replay, sim, "replay");
+        let totals = |run: &Run| {
+            let got = run.got.iter().map(|g| {
+                let mut g = g.clone();
+                g.sort();
+                g
+            });
+            let stats = &run.stats;
+            let bytes = (stats.total_data_bytes(), stats.total_control_bytes());
+            (
+                got.collect::<Vec<_>>(),
+                stats.total_messages(),
+                bytes,
+                run.forwarded,
+                run.misrouted,
+            )
+        };
+        assert_eq!(totals(&free), totals(&sim), "free-running");
+        sim
+    }
+
+    pub(crate) fn send(
+        from: usize,
+        to: usize,
+        data: usize,
+    ) -> impl Fn(&mut dyn Net<RawPayload, Sink>) {
+        move |net| {
+            net.invoke(NodeId(from), &mut |_, ctx| {
+                ctx.send(NodeId(to), RawPayload::new(data, 4));
+            })
+            .unwrap();
+        }
+    }
+
+    fn broadcast(net: &mut dyn Net<RawPayload, Sink>, src: usize) {
+        let n = net.topology().node_count();
+        net.invoke(NodeId(src), &mut |_, ctx| {
+            ctx.send_multi(
+                (0..n).filter(|&i| i != src).map(NodeId),
+                RawPayload::new(8, 4),
+            );
+        })
+        .unwrap();
+    }
+
+    fn multi_config(multicast: bool) -> SimConfig {
+        let delivery = DeliveryMode {
+            multicast,
+            ..DeliveryMode::UNICAST
+        };
+        SimConfig {
+            delivery,
+            ..SimConfig::default()
+        }
     }
 
     #[test]
     fn auto_mode_is_direct_on_a_full_mesh_and_routed_on_a_ring() {
-        let direct =
-            Transport::new(Topology::full_mesh(4), SimConfig::default(), sinks(4)).unwrap();
-        assert!(!direct.is_routed());
-        let routed = Transport::new(Topology::ring(4), SimConfig::default(), sinks(4)).unwrap();
-        assert!(routed.is_routed());
+        for backend in ExecBackend::ALL {
+            let config = SimConfig::default;
+            assert!(!net(backend, &Topology::full_mesh(4), config()).is_routed());
+            assert!(net(backend, &Topology::ring(4), config()).is_routed());
+        }
     }
 
     #[test]
     fn routed_transport_delivers_across_multiple_hops() {
-        let mut t = Transport::new(Topology::ring(6), SimConfig::default(), sinks(6)).unwrap();
         // 0 → 3 is three ring hops away.
-        t.with_node(NodeId(0), |_n, ctx| {
-            ctx.send(NodeId(3), RawPayload::new(8, 4));
-        });
-        t.run_until_quiescent();
-        // Delivered once, attributed to the logical source.
-        assert_eq!(t.node(NodeId(3)).got, vec![(NodeId(0), 8)]);
+        let run = on_every_backend(&Topology::ring(6), SimConfig::default(), &send(0, 3, 8));
+        // Delivered once, attributed to the logical source; intermediate
+        // protocol nodes never saw the payload.
+        let mut expected = vec![vec![]; 6];
+        expected[3] = vec![(NodeId(0), 8)];
+        assert_eq!(run.got, expected);
         // Three hops on the wire: 0→1, 1→2, 2→3; two of them forwards.
-        assert_eq!(t.stats().total_messages(), 3);
-        assert_eq!(t.stats().total_data_bytes(), 3 * 8);
-        assert_eq!(t.forwarded_messages(), 2);
-        assert_eq!(t.misrouted_messages(), 0);
-        // Intermediate protocol nodes never saw the payload.
-        assert!(t.node(NodeId(1)).got.is_empty());
-        assert!(t.node(NodeId(2)).got.is_empty());
+        assert_eq!(run.stats.total_messages(), 3);
+        assert_eq!(run.stats.total_data_bytes(), 3 * 8);
+        assert_eq!(run.forwarded, 2);
+        // Nothing counted as misrouted.
+        assert_eq!(run.misrouted, 0);
     }
 
     #[test]
     fn multi_hop_delivery_pays_per_hop_latency() {
-        let mut t = Transport::new(Topology::line(4), SimConfig::default(), sinks(4)).unwrap();
-        t.with_node(NodeId(0), |_n, ctx| {
-            ctx.send(NodeId(3), RawPayload::new(1, 0));
-        });
-        t.run_until_quiescent();
+        let run = on_every_backend(&Topology::line(4), SimConfig::default(), &send(0, 3, 1));
         // Default constant latency is 10µs per hop; three hops.
-        assert_eq!(t.now(), SimTime::from_micros(30));
+        assert_eq!(run.now, SimTime::from_micros(30));
     }
 
     #[test]
     fn forced_routing_on_a_full_mesh_matches_direct_sends_exactly() {
-        let run = |mode: RoutingMode| {
+        let script = |net: &mut dyn Net<RawPayload, Sink>| {
+            for i in 0..5 {
+                send(i, (i + 2) % 5, 8)(net);
+            }
+        };
+        let run = |routing: RoutingMode| {
             let config = SimConfig {
-                routing: mode,
+                routing,
                 ..SimConfig::default()
             };
-            let mut t = Transport::new(Topology::full_mesh(5), config, sinks(5)).unwrap();
-            for i in 0..5usize {
-                t.with_node(NodeId(i), |_n, ctx| {
-                    ctx.send(NodeId((i + 2) % 5), RawPayload::new(8, 4));
-                });
-            }
-            t.run_until_quiescent();
-            let (nodes, stats, _) = t.into_parts();
-            (nodes.into_iter().map(|s| s.got).collect::<Vec<_>>(), stats)
+            on_every_backend(&Topology::full_mesh(5), config, &script)
         };
-        let (direct_got, direct_stats) = run(RoutingMode::Direct);
-        let (routed_got, routed_stats) = run(RoutingMode::ForceRouted);
-        assert_eq!(direct_got, routed_got);
-        assert_eq!(direct_stats, routed_stats);
-        assert_eq!(direct_stats.total_messages(), 5);
+        let direct = run(RoutingMode::Direct);
+        assert_eq!(direct, run(RoutingMode::ForceRouted));
+        assert_eq!(direct.stats.total_messages(), 5);
+    }
+
+    /// Restoring a node's state through a routed net replaces the inner
+    /// protocol node only: the relay around it still routes.
+    #[test]
+    fn update_preserves_the_relay_wrapper() {
+        for backend in ExecBackend::ALL {
+            let mut net = net(backend, &Topology::line(3), SimConfig::default());
+            send(0, 2, 5)(&mut *net);
+            net.settle().unwrap();
+            assert_eq!(net.query(NodeId(2), |n| n.got.len()), Ok(1));
+            net.update(NodeId(2), &mut |n| *n = Sink::default())
+                .unwrap();
+            assert_eq!(net.query(NodeId(2), |n| n.got.len()), Ok(0));
+            // A fresh send still crosses the middle hop.
+            send(0, 2, 6)(&mut *net);
+            net.settle().unwrap();
+            let got = net.query(NodeId(2), |n| n.got.clone());
+            assert_eq!(got, Ok(vec![(NodeId(0), 6)]), "{}", backend.label());
+            assert_eq!(net.forwarded(), 2, "{}", backend.label());
+        }
     }
 
     #[test]
     fn disconnected_topology_is_rejected_when_routing() {
         let topo = Topology::explicit(3, [(0, 1), (1, 0)]);
-        let err = Transport::new(topo, SimConfig::default(), sinks(3))
-            .err()
-            .unwrap();
-        assert!(matches!(err, RouteError::Disconnected { .. }));
+        for backend in ExecBackend::ALL {
+            let err = deploy(backend, topo.clone(), SimConfig::default(), sinks(3))
+                .err()
+                .unwrap();
+            assert!(matches!(err, RouteError::Disconnected { .. }));
+        }
     }
 
+    /// Direct mode keeps a sparse topology's missing links: the simulator
+    /// refuses the send, and threads, whose ring fabric links every
+    /// pair, refuse the deployment.
     #[test]
     fn direct_mode_still_rejects_missing_links() {
         let config = SimConfig {
             routing: RoutingMode::Direct,
             ..SimConfig::default()
         };
-        let mut t = Transport::new(Topology::ring(5), config, sinks(5)).unwrap();
-        assert!(!t.is_routed());
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            t.with_node(NodeId(0), |_n, ctx| {
-                ctx.send(NodeId(2), RawPayload::new(1, 0));
-            });
-        }));
-        assert!(result.is_err(), "direct sparse sends must fail loudly");
-    }
-
-    fn multi_config(multicast: bool) -> SimConfig {
-        SimConfig {
-            delivery: if multicast {
-                DeliveryMode::MULTICAST
-            } else {
-                DeliveryMode::UNICAST
-            },
-            ..SimConfig::default()
+        let mut sim = net(ExecBackend::Simnet, &Topology::ring(5), config.clone());
+        assert!(!sim.is_routed());
+        let err = sim
+            .invoke(NodeId(0), &mut |_, ctx| {
+                ctx.send(NodeId(2), RawPayload::new(1, 0))
+            })
+            .unwrap_err();
+        let no_link = SendError::NoLink {
+            from: NodeId(0),
+            to: NodeId(2),
+        };
+        assert_eq!(err, NetError::Send(no_link));
+        for mode in [ThreadedMode::Replay, ThreadedMode::FreeRunning] {
+            let backend = ExecBackend::Threaded(mode);
+            let refused = deploy(backend, Topology::ring(5), config.clone(), sinks(5));
+            assert_eq!(refused.err(), Some(RouteError::DirectOnSparseThreads));
+            assert!(deploy(backend, Topology::full_mesh(5), config.clone(), sinks(5)).is_ok());
         }
     }
 
@@ -569,20 +831,18 @@ mod tests {
     fn tree_multicast_pays_each_tree_edge_once_on_a_line() {
         // 0 — 1 — 2 — 3: a broadcast from 0 shares the 0→1 and 1→2 edges.
         let run = |multicast: bool| {
-            let mut t =
-                Transport::new(Topology::line(4), multi_config(multicast), sinks(4)).unwrap();
-            t.with_node(NodeId(0), |_n, ctx| {
-                ctx.send_multi([NodeId(1), NodeId(2), NodeId(3)], RawPayload::new(8, 4));
+            let run = on_every_backend(&Topology::line(4), multi_config(multicast), &|net| {
+                broadcast(net, 0)
             });
-            t.run_until_quiescent();
             for i in 1..4 {
-                assert_eq!(t.node(NodeId(i)).got, vec![(NodeId(0), 8)], "node {i}");
+                assert_eq!(run.got[i], vec![(NodeId(0), 8)], "node {i}");
             }
+            let stats = &run.stats;
             (
-                t.stats().total_messages(),
-                t.stats().total_data_bytes(),
-                t.forwarded_messages(),
-                t.now(),
+                stats.total_messages(),
+                stats.total_data_bytes(),
+                run.forwarded,
+                run.now,
             )
         };
         // Unicast fan-out: 1 + 2 + 3 = 6 envelopes on the wire.
@@ -595,20 +855,14 @@ mod tests {
     fn tree_multicast_from_a_star_leaf_shares_the_hub_edge() {
         let n = 6;
         let run = |multicast: bool| {
-            let mut t =
-                Transport::new(Topology::star(n), multi_config(multicast), sinks(n)).unwrap();
             // Leaf 1 broadcasts to everyone else (hub 0 + leaves 2..n).
-            t.with_node(NodeId(1), |_n, ctx| {
-                ctx.send_multi(
-                    (0..n).filter(|&i| i != 1).map(NodeId),
-                    RawPayload::new(8, 4),
-                );
+            let run = on_every_backend(&Topology::star(n), multi_config(multicast), &|net| {
+                broadcast(net, 1)
             });
-            t.run_until_quiescent();
             for i in (0..n).filter(|&i| i != 1) {
-                assert_eq!(t.node(NodeId(i)).got, vec![(NodeId(1), 8)], "node {i}");
+                assert_eq!(run.got[i], vec![(NodeId(1), 8)], "node {i}");
             }
-            t.stats().total_messages()
+            run.stats.total_messages()
         };
         // Unicast: 1 hop to the hub + 2 hops to each of the n-2 far
         // leaves = 1 + 2(n-2).
@@ -620,78 +874,74 @@ mod tests {
     #[test]
     fn multicast_deliveries_match_unicast_deliveries_on_a_ring() {
         let run = |multicast: bool| {
-            let mut t =
-                Transport::new(Topology::ring(7), multi_config(multicast), sinks(7)).unwrap();
-            for src in 0..7usize {
-                t.with_node(NodeId(src), |_n, ctx| {
-                    ctx.send_multi(
-                        (0..7).filter(|&i| i != src).map(NodeId),
-                        RawPayload::new(8, 4),
-                    );
-                });
-            }
-            t.run_until_quiescent();
-            let (nodes, stats, _) = t.into_parts();
-            (
-                nodes.into_iter().map(|s| s.got).collect::<Vec<_>>(),
-                stats.total_messages(),
-            )
+            on_every_backend(&Topology::ring(7), multi_config(multicast), &|net| {
+                (0..7).for_each(|src| broadcast(net, src))
+            })
         };
-        let (unicast_got, unicast_msgs) = run(false);
-        let (multicast_got, multicast_msgs) = run(true);
+        let (unicast, multicast) = (run(false), run(true));
         // Every node hears the same broadcasts from the same sources…
-        assert_eq!(unicast_got, multicast_got);
+        assert_eq!(unicast.got, multicast.got);
         // …while the wire carries strictly fewer envelopes.
+        let msgs = |run: &Run| run.stats.total_messages();
         assert!(
-            multicast_msgs < unicast_msgs,
-            "{multicast_msgs} vs {unicast_msgs}"
+            msgs(&multicast) < msgs(&unicast),
+            "{} vs {}",
+            msgs(&multicast),
+            msgs(&unicast)
         );
     }
 
-    /// A send to an id outside the topology fails the same way whether
-    /// it is routed or direct — from every source, as a unicast and as a
-    /// fan-out, under either wire — and the routed one is refused at its
-    /// source: nothing is forwarded, nothing counted as misrouted.
+    /// A send to an id outside the topology fails the same way on every
+    /// backend, routed or direct — from every source, as a unicast and
+    /// as a fan-out, under either wire — and the routed one is refused
+    /// at its source: nothing is sent, nothing forwarded, nothing
+    /// counted as misrouted.
     #[test]
     fn a_send_outside_the_topology_fails_alike_routed_and_direct() {
-        for topology in [Topology::ring(4), Topology::grid_of(64), Topology::star(6)] {
+        let topologies = [
+            Topology::full_mesh(5),
+            Topology::ring(4),
+            Topology::grid_of(64),
+            Topology::star(6),
+        ];
+        for topology in topologies {
             let n = topology.node_count();
             for delivery in [DeliveryMode::UNICAST, DeliveryMode::MULTICAST] {
-                let transport = |routing: RoutingMode| {
-                    let config = SimConfig {
-                        routing,
-                        delivery,
-                        ..SimConfig::default()
-                    };
-                    Transport::new(topology.clone(), config, sinks(n)).unwrap()
+                let config = |routing: RoutingMode| SimConfig {
+                    routing,
+                    delivery,
+                    ..SimConfig::default()
                 };
-                let mut direct = transport(RoutingMode::Direct);
-                let mut routed = transport(RoutingMode::ForceRouted);
-                assert!(routed.is_routed() && !direct.is_routed());
-                for src in (0..n).map(NodeId) {
-                    // `send_multi` to one target is a unicast.
-                    let target_sets = [vec![n + 1], vec![n], vec![n, n + 6]];
-                    for targets in &target_sets {
-                        let send = |ctx: &mut NodeContext<RawPayload>| {
-                            ctx.send_multi(
-                                targets.iter().map(|&t| NodeId(t)),
-                                RawPayload::new(1, 0),
-                            );
-                        };
-                        let expected = direct.try_with_node(src, |_, ctx| send(ctx)).unwrap_err();
-                        assert!(
-                            matches!(expected, crate::sim::SendError::NoLink { from, .. } if from == src)
-                        );
-                        let got = routed.try_with_node(src, |_, ctx| send(ctx)).unwrap_err();
-                        assert_eq!(got, expected, "{topology:?} {} {src}", delivery.label());
+                let mut nets = Vec::new();
+                for backend in ExecBackend::ALL {
+                    nets.push(net(backend, &topology, config(RoutingMode::ForceRouted)));
+                    if backend == ExecBackend::Simnet || topology.is_full_mesh() {
+                        nets.push(net(backend, &topology, config(RoutingMode::Direct)));
                     }
                 }
-                routed.run_until_quiescent();
-                assert_eq!(routed.stats().total_messages(), 0);
-                assert_eq!(
-                    (routed.forwarded_messages(), routed.misrouted_messages()),
-                    (0, 0)
-                );
+                for src in (0..n).map(NodeId) {
+                    // `send_multi` to one target is a unicast.
+                    for targets in [vec![n + 1], vec![n], vec![n, n + 6]] {
+                        let expected = NetError::Send(SendError::NoLink {
+                            from: src,
+                            to: NodeId(targets[0]),
+                        });
+                        for net in &mut nets {
+                            let err = net
+                                .invoke(src, &mut |_, ctx| {
+                                    let to = targets.iter().map(|&t| NodeId(t));
+                                    ctx.send_multi(to, RawPayload::new(1, 0));
+                                })
+                                .unwrap_err();
+                            assert_eq!(err, expected, "{topology:?} {}", delivery.label());
+                        }
+                    }
+                }
+                for mut net in nets {
+                    assert!(net.settle().unwrap().is_quiescent());
+                    let wire = (net.stats().total_messages(), net.forwarded());
+                    assert_eq!((wire, net.misrouted()), ((0, 0), 0));
+                }
             }
         }
     }
@@ -717,9 +967,10 @@ mod tests {
         }
     }
 
+    /// Simulator only: threaded sites require a passive `on_start`.
     #[test]
     fn timers_pass_through_the_relay() {
-        #[derive(Debug, Default)]
+        #[derive(Clone, Debug, Default)]
         struct TimerEcho {
             fired: Vec<u64>,
         }
@@ -735,13 +986,13 @@ mod tests {
         let mut t = Transport::new(
             Topology::ring(4),
             SimConfig::default(),
-            (0..4).map(|_| TimerEcho::default()).collect(),
+            vec![TimerEcho::default(); 4],
         )
         .unwrap();
         t.run_until_quiescent();
         assert!(t.is_routed());
-        for i in 0..4 {
-            assert_eq!(t.node(NodeId(i)).fired, vec![7]);
+        for node in t.into_nodes() {
+            assert_eq!(node.fired, vec![7]);
         }
     }
 }

@@ -7,7 +7,9 @@
 
 use simnet::chan::ring_capacity;
 use simnet::message::RawPayload;
-use simnet::{Node, NodeContext, NodeId, SimConfig, ThreadedMode, ThreadedNet, WorkerDead};
+use simnet::{
+    Net, NetError, Node, NodeContext, NodeId, SimConfig, ThreadedMode, ThreadedNet, WorkerDead,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -27,12 +29,21 @@ impl Node<RawPayload> for Bouncer {
     }
 }
 
-fn net(n: usize) -> ThreadedNet<RawPayload, Bouncer> {
-    ThreadedNet::new(
+fn net(n: usize) -> Box<dyn Net<RawPayload, Bouncer>> {
+    Box::new(ThreadedNet::new(
         ThreadedMode::FreeRunning,
         SimConfig::default(),
         vec![Bouncer::default(); n],
-    )
+    ))
+}
+
+/// Pipeline `f` on node `id`'s lane.
+fn post(
+    net: &mut dyn Net<RawPayload, Bouncer>,
+    id: NodeId,
+    f: impl Fn(&mut Bouncer, &mut NodeContext<RawPayload>) + Send + 'static,
+) {
+    net.post(id, &mut Some(f)).unwrap();
 }
 
 #[test]
@@ -41,26 +52,26 @@ fn synchronous_calls_wait_for_their_own_lane_only() {
     // Program order: a query sees every invoke pipelined before it.
     for round in 1..=1000u64 {
         for _ in 0..4 {
-            net.with_node_async(NodeId(0), |n, _| n.seen += 1);
+            post(&mut *net, NodeId(0), |n, _| n.seen += 1);
         }
-        assert_eq!(net.query(NodeId(0), |n| n.seen), 4 * round);
+        assert_eq!(net.query(NodeId(0), |n| n.seen).unwrap(), 4 * round);
     }
     // Hold node 0's lane behind a gate: node 1 still answers, both to
     // queries and to closures that send, while node 0 cannot.
     let gate = Arc::new(AtomicBool::new(false));
     let held = Arc::clone(&gate);
-    net.with_node_async(NodeId(0), move |_, _| {
+    post(&mut *net, NodeId(0), move |_, _| {
         while !held.load(Ordering::SeqCst) {
             std::thread::yield_now();
         }
     });
-    assert_eq!(net.query(NodeId(1), |n| n.seen), 0);
+    assert_eq!(net.query(NodeId(1), |n| n.seen).unwrap(), 0);
     net.with_node(NodeId(1), |_, ctx| {
         ctx.send(NodeId(0), RawPayload::new(0, 1))
     });
     gate.store(true, Ordering::SeqCst);
-    assert!(net.settle().is_quiescent());
-    assert_eq!(net.query(NodeId(0), |n| n.seen), 4001);
+    assert!(net.settle().unwrap().is_quiescent());
+    assert_eq!(net.query(NodeId(0), |n| n.seen).unwrap(), 4001);
 }
 
 #[test]
@@ -79,7 +90,7 @@ fn ping_pong_survives_a_coordinator_hammering_both_sites() {
             "ping-pong stalled under contention"
         );
         for i in 0..2 {
-            let seen = net.query(NodeId(i), |n| n.seen);
+            let seen = net.query(NodeId(i), |n| n.seen).unwrap();
             net.with_node(NodeId(i), |_, _| ());
             if i == 0 {
                 assert!(seen >= last, "a site went backwards");
@@ -87,9 +98,11 @@ fn ping_pong_survives_a_coordinator_hammering_both_sites() {
             }
         }
     }
-    assert!(net.settle().is_quiescent());
+    assert!(net.settle().unwrap().is_quiescent());
     assert_eq!(net.stats().total_messages(), MESSAGES as u64);
-    let seen: u64 = (0..2).map(|i| net.query(NodeId(i), |n| n.seen)).sum();
+    let seen: u64 = (0..2)
+        .map(|i| net.query(NodeId(i), |n| n.seen).unwrap())
+        .sum();
     assert_eq!(seen, MESSAGES as u64);
 }
 
@@ -107,8 +120,8 @@ fn a_synchronous_closure_that_overruns_a_ring_stalls_and_loses_nothing() {
                 ctx.send(NodeId(to), RawPayload::new(0, 1));
             }
         });
-        assert!(net.settle().is_quiescent());
-        assert_eq!(net.query(NodeId(to), |n| n.seen), burst as u64);
+        assert!(net.settle().unwrap().is_quiescent());
+        assert_eq!(net.query(NodeId(to), |n| n.seen).unwrap(), burst as u64);
         assert_eq!(net.stats().total_messages(), burst as u64);
         if to == 0 {
             assert!(net.fabric_stats().full_stalls > 0);
@@ -122,12 +135,14 @@ fn a_synchronous_closure_that_overruns_a_ring_stalls_and_loses_nothing() {
 #[test]
 fn a_panicking_pipelined_invoke_surfaces_from_the_lane_wait() {
     let mut net = net(3);
-    net.with_node_async(NodeId(1), |_, _| panic!("pipelined invoke detonated"));
-    let dead = WorkerDead { node: NodeId(1) };
-    assert_eq!(net.try_query(NodeId(1), |n| n.seen).unwrap_err(), dead);
+    post(&mut *net, NodeId(1), |_, _| {
+        panic!("pipelined invoke detonated")
+    });
+    let dead = NetError::WorkerDead(WorkerDead { node: NodeId(1) });
+    assert_eq!(net.query(NodeId(1), |n| n.seen).unwrap_err(), dead);
     assert_eq!(net.try_with_node(NodeId(1), |_, _| ()).unwrap_err(), dead);
-    assert_eq!(net.try_settle().unwrap_err(), dead);
-    assert_eq!(net.try_query(NodeId(0), |n| n.seen).unwrap_err(), dead);
+    assert_eq!(net.settle().unwrap_err(), dead);
+    assert_eq!(net.query(NodeId(0), |n| n.seen).unwrap_err(), dead);
     assert_eq!(net.into_nodes().len(), 2);
 }
 
@@ -141,9 +156,9 @@ fn a_panicking_synchronous_closure_unwinds_to_the_caller_and_kills_the_site() {
         net.with_node(NodeId(1), |_, _| panic!("synchronous closure detonated"));
     }));
     assert!(unwound.is_err());
-    let dead = WorkerDead { node: NodeId(1) };
-    assert_eq!(net.try_query(NodeId(1), |n| n.seen).unwrap_err(), dead);
+    let dead = NetError::WorkerDead(WorkerDead { node: NodeId(1) });
+    assert_eq!(net.query(NodeId(1), |n| n.seen).unwrap_err(), dead);
     assert_eq!(net.try_with_node(NodeId(0), |_, _| ()).unwrap_err(), dead);
-    assert_eq!(net.try_settle().unwrap_err(), dead);
+    assert_eq!(net.settle().unwrap_err(), dead);
     assert_eq!(net.into_nodes().len(), 2);
 }
