@@ -1,49 +1,47 @@
-//! Runtime-dispatched DSM deployments.
+//! Protocol erasure: the calls of a DSM deployment that name its
+//! protocol's node type.
 //!
-//! [`DsmSystem`] is generic over its protocol, which is ideal for unit
-//! tests but forces every comparative driver (benchmarks, examples, the
-//! scenario engine) to monomorphize one code path per protocol and pick it
-//! at compile time. [`DynDsm`] erases the protocol behind an enum so a
-//! deployment can be constructed from a [`ProtocolKind`] *value* and the
-//! same driver loop can sweep all five protocols.
-//!
-//! The erasure is an enum rather than a trait object because the five
-//! protocol types are a closed set and enum dispatch keeps every
-//! [`DsmSystem`] method available verbatim — including those whose
-//! signatures (generic closures, `Self`-returning constructors) would not
-//! be object-safe.
+//! The five protocols differ only in their node state machines, so
+//! [`DynDsm`](crate::DynDsm) is one struct for all of them and holds its
+//! protocol as a value. Validation, recording, crash/restart,
+//! settle-and-cut and statistics are written once there. What reaches
+//! into a node — post a write, read a replica, charge or cut, persist and
+//! restore an image, run the restart handshake — goes through
+//! `ProtocolNet`, a crate-private object-safe trait implemented once,
+//! generically, for the boxed [`simnet::Net`] hosting any protocol's
+//! nodes. A node's persisted state crosses the erasure as a
+//! [`ReplicaSnapshot`].
 
 use crate::api::{DsmError, ProtocolKind};
-use crate::control::ControlSummary;
-use crate::protocol::causal_full::CausalFull;
-use crate::protocol::causal_partial::CausalPartial;
-use crate::protocol::op_log::OpLog;
-use crate::protocol::pram_partial::PramPartial;
-use crate::protocol::sequential::Sequential;
-use crate::runtime::DsmSystem;
-use histories::{Distribution, History, ProcId, Value, VarId};
-use simnet::{
-    DeliveryMode, ExecBackend, NetworkStats, PoolStats, RunOutcome, SimConfig, SimTime, Topology,
-};
+use crate::control::ControlStats;
+use crate::protocol::causal_full::CausalFullNode;
+use crate::protocol::causal_partial::CausalPartialNode;
+use crate::protocol::op_log::OpLogNode;
+use crate::protocol::pram_partial::PramNode;
+use crate::protocol::sequential::SequentialNode;
+use crate::protocol::{McsNode, RecoveryState};
+use histories::{ProcId, Value, VarId};
+use simnet::{Net, NetCore, NetError, NodeContext, NodeId};
 
 /// A persisted replica image of one process, taken by
-/// [`DynDsm::snapshot`] and restorable by [`DynDsm::restore`]. Wraps the
-/// concrete protocol node state (replica values, vector clock or sequence
+/// [`DynDsm::snapshot`](crate::DynDsm::snapshot) and restorable by
+/// [`DynDsm::restore`](crate::DynDsm::restore). Wraps the concrete
+/// protocol node state (replica values, vector clock or sequence
 /// trackers, pending control records, unflushed buffers, write logs), so
 /// the snapshot/restore round trip is lossless by construction — the
 /// differential fault tests pin that down with equality.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ReplicaSnapshot {
     /// A fully replicated causal node image.
-    CausalFull(Box<crate::protocol::causal_full::CausalFullNode>),
+    CausalFull(Box<CausalFullNode>),
     /// A partially replicated causal node image.
-    CausalPartial(Box<crate::protocol::causal_partial::CausalPartialNode>),
+    CausalPartial(Box<CausalPartialNode>),
     /// A PRAM node image.
-    PramPartial(Box<crate::protocol::pram_partial::PramNode>),
+    PramPartial(Box<PramNode>),
     /// A sequencer-protocol node image.
-    Sequential(Box<crate::protocol::sequential::SequentialNode>),
+    Sequential(Box<SequentialNode>),
     /// A shared-operation-log node image.
-    OpLog(Box<crate::protocol::op_log::OpLogNode>),
+    OpLog(Box<OpLogNode>),
 }
 
 impl ReplicaSnapshot {
@@ -60,7 +58,6 @@ impl ReplicaSnapshot {
 
     /// The persisted replica value of `var` (`⊥` if never written).
     pub fn value(&self, var: VarId) -> Value {
-        use crate::protocol::McsNode;
         match self {
             ReplicaSnapshot::CausalFull(n) => n.local_read(var),
             ReplicaSnapshot::CausalPartial(n) => n.local_read(var),
@@ -71,302 +68,139 @@ impl ReplicaSnapshot {
     }
 }
 
-/// A DSM deployment whose protocol was chosen at runtime.
-///
-/// Exposes the full [`DsmSystem`] surface — reads, writes, settling,
-/// stepping, statistics, control accounting, history recording, and the
-/// fault layer's crash/restart lifecycle — with every call dispatched to
-/// the concrete protocol chosen at construction.
-pub enum DynDsm {
-    /// Causal consistency, full replication.
-    CausalFull(DsmSystem<CausalFull>),
-    /// Causal consistency, partial replication.
-    CausalPartial(DsmSystem<CausalPartial>),
-    /// PRAM consistency, partial replication.
-    PramPartial(DsmSystem<PramPartial>),
-    /// Sequential consistency baseline.
-    Sequential(DsmSystem<Sequential>),
-    /// Shared operation log, partial replication.
-    OpLog(DsmSystem<OpLog>),
+/// A node the runtime can host on any backend and persist: `Clone` is
+/// the persistence model (a crash image is a clone of the node state,
+/// restored verbatim), and `Send + 'static` lets the threaded backend
+/// host each node on its own OS thread.
+pub(crate) trait Replica: McsNode + Clone + Send + 'static {
+    /// Wrap this node's state as an image.
+    fn into_snapshot(self) -> ReplicaSnapshot;
+    /// Unwrap an image of this node's protocol; `Err` hands back another
+    /// protocol's.
+    fn from_snapshot(snapshot: ReplicaSnapshot) -> Result<Self, ReplicaSnapshot>;
 }
 
-/// Apply one expression to whichever concrete system the enum holds.
-macro_rules! dispatch {
-    ($self:expr, $sys:ident => $body:expr) => {
-        match $self {
-            DynDsm::CausalFull($sys) => $body,
-            DynDsm::CausalPartial($sys) => $body,
-            DynDsm::PramPartial($sys) => $body,
-            DynDsm::Sequential($sys) => $body,
-            DynDsm::OpLog($sys) => $body,
+macro_rules! replica {
+    ($node:ty, $variant:ident) => {
+        impl Replica for $node {
+            fn into_snapshot(self) -> ReplicaSnapshot {
+                ReplicaSnapshot::$variant(Box::new(self))
+            }
+            fn from_snapshot(snapshot: ReplicaSnapshot) -> Result<Self, ReplicaSnapshot> {
+                match snapshot {
+                    ReplicaSnapshot::$variant(node) => Ok(*node),
+                    other => Err(other),
+                }
+            }
         }
     };
 }
 
-impl DynDsm {
-    /// Build a system for `kind` with the default simulation configuration.
-    pub fn new(kind: ProtocolKind, dist: Distribution) -> Self {
-        Self::with_config(kind, dist, SimConfig::default())
+replica!(CausalFullNode, CausalFull);
+replica!(CausalPartialNode, CausalPartial);
+replica!(PramNode, PramPartial);
+replica!(SequentialNode, Sequential);
+replica!(OpLogNode, OpLog);
+
+/// A net hosting one protocol's nodes, the node type erased: the calls
+/// that reach into a node, and access to the net's own calls, which name
+/// no node.
+pub(crate) trait ProtocolNet {
+    /// Post `w(var)value` on node `id` (pipelined on threads).
+    fn post_write(&mut self, id: NodeId, var: VarId, value: i64) -> Result<(), NetError>;
+    /// Node `id`'s wait-free local read of `var`.
+    fn local_read(&self, id: NodeId, var: VarId) -> Result<Value, NetError>;
+    /// Node `id`'s control-information accounting.
+    fn control(&self, id: NodeId) -> Result<ControlStats, NetError>;
+    /// What node `id` retains for its peers' recovery.
+    fn recovery(&self, id: NodeId) -> Result<RecoveryState, NetError>;
+    /// Cut what node `id` retains ([`McsNode::checkpoint`]).
+    fn checkpoint(&mut self, id: NodeId) -> Result<(), NetError>;
+    /// Node `id`'s state as an image.
+    fn snapshot(&self, id: NodeId) -> Result<ReplicaSnapshot, NetError>;
+    /// Replace node `id`'s state with `snapshot`, unless the image was
+    /// taken before the latest recovery-log cut
+    /// ([`DsmError::StaleImage`]). Panics on another protocol's image:
+    /// that is a programming error, not a fault.
+    fn restore(&mut self, id: NodeId, snapshot: ReplicaSnapshot) -> Result<(), DsmError>;
+    /// Run node `id`'s catch-up handshake ([`McsNode::on_restart`]).
+    fn on_restart(&mut self, id: NodeId) -> Result<(), NetError>;
+
+    /// The net's calls that name no node ([`NetCore`]).
+    fn core(&self) -> &dyn NetCore;
+    /// [`ProtocolNet::core`], mutably.
+    fn core_mut(&mut self) -> &mut dyn NetCore;
+}
+
+impl<N: Replica> ProtocolNet for Box<dyn Net<N::Msg, N>> {
+    fn post_write(&mut self, id: NodeId, var: VarId, value: i64) -> Result<(), NetError> {
+        let write = move |node: &mut N, ctx: &mut NodeContext<N::Msg>| {
+            node.local_write(ctx, var, value);
+        };
+        self.post(id, &mut Some(write))
     }
 
-    /// Build a system for `kind` with an explicit simulation configuration.
-    pub fn with_config(kind: ProtocolKind, dist: Distribution, config: SimConfig) -> Self {
-        Self::try_with_config(kind, dist, config).unwrap_or_else(|e| panic!("{e}"))
+    fn local_read(&self, id: NodeId, var: VarId) -> Result<Value, NetError> {
+        self.query(id, |node| node.local_read(var))
     }
 
-    /// Fallible variant of [`DynDsm::with_config`]: configuration
-    /// rejections surface as [`DsmError::InvalidConfig`](crate::DsmError)
-    /// instead of panics.
-    pub fn try_with_config(
-        kind: ProtocolKind,
-        dist: Distribution,
-        config: SimConfig,
-    ) -> Result<Self, crate::DsmError> {
-        Self::try_with_backend(kind, dist, config, ExecBackend::Simnet)
+    fn control(&self, id: NodeId) -> Result<ControlStats, NetError> {
+        self.query(id, |node| node.control().clone())
     }
 
-    /// Build a system for `kind` on an explicit execution backend; panics
-    /// where [`DynDsm::try_with_backend`] would return an error.
-    pub fn with_backend(
-        kind: ProtocolKind,
-        dist: Distribution,
-        config: SimConfig,
-        backend: ExecBackend,
-    ) -> Self {
-        Self::try_with_backend(kind, dist, config, backend).unwrap_or_else(|e| panic!("{e}"))
+    fn recovery(&self, id: NodeId) -> Result<RecoveryState, NetError> {
+        self.query(id, N::recovery)
     }
 
-    /// Build a system for `kind` on an explicit execution backend (see
-    /// [`DsmSystem::try_with_backend`] for what each backend supports).
-    pub fn try_with_backend(
-        kind: ProtocolKind,
-        dist: Distribution,
-        config: SimConfig,
-        backend: ExecBackend,
-    ) -> Result<Self, crate::DsmError> {
-        Ok(match kind {
-            ProtocolKind::CausalFull => {
-                DynDsm::CausalFull(DsmSystem::try_with_backend(dist, config, backend)?)
-            }
-            ProtocolKind::CausalPartial => {
-                DynDsm::CausalPartial(DsmSystem::try_with_backend(dist, config, backend)?)
-            }
-            ProtocolKind::PramPartial => {
-                DynDsm::PramPartial(DsmSystem::try_with_backend(dist, config, backend)?)
-            }
-            ProtocolKind::Sequential => {
-                DynDsm::Sequential(DsmSystem::try_with_backend(dist, config, backend)?)
-            }
-            ProtocolKind::OpLog => {
-                DynDsm::OpLog(DsmSystem::try_with_backend(dist, config, backend)?)
-            }
-        })
+    fn checkpoint(&mut self, id: NodeId) -> Result<(), NetError> {
+        self.update(id, &mut N::checkpoint)
     }
 
-    /// The execution backend this system runs on.
-    pub fn backend(&self) -> ExecBackend {
-        dispatch!(self, sys => sys.backend())
+    fn snapshot(&self, id: NodeId) -> Result<ReplicaSnapshot, NetError> {
+        self.query(id, |node| node.clone().into_snapshot())
     }
 
-    /// Disable operation recording (useful for large benchmark runs).
-    pub fn disable_recording(&mut self) {
-        dispatch!(self, sys => sys.disable_recording())
-    }
-
-    /// The protocol this system runs.
-    pub fn kind(&self) -> ProtocolKind {
-        dispatch!(self, sys => sys.kind())
-    }
-
-    /// The variable distribution.
-    pub fn distribution(&self) -> &Distribution {
-        dispatch!(self, sys => sys.distribution())
-    }
-
-    /// Number of processes.
-    pub fn process_count(&self) -> usize {
-        dispatch!(self, sys => sys.process_count())
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        dispatch!(self, sys => sys.now())
-    }
-
-    /// The network topology the deployment runs over.
-    pub fn topology(&self) -> &Topology {
-        dispatch!(self, sys => sys.topology())
-    }
-
-    /// Whether sends are relayed over shortest paths (sparse topology or
-    /// forced routing) rather than delivered on direct links.
-    pub fn is_routed(&self) -> bool {
-        dispatch!(self, sys => sys.is_routed())
-    }
-
-    /// The wire delivery mode (multicast / batching) this deployment runs
-    /// under.
-    pub fn delivery(&self) -> DeliveryMode {
-        dispatch!(self, sys => sys.delivery())
-    }
-
-    /// Transit envelopes forwarded by intermediate nodes — the extra hops
-    /// the overlay pays compared to a full mesh (0 when direct).
-    pub fn forwarded_messages(&self) -> u64 {
-        dispatch!(self, sys => sys.forwarded_messages())
-    }
-
-    /// Total simulator events (deliveries + timers) processed so far.
-    pub fn events_processed(&self) -> u64 {
-        dispatch!(self, sys => sys.events_processed())
-    }
-
-    /// Buffer-pool hit/miss statistics of the threaded backend's sites
-    /// (see [`DsmSystem::pool_stats`]).
-    pub fn pool_stats(&self) -> PoolStats {
-        dispatch!(self, sys => sys.pool_stats())
-    }
-
-    /// Link-fabric contention counters of the threaded backend (see
-    /// [`DsmSystem::fabric_stats`]; all zeros on simnet).
-    pub fn fabric_stats(&self) -> simnet::FabricStats {
-        dispatch!(self, sys => sys.fabric_stats())
-    }
-
-    /// Issue `w_p(var)value`.
-    pub fn write(&mut self, p: ProcId, var: VarId, value: i64) -> Result<(), DsmError> {
-        dispatch!(self, sys => sys.write(p, var, value))
-    }
-
-    /// Issue `r_p(var)` and return the value the local replica holds.
-    pub fn read(&mut self, p: ProcId, var: VarId) -> Result<Value, DsmError> {
-        dispatch!(self, sys => sys.read(p, var))
-    }
-
-    /// Deliver every in-flight message (run the network to quiescence).
-    pub fn settle(&mut self) -> RunOutcome {
-        dispatch!(self, sys => sys.settle())
-    }
-
-    /// Deliver at most one pending message; returns `false` when idle.
-    pub fn step(&mut self) -> bool {
-        dispatch!(self, sys => sys.step())
-    }
-
-    /// Number of messages still in flight.
-    pub fn pending_messages(&self) -> usize {
-        dispatch!(self, sys => sys.pending_messages())
-    }
-
-    /// Network-level statistics (messages, data bytes, control bytes).
-    pub fn network_stats(&self) -> &NetworkStats {
-        dispatch!(self, sys => sys.network_stats())
-    }
-
-    /// Per-node control-information accounting.
-    pub fn control_summary(&self) -> ControlSummary {
-        dispatch!(self, sys => sys.control_summary())
-    }
-
-    /// The history of all application operations issued so far.
-    pub fn history(&self) -> History {
-        dispatch!(self, sys => sys.history())
-    }
-
-    /// Number of application operations issued so far.
-    pub fn operation_count(&self) -> u64 {
-        dispatch!(self, sys => sys.operation_count())
-    }
-
-    /// Direct read of a node's replica without recording an application
-    /// operation (used by tests and convergence checks).
-    pub fn peek(&self, p: ProcId, var: VarId) -> Value {
-        dispatch!(self, sys => sys.peek(p, var))
-    }
-
-    /// Whether process `p` is currently crashed.
-    pub fn is_crashed(&self, p: ProcId) -> bool {
-        dispatch!(self, sys => sys.is_crashed(p))
-    }
-
-    /// A persisted snapshot of process `p`'s replica state — the image a
-    /// restart would restore (see [`DsmSystem::snapshot`]).
-    pub fn snapshot(&self, p: ProcId) -> ReplicaSnapshot {
-        match self {
-            DynDsm::CausalFull(sys) => ReplicaSnapshot::CausalFull(Box::new(sys.snapshot(p))),
-            DynDsm::CausalPartial(sys) => ReplicaSnapshot::CausalPartial(Box::new(sys.snapshot(p))),
-            DynDsm::PramPartial(sys) => ReplicaSnapshot::PramPartial(Box::new(sys.snapshot(p))),
-            DynDsm::Sequential(sys) => ReplicaSnapshot::Sequential(Box::new(sys.snapshot(p))),
-            DynDsm::OpLog(sys) => ReplicaSnapshot::OpLog(Box::new(sys.snapshot(p))),
+    fn restore(&mut self, id: NodeId, snapshot: ReplicaSnapshot) -> Result<(), DsmError> {
+        let image = N::from_snapshot(snapshot).unwrap_or_else(|other| {
+            panic!(
+                "snapshot of {} cannot restore into a system of another protocol",
+                other.kind()
+            )
+        });
+        // The node being replaced was up at every cut so far, or has been
+        // down since before the first one it missed — and nothing is cut
+        // while a process is down — so its count is the system's.
+        let image_cuts = image.recovery().cuts;
+        let system_cuts = self.query(id, |node| node.recovery().cuts)?;
+        if image_cuts < system_cuts {
+            return Err(DsmError::StaleImage {
+                proc: ProcId(id.index()),
+                image_cuts,
+                system_cuts,
+            });
         }
+        Ok(self.update(id, &mut |node| *node = image.clone())?)
     }
 
-    /// Replace process `p`'s state machine with a snapshot previously
-    /// taken from a system of the same protocol. Panics if the
-    /// snapshot's protocol disagrees with this system's (a snapshot is
-    /// not portable across protocols), and where [`DynDsm::try_restore`]
-    /// would return an error.
-    pub fn restore(&mut self, p: ProcId, snapshot: ReplicaSnapshot) {
-        self.try_restore(p, snapshot)
-            .unwrap_or_else(|e| panic!("{e}"))
+    fn on_restart(&mut self, id: NodeId) -> Result<(), NetError> {
+        self.invoke(id, &mut |node, ctx| node.on_restart(ctx))
     }
 
-    /// Fallible variant of [`DynDsm::restore`]: an image taken before the
-    /// latest recovery-log cut is refused with [`DsmError::StaleImage`]
-    /// (see [`DsmSystem::try_restore`]). A snapshot of another protocol
-    /// still panics — that is a programming error, not a run-time fault.
-    pub fn try_restore(&mut self, p: ProcId, snapshot: ReplicaSnapshot) -> Result<(), DsmError> {
-        match (self, snapshot) {
-            (DynDsm::CausalFull(sys), ReplicaSnapshot::CausalFull(n)) => sys.try_restore(p, *n),
-            (DynDsm::CausalPartial(sys), ReplicaSnapshot::CausalPartial(n)) => {
-                sys.try_restore(p, *n)
-            }
-            (DynDsm::PramPartial(sys), ReplicaSnapshot::PramPartial(n)) => sys.try_restore(p, *n),
-            (DynDsm::Sequential(sys), ReplicaSnapshot::Sequential(n)) => sys.try_restore(p, *n),
-            (DynDsm::OpLog(sys), ReplicaSnapshot::OpLog(n)) => sys.try_restore(p, *n),
-            (sys, snap) => panic!(
-                "snapshot of {} cannot restore into a {} system",
-                snap.kind(),
-                sys.kind()
-            ),
-        }
+    fn core(&self) -> &dyn NetCore {
+        &**self
     }
 
-    /// Crash process `p`: persist its snapshot and take its node down
-    /// (see [`DsmSystem::crash`]).
-    pub fn crash(&mut self, p: ProcId) -> Result<(), DsmError> {
-        dispatch!(self, sys => sys.crash(p))
-    }
-
-    /// Restart a crashed process from its persisted snapshot, run its
-    /// catch-up handshake, and settle recovery traffic (see
-    /// [`DsmSystem::restart`]).
-    pub fn restart(&mut self, p: ProcId) -> Result<(), DsmError> {
-        dispatch!(self, sys => sys.restart(p))
-    }
-
-    /// Envelopes currently parked at a crashed process (transit traffic
-    /// awaiting its restart; 0 on direct transports).
-    pub fn parked_messages(&self, p: ProcId) -> usize {
-        dispatch!(self, sys => sys.parked_messages(p))
-    }
-
-    /// Recovery-log entries process `p` currently retains for its peers'
-    /// catch-up (see [`DsmSystem::recovery_retained`]).
-    pub fn recovery_retained(&self, p: ProcId) -> usize {
-        dispatch!(self, sys => sys.recovery_retained(p))
-    }
-
-    /// Recovery-log cuts taken so far (see [`DsmSystem::recovery_cuts`]).
-    pub fn recovery_cuts(&self) -> u64 {
-        dispatch!(self, sys => sys.recovery_cuts())
+    fn core_mut(&mut self) -> &mut dyn NetCore {
+        &mut **self
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use histories::check;
+    use crate::runtime::DynDsm;
+    use histories::{check, Distribution};
+    use simnet::{ExecBackend, SimConfig, SimTime};
 
     fn partial_dist() -> Distribution {
         let mut d = Distribution::new(4, 3);
@@ -385,21 +219,16 @@ mod tests {
             let sys = DynDsm::new(kind, partial_dist());
             assert_eq!(sys.kind(), kind);
             assert_eq!(sys.process_count(), 4);
+            assert_eq!(sys.snapshot(ProcId(0)).kind(), kind);
         }
     }
 
     #[test]
-    fn runtime_selected_protocol_behaves_like_the_generic_one() {
-        let mut erased = DynDsm::new(ProtocolKind::PramPartial, partial_dist());
-        let mut generic: DsmSystem<PramPartial> = DsmSystem::new(partial_dist());
-        erased.write(ProcId(0), VarId(0), 10).unwrap();
-        generic.write(ProcId(0), VarId(0), 10).unwrap();
-        erased.settle();
-        generic.settle();
-        assert_eq!(erased.peek(ProcId(1), VarId(0)), Value::Int(10));
-        assert_eq!(erased.network_stats(), generic.network_stats());
-        assert_eq!(erased.history(), generic.history());
-        assert_eq!(erased.control_summary(), generic.control_summary());
+    #[should_panic(expected = "cannot restore into")]
+    fn a_snapshot_of_another_protocol_does_not_restore() {
+        let pram = DynDsm::new(ProtocolKind::PramPartial, partial_dist());
+        let mut causal = DynDsm::new(ProtocolKind::CausalPartial, partial_dist());
+        let _ = causal.try_restore(ProcId(1), pram.snapshot(ProcId(1)));
     }
 
     #[test]

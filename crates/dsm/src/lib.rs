@@ -9,7 +9,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use dsm::{DsmSystem, PramPartial};
+//! use dsm::{DynDsm, ProtocolKind};
 //! use histories::{Distribution, ProcId, Value, VarId};
 //!
 //! // Three processes; x0 shared by p0 and p1, x1 shared by p1 and p2.
@@ -19,7 +19,7 @@
 //! dist.assign(ProcId(1), VarId(1));
 //! dist.assign(ProcId(2), VarId(1));
 //!
-//! let mut dsm: DsmSystem<PramPartial> = DsmSystem::new(dist);
+//! let mut dsm = DynDsm::new(ProtocolKind::PramPartial, dist);
 //! dsm.write(ProcId(0), VarId(0), 42).unwrap();
 //! dsm.settle(); // deliver all in-flight updates
 //! assert_eq!(dsm.read(ProcId(1), VarId(0)).unwrap(), Value::Int(42));
@@ -30,17 +30,20 @@
 //!
 //! ## Protocols
 //!
-//! | type | criterion | replication | per-update control info |
-//! |---|---|---|---|
-//! | [`CausalFull`] | causal | full | `O(n)` vector clock, broadcast to all |
-//! | [`CausalPartial`] | causal | partial (data) | `O(n)` vector clock to replicas **plus** control-only records to everyone else |
-//! | [`PramPartial`] | PRAM | partial | per-writer sequence number, replicas only |
-//! | [`Sequential`] | sequential (baseline) | full | sequencer round trip + global sequence number |
-//! | [`OpLog`] | sequential at settle (PRAM always) | partial | per-shard flat-combining append/echo + shard sequence number, replicas only |
+//! [`DynDsm`] is one system for every protocol: the protocol is a
+//! [`ProtocolKind`] value, and only the node state machines differ.
 //!
-//! The asymmetry between [`CausalPartial`] and [`PramPartial`] is the
-//! paper's result made measurable: causal consistency forces every node to
-//! handle metadata about every variable (Theorem 1), while PRAM lets the
+//! | kind | node | criterion | replication | per-update control info |
+//! |---|---|---|---|---|
+//! | [`ProtocolKind::CausalFull`] | [`CausalFullNode`] | causal | full | `O(n)` vector clock, broadcast to all |
+//! | [`ProtocolKind::CausalPartial`] | [`CausalPartialNode`] | causal | partial (data) | `O(n)` vector clock to replicas **plus** control-only records to everyone else |
+//! | [`ProtocolKind::PramPartial`] | [`PramNode`] | PRAM | partial | per-writer sequence number, replicas only |
+//! | [`ProtocolKind::Sequential`] | [`SequentialNode`] | sequential (baseline) | full | sequencer round trip + global sequence number |
+//! | [`ProtocolKind::OpLog`] | [`OpLogNode`] | sequential at settle (PRAM always) | partial | per-shard flat-combining append/echo + shard sequence number, replicas only |
+//!
+//! The asymmetry between causal-partial and PRAM-partial is the paper's
+//! result made measurable: causal consistency forces every node to handle
+//! metadata about every variable (Theorem 1), while PRAM lets the
 //! metadata stay inside each variable's replica set (Theorem 2).
 
 #![forbid(unsafe_code)]
@@ -60,15 +63,14 @@ mod recovery_tests;
 pub use api::{DsmError, ProtocolKind};
 pub use clock::{DeltaVc, SequenceTracker, VectorClock};
 pub use control::{ControlStats, ControlSummary};
-pub use dynamic::{DynDsm, ReplicaSnapshot};
-pub use protocol::causal_full::{CausalFull, CausalFullMsg, CausalFullNode, CausalMsg};
+pub use dynamic::ReplicaSnapshot;
+pub use protocol::causal_full::{CausalFullMsg, CausalFullNode, CausalMsg};
 pub use protocol::causal_partial::{
-    CausalPartial, CausalPartialMsg, CausalPartialNode, ControlRecord, MAX_BATCH,
-    RECORD_DELTA_BYTES,
+    CausalPartialMsg, CausalPartialNode, ControlRecord, MAX_BATCH, RECORD_DELTA_BYTES,
 };
-pub use protocol::op_log::{OpLog, OpLogMsg, OpLogNode};
-pub use protocol::pram_partial::{PramMsg, PramNode, PramPartial, PramPartialMsg};
-pub use protocol::sequential::{SeqMsg, Sequential, SequentialNode};
-pub use protocol::{McsNode, ProtocolSpec, RecoveryLog, RecoveryState, Stamp};
+pub use protocol::op_log::{OpLogMsg, OpLogNode};
+pub use protocol::pram_partial::{PramMsg, PramNode, PramPartialMsg};
+pub use protocol::sequential::{SeqMsg, SequentialNode};
+pub use protocol::{McsNode, RecoveryLog, RecoveryState, Stamp};
 pub use recorder::Recorder;
-pub use runtime::DsmSystem;
+pub use runtime::DynDsm;

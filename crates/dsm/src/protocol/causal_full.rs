@@ -24,11 +24,10 @@
 //! an update whose writer applied nothing since its previous write is
 //! found in order by one comparison instead of an `n`-entry clock scan.
 
-use crate::api::ProtocolKind;
 use crate::clock::{DeltaVc, VectorClock};
 use crate::control::ControlStats;
 use crate::protocol::causal::{CausalReplica, Stamp};
-use crate::protocol::{FlushWindow, McsNode, ProtocolSpec, RecoveryLog, RecoveryState};
+use crate::protocol::{FlushWindow, McsNode, RecoveryLog, RecoveryState};
 use histories::{Distribution, ProcId, Value, VarId};
 use simnet::{DeliveryMode, Node, NodeContext, NodeId, WireSize};
 use std::sync::Arc;
@@ -316,16 +315,11 @@ impl McsNode for CausalFullNode {
     }
 }
 
-/// Marker type selecting the fully replicated causal protocol.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CausalFull;
-
-impl ProtocolSpec for CausalFull {
-    type Msg = CausalFullMsg;
-    type Node = CausalFullNode;
-    const KIND: ProtocolKind = ProtocolKind::CausalFull;
-
-    fn build_nodes(dist: &Distribution, delivery: DeliveryMode) -> Vec<CausalFullNode> {
+impl CausalFullNode {
+    /// One node per process of `dist`, in process-id order. Honours
+    /// `delivery.batching` (a flush window's updates go as one batch) and
+    /// `delivery.delta` (each clock charged at its [`DeltaVc`] size).
+    pub fn build_nodes(dist: &Distribution, delivery: DeliveryMode) -> Vec<Self> {
         let n = dist.process_count();
         (0..n)
             .map(|i| CausalFullNode {
@@ -425,7 +419,7 @@ mod tests {
     fn catchup_resends_exactly_the_missing_own_writes() {
         // Writer p0 logs three writes.
         let dist = Distribution::full(3, 2);
-        let mut nodes = CausalFull::build_nodes(&dist, simnet::DeliveryMode::UNICAST);
+        let mut nodes = CausalFullNode::build_nodes(&dist, simnet::DeliveryMode::UNICAST);
         let mut ctx = NodeContext::new(NodeId(0), simnet::SimTime::ZERO);
         for v in 1..=3 {
             nodes[0].local_write(&mut ctx, VarId(0), v);
@@ -469,7 +463,7 @@ mod tests {
     #[test]
     fn local_write_broadcasts_to_all_other_nodes() {
         let dist = Distribution::full(4, 2);
-        let mut nodes = CausalFull::build_nodes(&dist, simnet::DeliveryMode::UNICAST);
+        let mut nodes = CausalFullNode::build_nodes(&dist, simnet::DeliveryMode::UNICAST);
         let mut ctx = NodeContext::new(NodeId(0), simnet::SimTime::ZERO);
         nodes[0].local_write(&mut ctx, VarId(1), 7);
         assert_eq!(ctx.queued_messages(), 3);
@@ -483,7 +477,6 @@ mod tests {
             nodes[0].control().sent_bytes(VarId(1)),
             3 * (4 * 8 + 8) as u64
         );
-        assert_eq!(CausalFull::KIND, ProtocolKind::CausalFull);
     }
 
     #[test]
@@ -495,7 +488,7 @@ mod tests {
             } else {
                 simnet::DeliveryMode::UNICAST
             };
-            let mut nodes = CausalFull::build_nodes(&dist, mode);
+            let mut nodes = CausalFullNode::build_nodes(&dist, mode);
             let mut ctx = NodeContext::new(NodeId(0), simnet::SimTime::ZERO);
             for v in 1..=4 {
                 nodes[0].local_write(&mut ctx, VarId(0), v);
@@ -528,7 +521,7 @@ mod tests {
         // decoder base and the FIFO link keeps the chain aligned.
         let dist = Distribution::full(3, 2);
         let run = |mode: simnet::DeliveryMode| {
-            let mut nodes = CausalFull::build_nodes(&dist, mode);
+            let mut nodes = CausalFullNode::build_nodes(&dist, mode);
             let mut ctx = NodeContext::new(NodeId(0), simnet::SimTime::ZERO);
             for v in 1..=2 {
                 nodes[0].local_write(&mut ctx, VarId(0), v);
@@ -586,8 +579,8 @@ mod tests {
     #[test]
     fn a_window_of_writes_leaves_as_one_batch_charged_like_single_updates() {
         let dist = Distribution::full(4, 2);
-        let mut nodes = CausalFull::build_nodes(&dist, simnet::DeliveryMode::BATCHED);
-        let mut unbatched = CausalFull::build_nodes(&dist, simnet::DeliveryMode::UNICAST);
+        let mut nodes = CausalFullNode::build_nodes(&dist, simnet::DeliveryMode::BATCHED);
+        let mut unbatched = CausalFullNode::build_nodes(&dist, simnet::DeliveryMode::UNICAST);
         let mut ctx = NodeContext::new(NodeId(0), simnet::SimTime::ZERO);
         let mut unbatched_ctx = NodeContext::new(NodeId(0), simnet::SimTime::ZERO);
         for v in 1..=3 {
@@ -625,7 +618,7 @@ mod tests {
     #[test]
     fn a_received_batch_delivers_in_order_and_a_duplicate_changes_nothing() {
         let dist = Distribution::full(3, 1);
-        let mut nodes = CausalFull::build_nodes(&dist, simnet::DeliveryMode::BATCHED);
+        let mut nodes = CausalFullNode::build_nodes(&dist, simnet::DeliveryMode::BATCHED);
         let mut ctx = NodeContext::new(NodeId(0), simnet::SimTime::ZERO);
         for v in 1..=3 {
             nodes[0].local_write(&mut ctx, VarId(0), v);
@@ -650,7 +643,7 @@ mod tests {
     #[test]
     fn a_restart_flushes_the_window_its_snapshot_held() {
         let dist = Distribution::full(3, 1);
-        let mut nodes = CausalFull::build_nodes(&dist, simnet::DeliveryMode::MULTICAST_BATCHED);
+        let mut nodes = CausalFullNode::build_nodes(&dist, simnet::DeliveryMode::MULTICAST_BATCHED);
         let mut ctx = NodeContext::new(NodeId(2), simnet::SimTime::ZERO);
         nodes[2].local_write(&mut ctx, VarId(0), 7);
         nodes[2].local_write(&mut ctx, VarId(0), 8);

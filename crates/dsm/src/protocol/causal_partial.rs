@@ -64,13 +64,11 @@
 //! applied nothing since its previous write is found in order by one
 //! comparison instead of an `n`-entry clock scan.
 
-use crate::api::ProtocolKind;
 use crate::clock::{DeltaVc, VectorClock};
 use crate::control::ControlStats;
 use crate::protocol::causal::{CausalReplica, Stamp};
 use crate::protocol::{
-    replica_table, replicates, FlushWindow, McsNode, OwedLog, ProtocolSpec, RecoveryLog,
-    RecoveryState,
+    replica_table, replicates, FlushWindow, McsNode, OwedLog, RecoveryLog, RecoveryState,
 };
 use histories::{Distribution, ProcId, Value, VarId};
 use simnet::{DeliveryMode, Node, NodeContext, NodeId, WireSize};
@@ -640,16 +638,12 @@ impl McsNode for CausalPartialNode {
     }
 }
 
-/// Marker type selecting the partially replicated causal protocol.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CausalPartial;
-
-impl ProtocolSpec for CausalPartial {
-    type Msg = CausalPartialMsg;
-    type Node = CausalPartialNode;
-    const KIND: ProtocolKind = ProtocolKind::CausalPartial;
-
-    fn build_nodes(dist: &Distribution, delivery: DeliveryMode) -> Vec<CausalPartialNode> {
+impl CausalPartialNode {
+    /// One node per process of `dist`, in process-id order. Honours
+    /// `delivery.batching` (control records buffered per destination,
+    /// piggybacked and flushed in batches) and `delivery.delta` (clocks
+    /// charged at their [`DeltaVc`] size).
+    pub fn build_nodes(dist: &Distribution, delivery: DeliveryMode) -> Vec<Self> {
         let n = dist.process_count();
         let replicas = replica_table(dist);
         (0..n)
@@ -732,7 +726,7 @@ mod tests {
         let mut dist = Distribution::new(4, 1);
         dist.assign(ProcId(0), VarId(0));
         dist.assign(ProcId(1), VarId(0));
-        let mut nodes = CausalPartial::build_nodes(&dist, DeliveryMode::UNICAST);
+        let mut nodes = CausalPartialNode::build_nodes(&dist, DeliveryMode::UNICAST);
         let mut ctx = NodeContext::new(NodeId(0), SimTime::ZERO);
         nodes[0].local_write(&mut ctx, VarId(0), 5);
         // 1 update (to p1) + 2 control records (to p2, p3).
@@ -748,7 +742,7 @@ mod tests {
         let mut dist = Distribution::new(4, 1);
         dist.assign(ProcId(0), VarId(0));
         dist.assign(ProcId(1), VarId(0));
-        let mut nodes = CausalPartial::build_nodes(&dist, DeliveryMode::BATCHED);
+        let mut nodes = CausalPartialNode::build_nodes(&dist, DeliveryMode::BATCHED);
         let mut ctx = NodeContext::new(NodeId(0), SimTime::ZERO);
         nodes[0].local_write(&mut ctx, VarId(0), 5);
         // Only the update leaves immediately; the two records wait.
@@ -774,7 +768,7 @@ mod tests {
         dist.assign(ProcId(1), VarId(0));
         dist.assign(ProcId(0), VarId(1));
         dist.assign(ProcId(2), VarId(1));
-        let mut nodes = CausalPartial::build_nodes(&dist, DeliveryMode::BATCHED);
+        let mut nodes = CausalPartialNode::build_nodes(&dist, DeliveryMode::BATCHED);
         let mut ctx = NodeContext::new(NodeId(0), SimTime::ZERO);
         // Writing x0 buffers records for p2 and p3.
         nodes[0].local_write(&mut ctx, VarId(0), 5);
@@ -828,7 +822,7 @@ mod tests {
         dist.assign(ProcId(1), VarId(0));
         dist.assign(ProcId(0), VarId(1));
         dist.assign(ProcId(2), VarId(1));
-        CausalPartial::build_nodes(&dist, DeliveryMode::BATCHED)
+        CausalPartialNode::build_nodes(&dist, DeliveryMode::BATCHED)
     }
 
     /// The batches among `out` as (destinations, variables of the
@@ -997,7 +991,6 @@ mod tests {
         node.on_message(&mut ctx, NodeId(0), control_msg(0, VarId(0), vc1));
         assert_eq!(node.pending_count(), 0);
         assert_eq!(node.delivered_control(), 2);
-        assert_eq!(CausalPartial::KIND, ProtocolKind::CausalPartial);
     }
 
     #[test]
@@ -1013,7 +1006,7 @@ mod tests {
             } else {
                 DeliveryMode::UNICAST
             };
-            let mut nodes = CausalPartial::build_nodes(&dist, mode);
+            let mut nodes = CausalPartialNode::build_nodes(&dist, mode);
             let mut ctx = NodeContext::new(NodeId(0), SimTime::ZERO);
             for v in 1..=4 {
                 nodes[0].local_write(&mut ctx, VarId(0), v);
@@ -1049,7 +1042,7 @@ mod tests {
         dist.assign(ProcId(0), VarId(1));
         dist.assign(ProcId(2), VarId(1));
         let run = |mode: DeliveryMode| {
-            let mut nodes = CausalPartial::build_nodes(&dist, mode);
+            let mut nodes = CausalPartialNode::build_nodes(&dist, mode);
             let mut ctx = NodeContext::new(NodeId(0), SimTime::ZERO);
             // p2 does not replicate x0 (control record) but does x1
             // (full update): the catch-up answer mixes both kinds.

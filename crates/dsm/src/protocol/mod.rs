@@ -52,10 +52,9 @@ pub use recovery::{RecoveryLog, RecoveryState};
 pub(crate) use store::Store;
 pub(crate) use window::FlushWindow;
 
-use crate::api::ProtocolKind;
 use crate::control::ControlStats;
 use histories::{Distribution, ProcId, Value, VarId};
-use simnet::{DeliveryMode, Node, NodeContext, NodeId, WireSize};
+use simnet::{Node, NodeContext, NodeId, WireSize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -159,39 +158,4 @@ pub trait McsNode: Node<<Self as McsNode>::Msg> {
     fn recovery(&self) -> RecoveryState {
         RecoveryState::default()
     }
-}
-
-/// A protocol family: how to instantiate one node per process for a given
-/// variable distribution.
-pub trait ProtocolSpec {
-    /// Message type (`Send + 'static` for the threaded backend — see
-    /// [`McsNode::Msg`]).
-    type Msg: WireSize + fmt::Debug + Clone + Send + 'static;
-    /// Node type. `Clone` is the persistence model of the fault layer: a
-    /// crash snapshot is a clone of the node state (replica values, clocks,
-    /// pending records), and a restart restores it verbatim. `Send +
-    /// 'static` lets the threaded backend host each node on its own OS
-    /// thread.
-    type Node: McsNode<Msg = Self::Msg> + Clone + Send + 'static;
-
-    /// Which protocol this is.
-    const KIND: ProtocolKind;
-
-    /// Build the MCS nodes for a system with the given variable
-    /// distribution (one node per process, in process-id order).
-    ///
-    /// `delivery` carries the wire-efficiency knobs. Every broadcasting
-    /// protocol honours `delivery.batching` through the shared flush
-    /// window: the partially replicated causal protocol buffers,
-    /// piggybacks and batches its per-destination control records, the
-    /// fully replicated causal protocol sends each window's updates as one
-    /// batch, and the sequencer protocol each window's requests and
-    /// ordered writes. The vector-clock-carrying protocols honour
-    /// `delivery.delta` by charging each clock at its sparse
-    /// [`crate::clock::DeltaVc`] encoding against the writer's previous
-    /// write. PRAM-partial (each write goes to a few replicas) and op-log
-    /// (its flat-combining lane already batches) ignore both. The
-    /// `multicast` half of the mode is handled below the protocols, in
-    /// the transport.
-    fn build_nodes(dist: &Distribution, delivery: DeliveryMode) -> Vec<Self::Node>;
 }

@@ -33,20 +33,23 @@
 //! Crash recovery: a restarted writer re-appends every write whose echo
 //! it never saw (a re-sequenced duplicate converges — same value, higher
 //! sequence number), and asks each shard owner for the per-variable
-//! winners it missed via [`OpLogMsg::CatchupReq`] watermarks.
+//! winners it missed via [`OpLogMsg::CatchupReq`] watermarks. A
+//! restarted owner tells the other replicas of its shards
+//! ([`OpLogMsg::Restarted`]): an append that reached it while it was down
+//! is lost, and a writer with one in flight sends it again as an
+//! [`OpLogMsg::Reappend`]. Links are FIFO, so the owner has heard the
+//! original by then unless it was lost, and it sequences the copy only if
+//! it has not.
 //!
 //! The `delta` and `batching` wire modes are deliberate no-ops here:
 //! every message carries O(1) sequence-number metadata (nothing for a
 //! delta encoding to shrink), and the flat-combining lane *is* the
 //! protocol's structural batching.
 
-use crate::api::ProtocolKind;
 use crate::control::ControlStats;
-use crate::protocol::{
-    replica_table, replicates, McsNode, ProtocolSpec, RecoveryState, Slot, Store,
-};
+use crate::protocol::{replica_table, replicates, McsNode, RecoveryState, Slot, Store};
 use histories::{Distribution, ProcId, Value, VarId};
-use simnet::{Node, NodeContext, NodeId, WireSize};
+use simnet::{DeliveryMode, Node, NodeContext, NodeId, WireSize};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -66,6 +69,8 @@ const ENTRY_BYTES: usize = 16;
 /// watermark cost (variable id + sequence number).
 const CATCHUP_BASE_BYTES: usize = 8;
 const CATCHUP_PER_VAR_BYTES: usize = 12;
+/// Control bytes of a [`OpLogMsg::Restarted`] notice (owner id).
+const RESTARTED_BYTES: usize = 8;
 
 /// Messages of the shared-operation-log protocol.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -98,6 +103,15 @@ pub enum OpLogMsg {
         /// The written value.
         value: i64,
     },
+    /// A restarted owner's notice to the other replicas of its shards:
+    /// an append in flight to it may have been lost.
+    Restarted,
+    /// A writer's in-flight append, sent again on [`OpLogMsg::Restarted`]:
+    /// sequenced only if the original did not reach the restarted owner.
+    Reappend {
+        /// The appended operations, in program order.
+        ops: Vec<(VarId, i64)>,
+    },
     /// A restarted replica's catch-up request to one shard owner: "for
     /// each of these variables, resend the winning entry if its sequence
     /// number is beyond my watermark".
@@ -112,18 +126,19 @@ pub enum OpLogMsg {
 impl WireSize for OpLogMsg {
     fn data_bytes(&self) -> usize {
         match self {
-            OpLogMsg::Append { ops } => 8 * ops.len(),
+            OpLogMsg::Append { ops } | OpLogMsg::Reappend { ops } => 8 * ops.len(),
             OpLogMsg::Entry { .. } => 8,
-            OpLogMsg::Committed { .. } | OpLogMsg::CatchupReq { .. } => 0,
+            OpLogMsg::Committed { .. } | OpLogMsg::CatchupReq { .. } | OpLogMsg::Restarted => 0,
         }
     }
     fn control_bytes(&self) -> usize {
         match self {
             // Head operation pays the full header; combined tails pay the
             // variable id only — their seqs are implied by batch position.
-            OpLogMsg::Append { ops } => {
+            OpLogMsg::Append { ops } | OpLogMsg::Reappend { ops } => {
                 APPEND_HEAD_BYTES + APPEND_OP_BYTES * ops.len().saturating_sub(1)
             }
+            OpLogMsg::Restarted => RESTARTED_BYTES,
             OpLogMsg::Committed { .. } => COMMITTED_BYTES,
             OpLogMsg::Entry { .. } => ENTRY_BYTES,
             OpLogMsg::CatchupReq { watermarks, .. } => {
@@ -186,6 +201,9 @@ pub struct OpLogNode {
     winners: Store<(u64, usize, i64)>,
     /// Cuts of `winners` taken so far.
     cuts: u64,
+    /// Owner state: the writers whose append reached this node since its
+    /// last restart (`None`: it never restarted).
+    heard: Option<Vec<usize>>,
     /// Log entries applied to the visible store so far.
     applied: u64,
 }
@@ -209,6 +227,7 @@ impl OpLogNode {
             next_seq: 0,
             winners: Store::default(),
             cuts: 0,
+            heard: None,
             applied: 0,
         }
     }
@@ -274,27 +293,96 @@ impl OpLogNode {
             }
             _ => return,
         };
-        let mut ops: Vec<(VarId, i64)> = Vec::with_capacity(wseqs.len());
-        for ws in &wseqs {
+        let ops = self.lane_ops(&wseqs);
+        if ops.is_empty() {
+            return;
+        }
+        self.charge_append(&ops, ControlStats::charge_sent);
+        if let Some(lane) = self.lanes.get_mut(&owner) {
+            lane.in_flight = wseqs;
+        }
+        ctx.send(NodeId(owner), OpLogMsg::Append { ops });
+    }
+
+    /// The outstanding writes `wseqs` names, as appended operations.
+    fn lane_ops(&self, wseqs: &[u64]) -> Vec<(VarId, i64)> {
+        let mut ops = Vec::with_capacity(wseqs.len());
+        for ws in wseqs {
             if let Some(p) = self.outstanding.iter().find(|p| p.wseq == *ws) {
                 ops.push((p.var, p.value));
             }
         }
-        if ops.is_empty() {
-            return;
-        }
+        ops
+    }
+
+    /// Charge an append's bytes: its head operation the full header,
+    /// each combined tail the variable id.
+    fn charge_append(&mut self, ops: &[(VarId, i64)], charge: fn(&mut ControlStats, VarId, usize)) {
         for (i, &(var, _)) in ops.iter().enumerate() {
             let bytes = if i == 0 {
                 APPEND_HEAD_BYTES
             } else {
                 APPEND_OP_BYTES
             };
-            self.control.charge_sent(var, bytes);
+            charge(&mut self.control, var, bytes);
         }
-        if let Some(lane) = self.lanes.get_mut(&owner) {
-            lane.in_flight = wseqs;
+    }
+
+    /// Owner role: sequence a writer's append and echo the batch's
+    /// numbers.
+    fn sequence_append(
+        &mut self,
+        ctx: &mut NodeContext<OpLogMsg>,
+        from: NodeId,
+        ops: &[(VarId, i64)],
+    ) {
+        debug_assert!(
+            ops.iter().all(|&(var, _)| self.is_owner_of(var)),
+            "appends target the shard owner"
+        );
+        let base = self.sequence_batch(from.index(), ops);
+        // The echo's accounting rides on the batch's head variable (an
+        // echo concerns the whole batch).
+        if let Some(&(var, _)) = ops.first() {
+            self.control.charge_sent(var, COMMITTED_BYTES);
         }
-        ctx.send(NodeId(owner), OpLogMsg::Append { ops });
+        ctx.send(
+            from,
+            OpLogMsg::Committed {
+                base_seq: base,
+                count: ops.len() as u64,
+            },
+        );
+    }
+
+    /// Writer role: the owner restarted, so send the append in flight to
+    /// it again.
+    fn reappend(&mut self, ctx: &mut NodeContext<OpLogMsg>, owner: usize) {
+        let ops = match self.lanes.get(&owner) {
+            Some(lane) => self.lane_ops(&lane.in_flight),
+            None => return,
+        };
+        if ops.is_empty() {
+            return;
+        }
+        self.charge_append(&ops, ControlStats::charge_sent);
+        ctx.send(NodeId(owner), OpLogMsg::Reappend { ops });
+    }
+
+    /// Owner role after a restart: notify every other replica of an owned
+    /// variable, once each (`send_multi` drops repeats), in id order.
+    fn notify_restart(&self, ctx: &mut NodeContext<OpLogMsg>) {
+        let me = NodeId(self.me.index());
+        let mut writers: Vec<NodeId> = (0..self.replicas.len())
+            .map(VarId)
+            .filter(|&var| self.is_owner_of(var))
+            .filter_map(|var| self.replicas.get(var.index()))
+            .flatten()
+            .copied()
+            .filter(|&p| p != me)
+            .collect();
+        writers.sort_unstable();
+        ctx.send_multi(writers, OpLogMsg::Restarted);
     }
 
     /// Broadcast the sequenced prefix of the outstanding queue, strictly
@@ -340,32 +428,23 @@ impl Node<OpLogMsg> for OpLogNode {
     fn on_message(&mut self, ctx: &mut NodeContext<OpLogMsg>, from: NodeId, msg: OpLogMsg) {
         match msg {
             OpLogMsg::Append { ops } => {
-                debug_assert!(
-                    ops.iter().all(|&(var, _)| self.is_owner_of(var)),
-                    "appends target the shard owner"
-                );
-                for (i, &(var, _)) in ops.iter().enumerate() {
-                    let bytes = if i == 0 {
-                        APPEND_HEAD_BYTES
-                    } else {
-                        APPEND_OP_BYTES
-                    };
-                    self.control.charge_received(var, bytes);
+                self.charge_append(&ops, ControlStats::charge_received);
+                if let Some(heard) = &mut self.heard {
+                    if !heard.contains(&from.index()) {
+                        heard.push(from.index());
+                    }
                 }
-                let base = self.sequence_batch(from.index(), &ops);
-                // The echo's accounting rides on the batch's head
-                // variable (an echo concerns the whole batch).
-                if let Some(&(var, _)) = ops.first() {
-                    self.control.charge_sent(var, COMMITTED_BYTES);
-                }
-                ctx.send(
-                    from,
-                    OpLogMsg::Committed {
-                        base_seq: base,
-                        count: ops.len() as u64,
-                    },
-                );
+                self.sequence_append(ctx, from, &ops);
             }
+            OpLogMsg::Reappend { ops } => {
+                self.charge_append(&ops, ControlStats::charge_received);
+                // FIFO: the original, unless lost, arrived before its copy.
+                let heard = self.heard.as_ref();
+                if !heard.is_some_and(|h| h.contains(&from.index())) {
+                    self.sequence_append(ctx, from, &ops);
+                }
+            }
+            OpLogMsg::Restarted => self.reappend(ctx, from.index()),
             OpLogMsg::Committed { base_seq, count } => {
                 let owner = from.index();
                 let wseqs = match self.lanes.get_mut(&owner) {
@@ -476,6 +555,10 @@ impl McsNode for OpLogNode {
     }
 
     fn on_restart(&mut self, ctx: &mut NodeContext<OpLogMsg>) {
+        // Appends sent to us while we were down are lost: their writers
+        // send them again when they hear of the restart.
+        self.heard = Some(Vec::new());
+        self.notify_restart(ctx);
         // Re-append every write whose echo we never saw: the append or
         // its echo may have died with us. A re-sequenced duplicate
         // converges (same value, higher shard sequence number), and
@@ -543,16 +626,11 @@ impl McsNode for OpLogNode {
     }
 }
 
-/// Marker type selecting the shared-operation-log protocol.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OpLog;
-
-impl ProtocolSpec for OpLog {
-    type Msg = OpLogMsg;
-    type Node = OpLogNode;
-    const KIND: ProtocolKind = ProtocolKind::OpLog;
-
-    fn build_nodes(dist: &Distribution, _delivery: simnet::DeliveryMode) -> Vec<OpLogNode> {
+impl OpLogNode {
+    /// One node per process of `dist`, in process-id order. The
+    /// flat-combining lane is the protocol's batching, so the delivery
+    /// mode changes nothing here.
+    pub fn build_nodes(dist: &Distribution, _delivery: DeliveryMode) -> Vec<Self> {
         let replicas = replica_table(dist);
         (0..dist.process_count())
             .map(|i| OpLogNode::with_replicas(ProcId(i), Arc::clone(&replicas)))
@@ -614,18 +692,17 @@ mod tests {
 
     #[test]
     fn owner_is_smallest_id_replica() {
-        let nodes = OpLog::build_nodes(&two_shard_dist(), simnet::DeliveryMode::UNICAST);
+        let nodes = OpLogNode::build_nodes(&two_shard_dist(), simnet::DeliveryMode::UNICAST);
         assert_eq!(nodes[0].owner_of(VarId(0)), 0);
         assert_eq!(nodes[0].owner_of(VarId(1)), 1);
         assert!(nodes[0].is_owner_of(VarId(0)));
         assert!(nodes[1].is_owner_of(VarId(1)));
         assert!(!nodes[1].is_owner_of(VarId(0)));
-        assert_eq!(OpLog::KIND, ProtocolKind::OpLog);
     }
 
     #[test]
     fn owner_write_self_sequences_and_broadcasts() {
-        let mut nodes = OpLog::build_nodes(&two_shard_dist(), simnet::DeliveryMode::UNICAST);
+        let mut nodes = OpLogNode::build_nodes(&two_shard_dist(), simnet::DeliveryMode::UNICAST);
         let mut ctx = NodeContext::new(NodeId(0), SimTime::ZERO);
         nodes[0].local_write(&mut ctx, VarId(0), 7);
         // Owner of x0: no append round trip, one Entry to replica 1.
@@ -638,7 +715,7 @@ mod tests {
 
     #[test]
     fn non_owner_write_appends_and_combines_while_in_flight() {
-        let mut nodes = OpLog::build_nodes(&two_shard_dist(), simnet::DeliveryMode::UNICAST);
+        let mut nodes = OpLogNode::build_nodes(&two_shard_dist(), simnet::DeliveryMode::UNICAST);
         let mut ctx = NodeContext::new(NodeId(2), SimTime::ZERO);
         // First write to x1 opens the lane to owner 1.
         nodes[2].local_write(&mut ctx, VarId(1), 5);
@@ -671,7 +748,7 @@ mod tests {
 
     #[test]
     fn entries_apply_highest_sequence_wins() {
-        let mut nodes = OpLog::build_nodes(&two_shard_dist(), simnet::DeliveryMode::UNICAST);
+        let mut nodes = OpLogNode::build_nodes(&two_shard_dist(), simnet::DeliveryMode::UNICAST);
         let mut ctx = NodeContext::new(NodeId(1), SimTime::ZERO);
         nodes[1].on_message(
             &mut ctx,
@@ -701,7 +778,7 @@ mod tests {
 
     #[test]
     fn losing_optimistic_write_restores_the_log_winner() {
-        let mut nodes = OpLog::build_nodes(&two_shard_dist(), simnet::DeliveryMode::UNICAST);
+        let mut nodes = OpLogNode::build_nodes(&two_shard_dist(), simnet::DeliveryMode::UNICAST);
         let mut ctx = NodeContext::new(NodeId(2), SimTime::ZERO);
         // Writer 2's optimistic write to x1 is visible locally…
         nodes[2].local_write(&mut ctx, VarId(1), 5);
@@ -733,7 +810,7 @@ mod tests {
 
     #[test]
     fn an_older_commit_does_not_hide_a_newer_own_write() {
-        let mut nodes = OpLog::build_nodes(&two_shard_dist(), simnet::DeliveryMode::UNICAST);
+        let mut nodes = OpLogNode::build_nodes(&two_shard_dist(), simnet::DeliveryMode::UNICAST);
         let mut ctx = NodeContext::new(NodeId(2), SimTime::ZERO);
         // Writer 2 does not own x1: the second write waits in the lane.
         nodes[2].local_write(&mut ctx, VarId(1), 1);
@@ -763,7 +840,7 @@ mod tests {
 
     #[test]
     fn owner_sequences_appends_and_echoes() {
-        let mut nodes = OpLog::build_nodes(&two_shard_dist(), simnet::DeliveryMode::UNICAST);
+        let mut nodes = OpLogNode::build_nodes(&two_shard_dist(), simnet::DeliveryMode::UNICAST);
         let mut ctx = NodeContext::new(NodeId(1), SimTime::ZERO);
         nodes[1].on_message(
             &mut ctx,
@@ -784,7 +861,7 @@ mod tests {
 
     #[test]
     fn catchup_resends_only_winners_beyond_watermark() {
-        let mut nodes = OpLog::build_nodes(&two_shard_dist(), simnet::DeliveryMode::UNICAST);
+        let mut nodes = OpLogNode::build_nodes(&two_shard_dist(), simnet::DeliveryMode::UNICAST);
         let mut ctx = NodeContext::new(NodeId(1), SimTime::ZERO);
         // Owner 1 sequences three writes to x1.
         nodes[1].on_message(
@@ -819,7 +896,7 @@ mod tests {
 
     #[test]
     fn restart_reappends_unechoed_writes_and_requests_catchup() {
-        let mut nodes = OpLog::build_nodes(&two_shard_dist(), simnet::DeliveryMode::UNICAST);
+        let mut nodes = OpLogNode::build_nodes(&two_shard_dist(), simnet::DeliveryMode::UNICAST);
         let mut ctx = NodeContext::new(NodeId(2), SimTime::ZERO);
         nodes[2].local_write(&mut ctx, VarId(1), 5);
         assert_eq!(nodes[2].pending_writes(), 1);
@@ -829,5 +906,54 @@ mod tests {
         nodes[2].on_restart(&mut ctx2);
         assert_eq!(ctx2.queued_messages(), 2);
         assert_eq!(nodes[2].pending_writes(), 1);
+    }
+
+    /// The one message `ctx` queued for `to`.
+    fn sent_to(ctx: &NodeContext<OpLogMsg>, to: NodeId) -> OpLogMsg {
+        let sent: Vec<&OpLogMsg> = (ctx.outgoing().iter())
+            .filter_map(|o| match o {
+                simnet::Outgoing::One(t, m) if *t == to => Some(m),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sent.len(), 1, "{:?}", ctx.outgoing());
+        sent[0].clone()
+    }
+
+    /// An append that reached the owner while it was down is lost; the
+    /// owner's restart notice makes its writer send it again. Whether
+    /// the original was lost or only overtaken by the restart, the owner
+    /// sequences it exactly once.
+    #[test]
+    fn a_restarted_owner_sequences_an_append_in_flight_once() {
+        for lost in [true, false] {
+            let mut nodes = OpLogNode::build_nodes(&two_shard_dist(), DeliveryMode::UNICAST);
+            let mut ctx2 = NodeContext::new(NodeId(2), SimTime::ZERO);
+            nodes[2].local_write(&mut ctx2, VarId(1), 5);
+            let append = sent_to(&ctx2, NodeId(1));
+            let mut ctx1 = NodeContext::new(NodeId(1), SimTime::ZERO);
+            nodes[1].on_restart(&mut ctx1);
+            assert_eq!(sent_to(&ctx1, NodeId(2)), OpLogMsg::Restarted);
+            let mut ctx1 = NodeContext::new(NodeId(1), SimTime::ZERO);
+            if !lost {
+                nodes[1].on_message(&mut ctx1, NodeId(2), append);
+            }
+            let mut ctx2 = NodeContext::new(NodeId(2), SimTime::ZERO);
+            nodes[2].on_message(&mut ctx2, NodeId(1), OpLogMsg::Restarted);
+            let reappend = sent_to(&ctx2, NodeId(1));
+            assert!(
+                matches!(reappend, OpLogMsg::Reappend { .. }),
+                "{reappend:?}"
+            );
+            nodes[1].on_message(&mut ctx1, NodeId(2), reappend);
+            let echo = sent_to(&ctx1, NodeId(2));
+            assert!(
+                matches!(echo, OpLogMsg::Committed { count: 1, .. }),
+                "lost={lost}: {echo:?}"
+            );
+            let mut ctx2 = NodeContext::new(NodeId(2), SimTime::ZERO);
+            nodes[2].on_message(&mut ctx2, NodeId(1), echo);
+            assert_eq!(nodes[2].pending_writes(), 0, "lost={lost}");
+        }
     }
 }

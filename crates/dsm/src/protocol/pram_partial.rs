@@ -14,13 +14,10 @@
 //! metadata is a single sequence number — already O(1) — so there is no
 //! vector clock for a delta encoding to shrink.
 
-use crate::api::ProtocolKind;
 use crate::control::ControlStats;
-use crate::protocol::{
-    replica_table, replicates, McsNode, ProtocolSpec, RecoveryLog, RecoveryState, Store,
-};
+use crate::protocol::{replica_table, replicates, McsNode, RecoveryLog, RecoveryState, Store};
 use histories::{Distribution, ProcId, Value, VarId};
-use simnet::{Node, NodeContext, NodeId, WireSize};
+use simnet::{DeliveryMode, Node, NodeContext, NodeId, WireSize};
 use std::sync::Arc;
 
 use crate::clock::SequenceTracker;
@@ -262,16 +259,10 @@ impl McsNode for PramNode {
     }
 }
 
-/// Marker type selecting the PRAM partial-replication protocol.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PramPartial;
-
-impl ProtocolSpec for PramPartial {
-    type Msg = PramPartialMsg;
-    type Node = PramNode;
-    const KIND: ProtocolKind = ProtocolKind::PramPartial;
-
-    fn build_nodes(dist: &Distribution, _delivery: simnet::DeliveryMode) -> Vec<PramNode> {
+impl PramNode {
+    /// One node per process of `dist`, in process-id order. Each write
+    /// goes to a few replicas, so the delivery mode changes nothing here.
+    pub fn build_nodes(dist: &Distribution, _delivery: DeliveryMode) -> Vec<Self> {
         let replicas = replica_table(dist);
         (0..dist.process_count())
             .map(|i| PramNode::with_replicas(ProcId(i), dist, Arc::clone(&replicas)))
@@ -308,11 +299,10 @@ mod tests {
     #[test]
     fn build_nodes_creates_one_per_process() {
         let dist = Distribution::ring_overlap(4);
-        let nodes = PramPartial::build_nodes(&dist, simnet::DeliveryMode::UNICAST);
+        let nodes = PramNode::build_nodes(&dist, simnet::DeliveryMode::UNICAST);
         assert_eq!(nodes.len(), 4);
         assert!(nodes[1].replicates(VarId(1)));
         assert!(nodes[1].replicates(VarId(2)));
         assert!(!nodes[1].replicates(VarId(3)));
-        assert_eq!(PramPartial::KIND, ProtocolKind::PramPartial);
     }
 }

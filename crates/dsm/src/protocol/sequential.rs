@@ -28,11 +28,8 @@
 //! [`WireSize`] is its members' sum, and each member is received like a
 //! lone message. A restart flushes the batch its crash snapshot held.
 
-use crate::api::ProtocolKind;
 use crate::control::ControlStats;
-use crate::protocol::{
-    FlushWindow, McsNode, ProtocolSpec, RecoveryLog, RecoveryState, Slot, Store,
-};
+use crate::protocol::{FlushWindow, McsNode, RecoveryLog, RecoveryState, Slot, Store};
 use histories::{Distribution, ProcId, Value, VarId};
 use simnet::{DeliveryMode, Node, NodeContext, NodeId, WireSize};
 use std::collections::BTreeMap;
@@ -339,16 +336,11 @@ impl McsNode for SequentialNode {
     }
 }
 
-/// Marker type selecting the sequencer baseline protocol.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Sequential;
-
-impl ProtocolSpec for Sequential {
-    type Msg = SeqMsg;
-    type Node = SequentialNode;
-    const KIND: ProtocolKind = ProtocolKind::Sequential;
-
-    fn build_nodes(dist: &Distribution, delivery: DeliveryMode) -> Vec<SequentialNode> {
+impl SequentialNode {
+    /// One node per process of `dist`, in process-id order. Honours
+    /// `delivery.batching`: each flush window's requests and ordered
+    /// writes go as one envelope.
+    pub fn build_nodes(dist: &Distribution, delivery: DeliveryMode) -> Vec<Self> {
         let n = dist.process_count();
         (0..n)
             .map(|i| SequentialNode {
@@ -386,7 +378,7 @@ mod tests {
     #[test]
     fn sequencer_orders_and_broadcasts() {
         let dist = Distribution::full(3, 1);
-        let mut nodes = Sequential::build_nodes(&dist, simnet::DeliveryMode::UNICAST);
+        let mut nodes = SequentialNode::build_nodes(&dist, simnet::DeliveryMode::UNICAST);
         assert!(nodes[0].is_sequencer());
         assert!(!nodes[1].is_sequencer());
         let mut ctx = NodeContext::new(NodeId(0), SimTime::ZERO);
@@ -400,7 +392,7 @@ mod tests {
     #[test]
     fn non_sequencer_forwards_requests() {
         let dist = Distribution::full(3, 1);
-        let mut nodes = Sequential::build_nodes(&dist, simnet::DeliveryMode::UNICAST);
+        let mut nodes = SequentialNode::build_nodes(&dist, simnet::DeliveryMode::UNICAST);
         let mut ctx = NodeContext::new(NodeId(2), SimTime::ZERO);
         nodes[2].local_write(&mut ctx, VarId(0), 5);
         assert_eq!(ctx.queued_messages(), 1);
@@ -439,7 +431,6 @@ mod tests {
         assert_eq!(node.applied_count(), 2);
         // Applied in order 10 then 20, so the final value is 20.
         assert_eq!(node.local_read(VarId(0)), Value::Int(20));
-        assert_eq!(Sequential::KIND, ProtocolKind::Sequential);
     }
 
     fn ordered(seq: u64, writer: usize, value: i64) -> SeqMsg {
@@ -497,8 +488,8 @@ mod tests {
     fn a_window_of_writes_leaves_as_one_batch_charged_like_single_messages() {
         let dist = Distribution::full(4, 1);
         for writer in [0, 2] {
-            let mut nodes = Sequential::build_nodes(&dist, simnet::DeliveryMode::BATCHED);
-            let mut unbatched = Sequential::build_nodes(&dist, simnet::DeliveryMode::UNICAST);
+            let mut nodes = SequentialNode::build_nodes(&dist, simnet::DeliveryMode::BATCHED);
+            let mut unbatched = SequentialNode::build_nodes(&dist, simnet::DeliveryMode::UNICAST);
             let mut ctx = NodeContext::new(NodeId(writer), SimTime::ZERO);
             let mut unbatched_ctx = NodeContext::new(NodeId(writer), SimTime::ZERO);
             for v in 1..=3 {
@@ -537,7 +528,7 @@ mod tests {
     #[test]
     fn a_request_batch_is_sequenced_consecutively_into_one_ordered_batch() {
         let dist = Distribution::full(3, 1);
-        let mut nodes = Sequential::build_nodes(&dist, simnet::DeliveryMode::MULTICAST_BATCHED);
+        let mut nodes = SequentialNode::build_nodes(&dist, simnet::DeliveryMode::MULTICAST_BATCHED);
         let mut ctx = NodeContext::new(NodeId(0), SimTime::ZERO);
         // One request of p1 is already sequenced when p2's batch arrives.
         nodes[0].on_message(&mut ctx, NodeId(1), request(1, 10));
@@ -561,7 +552,7 @@ mod tests {
     #[test]
     fn a_duplicated_ordered_batch_is_idempotent() {
         let mut node =
-            Sequential::build_nodes(&Distribution::full(3, 1), DeliveryMode::BATCHED).remove(2);
+            SequentialNode::build_nodes(&Distribution::full(3, 1), DeliveryMode::BATCHED).remove(2);
         let mut ctx = NodeContext::new(NodeId(2), SimTime::ZERO);
         let batch = SeqMsg::Batch((1..=3).map(|v| ordered(v, 1, v as i64)).collect());
         node.on_message(&mut ctx, NodeId(0), batch.clone());
@@ -576,7 +567,7 @@ mod tests {
     #[test]
     fn a_restart_flushes_the_window_its_snapshot_held() {
         let dist = Distribution::full(3, 1);
-        let mut nodes = Sequential::build_nodes(&dist, simnet::DeliveryMode::BATCHED);
+        let mut nodes = SequentialNode::build_nodes(&dist, simnet::DeliveryMode::BATCHED);
         let mut ctx = NodeContext::new(NodeId(2), SimTime::ZERO);
         nodes[2].local_write(&mut ctx, VarId(0), 7);
         nodes[2].local_write(&mut ctx, VarId(0), 8);

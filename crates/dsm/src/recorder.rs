@@ -1,6 +1,6 @@
 //! Recording of application-level operations.
 //!
-//! Every read and write issued through the [`crate::runtime::DsmSystem`]
+//! Every read and write issued through the [`crate::DynDsm`]
 //! façade is recorded here, so a finished run can be exported as a
 //! [`histories::History`] and checked against any consistency criterion by
 //! the `histories` crate — the protocols are validated against the formal

@@ -4,14 +4,8 @@
 
 use crate::api::{DsmError, ProtocolKind};
 use crate::control::ControlSummary;
-use crate::dynamic::DynDsm;
-use crate::protocol::causal_full::CausalFull;
-use crate::protocol::causal_partial::CausalPartial;
-use crate::protocol::op_log::OpLog;
-use crate::protocol::pram_partial::PramPartial;
-use crate::protocol::sequential::Sequential;
-use crate::protocol::ProtocolSpec;
-use crate::runtime::DsmSystem;
+use crate::dynamic::ReplicaSnapshot;
+use crate::runtime::DynDsm;
 use histories::{Distribution, History, ProcId, Value, VarId};
 use proptest::prelude::*;
 use simnet::NetworkStats;
@@ -179,7 +173,7 @@ fn both_threaded_modes_cut_and_refuse_like_simnet() {
 #[test]
 #[should_panic(expected = "stale replica image for process p1")]
 fn the_panicking_restore_reports_the_stale_image() {
-    let mut sys: DsmSystem<CausalFull> = DsmSystem::new(Distribution::full(2, 1));
+    let mut sys = DynDsm::new(ProtocolKind::CausalFull, Distribution::full(2, 1));
     let old = sys.snapshot(ProcId(1));
     sys.settle();
     sys.restore(ProcId(1), old);
@@ -190,14 +184,18 @@ fn the_panicking_restore_reports_the_stale_image() {
 /// may lie far below that writer's cut. That is not staleness.
 #[test]
 fn a_pram_replica_expecting_a_number_below_the_cut_is_not_stale() {
-    let mut sys: DsmSystem<PramPartial> = DsmSystem::new(partial_dist());
+    let mut sys = DynDsm::new(ProtocolKind::PramPartial, partial_dist());
+    let expected_from_p1 = |sys: &DynDsm| match sys.snapshot(ProcId(0)) {
+        ReplicaSnapshot::PramPartial(node) => node.sequence_tracker().expected(1),
+        other => panic!("a {} image", other.kind()),
+    };
     // p1 writes x1 (not replicated by p0) across several cuts.
     for v in 1..=5 {
         sys.write(ProcId(1), VarId(1), v).unwrap();
         sys.settle();
     }
     assert_eq!(sys.recovery_cuts(), 5);
-    assert_eq!(sys.snapshot(ProcId(0)).sequence_tracker().expected(1), 1);
+    assert_eq!(expected_from_p1(&sys), 1);
     sys.crash(ProcId(0)).unwrap();
     sys.write(ProcId(1), VarId(0), 60).unwrap();
     sys.write(ProcId(1), VarId(1), 61).unwrap();
@@ -206,7 +204,7 @@ fn a_pram_replica_expecting_a_number_below_the_cut_is_not_stale() {
     // only 6 concerns p0.
     assert_eq!(sys.restart(ProcId(0)), Ok(()));
     assert_eq!(sys.peek(ProcId(0), VarId(0)), Value::Int(60));
-    assert_eq!(sys.snapshot(ProcId(0)).sequence_tracker().expected(1), 7);
+    assert_eq!(expected_from_p1(&sys), 7);
 }
 
 /// One step of a generated script. Writes go to a variable's smallest-id
@@ -256,20 +254,15 @@ struct Observation {
     network: NetworkStats,
 }
 
-/// Run `script` under `P`, cutting at all-up settles or — the reference —
-/// keeping every log entry for the whole run.
-fn observe<P: ProtocolSpec>(script: &Script, keep_logs: bool) -> Observation {
+/// Run `script` under `kind`, cutting at all-up settles or — the
+/// reference — keeping every log entry for the whole run.
+fn observe(kind: ProtocolKind, script: &Script, keep_logs: bool) -> Observation {
     let dist = &script.dist;
     let (q, down_at, up_at) = script.crash;
-    let mut sys: DsmSystem<P> = if keep_logs {
-        DsmSystem::keeping_logs(dist.clone())
+    let mut sys = if keep_logs {
+        DynDsm::keeping_logs(kind, dist.clone())
     } else {
-        DsmSystem::new(dist.clone())
-    };
-    let max_retained = |sys: &DsmSystem<P>| {
-        (0..dist.process_count())
-            .map(|p| sys.recovery_retained(ProcId(p)))
-            .max()
+        DynDsm::new(kind, dist.clone())
     };
     let mut value = 0;
     for (i, step) in script.steps.iter().enumerate() {
@@ -301,7 +294,7 @@ fn observe<P: ProtocolSpec>(script: &Script, keep_logs: bool) -> Observation {
             Step::Settle => {
                 sys.settle();
                 if !keep_logs && !sys.is_crashed(q) {
-                    assert_eq!(max_retained(&sys), Some(0), "an all-up settle cuts");
+                    assert_eq!(max_retained(&sys), 0, "an all-up settle cuts");
                 }
             }
         }
@@ -313,7 +306,7 @@ fn observe<P: ProtocolSpec>(script: &Script, keep_logs: bool) -> Observation {
     if keep_logs {
         assert_eq!(sys.recovery_cuts(), 0);
     } else {
-        assert_eq!(max_retained(&sys), Some(0));
+        assert_eq!(max_retained(&sys), 0);
     }
     let settled = (0..dist.process_count())
         .flat_map(|p| (0..dist.var_count()).map(move |x| (ProcId(p), VarId(x))))
@@ -336,13 +329,8 @@ proptest! {
     /// replicas, same control accounting, same wire statistics.
     #[test]
     fn the_cut_changes_nothing_a_run_can_observe(script in script()) {
-        fn pin<P: ProtocolSpec>(script: &Script) {
-            assert_eq!(observe::<P>(script, false), observe::<P>(script, true), "{}", P::KIND);
+        for kind in ProtocolKind::ALL {
+            assert_eq!(observe(kind, &script, false), observe(kind, &script, true), "{kind}");
         }
-        pin::<PramPartial>(&script);
-        pin::<CausalPartial>(&script);
-        pin::<CausalFull>(&script);
-        pin::<Sequential>(&script);
-        pin::<OpLog>(&script);
     }
 }

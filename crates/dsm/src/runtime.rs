@@ -1,15 +1,18 @@
 //! The DSM runtime: application processes issuing reads and writes against
 //! MCS nodes hosted on a simulated cluster.
 //!
-//! [`DsmSystem`] glues the pieces together: it owns one network object (a
-//! `Box<dyn` [`simnet::Net`]`>`, built by [`simnet::deploy`]) whose nodes
-//! are the protocol's MCS processes, validates that application accesses
-//! respect the variable distribution (under partial replication a process
-//! may only touch the variables it replicates), records every operation
-//! for offline consistency checking, and exposes the network and
-//! control-information statistics the benchmarks report. Which scheduler
-//! delivers the messages — the simulator or the threaded ring fabric — is
-//! the net's business; every operation here is one call on it.
+//! [`DynDsm`] glues the pieces together for whichever protocol it was
+//! built for: it owns one network hosting the protocol's MCS processes
+//! (built by [`simnet::deploy`], the node type erased behind the
+//! crate-private `ProtocolNet` of [`crate::dynamic`]), validates that
+//! application accesses respect the variable distribution (under partial
+//! replication a process may only touch the variables it replicates),
+//! records every operation for offline consistency checking, drives the
+//! crash/restart lifecycle and the recovery-log cut, and exposes the
+//! network and control-information statistics the benchmarks report.
+//! Which scheduler delivers the messages — the simulator or the threaded
+//! ring fabric — is the net's business; every operation here is one call
+//! on it.
 //!
 //! The MCS protocols assume any process can message any other. On a full
 //! mesh the net sends directly, exactly as the paper's model; on a sparse
@@ -19,46 +22,61 @@
 
 use crate::api::{DsmError, ProtocolKind};
 use crate::control::ControlSummary;
-use crate::protocol::{McsNode, ProtocolSpec, RecoveryState};
+use crate::dynamic::{ProtocolNet, Replica, ReplicaSnapshot};
+use crate::protocol::causal_full::CausalFullNode;
+use crate::protocol::causal_partial::CausalPartialNode;
+use crate::protocol::op_log::OpLogNode;
+use crate::protocol::pram_partial::PramNode;
+use crate::protocol::sequential::SequentialNode;
 use crate::recorder::Recorder;
 use histories::{Distribution, History, ProcId, Value, VarId};
 use simnet::{
-    DeliveryMode, ExecBackend, FabricStats, Net, NetworkStats, NodeContext, NodeId, PoolStats,
-    RunOutcome, SimConfig, SimTime, Topology,
+    DeliveryMode, ExecBackend, FabricStats, NetError, NetworkStats, NodeId, PoolStats, RunOutcome,
+    SimConfig, SimTime, Topology,
 };
 
-/// A complete simulated DSM deployment for protocol `P`.
-pub struct DsmSystem<P: ProtocolSpec> {
-    net: Box<dyn Net<P::Msg, P::Node>>,
-    backend: ExecBackend,
+/// A complete DSM deployment: one protocol, chosen at construction by a
+/// [`ProtocolKind`] value, on a simulated or threaded cluster. One loop
+/// sweeps all five protocols.
+pub struct DynDsm {
+    kind: ProtocolKind,
     dist: Distribution,
     delivery: DeliveryMode,
+    backend: ExecBackend,
     recorder: Recorder,
     /// Per-process persisted snapshot, present while that process is
     /// crashed (`None` = live).
-    crashed: Vec<Option<P::Node>>,
+    crashed: Vec<Option<ReplicaSnapshot>>,
+    net: Box<dyn ProtocolNet>,
     /// Reference runs of the cut-equivalence tests keep every log entry.
     #[cfg(test)]
     keep_logs: bool,
 }
 
-impl<P: ProtocolSpec> DsmSystem<P> {
-    /// Build a system with the default simulation configuration.
-    pub fn new(dist: Distribution) -> Self {
-        Self::with_config(dist, SimConfig::default())
+/// The value of a node call, panicking with the error's message (a dead
+/// worker).
+fn live<R>(result: Result<R, NetError>) -> R {
+    result.unwrap_or_else(|e| panic!("{e}"))
+}
+
+impl DynDsm {
+    /// Build a system for `kind` with the default simulation configuration.
+    pub fn new(kind: ProtocolKind, dist: Distribution) -> Self {
+        Self::with_config(kind, dist, SimConfig::default())
     }
 
     /// A default-configured system that never cuts its recovery logs —
     /// the reference the cut-equivalence tests compare against. Test-only
     /// on purpose: whether to cut is not a setting.
     #[cfg(test)]
-    pub(crate) fn keeping_logs(dist: Distribution) -> Self {
-        let mut sys = Self::new(dist);
+    pub(crate) fn keeping_logs(kind: ProtocolKind, dist: Distribution) -> Self {
+        let mut sys = Self::new(kind, dist);
         sys.keep_logs = true;
         sys
     }
 
-    /// Build a system with an explicit simulation configuration.
+    /// Build a system for `kind` with an explicit simulation
+    /// configuration.
     ///
     /// The topology comes from `config.topology` when set (it must span
     /// exactly one node per process); otherwise a full mesh over the
@@ -72,40 +90,76 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// strongly connected, or if the fault plan schedules crash windows:
     /// a scheduled window would take a node down without ever running
     /// its snapshot restore or catch-up handshake (those are driven by
-    /// [`DsmSystem::crash`] / [`DsmSystem::restart`]), silently leaving
-    /// the replica behind — so the DSM runtime rejects such plans
-    /// loudly. Link faults (drops/duplicates) are fine: they live below
-    /// the protocols and need no recovery.
-    pub fn with_config(dist: Distribution, config: SimConfig) -> Self {
-        Self::try_with_config(dist, config).unwrap_or_else(|e| panic!("{e}"))
+    /// [`DynDsm::crash`] / [`DynDsm::restart`]), silently leaving the
+    /// replica behind — so the DSM runtime rejects such plans loudly.
+    /// Link faults (drops/duplicates) are fine: they live below the
+    /// protocols and need no recovery.
+    pub fn with_config(kind: ProtocolKind, dist: Distribution, config: SimConfig) -> Self {
+        Self::try_with_config(kind, dist, config).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible variant of [`DsmSystem::with_config`]: every rejection
-    /// [`DsmSystem::with_config`] would panic on is returned as a
-    /// [`DsmError::InvalidConfig`] instead.
-    pub fn try_with_config(dist: Distribution, config: SimConfig) -> Result<Self, DsmError> {
-        Self::try_with_backend(dist, config, ExecBackend::Simnet)
+    /// Fallible variant of [`DynDsm::with_config`]: every rejection it
+    /// would panic on is returned as a [`DsmError::InvalidConfig`]
+    /// instead.
+    pub fn try_with_config(
+        kind: ProtocolKind,
+        dist: Distribution,
+        config: SimConfig,
+    ) -> Result<Self, DsmError> {
+        Self::try_with_backend(kind, dist, config, ExecBackend::Simnet)
     }
 
-    /// Build a system on an explicit execution backend; panics where
-    /// [`DsmSystem::try_with_backend`] would return an error.
-    pub fn with_backend(dist: Distribution, config: SimConfig, backend: ExecBackend) -> Self {
-        Self::try_with_backend(dist, config, backend).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Build a system on an explicit execution backend.
-    ///
-    /// [`ExecBackend::Simnet`] accepts everything
-    /// [`DsmSystem::try_with_config`] accepts.
-    /// [`ExecBackend::Threaded`] accepts every delivery mode and any
-    /// strongly connected topology (sparse deployments host relay nodes
-    /// on the worker threads; unrouted sends need a full mesh), but no
-    /// fault plan — fault injection stays simnet-only and returns
-    /// [`DsmError::Unsupported`].
-    pub fn try_with_backend(
+    /// Build a system for `kind` on an explicit execution backend; panics
+    /// where [`DynDsm::try_with_backend`] would return an error.
+    pub fn with_backend(
+        kind: ProtocolKind,
         dist: Distribution,
         config: SimConfig,
         backend: ExecBackend,
+    ) -> Self {
+        Self::try_with_backend(kind, dist, config, backend).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Build a system for `kind` on an explicit execution backend.
+    ///
+    /// [`ExecBackend::Simnet`] accepts everything
+    /// [`DynDsm::try_with_config`] accepts. [`ExecBackend::Threaded`]
+    /// accepts every delivery mode and any strongly connected topology
+    /// (sparse deployments host relay nodes on the worker threads;
+    /// unrouted sends need a full mesh), but no fault plan — fault
+    /// injection stays simnet-only and returns [`DsmError::Unsupported`].
+    pub fn try_with_backend(
+        kind: ProtocolKind,
+        dist: Distribution,
+        config: SimConfig,
+        backend: ExecBackend,
+    ) -> Result<Self, DsmError> {
+        match kind {
+            ProtocolKind::CausalFull => {
+                Self::deploy(kind, dist, config, backend, CausalFullNode::build_nodes)
+            }
+            ProtocolKind::CausalPartial => {
+                Self::deploy(kind, dist, config, backend, CausalPartialNode::build_nodes)
+            }
+            ProtocolKind::PramPartial => {
+                Self::deploy(kind, dist, config, backend, PramNode::build_nodes)
+            }
+            ProtocolKind::Sequential => {
+                Self::deploy(kind, dist, config, backend, SequentialNode::build_nodes)
+            }
+            ProtocolKind::OpLog => {
+                Self::deploy(kind, dist, config, backend, OpLogNode::build_nodes)
+            }
+        }
+    }
+
+    /// Deploy the nodes `build` makes for `dist`, run as protocol `kind`.
+    pub(crate) fn deploy<N: Replica>(
+        kind: ProtocolKind,
+        dist: Distribution,
+        config: SimConfig,
+        backend: ExecBackend,
+        build: fn(&Distribution, DeliveryMode) -> Vec<N>,
     ) -> Result<Self, DsmError> {
         if backend.is_threaded() && !config.faults.is_trivial() {
             return Err(DsmError::Unsupported {
@@ -118,7 +172,7 @@ impl<P: ProtocolSpec> DsmSystem<P> {
         if !config.faults.crashes.is_empty() {
             return Err(invalid(
                 "scheduled FaultPlan crash windows bypass DSM recovery; drive crashes \
-                 with DsmSystem::crash/restart (or a scenario CrashSchedule) instead"
+                 with DynDsm::crash/restart (or a scenario CrashSchedule) instead"
                     .to_string(),
             ));
         }
@@ -134,11 +188,12 @@ impl<P: ProtocolSpec> DsmSystem<P> {
             )));
         }
         let delivery = config.delivery;
-        let nodes = P::build_nodes(&dist, delivery);
+        let nodes = build(&dist, delivery);
         let net =
             simnet::deploy(backend, topology, config, nodes).map_err(|e| invalid(e.to_string()))?;
-        Ok(DsmSystem {
-            net,
+        Ok(DynDsm {
+            kind,
+            net: Box::new(net),
             backend,
             recorder: Recorder::new(n),
             crashed: (0..n).map(|_| None).collect(),
@@ -161,7 +216,7 @@ impl<P: ProtocolSpec> DsmSystem<P> {
 
     /// The protocol this system runs.
     pub fn kind(&self) -> ProtocolKind {
-        P::KIND
+        self.kind
     }
 
     /// The variable distribution.
@@ -178,12 +233,12 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// is no virtual clock and this is always zero; in replay mode it is
     /// the oracle's clock (identical to the simnet run).
     pub fn now(&self) -> SimTime {
-        self.net.now()
+        self.net.core().now()
     }
 
     /// The network topology the deployment runs over.
     pub fn topology(&self) -> &Topology {
-        self.net.topology()
+        self.net.core().topology()
     }
 
     /// Whether sends are relayed over shortest paths (sparse topology or
@@ -191,7 +246,7 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// threaded backend a routed deployment hosts relay nodes on the
     /// worker threads.
     pub fn is_routed(&self) -> bool {
-        self.net.is_routed()
+        self.net.core().is_routed()
     }
 
     /// The wire delivery mode (multicast / batching) this deployment runs
@@ -203,7 +258,7 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// Transit envelopes forwarded by intermediate nodes — the extra hops
     /// the overlay pays compared to a full mesh (0 when direct).
     pub fn forwarded_messages(&self) -> u64 {
-        self.net.forwarded()
+        self.net.core().forwarded()
     }
 
     /// Total events (deliveries + timers) processed so far — the work
@@ -211,7 +266,7 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// backend this counts handler executions across the workers (oracle
     /// events in replay mode, so the number matches the simnet run).
     pub fn events_processed(&self) -> u64 {
-        self.net.events_processed()
+        self.net.core().events_processed()
     }
 
     /// Buffer-pool hit/miss statistics of the threaded backend's sites
@@ -219,32 +274,30 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// zeros on simnet, which lends its own two buffers to every callback
     /// and keeps no pool.
     pub fn pool_stats(&self) -> PoolStats {
-        self.net.pool_stats()
+        self.net.core().pool_stats()
     }
 
     /// Link-fabric contention counters of the threaded backend (full-ring
     /// stalls, drain batch-length histogram), merged across workers at
     /// the last settle. All zeros on simnet, which has no ring fabric.
     pub fn fabric_stats(&self) -> FabricStats {
-        self.net.fabric_stats()
-    }
-
-    /// Run `f` against process `p`'s node, panicking on a dead worker.
-    fn query<R>(&self, p: ProcId, f: impl FnOnce(&P::Node) -> R) -> R {
-        self.net
-            .query(NodeId(p.index()), f)
-            .unwrap_or_else(|e| panic!("{e}"))
+        self.net.core().fabric_stats()
     }
 
     fn validate(&self, p: ProcId, var: VarId) -> Result<(), DsmError> {
-        if p.index() >= self.dist.process_count() {
-            return Err(DsmError::UnknownProcess { proc: p });
-        }
+        self.check_process(p)?;
         if self.crashed[p.index()].is_some() {
             return Err(DsmError::Crashed { proc: p });
         }
-        if !P::KIND.is_fully_replicated() && !self.dist.replicates(p, var) {
+        if !self.kind.is_fully_replicated() && !self.dist.replicates(p, var) {
             return Err(DsmError::NotReplicated { proc: p, var });
+        }
+        Ok(())
+    }
+
+    fn check_process(&self, p: ProcId) -> Result<(), DsmError> {
+        if p.index() >= self.dist.process_count() {
+            return Err(DsmError::UnknownProcess { proc: p });
         }
         Ok(())
     }
@@ -262,62 +315,39 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// synchronous persistence: everything a node applied is on stable
     /// storage, so the only thing a crash loses is the messages delivered
     /// while the node was down. The image carries the recovery-log cut
-    /// count it was taken at; [`DsmSystem::try_restore`] refuses it once a
+    /// count it was taken at; [`DynDsm::try_restore`] refuses it once a
     /// later cut has dropped what its catch-up would need.
-    pub fn snapshot(&self, p: ProcId) -> P::Node {
-        self.query(p, P::Node::clone)
+    pub fn snapshot(&self, p: ProcId) -> ReplicaSnapshot {
+        live(self.net.snapshot(NodeId(p.index())))
     }
 
-    /// Replace process `p`'s state machine with `snapshot` (the restore
-    /// half of the persistence round trip; normally driven by
-    /// [`DsmSystem::restart`]).
-    ///
-    /// Panics where [`DsmSystem::try_restore`] would return an error.
-    pub fn restore(&mut self, p: ProcId, snapshot: P::Node) {
+    /// Replace process `p`'s state machine with a snapshot previously
+    /// taken from a system of the same protocol (the restore half of the
+    /// persistence round trip; normally driven by [`DynDsm::restart`]).
+    /// Panics if the snapshot's protocol disagrees with this system's (a
+    /// snapshot is not portable across protocols), and where
+    /// [`DynDsm::try_restore`] would return an error.
+    pub fn restore(&mut self, p: ProcId, snapshot: ReplicaSnapshot) {
         self.try_restore(p, snapshot)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible variant of [`DsmSystem::restore`]. An image taken before
-    /// the latest recovery-log cut (see [`DsmSystem::try_settle`]) is
-    /// refused with [`DsmError::StaleImage`]: its peers have dropped what
-    /// its catch-up would need. Staleness is read off the cut count the
-    /// image carries, never off sequence numbers — under PRAM's
-    /// gap-tolerant numbering a current image may well expect a number
-    /// below a peer's cut.
-    pub fn try_restore(&mut self, p: ProcId, snapshot: P::Node) -> Result<(), DsmError> {
+    /// Fallible variant of [`DynDsm::restore`]. A crashed process is
+    /// refused with [`DsmError::Crashed`]: its restart restores the crash
+    /// image. An image taken before the latest recovery-log cut (see
+    /// [`DynDsm::try_settle`]) is refused with [`DsmError::StaleImage`]:
+    /// its peers have dropped what its catch-up would need. Staleness is
+    /// read off the cut count the image carries, never off sequence
+    /// numbers — under PRAM's gap-tolerant numbering a current image may
+    /// well expect a number below a peer's cut. A snapshot of another
+    /// protocol still panics — that is a programming error, not a
+    /// run-time fault.
+    pub fn try_restore(&mut self, p: ProcId, snapshot: ReplicaSnapshot) -> Result<(), DsmError> {
         self.check_process(p)?;
-        self.check_current(p, &snapshot)?;
-        self.net
-            .update(NodeId(p.index()), &mut |node| *node = snapshot.clone())?;
-        Ok(())
-    }
-
-    fn check_process(&self, p: ProcId) -> Result<(), DsmError> {
-        if p.index() >= self.dist.process_count() {
-            return Err(DsmError::UnknownProcess { proc: p });
+        if self.is_crashed(p) {
+            return Err(DsmError::Crashed { proc: p });
         }
-        Ok(())
-    }
-
-    /// `Err(StaleImage)` if `image` was taken before the latest cut.
-    fn check_current(&self, p: ProcId, image: &P::Node) -> Result<(), DsmError> {
-        // The node being replaced was up at every cut so far, or has been
-        // down since before the first one it missed — and nothing is cut
-        // while a process is down — so its count is the system's.
-        let (image_cuts, system_cuts) = (image.recovery().cuts, self.recovery(p)?.cuts);
-        if image_cuts < system_cuts {
-            return Err(DsmError::StaleImage {
-                proc: p,
-                image_cuts,
-                system_cuts,
-            });
-        }
-        Ok(())
-    }
-
-    fn recovery(&self, p: ProcId) -> Result<RecoveryState, DsmError> {
-        Ok(self.net.query(NodeId(p.index()), |node| node.recovery())?)
+        self.net.restore(NodeId(p.index()), snapshot)
     }
 
     /// Recovery-log entries process `p` currently retains for its peers'
@@ -326,7 +356,7 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// Zero right after an all-up quiescent settle. One site lock on the
     /// threaded backend.
     pub fn recovery_retained(&self, p: ProcId) -> usize {
-        self.query(p, |node| node.recovery().retained)
+        live(self.net.recovery(NodeId(p.index()))).retained
     }
 
     /// Recovery-log cuts taken so far (one per all-up quiescent settle).
@@ -335,7 +365,7 @@ impl<P: ProtocolSpec> DsmSystem<P> {
         if self.process_count() == 0 {
             return 0;
         }
-        self.query(ProcId(0), |node| node.recovery().cuts)
+        live(self.net.recovery(NodeId(0))).cuts
     }
 
     /// Crash process `p`: persist its snapshot and take its node down.
@@ -346,34 +376,32 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// backend cannot crash a process ([`DsmError::Unsupported`]).
     pub fn crash(&mut self, p: ProcId) -> Result<(), DsmError> {
         self.check_process(p)?;
-        if self.crashed[p.index()].is_some() {
+        if self.is_crashed(p) {
             return Err(DsmError::Crashed { proc: p });
         }
-        self.net.set_down(NodeId(p.index()))?;
-        self.crashed[p.index()] = Some(self.snapshot(p));
+        let id = NodeId(p.index());
+        self.net.core_mut().set_down(id)?;
+        self.crashed[p.index()] = Some(self.net.snapshot(id)?);
         Ok(())
     }
 
     /// Restart a crashed process from its persisted snapshot: bring the
     /// node back up (releasing parked transit traffic), restore the
     /// snapshot, run the protocol's catch-up handshake
-    /// ([`McsNode::on_restart`]), and drive the network to quiescence so
-    /// recovery completes before the process resumes service (the PRAM
-    /// protocol's gap-tolerant sequence numbers require catch-up traffic
-    /// not to race with new writes).
+    /// ([`McsNode::on_restart`](crate::McsNode::on_restart)), and drive
+    /// the network to quiescence so recovery completes before the
+    /// process resumes service (the PRAM protocol's gap-tolerant sequence
+    /// numbers require catch-up traffic not to race with new writes).
     pub fn restart(&mut self, p: ProcId) -> Result<(), DsmError> {
         self.check_process(p)?;
-        if let Some(image) = &self.crashed[p.index()] {
-            self.check_current(p, image)?;
-        }
         let id = NodeId(p.index());
-        self.net.set_up(id)?;
+        self.net.core_mut().set_up(id)?;
         let snapshot = self.crashed[p.index()]
             .take()
             .ok_or(DsmError::Crashed { proc: p })?;
-        self.net.update(id, &mut |node| *node = snapshot.clone())?;
-        self.net.invoke(id, &mut |node, ctx| node.on_restart(ctx))?;
-        self.net.settle()?;
+        self.net.restore(id, snapshot)?;
+        self.net.on_restart(id)?;
+        self.net.core_mut().settle()?;
         Ok(())
     }
 
@@ -381,7 +409,7 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// awaiting its restart; 0 on direct transports and on the threaded
     /// backend, which has no crashes).
     pub fn parked_messages(&self, p: ProcId) -> usize {
-        self.net.parked(NodeId(p.index()))
+        self.net.core().parked(NodeId(p.index()))
     }
 
     /// Issue `w_p(var)value`. Writes return nothing, so on threads they
@@ -392,10 +420,7 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     pub fn write(&mut self, p: ProcId, var: VarId, value: i64) -> Result<(), DsmError> {
         self.validate(p, var)?;
         self.recorder.record_write(p, var, value);
-        let write = move |node: &mut P::Node, ctx: &mut NodeContext<P::Msg>| {
-            node.local_write(ctx, var, value);
-        };
-        self.net.post(NodeId(p.index()), &mut Some(write))?;
+        self.net.post_write(NodeId(p.index()), var, value)?;
         Ok(())
     }
 
@@ -406,9 +431,7 @@ impl<P: ProtocolSpec> DsmSystem<P> {
         // it needs no handler context — no pooled buffers, no flush. On
         // threads it runs in place under the node's site lock (after `p`'s
         // pipelined writes), and the replay oracle has nothing to mirror.
-        let value = self
-            .net
-            .query(NodeId(p.index()), |node| node.local_read(var))?;
+        let value = self.net.local_read(NodeId(p.index()), var)?;
         self.recorder.record_read(p, var, value);
         Ok(value)
     }
@@ -416,21 +439,22 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// Deliver every in-flight message (run the network to quiescence).
     ///
     /// Panics with the error's message on an uncarryable send or a dead
-    /// worker; use [`DsmSystem::try_settle`] to handle it.
+    /// worker; use [`DynDsm::try_settle`] to handle it.
     pub fn settle(&mut self) -> RunOutcome {
         self.try_settle().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible variant of [`DsmSystem::settle`].
+    /// Fallible variant of [`DynDsm::settle`].
     ///
     /// A settle that ends quiescent with every process up also cuts the
-    /// recovery logs ([`McsNode::checkpoint`] on every node): each write
-    /// issued so far has then been delivered to every live peer, hence
-    /// sits in every image a restart could restore, hence will never be
-    /// asked for again. While a process is down nothing is cut — its
-    /// peers keep everything it will ask for at restart.
+    /// recovery logs ([`McsNode::checkpoint`](crate::McsNode::checkpoint)
+    /// on every node): each write issued so far has then been delivered
+    /// to every live peer, hence sits in every image a restart could
+    /// restore, hence will never be asked for again. While a process is
+    /// down nothing is cut — its peers keep everything it will ask for at
+    /// restart.
     pub fn try_settle(&mut self) -> Result<RunOutcome, DsmError> {
-        let outcome = self.net.settle()?;
+        let outcome = self.net.core_mut().settle()?;
         if outcome.is_quiescent() && self.crashed.iter().all(Option::is_none) {
             self.checkpoint()?;
         }
@@ -443,7 +467,7 @@ impl<P: ProtocolSpec> DsmSystem<P> {
             return Ok(());
         }
         for i in (0..self.process_count()).map(NodeId) {
-            self.net.update(i, &mut |node| node.checkpoint())?;
+            self.net.checkpoint(i)?;
         }
         Ok(())
     }
@@ -451,14 +475,14 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// Deliver at most one pending message; returns `false` when idle.
     /// Single-stepping is a simnet affordance: the threaded backend has
     /// no event queue to step and always returns `false` (use
-    /// [`DsmSystem::settle`] there).
+    /// [`DynDsm::settle`] there).
     pub fn step(&mut self) -> bool {
-        self.net.step().unwrap_or_else(|e| panic!("{e}"))
+        live(self.net.core_mut().step())
     }
 
     /// Number of messages still in flight.
     pub fn pending_messages(&self) -> usize {
-        self.net.pending()
+        self.net.core().pending()
     }
 
     /// Network-level statistics (messages, data bytes, control bytes).
@@ -466,13 +490,13 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// boundaries (replay mode reports the oracle's simnet-identical
     /// accounting; free-running mode merges per-worker counters).
     pub fn network_stats(&self) -> &NetworkStats {
-        self.net.stats()
+        self.net.core().stats()
     }
 
     /// Per-node control-information accounting.
     pub fn control_summary(&self) -> ControlSummary {
         let stats = (0..self.process_count())
-            .map(|i| self.query(ProcId(i), |node| node.control().clone()))
+            .map(|i| live(self.net.control(NodeId(i))))
             .collect();
         ControlSummary::new(stats)
     }
@@ -490,17 +514,13 @@ impl<P: ProtocolSpec> DsmSystem<P> {
     /// Direct read of a node's replica without recording an application
     /// operation (used by tests and convergence checks).
     pub fn peek(&self, p: ProcId, var: VarId) -> Value {
-        self.query(p, |node| node.local_read(var))
+        live(self.net.local_read(NodeId(p.index()), var))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::causal_full::CausalFull;
-    use crate::protocol::causal_partial::CausalPartial;
-    use crate::protocol::pram_partial::PramPartial;
-    use crate::protocol::sequential::Sequential;
     use histories::{check, Criterion};
 
     fn partial_dist() -> Distribution {
@@ -517,7 +537,7 @@ mod tests {
 
     #[test]
     fn pram_partial_propagates_only_to_replicas() {
-        let mut sys: DsmSystem<PramPartial> = DsmSystem::new(partial_dist());
+        let mut sys = DynDsm::new(ProtocolKind::PramPartial, partial_dist());
         sys.write(ProcId(0), VarId(0), 10).unwrap();
         sys.settle();
         assert_eq!(sys.peek(ProcId(1), VarId(0)), Value::Int(10));
@@ -531,7 +551,7 @@ mod tests {
 
     #[test]
     fn causal_partial_spreads_control_info_everywhere() {
-        let mut sys: DsmSystem<CausalPartial> = DsmSystem::new(partial_dist());
+        let mut sys = DynDsm::new(ProtocolKind::CausalPartial, partial_dist());
         sys.write(ProcId(0), VarId(0), 10).unwrap();
         sys.settle();
         let summary = sys.control_summary();
@@ -549,7 +569,7 @@ mod tests {
 
     #[test]
     fn partial_protocols_reject_non_replicated_access() {
-        let mut sys: DsmSystem<PramPartial> = DsmSystem::new(partial_dist());
+        let mut sys = DynDsm::new(ProtocolKind::PramPartial, partial_dist());
         assert_eq!(
             sys.write(ProcId(0), VarId(2), 1),
             Err(DsmError::NotReplicated {
@@ -572,7 +592,7 @@ mod tests {
 
     #[test]
     fn full_replication_protocols_accept_any_variable() {
-        let mut sys: DsmSystem<CausalFull> = DsmSystem::new(partial_dist());
+        let mut sys = DynDsm::new(ProtocolKind::CausalFull, partial_dist());
         sys.write(ProcId(0), VarId(2), 5).unwrap();
         sys.settle();
         for p in 0..4 {
@@ -584,7 +604,7 @@ mod tests {
     #[test]
     fn recorded_histories_satisfy_the_protocols_criterion() {
         // A small concurrent workload on the causal-full system.
-        let mut sys: DsmSystem<CausalFull> = DsmSystem::new(Distribution::full(3, 2));
+        let mut sys = DynDsm::new(ProtocolKind::CausalFull, Distribution::full(3, 2));
         sys.write(ProcId(0), VarId(0), 1).unwrap();
         sys.write(ProcId(1), VarId(1), 2).unwrap();
         sys.settle();
@@ -600,7 +620,7 @@ mod tests {
 
     #[test]
     fn pram_history_is_pram_consistent() {
-        let mut sys: DsmSystem<PramPartial> = DsmSystem::new(partial_dist());
+        let mut sys = DynDsm::new(ProtocolKind::PramPartial, partial_dist());
         sys.write(ProcId(0), VarId(0), 1).unwrap();
         sys.write(ProcId(1), VarId(1), 2).unwrap();
         sys.settle();
@@ -616,7 +636,7 @@ mod tests {
 
     #[test]
     fn sequencer_converges_all_replicas() {
-        let mut sys: DsmSystem<Sequential> = DsmSystem::new(Distribution::full(4, 1));
+        let mut sys = DynDsm::new(ProtocolKind::Sequential, Distribution::full(4, 1));
         sys.write(ProcId(1), VarId(0), 11).unwrap();
         sys.write(ProcId(2), VarId(0), 22).unwrap();
         sys.write(ProcId(3), VarId(0), 33).unwrap();
@@ -637,7 +657,7 @@ mod tests {
             topology: Some(Topology::ring(4)),
             ..SimConfig::default()
         };
-        let mut sys: DsmSystem<PramPartial> = DsmSystem::with_config(partial_dist(), config);
+        let mut sys = DynDsm::with_config(ProtocolKind::PramPartial, partial_dist(), config);
         assert_eq!(sys.topology().link_count(), 8);
         assert!(sys.is_routed());
         sys.write(ProcId(0), VarId(0), 3).unwrap();
@@ -667,7 +687,7 @@ mod tests {
                 topology: Some(topology.clone()),
                 ..SimConfig::default()
             };
-            let mut sys: DsmSystem<CausalPartial> = DsmSystem::with_config(partial_dist(), config);
+            let mut sys = DynDsm::with_config(ProtocolKind::CausalPartial, partial_dist(), config);
             assert!(sys.is_routed());
             sys.write(ProcId(0), VarId(0), 10).unwrap();
             sys.settle();
@@ -692,8 +712,8 @@ mod tests {
             topology: Some(Topology::star(4)),
             ..SimConfig::default()
         };
-        let mut sys: DsmSystem<Sequential> =
-            DsmSystem::with_config(Distribution::full(4, 1), config);
+        let mut sys =
+            DynDsm::with_config(ProtocolKind::Sequential, Distribution::full(4, 1), config);
         sys.write(ProcId(1), VarId(0), 11).unwrap();
         sys.write(ProcId(2), VarId(0), 22).unwrap();
         sys.write(ProcId(3), VarId(0), 33).unwrap();
@@ -711,7 +731,7 @@ mod tests {
             topology: Some(Topology::explicit(4, [(0, 1), (1, 0), (2, 3), (3, 2)])),
             ..SimConfig::default()
         };
-        let _sys: DsmSystem<PramPartial> = DsmSystem::with_config(partial_dist(), config);
+        let _sys = DynDsm::with_config(ProtocolKind::PramPartial, partial_dist(), config);
     }
 
     #[test]
@@ -721,16 +741,16 @@ mod tests {
             topology: Some(Topology::ring(3)),
             ..SimConfig::default()
         };
-        let _sys: DsmSystem<PramPartial> = DsmSystem::with_config(partial_dist(), config);
+        let _sys = DynDsm::with_config(ProtocolKind::PramPartial, partial_dist(), config);
     }
 
     #[test]
     fn crash_restart_recovers_missed_updates_for_every_protocol() {
         // p3 crashes, misses a burst of writes, restarts, and must catch
         // up to exactly the state of a run without the crash.
-        fn run<P: ProtocolSpec>(crash: bool) -> Vec<Value> {
+        fn run(kind: ProtocolKind, crash: bool) -> Vec<Value> {
             let dist = Distribution::full(4, 3);
-            let mut sys: DsmSystem<P> = DsmSystem::new(dist);
+            let mut sys = DynDsm::new(kind, dist);
             sys.write(ProcId(0), VarId(0), 1).unwrap();
             sys.write(ProcId(3), VarId(2), 2).unwrap();
             sys.settle();
@@ -755,35 +775,24 @@ mod tests {
             sys.settle();
             (0..3).map(|x| sys.peek(ProcId(3), VarId(x))).collect()
         }
-        assert_eq!(
-            run::<CausalFull>(true),
-            run::<CausalFull>(false),
-            "causal-full"
-        );
-        assert_eq!(
-            run::<Sequential>(true),
-            run::<Sequential>(false),
-            "sequential"
-        );
         // Full distribution makes the partial protocols behave like full
-        // replication here; partial layouts are covered by the apps-level
-        // differential proptests.
-        assert_eq!(
-            run::<CausalPartial>(true),
-            run::<CausalPartial>(false),
-            "causal-partial"
-        );
-        assert_eq!(
-            run::<PramPartial>(true),
-            run::<PramPartial>(false),
-            "pram-partial"
-        );
+        // replication here; partial layouts are covered below and by the
+        // apps-level differential proptests.
+        for kind in ProtocolKind::ALL {
+            let recovered = run(kind, true);
+            assert_eq!(recovered, run(kind, false), "{kind}");
+            assert_eq!(
+                recovered,
+                vec![Value::Int(10), Value::Int(11), Value::Int(12)],
+                "{kind}"
+            );
+        }
     }
 
     #[test]
     fn crash_restart_recovers_on_partial_distributions_too() {
-        fn run<P: ProtocolSpec>(crash: bool) -> Vec<Value> {
-            let mut sys: DsmSystem<P> = DsmSystem::new(partial_dist());
+        fn run(kind: ProtocolKind, crash: bool) -> Vec<Value> {
+            let mut sys = DynDsm::new(kind, partial_dist());
             sys.write(ProcId(2), VarId(1), 1).unwrap();
             sys.settle();
             if crash {
@@ -799,25 +808,16 @@ mod tests {
             // p1 replicates x0 and x1.
             vec![sys.peek(ProcId(1), VarId(0)), sys.peek(ProcId(1), VarId(1))]
         }
-        assert_eq!(
-            run::<PramPartial>(true),
-            run::<PramPartial>(false),
-            "pram-partial"
-        );
-        assert_eq!(
-            run::<CausalPartial>(true),
-            run::<CausalPartial>(false),
-            "causal-partial"
-        );
-        assert_eq!(
-            run::<PramPartial>(false),
-            vec![Value::Int(7), Value::Int(8)]
-        );
+        for kind in ProtocolKind::ALL {
+            let recovered = run(kind, true);
+            assert_eq!(recovered, run(kind, false), "{kind}");
+            assert_eq!(recovered, vec![Value::Int(7), Value::Int(8)], "{kind}");
+        }
     }
 
     #[test]
     fn snapshot_restore_round_trip_is_lossless() {
-        let mut sys: DsmSystem<CausalPartial> = DsmSystem::new(partial_dist());
+        let mut sys = DynDsm::new(ProtocolKind::CausalPartial, partial_dist());
         sys.write(ProcId(0), VarId(0), 5).unwrap();
         sys.settle();
         let snap = sys.snapshot(ProcId(1));
@@ -829,7 +829,7 @@ mod tests {
     #[test]
     fn crash_recovery_costs_show_up_in_the_accounting() {
         let dist = Distribution::full(4, 2);
-        let mut sys: DsmSystem<CausalFull> = DsmSystem::new(dist);
+        let mut sys = DynDsm::new(ProtocolKind::CausalFull, dist);
         sys.crash(ProcId(2)).unwrap();
         sys.write(ProcId(0), VarId(0), 1).unwrap();
         sys.settle();
@@ -858,12 +858,12 @@ mod tests {
             },
             ..SimConfig::default()
         };
-        let _sys: DsmSystem<PramPartial> = DsmSystem::with_config(partial_dist(), config);
+        let _sys = DynDsm::with_config(ProtocolKind::PramPartial, partial_dist(), config);
     }
 
     #[test]
     fn crash_and_restart_validate_their_preconditions() {
-        let mut sys: DsmSystem<PramPartial> = DsmSystem::new(partial_dist());
+        let mut sys = DynDsm::new(ProtocolKind::PramPartial, partial_dist());
         assert_eq!(
             sys.restart(ProcId(0)),
             Err(DsmError::Crashed { proc: ProcId(0) })
@@ -885,6 +885,26 @@ mod tests {
         assert!(sys.read(ProcId(0), VarId(0)).is_ok());
     }
 
+    /// A crashed process restarts from its crash image, so an image
+    /// restored into it while down would be silently lost: refused.
+    #[test]
+    fn a_crashed_process_refuses_a_restore() {
+        let p = ProcId(1);
+        let mut sys = DynDsm::new(ProtocolKind::PramPartial, partial_dist());
+        sys.settle();
+        let image = sys.snapshot(p);
+        sys.write(ProcId(0), VarId(0), 5).unwrap();
+        while sys.step() {}
+        assert_eq!(sys.peek(p, VarId(0)), Value::Int(5));
+        sys.crash(p).unwrap();
+        assert_eq!(
+            sys.try_restore(p, image),
+            Err(DsmError::Crashed { proc: p })
+        );
+        sys.restart(p).unwrap();
+        assert_eq!(sys.peek(p, VarId(0)), Value::Int(5), "the crash image");
+    }
+
     #[test]
     fn crashed_relay_parks_transit_traffic_until_restart() {
         // On a line 0—1—2—3, traffic between p0 and p3 relays through p1
@@ -897,7 +917,7 @@ mod tests {
         let mut dist = Distribution::new(4, 1);
         dist.assign(ProcId(0), VarId(0));
         dist.assign(ProcId(3), VarId(0));
-        let mut sys: DsmSystem<PramPartial> = DsmSystem::with_config(dist, config);
+        let mut sys = DynDsm::with_config(ProtocolKind::PramPartial, dist, config);
         sys.crash(ProcId(2)).unwrap();
         sys.write(ProcId(0), VarId(0), 42).unwrap();
         sys.settle();
@@ -912,9 +932,13 @@ mod tests {
     #[test]
     fn threaded_backend_runs_every_protocol() {
         use simnet::{ExecBackend, ThreadedMode};
-        fn run<P: ProtocolSpec>(backend: ExecBackend) -> (Vec<Value>, History) {
-            let mut sys: DsmSystem<P> =
-                DsmSystem::with_backend(Distribution::full(3, 2), SimConfig::default(), backend);
+        fn run(kind: ProtocolKind, backend: ExecBackend) -> (Vec<Value>, History) {
+            let mut sys = DynDsm::with_backend(
+                kind,
+                Distribution::full(3, 2),
+                SimConfig::default(),
+                backend,
+            );
             assert_eq!(sys.backend(), backend);
             sys.write(ProcId(0), VarId(0), 7).unwrap();
             sys.write(ProcId(1), VarId(1), 9).unwrap();
@@ -928,20 +952,16 @@ mod tests {
                 .collect();
             (values, sys.history())
         }
-        fn check_protocol<P: ProtocolSpec>() {
-            let (sim_values, sim_history) = run::<P>(ExecBackend::Simnet);
+        for kind in ProtocolKind::ALL {
+            let (sim_values, sim_history) = run(kind, ExecBackend::Simnet);
             for mode in [ThreadedMode::Replay, ThreadedMode::FreeRunning] {
-                let (values, history) = run::<P>(ExecBackend::Threaded(mode));
-                assert_eq!(values, sim_values, "{:?} {mode:?}", P::KIND);
+                let (values, history) = run(kind, ExecBackend::Threaded(mode));
+                assert_eq!(values, sim_values, "{kind} {mode:?}");
                 if mode == ThreadedMode::Replay {
-                    assert_eq!(history, sim_history, "{:?}", P::KIND);
+                    assert_eq!(history, sim_history, "{kind}");
                 }
             }
         }
-        check_protocol::<PramPartial>();
-        check_protocol::<CausalPartial>();
-        check_protocol::<CausalFull>();
-        check_protocol::<Sequential>();
     }
 
     #[test]
@@ -954,7 +974,7 @@ mod tests {
             ..SimConfig::default()
         };
         assert!(matches!(
-            DsmSystem::<PramPartial>::try_with_backend(partial_dist(), faulty, backend),
+            DynDsm::try_with_backend(ProtocolKind::PramPartial, partial_dist(), faulty, backend),
             Err(DsmError::Unsupported { .. })
         ));
 
@@ -963,12 +983,21 @@ mod tests {
             ..SimConfig::default()
         };
         assert!(matches!(
-            DsmSystem::<PramPartial>::try_with_backend(partial_dist(), mismatched, backend),
+            DynDsm::try_with_backend(
+                ProtocolKind::PramPartial,
+                partial_dist(),
+                mismatched,
+                backend
+            ),
             Err(DsmError::InvalidConfig { .. })
         ));
 
-        let mut sys: DsmSystem<PramPartial> =
-            DsmSystem::with_backend(partial_dist(), SimConfig::default(), backend);
+        let mut sys = DynDsm::with_backend(
+            ProtocolKind::PramPartial,
+            partial_dist(),
+            SimConfig::default(),
+            backend,
+        );
         assert!(matches!(
             sys.crash(ProcId(0)),
             Err(DsmError::Unsupported { .. })
@@ -996,7 +1025,8 @@ mod tests {
         };
         for mode in [ThreadedMode::Replay, ThreadedMode::FreeRunning] {
             let backend = ExecBackend::Threaded(mode);
-            let refused = DsmSystem::<CausalFull>::try_with_backend(
+            let refused = DynDsm::try_with_backend(
+                ProtocolKind::CausalFull,
                 Distribution::full(4, 1),
                 config.clone(),
                 backend,
@@ -1007,8 +1037,8 @@ mod tests {
             );
         }
         // p0 → p2 is no ring link.
-        let mut sys: DsmSystem<CausalFull> =
-            DsmSystem::with_config(Distribution::full(4, 1), config);
+        let mut sys =
+            DynDsm::with_config(ProtocolKind::CausalFull, Distribution::full(4, 1), config);
         sys.write(ProcId(0), VarId(0), 1).unwrap_err();
     }
 
@@ -1021,8 +1051,12 @@ mod tests {
                     topology: Some(topology.clone()),
                     ..SimConfig::default()
                 };
-                let mut sys: DsmSystem<CausalPartial> =
-                    DsmSystem::with_backend(partial_dist(), config, ExecBackend::Threaded(mode));
+                let mut sys = DynDsm::with_backend(
+                    ProtocolKind::CausalPartial,
+                    partial_dist(),
+                    config,
+                    ExecBackend::Threaded(mode),
+                );
                 assert!(sys.is_routed(), "{topology:?}");
                 sys.write(ProcId(0), VarId(0), 10).unwrap();
                 sys.settle();
@@ -1044,6 +1078,7 @@ mod tests {
     mod bomb {
         use super::*;
         use crate::control::ControlStats;
+        use crate::protocol::McsNode;
         use simnet::{Node, NodeContext, WireSize};
 
         #[derive(Clone, Debug, PartialEq, Eq)]
@@ -1092,32 +1127,37 @@ mod tests {
             }
         }
 
-        pub struct BombSpec;
-
-        impl ProtocolSpec for BombSpec {
-            type Msg = BombMsg;
-            type Node = BombNode;
-            const KIND: ProtocolKind = ProtocolKind::CausalFull;
-            fn build_nodes(dist: &Distribution, _delivery: DeliveryMode) -> Vec<BombNode> {
-                (0..dist.process_count())
-                    .map(|_| BombNode {
-                        peers: dist.process_count(),
-                        value: Value::Bottom,
-                        control: ControlStats::new(),
-                    })
-                    .collect()
+        impl Replica for BombNode {
+            fn into_snapshot(self) -> ReplicaSnapshot {
+                unreachable!("bomb nodes run on threads, which never persist a node")
             }
+            fn from_snapshot(snapshot: ReplicaSnapshot) -> Result<Self, ReplicaSnapshot> {
+                Err(snapshot)
+            }
+        }
+
+        pub fn build_nodes(dist: &Distribution, _delivery: DeliveryMode) -> Vec<BombNode> {
+            (0..dist.process_count())
+                .map(|_| BombNode {
+                    peers: dist.process_count(),
+                    value: Value::Bottom,
+                    control: ControlStats::new(),
+                })
+                .collect()
         }
     }
 
     #[test]
     fn dead_worker_becomes_a_typed_dsm_error() {
         use simnet::{ExecBackend, ThreadedMode};
-        let mut sys: DsmSystem<bomb::BombSpec> = DsmSystem::with_backend(
+        let mut sys = DynDsm::deploy(
+            ProtocolKind::CausalFull,
             Distribution::full(3, 1),
             SimConfig::default(),
             ExecBackend::Threaded(ThreadedMode::FreeRunning),
-        );
+            bomb::build_nodes,
+        )
+        .unwrap();
         // An ordinary write round-trips first.
         sys.write(ProcId(0), VarId(0), 7).unwrap();
         sys.try_settle().unwrap();
@@ -1142,7 +1182,7 @@ mod tests {
 
     #[test]
     fn disabled_recording_still_counts_operations() {
-        let mut sys: DsmSystem<PramPartial> = DsmSystem::new(partial_dist());
+        let mut sys = DynDsm::new(ProtocolKind::PramPartial, partial_dist());
         sys.disable_recording();
         sys.write(ProcId(0), VarId(0), 1).unwrap();
         let _ = sys.read(ProcId(0), VarId(0)).unwrap();

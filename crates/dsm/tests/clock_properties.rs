@@ -3,8 +3,8 @@
 //! control-information accounting.
 
 use dsm::{
-    CausalFull, CausalFullMsg, CausalFullNode, ControlStats, ControlSummary, DeltaVc, McsNode,
-    ProtocolSpec, SequenceTracker, VectorClock,
+    CausalFullMsg, CausalFullNode, ControlStats, ControlSummary, DeltaVc, McsNode, SequenceTracker,
+    VectorClock,
 };
 use histories::{Distribution, ProcId, VarId};
 use proptest::prelude::*;
@@ -476,7 +476,7 @@ impl CausalRun {
     fn new(n: usize) -> Self {
         let dist = Distribution::full(n, 3);
         CausalRun {
-            nodes: CausalFull::build_nodes(&dist, DeliveryMode::DELTA),
+            nodes: CausalFullNode::build_nodes(&dist, DeliveryMode::DELTA),
             down: None,
             in_flight: Vec::new(),
         }

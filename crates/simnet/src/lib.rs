@@ -70,5 +70,5 @@ pub use threaded::{FabricStats, ThreadedNet, WorkerDead};
 pub use time::{SimDuration, SimTime};
 pub use trace::{EventTrace, TraceEntry};
 pub use transport::{
-    deploy, BoxedPost, DeliveryMode, Net, NetError, Posted, RoutingMode, Transport,
+    deploy, BoxedPost, DeliveryMode, Net, NetCore, NetError, Posted, RoutingMode, Transport,
 };

@@ -5,7 +5,7 @@
 //! statistics. Client code (the DSM runtime in the `dsm` crate) drives the
 //! simulation through the [`Net`] surface it implements: injecting work
 //! into nodes with [`Net::invoke`], then advancing virtual time with
-//! [`Net::settle`] or [`Net::step`].
+//! [`NetCore::settle`] or [`NetCore::step`].
 
 use crate::channel::{Channel, LatencyModel, Transmission};
 use crate::event::{Event, EventKind, EventQueue};
@@ -16,7 +16,7 @@ use crate::node::{Node, NodeContext, Outgoing};
 use crate::stats::NetworkStats;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{EventTrace, TraceEntry};
-use crate::transport::{DeliveryMode, Net, NetError, Posted, RoutingMode};
+use crate::transport::{DeliveryMode, Net, NetCore, NetError, Posted, RoutingMode};
 use std::fmt;
 
 /// Why the simulator could not carry a message.
@@ -126,7 +126,7 @@ impl Default for SimConfig {
     }
 }
 
-/// How a call to [`Net::settle`] ended.
+/// How a call to [`NetCore::settle`] ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RunOutcome {
     /// No events remain; the system is quiescent.
@@ -173,12 +173,12 @@ pub struct Simulator<P, N> {
     trace: EventTrace,
     events_processed: u64,
     started: bool,
-    /// Nodes taken down at runtime via [`Net::set_down`] (the
+    /// Nodes taken down at runtime via [`NetCore::set_down`] (the
     /// scripted crash path; scheduled outages live in
     /// `config.faults.crashes`).
     manual_down: Vec<bool>,
     /// Envelopes parked at runtime-crashed nodes, redelivered in order by
-    /// [`Net::set_up`].
+    /// [`NetCore::set_up`].
     parked: Vec<Vec<(NodeId, u64, P)>>,
     /// The outbox and timer buffers of the one live [`NodeContext`]:
     /// callbacks never nest, so [`Simulator::lend_context`] lends these
@@ -240,7 +240,7 @@ where
     }
 
     /// Whether `node` is down at virtual time `at` — either taken down at
-    /// runtime ([`Net::set_down`]) or inside a scheduled crash window of
+    /// runtime ([`NetCore::set_down`]) or inside a scheduled crash window of
     /// the fault plan.
     fn is_down(&self, node: NodeId, at: SimTime) -> bool {
         self.manual_down.get(node.index()).copied().unwrap_or(false)
@@ -314,8 +314,8 @@ where
     }
 
     /// Handle one popped event: advance virtual time and dispatch to the
-    /// destination node. Shared by [`Net::step`] and the run loop of
-    /// [`Net::settle`].
+    /// destination node. Shared by [`NetCore::step`] and the run loop of
+    /// [`NetCore::settle`].
     fn process_event(&mut self, event: Event<P>) -> Result<(), SendError> {
         debug_assert!(event.at >= self.now, "time must not run backwards");
         self.now = event.at;
@@ -432,7 +432,7 @@ where
         Ok(())
     }
 
-    /// [`Net::settle`], panicking with the error's message.
+    /// [`NetCore::settle`], panicking with the error's message.
     pub fn run_until_quiescent(&mut self) -> RunOutcome {
         self.settle().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -630,6 +630,16 @@ where
         Ok(())
     }
 
+    fn into_nodes(self: Box<Self>) -> Vec<N> {
+        self.nodes
+    }
+}
+
+impl<P, N> NetCore for Simulator<P, N>
+where
+    P: WireSize + fmt::Debug + Clone,
+    N: Node<P>,
+{
     /// The event budget is checked before each pop, so an exhausted run
     /// leaves the queue exactly as the next pop would find it.
     fn settle(&mut self) -> Result<RunOutcome, NetError> {
@@ -716,10 +726,6 @@ where
 
     fn parked(&self, id: NodeId) -> usize {
         self.parked.get(id.index()).map_or(0, Vec::len)
-    }
-
-    fn into_nodes(self: Box<Self>) -> Vec<N> {
-        self.nodes
     }
 }
 

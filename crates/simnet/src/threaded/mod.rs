@@ -92,7 +92,7 @@ use crate::sim::{RunOutcome, SendError, SimConfig, Simulator};
 use crate::stats::NetworkStats;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceEntry;
-use crate::transport::{BoxedPost, Net, NetError, Posted};
+use crate::transport::{BoxedPost, Net, NetCore, NetError, Posted};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -879,7 +879,7 @@ where
         self.post(id, &mut Some(f))
     }
 
-    /// [`Net::settle`].
+    /// [`NetCore::settle`].
     pub fn try_settle(&mut self) -> Result<RunOutcome, NetError> {
         self.settle()
     }
@@ -986,6 +986,17 @@ where
         Ok(())
     }
 
+    /// Workers that died are skipped (their sites are left poisoned).
+    fn into_nodes(mut self: Box<Self>) -> Vec<N> {
+        self.shutdown()
+    }
+}
+
+impl<P, N> NetCore for ThreadedNet<P, N>
+where
+    P: WireSize + fmt::Debug + Clone + Send + 'static,
+    N: Node<P> + Clone + Send + 'static,
+{
     /// Replay: run the oracle to quiescence, cut the new slice of its
     /// trace into a replay window, execute it on the workers, refresh
     /// the stats cache from the oracle. Free-running: wait for the
@@ -1108,11 +1119,6 @@ where
     /// drains are step-paced by the oracle.
     fn fabric_stats(&self) -> FabricStats {
         self.counters.fabric
-    }
-
-    /// Workers that died are skipped (their sites are left poisoned).
-    fn into_nodes(mut self: Box<Self>) -> Vec<N> {
-        self.shutdown()
     }
 }
 

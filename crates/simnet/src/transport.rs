@@ -32,6 +32,7 @@ use crate::threaded::{FabricStats, ThreadedNet, WorkerDead};
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// Why a [`Net`] operation failed.
@@ -103,8 +104,10 @@ where
 /// A network hosting one protocol node `N` per topology node, exchanging
 /// payloads `P`. Object safe: drivers hold a `Box<dyn Net<P, N>>`; the
 /// generic helpers ([`with_node`](#method.with_node),
-/// [`query`](#method.query), …) are inherent methods on `dyn Net`.
-pub trait Net<P, N> {
+/// [`query`](#method.query), …) are inherent methods on `dyn Net`. The
+/// calls that name neither `P` nor `N` are its supertrait [`NetCore`],
+/// so code that erases the node type still reaches them.
+pub trait Net<P, N>: NetCore {
     /// Run `f` against node `id` with a messaging context and schedule
     /// what it sent. The node's state change applies even when a send
     /// fails; the sends before the failing one are scheduled. A
@@ -126,6 +129,13 @@ pub trait Net<P, N> {
     /// Change node `id`'s state without a messaging context (restore and
     /// checkpoint: nothing is sent).
     fn update(&mut self, id: NodeId, f: &mut dyn FnMut(&mut N)) -> Result<(), NetError>;
+    /// Stop the net and return the protocol nodes in id order.
+    fn into_nodes(self: Box<Self>) -> Vec<N>;
+}
+
+/// The calls of a [`Net`] that name neither its payload nor its node
+/// type: driving delivery, the counters, and taking nodes down.
+pub trait NetCore {
     /// Deliver everything in flight: run to quiescence or to the
     /// configured event budget.
     fn settle(&mut self) -> Result<RunOutcome, NetError>;
@@ -168,7 +178,7 @@ pub trait Net<P, N> {
         FabricStats::default()
     }
     /// Take node `id` down: its protocol traffic is lost (and counted),
-    /// transit traffic through it parked until [`Net::set_up`]. Refused
+    /// transit traffic through it parked until [`NetCore::set_up`]. Refused
     /// by default: worker threads cannot lose in-flight messages
     /// deterministically.
     fn set_down(&mut self, _id: NodeId) -> Result<(), NetError> {
@@ -182,8 +192,6 @@ pub trait Net<P, N> {
     fn parked(&self, _id: NodeId) -> usize {
         0
     }
-    /// Stop the net and return the protocol nodes in id order.
-    fn into_nodes(self: Box<Self>) -> Vec<N>;
 }
 
 /// What a net that cannot take nodes down refuses.
@@ -242,7 +250,7 @@ impl<'a, P, N> dyn Net<P, N> + 'a {
         Ok(out.expect("a successful inspect runs its closure"))
     }
 
-    /// [`Net::settle`], panicking with the error's message.
+    /// [`NetCore::settle`], panicking with the error's message.
     pub fn run_until_quiescent(&mut self) -> RunOutcome {
         self.settle().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -290,21 +298,26 @@ where
         .map(|(i, node)| Relay::new(node, NodeId(i), Arc::clone(&router), multicast))
         .collect();
     Ok(match backend {
-        ExecBackend::Simnet => Box::new(Routed(Simulator::new(topology, config, relays))),
-        ExecBackend::Threaded(mode) => Box::new(Routed(ThreadedNet::with_topology(
-            mode, topology, config, relays,
-        ))),
+        ExecBackend::Simnet => Box::new(Routed(
+            Simulator::new(topology, config, relays),
+            PhantomData,
+        )),
+        ExecBackend::Threaded(mode) => Box::new(Routed(
+            ThreadedNet::with_topology(mode, topology, config, relays),
+            PhantomData,
+        )),
     })
 }
 
-/// Routing over any backend `B` hosting [`Relay`]s: closures run on the
-/// relay's inner node through [`Relay::with_inner`], which re-addresses
-/// their sends hop by hop; queries read the inner node.
-struct Routed<B>(B);
+/// Routing over any backend `B` hosting [`Relay`]s of `N`s exchanging
+/// `P`s: closures run on the relay's inner node through
+/// [`Relay::with_inner`], which re-addresses their sends hop by hop;
+/// queries read the inner node.
+struct Routed<B, P, N>(B, PhantomData<fn() -> (P, N)>);
 
-impl<B> Routed<B> {
+impl<B, P, N> Routed<B, P, N> {
     /// Sum a relay counter over every node.
-    fn sum_relays<P, N>(&self, count: fn(&Relay<P, N>) -> u64) -> u64
+    fn sum_relays(&self, count: fn(&Relay<P, N>) -> u64) -> u64
     where
         B: Net<Packet<P>, Relay<P, N>>,
     {
@@ -341,7 +354,7 @@ where
     }
 }
 
-impl<P, N, B> Net<P, N> for Routed<B>
+impl<P, N, B> Net<P, N> for Routed<B, P, N>
 where
     P: Clone + 'static,
     N: 'static,
@@ -368,6 +381,22 @@ where
         self.0.update(id, &mut |relay| f(relay.inner_mut()))
     }
 
+    fn into_nodes(self: Box<Self>) -> Vec<N> {
+        let Routed(backend, _) = *self;
+        Box::new(backend)
+            .into_nodes()
+            .into_iter()
+            .map(Relay::into_inner)
+            .collect()
+    }
+}
+
+impl<P, N, B> NetCore for Routed<B, P, N>
+where
+    P: Clone + 'static,
+    N: 'static,
+    B: Net<Packet<P>, Relay<P, N>>,
+{
     fn settle(&mut self) -> Result<RunOutcome, NetError> {
         self.0.settle()
     }
@@ -426,15 +455,6 @@ where
 
     fn parked(&self, id: NodeId) -> usize {
         self.0.parked(id)
-    }
-
-    fn into_nodes(self: Box<Self>) -> Vec<N> {
-        let Routed(backend) = *self;
-        Box::new(backend)
-            .into_nodes()
-            .into_iter()
-            .map(Relay::into_inner)
-            .collect()
     }
 }
 
