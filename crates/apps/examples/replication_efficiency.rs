@@ -7,10 +7,10 @@
 //! cargo run --release --example replication_efficiency -- 24   # up to 24 processes
 //! ```
 //!
-//! This is a compact, human-readable version of the E1/E3 experiments in
-//! `EXPERIMENTS.md`: control bytes per operation and the number of
-//! processes that end up handling metadata about a given variable, per
-//! protocol. All four protocols run through the one scenario engine; no
+//! This is a compact, human-readable version of the E1/E3 experiments
+//! that the `bench` crate's `efficiency` binary prints: control bytes per
+//! operation and the number of processes that end up handling metadata
+//! about a given variable, per protocol. All four protocols run through the one scenario engine; no
 //! per-protocol code path exists.
 
 use apps::scenario::{run_all, DistributionFamily, Scenario, SettlePolicy, WorkloadFamily};

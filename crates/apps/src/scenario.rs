@@ -265,8 +265,8 @@ pub fn latency_label(model: &LatencyModel) -> &'static str {
 }
 
 /// The distribution families of the standard sweep (shared by the
-/// `scenario_matrix` bench, the `scenario_tour` example, and
-/// `bench::scenario_matrix`, so the matrix stays consistent everywhere).
+/// `scenario_tour` example and `bench::scenario_matrix`, so the matrix
+/// stays consistent everywhere).
 pub fn standard_distributions() -> Vec<DistributionFamily> {
     vec![
         DistributionFamily::Random { replicas: 2 },

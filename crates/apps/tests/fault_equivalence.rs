@@ -84,6 +84,30 @@ fn single_writer_setup() -> impl Strategy<Value = (Distribution, Vec<WorkloadOp>
         })
 }
 
+/// A single-writer setup plus the process to crash, any of `0..procs`.
+fn crash_setup() -> impl Strategy<Value = (Distribution, Vec<WorkloadOp>, ProcId)> {
+    (single_writer_setup(), any::<u64>()).prop_map(|((dist, ops), pick)| {
+        let victim = ProcId((pick % dist.process_count() as u64) as usize);
+        (dist, ops, victim)
+    })
+}
+
+/// `ops` without the operations [`apply_script`] skips under `crash`:
+/// the crashed process's reads and writes inside its down window.
+fn without_skipped_ops(ops: &[WorkloadOp], crash: CrashSchedule) -> Vec<WorkloadOp> {
+    let down = crash.crash_before_op..crash.restart_before_op;
+    ops.iter()
+        .enumerate()
+        .filter(|&(i, op)| match *op {
+            WorkloadOp::Write { proc, .. } | WorkloadOp::Read { proc, .. } => {
+                proc != crash.proc || !down.contains(&i)
+            }
+            WorkloadOp::Settle => true,
+        })
+        .map(|(_, &op)| op)
+        .collect()
+}
+
 /// Mesh + the sparse topologies the issue pins: star and grid.
 fn topologies(n: usize) -> Vec<Option<Topology>> {
     vec![None, Some(Topology::star(n)), Some(Topology::grid_of(n))]
@@ -148,37 +172,44 @@ proptest! {
         }
     }
 
-    /// Invariant 2: a node crashed and restarted mid-script recovers
+    /// Invariant 2: any node crashed and restarted mid-script recovers
     /// replica state identical to the same run without the crash, and the
-    /// snapshot/restore round trip is lossless.
+    /// snapshot/restore round trip is lossless. The reference run is the
+    /// script minus the ops a down process skips, so both runs issue the
+    /// same operations and differ only by the outage.
     #[test]
-    fn crash_restart_recovers_the_never_crashed_state(
-        (dist, ops) in single_writer_setup(),
-    ) {
-        let Some(crash) = FaultFamily::CrashRestart.crash_schedule(&ops, dist.process_count())
+    fn crash_restart_recovers_the_never_crashed_state((dist, ops, victim) in crash_setup()) {
+        let Some(schedule) = FaultFamily::CrashRestart.crash_schedule(&ops, dist.process_count())
         else {
             return;
         };
-        let crash = Some(crash);
+        let crash = CrashSchedule { proc: victim, ..schedule };
+        let reference_ops = without_skipped_ops(&ops, crash);
         for kind in ProtocolKind::ALL {
-            // The sequencer's log is the authoritative state; crashing it
-            // loses ordered writes by design, so the sweep never crashes
-            // node 0 (the schedule picks the highest-id process).
+            // The sequencer is p0: write requests that reach it while it is
+            // down are lost by design, so its settled state cannot match.
+            // Turning that loss into a typed error is open work (ROADMAP,
+            // "Crash anywhere").
+            if kind == ProtocolKind::Sequential && victim == ProcId(0) {
+                continue;
+            }
             for topology in topologies(dist.process_count()) {
-                let clean = observe(kind, &dist, &ops, topology.clone(), FaultPlan::default(), None);
-                let crashed = observe(kind, &dist, &ops, topology.clone(), FaultPlan::default(), crash);
+                let clean =
+                    observe(kind, &dist, &reference_ops, topology.clone(), FaultPlan::default(), None);
+                let crashed =
+                    observe(kind, &dist, &ops, topology.clone(), FaultPlan::default(), Some(crash));
                 // Every replica — including the crashed-and-recovered one
-                // — ends with the never-crashed contents. (The histories
-                // differ: the crashed process skipped its down-window
-                // ops.)
+                // — ends with the never-crashed contents.
                 prop_assert_eq!(
                     &clean.settled, &crashed.settled,
-                    "{} settled values diverged after crash-restart on {:?}", kind, topology
+                    "{} settled values diverged after crashing {:?} on {:?}", kind, victim, topology
                 );
+                // Both runs issue the same operations, so an outage that
+                // loses no delivery cannot make the run send less.
                 prop_assert!(
                     crashed.network.total_crash_losses() > 0
-                        || crashed.network.total_messages() <= clean.network.total_messages(),
-                    "a crash window should normally lose deliveries"
+                        || crashed.network.total_messages() >= clean.network.total_messages(),
+                    "messages vanished during a crash window without being counted as losses"
                 );
                 // The recovered run's history still meets the criterion.
                 if crashed.history.len() <= 24 {

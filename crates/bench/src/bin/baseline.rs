@@ -13,9 +13,13 @@
 //! cargo run --release -p bench --bin baseline -- --check BENCH_baseline.json
 //! cargo run --release -p bench --bin baseline -- --check BENCH_baseline.json --tolerance 0.05
 //! cargo run --release -p bench --bin baseline -- --splice BENCH_baseline.json
-//! cargo run --release -p bench --bin baseline -- --threaded --write BENCH_threaded.json
-//! cargo run --release -p bench --bin baseline -- --threaded --check BENCH_threaded.json --floor 0.1
 //! ```
+//!
+//! Those four flags are the whole command line. An unknown flag, a flag
+//! without its value, a second mode, or a `--tolerance` that is not a
+//! finite non-negative number or comes without `--check` exits with
+//! status 2 and a usage line, so a mistyped CI step fails instead of
+//! falling back to printing rows.
 //!
 //! `--check` exits non-zero when any cell's control bytes exceed the
 //! baseline by more than the tolerance (default 2%), or when the matrix
@@ -31,18 +35,10 @@
 //! column (`sweep_workers`), so the diff shows exactly the cells a change
 //! moved. It never adds or drops rows: a shape change still
 //! needs `--write`.
-//!
-//! `--threaded` switches both modes to the threaded-backend throughput
-//! floor (`BENCH_threaded.json`): operation counts are deterministic and
-//! compared exactly, while the wall-clock ops/s column only fails when it
-//! drops below `--floor` (default 50%, CI uses 10%) of the recorded
-//! number — a smoke gate against the backend silently collapsing, not a
-//! tuning benchmark.
 
 use bench::{
-    compare_threaded_baseline, compare_to_baseline, scenario_matrix, scenario_matrix_large,
-    threaded_baseline_sweep, BaselineDiff, ScenarioMatrixRow, ThreadedBaselineRow, BASELINE_COORDS,
-    BASELINE_LARGE_TIERS,
+    compare_to_baseline, scenario_matrix, scenario_matrix_large, BaselineDiff, ScenarioMatrixRow,
+    BASELINE_COORDS, BASELINE_LARGE_TIERS,
 };
 use std::process::ExitCode;
 
@@ -113,153 +109,160 @@ fn splice(ledger: &str, current: &[ScenarioMatrixRow]) -> (String, Vec<String>) 
     (out, spliced)
 }
 
-fn render_threaded(rows: &[ThreadedBaselineRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&row.to_json());
-        if i + 1 < rows.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
+/// What the command line asks for.
+#[derive(Debug, PartialEq)]
+enum Mode {
+    /// No mode flag: print the sweep as the JSON array the ledger stores.
+    Print,
+    /// `--write FILE`: regenerate the whole ledger.
+    Write(String),
+    /// `--splice FILE`: rewrite only the rows whose deterministic columns
+    /// moved.
+    Splice(String),
+    /// `--check FILE`: gate control bytes against the ledger.
+    Check(String),
 }
 
-/// The `--threaded` modes: same write/check/print surface, but over the
-/// throughput-floor rows instead of the control-byte matrix.
-fn run_threaded(flag_value: impl Fn(&str) -> Option<String>) -> ExitCode {
-    let floor: f64 = flag_value("--floor")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.5);
+/// A parsed command line: the mode and `--check`'s tolerance.
+#[derive(Debug, PartialEq)]
+struct Args {
+    mode: Mode,
+    tolerance: f64,
+}
 
-    if let Some(path) = flag_value("--write") {
-        let rows = threaded_baseline_sweep();
-        std::fs::write(&path, render_threaded(&rows)).expect("write threaded baseline file");
-        println!("wrote {} threaded rows to {path}", rows.len());
-        return ExitCode::SUCCESS;
+const USAGE: &str =
+    "usage: baseline [--write FILE | --splice FILE | --check FILE [--tolerance FRACTION]]";
+
+/// Parse the arguments after the program name. Rejects an unknown flag,
+/// a flag without its value, a second mode, and a tolerance that is not
+/// a finite non-negative number or comes without `--check`.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut mode = Mode::Print;
+    let mut tolerance = None;
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let mut value = || match args.next() {
+            Some(v) if !v.starts_with("--") => Ok(v.clone()),
+            _ => Err(format!("{flag} needs a value")),
+        };
+        let chosen = match flag.as_str() {
+            "--write" => Mode::Write(value()?),
+            "--splice" => Mode::Splice(value()?),
+            "--check" => Mode::Check(value()?),
+            "--tolerance" => {
+                let text = value()?;
+                let t: f64 = text
+                    .parse()
+                    .ok()
+                    .filter(|t: &f64| t.is_finite() && *t >= 0.0)
+                    .ok_or(format!(
+                        "--tolerance takes a finite non-negative fraction (0.02 = 2%), not {text:?}"
+                    ))?;
+                if tolerance.replace(t).is_some() {
+                    return Err("--tolerance given twice".into());
+                }
+                continue;
+            }
+            _ => return Err(format!("unknown argument {flag:?}")),
+        };
+        if mode != Mode::Print {
+            return Err(format!("{flag} conflicts with an earlier mode flag"));
+        }
+        mode = chosen;
     }
-
-    if let Some(path) = flag_value("--check") {
-        let text = std::fs::read_to_string(&path).expect("read threaded baseline file");
-        let baseline: Vec<ThreadedBaselineRow> = text
-            .lines()
-            .filter_map(ThreadedBaselineRow::from_json)
-            .collect();
-        if baseline.is_empty() {
-            eprintln!("no rows parsed from {path}; regenerate with --threaded --write");
-            return ExitCode::FAILURE;
-        }
-        let current = threaded_baseline_sweep();
-        let findings = compare_threaded_baseline(&baseline, &current, floor);
-        if findings.is_empty() {
-            println!(
-                "threaded baseline OK: {} cells at or above {:.0}% of recorded throughput",
-                baseline.len(),
-                floor * 100.0
-            );
-            return ExitCode::SUCCESS;
-        }
-        eprintln!(
-            "threaded baseline check FAILED against {path} ({} finding(s), floor {:.0}%):",
-            findings.len(),
-            floor * 100.0
-        );
-        for finding in &findings {
-            eprintln!("  {finding}");
-        }
-        eprintln!("if the change is intentional, regenerate with --threaded --write and commit");
-        return ExitCode::FAILURE;
+    if tolerance.is_some() && !matches!(mode, Mode::Check(_)) {
+        return Err("--tolerance applies only to --check".into());
     }
+    Ok(Args {
+        mode,
+        tolerance: tolerance.unwrap_or(0.02),
+    })
+}
 
-    print!("{}", render_threaded(&threaded_baseline_sweep()));
-    ExitCode::SUCCESS
+/// The exit for a command line [`parse_args`] rejected.
+fn usage_error(message: &str) -> ExitCode {
+    eprintln!("baseline: {message}");
+    eprintln!("{USAGE}");
+    ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Args { mode, tolerance } = match parse_args(&args) {
+        Ok(args) => args,
+        Err(message) => return usage_error(&message),
     };
-    if args.iter().any(|a| a == "--threaded") {
-        return run_threaded(flag_value);
-    }
-    let tolerance: f64 = flag_value("--tolerance")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.02);
-
-    if let Some(path) = flag_value("--write") {
-        let rows = sweep();
-        std::fs::write(&path, render(&rows)).expect("write baseline file");
-        println!("wrote {} rows to {path}", rows.len());
-        return ExitCode::SUCCESS;
-    }
-
-    if let Some(path) = flag_value("--splice") {
-        let text = std::fs::read_to_string(&path).expect("read baseline file");
-        let (spliced, coordinates) = splice(&text, &sweep());
-        for coordinate in &coordinates {
-            println!("spliced {coordinate}");
+    match mode {
+        Mode::Print => {
+            print!("{}", render(&sweep()));
+            ExitCode::SUCCESS
         }
-        std::fs::write(&path, spliced).expect("write baseline file");
-        println!(
-            "spliced {} of {} rows in {path}",
-            coordinates.len(),
-            parse(&text).len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if let Some(path) = flag_value("--check") {
-        let text = std::fs::read_to_string(&path).expect("read baseline file");
-        let baseline = parse(&text);
-        if baseline.is_empty() {
-            eprintln!("no rows parsed from {path}; regenerate with --write");
-            return ExitCode::FAILURE;
+        Mode::Write(path) => {
+            let rows = sweep();
+            std::fs::write(&path, render(&rows)).expect("write baseline file");
+            println!("wrote {} rows to {path}", rows.len());
+            ExitCode::SUCCESS
         }
-        let current = sweep();
-        let (diffs, improved): (Vec<_>, Vec<_>) =
-            compare_to_baseline(&baseline, &current, tolerance)
-                .into_iter()
-                .partition(BaselineDiff::fails);
-        if !improved.is_empty() {
-            println!(
-                "{} cell(s) improved on {path} by more than {:.1}% (not a failure):",
-                improved.len(),
-                tolerance * 100.0
-            );
-            for diff in &improved {
-                println!("  {diff}");
+        Mode::Splice(path) => {
+            let text = std::fs::read_to_string(&path).expect("read baseline file");
+            let (spliced, coordinates) = splice(&text, &sweep());
+            for coordinate in &coordinates {
+                println!("spliced {coordinate}");
             }
+            std::fs::write(&path, spliced).expect("write baseline file");
             println!(
-                "the ledger is stale: regenerate those cells with --write and commit the diff"
+                "spliced {} of {} rows in {path}",
+                coordinates.len(),
+                parse(&text).len()
             );
+            ExitCode::SUCCESS
         }
-        if diffs.is_empty() {
-            println!(
-                "baseline OK: {} cells within {:.1}% control-byte tolerance",
-                baseline.len(),
-                tolerance * 100.0
-            );
-            return ExitCode::SUCCESS;
-        }
-        eprintln!(
-            "baseline check FAILED against {path} ({} finding(s), tolerance {:.1}%):",
-            diffs.len(),
-            tolerance * 100.0
-        );
-        for diff in &diffs {
-            eprintln!("  {diff}");
-        }
-        eprintln!("if the change is intentional, regenerate with --write and commit the diff");
+        Mode::Check(path) => check(&path, tolerance),
+    }
+}
+
+/// The `--check` mode: fail on any control-byte regression past
+/// `tolerance` or any shape change; report improvements without failing.
+fn check(path: &str, tolerance: f64) -> ExitCode {
+    let text = std::fs::read_to_string(path).expect("read baseline file");
+    let baseline = parse(&text);
+    if baseline.is_empty() {
+        eprintln!("no rows parsed from {path}; regenerate with --write");
         return ExitCode::FAILURE;
     }
-
-    // No mode: print the sweep as the JSON array the baseline file stores.
-    print!("{}", render(&sweep()));
-    ExitCode::SUCCESS
+    let current = sweep();
+    let (diffs, improved): (Vec<_>, Vec<_>) = compare_to_baseline(&baseline, &current, tolerance)
+        .into_iter()
+        .partition(BaselineDiff::fails);
+    if !improved.is_empty() {
+        println!(
+            "{} cell(s) improved on {path} by more than {:.1}% (not a failure):",
+            improved.len(),
+            tolerance * 100.0
+        );
+        for diff in &improved {
+            println!("  {diff}");
+        }
+        println!("the ledger is stale: regenerate those cells with --write and commit the diff");
+    }
+    if diffs.is_empty() {
+        println!(
+            "baseline OK: {} cells within {:.1}% control-byte tolerance",
+            baseline.len(),
+            tolerance * 100.0
+        );
+        return ExitCode::SUCCESS;
+    }
+    eprintln!(
+        "baseline check FAILED against {path} ({} finding(s), tolerance {:.1}%):",
+        diffs.len(),
+        tolerance * 100.0
+    );
+    for diff in &diffs {
+        eprintln!("  {diff}");
+    }
+    eprintln!("if the change is intentional, regenerate with --write and commit the diff");
+    ExitCode::FAILURE
 }
 
 #[cfg(test)]
@@ -313,5 +316,69 @@ mod tests {
         assert_eq!(lines[3], old[3]);
         // Splicing again finds nothing left to move.
         assert!(splice(&spliced, &current).1.is_empty());
+    }
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn the_four_flags_parse() {
+        let parsed = |line: &str| parse_args(&args(line)).unwrap();
+        assert_eq!(
+            parsed(""),
+            Args {
+                mode: Mode::Print,
+                tolerance: 0.02
+            }
+        );
+        assert_eq!(parsed("--write b.json").mode, Mode::Write("b.json".into()));
+        assert_eq!(
+            parsed("--splice b.json").mode,
+            Mode::Splice("b.json".into())
+        );
+        assert_eq!(
+            parsed("--check b.json --tolerance 0.05"),
+            Args {
+                mode: Mode::Check("b.json".into()),
+                tolerance: 0.05
+            }
+        );
+        assert_eq!(parsed("--tolerance 0 --check b.json").tolerance, 0.0);
+    }
+
+    #[test]
+    fn a_bad_command_line_is_an_error_not_a_print() {
+        for line in [
+            // Unknown flags, including the typo that would switch a CI gate off.
+            "--chek BENCH_baseline.json",
+            "--check BENCH_baseline.json --floor 0.1",
+            "BENCH_baseline.json",
+            // A flag without its value.
+            "--check",
+            "--check --tolerance 0.05",
+            "--check b.json --tolerance",
+            // A tolerance that is not a finite non-negative fraction.
+            "--check b.json --tolerance 5%",
+            "--check b.json --tolerance -0.1",
+            "--check b.json --tolerance NaN",
+            "--check b.json --tolerance inf",
+            // A tolerance without --check, which alone reads it.
+            "--splice b.json --tolerance 0.05",
+            // A second mode, or a repeated tolerance.
+            "--check b.json --splice b.json",
+            "--write b.json --write c.json",
+            "--check b.json --tolerance 0.1 --tolerance 0.2",
+        ] {
+            parse_args(&args(line)).expect_err(line);
+        }
+        assert!(parse_args(&args("--chek b.json"))
+            .unwrap_err()
+            .contains("\"--chek\""));
+    }
+
+    #[test]
+    fn a_rejected_command_line_exits_with_status_2() {
+        assert_eq!(usage_error("unknown argument"), ExitCode::from(2));
     }
 }

@@ -1,6 +1,8 @@
-//! Shared helpers for the benchmark harness: experiment runners that both
-//! the Criterion benches and the report binaries (`figures`, `efficiency`)
-//! reuse, so every number in `EXPERIMENTS.md` can be regenerated two ways.
+//! Experiment runners behind the report binaries: `efficiency` prints the
+//! paper's tables E1–E10, `figures` regenerates its figures, and
+//! `baseline` writes, checks and splices the deterministic control-byte
+//! ledger `BENCH_baseline.json`. Wall-clock performance is measured
+//! elsewhere, by the dsmbench workloads under `benchmark/`.
 //!
 //! Every protocol comparison routes through the scenario engine
 //! ([`apps::scenario`]): a comparison point is a workload script executed
@@ -1142,135 +1144,6 @@ pub fn threaded_throughput_sweep(
     rows
 }
 
-/// The coordinates of the checked-in `BENCH_threaded.json`: thread
-/// counts, ops per process, seed. Shared by the `baseline` binary's
-/// `--threaded` write and check modes. Small on purpose — the gate is a
-/// smoke-level floor, not a tuning benchmark.
-pub const THREADED_BASELINE_COORDS: ([usize; 2], usize, u64) = ([2, 8], 24, 7);
-
-/// One row of the checked-in `BENCH_threaded.json`: a threaded-backend
-/// throughput floor. Unlike the control-byte baseline, the measured
-/// column here is wall-clock, so the gate is deliberately loose: it
-/// fails only when throughput drops below a generous fraction of the
-/// recorded number (or when the deterministic operation count changes) —
-/// catching "the threaded backend got 10× slower or stopped doing the
-/// same work", not single-digit noise.
-#[derive(Clone, Debug)]
-pub struct ThreadedBaselineRow {
-    /// Protocol name.
-    pub protocol: String,
-    /// Worker-thread (= process) count.
-    pub threads: usize,
-    /// Application operations issued (deterministic, compared exactly).
-    pub operations: u64,
-    /// Threaded ops per wall-clock second when the baseline was recorded
-    /// (host-dependent; compared against a floor, never exactly).
-    pub ops_per_sec: f64,
-    /// Mean mailbox-drain batch length when recorded (informational).
-    pub mean_batch_len: f64,
-}
-
-impl ThreadedBaselineRow {
-    /// The cell coordinate (identity, not measurement).
-    pub fn coordinate(&self) -> String {
-        format!("{}/{}", self.protocol, self.threads)
-    }
-
-    /// Hand-rolled JSON encoding, mirroring [`ScenarioMatrixRow::to_json`].
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"protocol\":\"{}\",\"threads\":{},\"operations\":{},\
-             \"ops_per_sec\":{:.0},\"mean_batch_len\":{:.3}}}",
-            self.protocol, self.threads, self.operations, self.ops_per_sec, self.mean_batch_len
-        )
-    }
-
-    /// Parse a row back out of [`Self::to_json`]'s encoding.
-    pub fn from_json(line: &str) -> Option<ThreadedBaselineRow> {
-        fn str_field(line: &str, key: &str) -> Option<String> {
-            let tag = format!("\"{key}\":\"");
-            let start = line.find(&tag)? + tag.len();
-            let end = line[start..].find('"')? + start;
-            Some(line[start..end].to_string())
-        }
-        fn num_field(line: &str, key: &str) -> Option<String> {
-            let tag = format!("\"{key}\":");
-            let start = line.find(&tag)? + tag.len();
-            let end = line[start..]
-                .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-                .map(|i| i + start)
-                .unwrap_or(line.len());
-            Some(line[start..end].to_string())
-        }
-        Some(ThreadedBaselineRow {
-            protocol: str_field(line, "protocol")?,
-            threads: num_field(line, "threads")?.parse().ok()?,
-            operations: num_field(line, "operations")?.parse().ok()?,
-            ops_per_sec: num_field(line, "ops_per_sec")?.parse().ok()?,
-            mean_batch_len: num_field(line, "mean_batch_len")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0.0),
-        })
-    }
-}
-
-/// Run the threaded-baseline sweep at [`THREADED_BASELINE_COORDS`].
-pub fn threaded_baseline_sweep() -> Vec<ThreadedBaselineRow> {
-    let (threads, ops, seed) = THREADED_BASELINE_COORDS;
-    threaded_throughput_sweep(&threads, ops, seed)
-        .into_iter()
-        .map(|row| ThreadedBaselineRow {
-            protocol: row.protocol.name().to_string(),
-            threads: row.threads,
-            operations: row.operations,
-            ops_per_sec: row.ops_per_sec(),
-            mean_batch_len: row.mean_batch_len(),
-        })
-        .collect()
-}
-
-/// Compare a fresh threaded sweep against the checked-in baseline.
-/// `floor` is the fraction of the recorded throughput the current run
-/// must reach (0.5 = may be up to 2× slower; CI uses a lenient floor to
-/// absorb shared-runner noise). Operation counts are deterministic and
-/// compared exactly; vanished cells are findings like in
-/// [`compare_to_baseline`]. Returns human-readable findings, empty on OK.
-pub fn compare_threaded_baseline(
-    baseline: &[ThreadedBaselineRow],
-    current: &[ThreadedBaselineRow],
-    floor: f64,
-) -> Vec<String> {
-    let mut findings = Vec::new();
-    for base in baseline {
-        let coordinate = base.coordinate();
-        match current.iter().find(|c| c.coordinate() == coordinate) {
-            None => findings.push(format!(
-                "{coordinate}: cell missing from the current sweep (shape changed — \
-                 regenerate deliberately)"
-            )),
-            Some(cur) => {
-                if cur.operations != base.operations {
-                    findings.push(format!(
-                        "{coordinate}: operation count changed ({} recorded, {} now) — \
-                         the workload script is no longer the same",
-                        base.operations, cur.operations
-                    ));
-                }
-                if cur.ops_per_sec < base.ops_per_sec * floor {
-                    findings.push(format!(
-                        "{coordinate}: throughput regression ({:.0} ops/s recorded, \
-                         {:.0} now, floor {:.0}%)",
-                        base.ops_per_sec,
-                        cur.ops_per_sec,
-                        floor * 100.0
-                    ));
-                }
-            }
-        }
-    }
-    findings
-}
-
 /// The coordinates of [`scenario_matrix`] used for the checked-in
 /// `BENCH_baseline.json`: process count, ops per process, seed. Shared by
 /// the `baseline` binary's write and check modes so they always compare
@@ -1915,14 +1788,22 @@ mod tests {
     }
 
     /// E9 smoke: the threaded sweep produces one row per (thread count,
-    /// protocol), with sane deterministic columns; wall-clock columns are
-    /// only required to be nonzero.
+    /// protocol), issuing exactly `threads × ops_per_process` operations
+    /// on both backends; wall-clock columns are only required to be
+    /// nonzero.
     #[test]
     fn threaded_throughput_sweep_covers_every_protocol() {
-        let rows = threaded_throughput_sweep(&[2, 4], 3, 7);
+        let ops_per_process = 3;
+        let rows = threaded_throughput_sweep(&[2, 4], ops_per_process, 7);
         assert_eq!(rows.len(), 2 * ProtocolKind::ALL.len());
         for row in &rows {
-            assert!(row.operations > 0, "{}/{}", row.protocol, row.threads);
+            assert_eq!(
+                row.operations,
+                (row.threads * ops_per_process) as u64,
+                "{}/{}",
+                row.protocol,
+                row.threads
+            );
             assert!(row.simnet_events > 0);
             assert!(row.wall_nanos > 0 && row.simnet_wall_nanos > 0);
             assert!(row.ops_per_sec() > 0.0);

@@ -4,9 +4,10 @@
 //! the OS, which breaks bit-for-bit reproducibility of sweeps and the
 //! differential oracles. Every RNG in the workspace must be constructed
 //! from an explicit seed carried by the scenario or fault plan. Unlike
-//! `no-wall-clock`, this rule also covers benches — `BENCH_baseline.json`
-//! is regenerated and diffed under a 2% gate, so bench inputs must be
-//! reproducible too.
+//! `no-wall-clock`, this rule also covers integration tests and examples
+//! (everything outside `#[cfg(test)]` items): the differential suites
+//! and `BENCH_baseline.json` (regenerated and diffed under a 2% gate)
+//! need reproducible inputs too.
 
 use super::{diag_at, Rule};
 use crate::diag::Diagnostic;

@@ -2,9 +2,10 @@
 //!
 //! `std::time::Instant` / `SystemTime` reads leak host-machine timing
 //! into what must be a fully deterministic simulation; all timing flows
-//! through `simnet::SimTime`. Test modules and criterion benches are
-//! exempt (criterion itself measures wall time — that is its job), but
-//! first-party lib and bin code is not.
+//! through `simnet::SimTime`. Tests and examples are exempt, but
+//! first-party lib and bin code is not; where a report deliberately
+//! times the host (the `bench` crate's E8 and E9 sweeps), the allowlist
+//! names the line and says why.
 //!
 //! One scoped exemption: the threaded execution backend hosts nodes on
 //! real OS threads, where virtual time has no meaning across preemptive
@@ -82,7 +83,6 @@ fn kind_word(kind: FileKind) -> &'static str {
         FileKind::Lib => "library",
         FileKind::Bin => "binary",
         FileKind::Test => "test",
-        FileKind::Bench => "bench",
         FileKind::Example => "example",
     }
 }

@@ -1,5 +1,5 @@
 //! Source-file model: a lexed file plus the context rules need — which
-//! crate it belongs to, what role it plays (lib / test / bench / …), and
+//! crate it belongs to, what role it plays (lib / bin / test / example), and
 //! which token regions are `#[cfg(test)]`-only code that the determinism
 //! rules deliberately ignore.
 
@@ -16,8 +16,6 @@ pub enum FileKind {
     Bin,
     /// Integration tests under `tests/`.
     Test,
-    /// Criterion benches under `benches/`.
-    Bench,
     /// Examples under `examples/`.
     Example,
 }

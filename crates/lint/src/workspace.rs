@@ -50,8 +50,6 @@ fn classify(rel_in_crate: &str) -> Option<FileKind> {
         Some(FileKind::Lib)
     } else if rel_in_crate.starts_with("tests/") {
         Some(FileKind::Test)
-    } else if rel_in_crate.starts_with("benches/") {
-        Some(FileKind::Bench)
     } else if rel_in_crate.starts_with("examples/") {
         Some(FileKind::Example)
     } else {
