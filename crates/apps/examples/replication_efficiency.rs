@@ -1,4 +1,4 @@
-//! Replication efficiency: measure the control-information cost of the four
+//! Replication efficiency: measure the control-information cost of the five
 //! MCS protocols on the same synthetic workload, for growing system sizes.
 //!
 //! Run with:
@@ -10,8 +10,8 @@
 //! This is a compact, human-readable version of the E1/E3 experiments
 //! that the `bench` crate's `efficiency` binary prints: control bytes per
 //! operation and the number of processes that end up handling metadata
-//! about a given variable, per protocol. All four protocols run through the one scenario engine; no
-//! per-protocol code path exists.
+//! about a given variable, per protocol. All five protocols run through
+//! the one scenario engine; no per-protocol code path exists.
 
 use apps::scenario::{run_all, DistributionFamily, Scenario, SettlePolicy, WorkloadFamily};
 use histories::VarId;

@@ -8,11 +8,16 @@
 //! cargo run --release --example scenario_tour -- 12   # 12 processes
 //! ```
 //!
+//! The sweep is [`apps::scenario::standard_grid`] over every execution
+//! backend: the grid's rules decide which axis combinations run. The one
+//! optional argument is the process count; anything else exits with
+//! status 2 and a usage line.
+//!
 //! Every cell of the sweep goes through the same runtime-dispatched
 //! execution path ([`apps::scenario::run_scenario`]); there is no
 //! per-protocol code anywhere in this file. Sparse topologies (ring, grid,
 //! star) run over the overlay routing layer — every logical send is
-//! relayed along BFS shortest paths — so all four protocols complete on
+//! relayed along BFS shortest paths — so all five protocols complete on
 //! all of them; the delivery-mode axis additionally runs each topology
 //! with tree multicast and control-record batching enabled, and the fault
 //! axis re-runs each topology under seeded message drops (with
@@ -37,110 +42,47 @@
 //! never what the protocols deliver.
 
 use apps::scenario::{
-    parallel_map, run_all, standard_deliveries, standard_distributions, standard_faults,
-    standard_latencies, standard_topologies, standard_workloads, FaultFamily, RunReport, Scenario,
-    SettlePolicy, TopologyFamily, WorkloadFamily,
+    parallel_map, run_all, standard_grid, FaultFamily, RunReport, Scenario, SettlePolicy,
+    WorkloadFamily,
 };
 use histories::{causal_spot_check, check, pram_spot_check, Criterion};
-use simnet::{DeliveryMode, ExecBackend, LatencyModel, ThreadedMode};
+use simnet::{ExecBackend, ThreadedMode};
 use std::collections::BTreeMap;
+use std::process::ExitCode;
 
-fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5);
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let n: usize = match args.as_slice() {
+        [] => 5,
+        [n] => match n.parse() {
+            Ok(n) => n,
+            Err(_) => return usage(&format!("the process count must be a number, not {n:?}")),
+        },
+        [_, extra, ..] => return usage(&format!("unexpected argument {extra:?}")),
+    };
 
-    let mut scenarios = Vec::new();
-    for topology in standard_topologies() {
-        for dist_family in standard_distributions() {
-            for workload in standard_workloads() {
-                for latency in standard_latencies() {
-                    // Latency models are swept on the mesh; sparse
-                    // topologies (whose per-hop behaviour is the point)
-                    // run under the default model to keep the tour fast.
-                    if topology != TopologyFamily::FullMesh && latency != LatencyModel::default() {
-                        continue;
-                    }
-                    for delivery in standard_deliveries() {
-                        // Delivery modes are swept on every topology under
-                        // the default latency; non-default latencies keep
-                        // the baseline wire format.
-                        if delivery != DeliveryMode::default() && latency != LatencyModel::default()
-                        {
-                            continue;
-                        }
-                        for backend in ExecBackend::ALL {
-                            // The threaded backend sweeps every delivery
-                            // mode on the mesh and every sparse topology
-                            // under the baseline wire format (all under
-                            // the default latency — worker threads have
-                            // no virtual clock to model latency with);
-                            // the simnet sibling cell is its oracle.
-                            if backend != ExecBackend::Simnet
-                                && (latency != LatencyModel::default()
-                                    || (topology != TopologyFamily::FullMesh
-                                        && delivery != DeliveryMode::default()))
-                            {
-                                continue;
-                            }
-                            for faults in standard_faults() {
-                                // Fault families are swept on every
-                                // topology under the default latency and
-                                // wire format: the fault layer lives
-                                // beneath both, so one axis at a time
-                                // keeps the tour interpretable. Faults
-                                // are simnet-only.
-                                if faults != FaultFamily::None
-                                    && (latency != LatencyModel::default()
-                                        || delivery != DeliveryMode::default()
-                                        || backend != ExecBackend::Simnet)
-                                {
-                                    continue;
-                                }
-                                scenarios.push(Scenario {
-                                    name: "tour".into(),
-                                    distribution: dist_family.clone(),
-                                    processes: n,
-                                    variables: n,
-                                    workload,
-                                    ops_per_process: 4,
-                                    // Settle-synchronize every cell: this
-                                    // is what licenses checking the
-                                    // *settled* criterion below.
-                                    settle: SettlePolicy::Every(1),
-                                    latency: latency.clone(),
-                                    topology: topology.clone(),
-                                    delivery,
-                                    faults,
-                                    backend,
-                                    seed: 7,
-                                    record: true,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
+    // Every coordinate of the standard grid, on every backend (the grid
+    // keeps threaded cells fault-free and on the default latency; the
+    // simnet sibling cell is their oracle).
+    let base = Scenario {
+        name: "tour".into(),
+        processes: n,
+        variables: n,
+        ops_per_process: 4,
+        // Settle-synchronize every cell: this is what licenses checking
+        // the *settled* criterion below.
+        settle: SettlePolicy::Every(1),
+        seed: 7,
+        record: true,
+        ..Scenario::default()
+    };
+    let scenarios = standard_grid(&base, &ExecBackend::ALL);
 
     // Independent cells → scoped-thread fan-out; results come back in
     // sweep order, so the printed table is identical to a sequential run.
-    let results: Vec<(
-        String,
-        FaultFamily,
-        WorkloadFamily,
-        ExecBackend,
-        Vec<RunReport>,
-    )> = parallel_map(scenarios, |scenario| {
-        (
-            scenario.label(),
-            scenario.faults,
-            scenario.workload,
-            scenario.backend,
-            run_all(&scenario),
-        )
+    let results: Vec<(Scenario, Vec<RunReport>)> = parallel_map(scenarios, |scenario| {
+        let reports = run_all(&scenario);
+        (scenario, reports)
     });
 
     println!(
@@ -156,10 +98,10 @@ fn main() {
         "ok"
     );
 
-    // Fault-free sibling histories, keyed by the label minus its fault
-    // segment, used to pin lossy/duplicating equivalence below. The
-    // backend-free key (label minus backend *and* fault segments)
-    // additionally pins threaded-replay cells to their simnet sibling.
+    // Fault-free sibling histories, keyed by the label of the fault-free
+    // sibling, used to pin lossy/duplicating equivalence below. The
+    // fault-free simnet sibling's label additionally pins threaded-replay
+    // cells to their simnet sibling.
     let mut baselines: BTreeMap<String, Vec<histories::History>> = BTreeMap::new();
     let mut simnet_baselines: BTreeMap<String, Vec<histories::History>> = BTreeMap::new();
     let mut cells = 0usize;
@@ -168,16 +110,23 @@ fn main() {
     let mut pram_spots = 0usize;
     let mut pinned_equal = 0usize;
     let mut replay_pinned = 0usize;
-    for (label, faults, workload, backend, reports) in results {
-        let coordinate = label
-            .rsplit_once('/')
-            .map(|(head, _)| head.to_string())
-            .unwrap_or_else(|| label.clone());
-        // Strip the backend segment too (it sits just before faults).
-        let backend_free = coordinate
-            .rsplit_once('/')
-            .map(|(head, _)| head.to_string())
-            .unwrap_or_else(|| coordinate.clone());
+    for (scenario, reports) in results {
+        let (label, faults, workload, backend) = (
+            scenario.label(),
+            scenario.faults,
+            scenario.workload,
+            scenario.backend,
+        );
+        let fault_free = Scenario {
+            faults: FaultFamily::None,
+            ..scenario
+        };
+        let coordinate = fault_free.label();
+        let backend_free = Scenario {
+            backend: ExecBackend::Simnet,
+            ..fault_free
+        }
+        .label();
         if faults == FaultFamily::None {
             let histories: Vec<histories::History> =
                 reports.iter().map(|r| r.history.clone()).collect();
@@ -250,4 +199,11 @@ fn main() {
          spot-checks, {pinned_equal} fault cells pinned equal to their fault-free sibling, \
          {replay_pinned} threaded-replay cells pinned bit-identical to their simnet sibling)."
     );
+    ExitCode::SUCCESS
+}
+
+fn usage(message: &str) -> ExitCode {
+    eprintln!("scenario_tour: {message}");
+    eprintln!("usage: scenario_tour [PROCESSES]");
+    ExitCode::from(2)
 }

@@ -43,7 +43,7 @@ pub use jacobi::{jacobi_distribution, run_jacobi, FixedPointProblem, JacobiRun, 
 pub use matrix::{matrix_distribution, run_matrix_product, Matrix, MatrixRun};
 pub use scenario::{
     generate_family_ops, latency_label, parallel_map, run_all, run_scenario, run_script,
-    standard_deliveries, standard_distributions, standard_latencies, standard_topologies,
+    standard_distributions, standard_grid, standard_latencies, standard_topologies,
     standard_workloads, DistributionFamily, RunReport, Scenario, SettlePolicy, TopologyFamily,
     WorkloadFamily,
 };

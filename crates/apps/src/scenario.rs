@@ -264,9 +264,7 @@ pub fn latency_label(model: &LatencyModel) -> &'static str {
     }
 }
 
-/// The distribution families of the standard sweep (shared by the
-/// `scenario_tour` example and `bench::scenario_matrix`, so the matrix
-/// stays consistent everywhere).
+/// The distribution families of the standard sweep ([`standard_grid`]).
 pub fn standard_distributions() -> Vec<DistributionFamily> {
     vec![
         DistributionFamily::Random { replicas: 2 },
@@ -296,12 +294,6 @@ pub fn standard_topologies() -> Vec<TopologyFamily> {
         TopologyFamily::Grid,
         TopologyFamily::Star,
     ]
-}
-
-/// The delivery modes of the standard sweep (baseline unicast/unbatched
-/// first; see [`DeliveryMode`]).
-pub fn standard_deliveries() -> Vec<DeliveryMode> {
-    DeliveryMode::ALL.to_vec()
 }
 
 /// The fault families of the standard sweep (fault-free baseline first).
@@ -437,11 +429,7 @@ impl Scenario {
         )
     }
 
-    /// A compact label identifying the scenario's coordinates. The
-    /// backend segment sits *before* the fault segment: sweep baselining
-    /// strips the trailing fault segment to key fault siblings together
-    /// (see the `scenario_tour` example), and that convention must keep
-    /// working with the backend axis in the label.
+    /// A compact label identifying the scenario's coordinates.
     pub fn label(&self) -> String {
         format!(
             "{}/{}/{}/{}/{}/{}/{}",
@@ -454,6 +442,67 @@ impl Scenario {
             self.faults.label()
         )
     }
+}
+
+/// The standard sweep grid: `base` moved to every coordinate of topology ×
+/// distribution × workload × latency × delivery × backend × fault (the
+/// `standard_*` presets, and `backends` for the backend axis), in that
+/// nesting order. Sizes, settle policy, seed and recording stay `base`'s.
+///
+/// The rules that drop axis combinations live here and nowhere else:
+/// latency models are swept on the mesh only (sparse topologies, whose
+/// per-hop behaviour is the point, keep the default model); delivery
+/// modes only under the default latency; the threaded backends only under
+/// the default latency (worker threads have no virtual clock to model it
+/// with), and on sparse topologies only on the default wire; fault
+/// families only on simnet under the default latency and wire, since the
+/// fault layer lives beneath both and one axis at a time keeps the sweep
+/// interpretable.
+pub fn standard_grid(base: &Scenario, backends: &[ExecBackend]) -> Vec<Scenario> {
+    let mut grid = Vec::new();
+    for topology in standard_topologies() {
+        let sparse = topology != TopologyFamily::FullMesh;
+        for distribution in standard_distributions() {
+            for workload in standard_workloads() {
+                for latency in standard_latencies() {
+                    let default_latency = latency == LatencyModel::default();
+                    if sparse && !default_latency {
+                        continue;
+                    }
+                    for delivery in DeliveryMode::ALL {
+                        let default_wire = delivery == DeliveryMode::default();
+                        if !default_wire && !default_latency {
+                            continue;
+                        }
+                        for &backend in backends {
+                            let simnet = backend == ExecBackend::Simnet;
+                            if !simnet && (!default_latency || (sparse && !default_wire)) {
+                                continue;
+                            }
+                            for faults in standard_faults() {
+                                if faults != FaultFamily::None
+                                    && !(default_latency && default_wire && simnet)
+                                {
+                                    continue;
+                                }
+                                grid.push(Scenario {
+                                    distribution: distribution.clone(),
+                                    workload,
+                                    latency: latency.clone(),
+                                    topology: topology.clone(),
+                                    delivery,
+                                    faults,
+                                    backend,
+                                    ..base.clone()
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    grid
 }
 
 /// Generate a workload script from a family (see [`Scenario::generate_ops`]).
@@ -766,26 +815,21 @@ pub fn apply_script(dsm: &mut DynDsm, ops: &[WorkloadOp], crash: Option<CrashSch
 
 /// Run a scenario under one protocol.
 pub fn run_scenario(kind: ProtocolKind, scenario: &Scenario) -> RunReport {
-    let dist = scenario.build_distribution();
-    let ops = scenario.generate_ops(&dist);
-    let crash = scenario.faults.crash_schedule(&ops, scenario.processes);
-    run_script_on(
-        kind,
-        &dist,
-        &ops,
-        scenario.sim_config(),
-        scenario.record,
-        crash,
-        scenario.backend,
-    )
+    run_kinds(scenario, &[kind]).remove(0)
 }
 
 /// Run a scenario under every protocol, in benchmark-table order.
 pub fn run_all(scenario: &Scenario) -> Vec<RunReport> {
+    run_kinds(scenario, &ProtocolKind::ALL)
+}
+
+/// Run a scenario under each protocol of `kinds`, generating its script
+/// once.
+fn run_kinds(scenario: &Scenario, kinds: &[ProtocolKind]) -> Vec<RunReport> {
     let dist = scenario.build_distribution();
     let ops = scenario.generate_ops(&dist);
     let crash = scenario.faults.crash_schedule(&ops, scenario.processes);
-    ProtocolKind::ALL
+    kinds
         .iter()
         .map(|&kind| {
             run_script_on(
@@ -804,7 +848,7 @@ pub fn run_all(scenario: &Scenario) -> Vec<RunReport> {
 /// Map `f` over `items` on a small scoped-thread fan-out, preserving
 /// order.
 ///
-/// Sweep cells (`scenario_matrix` rows, `scenario_tour` scenarios) are
+/// Sweep cells (`bench::run_cells`, `scenario_tour` scenarios) are
 /// independent deterministic simulations, so they parallelize trivially:
 /// the items are split into one contiguous chunk per worker (at most
 /// [`std::thread::available_parallelism`], capped at 8; override with the
@@ -1280,6 +1324,30 @@ mod tests {
             ..every_six
         };
         assert!(run_scenario(ProtocolKind::PramPartial, &crashed).max_retained > 6);
+    }
+
+    /// The grid's shape: 672 coordinates over every backend (the tour's
+    /// 3 360 cells at five protocols) and 456 over simnet alone (the
+    /// ledger's 2 280 rows): each coordinate once, `base` kept off-axis,
+    /// and the simnet grid the tour's simnet subset in the same order.
+    #[test]
+    fn the_standard_grid_has_the_tour_and_ledger_shapes() {
+        let base = Scenario {
+            seed: 3,
+            record: true,
+            ..Scenario::default()
+        };
+        let tour = standard_grid(&base, &ExecBackend::ALL);
+        let ledger = standard_grid(&base, &[ExecBackend::Simnet]);
+        assert_eq!((tour.len(), ledger.len()), (672, 456));
+        let labels: Vec<String> = tour.iter().map(Scenario::label).collect();
+        let unique: std::collections::BTreeSet<&String> = labels.iter().collect();
+        assert_eq!(unique.len(), tour.len());
+        assert!(tour.iter().all(|s| s.seed == 3 && s.record));
+        let simnet = tour.iter().filter(|s| s.backend == ExecBackend::Simnet);
+        assert!(simnet
+            .map(Scenario::label)
+            .eq(ledger.iter().map(Scenario::label)));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Three invariants, from strongest to weakest:
 //!
-//! 1. **All four delivery modes produce identical histories, settled
+//! 1. **All six delivery modes produce identical histories, settled
 //!    replica contents, and control-record counts for race-free
 //!    scripts**, on the mesh and on sparse routed topologies. With a
 //!    single writer per variable, replica contents at every settle point
@@ -38,44 +38,18 @@
 //!    `unicast`, `batched` and `multicast-batched`. Where a writer writes
 //!    more than once per window the saving is strict.
 
+mod common;
+
 use apps::scenario::{generate_family_ops, SettlePolicy, WorkloadFamily};
-use apps::workload::{generate, WorkloadOp, WorkloadSpec};
-use dsm::{ControlSummary, DynDsm, ProtocolKind};
-use histories::{pram_spot_check, Distribution, History, ProcId, Value, VarId};
+use apps::workload::WorkloadOp;
+use common::{control_signature, observe, single_writer_setup, small_setup, Observation};
+use dsm::ProtocolKind;
+use histories::{pram_spot_check, Distribution, ProcId, VarId};
 use proptest::prelude::*;
-use simnet::{DeliveryMode, NetworkStats, SimConfig, Topology};
+use simnet::{DeliveryMode, ExecBackend, SimConfig, Topology};
 
-struct Observation {
-    history: History,
-    network: NetworkStats,
-    control: ControlSummary,
-    /// Replica contents after the final settle: `peek(p, x)` for every
-    /// process and every variable it replicates.
-    settled: Vec<(ProcId, VarId, Value)>,
-}
-
-/// Per-node mode-independent control facts: the tracked variables and,
-/// per variable, the (sent, received) record counts.
-type NodeSignature = (Vec<VarId>, Vec<(VarId, u64, u64)>);
-
-/// The mode-independent projection of a control summary: which variables
-/// each node tracks, and how many control records (entries) it sent and
-/// received about each. Bytes are deliberately absent — they are exactly
-/// what delivery modes are allowed to change.
-fn control_signature(control: &ControlSummary) -> Vec<NodeSignature> {
-    (0..control.node_count())
-        .map(|p| {
-            let node = control.node(ProcId(p));
-            let tracked: Vec<VarId> = node.tracked_vars().iter().copied().collect();
-            let entries = tracked
-                .iter()
-                .map(|&x| (x, node.sent_entries(x), node.received_entries(x)))
-                .collect();
-            (tracked, entries)
-        })
-        .collect()
-}
-
+/// Observe `ops` on `topology` (the direct mesh when `None`) with the wire
+/// in `delivery`.
 fn run(
     kind: ProtocolKind,
     dist: &Distribution,
@@ -88,77 +62,7 @@ fn run(
         delivery,
         ..SimConfig::default()
     };
-    let mut dsm = DynDsm::with_config(kind, dist.clone(), config);
-    for op in ops {
-        match *op {
-            WorkloadOp::Write { proc, var, value } => dsm.write(proc, var, value).unwrap(),
-            WorkloadOp::Read { proc, var } => {
-                let _ = dsm.read(proc, var).unwrap();
-            }
-            WorkloadOp::Settle => {
-                dsm.settle();
-            }
-        }
-    }
-    dsm.settle();
-    let mut settled = Vec::new();
-    for p in 0..dist.process_count() {
-        for x in 0..dist.var_count() {
-            if kind.is_fully_replicated() || dist.replicates(ProcId(p), VarId(x)) {
-                settled.push((ProcId(p), VarId(x), dsm.peek(ProcId(p), VarId(x))));
-            }
-        }
-    }
-    Observation {
-        history: dsm.history(),
-        network: dsm.network_stats().clone(),
-        control: dsm.control_summary(),
-        settled,
-    }
-}
-
-fn small_setup() -> impl Strategy<Value = (Distribution, Vec<WorkloadOp>)> {
-    (
-        3usize..=6,
-        2usize..=8,
-        1usize..=3,
-        any::<u64>(),
-        any::<u64>(),
-    )
-        .prop_map(|(procs, vars, replicas, dseed, wseed)| {
-            let dist = Distribution::random(procs, vars, replicas.min(procs), dseed);
-            let spec = WorkloadSpec {
-                ops_per_process: 5,
-                write_ratio: 0.5,
-                settle_every: 3,
-                seed: wseed,
-            };
-            let ops = generate(&dist, &spec);
-            (dist, ops)
-        })
-}
-
-/// Like [`small_setup`], but the script is race-free: each variable is
-/// only ever written by its owner (smallest-id replica).
-fn single_writer_setup() -> impl Strategy<Value = (Distribution, Vec<WorkloadOp>)> {
-    (
-        3usize..=6,
-        2usize..=8,
-        1usize..=3,
-        any::<u64>(),
-        any::<u64>(),
-    )
-        .prop_map(|(procs, vars, replicas, dseed, wseed)| {
-            let dist = Distribution::random(procs, vars, replicas.min(procs), dseed);
-            let ops = generate_family_ops(
-                &dist,
-                &WorkloadFamily::ProducerConsumer,
-                5,
-                SettlePolicy::Every(3),
-                wseed,
-            );
-            (dist, ops)
-        })
+    observe(kind, dist, ops, config, ExecBackend::Simnet, None)
 }
 
 /// Invariants 4 and 5 over one cell's observations, one per mode of

@@ -8,7 +8,7 @@
 //! 1. **Any seeded drop/duplicate schedule (with retransmission) leaves
 //!    race-free runs observably identical to the fault-free run** —
 //!    histories, settled replica contents, and per-node control-record
-//!    counts — for all four protocols on the mesh, the star, and the
+//!    counts — for all five protocols on the mesh, the star, and the
 //!    grid. With a single writer per variable, replica contents at every
 //!    settle point are each writer's FIFO prefix, and the fault layer
 //!    preserves per-writer FIFO (delivery times are monotonically
@@ -25,64 +25,17 @@
 //! 3. **Fault schedules are deterministic**: the same seed reproduces
 //!    the same drops, duplicates, and costs, bit for bit.
 
+mod common;
+
 use apps::scenario::{
     apply_script, generate_family_ops, CrashSchedule, FaultFamily, SettlePolicy, WorkloadFamily,
 };
 use apps::workload::WorkloadOp;
-use dsm::{ControlSummary, DynDsm, ProtocolKind};
-use histories::{check, pram_spot_check, Criterion, Distribution, History, ProcId, Value, VarId};
+use common::{control_signature, single_writer_setup, Observation};
+use dsm::{DynDsm, ProtocolKind};
+use histories::{check, pram_spot_check, Criterion, Distribution, ProcId, Value, VarId};
 use proptest::prelude::*;
-use simnet::{FaultPlan, NetworkStats, SimConfig, Topology};
-
-struct Observation {
-    history: History,
-    network: NetworkStats,
-    control: ControlSummary,
-    settled: Vec<(ProcId, VarId, Value)>,
-}
-
-/// Per-node fault-independent control facts: the tracked variables and,
-/// per variable, the (sent, received) record counts.
-type NodeSignature = (Vec<VarId>, Vec<(VarId, u64, u64)>);
-
-/// The fault-independent projection of a control summary: which variables
-/// each node tracks, and how many control records it sent and received
-/// about each. Bytes are deliberately absent — retransmissions and
-/// recovery traffic are exactly what faults are allowed to add.
-fn control_signature(control: &ControlSummary) -> Vec<NodeSignature> {
-    (0..control.node_count())
-        .map(|p| {
-            let node = control.node(ProcId(p));
-            let tracked: Vec<VarId> = node.tracked_vars().iter().copied().collect();
-            let entries = tracked
-                .iter()
-                .map(|&x| (x, node.sent_entries(x), node.received_entries(x)))
-                .collect();
-            (tracked, entries)
-        })
-        .collect()
-}
-
-fn single_writer_setup() -> impl Strategy<Value = (Distribution, Vec<WorkloadOp>)> {
-    (
-        3usize..=6,
-        2usize..=8,
-        1usize..=3,
-        any::<u64>(),
-        any::<u64>(),
-    )
-        .prop_map(|(procs, vars, replicas, dseed, wseed)| {
-            let dist = Distribution::random(procs, vars, replicas.min(procs), dseed);
-            let ops = generate_family_ops(
-                &dist,
-                &WorkloadFamily::ProducerConsumer,
-                5,
-                SettlePolicy::Every(3),
-                wseed,
-            );
-            (dist, ops)
-        })
-}
+use simnet::{ExecBackend, FaultPlan, SimConfig, Topology};
 
 /// A single-writer setup plus the process to crash, any of `0..procs`.
 fn crash_setup() -> impl Strategy<Value = (Distribution, Vec<WorkloadOp>, ProcId)> {
@@ -241,11 +194,8 @@ proptest! {
     }
 }
 
-/// Execute a script (optionally faulted) through the engine's own driver
-/// loop ([`apply_script`], the same code path `run_script_faulted` and
-/// the sweeps use) and capture everything the invariants compare:
-/// history, network stats, control summary, and the settled replica
-/// contents of every process.
+/// Observe `ops` (with an optional scripted crash) on `topology` (the
+/// mesh when `None`) under the link-fault plan `faults`.
 fn observe(
     kind: ProtocolKind,
     dist: &Distribution,
@@ -259,22 +209,7 @@ fn observe(
         faults,
         ..SimConfig::default()
     };
-    let mut dsm = DynDsm::with_config(kind, dist.clone(), config);
-    apply_script(&mut dsm, ops, crash);
-    let mut settled = Vec::new();
-    for p in 0..dist.process_count() {
-        for x in 0..dist.var_count() {
-            if kind.is_fully_replicated() || dist.replicates(ProcId(p), VarId(x)) {
-                settled.push((ProcId(p), VarId(x), dsm.peek(ProcId(p), VarId(x))));
-            }
-        }
-    }
-    Observation {
-        history: dsm.history(),
-        network: dsm.network_stats().clone(),
-        control: dsm.control_summary(),
-        settled,
-    }
+    common::observe(kind, dist, ops, config, ExecBackend::Simnet, crash)
 }
 
 /// Snapshot/restore is a lossless round trip, and restoring a snapshot
@@ -291,18 +226,7 @@ fn snapshot_restore_round_trip_is_lossless_for_every_protocol() {
     );
     for kind in ProtocolKind::ALL {
         let mut dsm = DynDsm::with_config(kind, dist.clone(), SimConfig::default());
-        for op in &ops {
-            match *op {
-                WorkloadOp::Write { proc, var, value } => dsm.write(proc, var, value).unwrap(),
-                WorkloadOp::Read { proc, var } => {
-                    let _ = dsm.read(proc, var).unwrap();
-                }
-                WorkloadOp::Settle => {
-                    dsm.settle();
-                }
-            }
-        }
-        dsm.settle();
+        apply_script(&mut dsm, &ops, None);
         for p in 0..dist.process_count() {
             let snap = dsm.snapshot(ProcId(p));
             assert_eq!(snap.kind(), kind);

@@ -21,28 +21,32 @@
 //! * proptests with random distributions and scripts on sampled
 //!   coordinates, so the equivalence holds beyond the fixed script.
 
+mod common;
+
 use apps::scenario::{
-    apply_script, generate_family_ops, standard_faults, standard_topologies, FaultFamily,
-    SettlePolicy, TopologyFamily, WorkloadFamily,
+    generate_family_ops, standard_faults, standard_topologies, FaultFamily, SettlePolicy,
+    TopologyFamily, WorkloadFamily,
 };
 use apps::WorkloadOp;
-use dsm::{DynDsm, ProtocolKind};
-use histories::{Distribution, History, ProcId, Value, VarId};
+use common::observe;
+use dsm::ProtocolKind;
+use histories::Distribution;
 use proptest::prelude::*;
 use simnet::{DeliveryMode, ExecBackend, SimConfig};
 
-/// Drive `ops` (with the fault family's link plan and scripted crash)
-/// through the simnet oracle and collect what the pins compare: the
-/// settled value every replica holds and the recorded history.
-fn run_cell(
-    kind: ProtocolKind,
+/// Run the op-log and the sequencer on an identical cell — the fault
+/// family's link plan and scripted crash included — through the simnet
+/// oracle, and assert the observational pins: equal histories, and equal
+/// settled values on every replica the distribution places (the sequencer
+/// replicates every variable; the op-log only these).
+fn assert_cell_equivalent(
     dist: &Distribution,
     ops: &[WorkloadOp],
     topology: &TopologyFamily,
     delivery: DeliveryMode,
     fault: FaultFamily,
     seed: u64,
-) -> (Vec<(ProcId, VarId, Value)>, History) {
+) {
     let config = SimConfig {
         seed,
         topology: match topology {
@@ -53,50 +57,9 @@ fn run_cell(
         faults: fault.fault_plan(seed),
         ..SimConfig::default()
     };
-    let mut dsm = DynDsm::with_backend(kind, dist.clone(), config, ExecBackend::Simnet);
-    apply_script(
-        &mut dsm,
-        ops,
-        fault.crash_schedule(ops, dist.process_count()),
-    );
-    let mut settled = Vec::new();
-    for x in 0..dist.var_count() {
-        let var = VarId(x);
-        for proc in dist.replicas_of(var) {
-            settled.push((proc, var, dsm.peek(proc, var)));
-        }
-    }
-    (settled, dsm.history())
-}
-
-/// Run the op-log and the sequencer on an identical cell and assert the
-/// observational pins: equal settled values, equal histories.
-fn assert_cell_equivalent(
-    dist: &Distribution,
-    ops: &[WorkloadOp],
-    topology: &TopologyFamily,
-    delivery: DeliveryMode,
-    fault: FaultFamily,
-    seed: u64,
-) {
-    let (log_vals, log_hist) = run_cell(
-        ProtocolKind::OpLog,
-        dist,
-        ops,
-        topology,
-        delivery,
-        fault,
-        seed,
-    );
-    let (seq_vals, seq_hist) = run_cell(
-        ProtocolKind::Sequential,
-        dist,
-        ops,
-        topology,
-        delivery,
-        fault,
-        seed,
-    );
+    let crash = fault.crash_schedule(ops, dist.process_count());
+    let [log, seq] = [ProtocolKind::OpLog, ProtocolKind::Sequential]
+        .map(|kind| observe(kind, dist, ops, config.clone(), ExecBackend::Simnet, crash));
     let cell = format!(
         "{}/{}/{}",
         topology.label(),
@@ -104,11 +67,12 @@ fn assert_cell_equivalent(
         fault.label()
     );
     assert_eq!(
-        log_vals, seq_vals,
+        log.settled_on(dist),
+        seq.settled_on(dist),
         "{cell}: op-log settles on different replica values than the sequencer"
     );
     assert_eq!(
-        log_hist, seq_hist,
+        log.history, seq.history,
         "{cell}: op-log history diverges from the sequencer history"
     );
 }

@@ -4,6 +4,7 @@
 //! the control-information locality invariants hold. All runs go through
 //! the scenario engine's runtime-dispatched execution path.
 
+use apps::scenario::apply_script;
 use apps::workload::{generate, WorkloadSpec};
 use apps::{run_script, WorkloadOp};
 use dsm::ProtocolKind;
@@ -121,18 +122,7 @@ proptest! {
         let out = run_script(ProtocolKind::PramPartial, &dist, &filtered, SimConfig::default(), true);
         // Re-execute to inspect final replica state through a fresh system.
         let mut dsm = dsm::DynDsm::new(ProtocolKind::PramPartial, dist.clone());
-        for op in &filtered {
-            match *op {
-                WorkloadOp::Write { proc, var, value } => {
-                    dsm.write(proc, var, value).unwrap();
-                }
-                WorkloadOp::Read { .. } => {}
-                WorkloadOp::Settle => {
-                    dsm.settle();
-                }
-            }
-        }
-        dsm.settle();
+        apply_script(&mut dsm, &filtered, None);
         for (var, value) in &last_value {
             for replica in dist.replicas_of(*var) {
                 prop_assert_eq!(dsm.peek(replica, *var).as_int(), Some(*value),

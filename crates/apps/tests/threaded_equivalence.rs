@@ -20,56 +20,52 @@
 //! multicast also exercised *on* the sparse topologies, where broadcast
 //! trees actually share edges.
 
+mod common;
+
 use apps::scenario::{generate_family_ops, SettlePolicy, WorkloadFamily};
 use apps::WorkloadOp;
-use dsm::{ControlSummary, DynDsm, ProtocolKind};
-use histories::{Distribution, History, ProcId, Value, VarId};
+use common::{observe, Observation};
+use dsm::ProtocolKind;
+use histories::Distribution;
 use proptest::prelude::*;
 use simnet::{DeliveryMode, ExecBackend, SimConfig, ThreadedMode, Topology};
 
-/// Drive `ops` on `backend` under `config` and collect everything the
-/// pins compare: settled replica values (one per replica of each
-/// variable), the recorded history, and the control-record accounting.
-fn run_with(
-    kind: ProtocolKind,
-    dist: &Distribution,
-    ops: &[WorkloadOp],
-    config: SimConfig,
-    backend: ExecBackend,
-) -> (Vec<(ProcId, VarId, Value)>, History, ControlSummary) {
-    let mut dsm = DynDsm::with_backend(kind, dist.clone(), config, backend);
-    for op in ops {
-        match *op {
-            WorkloadOp::Write { proc, var, value } => {
-                dsm.write(proc, var, value).expect("script respects dist");
-            }
-            WorkloadOp::Read { proc, var } => {
-                let _ = dsm.read(proc, var).expect("script respects dist");
-            }
-            WorkloadOp::Settle => {
-                dsm.settle();
-            }
-        }
-    }
-    dsm.settle();
-    let mut settled = Vec::new();
-    for x in 0..dist.var_count() {
-        let var = VarId(x);
-        for proc in dist.replicas_of(var) {
-            settled.push((proc, var, dsm.peek(proc, var)));
-        }
-    }
-    (settled, dsm.history(), dsm.control_summary())
-}
+const REPLAY: ExecBackend = ExecBackend::Threaded(ThreadedMode::Replay);
+const FREE: ExecBackend = ExecBackend::Threaded(ThreadedMode::FreeRunning);
 
-/// [`run_with`] under the default configuration.
+/// Observe `ops` on `backend` under the default configuration.
 fn run_on(
     kind: ProtocolKind,
     dist: &Distribution,
     ops: &[WorkloadOp],
     backend: ExecBackend,
-) -> (Vec<(ProcId, VarId, Value)>, History, ControlSummary) {
-    run_with(kind, dist, ops, SimConfig::default(), backend)
+) -> Observation {
+    observe(kind, dist, ops, SimConfig::default(), backend, None)
+}
+
+/// Both pins on one cell: replay is bit-identical to the simnet run under
+/// `config` (settled values, history, control records), and free-running
+/// settles to its values.
+fn assert_both_pins(
+    kind: ProtocolKind,
+    dist: &Distribution,
+    ops: &[WorkloadOp],
+    config: SimConfig,
+    cell: &str,
+) {
+    let run = |backend| observe(kind, dist, ops, config.clone(), backend, None);
+    let (sim, replay) = (run(ExecBackend::Simnet), run(REPLAY));
+    assert_eq!(sim.settled, replay.settled, "{cell}: replay settled values");
+    assert_eq!(sim.history, replay.history, "{cell}: replay history");
+    assert_eq!(
+        sim.control, replay.control,
+        "{cell}: replay control records"
+    );
+    let free = run(FREE);
+    assert_eq!(
+        sim.settled, free.settled,
+        "{cell}: free-running settled values"
+    );
 }
 
 /// The sparse topologies the threaded backend must host via relays.
@@ -116,13 +112,11 @@ proptest! {
     #[test]
     fn replay_mode_is_bit_identical_to_simnet((dist, ops) in mesh_setup()) {
         for kind in ProtocolKind::ALL {
-            let (sim_vals, sim_hist, sim_ctl) =
-                run_on(kind, &dist, &ops, ExecBackend::Simnet);
-            let (thr_vals, thr_hist, thr_ctl) =
-                run_on(kind, &dist, &ops, ExecBackend::Threaded(ThreadedMode::Replay));
-            prop_assert_eq!(&sim_vals, &thr_vals, "{} settled values", kind);
-            prop_assert_eq!(&sim_hist, &thr_hist, "{} history", kind);
-            prop_assert_eq!(&sim_ctl, &thr_ctl, "{} control records", kind);
+            let sim = run_on(kind, &dist, &ops, ExecBackend::Simnet);
+            let thr = run_on(kind, &dist, &ops, REPLAY);
+            prop_assert_eq!(&sim.settled, &thr.settled, "{} settled values", kind);
+            prop_assert_eq!(&sim.history, &thr.history, "{} history", kind);
+            prop_assert_eq!(&sim.control, &thr.control, "{} control records", kind);
         }
     }
 
@@ -131,10 +125,9 @@ proptest! {
     #[test]
     fn free_running_settles_to_simnet_values((dist, ops) in mesh_setup()) {
         for kind in ProtocolKind::ALL {
-            let (sim_vals, _, _) = run_on(kind, &dist, &ops, ExecBackend::Simnet);
-            let (thr_vals, _, _) =
-                run_on(kind, &dist, &ops, ExecBackend::Threaded(ThreadedMode::FreeRunning));
-            prop_assert_eq!(&sim_vals, &thr_vals, "{} settled values", kind);
+            let sim = run_on(kind, &dist, &ops, ExecBackend::Simnet);
+            let thr = run_on(kind, &dist, &ops, FREE);
+            prop_assert_eq!(&sim.settled, &thr.settled, "{} settled values", kind);
         }
     }
 }
@@ -175,24 +168,8 @@ proptest! {
         ] {
             let config = SimConfig { delivery, ..SimConfig::default() };
             for kind in ProtocolKind::ALL {
-                let (sim_vals, sim_hist, sim_ctl) =
-                    run_with(kind, &dist, &ops, config.clone(), ExecBackend::Simnet);
-                let (rep_vals, rep_hist, rep_ctl) = run_with(
-                    kind, &dist, &ops, config.clone(),
-                    ExecBackend::Threaded(ThreadedMode::Replay),
-                );
-                prop_assert_eq!(&sim_vals, &rep_vals,
-                    "{} × {} replay settled values", kind, delivery.label());
-                prop_assert_eq!(&sim_hist, &rep_hist,
-                    "{} × {} replay history", kind, delivery.label());
-                prop_assert_eq!(&sim_ctl, &rep_ctl,
-                    "{} × {} replay control records", kind, delivery.label());
-                let (free_vals, _, _) = run_with(
-                    kind, &dist, &ops, config.clone(),
-                    ExecBackend::Threaded(ThreadedMode::FreeRunning),
-                );
-                prop_assert_eq!(&sim_vals, &free_vals,
-                    "{} × {} free-running settled values", kind, delivery.label());
+                let cell = format!("{kind} × {}", delivery.label());
+                assert_both_pins(kind, &dist, &ops, config.clone(), &cell);
             }
         }
     }
@@ -214,21 +191,7 @@ proptest! {
             ..SimConfig::default()
         };
         for kind in ProtocolKind::ALL {
-            let (sim_vals, sim_hist, sim_ctl) =
-                run_with(kind, &dist, &ops, config.clone(), ExecBackend::Simnet);
-            let (rep_vals, rep_hist, rep_ctl) = run_with(
-                kind, &dist, &ops, config.clone(),
-                ExecBackend::Threaded(ThreadedMode::Replay),
-            );
-            prop_assert_eq!(&sim_vals, &rep_vals, "{} routed replay settled values", kind);
-            prop_assert_eq!(&sim_hist, &rep_hist, "{} routed replay history", kind);
-            prop_assert_eq!(&sim_ctl, &rep_ctl, "{} routed replay control records", kind);
-            let (free_vals, _, _) = run_with(
-                kind, &dist, &ops, config.clone(),
-                ExecBackend::Threaded(ThreadedMode::FreeRunning),
-            );
-            prop_assert_eq!(&sim_vals, &free_vals,
-                "{} routed free-running settled values", kind);
+            assert_both_pins(kind, &dist, &ops, config.clone(), &format!("{kind} routed"));
         }
     }
 }
@@ -252,28 +215,8 @@ fn threaded_routed_topologies_agree_on_a_fixed_script() {
             ..SimConfig::default()
         };
         for kind in ProtocolKind::ALL {
-            let (sim_vals, sim_hist, _) =
-                run_with(kind, &dist, &ops, config.clone(), ExecBackend::Simnet);
-            let (rep_vals, rep_hist, _) = run_with(
-                kind,
-                &dist,
-                &ops,
-                config.clone(),
-                ExecBackend::Threaded(ThreadedMode::Replay),
-            );
-            assert_eq!(sim_vals, rep_vals, "{kind} on {topology:?}: replay values");
-            assert_eq!(sim_hist, rep_hist, "{kind} on {topology:?}: replay history");
-            let (free_vals, _, _) = run_with(
-                kind,
-                &dist,
-                &ops,
-                config.clone(),
-                ExecBackend::Threaded(ThreadedMode::FreeRunning),
-            );
-            assert_eq!(
-                sim_vals, free_vals,
-                "{kind} on {topology:?}: free-running values"
-            );
+            let cell = format!("{kind} on {topology:?}");
+            assert_both_pins(kind, &dist, &ops, config.clone(), &cell);
         }
     }
 }
@@ -291,23 +234,7 @@ fn threaded_modes_agree_on_a_fixed_producer_consumer_script() {
         23,
     );
     for kind in ProtocolKind::ALL {
-        let (sim_vals, sim_hist, sim_ctl) = run_on(kind, &dist, &ops, ExecBackend::Simnet);
-        let (rep_vals, rep_hist, rep_ctl) = run_on(
-            kind,
-            &dist,
-            &ops,
-            ExecBackend::Threaded(ThreadedMode::Replay),
-        );
-        assert_eq!(sim_vals, rep_vals, "{kind} replay settled values");
-        assert_eq!(sim_hist, rep_hist, "{kind} replay history");
-        assert_eq!(sim_ctl, rep_ctl, "{kind} replay control records");
-        let (free_vals, _, _) = run_on(
-            kind,
-            &dist,
-            &ops,
-            ExecBackend::Threaded(ThreadedMode::FreeRunning),
-        );
-        assert_eq!(sim_vals, free_vals, "{kind} free-running settled values");
+        assert_both_pins(kind, &dist, &ops, SimConfig::default(), kind.name());
     }
 }
 
@@ -333,50 +260,7 @@ fn op_log_threaded_replay_is_bit_identical_and_free_running_converges() {
             delivery,
             ..SimConfig::default()
         };
-        let (sim_vals, sim_hist, sim_ctl) = run_with(
-            ProtocolKind::OpLog,
-            &dist,
-            &ops,
-            config.clone(),
-            ExecBackend::Simnet,
-        );
-        let (rep_vals, rep_hist, rep_ctl) = run_with(
-            ProtocolKind::OpLog,
-            &dist,
-            &ops,
-            config.clone(),
-            ExecBackend::Threaded(ThreadedMode::Replay),
-        );
-        assert_eq!(
-            sim_vals,
-            rep_vals,
-            "op-log × {} replay settled values",
-            delivery.label()
-        );
-        assert_eq!(
-            sim_hist,
-            rep_hist,
-            "op-log × {} replay history",
-            delivery.label()
-        );
-        assert_eq!(
-            sim_ctl,
-            rep_ctl,
-            "op-log × {} replay control records",
-            delivery.label()
-        );
-        let (free_vals, _, _) = run_with(
-            ProtocolKind::OpLog,
-            &dist,
-            &ops,
-            config.clone(),
-            ExecBackend::Threaded(ThreadedMode::FreeRunning),
-        );
-        assert_eq!(
-            sim_vals,
-            free_vals,
-            "op-log × {} free-running settled values",
-            delivery.label()
-        );
+        let cell = format!("op-log × {}", delivery.label());
+        assert_both_pins(ProtocolKind::OpLog, &dist, &ops, config, &cell);
     }
 }

@@ -22,23 +22,17 @@
 //!    per-variable control bytes and entries are the same on every
 //!    topology.
 
-use apps::scenario::{generate_family_ops, SettlePolicy, WorkloadFamily};
-use apps::workload::{generate, WorkloadOp, WorkloadSpec};
-use dsm::{ControlSummary, DynDsm, ProtocolKind};
-use histories::{pram_spot_check, Distribution, History, ProcId, Value, VarId};
+mod common;
+
+use apps::workload::WorkloadOp;
+use common::{observe, single_writer_setup, small_setup, Observation};
+use dsm::ProtocolKind;
+use histories::{pram_spot_check, Distribution};
 use proptest::prelude::*;
-use simnet::{NetworkStats, RoutingMode, SimConfig, Topology};
+use simnet::{ExecBackend, RoutingMode, SimConfig, Topology};
 
-struct Observation {
-    history: History,
-    network: NetworkStats,
-    control: ControlSummary,
-    /// Replica contents after the final settle: `peek(p, x)` for every
-    /// process and every variable it replicates.
-    settled: Vec<(ProcId, VarId, Value)>,
-    routed: bool,
-}
-
+/// Observe `ops` on `topology` (the full mesh when `None`) under
+/// `routing`.
 fn run(
     kind: ProtocolKind,
     dist: &Distribution,
@@ -51,78 +45,7 @@ fn run(
         routing,
         ..SimConfig::default()
     };
-    let mut dsm = DynDsm::with_config(kind, dist.clone(), config);
-    for op in ops {
-        match *op {
-            WorkloadOp::Write { proc, var, value } => dsm.write(proc, var, value).unwrap(),
-            WorkloadOp::Read { proc, var } => {
-                let _ = dsm.read(proc, var).unwrap();
-            }
-            WorkloadOp::Settle => {
-                dsm.settle();
-            }
-        }
-    }
-    dsm.settle();
-    let mut settled = Vec::new();
-    for p in 0..dist.process_count() {
-        for x in 0..dist.var_count() {
-            if kind.is_fully_replicated() || dist.replicates(ProcId(p), VarId(x)) {
-                settled.push((ProcId(p), VarId(x), dsm.peek(ProcId(p), VarId(x))));
-            }
-        }
-    }
-    Observation {
-        history: dsm.history(),
-        network: dsm.network_stats().clone(),
-        control: dsm.control_summary(),
-        settled,
-        routed: dsm.is_routed(),
-    }
-}
-
-fn small_setup() -> impl Strategy<Value = (Distribution, Vec<WorkloadOp>)> {
-    (
-        3usize..=6,
-        2usize..=8,
-        1usize..=3,
-        any::<u64>(),
-        any::<u64>(),
-    )
-        .prop_map(|(procs, vars, replicas, dseed, wseed)| {
-            let dist = Distribution::random(procs, vars, replicas.min(procs), dseed);
-            let spec = WorkloadSpec {
-                ops_per_process: 5,
-                write_ratio: 0.5,
-                settle_every: 3,
-                seed: wseed,
-            };
-            let ops = generate(&dist, &spec);
-            (dist, ops)
-        })
-}
-
-/// Like [`small_setup`], but the script is race-free: each variable is
-/// only ever written by its owner (smallest-id replica).
-fn single_writer_setup() -> impl Strategy<Value = (Distribution, Vec<WorkloadOp>)> {
-    (
-        3usize..=6,
-        2usize..=8,
-        1usize..=3,
-        any::<u64>(),
-        any::<u64>(),
-    )
-        .prop_map(|(procs, vars, replicas, dseed, wseed)| {
-            let dist = Distribution::random(procs, vars, replicas.min(procs), dseed);
-            let ops = generate_family_ops(
-                &dist,
-                &WorkloadFamily::ProducerConsumer,
-                5,
-                SettlePolicy::Every(3),
-                wseed,
-            );
-            (dist, ops)
-        })
+    observe(kind, dist, ops, config, ExecBackend::Simnet, None)
 }
 
 fn sparse_topologies(n: usize) -> Vec<Topology> {

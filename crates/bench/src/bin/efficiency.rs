@@ -11,35 +11,56 @@
 //! scaling sweep (default 1024 — CI passes 64 to bound wall-clock);
 //! `--threads-max` caps the E9 threaded-backend thread count (the sweep
 //! list goes up to 64 worker threads; default cap 8 — CI passes 4 to
-//! stay inside small runners, pass 64 for the full table).
+//! stay inside small runners, pass 64 for the full table). Those three
+//! flags are the whole command line: an unknown flag, a flag without its
+//! value, or a value that is not a number exits with status 2 and a usage
+//! line.
+//!
+//! E1/E2 and E5–E7 and E10 print executed cells ([`bench::run_cells`]),
+//! each ratio taken against the row's reference run ([`Table::ratio`]).
 
 use bench::{
-    bellman_ford_point, delivery_mode_sweep, distribution_families, efficiency_sweep_point,
-    fault_tolerance_sweep, op_log_vs_sequencer_sweep, relevance_fraction, routed_vs_mesh_sweep,
-    scaling_sweep, threaded_throughput_sweep,
+    bellman_ford_point, distribution_families, efficiency_cells, max_relevant_nodes,
+    relevance_fraction, run_cells, scaling_sweep, threaded_throughput_sweep, Table,
 };
+use dsm::ProtocolKind;
 use histories::Distribution;
+use std::process::ExitCode;
 
-fn main() {
-    let mut max_procs = 16usize;
-    let mut scaling_max = 1024usize;
-    let mut threads_max = 8usize;
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--max-procs") {
-        if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-            max_procs = v;
-        }
+/// The flags of the command line, each setting one size cap.
+const FLAGS: [&str; 3] = ["--max-procs", "--scaling-max", "--threads-max"];
+
+const USAGE: &str = "usage: efficiency [--max-procs N] [--scaling-max N] [--threads-max N]";
+
+/// Parse the arguments after the program name into the caps of
+/// [`FLAGS`], in order. Rejects an unknown flag, a flag without its value,
+/// and a value that is not a number.
+fn parse_args(args: &[String]) -> Result<[usize; 3], String> {
+    let mut caps = [16, 1024, 8];
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let cap = FLAGS
+            .iter()
+            .position(|f| f == flag)
+            .ok_or(format!("unknown argument {flag:?}"))?;
+        let value = args.next().ok_or(format!("{flag} needs a value"))?;
+        caps[cap] = value
+            .parse()
+            .map_err(|_| format!("{flag} takes a number, not {value:?}"))?;
     }
-    if let Some(i) = args.iter().position(|a| a == "--scaling-max") {
-        if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-            scaling_max = v;
+    Ok(caps)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let [max_procs, scaling_max, threads_max] = match parse_args(&args) {
+        Ok(caps) => caps,
+        Err(message) => {
+            eprintln!("efficiency: {message}");
+            eprintln!("{USAGE}");
+            return ExitCode::from(2);
         }
-    }
-    if let Some(i) = args.iter().position(|a| a == "--threads-max") {
-        if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-            threads_max = v;
-        }
-    }
+    };
 
     println!("E1/E2 — control overhead vs system size (replication factor 2, 10 ops/process, 50% writes)");
     println!(
@@ -55,16 +76,16 @@ fn main() {
     let mut n = 4;
     while n <= max_procs {
         let dist = Distribution::random(n, 2 * n, 2, 7);
-        for row in efficiency_sweep_point(&dist, 10, 11) {
+        for (cell, report) in run_cells(efficiency_cells(&dist, 10, 11)) {
             println!(
                 "{:>6} {:<16} {:>10} {:>12} {:>14} {:>14.1} {:>12}",
-                row.processes,
-                row.protocol.name(),
-                row.messages,
-                row.data_bytes,
-                row.control_bytes,
-                row.control_bytes_per_op,
-                row.max_relevant_nodes
+                cell.dist.process_count(),
+                cell.kind.name(),
+                report.messages(),
+                report.data_bytes(),
+                report.control_bytes(),
+                report.control_bytes_per_op(),
+                max_relevant_nodes(&cell, &report)
             );
         }
         println!();
@@ -78,13 +99,13 @@ fn main() {
     );
     for replicas in [1, 2, 4, 8, 12] {
         let dist = Distribution::random(12, 24, replicas, 5);
-        for row in efficiency_sweep_point(&dist, 8, 13) {
+        for (cell, report) in run_cells(efficiency_cells(&dist, 8, 13)) {
             println!(
                 "{:>8} {:<16} {:>14} {:>14.1}",
                 replicas,
-                row.protocol.name(),
-                row.control_bytes,
-                row.control_bytes_per_op
+                cell.kind.name(),
+                report.control_bytes(),
+                report.control_bytes_per_op()
             );
         }
         println!();
@@ -136,15 +157,16 @@ fn main() {
         "{:<8} {:<16} {:>10} {:>10} {:>14} {:>14}",
         "topology", "protocol", "messages", "relayed", "control bytes", "ctl vs mesh"
     );
-    for row in routed_vs_mesh_sweep(12, 8, 7) {
+    let runs = run_cells(Table::Routed.cells(12, 8, 7));
+    for (row, (cell, report)) in runs.iter().enumerate() {
         println!(
             "{:<8} {:<16} {:>10} {:>10} {:>14} {:>13.2}x",
-            row.topology,
-            row.protocol.name(),
-            row.messages,
-            row.forwarded,
-            row.control_bytes,
-            row.control_ratio_vs_mesh
+            cell.topology,
+            cell.kind.name(),
+            report.messages(),
+            report.forwarded,
+            report.control_bytes(),
+            Table::Routed.ratio(&runs, row, |r| r.control_bytes())
         );
     }
     println!();
@@ -163,16 +185,17 @@ fn main() {
         "control bytes",
         "ctl vs unicast"
     );
-    for row in delivery_mode_sweep(12, 8, 7) {
+    let runs = run_cells(Table::Delivery.cells(12, 8, 7));
+    for (row, (cell, report)) in runs.iter().enumerate() {
         println!(
             "{:<8} {:<18} {:<16} {:>10} {:>10} {:>14} {:>14.2}x",
-            row.topology,
-            row.delivery,
-            row.protocol.name(),
-            row.messages,
-            row.forwarded,
-            row.control_bytes,
-            row.control_ratio_vs_unicast
+            cell.topology,
+            cell.delivery,
+            cell.kind.name(),
+            report.messages(),
+            report.forwarded,
+            report.control_bytes(),
+            Table::Delivery.ratio(&runs, row, |r| r.control_bytes())
         );
     }
     println!();
@@ -194,19 +217,20 @@ fn main() {
         "ctl vs none",
         "time vs none"
     );
-    for row in fault_tolerance_sweep(12, 8, 7) {
+    let runs = run_cells(Table::Fault.cells(12, 8, 7));
+    for (row, (cell, report)) in runs.iter().enumerate() {
         println!(
             "{:<8} {:<14} {:<16} {:>9} {:>6} {:>5} {:>7} {:>14} {:>11.2}x {:>11.2}x",
-            row.topology,
-            row.fault,
-            row.protocol.name(),
-            row.messages,
-            row.drops,
-            row.duplicates,
-            row.crash_losses,
-            row.control_bytes,
-            row.control_ratio_vs_faultfree,
-            row.virtual_ratio_vs_faultfree
+            cell.topology,
+            cell.fault,
+            cell.kind.name(),
+            report.messages(),
+            report.drops(),
+            report.duplicates(),
+            report.crash_losses(),
+            report.control_bytes(),
+            Table::Fault.ratio(&runs, row, |r| r.control_bytes()),
+            Table::Fault.ratio(&runs, row, |r| r.virtual_time.as_nanos())
         );
     }
     println!();
@@ -296,19 +320,57 @@ fn main() {
         "ctl vs seq",
         "time vs seq"
     );
-    for row in op_log_vs_sequencer_sweep(12, 8, 7) {
+    let runs = run_cells(Table::OpLog.cells(12, 8, 7));
+    for (row, (cell, oplog)) in runs.iter().enumerate() {
+        if cell.kind != ProtocolKind::OpLog {
+            continue;
+        }
+        let seq = Table::OpLog.reference(&runs, row);
         println!(
             "{:<8} {:<24} {:<14} {:>12} {:>12} {:>12} {:>12} {:>9.2}x {:>10.2}x",
-            row.topology,
-            row.delivery,
-            row.fault,
-            row.oplog_messages,
-            row.sequencer_messages,
-            row.oplog_control_bytes,
-            row.sequencer_control_bytes,
-            row.control_ratio_vs_sequencer,
-            row.virtual_ratio_vs_sequencer
+            cell.topology,
+            cell.delivery,
+            cell.fault,
+            oplog.messages(),
+            seq.messages(),
+            oplog.control_bytes(),
+            seq.control_bytes(),
+            Table::OpLog.ratio(&runs, row, |r| r.control_bytes()),
+            Table::OpLog.ratio(&runs, row, |r| r.virtual_time.as_nanos())
         );
     }
     println!();
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn the_three_caps_parse_and_anything_else_is_rejected() {
+        let parsed = |line: &str| parse_args(&args(line));
+        assert_eq!(parsed(""), Ok([16, 1024, 8]));
+        assert_eq!(
+            parsed("--max-procs 8 --scaling-max 64 --threads-max 4"),
+            Ok([8, 64, 4])
+        );
+        assert_eq!(parsed("--threads-max 64"), Ok([16, 1024, 64]));
+        for line in [
+            "--bogus",
+            "--max-procs abc",
+            "--max-procs 8 --bogus",
+            "--max-procs",
+            "--scaling-max -1",
+            "--threads-max 4.5",
+            "8",
+        ] {
+            parsed(line).expect_err(line);
+        }
+        assert!(parsed("--max-procs abc").unwrap_err().contains("\"abc\""));
+    }
 }

@@ -4,6 +4,9 @@
 //! cargo run --release -p bench --bin figures            # all figures
 //! cargo run --release -p bench --bin figures -- 4       # only Figure 4
 //! ```
+//!
+//! The one optional argument is a figure number, 1–9 (7 and 8 print
+//! together); anything else exits with status 2 and a usage line.
 
 use apps::{
     bellman_ford_distribution, counter_var, distance_var, run_bellman_ford,
@@ -17,6 +20,7 @@ use histories::hoop::enumerate_hoops;
 use histories::relevance::{relevant_processes, witness_history};
 use histories::{check, Criterion, Distribution, History, ProcId, ReadFrom, ShareGraph, VarId};
 use simnet::{SimConfig, Topology};
+use std::process::ExitCode;
 
 fn header(n: u32, title: &str) {
     println!("\n==================== Figure {n}: {title} ====================");
@@ -178,8 +182,33 @@ fn fig9() {
     );
 }
 
-fn main() {
-    let only: Option<u32> = std::env::args().nth(1).and_then(|s| s.parse().ok());
+const USAGE: &str = "usage: figures [FIGURE]   (FIGURE = 1..9; all figures without it)";
+
+/// Parse the arguments after the program name: none (every figure) or
+/// one figure number in 1–9.
+fn parse_args(args: &[String]) -> Result<Option<u32>, String> {
+    match args {
+        [] => Ok(None),
+        [figure] => match figure.parse() {
+            Ok(n @ 1..=9) => Ok(Some(n)),
+            _ => Err(format!(
+                "no figure {figure:?}: the paper has figures 1 to 9"
+            )),
+        },
+        [_, extra, ..] => Err(format!("unexpected argument {extra:?}")),
+    }
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let only = match parse_args(&args) {
+        Ok(only) => only,
+        Err(message) => {
+            eprintln!("figures: {message}");
+            eprintln!("{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let figures: Vec<(u32, fn())> = vec![
         (1, fig1 as fn()),
         (2, fig2),
@@ -196,4 +225,29 @@ fn main() {
         }
     }
     println!();
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn one_figure_number_or_none_parses_and_anything_else_is_rejected() {
+        let parsed = |line: &str| {
+            parse_args(
+                &line
+                    .split_whitespace()
+                    .map(String::from)
+                    .collect::<Vec<_>>(),
+            )
+        };
+        assert_eq!(parsed(""), Ok(None));
+        for n in 1..=9 {
+            assert_eq!(parsed(&n.to_string()), Ok(Some(n)));
+        }
+        for line in ["abc", "42", "0", "-1", "4 5", "--all"] {
+            parsed(line).expect_err(line);
+        }
+    }
 }

@@ -4,88 +4,304 @@
 //! ledger `BENCH_baseline.json`. Wall-clock performance is measured
 //! elsewhere, by the dsmbench workloads under `benchmark/`.
 //!
-//! Every protocol comparison routes through the scenario engine
-//! ([`apps::scenario`]): a comparison point is a workload script executed
-//! by [`apps::scenario::run_script`] once per [`ProtocolKind`], with no
+//! Every deterministic sweep is a list of [`MatrixCell`]s — a workload
+//! script under one [`ProtocolKind`] on one network — that [`run_cells`]
+//! executes through the scenario engine ([`apps::scenario`]). The ledger
+//! ([`scenario_matrix`], [`scenario_matrix_large`]) turns the executed
+//! cells into [`ScenarioMatrixRow`]s; the E-tables print them directly,
+//! pricing each row against its reference run ([`Table`]). There is no
 //! per-protocol code path anywhere in this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use apps::scenario::{
-    effective_sweep_workers, generate_family_ops, latency_label, parallel_map, run_script,
-    run_script_backend, run_script_faulted, standard_deliveries, standard_distributions,
-    standard_faults, standard_latencies, standard_topologies, standard_workloads, CrashSchedule,
-    DistributionFamily, FaultFamily, SettlePolicy, TopologyFamily, WorkloadFamily,
+    effective_sweep_workers, latency_label, parallel_map, run_script_backend, run_script_faulted,
+    standard_distributions, standard_faults, standard_grid, standard_topologies, CrashSchedule,
+    DistributionFamily, FaultFamily, RunReport, Scenario, SettlePolicy, TopologyFamily,
+    WorkloadFamily,
 };
 use apps::workload::WorkloadOp;
 use apps::{run_bellman_ford, Network};
 use dsm::ProtocolKind;
 use histories::{causal_spot_check, pram_spot_check, Distribution, VarId};
 use serde::{Deserialize, Serialize};
-use simnet::{DeliveryMode, ExecBackend, LatencyModel, SimConfig, ThreadedMode};
+use simnet::{DeliveryMode, ExecBackend, SimConfig, ThreadedMode};
+use std::sync::Arc;
 
-/// One row of an efficiency table: the cost of running a workload under one
-/// protocol.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct EfficiencyRow {
-    /// Protocol measured.
-    pub protocol: ProtocolKind,
-    /// Number of processes.
-    pub processes: usize,
-    /// Number of shared variables.
-    pub variables: usize,
-    /// Messages sent.
-    pub messages: u64,
-    /// Data bytes sent.
-    pub data_bytes: u64,
-    /// Control bytes sent.
-    pub control_bytes: u64,
-    /// Control bytes per application operation.
-    pub control_bytes_per_op: f64,
-    /// Maximum (over variables) number of nodes that handled metadata about
-    /// a single variable.
-    pub max_relevant_nodes: usize,
-    /// Mean replication factor of the distribution.
-    pub replication_factor: f64,
+/// One cell of a sweep, ready to run: a workload script under one
+/// protocol on one network, labelled with its coordinates. The ledger,
+/// the large tier and the E-tables are all lists of these.
+#[derive(Clone)]
+pub struct MatrixCell {
+    /// Protocol to run.
+    pub kind: ProtocolKind,
+    /// Distribution family label.
+    pub distribution: String,
+    /// Workload family label.
+    pub workload: String,
+    /// Latency model label.
+    pub latency: String,
+    /// Topology family label (`mesh` = direct sends).
+    pub topology: String,
+    /// Delivery-mode label.
+    pub delivery: String,
+    /// Fault-family label.
+    pub fault: String,
+    /// Which process replicates which variable.
+    pub dist: Distribution,
+    /// The workload script, shared by the cell's protocol siblings.
+    ops: Arc<Vec<WorkloadOp>>,
+    /// The network the script runs on.
+    config: SimConfig,
+    /// The scripted crash of the cell's fault family, if it has one.
+    crash: Option<CrashSchedule>,
+    /// Whether the run records its history.
+    record: bool,
 }
 
-/// Run the standard synthetic workload (`ops_per_process` ops, 50% writes)
-/// under every protocol for the given distribution. This regenerates one
-/// system-size point of experiments E1–E3.
-pub fn efficiency_sweep_point(
-    dist: &Distribution,
-    ops_per_process: usize,
-    seed: u64,
-) -> Vec<EfficiencyRow> {
-    let ops = generate_family_ops(
-        dist,
-        &WorkloadFamily::Uniform { write_ratio: 0.5 },
-        ops_per_process,
-        SettlePolicy::Every(6),
-        seed,
-    );
-    ProtocolKind::ALL
+impl MatrixCell {
+    /// Run the cell through the scenario engine.
+    fn run(&self) -> RunReport {
+        run_script_faulted(
+            self.kind,
+            &self.dist,
+            &self.ops,
+            self.config.clone(),
+            self.record,
+            self.crash,
+        )
+    }
+
+    /// The cell's coordinate: protocol, distribution, workload, latency,
+    /// topology, delivery and fault.
+    fn coordinate(&self) -> [&str; 7] {
+        [
+            self.kind.name(),
+            &self.distribution,
+            &self.workload,
+            &self.latency,
+            &self.topology,
+            &self.delivery,
+            &self.fault,
+        ]
+    }
+}
+
+/// One cell per protocol of `kinds` for `scenario` on `config`: the
+/// scenario supplies the distribution, the script, the crash schedule,
+/// the recording flag and the labels; the caller supplies the network.
+fn cells(scenario: &Scenario, kinds: &[ProtocolKind], config: SimConfig) -> Vec<MatrixCell> {
+    let dist = scenario.build_distribution();
+    let ops = Arc::new(scenario.generate_ops(&dist));
+    let crash = scenario.faults.crash_schedule(&ops, scenario.processes);
+    kinds
         .iter()
-        .map(|&kind| {
-            let out = run_script(kind, dist, &ops, SimConfig::default(), false);
-            let max_relevant = (0..dist.var_count())
-                .map(|x| out.control.relevant_nodes(VarId(x)).len())
-                .max()
-                .unwrap_or(0);
-            EfficiencyRow {
-                protocol: kind,
-                processes: dist.process_count(),
-                variables: dist.var_count(),
-                messages: out.messages(),
-                data_bytes: out.data_bytes(),
-                control_bytes: out.control_bytes(),
-                control_bytes_per_op: out.control_bytes_per_op(),
-                max_relevant_nodes: max_relevant,
-                replication_factor: dist.mean_replication_factor(),
-            }
+        .map(|&kind| MatrixCell {
+            kind,
+            distribution: scenario.distribution.label(),
+            workload: scenario.workload.label().to_string(),
+            latency: latency_label(&scenario.latency).to_string(),
+            topology: scenario.topology.label().to_string(),
+            delivery: scenario.delivery.label().to_string(),
+            fault: scenario.faults.label().to_string(),
+            dist: dist.clone(),
+            ops: Arc::clone(&ops),
+            config: config.clone(),
+            crash,
+            record: scenario.record,
         })
         .collect()
+}
+
+/// [`cells`] on the scenario's network seeded with the scenario's own
+/// seed (the ledger's and the E-tables' convention;
+/// [`Scenario::sim_config`] mixes the seed).
+fn seeded_cells(scenario: &Scenario, kinds: &[ProtocolKind]) -> Vec<MatrixCell> {
+    let config = SimConfig {
+        seed: scenario.seed,
+        ..scenario.sim_config()
+    };
+    cells(scenario, kinds, config)
+}
+
+/// Run every cell through the scenario engine on the scoped-thread
+/// fan-out ([`apps::scenario::parallel_map`]). Each cell comes back with
+/// its report, in input order, bit-identical to a sequential run.
+pub fn run_cells(cells: Vec<MatrixCell>) -> Vec<(MatrixCell, RunReport)> {
+    map_cells(cells, |cell, report| (cell, report))
+}
+
+/// [`run_cells`], handing each cell and its report to `f` in the worker
+/// that ran it — so a sweep that keeps one row per cell drops each report
+/// there instead of holding them all.
+fn map_cells<R: Send>(
+    cells: Vec<MatrixCell>,
+    f: impl Fn(MatrixCell, RunReport) -> R + Sync,
+) -> Vec<R> {
+    parallel_map(cells, |cell| {
+        let report = cell.run();
+        f(cell, report)
+    })
+}
+
+/// The most nodes that handled metadata about any one variable of the
+/// cell's distribution (E1's `max relevant` column).
+pub fn max_relevant_nodes(cell: &MatrixCell, report: &RunReport) -> usize {
+    (0..cell.dist.var_count())
+        .map(|x| report.control.relevant_nodes(VarId(x)).len())
+        .max()
+        .unwrap_or(0)
+}
+
+/// E1/E2 at one point: the standard synthetic workload
+/// (`ops_per_process` ops per process, 50% writes, a settle every 6 ops)
+/// on `dist` under every protocol, on the default network.
+pub fn efficiency_cells(dist: &Distribution, ops_per_process: usize, seed: u64) -> Vec<MatrixCell> {
+    let scenario = Scenario {
+        distribution: DistributionFamily::Custom(dist.clone()),
+        processes: dist.process_count(),
+        variables: dist.var_count(),
+        ops_per_process,
+        seed,
+        ..Scenario::default()
+    };
+    cells(&scenario, &ProtocolKind::ALL, SimConfig::default())
+}
+
+/// An E-table whose rows are each priced against a reference run: the
+/// row's own cell with the one coordinate the table varies moved to its
+/// reference value. The script is the same in every cell of a table, so
+/// a row's ratio isolates that coordinate.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Table {
+    /// E5, overlay routing: the standard synthetic workload under every
+    /// protocol on every standard topology, against the same protocol on
+    /// the full mesh — what relaying costs on the wire.
+    Routed,
+    /// E6, wire efficiency: the standard synthetic workload under every
+    /// protocol and delivery mode on the star and the grid, against the
+    /// same protocol on the unicast wire. The script settles once at the
+    /// end: batching amortizes a clock over the records that accumulate
+    /// *between* delivery rounds, and per-op settling would leave every
+    /// batch at size one, costing exactly the unbatched wire.
+    Delivery,
+    /// E7, fault tolerance: a race-free (producer/consumer) workload under
+    /// every protocol and fault family on the mesh, star and grid, against
+    /// the same protocol fault-free — what retransmissions, duplicate
+    /// copies and the crash-restart catch-up cost.
+    Fault,
+    /// E10, op-log vs sequencer: a race-free workload under both
+    /// write-ordering protocols on the mesh, star and grid × the unicast
+    /// wire and the full efficiency stack × every fault family, against the
+    /// sequencer in the same cell. Both buy the same settled criterion
+    /// ([`ProtocolKind::settled_criterion`]), so the ratio prices the shard
+    /// log against the centralized sequencer.
+    OpLog,
+}
+
+impl Table {
+    /// The table's cells at `n` processes over `2n` variables, each
+    /// replicated on two random processes; protocols innermost.
+    pub fn cells(self, n: usize, ops_per_process: usize, seed: u64) -> Vec<MatrixCell> {
+        use TopologyFamily::{FullMesh, Grid, Star};
+        let uniform = WorkloadFamily::Uniform { write_ratio: 0.5 };
+        let producer_consumer = WorkloadFamily::ProducerConsumer;
+        let unicast = vec![DeliveryMode::UNICAST];
+        let all = ProtocolKind::ALL.to_vec();
+        let (workload, settle, topologies, deliveries, faults, kinds) = match self {
+            Table::Routed => (
+                uniform,
+                SettlePolicy::Every(6),
+                standard_topologies(),
+                unicast,
+                vec![FaultFamily::None],
+                all,
+            ),
+            Table::Delivery => (
+                uniform,
+                SettlePolicy::AtEnd,
+                vec![Star, Grid],
+                DeliveryMode::ALL.to_vec(),
+                vec![FaultFamily::None],
+                all,
+            ),
+            Table::Fault => (
+                producer_consumer,
+                SettlePolicy::Every(6),
+                vec![FullMesh, Star, Grid],
+                unicast,
+                standard_faults(),
+                all,
+            ),
+            Table::OpLog => (
+                producer_consumer,
+                SettlePolicy::Every(6),
+                vec![FullMesh, Star, Grid],
+                vec![DeliveryMode::UNICAST, DeliveryMode::MULTICAST_BATCHED_DELTA],
+                standard_faults(),
+                vec![ProtocolKind::OpLog, ProtocolKind::Sequential],
+            ),
+        };
+        let base = Scenario {
+            distribution: DistributionFamily::Random { replicas: 2 },
+            processes: n,
+            variables: 2 * n,
+            workload,
+            ops_per_process,
+            settle,
+            seed,
+            ..Scenario::default()
+        };
+        let mut cells = Vec::new();
+        for topology in topologies {
+            for &delivery in &deliveries {
+                for &faults in &faults {
+                    let scenario = Scenario {
+                        topology: topology.clone(),
+                        delivery,
+                        faults,
+                        ..base.clone()
+                    };
+                    cells.extend(seeded_cells(&scenario, &kinds));
+                }
+            }
+        }
+        cells
+    }
+
+    /// The report `runs[row]` is priced against. Panics if `runs` holds
+    /// none (a table's cells always include their references).
+    pub fn reference(self, runs: &[(MatrixCell, RunReport)], row: usize) -> &RunReport {
+        let mut want = runs[row].0.coordinate();
+        let (axis, value) = match self {
+            Table::Routed => (4, TopologyFamily::FullMesh.label()),
+            Table::Delivery => (5, DeliveryMode::UNICAST.label()),
+            Table::Fault => (6, FaultFamily::None.label()),
+            Table::OpLog => (0, ProtocolKind::Sequential.name()),
+        };
+        want[axis] = value;
+        runs.iter()
+            .find(|(cell, _)| cell.coordinate() == want)
+            .map(|(_, report)| report)
+            .unwrap_or_else(|| panic!("{self:?}: no reference for row {row}"))
+    }
+
+    /// `metric` of `runs[row]` divided by `metric` of its reference run
+    /// (1.0 on the reference itself, and when the reference measured zero).
+    pub fn ratio(
+        self,
+        runs: &[(MatrixCell, RunReport)],
+        row: usize,
+        metric: impl Fn(&RunReport) -> u64,
+    ) -> f64 {
+        let base = metric(self.reference(runs, row));
+        if base == 0 {
+            1.0
+        } else {
+            metric(&runs[row].1) as f64 / base as f64
+        }
+    }
 }
 
 /// One row of the Bellman-Ford scaling table (experiment E4).
@@ -293,127 +509,25 @@ impl ScenarioMatrixRow {
     }
 }
 
-/// One prepared cell of the scenario matrix, ready to execute.
-struct MatrixCell {
-    kind: ProtocolKind,
-    distribution: String,
-    workload: String,
-    latency: String,
-    topology: String,
-    delivery: String,
-    fault: String,
-    dist: Distribution,
-    ops: std::sync::Arc<Vec<WorkloadOp>>,
-    config: SimConfig,
-    crash: Option<CrashSchedule>,
-}
-
-/// The standard scenario matrix: protocol × distribution family ×
-/// workload family × latency model × topology family × delivery mode ×
-/// fault family (the shared `standard_*` presets from `apps::scenario`),
-/// at `n` processes. One engine call per cell — this is the sweep space
-/// the paper's efficiency argument lives in. Latency models are swept on
-/// the mesh and delivery modes under the default latency; sparse
-/// topologies (whose per-hop behaviour is the point) run under the
-/// default model, and fault families under the default latency *and*
-/// wire format, matching the `scenario_tour` example.
-///
-/// Cells are independent deterministic simulations, so they execute on a
-/// scoped-thread fan-out ([`apps::scenario::parallel_map`]); the returned
-/// rows are in sweep order, bit-identical to a sequential run. The fault
-/// schedules are seeded, so fault rows are as reproducible as the rest —
-/// the `baseline --check` CI gate covers them too.
-pub fn scenario_matrix(n: usize, ops_per_process: usize, seed: u64) -> Vec<ScenarioMatrixRow> {
-    let distributions = standard_distributions();
-    let workloads = standard_workloads();
-    let latencies = standard_latencies();
-    let topologies = standard_topologies();
-    let deliveries = standard_deliveries();
-    let faults = standard_faults();
-    let mut cells = Vec::new();
-    for topology_family in &topologies {
-        for family in &distributions {
-            let dist = family.build(n, 2 * n, seed);
-            for workload in &workloads {
-                let ops = std::sync::Arc::new(generate_family_ops(
-                    &dist,
-                    workload,
-                    ops_per_process,
-                    SettlePolicy::Every(6),
-                    seed,
-                ));
-                for latency in &latencies {
-                    if *topology_family != TopologyFamily::FullMesh
-                        && *latency != LatencyModel::default()
-                    {
-                        continue;
-                    }
-                    for &delivery in &deliveries {
-                        if delivery != DeliveryMode::default()
-                            && *latency != LatencyModel::default()
-                        {
-                            continue;
-                        }
-                        for &fault in &faults {
-                            if fault != FaultFamily::None
-                                && (*latency != LatencyModel::default()
-                                    || delivery != DeliveryMode::default())
-                            {
-                                continue;
-                            }
-                            let topology = match topology_family {
-                                TopologyFamily::FullMesh => None,
-                                f => Some(f.build(n)),
-                            };
-                            let config = SimConfig {
-                                latency: latency.clone(),
-                                seed,
-                                topology,
-                                delivery,
-                                faults: fault.fault_plan(seed),
-                                ..SimConfig::default()
-                            };
-                            let crash = fault.crash_schedule(&ops, n);
-                            for kind in ProtocolKind::ALL {
-                                cells.push(MatrixCell {
-                                    kind,
-                                    distribution: family.label(),
-                                    workload: workload.label().to_string(),
-                                    latency: latency_label(latency).to_string(),
-                                    topology: topology_family.label().to_string(),
-                                    delivery: delivery.label().to_string(),
-                                    fault: fault.label().to_string(),
-                                    dist: dist.clone(),
-                                    ops: std::sync::Arc::clone(&ops),
-                                    config: config.clone(),
-                                    crash,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
+/// Run the cells of a ledger tier: `check` sees each report, and each
+/// cell becomes its row, stamped with the fan-out width the sweep ran
+/// under.
+fn matrix_rows(
+    cells: Vec<MatrixCell>,
+    check: impl Fn(&MatrixCell, &RunReport) + Sync,
+) -> Vec<ScenarioMatrixRow> {
     let sweep_workers = effective_sweep_workers(cells.len());
-    parallel_map(cells, |cell| {
-        let out = run_script_faulted(
-            cell.kind,
-            &cell.dist,
-            &cell.ops,
-            cell.config,
-            false,
-            cell.crash,
-        );
+    map_cells(cells, |cell, out| {
+        check(&cell, &out);
         ScenarioMatrixRow {
             protocol: cell.kind.name().to_string(),
+            processes: cell.dist.process_count(),
             distribution: cell.distribution,
             workload: cell.workload,
             latency: cell.latency,
             topology: cell.topology,
             delivery: cell.delivery,
             fault: cell.fault,
-            processes: n,
             messages: out.messages(),
             data_bytes: out.data_bytes(),
             control_bytes: out.control_bytes(),
@@ -427,384 +541,28 @@ pub fn scenario_matrix(n: usize, ops_per_process: usize, seed: u64) -> Vec<Scena
     })
 }
 
-/// One row of the routed-vs-mesh comparison (experiment E5): the same
-/// workload under one protocol, on one topology family, with its control
-/// bytes relative to the full-mesh run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct RoutedEfficiencyRow {
-    /// Topology family label.
-    pub topology: String,
-    /// Protocol measured.
-    pub protocol: ProtocolKind,
-    /// Messages on the wire (per hop).
-    pub messages: u64,
-    /// Transit envelopes forwarded by intermediate nodes.
-    pub forwarded: u64,
-    /// Control bytes on the wire (per hop).
-    pub control_bytes: u64,
-    /// This topology's control bytes divided by the full-mesh run's (1.0
-    /// on the mesh itself; the overlay's relaying overhead elsewhere).
-    pub control_ratio_vs_mesh: f64,
-}
-
-/// Run the standard synthetic workload under every protocol on every
-/// standard topology family and report each cell's control-byte cost
-/// relative to the full mesh. The workload script is identical across
-/// topologies — only the transport changes — so the ratio isolates what
-/// overlay routing costs on the wire.
-pub fn routed_vs_mesh_sweep(
-    n: usize,
-    ops_per_process: usize,
-    seed: u64,
-) -> Vec<RoutedEfficiencyRow> {
-    let dist = Distribution::random(n, 2 * n, 2, seed);
-    let ops = generate_family_ops(
-        &dist,
-        &WorkloadFamily::Uniform { write_ratio: 0.5 },
-        ops_per_process,
-        SettlePolicy::Every(6),
-        seed,
-    );
-    // Measure the mesh baseline first, independently of where (or
-    // whether) FullMesh appears in the standard topology list.
-    let mesh_control: std::collections::BTreeMap<ProtocolKind, u64> = ProtocolKind::ALL
-        .iter()
-        .map(|&kind| {
-            let config = SimConfig {
-                seed,
-                ..SimConfig::default()
-            };
-            let out = run_script(kind, &dist, &ops, config, false);
-            (kind, out.control_bytes())
-        })
-        .collect();
-    let mut rows = Vec::new();
-    for family in standard_topologies() {
-        let topology = match &family {
-            TopologyFamily::FullMesh => None,
-            f => Some(f.build(n)),
-        };
-        let config = SimConfig {
-            seed,
-            topology,
-            ..SimConfig::default()
-        };
-        for kind in ProtocolKind::ALL {
-            let out = run_script(kind, &dist, &ops, config.clone(), false);
-            let control = out.control_bytes();
-            let mesh = mesh_control[&kind];
-            rows.push(RoutedEfficiencyRow {
-                topology: family.label().to_string(),
-                protocol: kind,
-                messages: out.messages(),
-                forwarded: out.forwarded,
-                control_bytes: control,
-                control_ratio_vs_mesh: if mesh == 0 {
-                    1.0
-                } else {
-                    control as f64 / mesh as f64
-                },
-            });
-        }
-    }
-    rows
-}
-
-/// One row of the delivery-mode comparison (experiment E6): the same
-/// workload under one protocol, on one sparse topology, under one
-/// [`DeliveryMode`], with control bytes relative to the unicast/unbatched
-/// wire on the same topology.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct DeliveryEfficiencyRow {
-    /// Topology family label.
-    pub topology: String,
-    /// Delivery-mode label.
-    pub delivery: String,
-    /// Protocol measured.
-    pub protocol: ProtocolKind,
-    /// Messages on the wire (per hop / per tree edge).
-    pub messages: u64,
-    /// Transit envelopes forwarded by intermediate nodes.
-    pub forwarded: u64,
-    /// Control bytes on the wire.
-    pub control_bytes: u64,
-    /// This mode's control bytes divided by the unicast/unbatched run's
-    /// on the same topology (1.0 for the baseline mode itself; the wire
-    /// saving of tree multicast and record batching elsewhere).
-    pub control_ratio_vs_unicast: f64,
-}
-
-/// Run the standard synthetic workload under every protocol and every
-/// delivery mode on the star and grid topologies, reporting each cell's
-/// control-byte cost relative to the classical unicast/unbatched wire.
-/// The workload script, the topology, and the routing are identical
-/// across modes — only the wire format changes — so the ratio isolates
-/// what tree multicast and control-record batching save. This is the
-/// E6 table: the measured answer to "how much of the fan-out cost was
-/// redundant copies of identical bytes".
+/// The standard scenario matrix: every protocol at every simnet
+/// coordinate of [`apps::scenario::standard_grid`], at `n` processes over
+/// `2n` variables with a settle every 6 ops. This is the sweep space the
+/// paper's efficiency argument lives in.
 ///
-/// The script settles once at the end: batching amortizes a full vector
-/// clock over the records that accumulate per destination *between*
-/// delivery rounds, so the bulk-phase regime (many writes in flight per
-/// settle) is where its asymptotic saving shows. Per-op settling leaves
-/// every batch at size one, which by construction costs exactly the
-/// unbatched wire.
-pub fn delivery_mode_sweep(
-    n: usize,
-    ops_per_process: usize,
-    seed: u64,
-) -> Vec<DeliveryEfficiencyRow> {
-    let dist = Distribution::random(n, 2 * n, 2, seed);
-    let ops = generate_family_ops(
-        &dist,
-        &WorkloadFamily::Uniform { write_ratio: 0.5 },
+/// The rows are in sweep order, bit-identical to a sequential run. The
+/// fault schedules are seeded, so fault rows are as reproducible as the
+/// rest — the `baseline --check` CI gate covers them too.
+pub fn scenario_matrix(n: usize, ops_per_process: usize, seed: u64) -> Vec<ScenarioMatrixRow> {
+    let base = Scenario {
+        processes: n,
+        variables: 2 * n,
         ops_per_process,
-        SettlePolicy::AtEnd,
+        settle: SettlePolicy::Every(6),
         seed,
-    );
-    let mut rows = Vec::new();
-    for family in [TopologyFamily::Star, TopologyFamily::Grid] {
-        let run_mode = |delivery: DeliveryMode, kind: ProtocolKind| {
-            let config = SimConfig {
-                seed,
-                topology: Some(family.build(n)),
-                delivery,
-                ..SimConfig::default()
-            };
-            run_script(kind, &dist, &ops, config, false)
-        };
-        // DeliveryMode::ALL leads with the unicast baseline, so each
-        // protocol's reference control bytes are captured by the first
-        // iteration — every cell is simulated exactly once.
-        let mut unicast_control = std::collections::BTreeMap::new();
-        for delivery in DeliveryMode::ALL {
-            for kind in ProtocolKind::ALL {
-                let out = run_mode(delivery, kind);
-                let control = out.control_bytes();
-                let base = *unicast_control.entry(kind).or_insert(control);
-                rows.push(DeliveryEfficiencyRow {
-                    topology: family.label().to_string(),
-                    delivery: delivery.label().to_string(),
-                    protocol: kind,
-                    messages: out.messages(),
-                    forwarded: out.forwarded,
-                    control_bytes: control,
-                    control_ratio_vs_unicast: if base == 0 {
-                        1.0
-                    } else {
-                        control as f64 / base as f64
-                    },
-                });
-            }
-        }
-    }
-    rows
-}
-
-/// One row of the fault-tolerance comparison (experiment E7): the same
-/// workload under one protocol, on one topology, under one
-/// [`FaultFamily`], with control bytes and virtual time relative to the
-/// fault-free run on the same topology.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct FaultToleranceRow {
-    /// Topology family label.
-    pub topology: String,
-    /// Fault-family label.
-    pub fault: String,
-    /// Protocol measured.
-    pub protocol: ProtocolKind,
-    /// Messages on the wire.
-    pub messages: u64,
-    /// Transmissions dropped and retransmitted.
-    pub drops: u64,
-    /// Duplicate copies delivered and discarded by link layers.
-    pub duplicates: u64,
-    /// Deliveries lost at a crashed node.
-    pub crash_losses: u64,
-    /// Control bytes on the wire (retransmissions and catch-up traffic
-    /// included).
-    pub control_bytes: u64,
-    /// This fault family's control bytes divided by the fault-free run's
-    /// on the same topology (1.0 for the baseline itself; the recovery
-    /// overhead elsewhere).
-    pub control_ratio_vs_faultfree: f64,
-    /// This fault family's virtual completion time divided by the
-    /// fault-free run's (retransmit delays and recovery rounds show up
-    /// here).
-    pub virtual_ratio_vs_faultfree: f64,
-}
-
-/// Run a race-free (producer/consumer) workload under every protocol and
-/// every fault family on the mesh, star, and grid, reporting each cell's
-/// control-byte and virtual-time cost relative to the fault-free run on
-/// the same topology. The workload, topology, and wire format are
-/// identical across fault families — only the fault schedule changes —
-/// and the differential tests pin that link faults leave the delivered
-/// histories identical, so the ratios isolate exactly what reliability
-/// costs: retransmissions, duplicate copies, and the crash-restart
-/// catch-up handshake. This is the E7 table.
-pub fn fault_tolerance_sweep(
-    n: usize,
-    ops_per_process: usize,
-    seed: u64,
-) -> Vec<FaultToleranceRow> {
-    let dist = Distribution::random(n, 2 * n, 2, seed);
-    let ops = generate_family_ops(
-        &dist,
-        &WorkloadFamily::ProducerConsumer,
-        ops_per_process,
-        SettlePolicy::Every(6),
-        seed,
-    );
-    let mut rows = Vec::new();
-    for family in [
-        TopologyFamily::FullMesh,
-        TopologyFamily::Star,
-        TopologyFamily::Grid,
-    ] {
-        // standard_faults() leads with the fault-free baseline, so each
-        // protocol's reference numbers are captured by the first
-        // iteration — every cell is simulated exactly once.
-        let mut baseline: std::collections::BTreeMap<ProtocolKind, (u64, u64)> =
-            std::collections::BTreeMap::new();
-        for fault in standard_faults() {
-            for kind in ProtocolKind::ALL {
-                let config = SimConfig {
-                    seed,
-                    topology: match &family {
-                        TopologyFamily::FullMesh => None,
-                        f => Some(f.build(n)),
-                    },
-                    faults: fault.fault_plan(seed),
-                    ..SimConfig::default()
-                };
-                let crash = fault.crash_schedule(&ops, n);
-                let out = run_script_faulted(kind, &dist, &ops, config, false, crash);
-                let control = out.control_bytes();
-                let nanos = out.virtual_time.as_nanos().max(1);
-                let (base_control, base_nanos) = *baseline.entry(kind).or_insert((control, nanos));
-                rows.push(FaultToleranceRow {
-                    topology: family.label().to_string(),
-                    fault: fault.label().to_string(),
-                    protocol: kind,
-                    messages: out.messages(),
-                    drops: out.drops(),
-                    duplicates: out.duplicates(),
-                    crash_losses: out.crash_losses(),
-                    control_bytes: control,
-                    control_ratio_vs_faultfree: if base_control == 0 {
-                        1.0
-                    } else {
-                        control as f64 / base_control as f64
-                    },
-                    virtual_ratio_vs_faultfree: nanos as f64 / base_nanos as f64,
-                });
-            }
-        }
-    }
-    rows
-}
-
-/// One row of the op-log-vs-sequencer comparison (experiment E10): the
-/// same race-free workload under both write-ordering protocols on one
-/// (topology, delivery mode, fault family) cell, with the op-log's
-/// control bytes and virtual completion time relative to the sequencer's.
-/// Both protocols buy the same settled criterion (sequential consistency
-/// at settle points — see [`ProtocolKind::settled_criterion`]), so the
-/// ratios measure what sharding the write order and replicating partially
-/// save over the classical centralized sequencer.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct OpLogComparisonRow {
-    /// Topology family label.
-    pub topology: String,
-    /// Delivery-mode label.
-    pub delivery: String,
-    /// Fault-family label.
-    pub fault: String,
-    /// Op-log messages on the wire.
-    pub oplog_messages: u64,
-    /// Sequencer messages on the wire.
-    pub sequencer_messages: u64,
-    /// Op-log control bytes (catch-up traffic included).
-    pub oplog_control_bytes: u64,
-    /// Sequencer control bytes (catch-up traffic included).
-    pub sequencer_control_bytes: u64,
-    /// Op-log control bytes divided by the sequencer's on the same cell.
-    pub control_ratio_vs_sequencer: f64,
-    /// Op-log virtual nanoseconds until quiescence.
-    pub oplog_virtual_nanos: u64,
-    /// Sequencer virtual nanoseconds until quiescence.
-    pub sequencer_virtual_nanos: u64,
-    /// Op-log virtual completion time divided by the sequencer's.
-    pub virtual_ratio_vs_sequencer: f64,
-}
-
-/// Run a race-free (producer/consumer) workload under the op-log and the
-/// sequencer on every (topology, delivery mode, fault family) cell:
-/// mesh/star/grid × the classical unicast wire and the full efficiency
-/// stack × every standard fault family. The script is identical for both
-/// protocols in every cell, so the ratios isolate the protocol choice:
-/// how much wire and time the per-shard flat-combining log saves over
-/// routing every write through one global sequencer. This is the E10
-/// table.
-pub fn op_log_vs_sequencer_sweep(
-    n: usize,
-    ops_per_process: usize,
-    seed: u64,
-) -> Vec<OpLogComparisonRow> {
-    let dist = Distribution::random(n, 2 * n, 2, seed);
-    let ops = generate_family_ops(
-        &dist,
-        &WorkloadFamily::ProducerConsumer,
-        ops_per_process,
-        SettlePolicy::Every(6),
-        seed,
-    );
-    let deliveries = [DeliveryMode::UNICAST, DeliveryMode::MULTICAST_BATCHED_DELTA];
-    let mut rows = Vec::new();
-    for family in [
-        TopologyFamily::FullMesh,
-        TopologyFamily::Star,
-        TopologyFamily::Grid,
-    ] {
-        for delivery in deliveries {
-            for fault in standard_faults() {
-                let run = |kind: ProtocolKind| {
-                    let config = SimConfig {
-                        seed,
-                        topology: match &family {
-                            TopologyFamily::FullMesh => None,
-                            f => Some(f.build(n)),
-                        },
-                        delivery,
-                        faults: fault.fault_plan(seed),
-                        ..SimConfig::default()
-                    };
-                    let crash = fault.crash_schedule(&ops, n);
-                    run_script_faulted(kind, &dist, &ops, config, false, crash)
-                };
-                let oplog = run(ProtocolKind::OpLog);
-                let seq = run(ProtocolKind::Sequential);
-                let seq_control = seq.control_bytes().max(1);
-                let seq_nanos = seq.virtual_time.as_nanos().max(1);
-                rows.push(OpLogComparisonRow {
-                    topology: family.label().to_string(),
-                    delivery: delivery.label().to_string(),
-                    fault: fault.label().to_string(),
-                    oplog_messages: oplog.messages(),
-                    sequencer_messages: seq.messages(),
-                    oplog_control_bytes: oplog.control_bytes(),
-                    sequencer_control_bytes: seq.control_bytes(),
-                    control_ratio_vs_sequencer: oplog.control_bytes() as f64 / seq_control as f64,
-                    oplog_virtual_nanos: oplog.virtual_time.as_nanos(),
-                    sequencer_virtual_nanos: seq.virtual_time.as_nanos(),
-                    virtual_ratio_vs_sequencer: oplog.virtual_time.as_nanos() as f64
-                        / seq_nanos as f64,
-                });
-            }
-        }
-    }
-    rows
+        ..Scenario::default()
+    };
+    let cells = standard_grid(&base, &[ExecBackend::Simnet])
+        .iter()
+        .flat_map(|scenario| seeded_cells(scenario, &ProtocolKind::ALL))
+        .collect();
+    matrix_rows(cells, |_, _| {})
 }
 
 /// The delivery modes the large tier and the scaling sweep run: the full
@@ -817,10 +575,52 @@ pub const LARGE_TIER_DELIVERIES: [DeliveryMode; 2] = [
     DeliveryMode::MULTICAST_BATCHED_DELTA,
 ];
 
+/// The cells of the large tier and the E8 sweep: `distributions` at `n`
+/// processes over `2n` variables under every protocol and both
+/// [`LARGE_TIER_DELIVERIES`], on the direct mesh with one settle at the
+/// end of a uniform script.
+fn large_cells(
+    n: usize,
+    distributions: &[DistributionFamily],
+    ops_per_process: usize,
+    seed: u64,
+    record: bool,
+) -> Vec<MatrixCell> {
+    let mut cells = Vec::new();
+    for distribution in distributions {
+        let scenario = Scenario {
+            distribution: distribution.clone(),
+            processes: n,
+            variables: 2 * n,
+            ops_per_process,
+            settle: SettlePolicy::AtEnd,
+            seed,
+            record,
+            ..Scenario::default()
+        };
+        // Both wire formats run one script: generating the full
+        // distribution's takes about a second at n = 256.
+        let script = seeded_cells(&scenario, &ProtocolKind::ALL);
+        for delivery in LARGE_TIER_DELIVERIES {
+            cells.extend(script.iter().map(|cell| MatrixCell {
+                delivery: delivery.label().to_string(),
+                // The ledger records the large tier's latency as `default`.
+                latency: "default".to_string(),
+                config: SimConfig {
+                    delivery,
+                    ..cell.config.clone()
+                },
+                ..cell.clone()
+            }));
+        }
+    }
+    cells
+}
+
 /// The `large` scenario tier: the standard distribution families at
 /// `n = 64..1024` processes, under the two full wire-efficiency stacks
 /// ([`LARGE_TIER_DELIVERIES`]), on the direct mesh with a single settle
-/// at the end. 24 rows per `n` (3 distributions × 2 modes × 4 protocols).
+/// at the end. 30 rows per `n` (3 distributions × 2 modes × 5 protocols).
 ///
 /// Full-history consistency checking is super-linear in the history, so
 /// the large tier swaps the exhaustive checker for the polynomial spot
@@ -830,89 +630,34 @@ pub const LARGE_TIER_DELIVERIES: [DeliveryMode; 2] = [
 /// protocol's consistency criterion. Panics on a violation (the sweep is
 /// an acceptance gate, not a probe).
 ///
-/// Cells execute on the scoped-thread fan-out like [`scenario_matrix`];
-/// rows are in sweep order and bit-identical to a sequential run.
+/// Rows are in sweep order and bit-identical to a sequential run, like
+/// [`scenario_matrix`]'s.
 pub fn scenario_matrix_large(
     n: usize,
     ops_per_process: usize,
     seed: u64,
 ) -> Vec<ScenarioMatrixRow> {
-    let mut cells = Vec::new();
-    for family in standard_distributions() {
-        let dist = family.build(n, 2 * n, seed);
-        let ops = std::sync::Arc::new(generate_family_ops(
-            &dist,
-            &WorkloadFamily::Uniform { write_ratio: 0.5 },
-            ops_per_process,
-            SettlePolicy::AtEnd,
-            seed,
-        ));
-        for delivery in LARGE_TIER_DELIVERIES {
-            let config = SimConfig {
-                seed,
-                delivery,
-                ..SimConfig::default()
-            };
-            for kind in ProtocolKind::ALL {
-                cells.push(MatrixCell {
-                    kind,
-                    distribution: family.label(),
-                    workload: "uniform".to_string(),
-                    latency: "default".to_string(),
-                    topology: "mesh".to_string(),
-                    delivery: delivery.label().to_string(),
-                    fault: "none".to_string(),
-                    dist: dist.clone(),
-                    ops: std::sync::Arc::clone(&ops),
-                    config: config.clone(),
-                    crash: None,
-                });
-            }
-        }
-    }
-    let sweep_workers = effective_sweep_workers(cells.len());
-    parallel_map(cells, |cell| {
-        let out = run_script(cell.kind, &cell.dist, &cell.ops, cell.config, true);
-        match cell.kind {
+    let cells = large_cells(n, &standard_distributions(), ops_per_process, seed, true);
+    matrix_rows(cells, |cell, out| {
+        let failure = match cell.kind {
             ProtocolKind::CausalFull | ProtocolKind::CausalPartial => {
-                if let Err(v) = causal_spot_check(&out.history) {
-                    panic!(
-                        "large-tier causal spot check failed: {}/{}/{}/{n}: {v:?}",
-                        cell.kind.name(),
-                        cell.distribution,
-                        cell.delivery
-                    );
-                }
+                causal_spot_check(&out.history)
+                    .err()
+                    .map(|v| ("causal", format!("{v:?}")))
             }
             ProtocolKind::PramPartial | ProtocolKind::Sequential | ProtocolKind::OpLog => {
-                if let Err(v) = pram_spot_check(&out.history) {
-                    panic!(
-                        "large-tier PRAM spot check failed: {}/{}/{}/{n}: {v:?}",
-                        cell.kind.name(),
-                        cell.distribution,
-                        cell.delivery
-                    );
-                }
+                pram_spot_check(&out.history)
+                    .err()
+                    .map(|v| ("PRAM", format!("{v:?}")))
             }
-        }
-        ScenarioMatrixRow {
-            protocol: cell.kind.name().to_string(),
-            distribution: cell.distribution,
-            workload: cell.workload,
-            latency: cell.latency,
-            topology: cell.topology,
-            delivery: cell.delivery,
-            fault: cell.fault,
-            processes: n,
-            messages: out.messages(),
-            data_bytes: out.data_bytes(),
-            control_bytes: out.control_bytes(),
-            control_bytes_per_op: out.control_bytes_per_op(),
-            forwarded: out.forwarded,
-            drops: out.drops(),
-            duplicates: out.duplicates(),
-            virtual_nanos: out.virtual_time.as_nanos(),
-            sweep_workers,
+        };
+        if let Some((criterion, violation)) = failure {
+            panic!(
+                "large-tier {criterion} spot check failed: {}/{}/{}/{n}: {violation}",
+                cell.kind.name(),
+                cell.distribution,
+                cell.delivery
+            );
         }
     })
 }
@@ -967,38 +712,24 @@ impl ScalingRow {
 /// slower than causal-full) is pinned by a tier-1 test on the
 /// `multicast-batched` rows.
 pub fn scaling_sweep(ns: &[usize], ops_per_process: usize, seed: u64) -> Vec<ScalingRow> {
+    let random = [DistributionFamily::Random { replicas: 2 }];
     let mut rows = Vec::new();
     for &n in ns {
-        let dist = Distribution::random(n, 2 * n, 2, seed);
-        let ops = generate_family_ops(
-            &dist,
-            &WorkloadFamily::Uniform { write_ratio: 0.5 },
-            ops_per_process,
-            SettlePolicy::AtEnd,
-            seed,
-        );
-        for delivery in LARGE_TIER_DELIVERIES {
-            let config = SimConfig {
-                seed,
-                delivery,
-                ..SimConfig::default()
-            };
-            for kind in ProtocolKind::ALL {
-                let start = std::time::Instant::now();
-                let out = run_script(kind, &dist, &ops, config.clone(), false);
-                let wall_nanos = start.elapsed().as_nanos() as u64;
-                rows.push(ScalingRow {
-                    protocol: kind,
-                    delivery: delivery.label().to_string(),
-                    processes: n,
-                    operations: out.operations,
-                    messages: out.messages(),
-                    control_bytes: out.control_bytes(),
-                    control_bytes_per_op: out.control_bytes_per_op(),
-                    events: out.events,
-                    wall_nanos,
-                });
-            }
+        for cell in large_cells(n, &random, ops_per_process, seed, false) {
+            let start = std::time::Instant::now();
+            let out = cell.run();
+            let wall_nanos = start.elapsed().as_nanos() as u64;
+            rows.push(ScalingRow {
+                protocol: cell.kind,
+                delivery: cell.delivery,
+                processes: n,
+                operations: out.operations,
+                messages: out.messages(),
+                control_bytes: out.control_bytes(),
+                control_bytes_per_op: out.control_bytes_per_op(),
+                events: out.events,
+                wall_nanos,
+            });
         }
     }
     rows
@@ -1089,7 +820,7 @@ impl ThreadedThroughputRow {
 
 /// The E9 threaded-throughput sweep: every protocol at each thread count
 /// in `thread_counts` (one process per OS thread), running a bulk-phase
-/// uniform workload free-running — writes race across real cores and a
+/// producer/consumer workload free-running — writes cross real cores and a
 /// quiescence barrier at the end settles the run — with the simnet run of
 /// the identical script timed alongside as the deterministic reference
 /// (backend equivalence itself is pinned by the differential tests; here
@@ -1102,24 +833,27 @@ pub fn threaded_throughput_sweep(
 ) -> Vec<ThreadedThroughputRow> {
     let mut rows = Vec::new();
     for &n in thread_counts {
-        let dist = Distribution::random(n, 2 * n, 2.min(n), seed);
-        let ops = generate_family_ops(
-            &dist,
-            &WorkloadFamily::ProducerConsumer,
+        let scenario = Scenario {
+            distribution: DistributionFamily::Random { replicas: 2 },
+            processes: n,
+            variables: 2 * n,
+            workload: WorkloadFamily::ProducerConsumer,
             ops_per_process,
-            SettlePolicy::AtEnd,
+            settle: SettlePolicy::AtEnd,
             seed,
-        );
-        for kind in ProtocolKind::ALL {
+            ..Scenario::default()
+        };
+        for cell in cells(&scenario, &ProtocolKind::ALL, SimConfig::default()) {
+            let kind = cell.kind;
             let sim_start = std::time::Instant::now();
-            let sim = run_script(kind, &dist, &ops, SimConfig::default(), false);
+            let sim = cell.run();
             let simnet_wall_nanos = sim_start.elapsed().as_nanos() as u64;
             let thr_start = std::time::Instant::now();
             let thr = run_script_backend(
                 kind,
-                &dist,
-                &ops,
-                SimConfig::default(),
+                &cell.dist,
+                &cell.ops,
+                cell.config,
                 false,
                 ExecBackend::Threaded(ThreadedMode::FreeRunning),
             );
@@ -1303,30 +1037,30 @@ pub fn compare_to_baseline(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apps::scenario::{standard_latencies, standard_workloads};
 
     #[test]
     fn efficiency_sweep_orders_protocols_as_the_paper_predicts() {
         let dist = Distribution::random(8, 12, 2, 1);
-        let rows = efficiency_sweep_point(&dist, 8, 5);
-        assert_eq!(rows.len(), 5);
-        let pram = &rows[0];
-        let cpart = &rows[1];
-        let cfull = &rows[2];
-        let oplog = &rows[4];
-        assert_eq!(pram.protocol, ProtocolKind::PramPartial);
-        assert_eq!(cpart.protocol, ProtocolKind::CausalPartial);
-        assert_eq!(cfull.protocol, ProtocolKind::CausalFull);
-        assert_eq!(oplog.protocol, ProtocolKind::OpLog);
-        assert!(pram.control_bytes < cpart.control_bytes);
-        assert!(pram.control_bytes < cfull.control_bytes);
+        let runs = run_cells(efficiency_cells(&dist, 8, 5));
+        assert_eq!(runs.len(), 5);
+        let [pram, cpart, cfull, _, oplog] = [0, 1, 2, 3, 4].map(|i| &runs[i]);
+        assert_eq!(pram.0.kind, ProtocolKind::PramPartial);
+        assert_eq!(cpart.0.kind, ProtocolKind::CausalPartial);
+        assert_eq!(cfull.0.kind, ProtocolKind::CausalFull);
+        assert_eq!(oplog.0.kind, ProtocolKind::OpLog);
+        assert!(pram.1.control_bytes() < cpart.1.control_bytes());
+        assert!(pram.1.control_bytes() < cfull.1.control_bytes());
+        let max_relevant =
+            |(cell, report): &(MatrixCell, RunReport)| max_relevant_nodes(cell, report);
         // PRAM metadata never reaches more nodes than the replica set.
-        assert!(pram.max_relevant_nodes <= 3);
+        assert!(max_relevant(pram) <= 3);
         // The op-log's append/echo/entry traffic stays between the shard
         // owner and the replicas — both inside C(x) — so its metadata
         // footprint matches PRAM's, not the sequencer's.
-        assert!(oplog.max_relevant_nodes <= 3);
+        assert!(max_relevant(oplog) <= 3);
         // Causal partial metadata reaches every node for some variable.
-        assert_eq!(cpart.max_relevant_nodes, 8);
+        assert_eq!(max_relevant(cpart), 8);
     }
 
     #[test]
@@ -1365,9 +1099,9 @@ mod tests {
         // on every topology (matching the scenario tour).
         let cells = standard_distributions().len() * standard_workloads().len();
         let per_mesh_cell = standard_latencies().len()
-            + (standard_deliveries().len() - 1)
+            + (DeliveryMode::ALL.len() - 1)
             + (standard_faults().len() - 1);
-        let per_sparse_cell = standard_deliveries().len() + (standard_faults().len() - 1);
+        let per_sparse_cell = DeliveryMode::ALL.len() + (standard_faults().len() - 1);
         let expected = (cells * per_mesh_cell
             + cells * (standard_topologies().len() - 1) * per_sparse_cell)
             * ProtocolKind::ALL.len();
@@ -1440,37 +1174,40 @@ mod tests {
 
     #[test]
     fn fault_tolerance_sweep_quantifies_recovery_overhead() {
-        let rows = fault_tolerance_sweep(8, 6, 3);
+        let runs = run_cells(Table::Fault.cells(8, 6, 3));
         // Mesh, star, grid × four fault families × five protocols.
         assert_eq!(
-            rows.len(),
+            runs.len(),
             3 * standard_faults().len() * ProtocolKind::ALL.len()
         );
-        let cell = |topo: &str, fault: &str, kind: ProtocolKind| {
-            rows.iter()
-                .find(|r| r.topology == topo && r.fault == fault && r.protocol == kind)
+        let at = |topo: &str, fault: &str, kind: ProtocolKind| {
+            runs.iter()
+                .position(|(c, _)| c.topology == topo && c.fault == fault && c.kind == kind)
                 .unwrap()
         };
+        let control = |row| Table::Fault.ratio(&runs, row, RunReport::control_bytes);
+        let time = |row| Table::Fault.ratio(&runs, row, |r| r.virtual_time.as_nanos());
         for topo in ["mesh", "star", "grid"] {
             for kind in ProtocolKind::ALL {
                 // The fault-free row is its own reference and is clean.
-                let base = cell(topo, "none", kind);
-                assert!((base.control_ratio_vs_faultfree - 1.0).abs() < 1e-12);
-                assert_eq!(base.drops + base.duplicates + base.crash_losses, 0);
+                let base = at(topo, "none", kind);
+                assert!((control(base) - 1.0).abs() < 1e-12);
+                let clean = &runs[base].1;
+                assert_eq!(clean.drops() + clean.duplicates() + clean.crash_losses(), 0);
                 // Drops force retransmissions: more control bytes and more
                 // virtual time, never less.
-                let lossy = cell(topo, "lossy", kind);
-                assert!(lossy.drops > 0, "{topo}/{kind}");
-                assert!(lossy.control_ratio_vs_faultfree >= 1.0);
-                assert!(lossy.virtual_ratio_vs_faultfree >= 1.0);
+                let lossy = at(topo, "lossy", kind);
+                assert!(runs[lossy].1.drops() > 0, "{topo}/{kind}");
+                assert!(control(lossy) >= 1.0);
+                assert!(time(lossy) >= 1.0);
                 // Duplicates pay wire bytes without touching delivery.
-                let dup = cell(topo, "duplicating", kind);
-                assert!(dup.duplicates > 0, "{topo}/{kind}");
-                assert!(dup.control_ratio_vs_faultfree >= 1.0);
+                let dup = at(topo, "duplicating", kind);
+                assert!(runs[dup].1.duplicates() > 0, "{topo}/{kind}");
+                assert!(control(dup) >= 1.0);
                 // The crash window lost deliveries that recovery had to
                 // re-fetch.
-                let crash = cell(topo, "crash-restart", kind);
-                assert!(crash.crash_losses > 0, "{topo}/{kind}");
+                let crash = at(topo, "crash-restart", kind);
+                assert!(runs[crash].1.crash_losses() > 0, "{topo}/{kind}");
             }
         }
     }
@@ -1481,62 +1218,65 @@ mod tests {
     /// sequencer broadcasts every ordered write to all nodes.
     #[test]
     fn op_log_vs_sequencer_sweep_shows_partial_replication_winning() {
-        let rows = op_log_vs_sequencer_sweep(8, 6, 3);
-        // Mesh, star, grid × two wire formats × four fault families.
-        assert_eq!(rows.len(), 3 * 2 * standard_faults().len());
-        let coords: std::collections::BTreeSet<(String, String, String)> = rows
-            .iter()
-            .map(|r| (r.topology.clone(), r.delivery.clone(), r.fault.clone()))
+        let runs = run_cells(Table::OpLog.cells(8, 6, 3));
+        // Mesh, star, grid × two wire formats × four fault families, one
+        // op-log row each.
+        let rows: Vec<usize> = (0..runs.len())
+            .filter(|&i| runs[i].0.kind == ProtocolKind::OpLog)
             .collect();
+        assert_eq!(rows.len(), 3 * 2 * standard_faults().len());
+        assert_eq!(runs.len(), 2 * rows.len());
+        let coords: std::collections::BTreeSet<_> =
+            rows.iter().map(|&i| runs[i].0.coordinate()).collect();
         assert_eq!(coords.len(), rows.len());
-        for row in &rows {
-            assert!(row.oplog_messages > 0 && row.sequencer_messages > 0);
-            assert!(row.oplog_virtual_nanos > 0 && row.sequencer_virtual_nanos > 0);
+        for &row in &rows {
+            let (cell, oplog) = &runs[row];
+            let seq = Table::OpLog.reference(&runs, row);
+            assert_eq!(seq.protocol, ProtocolKind::Sequential);
+            assert!(oplog.messages() > 0 && seq.messages() > 0);
+            assert!(oplog.virtual_time.as_nanos() > 0 && seq.virtual_time.as_nanos() > 0);
             assert!(
-                row.oplog_control_bytes < row.sequencer_control_bytes,
+                oplog.control_bytes() < seq.control_bytes(),
                 "{}/{}/{}: op-log {} >= sequencer {}",
-                row.topology,
-                row.delivery,
-                row.fault,
-                row.oplog_control_bytes,
-                row.sequencer_control_bytes
+                cell.topology,
+                cell.delivery,
+                cell.fault,
+                oplog.control_bytes(),
+                seq.control_bytes()
             );
-            assert!(row.control_ratio_vs_sequencer < 1.0);
-            assert!(row.virtual_ratio_vs_sequencer > 0.0);
+            assert!(Table::OpLog.ratio(&runs, row, RunReport::control_bytes) < 1.0);
+            assert!(Table::OpLog.ratio(&runs, row, |r| r.virtual_time.as_nanos()) > 0.0);
         }
     }
 
     #[test]
     fn routed_vs_mesh_sweep_quantifies_relay_overhead() {
-        let rows = routed_vs_mesh_sweep(8, 6, 3);
+        let runs = run_cells(Table::Routed.cells(8, 6, 3));
         assert_eq!(
-            rows.len(),
+            runs.len(),
             standard_topologies().len() * ProtocolKind::ALL.len()
         );
-        for row in &rows {
-            if row.topology == "mesh" {
-                assert_eq!(row.forwarded, 0);
-                assert!((row.control_ratio_vs_mesh - 1.0).abs() < 1e-12);
+        for (row, (cell, report)) in runs.iter().enumerate() {
+            let ratio = Table::Routed.ratio(&runs, row, RunReport::control_bytes);
+            if cell.topology == "mesh" {
+                assert_eq!(report.forwarded, 0);
+                assert!((ratio - 1.0).abs() < 1e-12);
             } else {
                 // Relaying can only add wire traffic, never remove it.
-                assert!(
-                    row.control_ratio_vs_mesh >= 1.0,
-                    "{}/{}",
-                    row.topology,
-                    row.protocol
-                );
+                assert!(ratio >= 1.0, "{}/{}", cell.topology, cell.kind);
             }
         }
         // Somewhere the overlay genuinely forwarded transit traffic.
-        assert!(rows.iter().any(|r| r.forwarded > 0));
+        assert!(runs.iter().any(|(_, r)| r.forwarded > 0));
         // The paper's ordering survives routing: PRAM partial stays the
         // cheapest protocol on every topology.
         for family in standard_topologies() {
             let on = |k: ProtocolKind| {
-                rows.iter()
-                    .find(|r| r.topology == family.label() && r.protocol == k)
+                runs.iter()
+                    .find(|(c, _)| c.topology == family.label() && c.kind == k)
                     .unwrap()
-                    .control_bytes
+                    .1
+                    .control_bytes()
             };
             assert!(on(ProtocolKind::PramPartial) < on(ProtocolKind::CausalPartial));
             assert!(on(ProtocolKind::PramPartial) < on(ProtocolKind::CausalFull));
@@ -1545,22 +1285,26 @@ mod tests {
 
     #[test]
     fn delivery_mode_sweep_quantifies_the_wire_savings() {
-        let rows = delivery_mode_sweep(8, 6, 3);
+        let runs = run_cells(Table::Delivery.cells(8, 6, 3));
         // Star and grid × six modes × five protocols.
         assert_eq!(
-            rows.len(),
+            runs.len(),
             2 * DeliveryMode::ALL.len() * ProtocolKind::ALL.len()
         );
-        let cell = |topo: &str, mode: &str, kind: ProtocolKind| {
-            rows.iter()
-                .find(|r| r.topology == topo && r.delivery == mode && r.protocol == kind)
+        let at = |topo: &str, mode: &str, kind: ProtocolKind| {
+            runs.iter()
+                .position(|(c, _)| c.topology == topo && c.delivery == mode && c.kind == kind)
                 .unwrap()
+        };
+        // Each cell's control bytes against the unicast wire's.
+        let ratio = |topo: &str, mode: &str, kind: ProtocolKind| {
+            Table::Delivery.ratio(&runs, at(topo, mode, kind), RunReport::control_bytes)
         };
         for topo in ["star", "grid"] {
             for kind in ProtocolKind::ALL {
                 // The baseline mode is its own reference…
-                let base = cell(topo, "unicast", kind);
-                assert!((base.control_ratio_vs_unicast - 1.0).abs() < 1e-12);
+                let base = at(topo, "unicast", kind);
+                assert!((ratio(topo, "unicast", kind) - 1.0).abs() < 1e-12);
                 // …and no mode ever pays more than it: multicast sends a
                 // subset of the unicast envelopes, batching delta-encodes
                 // a subset of the unicast record bytes.
@@ -1571,13 +1315,9 @@ mod tests {
                     "delta",
                     "multicast-batched-delta",
                 ] {
-                    let row = cell(topo, mode, kind);
-                    assert!(
-                        row.control_ratio_vs_unicast <= 1.0 + 1e-12,
-                        "{topo}/{mode}/{kind}: ratio {}",
-                        row.control_ratio_vs_unicast
-                    );
-                    assert!(row.messages <= base.messages);
+                    let r = ratio(topo, mode, kind);
+                    assert!(r <= 1.0 + 1e-12, "{topo}/{mode}/{kind}: ratio {r}");
+                    assert!(runs[at(topo, mode, kind)].1.messages() <= runs[base].1.messages());
                 }
             }
             // The measured drops the wire layer exists for: tree
@@ -1585,7 +1325,7 @@ mod tests {
             // bytes…
             for kind in [ProtocolKind::CausalFull, ProtocolKind::CausalPartial] {
                 assert!(
-                    cell(topo, "multicast", kind).control_ratio_vs_unicast < 1.0,
+                    ratio(topo, "multicast", kind) < 1.0,
                     "{topo}: multicast must cut {kind}'s broadcast bytes"
                 );
             }
@@ -1595,18 +1335,18 @@ mod tests {
             // there is nothing to deduplicate there. On the grid the
             // corner-seated sequencer shares tree edges like everyone
             // else.
-            let seq = cell(topo, "multicast", ProtocolKind::Sequential);
+            let seq = ratio(topo, "multicast", ProtocolKind::Sequential);
             if topo == "star" {
-                assert!((seq.control_ratio_vs_unicast - 1.0).abs() < 1e-12);
+                assert!((seq - 1.0).abs() < 1e-12);
             } else {
-                assert!(seq.control_ratio_vs_unicast < 1.0);
+                assert!(seq < 1.0);
             }
             // …and batching cuts causal-partial's per-non-replica record
             // cost, independently and cumulatively.
-            let batched = cell(topo, "batched", ProtocolKind::CausalPartial);
-            assert!(batched.control_ratio_vs_unicast < 1.0);
-            let both = cell(topo, "multicast-batched", ProtocolKind::CausalPartial);
-            assert!(both.control_ratio_vs_unicast <= batched.control_ratio_vs_unicast);
+            let batched = ratio(topo, "batched", ProtocolKind::CausalPartial);
+            assert!(batched < 1.0);
+            let both = ratio(topo, "multicast-batched", ProtocolKind::CausalPartial);
+            assert!(both <= batched);
             // Batching alone cannot touch protocols without control-only
             // records (the op-log's batching is structural — the
             // flat-combining lane — and independent of the wire mode).
@@ -1617,7 +1357,7 @@ mod tests {
                 ProtocolKind::OpLog,
             ] {
                 assert!(
-                    (cell(topo, "batched", kind).control_ratio_vs_unicast - 1.0).abs() < 1e-12,
+                    (ratio(topo, "batched", kind) - 1.0).abs() < 1e-12,
                     "{topo}: batching must not change {kind}"
                 );
             }
@@ -1626,13 +1366,13 @@ mod tests {
             // previous one in a handful of entries)…
             for kind in [ProtocolKind::CausalFull, ProtocolKind::CausalPartial] {
                 assert!(
-                    cell(topo, "delta", kind).control_ratio_vs_unicast < 1.0,
+                    ratio(topo, "delta", kind) < 1.0,
                     "{topo}: delta must cut {kind}'s clock bytes"
                 );
             }
             // …stacks with multicast + batching…
-            let all_three = cell(topo, "multicast-batched-delta", ProtocolKind::CausalPartial);
-            assert!(all_three.control_ratio_vs_unicast <= both.control_ratio_vs_unicast);
+            let all_three = ratio(topo, "multicast-batched-delta", ProtocolKind::CausalPartial);
+            assert!(all_three <= both);
             // …and is a no-op for the protocols whose wire metadata is
             // O(1) per message (sequence numbers, not clocks).
             for kind in [
@@ -1641,7 +1381,7 @@ mod tests {
                 ProtocolKind::OpLog,
             ] {
                 assert!(
-                    (cell(topo, "delta", kind).control_ratio_vs_unicast - 1.0).abs() < 1e-12,
+                    (ratio(topo, "delta", kind) - 1.0).abs() < 1e-12,
                     "{topo}: delta must not change {kind}"
                 );
             }
