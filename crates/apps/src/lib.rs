@@ -23,7 +23,6 @@
 //! implementation in the module's tests, and every app driver picks its
 //! protocol at runtime from a [`dsm::ProtocolKind`] value.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bellman_ford;
@@ -47,4 +46,4 @@ pub use scenario::{
     standard_workloads, DistributionFamily, RunReport, Scenario, SettlePolicy, TopologyFamily,
     WorkloadFamily,
 };
-pub use workload::{generate, WorkloadOp, WorkloadSpec};
+pub use workload::WorkloadOp;

@@ -929,14 +929,29 @@ mod tests {
     #[test]
     fn every_family_respects_the_distribution() {
         let dist = Distribution::random(5, 8, 2, 3);
-        for family in families() {
-            let ops = generate_family_ops(&dist, &family, 10, SettlePolicy::Every(4), 7);
-            for op in &ops {
-                if let WorkloadOp::Write { proc, var, .. } | WorkloadOp::Read { proc, var } = op {
-                    assert!(dist.replicates(*proc, *var), "{}", family.label());
+        let write_only = WorkloadFamily::Uniform { write_ratio: 1.0 };
+        for family in families().into_iter().chain([write_only]) {
+            for settle in [SettlePolicy::Every(4), SettlePolicy::AtEnd] {
+                let ops = generate_family_ops(&dist, &family, 10, settle, 7);
+                let mut values = std::collections::BTreeSet::new();
+                for op in &ops {
+                    if let WorkloadOp::Write { proc, var, .. } | WorkloadOp::Read { proc, var } = op
+                    {
+                        assert!(dist.replicates(*proc, *var), "{}", family.label());
+                    }
+                    if let WorkloadOp::Write { value, .. } = op {
+                        assert!(values.insert(*value), "duplicate value {value}");
+                    }
+                }
+                let settles = ops.iter().filter(|o| matches!(o, WorkloadOp::Settle));
+                match settle {
+                    SettlePolicy::AtEnd => {
+                        assert_eq!(settles.count(), 1);
+                        assert_eq!(ops.last(), Some(&WorkloadOp::Settle));
+                    }
+                    SettlePolicy::Every(_) => assert!(settles.count() > 1),
                 }
             }
-            assert!(ops.iter().any(|o| matches!(o, WorkloadOp::Settle)));
         }
     }
 

@@ -2,13 +2,10 @@
 //!
 //! A workload is a flat list of [`WorkloadOp`]s — reads, writes, and
 //! settle points — that [`crate::scenario::run_script`] replays against a
-//! runtime-selected protocol deployment. [`WorkloadSpec`] + [`generate`]
-//! are the compact legacy interface for the uniform random family; richer
-//! families (hotspot, producer/consumer, partition-local) live in
-//! [`crate::scenario`].
+//! runtime-selected protocol deployment. The generators, one per
+//! workload family, live in [`crate::scenario`].
 
-use crate::scenario::{generate_family_ops, SettlePolicy, WorkloadFamily};
-use histories::{Distribution, ProcId, VarId};
+use histories::{ProcId, VarId};
 
 /// One application-level operation of a workload script.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,68 +30,29 @@ pub enum WorkloadOp {
     Settle,
 }
 
-/// Parameters of the uniform random workload generator.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WorkloadSpec {
-    /// Operations issued per process.
-    pub ops_per_process: usize,
-    /// Probability that an operation is a write (the rest are reads).
-    pub write_ratio: f64,
-    /// Insert a `Settle` after this many operations (0 = only at the end).
-    pub settle_every: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for WorkloadSpec {
-    fn default() -> Self {
-        WorkloadSpec {
-            ops_per_process: 20,
-            write_ratio: 0.4,
-            settle_every: 5,
-            seed: 42,
-        }
-    }
-}
-
-impl WorkloadSpec {
-    /// The settle policy this spec encodes.
-    pub fn settle_policy(&self) -> SettlePolicy {
-        if self.settle_every == 0 {
-            SettlePolicy::AtEnd
-        } else {
-            SettlePolicy::Every(self.settle_every)
-        }
-    }
-}
-
-/// Generate a uniform random workload script compatible with `dist`: every
-/// process only touches variables it replicates. Processes with an empty
-/// replica set issue no operations.
-pub fn generate(dist: &Distribution, spec: &WorkloadSpec) -> Vec<WorkloadOp> {
-    generate_family_ops(
-        dist,
-        &WorkloadFamily::Uniform {
-            write_ratio: spec.write_ratio,
-        },
-        spec.ops_per_process,
-        spec.settle_policy(),
-        spec.seed,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::run_script;
+    use crate::scenario::{generate_family_ops, run_script, SettlePolicy, WorkloadFamily};
     use dsm::ProtocolKind;
-    use histories::{check, Criterion};
+    use histories::{check, Criterion, Distribution};
     use simnet::SimConfig;
+
+    fn uniform(
+        dist: &Distribution,
+        ops_per_process: usize,
+        write_ratio: f64,
+        settle: SettlePolicy,
+        seed: u64,
+    ) -> Vec<WorkloadOp> {
+        let family = WorkloadFamily::Uniform { write_ratio };
+        generate_family_ops(dist, &family, ops_per_process, settle, seed)
+    }
 
     #[test]
     fn generated_workloads_respect_the_distribution() {
         let dist = Distribution::ring_overlap(5);
-        let ops = generate(&dist, &WorkloadSpec::default());
+        let ops = uniform(&dist, 20, 0.4, SettlePolicy::Every(5), 42);
         for op in &ops {
             if let WorkloadOp::Write { proc, var, .. } | WorkloadOp::Read { proc, var } = op {
                 assert!(dist.replicates(*proc, *var));
@@ -106,14 +64,7 @@ mod tests {
     #[test]
     fn write_values_are_unique() {
         let dist = Distribution::full(4, 3);
-        let ops = generate(
-            &dist,
-            &WorkloadSpec {
-                ops_per_process: 30,
-                write_ratio: 1.0,
-                ..WorkloadSpec::default()
-            },
-        );
+        let ops = uniform(&dist, 30, 1.0, SettlePolicy::Every(5), 42);
         let mut values = std::collections::BTreeSet::new();
         for op in &ops {
             if let WorkloadOp::Write { value, .. } = op {
@@ -126,24 +77,15 @@ mod tests {
     #[test]
     fn workloads_are_reproducible_per_seed() {
         let dist = Distribution::random(6, 8, 3, 9);
-        let spec = WorkloadSpec::default();
-        assert_eq!(generate(&dist, &spec), generate(&dist, &spec));
-        let other = WorkloadSpec {
-            seed: 43,
-            ..WorkloadSpec::default()
-        };
-        assert_ne!(generate(&dist, &spec), generate(&dist, &other));
+        let a = uniform(&dist, 20, 0.4, SettlePolicy::Every(5), 42);
+        assert_eq!(a, uniform(&dist, 20, 0.4, SettlePolicy::Every(5), 42));
+        assert_ne!(a, uniform(&dist, 20, 0.4, SettlePolicy::Every(5), 43));
     }
 
     #[test]
     fn settle_every_zero_only_settles_at_the_end() {
         let dist = Distribution::full(3, 2);
-        let spec = WorkloadSpec {
-            ops_per_process: 5,
-            settle_every: 0,
-            ..WorkloadSpec::default()
-        };
-        let ops = generate(&dist, &spec);
+        let ops = uniform(&dist, 5, 0.4, SettlePolicy::AtEnd, 42);
         let settles = ops
             .iter()
             .filter(|o| matches!(o, WorkloadOp::Settle))
@@ -155,13 +97,7 @@ mod tests {
     #[test]
     fn executed_histories_pass_the_protocol_criteria() {
         let dist = Distribution::ring_overlap(4);
-        let spec = WorkloadSpec {
-            ops_per_process: 6,
-            write_ratio: 0.5,
-            settle_every: 3,
-            seed: 7,
-        };
-        let ops = generate(&dist, &spec);
+        let ops = uniform(&dist, 6, 0.5, SettlePolicy::Every(3), 7);
         let pram = run_script(
             ProtocolKind::PramPartial,
             &dist,

@@ -2,13 +2,15 @@
 //! and observe what it delivered, the mode-independent projection of a
 //! control summary, and the race-free and racy script strategies.
 
-// Each suite compiles this module on its own and uses a subset of it.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each suite compiles this module on its own and uses a subset of it, so which items are dead differs per suite"
+)]
 
 use apps::scenario::{
     apply_script, generate_family_ops, CrashSchedule, SettlePolicy, WorkloadFamily,
 };
-use apps::workload::{generate, WorkloadOp, WorkloadSpec};
+use apps::workload::WorkloadOp;
 use dsm::{ControlSummary, DynDsm, ProtocolKind};
 use histories::{Distribution, History, ProcId, Value, VarId};
 use proptest::prelude::*;
@@ -112,13 +114,8 @@ fn deployment() -> impl Strategy<Value = (Distribution, u64)> {
 /// of them writes, a settle every 3.
 pub fn small_setup() -> impl Strategy<Value = (Distribution, Vec<WorkloadOp>)> {
     deployment().prop_map(|(dist, seed)| {
-        let spec = WorkloadSpec {
-            ops_per_process: 5,
-            write_ratio: 0.5,
-            settle_every: 3,
-            seed,
-        };
-        let ops = generate(&dist, &spec);
+        let family = WorkloadFamily::Uniform { write_ratio: 0.5 };
+        let ops = generate_family_ops(&dist, &family, 5, SettlePolicy::Every(3), seed);
         (dist, ops)
     })
 }

@@ -110,7 +110,6 @@ fn op_log_matches_sequencer_on_every_topology_delivery_and_fault_cell() {
 
 /// Strategy: a random partial-replication deployment plus a race-free
 /// producer/consumer script over it, and one sampled sweep coordinate.
-#[allow(clippy::type_complexity)]
 fn setup() -> impl Strategy<
     Value = (
         Distribution,

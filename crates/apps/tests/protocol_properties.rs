@@ -5,16 +5,15 @@
 //! the scenario engine's runtime-dispatched execution path.
 
 use apps::scenario::apply_script;
-use apps::workload::{generate, WorkloadSpec};
-use apps::{run_script, WorkloadOp};
+use apps::{generate_family_ops, run_script, SettlePolicy, WorkloadFamily, WorkloadOp};
 use dsm::ProtocolKind;
 use histories::{check, Criterion, Distribution, VarId};
 use proptest::prelude::*;
 use simnet::SimConfig;
 
-/// Strategy: a random distribution plus a compatible workload spec, kept
-/// small enough that the serialization-search checkers stay fast.
-fn small_setup() -> impl Strategy<Value = (Distribution, WorkloadSpec)> {
+/// Strategy: a random distribution plus a workload seed, kept small enough
+/// that the serialization-search checkers stay fast.
+fn small_setup() -> impl Strategy<Value = (Distribution, u64)> {
     (
         2usize..=5,
         2usize..=6,
@@ -24,31 +23,31 @@ fn small_setup() -> impl Strategy<Value = (Distribution, WorkloadSpec)> {
     )
         .prop_map(|(procs, vars, replicas, dseed, wseed)| {
             let replicas = replicas.min(procs);
-            let dist = Distribution::random(procs, vars, replicas, dseed);
-            let spec = WorkloadSpec {
-                ops_per_process: 4,
-                write_ratio: 0.5,
-                settle_every: 3,
-                seed: wseed,
-            };
-            (dist, spec)
+            (Distribution::random(procs, vars, replicas, dseed), wseed)
         })
+}
+
+/// A uniform random script over `dist`: 4 ops per process, a settle
+/// every 3.
+fn script(dist: &Distribution, write_ratio: f64, seed: u64) -> Vec<WorkloadOp> {
+    let family = WorkloadFamily::Uniform { write_ratio };
+    generate_family_ops(dist, &family, 4, SettlePolicy::Every(3), seed)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn pram_partial_histories_are_pram_consistent((dist, spec) in small_setup()) {
-        let ops = generate(&dist, &spec);
+    fn pram_partial_histories_are_pram_consistent((dist, seed) in small_setup()) {
+        let ops = script(&dist, 0.5, seed);
         let out = run_script(ProtocolKind::PramPartial, &dist, &ops, SimConfig::default(), true);
         prop_assert!(check(&out.history, Criterion::Pram).consistent,
             "history:\n{}", out.history.pretty());
     }
 
     #[test]
-    fn causal_full_histories_are_causally_consistent((dist, spec) in small_setup()) {
-        let ops = generate(&dist, &spec);
+    fn causal_full_histories_are_causally_consistent((dist, seed) in small_setup()) {
+        let ops = script(&dist, 0.5, seed);
         let out = run_script(ProtocolKind::CausalFull, &dist, &ops, SimConfig::default(), true);
         prop_assert!(check(&out.history, Criterion::Causal).consistent,
             "history:\n{}", out.history.pretty());
@@ -58,24 +57,24 @@ proptest! {
     }
 
     #[test]
-    fn causal_partial_histories_are_causally_consistent((dist, spec) in small_setup()) {
-        let ops = generate(&dist, &spec);
+    fn causal_partial_histories_are_causally_consistent((dist, seed) in small_setup()) {
+        let ops = script(&dist, 0.5, seed);
         let out = run_script(ProtocolKind::CausalPartial, &dist, &ops, SimConfig::default(), true);
         prop_assert!(check(&out.history, Criterion::Causal).consistent,
             "history:\n{}", out.history.pretty());
     }
 
     #[test]
-    fn sequential_histories_are_pram_consistent((dist, spec) in small_setup()) {
-        let ops = generate(&dist, &spec);
+    fn sequential_histories_are_pram_consistent((dist, seed) in small_setup()) {
+        let ops = script(&dist, 0.5, seed);
         let out = run_script(ProtocolKind::Sequential, &dist, &ops, SimConfig::default(), true);
         prop_assert!(check(&out.history, Criterion::Pram).consistent,
             "history:\n{}", out.history.pretty());
     }
 
     #[test]
-    fn pram_metadata_never_leaves_the_replica_set((dist, spec) in small_setup()) {
-        let ops = generate(&dist, &spec);
+    fn pram_metadata_never_leaves_the_replica_set((dist, seed) in small_setup()) {
+        let ops = script(&dist, 0.5, seed);
         let out = run_script(ProtocolKind::PramPartial, &dist, &ops, SimConfig::default(), false);
         for x in 0..dist.var_count() {
             let var = VarId(x);
@@ -84,8 +83,8 @@ proptest! {
     }
 
     #[test]
-    fn pram_partial_control_cost_never_exceeds_causal_partial((dist, spec) in small_setup()) {
-        let ops = generate(&dist, &spec);
+    fn pram_partial_control_cost_never_exceeds_causal_partial((dist, seed) in small_setup()) {
+        let ops = script(&dist, 0.5, seed);
         let pram = run_script(ProtocolKind::PramPartial, &dist, &ops, SimConfig::default(), false);
         let causal = run_script(ProtocolKind::CausalPartial, &dist, &ops, SimConfig::default(), false);
         prop_assert!(pram.control_bytes() <= causal.control_bytes());
@@ -93,12 +92,10 @@ proptest! {
     }
 
     #[test]
-    fn replica_convergence_after_settle((dist, spec) in small_setup()) {
+    fn replica_convergence_after_settle((dist, seed) in small_setup()) {
         // After all messages are delivered, every replica of a variable
         // written by a *single* writer holds that writer's last value.
-        let mut single_writer_spec = spec;
-        single_writer_spec.write_ratio = 1.0;
-        let ops = generate(&dist, &single_writer_spec);
+        let ops = script(&dist, 1.0, seed);
         // Restrict to one writer per variable: keep only the first writer
         // seen for each variable.
         let mut writer_of = std::collections::BTreeMap::new();

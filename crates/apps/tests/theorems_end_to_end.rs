@@ -2,8 +2,7 @@
 //! of x-relevant processes (histories crate) matches what the executable
 //! protocols (dsm crate) actually do on the wire.
 
-use apps::scenario::run_script;
-use apps::workload::{generate, WorkloadSpec};
+use apps::scenario::{generate_family_ops, run_script, SettlePolicy, WorkloadFamily};
 use dsm::ProtocolKind;
 use histories::hoop::hoop_intermediaries;
 use histories::relevance::{
@@ -63,14 +62,12 @@ fn pram_protocol_keeps_metadata_inside_the_replica_set() {
     // contained in C(x), for every variable, on random workloads.
     for seed in 0..5 {
         let dist = Distribution::random(8, 10, 3, seed);
-        let ops = generate(
+        let ops = generate_family_ops(
             &dist,
-            &WorkloadSpec {
-                ops_per_process: 15,
-                write_ratio: 0.5,
-                settle_every: 5,
-                seed,
-            },
+            &WorkloadFamily::Uniform { write_ratio: 0.5 },
+            15,
+            SettlePolicy::Every(5),
+            seed,
         );
         let out = run_script(
             ProtocolKind::PramPartial,
@@ -98,14 +95,12 @@ fn causal_partial_protocol_spreads_metadata_beyond_the_replica_set() {
     // about every written variable.
     let dist = chain_distribution(3);
     let n = dist.process_count();
-    let ops = generate(
+    let ops = generate_family_ops(
         &dist,
-        &WorkloadSpec {
-            ops_per_process: 8,
-            write_ratio: 0.6,
-            settle_every: 4,
-            seed: 3,
-        },
+        &WorkloadFamily::Uniform { write_ratio: 0.6 },
+        8,
+        SettlePolicy::Every(4),
+        3,
     );
     let out = run_script(
         ProtocolKind::CausalPartial,
@@ -136,14 +131,12 @@ fn causal_partial_protocol_spreads_metadata_beyond_the_replica_set() {
 fn recorded_histories_satisfy_the_advertised_criteria() {
     for seed in 0..4 {
         let dist = Distribution::ring_overlap(5);
-        let ops = generate(
+        let ops = generate_family_ops(
             &dist,
-            &WorkloadSpec {
-                ops_per_process: 8,
-                write_ratio: 0.45,
-                settle_every: 4,
-                seed,
-            },
+            &WorkloadFamily::Uniform { write_ratio: 0.45 },
+            8,
+            SettlePolicy::Every(4),
+            seed,
         );
         let pram = run_script(
             ProtocolKind::PramPartial,

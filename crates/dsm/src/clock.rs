@@ -81,6 +81,11 @@ impl VectorClock {
     /// `self` when `msg[sender] == self[sender] + 1` and
     /// `msg[k] <= self[k]` for every `k != sender`. Clocks over different
     /// process sets (or a `sender` outside them) are never deliverable.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     pub fn deliverable_from(&self, msg: &VectorClock, sender: usize) -> bool {
         let (mine, theirs) = (self.entries.as_slice(), msg.entries.as_slice());
         let next = (mine.get(sender).zip(theirs.get(sender))).is_some_and(|(m, t)| *t == m + 1);
@@ -89,10 +94,16 @@ impl VectorClock {
         // writes, so they stay below 2^63, and `m - t` wraps into the top
         // bit exactly when `t > m`: summing that bit vectorises even where
         // the target has no unsigned 64-bit compare (baseline x86-64).
-        debug_assert!(
-            mine.iter().chain(theirs).all(|&e| e < 1 << 63),
-            "clock entries count writes and stay below 2^63"
-        );
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "debug_assert! documents an invariant and compiles out of release builds"
+        )]
+        {
+            debug_assert!(
+                mine.iter().chain(theirs).all(|&e| e < 1 << 63),
+                "clock entries count writes and stay below 2^63"
+            );
+        }
         let ahead = || (mine.iter().zip(theirs)).map(|(m, t)| m.wrapping_sub(*t) >> 63);
         next && mine.len() == theirs.len() && ahead().sum::<u64>() == 1
     }

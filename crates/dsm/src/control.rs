@@ -54,6 +54,11 @@ impl ControlStats {
     /// The slot of `x`, grown into existence if `x` was never touched.
     /// Always `Some`: the ledger is grown to cover `x` first; the `Option`
     /// only spares the delivery path an indexing panic.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn slot_mut(&mut self, x: VarId) -> Option<&mut Slot> {
         let i = x.index();
         if i >= self.slots.len() {
@@ -67,6 +72,11 @@ impl ControlStats {
     }
 
     /// Record that this node manages metadata about `x`.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     pub fn track(&mut self, x: VarId) {
         if let Some(slot) = self.slot_mut(x) {
             slot.tracked = true;
@@ -74,6 +84,11 @@ impl ControlStats {
     }
 
     /// Record `bytes` of control information about `x` sent by this node.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     pub fn charge_sent(&mut self, x: VarId, bytes: usize) {
         let Some(slot) = self.slot_mut(x) else {
             return;
@@ -86,6 +101,11 @@ impl ControlStats {
     /// Record `count` sends of `bytes` of control information about `x`:
     /// the same totals as `count` calls of [`ControlStats::charge_sent`],
     /// for one payload that goes to `count` destinations.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     pub fn charge_sent_n(&mut self, x: VarId, bytes: usize, count: usize) {
         let Some(slot) = self.slot_mut(x) else {
             return;
@@ -96,6 +116,11 @@ impl ControlStats {
     }
 
     /// Record `bytes` of control information about `x` received by this node.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     pub fn charge_received(&mut self, x: VarId, bytes: usize) {
         let Some(slot) = self.slot_mut(x) else {
             return;

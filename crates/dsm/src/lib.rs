@@ -46,7 +46,6 @@
 //! metadata about every variable (Theorem 1), while PRAM lets the
 //! metadata stay inside each variable's replica set (Theorem 2).
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod api;

@@ -72,6 +72,11 @@ impl Stamp {
     /// for an own-step stamp (see the module docs). `local` must be the
     /// clock of a causal node that delivers `writer`'s writes in order, as
     /// every node of both causal protocols does.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     pub fn deliverable_at(&self, local: &VectorClock, writer: usize) -> bool {
         if !self.own_step {
             return local.deliverable_from(&self.vc, writer);
@@ -79,11 +84,17 @@ impl Stamp {
         let next = writer < local.len()
             && self.vc.len() == local.len()
             && local.get(writer) + 1 == self.vc.get(writer);
-        debug_assert_eq!(
-            next,
-            local.deliverable_from(&self.vc, writer),
-            "own step: the O(1) check is the delivery condition"
-        );
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "debug_assert! documents an invariant and compiles out of release builds"
+        )]
+        {
+            debug_assert_eq!(
+                next,
+                local.deliverable_from(&self.vc, writer),
+                "own step: the O(1) check is the delivery condition"
+            );
+        }
         next
     }
 }
@@ -193,6 +204,11 @@ impl CausalReplica {
     /// Whether `writer`'s write stamped `stamp` is already applied here: a
     /// duplicate (a replay, a parked late copy, a catch-up overlap), which
     /// is dropped uncharged.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     pub(crate) fn already_seen(&self, writer: usize, stamp: &Stamp) -> bool {
         stamp.vc.get(writer) <= self.vc.get(writer)
     }
@@ -201,6 +217,11 @@ impl CausalReplica {
     /// `var`. `false` for a duplicate, which changes nothing; otherwise the
     /// write is applied now if it is in order and nothing waits, else parked
     /// until its causal predecessors are applied — and the caller charges it.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     pub(crate) fn receive(
         &mut self,
         writer: usize,
@@ -225,6 +246,11 @@ impl CausalReplica {
         true
     }
 
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn apply(&mut self, writer: usize, var: VarId, value: Option<i64>, stamp: &Stamp) {
         self.vc.deliver(&stamp.vc, writer);
         self.merged = true;
@@ -239,6 +265,11 @@ impl CausalReplica {
     }
 
     /// Apply parked writes while any is deliverable, earliest parked first.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn drain(&mut self) {
         while let Some(i) =
             (self.pending.iter()).position(|p| p.stamp.deliverable_at(&self.vc, p.writer))

@@ -196,14 +196,28 @@ impl CausalFullNode {
         }
     }
 
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn flush(&mut self, ctx: &mut NodeContext<CausalFullMsg>) {
         if let Some(unsent) = self.unsent.as_mut().filter(|u| !u.is_empty()) {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the batching flush runs once per window, not once per event, and builds the batch it sends"
+            )]
             let batch = CausalFullMsg::Batch(unsent.drain(..).collect());
             ctx.send_multi(self.peers.iter().copied(), batch);
         }
     }
 }
 
+#[deny(
+    clippy::disallowed_macros,
+    clippy::disallowed_methods,
+    clippy::indexing_slicing
+)]
 impl Node<CausalFullMsg> for CausalFullNode {
     fn on_message(
         &mut self,
@@ -293,6 +307,11 @@ impl McsNode for CausalFullNode {
         &self.control
     }
 
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn on_restart(&mut self, ctx: &mut NodeContext<CausalFullMsg>) {
         // The crash killed the flush timer, not the unsent updates.
         self.window = FlushWindow::default();
@@ -306,6 +325,11 @@ impl McsNode for CausalFullNode {
         ctx.send_multi(self.peers.iter().copied(), req);
     }
 
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn checkpoint(&mut self) {
         self.log.cut();
     }

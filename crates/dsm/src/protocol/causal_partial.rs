@@ -375,6 +375,11 @@ impl CausalPartialNode {
     /// the log share one [`CausalPartialMsg::ControlBatch`], handed over
     /// as one multi-destination send; a destination with a cursor of its
     /// own gets a private batch. Charges stay per destination per record.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn flush(&mut self, ctx: &mut NodeContext<CausalPartialMsg>, at_least: usize) {
         let control = &mut self.control;
         self.owed.flush(at_least, |records, dests| {
@@ -386,6 +391,11 @@ impl CausalPartialNode {
     }
 }
 
+#[deny(
+    clippy::disallowed_macros,
+    clippy::disallowed_methods,
+    clippy::indexing_slicing
+)]
 impl Node<CausalPartialMsg> for CausalPartialNode {
     fn on_message(
         &mut self,
@@ -611,6 +621,11 @@ impl McsNode for CausalPartialNode {
         &self.control
     }
 
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn on_restart(&mut self, ctx: &mut NodeContext<CausalPartialMsg>) {
         // The crash killed any armed flush timer, but the owed records
         // are persisted state: flush every obligation now so no
@@ -629,6 +644,11 @@ impl McsNode for CausalPartialNode {
         ctx.send_multi(targets, req);
     }
 
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn checkpoint(&mut self) {
         self.log.cut();
     }

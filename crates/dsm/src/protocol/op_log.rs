@@ -424,6 +424,11 @@ impl OpLogNode {
     }
 }
 
+#[deny(
+    clippy::disallowed_macros,
+    clippy::disallowed_methods,
+    clippy::indexing_slicing
+)]
 impl Node<OpLogMsg> for OpLogNode {
     fn on_message(&mut self, ctx: &mut NodeContext<OpLogMsg>, from: NodeId, msg: OpLogMsg) {
         match msg {
@@ -451,7 +456,13 @@ impl Node<OpLogMsg> for OpLogNode {
                     Some(lane) => std::mem::take(&mut lane.in_flight),
                     None => Vec::new(),
                 };
-                debug_assert_eq!(wseqs.len() as u64, count, "echo covers the in-flight batch");
+                #[expect(
+                    clippy::disallowed_macros,
+                    reason = "debug_assert! documents an invariant and compiles out of release builds"
+                )]
+                {
+                    debug_assert_eq!(wseqs.len() as u64, count, "echo covers the in-flight batch");
+                }
                 let mut head_var = None;
                 for (i, ws) in wseqs.iter().enumerate() {
                     if let Some(p) = self.outstanding.iter_mut().find(|p| p.wseq == *ws) {
@@ -554,6 +565,11 @@ impl McsNode for OpLogNode {
         &self.control
     }
 
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn on_restart(&mut self, ctx: &mut NodeContext<OpLogMsg>) {
         // Appends sent to us while we were down are lost: their writers
         // send them again when they hear of the restart.
@@ -571,13 +587,23 @@ impl McsNode for OpLogNode {
             }
         }
         for (owner, ws) in unechoed {
-            debug_assert!(
-                owner != self.me.index(),
-                "self-owned writes are sequenced at write time"
-            );
+            #[expect(
+                clippy::disallowed_macros,
+                reason = "debug_assert! documents an invariant and compiles out of release builds"
+            )]
+            {
+                debug_assert!(
+                    owner != self.me.index(),
+                    "self-owned writes are sequenced at write time"
+                );
+            }
             let lane = self.lanes.entry(owner).or_default();
             lane.buffered.push(ws);
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a restart runs once per outage, not once per event, and builds the catch-up it sends"
+        )]
         let owners: Vec<usize> = self.lanes.keys().copied().collect();
         for owner in owners {
             self.flush_lane(ctx, owner);
@@ -602,6 +628,10 @@ impl McsNode for OpLogNode {
             let Some(&(owner, ..)) = shard.first() else {
                 continue;
             };
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a restart runs once per outage, not once per event, and builds the catch-up it sends"
+            )]
             ctx.send(
                 NodeId(owner),
                 OpLogMsg::CatchupReq {
@@ -613,6 +643,11 @@ impl McsNode for OpLogNode {
         self.broadcast_ready(ctx);
     }
 
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn checkpoint(&mut self) {
         self.winners.clear();
         self.cuts += 1;

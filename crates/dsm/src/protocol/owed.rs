@@ -59,6 +59,11 @@ impl<T> OwedLog<T> {
 
     /// Log a write's record, owed to every destination but the writer
     /// until [`OwedLog::serve`] or [`OwedLog::flush`] says otherwise.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     pub(crate) fn push(&mut self, entry: T) {
         self.entries.push(entry);
         if let Some(mine) = self.next.get_mut(self.me) {
@@ -69,6 +74,11 @@ impl<T> OwedLog<T> {
     /// Destination `d` replicates the variable of the newest entry and
     /// hears of it by update: what it was owed before that entry (to ride
     /// on the update), after which it is owed nothing.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     pub(crate) fn serve(&mut self, d: usize) -> &[T] {
         let len = self.entries.len();
         let Some(next) = self.next.get_mut(d) else {
@@ -82,6 +92,11 @@ impl<T> OwedLog<T> {
 
     /// The most records any destination is owed — emptying the log when
     /// that is none.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     pub(crate) fn most_owed(&mut self) -> usize {
         let len = self.entries.len();
         let most = len - self.next.iter().copied().min().unwrap_or(len);
@@ -93,6 +108,11 @@ impl<T> OwedLog<T> {
     }
 }
 
+#[deny(
+    clippy::disallowed_macros,
+    clippy::disallowed_methods,
+    clippy::indexing_slicing
+)]
 impl<T: Clone> OwedLog<T> {
     /// Drain every destination owed at least `at_least ≥ 1` records:
     /// `send(records, destinations)` once per distinct list, in the order
@@ -107,6 +127,10 @@ impl<T: Clone> OwedLog<T> {
             }
             match groups.iter_mut().find(|(from, _)| from == next) {
                 Some((_, dests)) => dests.push(NodeId(d)),
+                #[expect(
+                    clippy::disallowed_macros,
+                    reason = "the batching flush runs once per window, not once per event, and builds its group list as it goes"
+                )]
                 None => groups.push((*next, vec![NodeId(d)])),
             }
             *next = len;

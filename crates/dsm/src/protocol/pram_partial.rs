@@ -144,6 +144,11 @@ impl PramNode {
     }
 }
 
+#[deny(
+    clippy::disallowed_macros,
+    clippy::disallowed_methods,
+    clippy::indexing_slicing
+)]
 impl Node<PramPartialMsg> for PramNode {
     fn on_message(
         &mut self,
@@ -153,10 +158,16 @@ impl Node<PramPartialMsg> for PramNode {
     ) {
         match msg {
             PramPartialMsg::Update(msg) => {
-                debug_assert!(
-                    self.replicates(msg.var),
-                    "PRAM partial replication never sends updates to non-replicas"
-                );
+                #[expect(
+                    clippy::disallowed_macros,
+                    reason = "debug_assert! documents an invariant and compiles out of release builds"
+                )]
+                {
+                    debug_assert!(
+                        self.replicates(msg.var),
+                        "PRAM partial replication never sends updates to non-replicas"
+                    );
+                }
                 let Some(applied) = self.applied.get_mut(msg.writer) else {
                     return;
                 };
@@ -230,15 +241,28 @@ impl McsNode for PramNode {
         &self.control
     }
 
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn on_restart(&mut self, ctx: &mut NodeContext<PramPartialMsg>) {
         // Ask every peer we share a variable with to resend the writes we
         // missed; peers we share nothing with cannot have sent us
         // anything (metadata never leaves C(x)).
         let me = self.me.index();
         // One guard per writer: `applied` spans the processes.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a restart runs once per outage, not once per event, and builds the catch-up it sends"
+        )]
         let expected: Vec<u64> = (0..self.applied.len())
             .map(|w| self.seen.expected(w))
             .collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a restart runs once per outage, not once per event, and builds the catch-up it sends"
+        )]
         let mut targets: Vec<NodeId> = (self.replicas.iter())
             .filter(|r| r.contains(&NodeId(me)))
             .flatten()
@@ -250,6 +274,11 @@ impl McsNode for PramNode {
         ctx.send_multi(targets, PramPartialMsg::CatchupReq { from: me, expected });
     }
 
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn checkpoint(&mut self) {
         self.log.cut();
     }

@@ -69,6 +69,11 @@ impl<E> RecoveryLog<E> {
 
     /// Drop every retained entry. The numbering carries on; the allocation
     /// is kept for the next round.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     pub fn cut(&mut self) {
         self.base += self.entries.len() as u64;
         self.entries.clear();

@@ -213,8 +213,17 @@ impl SequentialNode {
         }
     }
 
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn flush(&mut self, ctx: &mut NodeContext<SeqMsg>) {
         if let Some(unsent) = self.unsent.as_mut().filter(|u| !u.is_empty()) {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the batching flush runs once per window, not once per event, and builds the batch it sends"
+            )]
             let batch = SeqMsg::Batch(unsent.drain(..).collect());
             self.emit(ctx, batch);
         }
@@ -240,12 +249,23 @@ impl SequentialNode {
     }
 }
 
+#[deny(
+    clippy::disallowed_macros,
+    clippy::disallowed_methods,
+    clippy::indexing_slicing
+)]
 impl Node<SeqMsg> for SequentialNode {
     fn on_message(&mut self, ctx: &mut NodeContext<SeqMsg>, _from: NodeId, msg: SeqMsg) {
         match msg {
             SeqMsg::Batch(batch) => batch.iter().for_each(|msg| self.receive(ctx, msg)),
             SeqMsg::CatchupReq { from, next_apply } => {
-                debug_assert!(self.is_sequencer(), "catch-up requests go to the sequencer");
+                #[expect(
+                    clippy::disallowed_macros,
+                    reason = "debug_assert! documents an invariant and compiles out of release builds"
+                )]
+                {
+                    debug_assert!(self.is_sequencer(), "catch-up requests go to the sequencer");
+                }
                 // Replay the ordered stream the replica missed, from its
                 // persisted position on, in order.
                 for (seq, &(writer, var, value)) in self.log.after(next_apply.saturating_sub(1)) {
@@ -304,6 +324,11 @@ impl McsNode for SequentialNode {
         &self.control
     }
 
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn on_restart(&mut self, ctx: &mut NodeContext<SeqMsg>) {
         // The crash killed the flush timer, not the unsent batch.
         self.window = FlushWindow::default();
@@ -327,6 +352,11 @@ impl McsNode for SequentialNode {
         }
     }
 
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn checkpoint(&mut self) {
         self.log.cut();
     }

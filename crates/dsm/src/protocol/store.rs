@@ -29,11 +29,21 @@ impl<T> Default for Store<T> {
 
 impl<T> Store<T> {
     /// The value written to `var`, if any.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     pub(crate) fn get(&self, var: VarId) -> Option<&T> {
         self.slots.get(var.index()).and_then(Option::as_ref)
     }
 
     /// Set `var`'s slot.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     pub(crate) fn insert(&mut self, var: VarId, value: T) {
         match self.slots.get_mut(var.index()) {
             Some(slot) => *slot = Some(value),
@@ -47,6 +57,11 @@ impl<T> Store<T> {
     /// Run `f` on `var`'s slot, starting from `T::default()` if it was
     /// never written — `map.entry(var).or_default()`, without handing out
     /// a reference that a grown `Vec` could not give back panic-free.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     pub(crate) fn update(&mut self, var: VarId, f: impl FnOnce(&mut T))
     where
         T: Default,

@@ -88,7 +88,10 @@ pub fn enumerate_hoops(sg: &ShareGraph, x: VarId, max_len: usize) -> Vec<Hoop> {
     hoops
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the recursive search threads its fixed inputs and three accumulators through every call"
+)]
 fn dfs(
     sg: &ShareGraph,
     x: VarId,

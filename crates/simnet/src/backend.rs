@@ -11,9 +11,9 @@
 //!
 //! * [`ExecBackend::Simnet`] — the discrete-event simulator. Virtual
 //!   time, full fault/topology/routing support, deterministic.
-//! * [`ExecBackend::Threaded`] — one OS thread per process, mutex-free
-//!   MPSC channels as links (see [`threaded`](crate::threaded)). Two
-//!   sub-modes:
+//! * [`ExecBackend::Threaded`] — one OS thread per process, linked by
+//!   the SPSC ring fabric of [`chan`](crate::chan), with one lock per
+//!   site (see [`threaded`](crate::threaded)). Two sub-modes:
 //!   * [`ThreadedMode::Replay`] — an embedded simnet oracle decides the
 //!     delivery order and the threads replay it step by step, so the run
 //!     is differential-testable against pure simnet (same settled values,
@@ -54,7 +54,8 @@ pub enum ExecBackend {
     /// The deterministic discrete-event simulator (the default).
     #[default]
     Simnet,
-    /// One OS thread per process over MPSC channel links.
+    /// One OS thread per process over the SPSC ring fabric, one lock per
+    /// site.
     Threaded(ThreadedMode),
 }
 

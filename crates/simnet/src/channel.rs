@@ -59,6 +59,11 @@ impl Default for LatencyModel {
     }
 }
 
+#[deny(
+    clippy::disallowed_macros,
+    clippy::disallowed_methods,
+    clippy::indexing_slicing
+)]
 impl LatencyModel {
     /// Sample the latency for a message of `bytes` payload bytes travelling
     /// `distance` units (the absolute difference of the endpoint indices;
@@ -185,6 +190,11 @@ impl Channel {
     /// Schedule a message of `bytes` payload bytes sent at `now`; returns
     /// the virtual time at which it will be delivered. Successive calls
     /// return non-decreasing times (FIFO guarantee).
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     pub fn schedule(&mut self, now: SimTime, bytes: usize) -> SimTime {
         self.transmit(now, bytes).delivery
     }
@@ -195,6 +205,11 @@ impl Channel {
     /// delivered one extra latency sample after the real copy. The final
     /// delivery time is monotonically clamped, so FIFO per channel holds
     /// under any schedule.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     pub fn transmit(&mut self, now: SimTime, bytes: usize) -> Transmission {
         let distance = self.from.index().abs_diff(self.to.index());
         let mut delivery = now + self.latency.sample(&mut self.rng, bytes, distance);

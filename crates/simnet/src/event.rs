@@ -155,6 +155,11 @@ impl<P> EventQueue<P> {
 
     /// Store `event`, followed by the receivers of `rest`, in a cell that
     /// ends a run.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn store(&mut self, event: Event<P>, rest: &[(NodeId, u64)]) -> u32 {
         match self.cells.get_mut(self.free as usize) {
             Some(cell) => {
@@ -166,7 +171,13 @@ impl<P> EventQueue<P> {
                 std::mem::replace(&mut self.free, next_free)
             }
             None => {
-                debug_assert!(self.cells.len() < NIL as usize);
+                #[expect(
+                    clippy::disallowed_macros,
+                    reason = "debug_assert! documents an invariant and compiles out of release builds"
+                )]
+                {
+                    debug_assert!(self.cells.len() < NIL as usize);
+                }
                 self.cells.push(Cell {
                     event: Some(event),
                     next: NIL,
@@ -179,6 +190,11 @@ impl<P> EventQueue<P> {
     }
 
     /// Schedule `kind` to fire at `at`.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     pub fn push(&mut self, at: SimTime, kind: EventKind<P>) {
         self.push_fan_out(at, kind, &[]);
     }
@@ -189,8 +205,19 @@ impl<P> EventQueue<P> {
     /// the order numbers the deliveries would have taken as consecutive
     /// [`EventQueue::push`]es, and that [`EventQueue::pop`] hands out one
     /// delivery at a time. With `rest` empty this is `push`.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     pub fn push_fan_out(&mut self, at: SimTime, first: EventKind<P>, rest: &[(NodeId, u64)]) {
-        debug_assert!(rest.is_empty() || matches!(first, EventKind::Deliver { .. }));
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "debug_assert! documents an invariant and compiles out of release builds"
+        )]
+        {
+            debug_assert!(rest.is_empty() || matches!(first, EventKind::Deliver { .. }));
+        }
         if self.walking.is_some_and(|(walked_at, _)| at < walked_at) {
             self.shelve_walked_run();
         }
@@ -221,6 +248,11 @@ impl<P> EventQueue<P> {
     /// the order of its next event: an earlier timestamp was pushed, so
     /// the run is no longer the earliest. (The simulator never schedules
     /// into the past; this keeps the queue exact for any caller.)
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn shelve_walked_run(&mut self) {
         let Some((at, index)) = self.walking.take() else {
             return;
@@ -261,6 +293,11 @@ impl<P> EventQueue<P> {
     }
 }
 
+#[deny(
+    clippy::disallowed_macros,
+    clippy::disallowed_methods,
+    clippy::indexing_slicing
+)]
 impl<P: Clone> EventQueue<P> {
     /// Remove and return the earliest event, if any. A fan-out entry with
     /// receivers left hands out a copy addressed to the receiver whose

@@ -170,7 +170,6 @@ impl<P> NodeContext<P> {
 
     /// Consume the context, returning the buffered transmissions and timer
     /// requests (used by the routing layer to re-address sends).
-    #[allow(clippy::type_complexity)]
     pub(crate) fn into_parts(self) -> (Vec<Outgoing<P>>, Vec<(SimDuration, u64)>) {
         (self.outbox, self.timers)
     }

@@ -214,16 +214,43 @@ impl Router {
 
     /// First hop on the shortest path from `from` to `to` (`from` itself
     /// when `from == to`).
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "dense n*n table sized at construction from the topology; the relay asks only for ids it has checked against node_count() (Relay::with_inner hands a destination the router does not cover to the simulator addressed to itself, which refuses it as the direct transport does, and on_message drops a transit envelope bound for one as misrouted), and .get() here would hide real router-construction bugs behind a silent None"
+    )]
     pub fn next_hop(&self, from: NodeId, to: NodeId) -> NodeId {
         self.next_hop[from.index() * self.n + to.index()]
     }
 
     /// Length in links of the shortest path from `from` to `to`.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "dense n*n table sized at construction from the topology; no delivery path calls hop_count (reports and tests ask about ids of the topology they routed over), and .get() here would hide real router-construction bugs behind a silent None"
+    )]
     pub fn hop_count(&self, from: NodeId, to: NodeId) -> u32 {
         self.hops[from.index() * self.n + to.index()]
     }
 
     /// Parent of `node` in `src`'s broadcast tree (`None` for `src`).
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "dense n*n table sized at construction from the topology; no delivery path calls tree_parent (the relay splits multicasts by Euler spans, which check their ids; tree_next_hop and path serve reports and tests on ids of the topology they routed over), and .get() here would hide real router-construction bugs behind a silent None"
+    )]
     pub fn tree_parent(&self, src: NodeId, node: NodeId) -> Option<NodeId> {
         self.parent[src.index() * self.n + node.index()]
     }
@@ -237,6 +264,11 @@ impl Router {
 
     /// The row of `node`'s children in `src`'s broadcast tree (empty for
     /// ids the router does not cover).
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn children_of(&self, src: NodeId, node: NodeId) -> &[NodeId] {
         if src.index() >= self.n || node.index() >= self.n {
             return &[];
@@ -257,6 +289,11 @@ impl Router {
 
     /// The Euler-tour positions `node`'s subtree occupies in `src`'s
     /// broadcast tree (`None` for ids the router does not cover).
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn subtree_span(&self, src: NodeId, node: NodeId) -> Option<(u32, u32)> {
         if node.index() >= self.n {
             return None;
@@ -270,6 +307,11 @@ impl Router {
     /// destination's position is looked up once, into `keys`: scratch the
     /// caller keeps, so a sort allocates nothing once it has grown. Ids the
     /// router does not cover sort last.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn sort_for_multicast(&self, src: NodeId, dsts: &mut [NodeId], keys: &mut Vec<(u32, NodeId)>) {
         keys.clear();
         keys.extend(
@@ -294,6 +336,11 @@ impl Router {
     /// is `src`, and the child is the [`Router::next_hop`] the unicast
     /// route would take) and by every transit relay, so the stages can
     /// never disagree on how a destination set splits.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     pub(crate) fn split(
         &self,
         src: NodeId,
@@ -346,6 +393,11 @@ impl Router {
     /// next-hop tables are derived from the same BFS trees — so unicast
     /// envelopes and multicast envelopes leave the source on the same
     /// link.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     pub fn tree_next_hop(&self, src: NodeId, at: NodeId, dst: NodeId) -> Option<NodeId> {
         let mut cur = dst;
         loop {
@@ -593,6 +645,11 @@ impl<P, N> Relay<P, N> {
     }
 }
 
+#[deny(
+    clippy::disallowed_macros,
+    clippy::disallowed_methods,
+    clippy::indexing_slicing
+)]
 impl<P: Clone, N> Relay<P, N> {
     /// Run `f` against the hosted protocol node with a context of its
     /// own, then re-address what it sent onto `outer`: unicast sends are
@@ -671,6 +728,11 @@ impl<P: Clone, N> Relay<P, N> {
     }
 }
 
+#[deny(
+    clippy::disallowed_macros,
+    clippy::disallowed_methods,
+    clippy::indexing_slicing
+)]
 impl<P, N> Node<Packet<P>> for Relay<P, N>
 where
     P: WireSize + fmt::Debug + Clone,

@@ -242,6 +242,11 @@ where
     /// Whether `node` is down at virtual time `at` — either taken down at
     /// runtime ([`NetCore::set_down`]) or inside a scheduled crash window of
     /// the fault plan.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn is_down(&self, node: NodeId, at: SimTime) -> bool {
         self.manual_down.get(node.index()).copied().unwrap_or(false)
             || self.config.faults.window_covering(node, at).is_some()
@@ -250,6 +255,11 @@ where
     /// A [`NodeContext`] for `me` at the current time, on the
     /// simulator's own buffers ([`Simulator::flush_context`] takes them
     /// back).
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn lend_context(&mut self, me: NodeId) -> NodeContext<P> {
         NodeContext::with_buffers(
             me,
@@ -274,6 +284,11 @@ where
         self.try_start().unwrap_or_else(|e| panic!("{e}"));
     }
 
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn try_start(&mut self) -> Result<(), SendError> {
         if self.started {
             return Ok(());
@@ -316,8 +331,19 @@ where
     /// Handle one popped event: advance virtual time and dispatch to the
     /// destination node. Shared by [`NetCore::step`] and the run loop of
     /// [`NetCore::settle`].
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn process_event(&mut self, event: Event<P>) -> Result<(), SendError> {
-        debug_assert!(event.at >= self.now, "time must not run backwards");
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "debug_assert! documents an invariant and compiles out of release builds"
+        )]
+        {
+            debug_assert!(event.at >= self.now, "time must not run backwards");
+        }
         self.now = event.at;
         self.events_processed += 1;
         match event.kind {
@@ -379,6 +405,11 @@ where
 
     /// Apply the destination node's [`Node::while_down`] policy to a
     /// delivery that arrived while the node was crashed.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn handle_down_delivery(
         &mut self,
         from: NodeId,
@@ -437,28 +468,13 @@ where
         self.settle().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Run until virtual time reaches `deadline` or the system quiesces.
-    /// Events scheduled strictly after `deadline` remain pending.
-    pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        self.start();
-        let mut processed = 0u64;
-        loop {
-            match self.queue.peek_time() {
-                None => return RunOutcome::Quiescent { events: processed },
-                Some(t) if t > deadline => return RunOutcome::Quiescent { events: processed },
-                Some(_) => {
-                    if self.config.max_events > 0 && processed >= self.config.max_events {
-                        return RunOutcome::Exhausted { events: processed };
-                    }
-                    self.step().unwrap_or_else(|e| panic!("{e}"));
-                    processed += 1;
-                }
-            }
-        }
-    }
-
     /// Schedule what a callback requested — its timers, then its sends
     /// in order — and take the lent buffers back.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn flush_context(&mut self, origin: NodeId, ctx: NodeContext<P>) -> Result<(), SendError> {
         let (mut outbox, mut timers) = ctx.into_parts();
         // Timers cannot fail; schedule them first so a SendError on a later
@@ -493,6 +509,11 @@ where
     /// payload once ([`EventQueue::push_fan_out`]); a receiver that
     /// cannot join closes the entry with a copy of its own. A send error
     /// schedules the receivers before it.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn send_many(&mut self, from: NodeId, targets: &[NodeId], payload: P) -> Result<(), SendError> {
         let (data, control) = (payload.data_bytes(), payload.control_bytes());
         let deliver = |(to, seq): (NodeId, u64), payload| EventKind::Deliver {
@@ -540,6 +561,11 @@ where
     /// `from → to`: the channel's draws and sequence number, the
     /// send-side counters and the trace's `Sent` entry. The caller
     /// schedules the delivery and the fault plan's duplicate, if any.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn transmit(
         &mut self,
         from: NodeId,
@@ -599,6 +625,11 @@ where
     /// The node's state change still applies when a send fails (the
     /// callback already ran); its timers and the sends buffered before
     /// the offending one are scheduled.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn invoke(
         &mut self,
         id: NodeId,
@@ -614,6 +645,11 @@ where
         Ok(self.flush_context(id, ctx)?)
     }
 
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn post(&mut self, id: NodeId, f: &mut dyn Posted<P, N>) -> Result<(), NetError> {
         self.invoke(id, &mut |node, ctx| f.run(node, ctx))
     }
@@ -642,6 +678,11 @@ where
 {
     /// The event budget is checked before each pop, so an exhausted run
     /// leaves the queue exactly as the next pop would find it.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn settle(&mut self) -> Result<RunOutcome, NetError> {
         self.try_start()?;
         let mut processed = 0u64;
@@ -659,6 +700,11 @@ where
     }
 
     /// A failed send consumes the event that caused it.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn step(&mut self) -> Result<bool, NetError> {
         self.try_start()?;
         let Some(event) = self.queue.pop() else {
@@ -691,6 +737,11 @@ where
 
     /// Deliveries to a down node follow its [`Node::while_down`] policy:
     /// lost (and counted) or parked for redelivery at restart.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn set_down(&mut self, id: NodeId) -> Result<(), NetError> {
         let unknown = SendError::UnknownNode { node: id };
         *self.manual_down.get_mut(id.index()).ok_or(unknown)? = true;
@@ -700,6 +751,11 @@ where
     /// Parked envelopes are redelivered at the current virtual time in
     /// their original arrival order (the event queue's insertion-order
     /// tie-break preserves it).
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn set_up(&mut self, id: NodeId) -> Result<(), NetError> {
         let unknown = SendError::UnknownNode { node: id };
         *self.manual_down.get_mut(id.index()).ok_or(unknown)? = false;
@@ -996,16 +1052,6 @@ mod tests {
         sim.run_until_quiescent();
         // Default latency is 10us per hop; 4 hops.
         assert_eq!(sim.now(), SimTime::from_micros(40));
-    }
-
-    #[test]
-    fn run_until_deadline_leaves_later_events_pending() {
-        let mut sim = ring_sim(4, 1);
-        sim.run_until(SimTime::from_micros(25));
-        assert!(sim.pending() > 0);
-        assert!(sim.now() <= SimTime::from_micros(25));
-        sim.run_until_quiescent();
-        assert_eq!(sim.pending(), 0);
     }
 
     #[test]

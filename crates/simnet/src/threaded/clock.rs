@@ -8,8 +8,12 @@
 //! protocol-visible still flows through the simnet schedule — host time
 //! here only turns "hang forever" into "panic with a message".
 //!
-//! The `no-wall-clock` lint exemption is scoped to exactly this file, so
-//! any other `Instant` use in the backend fails the lint run.
+//! The `disallowed_types` waiver below is scoped to exactly this file, so
+//! any other `Instant` use in the backend fails clippy.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the threaded backend's stall watchdogs must bound waiting in host time, where virtual time has no meaning across preemptive scheduling; all of that reading is quarantined here, and protocol-visible timing still flows through the replayed simnet schedule"
+)]
 
 use std::time::{Duration, Instant};
 

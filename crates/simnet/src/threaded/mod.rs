@@ -76,7 +76,7 @@
 //! [`deploy`](crate::transport::deploy).
 //!
 //! Host time is confined to the `clock` watchdog module, the sole
-//! holder of the `no-wall-clock` lint exemption.
+//! holder of an `#[expect(clippy::disallowed_types)]` for `Instant`.
 
 pub(crate) mod clock;
 #[cfg(test)]
@@ -395,6 +395,11 @@ where
     }
 
     /// Run a closure against the node and flush what it sent.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn invoke(&mut self, f: impl FnOnce(&mut N, &mut NodeContext<P>)) -> Result<(), SendError> {
         let mut ctx = self.context();
         f(&mut self.node, &mut ctx);
@@ -838,6 +843,19 @@ where
     /// program order: whatever was pipelined to this node before now has
     /// run — and only then locks; other nodes' lanes are not waited for.
     /// A poisoned lock is the worker's death.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "sites and lane_posted hold one entry per hosted node, and every caller has checked `id` against the fabric or walks the hosted ids"
+    )]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "the stall watchdog's assert! turns a lane that never drains, a lost wakeup, into a panic with a message instead of a hung process"
+    )]
     fn site(&self, id: NodeId) -> Result<MutexGuard<'_, Site<P, N>>, WorkerDead> {
         let cell = &self.sites[id.index()];
         let posted = self.lane_posted[id.index()];
@@ -926,6 +944,11 @@ where
     /// sends are flushed into the fabric (full-ring back-pressure
     /// included) before this returns. In replay mode it runs on the
     /// oracle's copy as well, to keep the schedule source in lock-step.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn invoke(
         &mut self,
         id: NodeId,
@@ -970,6 +993,11 @@ where
     }
 
     /// In place under the node's site lock (ordered as [`Net::invoke`]).
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn inspect(&self, id: NodeId, f: &mut dyn FnMut(&N)) -> Result<(), NetError> {
         self.check(id)?;
         f(&self.site(id)?.node);
@@ -977,6 +1005,11 @@ where
     }
 
     /// In replay mode the oracle's copy changes too.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn update(&mut self, id: NodeId, f: &mut dyn FnMut(&mut N)) -> Result<(), NetError> {
         self.check(id)?;
         if let Some(oracle) = &mut self.oracle {

@@ -141,6 +141,11 @@ pub trait NetCore {
     fn settle(&mut self) -> Result<RunOutcome, NetError>;
     /// Deliver at most one event; `false` when idle (always, by default:
     /// the threaded net has no event queue to step).
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn step(&mut self) -> Result<bool, NetError> {
         Ok(false)
     }
@@ -360,6 +365,11 @@ where
     N: 'static,
     B: Net<Packet<P>, Relay<P, N>>,
 {
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn invoke(
         &mut self,
         id: NodeId,
@@ -369,6 +379,11 @@ where
             .invoke(id, &mut |relay, ctx| relay.with_inner(ctx, &mut *f))
     }
 
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn post(&mut self, id: NodeId, f: &mut dyn Posted<P, N>) -> Result<(), NetError> {
         self.0.post(id, &mut InRelay(f))
     }
@@ -397,10 +412,20 @@ where
     N: 'static,
     B: Net<Packet<P>, Relay<P, N>>,
 {
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn settle(&mut self) -> Result<RunOutcome, NetError> {
         self.0.settle()
     }
 
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn step(&mut self) -> Result<bool, NetError> {
         self.0.step()
     }

@@ -12,6 +12,10 @@ use simnet::{
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+#[expect(
+    clippy::disallowed_types,
+    reason = "a stall bound in host time turns a lost wakeup under contention into a failure instead of a hung test"
+)]
 use std::time::{Duration, Instant};
 
 /// Counts arrivals and passes a token back until its count runs out.
@@ -75,6 +79,10 @@ fn synchronous_calls_wait_for_their_own_lane_only() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_types,
+    reason = "a stall bound in host time turns a lost wakeup under contention into a failure instead of a hung test"
+)]
 fn ping_pong_survives_a_coordinator_hammering_both_sites() {
     const MESSAGES: usize = 50_000;
     let mut net = net(2);
