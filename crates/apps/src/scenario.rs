@@ -851,10 +851,9 @@ fn run_kinds(scenario: &Scenario, kinds: &[ProtocolKind]) -> Vec<RunReport> {
 /// Sweep cells (`bench::run_cells`, `scenario_tour` scenarios) are
 /// independent deterministic simulations, so they parallelize trivially:
 /// the items are split into one contiguous chunk per worker (at most
-/// [`std::thread::available_parallelism`], capped at 8; override with the
-/// `SWEEP_WORKERS` environment variable, `SWEEP_WORKERS=1` forces the
-/// sequential path) and the results are reassembled in input order — the
-/// output is bit-identical to the sequential map. No thread pool, no
+/// [`std::thread::available_parallelism`], capped at 8, and never more
+/// workers than items) and the results are reassembled in input order —
+/// the output is bit-identical to the sequential map. No thread pool, no
 /// extra dependencies: the threads live only for the duration of the
 /// call.
 pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
@@ -863,7 +862,10 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let workers = effective_sweep_workers(items.len());
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(8)
+        .min(items.len());
     if workers <= 1 {
         return items.into_iter().map(f).collect();
     }
@@ -887,25 +889,6 @@ where
         }
     });
     results.into_iter().flatten().collect()
-}
-
-/// The worker count [`parallel_map`] would use for `len` items: the
-/// `SWEEP_WORKERS` environment variable if set (any positive value),
-/// otherwise [`std::thread::available_parallelism`] capped at 8 — and
-/// never more than one worker per item. Exposed so sweep drivers can
-/// record the parallelism a sweep actually ran with alongside its rows.
-pub fn effective_sweep_workers(len: usize) -> usize {
-    std::env::var("SWEEP_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&w| w > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8)
-        })
-        .min(len.max(1))
 }
 
 #[cfg(test)]

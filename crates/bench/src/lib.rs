@@ -1,7 +1,7 @@
 //! Experiment runners behind the report binaries: `efficiency` prints the
 //! paper's tables E1–E10, `figures` regenerates its figures, and
-//! `baseline` writes, checks and splices the deterministic control-byte
-//! ledger `BENCH_baseline.json`. Wall-clock performance is measured
+//! `baseline` writes and checks the deterministic ledger
+//! `BENCH_baseline.json`. Wall-clock performance is measured
 //! elsewhere, by the dsmbench workloads under `benchmark/`.
 //!
 //! Every deterministic sweep is a list of [`MatrixCell`]s — a workload
@@ -15,10 +15,9 @@
 #![warn(missing_docs)]
 
 use apps::scenario::{
-    effective_sweep_workers, latency_label, parallel_map, run_script_backend, run_script_faulted,
-    standard_distributions, standard_faults, standard_grid, standard_topologies, CrashSchedule,
-    DistributionFamily, FaultFamily, RunReport, Scenario, SettlePolicy, TopologyFamily,
-    WorkloadFamily,
+    latency_label, parallel_map, run_script_backend, run_script_faulted, standard_distributions,
+    standard_faults, standard_grid, standard_topologies, CrashSchedule, DistributionFamily,
+    FaultFamily, RunReport, Scenario, SettlePolicy, TopologyFamily, WorkloadFamily,
 };
 use apps::workload::WorkloadOp;
 use apps::{run_bellman_ford, Network};
@@ -370,8 +369,9 @@ pub fn distribution_families(n: usize, seed: u64) -> Vec<(String, Distribution)>
 
 /// One cell of the scenario matrix: a (protocol, distribution family,
 /// workload family, latency model, topology family, delivery mode)
-/// coordinate and its measured costs. Serde-serializable so sweep results
-/// can be tracked as `BENCH_*.json`.
+/// coordinate and its measured costs. Every column is deterministic, so
+/// the rows [`ScenarioMatrixRow::to_json`] writes form the checked-in
+/// ledger `BENCH_baseline.json`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ScenarioMatrixRow {
     /// Protocol name (see [`ProtocolKind::name`]).
@@ -409,10 +409,6 @@ pub struct ScenarioMatrixRow {
     pub duplicates: u64,
     /// Virtual nanoseconds until quiescence.
     pub virtual_nanos: u64,
-    /// Worker threads the sweep's [`apps::scenario::parallel_map`] fan-out
-    /// actually used (identical for every row of one sweep; recorded so a
-    /// checked-in JSON names the parallelism it was produced under).
-    pub sweep_workers: usize,
 }
 
 impl ScenarioMatrixRow {
@@ -439,8 +435,7 @@ impl ScenarioMatrixRow {
             "{{\"protocol\":\"{}\",\"distribution\":\"{}\",\"workload\":\"{}\",\"latency\":\"{}\",\
              \"topology\":\"{}\",\"delivery\":\"{}\",\"fault\":\"{}\",\"processes\":{},\
              \"messages\":{},\"data_bytes\":{},\"control_bytes\":{},\"control_bytes_per_op\":{:.3},\
-             \"forwarded\":{},\"drops\":{},\"duplicates\":{},\"virtual_nanos\":{},\
-             \"sweep_workers\":{}}}",
+             \"forwarded\":{},\"drops\":{},\"duplicates\":{},\"virtual_nanos\":{}}}",
             self.protocol,
             self.distribution,
             self.workload,
@@ -456,66 +451,17 @@ impl ScenarioMatrixRow {
             self.forwarded,
             self.drops,
             self.duplicates,
-            self.virtual_nanos,
-            self.sweep_workers
+            self.virtual_nanos
         )
-    }
-
-    /// Parse a row back out of [`ScenarioMatrixRow::to_json`]'s encoding
-    /// (tolerates surrounding whitespace and a trailing comma, so the
-    /// lines of a checked-in JSON array parse directly). Returns `None`
-    /// for lines that are not row objects.
-    pub fn from_json(line: &str) -> Option<ScenarioMatrixRow> {
-        fn str_field(line: &str, key: &str) -> Option<String> {
-            let tag = format!("\"{key}\":\"");
-            let start = line.find(&tag)? + tag.len();
-            let end = line[start..].find('"')? + start;
-            Some(line[start..end].to_string())
-        }
-        fn num_field(line: &str, key: &str) -> Option<String> {
-            let tag = format!("\"{key}\":");
-            let start = line.find(&tag)? + tag.len();
-            let end = line[start..]
-                .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-                .map(|i| i + start)
-                .unwrap_or(line.len());
-            Some(line[start..end].to_string())
-        }
-        Some(ScenarioMatrixRow {
-            protocol: str_field(line, "protocol")?,
-            distribution: str_field(line, "distribution")?,
-            workload: str_field(line, "workload")?,
-            latency: str_field(line, "latency")?,
-            topology: str_field(line, "topology")?,
-            delivery: str_field(line, "delivery")?,
-            fault: str_field(line, "fault")?,
-            processes: num_field(line, "processes")?.parse().ok()?,
-            messages: num_field(line, "messages")?.parse().ok()?,
-            data_bytes: num_field(line, "data_bytes")?.parse().ok()?,
-            control_bytes: num_field(line, "control_bytes")?.parse().ok()?,
-            control_bytes_per_op: num_field(line, "control_bytes_per_op")?.parse().ok()?,
-            forwarded: num_field(line, "forwarded")?.parse().ok()?,
-            drops: num_field(line, "drops")?.parse().ok()?,
-            duplicates: num_field(line, "duplicates")?.parse().ok()?,
-            virtual_nanos: num_field(line, "virtual_nanos")?.parse().ok()?,
-            // A column added after a baseline was recorded defaults to
-            // zero, so older checked-in `BENCH_*.json` rows keep parsing
-            // (the baseline gate compares control bytes only).
-            sweep_workers: num_field(line, "sweep_workers")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
-        })
     }
 }
 
 /// Run the cells of a ledger tier: `check` sees each report, and each
-/// cell becomes its row, stamped with the fan-out width the sweep ran
-/// under.
+/// cell becomes its row.
 fn matrix_rows(
     cells: Vec<MatrixCell>,
     check: impl Fn(&MatrixCell, &RunReport) + Sync,
 ) -> Vec<ScenarioMatrixRow> {
-    let sweep_workers = effective_sweep_workers(cells.len());
     map_cells(cells, |cell, out| {
         check(&cell, &out);
         ScenarioMatrixRow {
@@ -535,7 +481,6 @@ fn matrix_rows(
             drops: out.drops(),
             duplicates: out.duplicates(),
             virtual_nanos: out.virtual_time.as_nanos(),
-            sweep_workers,
         }
     })
 }
@@ -897,149 +842,6 @@ pub const BASELINE_COORDS: (usize, usize, u64) = (8, 6, 11);
 /// `efficiency` binary's E8 table covers it — so `baseline --check`
 /// remains a sub-minute CI gate.
 pub const BASELINE_LARGE_TIERS: [(usize, usize); 2] = [(64, 2), (256, 2)];
-
-/// One difference found by [`compare_to_baseline`]: a failure, unless it
-/// is an [`BaselineDiff::Improved`] cell (see [`BaselineDiff::fails`]).
-#[derive(Clone, Debug, PartialEq)]
-pub enum BaselineDiff {
-    /// The cell's control bytes grew beyond the tolerance.
-    Regression {
-        /// The cell coordinate ([`ScenarioMatrixRow::coordinate`]).
-        coordinate: String,
-        /// Control bytes recorded in the baseline.
-        baseline: u64,
-        /// Control bytes measured now.
-        current: u64,
-    },
-    /// A baseline cell is missing from the current sweep (the matrix
-    /// shape changed — regenerate the baseline deliberately).
-    Missing {
-        /// The vanished coordinate.
-        coordinate: String,
-    },
-    /// A current cell has no baseline entry (new sweep dimension —
-    /// regenerate the baseline deliberately).
-    New {
-        /// The unexpected coordinate.
-        coordinate: String,
-    },
-    /// The cell's control bytes — or, with them in tolerance, its
-    /// messages — fell below the baseline by more than the tolerance.
-    /// Never a failure — but the ledger is stale, and says so.
-    Improved {
-        /// The cell coordinate ([`ScenarioMatrixRow::coordinate`]).
-        coordinate: String,
-        /// The column that fell (`control bytes` or `messages`).
-        column: &'static str,
-        /// The column's value recorded in the baseline.
-        baseline: u64,
-        /// The column's value measured now.
-        current: u64,
-    },
-}
-
-impl BaselineDiff {
-    /// Whether this difference fails the check (everything but an
-    /// improvement does).
-    pub fn fails(&self) -> bool {
-        !matches!(self, BaselineDiff::Improved { .. })
-    }
-}
-
-impl std::fmt::Display for BaselineDiff {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BaselineDiff::Regression {
-                coordinate,
-                baseline,
-                current,
-            } => write!(
-                f,
-                "REGRESSION {coordinate}: control bytes {baseline} -> {current} (+{:.1}%)",
-                (*current as f64 / *baseline as f64 - 1.0) * 100.0
-            ),
-            BaselineDiff::Missing { coordinate } => {
-                write!(f, "MISSING {coordinate}: cell not produced any more")
-            }
-            BaselineDiff::New { coordinate } => {
-                write!(f, "NEW {coordinate}: cell has no baseline entry")
-            }
-            BaselineDiff::Improved {
-                coordinate,
-                column,
-                baseline,
-                current,
-            } => write!(
-                f,
-                "IMPROVED {coordinate}: {column} {baseline} -> {current} ({:.1}%)",
-                (*current as f64 / *baseline as f64 - 1.0) * 100.0
-            ),
-        }
-    }
-}
-
-/// Compare a sweep against a recorded baseline. A cell regresses when its
-/// control bytes exceed the baseline by more than `tolerance` (relative,
-/// e.g. `0.02` = 2%); a cell whose control bytes or messages fell by more
-/// than the tolerance is reported too but never fails
-/// ([`BaselineDiff::fails`]), so a stale ledger is visible. Shape changes (missing or new coordinates) are also
-/// reported, so a deliberately regenerated baseline is the only way to
-/// change the matrix silently.
-pub fn compare_to_baseline(
-    baseline: &[ScenarioMatrixRow],
-    current: &[ScenarioMatrixRow],
-    tolerance: f64,
-) -> Vec<BaselineDiff> {
-    use std::collections::BTreeMap;
-    let current_by: BTreeMap<String, &ScenarioMatrixRow> =
-        current.iter().map(|r| (r.coordinate(), r)).collect();
-    let baseline_by: BTreeMap<String, &ScenarioMatrixRow> =
-        baseline.iter().map(|r| (r.coordinate(), r)).collect();
-    let mut diffs = Vec::new();
-    for (coordinate, base) in &baseline_by {
-        match current_by.get(coordinate) {
-            None => diffs.push(BaselineDiff::Missing {
-                coordinate: coordinate.clone(),
-            }),
-            Some(cur) => {
-                let fell = |baseline: u64, current: u64| {
-                    (current as f64) < baseline as f64 * (1.0 - tolerance)
-                };
-                let (coordinate, baseline, current) =
-                    (coordinate.clone(), base.control_bytes, cur.control_bytes);
-                if current as f64 > baseline as f64 * (1.0 + tolerance) {
-                    diffs.push(BaselineDiff::Regression {
-                        coordinate,
-                        baseline,
-                        current,
-                    });
-                } else if fell(baseline, current) {
-                    diffs.push(BaselineDiff::Improved {
-                        coordinate,
-                        column: "control bytes",
-                        baseline,
-                        current,
-                    });
-                } else if fell(base.messages, cur.messages) {
-                    diffs.push(BaselineDiff::Improved {
-                        coordinate,
-                        column: "messages",
-                        baseline: base.messages,
-                        current: cur.messages,
-                    });
-                }
-            }
-        }
-    }
-    for coordinate in current_by.keys() {
-        if !baseline_by.contains_key(coordinate) {
-            diffs.push(BaselineDiff::New {
-                coordinate: coordinate.clone(),
-            });
-        }
-    }
-    diffs
-}
 
 #[cfg(test)]
 mod tests {
@@ -1485,53 +1287,17 @@ mod tests {
         }
     }
 
+    /// The ledger is a pure function of the code: two sweeps render the
+    /// same bytes.
     #[test]
-    fn matrix_rows_round_trip_through_json() {
-        let rows = scenario_matrix(4, 2, 5);
-        for row in &rows {
-            let parsed = ScenarioMatrixRow::from_json(&row.to_json()).unwrap();
-            assert_eq!(parsed.coordinate(), row.coordinate());
-            assert_eq!(parsed.messages, row.messages);
-            assert_eq!(parsed.data_bytes, row.data_bytes);
-            assert_eq!(parsed.control_bytes, row.control_bytes);
-            assert_eq!(parsed.forwarded, row.forwarded);
-            assert_eq!(parsed.virtual_nanos, row.virtual_nanos);
-            assert_eq!(parsed.sweep_workers, row.sweep_workers);
-        }
-        // Array framing (trailing comma, whitespace) is tolerated; other
-        // lines are not rows.
-        let line = format!("  {},", rows[0].to_json());
-        assert!(ScenarioMatrixRow::from_json(&line).is_some());
-        assert!(ScenarioMatrixRow::from_json("[").is_none());
-        assert!(ScenarioMatrixRow::from_json("]").is_none());
-        // Rows recorded before the worker column existed still parse, with
-        // it defaulting to zero — the checked-in baseline stays valid
-        // without regeneration.
-        let legacy = line.replace(&format!(",\"sweep_workers\":{}", rows[0].sweep_workers), "");
-        let parsed = ScenarioMatrixRow::from_json(&legacy).unwrap();
-        assert_eq!(parsed.coordinate(), rows[0].coordinate());
-        assert_eq!(parsed.control_bytes, rows[0].control_bytes);
-        assert_eq!(parsed.sweep_workers, 0);
-    }
-
-    /// Every row records the fan-out width its sweep ran under: one
-    /// value per sweep, what `effective_sweep_workers` picks for the
-    /// sweep's cell count — and the only column a rerun on another host
-    /// may change.
-    #[test]
-    fn matrix_rows_report_their_sweep_workers() {
-        let rows = scenario_matrix(5, 3, 9);
-        let workers = rows[0].sweep_workers;
-        assert_eq!(workers, effective_sweep_workers(rows.len()));
-        assert!(rows.iter().all(|r| r.sweep_workers == workers));
-        let again = scenario_matrix(5, 3, 9);
-        for (a, b) in rows.iter().zip(&again) {
-            let same_host = ScenarioMatrixRow {
-                sweep_workers: a.sweep_workers,
-                ..b.clone()
-            };
-            assert_eq!(a.to_json(), same_host.to_json(), "{}", a.coordinate());
-        }
+    fn matrix_rows_render_identically_across_runs() {
+        let render = |rows: Vec<ScenarioMatrixRow>| -> Vec<String> {
+            rows.iter().map(ScenarioMatrixRow::to_json).collect()
+        };
+        assert_eq!(
+            render(scenario_matrix(5, 3, 9)),
+            render(scenario_matrix(5, 3, 9))
+        );
     }
 
     /// E9 smoke: the threaded sweep produces one row per (thread count,
@@ -1556,56 +1322,5 @@ mod tests {
             assert!(row.ops_per_sec() > 0.0);
             assert!(row.simnet_events_per_sec() > 0.0);
         }
-    }
-
-    #[test]
-    fn baseline_comparison_flags_regressions_but_not_improvements() {
-        let rows = scenario_matrix(4, 2, 5);
-        // Identical sweeps: clean.
-        assert!(compare_to_baseline(&rows, &rows, 0.02).is_empty());
-
-        // A 10% control-byte increase on one cell fails at 2% tolerance…
-        let mut worse = rows.clone();
-        worse[0].control_bytes = (worse[0].control_bytes.max(10) as f64 * 1.10) as u64;
-        let diffs = compare_to_baseline(&rows, &worse, 0.02);
-        assert_eq!(diffs.len(), 1);
-        assert!(matches!(diffs[0], BaselineDiff::Regression { .. }));
-        assert!(diffs[0].to_string().contains("REGRESSION"));
-        // …but passes at 20% tolerance.
-        assert!(compare_to_baseline(&rows, &worse, 0.20).is_empty());
-
-        // Improvements never fail — but past the tolerance they are
-        // reported, so a stale ledger shows.
-        let mut better = rows.clone();
-        for r in &mut better {
-            r.control_bytes /= 2;
-        }
-        let diffs = compare_to_baseline(&rows, &better, 0.02);
-        assert!(!diffs.is_empty() && diffs.iter().all(|d| !d.fails()));
-        assert!(diffs[0].to_string().contains("IMPROVED"));
-        let mut slightly = rows.clone();
-        for r in &mut slightly {
-            r.control_bytes -= r.control_bytes / 100;
-        }
-        assert!(compare_to_baseline(&rows, &slightly, 0.02).is_empty());
-        // Fewer envelopes for the same bytes is an improvement too.
-        let mut packed = rows.clone();
-        let busy = rows.iter().position(|r| r.messages > 1).unwrap();
-        packed[busy].messages /= 2;
-        let diffs = compare_to_baseline(&rows, &packed, 0.02);
-        assert_eq!(diffs.len(), 1);
-        assert!(!diffs[0].fails());
-        assert!(
-            diffs[0].to_string().contains("IMPROVED") && diffs[0].to_string().contains("messages")
-        );
-
-        // Shape changes are loud in both directions.
-        let shrunk = &rows[1..];
-        let diffs = compare_to_baseline(&rows, shrunk, 0.02);
-        assert_eq!(diffs.len(), 1);
-        assert!(matches!(diffs[0], BaselineDiff::Missing { .. }));
-        let diffs = compare_to_baseline(shrunk, &rows, 0.02);
-        assert_eq!(diffs.len(), 1);
-        assert!(matches!(diffs[0], BaselineDiff::New { .. }));
     }
 }

@@ -190,62 +190,6 @@ pub enum CausalPartialMsg {
     },
 }
 
-impl CausalPartialMsg {
-    const EMPTY_BATCH: &'static str =
-        "ControlBatch is never empty (the protocol only flushes non-empty buffers)";
-
-    /// The variable the message concerns (for a batch: its first record's).
-    ///
-    /// # Panics
-    /// Panics on a hand-built empty `ControlBatch`; the protocol never
-    /// produces one.
-    pub fn var(&self) -> VarId {
-        match self {
-            CausalPartialMsg::Update { var, .. } | CausalPartialMsg::Control { var, .. } => *var,
-            CausalPartialMsg::ControlBatch { records } => {
-                records.first().expect(Self::EMPTY_BATCH).var
-            }
-            CausalPartialMsg::CatchupReq { .. } => {
-                unreachable!("catch-up requests concern the stream, not one variable")
-            }
-        }
-    }
-
-    /// The writing process (for a batch: its first record's writer).
-    ///
-    /// # Panics
-    /// Panics on a hand-built empty `ControlBatch`; the protocol never
-    /// produces one.
-    pub fn writer(&self) -> usize {
-        match self {
-            CausalPartialMsg::Update { writer, .. } | CausalPartialMsg::Control { writer, .. } => {
-                *writer
-            }
-            CausalPartialMsg::ControlBatch { records } => {
-                records.first().expect(Self::EMPTY_BATCH).writer
-            }
-            CausalPartialMsg::CatchupReq { from, .. } => *from,
-        }
-    }
-
-    /// The attached vector clock (for a batch: its first record's).
-    ///
-    /// # Panics
-    /// Panics on a hand-built empty `ControlBatch`; the protocol never
-    /// produces one.
-    pub fn vc(&self) -> &VectorClock {
-        match self {
-            CausalPartialMsg::Update { stamp, .. } | CausalPartialMsg::Control { stamp, .. } => {
-                stamp.clock()
-            }
-            CausalPartialMsg::ControlBatch { records } => {
-                records.first().expect(Self::EMPTY_BATCH).stamp.clock()
-            }
-            CausalPartialMsg::CatchupReq { vc, .. } => vc,
-        }
-    }
-}
-
 impl WireSize for CausalPartialMsg {
     fn data_bytes(&self) -> usize {
         match self {
@@ -706,8 +650,11 @@ mod tests {
         assert_eq!(ctl.data_bytes(), 0);
         assert_eq!(upd.control_bytes(), ctl.control_bytes());
         assert_eq!(ctl.control_bytes(), 4 * 8 + 8);
-        assert_eq!(upd.var(), VarId(0));
-        assert_eq!(ctl.writer(), 0);
+        assert!(matches!(
+            upd,
+            CausalPartialMsg::Update { var: VarId(0), .. }
+        ));
+        assert!(matches!(ctl, CausalPartialMsg::Control { writer: 0, .. }));
     }
 
     #[test]
@@ -726,8 +673,10 @@ mod tests {
         };
         assert_eq!(triple.control_bytes(), (4 * 8 + 8) + 2 * RECORD_DELTA_BYTES);
         assert_eq!(triple.data_bytes(), 0);
-        assert_eq!(triple.writer(), 0);
-        assert_eq!(triple.var(), VarId(1));
+        assert!(matches!(
+            &triple,
+            CausalPartialMsg::ControlBatch { records } if (records[0].writer, records[0].var) == (0, VarId(1))
+        ));
         // A piggybacked record costs its delta on top of the update.
         let upd = CausalPartialMsg::Update {
             writer: 0,
@@ -1035,7 +984,11 @@ mod tests {
                 .outgoing()
                 .iter()
                 .map(|o| match o {
-                    simnet::Outgoing::One(_, m) | simnet::Outgoing::Many(_, m) => m.vc().clone(),
+                    simnet::Outgoing::One(_, m) | simnet::Outgoing::Many(_, m) => match m {
+                        CausalPartialMsg::Update { stamp, .. }
+                        | CausalPartialMsg::Control { stamp, .. } => stamp.clock().clone(),
+                        other => panic!("unbatched writes send updates and records, not {other:?}"),
+                    },
                 })
                 .collect();
             (clocks, nodes[0].control().sent_bytes(VarId(0)))

@@ -243,11 +243,6 @@ impl Channel {
     pub fn sent_count(&self) -> u64 {
         self.sent
     }
-
-    /// The latency model in use.
-    pub fn latency_model(&self) -> &LatencyModel {
-        &self.latency
-    }
 }
 
 #[cfg(test)]

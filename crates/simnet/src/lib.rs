@@ -10,8 +10,7 @@
 //! simulator*:
 //!
 //! * [`time::SimTime`] — a virtual clock (nanosecond granularity).
-//! * [`message::Envelope`] — typed message envelopes with explicit payload
-//!   and control-metadata byte accounting (see [`message::WireSize`]).
+//! * [`message::WireSize`] — payload and control-metadata byte accounting.
 //! * [`channel::Channel`] and [`channel::LatencyModel`] — reliable FIFO
 //!   links with constant or seeded-jitter latency.
 //! * [`network::Topology`] — which pairs of nodes may communicate (full
@@ -58,7 +57,7 @@ pub use backend::{ExecBackend, ThreadedMode};
 pub use channel::{Channel, LatencyModel, Transmission};
 pub use event::{Event, EventKind, EventQueue};
 pub use fault::{CrashWindow, DownAction, FaultError, FaultPlan};
-pub use message::{Envelope, NodeId, WireSize};
+pub use message::{NodeId, WireSize};
 pub use network::Topology;
 pub use node::{Node, NodeContext, Outgoing};
 pub use pool::{BufferPool, PoolStats};

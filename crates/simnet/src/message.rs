@@ -1,4 +1,4 @@
-//! Message envelopes and wire-size accounting.
+//! Node ids and wire-size accounting.
 //!
 //! The paper's notion of "efficiency" is about **control information**: how
 //! much protocol metadata a process must carry and propagate about variables
@@ -15,7 +15,6 @@
 //! cheap to clone — the protocols keep their vector-clock stamps and
 //! record batches behind an `Arc`, so a clone is a reference-count bump.
 
-use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -70,41 +69,6 @@ pub trait WireSize {
     }
 }
 
-/// A message in flight between two nodes.
-///
-/// `P` is the protocol-defined payload type.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Envelope<P> {
-    /// Sending node.
-    pub from: NodeId,
-    /// Destination node.
-    pub to: NodeId,
-    /// Virtual time at which the message was handed to the channel.
-    pub sent_at: SimTime,
-    /// Per-sender send sequence number (assigned by the simulator, used for
-    /// FIFO ordering and deterministic tie-breaking).
-    pub seq: u64,
-    /// Protocol payload.
-    pub payload: P,
-}
-
-impl<P: WireSize> Envelope<P> {
-    /// Data bytes carried by this envelope's payload.
-    pub fn data_bytes(&self) -> usize {
-        self.payload.data_bytes()
-    }
-
-    /// Control bytes carried by this envelope's payload.
-    pub fn control_bytes(&self) -> usize {
-        self.payload.control_bytes()
-    }
-
-    /// Total payload bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.payload.total_bytes()
-    }
-}
-
 /// A trivial payload with explicit sizes; useful for tests and for traffic
 /// generators that only care about volume.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -150,20 +114,6 @@ mod tests {
         assert_eq!(p.data_bytes(), 10);
         assert_eq!(p.control_bytes(), 32);
         assert_eq!(p.total_bytes(), 42);
-    }
-
-    #[test]
-    fn envelope_delegates_sizes() {
-        let env = Envelope {
-            from: NodeId(0),
-            to: NodeId(1),
-            sent_at: SimTime::ZERO,
-            seq: 0,
-            payload: RawPayload::new(4, 8),
-        };
-        assert_eq!(env.data_bytes(), 4);
-        assert_eq!(env.control_bytes(), 8);
-        assert_eq!(env.total_bytes(), 12);
     }
 
     #[test]

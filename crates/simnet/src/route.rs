@@ -617,11 +617,6 @@ impl<P, N> Relay<P, N> {
         &self.router
     }
 
-    /// Whether multi-destination sends are tree-deduplicated.
-    pub fn multicast_enabled(&self) -> bool {
-        self.multicast
-    }
-
     /// Number of transit envelopes this node forwarded for other pairs.
     pub fn forwarded(&self) -> u64 {
         self.forwarded

@@ -207,11 +207,6 @@ impl NetworkStats {
         self.links.iter().map(|l| l.drops).sum()
     }
 
-    /// Total retransmissions the fault schedule forced (one per drop).
-    pub fn total_retransmits(&self) -> u64 {
-        self.total_drops()
-    }
-
     /// Total duplicate copies delivered and discarded by link layers.
     pub fn total_duplicates(&self) -> u64 {
         self.links.iter().map(|l| l.duplicates).sum()
