@@ -216,17 +216,43 @@ mod tests {
     }
 
     #[test]
-    fn only_write_and_check_parse() {
-        assert_eq!(parse_args(&args("--write F")), Ok(Mode::Write("F".into())));
-        assert_eq!(parse_args(&args("--check F")), Ok(Mode::Check("F".into())));
+    fn the_four_flags_parse() {
+        // --write and --check take a file; --splice and --tolerance are
+        // gone and now rejected like any unknown flag.
+        assert_eq!(
+            parse_args(&args("--write b.json")),
+            Ok(Mode::Write("b.json".into()))
+        );
+        assert_eq!(
+            parse_args(&args("--check b.json")),
+            Ok(Mode::Check("b.json".into()))
+        );
+        for line in ["--splice b.json", "--check b.json --tolerance 0.05"] {
+            parse_args(&args(line)).expect_err(line);
+        }
+    }
+
+    #[test]
+    fn a_bad_command_line_is_an_error_not_a_print() {
         for line in [
+            // No mode at all: there is no print mode to fall back on.
             "",
-            "--chek F",
-            "--splice F",
-            "--check F --tolerance 0.05",
+            // Unknown flags, including the typo that would switch a CI gate off.
+            "--chek BENCH_baseline.json",
+            "--check BENCH_baseline.json --floor 0.1",
+            "BENCH_baseline.json",
+            // A flag without its value.
             "--check",
+            "--check --tolerance 0.05",
+            "--check b.json --tolerance",
+            // A second mode.
+            "--check b.json --splice b.json",
+            "--write b.json --write c.json",
         ] {
             parse_args(&args(line)).expect_err(line);
         }
+        assert!(parse_args(&args("--chek b.json"))
+            .unwrap_err()
+            .contains("\"--chek\""));
     }
 }
