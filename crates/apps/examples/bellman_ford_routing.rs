@@ -1,10 +1,10 @@
 //! The paper's case study (§6): distributed Bellman-Ford routing over a
 //! PRAM-consistent, partially replicated shared memory.
 //!
-//! Run with:
+//! Run with (any other command line exits with status 2 and a usage line):
 //! ```text
 //! cargo run --example bellman_ford_routing            # the Figure 8 network
-//! cargo run --example bellman_ford_routing -- 40 3    # 40 nodes, seed 3
+//! cargo run --example bellman_ford_routing -- 40 3    # 40 nodes (at least 2), seed 3 (default 1)
 //! ```
 //!
 //! The example runs the Figure 7 algorithm on the Figure 8 network (or a
@@ -17,12 +17,24 @@ use apps::{bellman_ford_distribution, run_bellman_ford, shortest_paths_reference
 use dsm::ProtocolKind;
 use histories::ProcId;
 use simnet::SimConfig;
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let net = if args.len() >= 2 {
-        let n: usize = args[1].parse().expect("node count");
-        let seed: u64 = args.get(2).map(|s| s.parse().unwrap()).unwrap_or(1);
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let random = match args.as_slice() {
+        [] => Some(None),
+        [n] | [n, _] => {
+            let seed = args.get(1).map_or(Some(1), |seed| seed.parse().ok());
+            let n = n.parse().ok().filter(|&n: &usize| n >= 2);
+            n.zip(seed).map(Some)
+        }
+        _ => None,
+    };
+    let Some(random) = random else {
+        eprintln!("usage: bellman_ford_routing [NODES [SEED]] (NODES at least 2)");
+        return ExitCode::from(2);
+    };
+    let net = if let Some((n, seed)) = random {
         println!("random network: {n} nodes, seed {seed}");
         Network::random_reachable(n, 2 * n, 9, seed)
     } else {
@@ -49,16 +61,19 @@ fn main() {
     );
     let runs: Vec<_> = ProtocolKind::ALL
         .iter()
-        .map(|&kind| (kind, run_bellman_ford(kind, &net, 0, SimConfig::default())))
+        .map(|&kind| {
+            let run = run_bellman_ford(kind, &net, 0, SimConfig::default());
+            (kind, run.expect("node 0 exists in every network"))
+        })
         .collect();
     for (kind, run) in &runs {
         let ok = run.converged && run.distances == reference;
         println!(
             "{:<16} {:>10} {:>12} {:>14} {:>8} {:>6}",
             kind.name(),
-            run.messages,
-            run.data_bytes,
-            run.control_bytes,
+            run.report.messages(),
+            run.report.data_bytes(),
+            run.report.control_bytes(),
             run.rounds,
             ok
         );
@@ -68,11 +83,12 @@ fn main() {
     let pram = by_kind(ProtocolKind::PramPartial);
     println!("\nshortest distances from node 1: {:?}", pram.distances);
     println!("sequential reference:            {reference:?}");
-    let cfull = by_kind(ProtocolKind::CausalFull);
-    if pram.control_bytes > 0 {
+    let (cfull, pram) = (&by_kind(ProtocolKind::CausalFull).report, &pram.report);
+    if pram.control_bytes() > 0 {
         println!(
             "\ncontrol-byte ratio causal-full / pram-partial: {:.2}x",
-            cfull.control_bytes as f64 / pram.control_bytes as f64
+            cfull.control_bytes() as f64 / pram.control_bytes() as f64
         );
     }
+    ExitCode::SUCCESS
 }

@@ -1,9 +1,9 @@
 //! Replication efficiency: measure the control-information cost of the five
 //! MCS protocols on the same synthetic workload, for growing system sizes.
 //!
-//! Run with:
+//! Run with (any other command line exits with status 2 and a usage line):
 //! ```text
-//! cargo run --release --example replication_efficiency
+//! cargo run --release --example replication_efficiency        # up to 16 processes
 //! cargo run --release --example replication_efficiency -- 24   # up to 24 processes
 //! ```
 //!
@@ -15,12 +15,19 @@
 
 use apps::scenario::{run_all, DistributionFamily, Scenario, SettlePolicy, WorkloadFamily};
 use histories::VarId;
+use std::process::ExitCode;
 
-fn main() {
-    let max_n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(16);
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let max_n = match args.as_slice() {
+        [] => Some(16),
+        [n] => n.parse().ok(),
+        _ => None,
+    };
+    let Some(max_n) = max_n else {
+        eprintln!("usage: replication_efficiency [MAX_PROCESSES]");
+        return ExitCode::from(2);
+    };
 
     println!("workload: 12 ops/process, 50% writes, replication factor 2\n");
     println!(
@@ -63,4 +70,5 @@ fn main() {
          causal protocols pay O(n) vector clocks — and causal-partial additionally\n\
          touches every node with control-only records (Theorem 1)."
     );
+    ExitCode::SUCCESS
 }

@@ -20,12 +20,13 @@
 //! protocol.
 
 use crate::graphs::{Network, INFINITY};
-use dsm::{DynDsm, ProtocolKind};
+use crate::scenario::RunReport;
+use dsm::{DsmError, DynDsm, ProtocolKind};
 use histories::{Distribution, ProcId, Value, VarId};
 use simnet::SimConfig;
 
 /// Result of one distributed run.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct BellmanFordRun {
     /// Final distance estimates, one per node (`INFINITY` if unreachable).
     pub distances: Vec<i64>,
@@ -33,14 +34,8 @@ pub struct BellmanFordRun {
     pub rounds: usize,
     /// Whether every process completed its `N` iterations.
     pub converged: bool,
-    /// Total messages sent by the MCS.
-    pub messages: u64,
-    /// Total protocol control bytes sent by the MCS.
-    pub control_bytes: u64,
-    /// Total data bytes sent by the MCS.
-    pub data_bytes: u64,
-    /// Application operations issued (reads + writes).
-    pub operations: u64,
+    /// What the run cost: messages, bytes, operations and the history.
+    pub report: RunReport,
 }
 
 /// The variable ids used by the computation: `x_i` is `VarId(i)`, `k_i` is
@@ -82,26 +77,28 @@ fn value_or_infinity(v: Value) -> i64 {
 /// of Figure 7), then all in-flight updates are delivered. A process stops
 /// after `N` iterations; the run aborts (with `converged = false`) if it
 /// exceeds `4·N + 8` rounds, which cannot happen with reliable delivery.
+/// A `source` outside the network is [`DsmError::UnknownProcess`].
 pub fn run_bellman_ford(
     kind: ProtocolKind,
     net: &Network,
     source: usize,
     config: SimConfig,
-) -> BellmanFordRun {
+) -> Result<BellmanFordRun, DsmError> {
     let n = net.node_count();
-    assert!(source < n, "source out of range");
+    if source >= n {
+        let proc = ProcId(source);
+        return Err(DsmError::UnknownProcess { proc });
+    }
     let dist = bellman_ford_distribution(net);
-    let mut dsm = DynDsm::with_config(kind, dist, config);
+    let mut dsm = DynDsm::try_with_config(kind, dist, config)?;
 
     // Line 1-4 of Figure 7: initialize k_i and x_i.
     for i in 0..n {
         let x0 = if i == source { 0 } else { INFINITY };
-        dsm.write(ProcId(i), distance_var(i), x0)
-            .expect("process replicates its own distance");
-        dsm.write(ProcId(i), counter_var(n, i), 0)
-            .expect("process replicates its own counter");
+        dsm.write(ProcId(i), distance_var(i), x0)?;
+        dsm.write(ProcId(i), counter_var(n, i), 0)?;
     }
-    dsm.settle();
+    dsm.try_settle()?;
 
     let mut k = vec![0i64; n];
     let max_rounds = 4 * n + 8;
@@ -113,17 +110,17 @@ pub fn run_bellman_ford(
                 continue;
             }
             // Line 6: wait until every predecessor's counter has caught up.
+            // A counter that has never been received reads as ⊥ and counts
+            // as "not yet started" (-1).
             let preds = net.predecessors(i);
-            let ready = preds.iter().all(|&h| {
-                // A counter that has never been received reads as ⊥ and
-                // counts as "not yet started" (-1).
-                let kh = dsm
-                    .read(ProcId(i), counter_var(n, h))
-                    .ok()
-                    .and_then(Value::as_int)
-                    .unwrap_or(-1);
-                kh >= *ki
-            });
+            let mut ready = true;
+            for &h in &preds {
+                let kh = dsm.read(ProcId(i), counter_var(n, h))?.as_int();
+                ready = kh.unwrap_or(-1) >= *ki;
+                if !ready {
+                    break;
+                }
+            }
             if !ready {
                 continue;
             }
@@ -131,37 +128,38 @@ pub fn run_bellman_ford(
             if i != source {
                 let mut best = INFINITY;
                 for &h in &preds {
-                    let xh = value_or_infinity(dsm.read(ProcId(i), distance_var(h)).unwrap());
+                    let xh = value_or_infinity(dsm.read(ProcId(i), distance_var(h))?);
                     best = best.min(xh.saturating_add(net.weight(h, i)));
                 }
-                dsm.write(ProcId(i), distance_var(i), best).unwrap();
+                dsm.write(ProcId(i), distance_var(i), best)?;
             }
             // Line 8: advance the iteration counter.
             *ki += 1;
-            dsm.write(ProcId(i), counter_var(n, i), *ki).unwrap();
+            dsm.write(ProcId(i), counter_var(n, i), *ki)?;
         }
-        dsm.settle();
+        dsm.try_settle()?;
     }
 
     let distances = (0..n)
         .map(|i| value_or_infinity(dsm.peek(ProcId(i), distance_var(i))))
         .collect();
-    let stats = dsm.network_stats();
-    BellmanFordRun {
+    Ok(BellmanFordRun {
         distances,
         rounds,
         converged: k.iter().all(|&ki| ki >= n as i64),
-        messages: stats.total_messages(),
-        control_bytes: stats.total_control_bytes(),
-        data_bytes: stats.total_data_bytes(),
-        operations: dsm.operation_count(),
-    }
+        report: RunReport::of(&dsm, 0),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graphs::shortest_paths_reference;
+
+    /// Bellman-Ford from node 0 under `kind` on the default network.
+    fn on_mesh(kind: ProtocolKind, net: &Network) -> BellmanFordRun {
+        run_bellman_ford(kind, net, 0, SimConfig::default()).unwrap()
+    }
 
     #[test]
     fn distribution_matches_the_papers_example() {
@@ -186,11 +184,11 @@ mod tests {
     #[test]
     fn fig8_distances_match_the_reference_under_pram_partial() {
         let net = Network::fig8();
-        let run = run_bellman_ford(ProtocolKind::PramPartial, &net, 0, SimConfig::default());
+        let run = on_mesh(ProtocolKind::PramPartial, &net);
         assert!(run.converged);
         assert_eq!(run.distances, shortest_paths_reference(&net, 0));
         assert_eq!(run.distances, vec![0, 2, 1, 3, 4]);
-        assert!(run.messages > 0);
+        assert!(run.report.messages() > 0);
     }
 
     #[test]
@@ -198,7 +196,7 @@ mod tests {
         let net = Network::fig8();
         let reference = shortest_paths_reference(&net, 0);
         for kind in ProtocolKind::ALL {
-            let run = run_bellman_ford(kind, &net, 0, SimConfig::default());
+            let run = on_mesh(kind, &net);
             assert_eq!(run.distances, reference, "{kind}");
         }
     }
@@ -206,29 +204,30 @@ mod tests {
     #[test]
     fn pram_partial_sends_less_control_than_causal_variants() {
         let net = Network::fig8();
-        let pram = run_bellman_ford(ProtocolKind::PramPartial, &net, 0, SimConfig::default());
-        let cfull = run_bellman_ford(ProtocolKind::CausalFull, &net, 0, SimConfig::default());
-        let cpart = run_bellman_ford(ProtocolKind::CausalPartial, &net, 0, SimConfig::default());
+        let [pram, cfull, cpart] = [
+            ProtocolKind::PramPartial,
+            ProtocolKind::CausalFull,
+            ProtocolKind::CausalPartial,
+        ]
+        .map(|kind| on_mesh(kind, &net).report);
+        let control = [
+            pram.control_bytes(),
+            cfull.control_bytes(),
+            cpart.control_bytes(),
+        ];
+        assert!(control[0] < control[1], "pram vs causal-full: {control:?}");
         assert!(
-            pram.control_bytes < cfull.control_bytes,
-            "pram {} vs causal-full {}",
-            pram.control_bytes,
-            cfull.control_bytes
+            control[0] < control[2],
+            "pram vs causal-partial: {control:?}"
         );
-        assert!(
-            pram.control_bytes < cpart.control_bytes,
-            "pram {} vs causal-partial {}",
-            pram.control_bytes,
-            cpart.control_bytes
-        );
-        assert!(pram.messages < cfull.messages);
+        assert!(pram.messages() < cfull.messages());
     }
 
     #[test]
     fn larger_random_networks_converge_to_the_reference() {
         for seed in [1, 2, 3] {
             let net = Network::random_reachable(9, 12, 7, seed);
-            let run = run_bellman_ford(ProtocolKind::PramPartial, &net, 0, SimConfig::default());
+            let run = on_mesh(ProtocolKind::PramPartial, &net);
             assert!(run.converged, "seed {seed}");
             assert_eq!(
                 run.distances,
@@ -244,7 +243,7 @@ mod tests {
         net.add_edge(0, 1, 2);
         net.add_edge(1, 2, 2);
         // Node 3 is isolated.
-        let run = run_bellman_ford(ProtocolKind::PramPartial, &net, 0, SimConfig::default());
+        let run = on_mesh(ProtocolKind::PramPartial, &net);
         assert!(run.converged);
         assert_eq!(run.distances, vec![0, 2, 4, INFINITY]);
     }
@@ -256,7 +255,7 @@ mod tests {
         // writer, so the overlay-routed runs reproduce the mesh exactly.
         let net = Network::fig8();
         let reference = shortest_paths_reference(&net, 0);
-        let mesh = run_bellman_ford(ProtocolKind::PramPartial, &net, 0, SimConfig::default());
+        let mesh = on_mesh(ProtocolKind::PramPartial, &net);
         for topology in [
             simnet::Topology::ring(5),
             simnet::Topology::star(5),
@@ -266,21 +265,22 @@ mod tests {
                 topology: Some(topology.clone()),
                 ..SimConfig::default()
             };
-            let run = run_bellman_ford(ProtocolKind::PramPartial, &net, 0, config);
+            let run = run_bellman_ford(ProtocolKind::PramPartial, &net, 0, config).unwrap();
             assert!(run.converged, "{topology:?}");
             assert_eq!(run.distances, reference, "{topology:?}");
+            let (run, mesh) = (&run.report, &mesh.report);
             assert_eq!(run.operations, mesh.operations, "{topology:?}");
             // Relaying pays on the wire but never changes the result.
-            assert!(run.messages >= mesh.messages, "{topology:?}");
+            assert!(run.messages() >= mesh.messages(), "{topology:?}");
         }
     }
 
     #[test]
     fn ring_network_distances() {
         let net = Network::ring(7);
-        let run = run_bellman_ford(ProtocolKind::PramPartial, &net, 0, SimConfig::default());
+        let run = on_mesh(ProtocolKind::PramPartial, &net);
         assert_eq!(run.distances, shortest_paths_reference(&net, 0));
         assert!(run.rounds <= 4 * 7 + 8);
-        assert!(run.operations > 0);
+        assert!(run.report.operations > 0);
     }
 }

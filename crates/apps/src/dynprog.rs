@@ -8,20 +8,10 @@
 //! reader of row `r` is always the owner of row `r + 1`, so the variable
 //! distribution keeps every row on exactly two processes.
 
-use dsm::{DynDsm, ProtocolKind};
+use crate::scenario::RunReport;
+use dsm::{DsmError, DynDsm, ProtocolKind};
 use histories::{Distribution, ProcId, VarId};
 use simnet::SimConfig;
-
-/// Result of a distributed LCS run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LcsRun {
-    /// The LCS length.
-    pub length: i64,
-    /// Messages sent by the MCS.
-    pub messages: u64,
-    /// Control bytes sent by the MCS.
-    pub control_bytes: u64,
-}
 
 /// Sequential reference LCS length.
 pub fn lcs_reference(a: &[u8], b: &[u8]) -> i64 {
@@ -78,14 +68,23 @@ pub fn lcs_distribution(rows: usize, cols: usize, procs: usize) -> Distribution 
 }
 
 /// Run the distributed LCS of `a` and `b` over `procs` processes using the
-/// protocol selected by `kind`.
-pub fn run_lcs(kind: ProtocolKind, a: &[u8], b: &[u8], procs: usize, config: SimConfig) -> LcsRun {
-    assert!(procs >= 1);
-    assert!(!a.is_empty() && !b.is_empty(), "inputs must be non-empty");
+/// protocol selected by `kind`, returning the LCS length and the run's
+/// report. An empty input or zero processes is [`DsmError::InvalidConfig`].
+pub fn run_lcs(
+    kind: ProtocolKind,
+    a: &[u8],
+    b: &[u8],
+    procs: usize,
+    config: SimConfig,
+) -> Result<(i64, RunReport), DsmError> {
+    if procs == 0 || a.is_empty() || b.is_empty() {
+        let reason = "the LCS needs at least one process and two non-empty inputs".to_string();
+        return Err(DsmError::InvalidConfig { reason });
+    }
     let rows = a.len();
     let cols = b.len();
     let dist = lcs_distribution(rows, cols, procs);
-    let mut dsm = DynDsm::with_config(kind, dist, config);
+    let mut dsm = DynDsm::try_with_config(kind, dist, config)?;
     dsm.disable_recording();
 
     // Rows are processed in order; each row's owner reads the previous row
@@ -98,8 +97,8 @@ pub fn run_lcs(kind: ProtocolKind, a: &[u8], b: &[u8], procs: usize, config: Sim
             // Wait for the previous row (spin on the completion flag).
             let flag = row_done_var(rows, cols, row - 1);
             let mut guard = 0;
-            while dsm.read(owner, flag).unwrap().as_int() != Some(1) {
-                dsm.settle();
+            while dsm.read(owner, flag)?.as_int() != Some(1) {
+                dsm.try_settle()?;
                 guard += 1;
                 assert!(guard < 4, "previous row must become visible");
             }
@@ -108,48 +107,32 @@ pub fn run_lcs(kind: ProtocolKind, a: &[u8], b: &[u8], procs: usize, config: Sim
             let value = if col == 0 {
                 0
             } else {
-                let up = if row == 1 {
-                    0
-                } else {
-                    dsm.read(owner, cell_var(cols, row - 1, col))
-                        .unwrap()
-                        .as_int()
-                        .unwrap()
+                // Row 0 is the all-zero boundary: never shared, never read.
+                let mut cell = |row, col| match row {
+                    0 => Ok(0),
+                    _ => dsm.read(owner, cell_var(cols, row, col)).map(|v| {
+                        v.as_int()
+                            .expect("cells are read only after they are written")
+                    }),
                 };
-                let up_left = if row == 1 {
-                    0
-                } else {
-                    dsm.read(owner, cell_var(cols, row - 1, col - 1))
-                        .unwrap()
-                        .as_int()
-                        .unwrap()
-                };
-                let left = dsm
-                    .read(owner, cell_var(cols, row, col - 1))
-                    .unwrap()
-                    .as_int()
-                    .unwrap();
+                let up = cell(row - 1, col)?;
+                let up_left = cell(row - 1, col - 1)?;
+                let left = cell(row, col - 1)?;
                 if a[row - 1] == b[col - 1] {
                     up_left + 1
                 } else {
                     up.max(left)
                 }
             };
-            dsm.write(owner, cell_var(cols, row, col), value).unwrap();
+            dsm.write(owner, cell_var(cols, row, col), value)?;
             if row == rows && col == cols {
                 last = value;
             }
         }
-        dsm.write(owner, row_done_var(rows, cols, row), 1).unwrap();
-        dsm.settle();
+        dsm.write(owner, row_done_var(rows, cols, row), 1)?;
+        dsm.try_settle()?;
     }
-
-    let stats = dsm.network_stats();
-    LcsRun {
-        length: last,
-        messages: stats.total_messages(),
-        control_bytes: stats.total_control_bytes(),
-    }
+    Ok((last, RunReport::of(&dsm, 0)))
 }
 
 #[cfg(test)]
@@ -168,27 +151,32 @@ mod tests {
     fn distributed_lcs_matches_reference() {
         let a = b"ABCBDABXY";
         let b = b"BDCABAYX";
-        let run = run_lcs(ProtocolKind::PramPartial, a, b, 3, SimConfig::default());
-        assert_eq!(run.length, lcs_reference(a, b));
-        assert!(run.messages > 0);
+        let (length, report) =
+            run_lcs(ProtocolKind::PramPartial, a, b, 3, SimConfig::default()).unwrap();
+        assert_eq!(length, lcs_reference(a, b));
+        assert!(report.messages() > 0);
     }
 
     #[test]
     fn distributed_lcs_single_process() {
         let a = b"GATTACA";
         let b = b"TAGACCA";
-        let run = run_lcs(ProtocolKind::PramPartial, a, b, 1, SimConfig::default());
-        assert_eq!(run.length, lcs_reference(a, b));
+        let (length, _) =
+            run_lcs(ProtocolKind::PramPartial, a, b, 1, SimConfig::default()).unwrap();
+        assert_eq!(length, lcs_reference(a, b));
     }
 
     #[test]
     fn pram_partial_beats_causal_partial_on_control_bytes() {
         let a = b"ABCBDABAB";
         let b = b"BDCABABAB";
-        let pram = run_lcs(ProtocolKind::PramPartial, a, b, 4, SimConfig::default());
-        let causal = run_lcs(ProtocolKind::CausalPartial, a, b, 4, SimConfig::default());
-        assert_eq!(pram.length, causal.length);
-        assert!(pram.control_bytes < causal.control_bytes);
+        let run = |kind| run_lcs(kind, a, b, 4, SimConfig::default()).unwrap();
+        let (pram, causal) = (
+            run(ProtocolKind::PramPartial),
+            run(ProtocolKind::CausalPartial),
+        );
+        assert_eq!(pram.0, causal.0);
+        assert!(pram.1.control_bytes() < causal.1.control_bytes());
     }
 
     #[test]

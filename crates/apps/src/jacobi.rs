@@ -14,7 +14,8 @@
 //! Values are fixed-point scaled integers (scale 1e6) so the shared
 //! variables stay `i64` like everything else in the DSM.
 
-use dsm::{DynDsm, ProtocolKind};
+use crate::scenario::RunReport;
+use dsm::{DsmError, DynDsm, ProtocolKind};
 use histories::{Distribution, ProcId, VarId};
 use simnet::SimConfig;
 
@@ -98,10 +99,8 @@ pub struct JacobiRun {
     pub rounds: usize,
     /// Whether the tolerance was reached.
     pub converged: bool,
-    /// Messages sent by the MCS.
-    pub messages: u64,
-    /// Control bytes sent by the MCS.
-    pub control_bytes: u64,
+    /// What the run cost: messages, bytes and operations.
+    pub report: RunReport,
 }
 
 /// The distribution: component `x_j` is replicated on its owner `p_j` and
@@ -127,7 +126,8 @@ pub fn jacobi_distribution(problem: &FixedPointProblem) -> Distribution {
 /// updates are only delivered every that-many rounds, so larger values mean
 /// processes iterate on older neighbour values (the totally-asynchronous
 /// regime). Convergence is declared when every component moves by less than
-/// `tolerance` in a round *after* a full delivery.
+/// `tolerance` in a round *after* a full delivery. A `settle_every` of 0
+/// is [`DsmError::InvalidConfig`].
 pub fn run_jacobi(
     kind: ProtocolKind,
     problem: &FixedPointProblem,
@@ -135,18 +135,21 @@ pub fn run_jacobi(
     max_rounds: usize,
     settle_every: usize,
     config: SimConfig,
-) -> JacobiRun {
+) -> Result<JacobiRun, DsmError> {
     let n = problem.size();
-    assert!(settle_every >= 1);
+    if settle_every == 0 {
+        let reason = "settle_every must be at least 1".to_string();
+        return Err(DsmError::InvalidConfig { reason });
+    }
     let dist = jacobi_distribution(problem);
-    let mut dsm = DynDsm::with_config(kind, dist, config);
+    let mut dsm = DynDsm::try_with_config(kind, dist, config)?;
     dsm.disable_recording();
 
     // Initial estimates: 0.
     for i in 0..n {
-        dsm.write(ProcId(i), VarId(i), 0).unwrap();
+        dsm.write(ProcId(i), VarId(i), 0)?;
     }
-    dsm.settle();
+    dsm.try_settle()?;
 
     let mut current = vec![0.0f64; n];
     let mut rounds = 0;
@@ -163,38 +166,52 @@ pub fn run_jacobi(
             for j in 0..n {
                 let coeff = problem.m[i * n + j];
                 if coeff != 0.0 {
-                    let raw = dsm.read(ProcId(i), VarId(j)).unwrap().as_int().unwrap_or(0);
+                    let raw = dsm.read(ProcId(i), VarId(j))?.as_int().unwrap_or(0);
                     acc += coeff * (raw as f64 / SCALE as f64);
                 }
             }
             max_delta = max_delta.max((acc - *current_i).abs());
             *current_i = acc;
-            dsm.write(ProcId(i), VarId(i), (acc * SCALE as f64) as i64)
-                .unwrap();
+            dsm.write(ProcId(i), VarId(i), (acc * SCALE as f64) as i64)?;
         }
         if rounds % settle_every == 0 {
-            dsm.settle();
+            dsm.try_settle()?;
         }
         if fresh_inputs && max_delta < tolerance {
             converged = true;
             break;
         }
     }
-    dsm.settle();
-
-    let stats = dsm.network_stats();
-    JacobiRun {
+    dsm.try_settle()?;
+    Ok(JacobiRun {
         solution: current,
         rounds,
         converged,
-        messages: stats.total_messages(),
-        control_bytes: stats.total_control_bytes(),
-    }
+        report: RunReport::of(&dsm, 0),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Solve `p` to 1e-7 under `kind` on the default network.
+    fn solve(
+        kind: ProtocolKind,
+        p: &FixedPointProblem,
+        max_rounds: usize,
+        settle_every: usize,
+    ) -> JacobiRun {
+        run_jacobi(
+            kind,
+            p,
+            1e-7,
+            max_rounds,
+            settle_every,
+            SimConfig::default(),
+        )
+        .unwrap()
+    }
 
     fn close(a: &[f64], b: &[f64], eps: f64) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() < eps)
@@ -218,39 +235,18 @@ mod tests {
     fn distributed_jacobi_converges_to_the_reference() {
         let p = FixedPointProblem::random(6, 0.5, 2);
         let reference = p.reference_solution(1e-9, 500);
-        let run = run_jacobi(
-            ProtocolKind::PramPartial,
-            &p,
-            1e-7,
-            400,
-            1,
-            SimConfig::default(),
-        );
+        let run = solve(ProtocolKind::PramPartial, &p, 400, 1);
         assert!(run.converged, "should converge within the round budget");
         assert!(close(&run.solution, &reference, 1e-3));
-        assert!(run.messages > 0);
+        assert!(run.report.messages() > 0);
     }
 
     #[test]
     fn staleness_slows_but_does_not_break_convergence() {
         let p = FixedPointProblem::random(5, 0.4, 3);
         let reference = p.reference_solution(1e-9, 500);
-        let fresh = run_jacobi(
-            ProtocolKind::PramPartial,
-            &p,
-            1e-7,
-            600,
-            1,
-            SimConfig::default(),
-        );
-        let stale = run_jacobi(
-            ProtocolKind::PramPartial,
-            &p,
-            1e-7,
-            600,
-            4,
-            SimConfig::default(),
-        );
+        let fresh = solve(ProtocolKind::PramPartial, &p, 600, 1);
+        let stale = solve(ProtocolKind::PramPartial, &p, 600, 4);
         assert!(fresh.converged && stale.converged);
         assert!(close(&stale.solution, &reference, 1e-3));
         assert!(stale.rounds >= fresh.rounds);
@@ -259,22 +255,8 @@ mod tests {
     #[test]
     fn causal_full_and_pram_partial_agree() {
         let p = FixedPointProblem::random(4, 0.5, 4);
-        let a = run_jacobi(
-            ProtocolKind::PramPartial,
-            &p,
-            1e-7,
-            400,
-            1,
-            SimConfig::default(),
-        );
-        let b = run_jacobi(
-            ProtocolKind::CausalFull,
-            &p,
-            1e-7,
-            400,
-            1,
-            SimConfig::default(),
-        );
+        let a = solve(ProtocolKind::PramPartial, &p, 400, 1);
+        let b = solve(ProtocolKind::CausalFull, &p, 400, 1);
         assert!(a.converged && b.converged);
         assert!(close(&a.solution, &b.solution, 1e-3));
     }

@@ -20,8 +20,9 @@
 //!   comparative driver (benchmarks, examples, tests) goes through it.
 //!
 //! Every distributed run is validated against a sequential reference
-//! implementation in the module's tests, and every app driver picks its
-//! protocol at runtime from a [`dsm::ProtocolKind`] value.
+//! implementation in the module's tests. Every app driver picks its
+//! protocol at runtime from a [`dsm::ProtocolKind`] and returns a
+//! [`scenario::RunReport`] with its result, or a [`dsm::DsmError`].
 
 #![warn(missing_docs)]
 
@@ -36,10 +37,10 @@ pub mod workload;
 pub use bellman_ford::{
     bellman_ford_distribution, counter_var, distance_var, run_bellman_ford, BellmanFordRun,
 };
-pub use dynprog::{lcs_distribution, lcs_reference, run_lcs, LcsRun};
+pub use dynprog::{lcs_distribution, lcs_reference, run_lcs};
 pub use graphs::{shortest_paths_reference, Network, INFINITY};
 pub use jacobi::{jacobi_distribution, run_jacobi, FixedPointProblem, JacobiRun, SCALE};
-pub use matrix::{matrix_distribution, run_matrix_product, Matrix, MatrixRun};
+pub use matrix::{matrix_distribution, run_matrix_product, Matrix};
 pub use scenario::{
     generate_family_ops, latency_label, parallel_map, run_all, run_scenario, run_script,
     standard_distributions, standard_grid, standard_latencies, standard_topologies,

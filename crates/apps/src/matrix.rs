@@ -11,7 +11,8 @@
 //! worker's replica set to the inputs it actually reads plus its own output
 //! block.
 
-use dsm::{DynDsm, ProtocolKind};
+use crate::scenario::RunReport;
+use dsm::{DsmError, DynDsm, ProtocolKind};
 use histories::{Distribution, ProcId, Value, VarId};
 use simnet::SimConfig;
 
@@ -76,19 +77,6 @@ impl Matrix {
     }
 }
 
-/// Result of a distributed matrix product run.
-#[derive(Clone, Debug)]
-pub struct MatrixRun {
-    /// The computed product.
-    pub product: Matrix,
-    /// Messages sent by the MCS.
-    pub messages: u64,
-    /// Control bytes sent by the MCS.
-    pub control_bytes: u64,
-    /// Application operations issued.
-    pub operations: u64,
-}
-
 /// Variable layout for an `n×n` product with `workers` workers: producer
 /// variables are `A` cells, then `B` cells, then the ready flag, then `C`
 /// cells.
@@ -151,64 +139,60 @@ pub fn matrix_distribution(n: usize, workers: usize) -> Distribution {
 }
 
 /// Run the distributed product of `a` and `b` (both `n×n`) with `workers`
-/// worker processes over the protocol selected by `kind`.
+/// worker processes over the protocol selected by `kind`, returning the
+/// product and the run's report. Matrices that are not square and of one
+/// size, or zero workers, are [`DsmError::InvalidConfig`].
 pub fn run_matrix_product(
     kind: ProtocolKind,
     a: &Matrix,
     b: &Matrix,
     workers: usize,
     config: SimConfig,
-) -> MatrixRun {
-    assert_eq!(a.rows(), a.cols(), "square matrices only");
-    assert_eq!(a.rows(), b.rows(), "dimension mismatch");
-    assert_eq!(b.rows(), b.cols(), "square matrices only");
-    assert!(workers >= 1);
+) -> Result<(Matrix, RunReport), DsmError> {
     let n = a.rows();
+    if [a.cols(), b.rows(), b.cols()] != [n; 3] || workers == 0 {
+        let reason = "the matrix product needs two n×n matrices and a worker".to_string();
+        return Err(DsmError::InvalidConfig { reason });
+    }
     let layout = Layout { n };
     let dist = matrix_distribution(n, workers);
-    let mut dsm = DynDsm::with_config(kind, dist, config);
+    let mut dsm = DynDsm::try_with_config(kind, dist, config)?;
     dsm.disable_recording();
     let producer = ProcId(0);
 
     // Producer publishes the inputs in program order, then the flag.
     for i in 0..n {
         for j in 0..n {
-            dsm.write(producer, layout.a(i, j), a.get(i, j)).unwrap();
-            dsm.write(producer, layout.b(i, j), b.get(i, j)).unwrap();
+            dsm.write(producer, layout.a(i, j), a.get(i, j))?;
+            dsm.write(producer, layout.b(i, j), b.get(i, j))?;
         }
     }
-    dsm.write(producer, layout.ready(), 1).unwrap();
-    dsm.settle();
+    dsm.write(producer, layout.ready(), 1)?;
+    dsm.try_settle()?;
 
     // Each worker observes the flag (PRAM: it then also holds every earlier
     // write of the producer), computes its block and publishes it.
     let mut product = Matrix::zeros(n, n);
     for w in 0..workers {
         let p = ProcId(w + 1);
-        let flag = dsm.read(p, layout.ready()).unwrap();
+        let flag = dsm.read(p, layout.ready())?;
         assert_eq!(flag, Value::Int(1), "flag must be visible after settle");
         for i in worker_rows(n, workers, w) {
             for j in 0..n {
                 let mut acc = 0i64;
                 for k in 0..n {
-                    let aik = dsm.read(p, layout.a(i, k)).unwrap().as_int().unwrap();
-                    let bkj = dsm.read(p, layout.b(k, j)).unwrap().as_int().unwrap();
+                    let input = "the producer's inputs are visible with its flag";
+                    let aik = dsm.read(p, layout.a(i, k))?.as_int().expect(input);
+                    let bkj = dsm.read(p, layout.b(k, j))?.as_int().expect(input);
                     acc += aik * bkj;
                 }
-                dsm.write(p, layout.c(i, j), acc).unwrap();
+                dsm.write(p, layout.c(i, j), acc)?;
                 product.set(i, j, acc);
             }
         }
     }
-    dsm.settle();
-
-    let stats = dsm.network_stats();
-    MatrixRun {
-        product,
-        messages: stats.total_messages(),
-        control_bytes: stats.total_control_bytes(),
-        operations: dsm.operation_count(),
-    }
+    dsm.try_settle()?;
+    Ok((product, RunReport::of(&dsm, 0)))
 }
 
 #[cfg(test)]
@@ -216,6 +200,11 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    /// `a·b` with `workers` workers under `kind` on the default network.
+    fn multiply(kind: ProtocolKind, a: &Matrix, b: &Matrix, workers: usize) -> (Matrix, RunReport) {
+        run_matrix_product(kind, a, b, workers, SimConfig::default()).unwrap()
+    }
 
     fn random_matrix(n: usize, seed: u64) -> Matrix {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -236,41 +225,40 @@ mod tests {
     fn distributed_product_matches_reference_on_pram_partial() {
         let a = random_matrix(5, 1);
         let b = random_matrix(5, 2);
-        let run = run_matrix_product(ProtocolKind::PramPartial, &a, &b, 3, SimConfig::default());
-        assert_eq!(run.product, a.multiply(&b));
-        assert!(run.messages > 0);
-        assert!(run.operations > 0);
+        let (product, report) = multiply(ProtocolKind::PramPartial, &a, &b, 3);
+        assert_eq!(product, a.multiply(&b));
+        assert!(report.messages() > 0);
+        assert!(report.operations > 0);
     }
 
     #[test]
     fn distributed_product_matches_reference_on_causal_full() {
         let a = random_matrix(4, 3);
         let b = random_matrix(4, 4);
-        let run = run_matrix_product(ProtocolKind::CausalFull, &a, &b, 2, SimConfig::default());
-        assert_eq!(run.product, a.multiply(&b));
+        let (product, _) = multiply(ProtocolKind::CausalFull, &a, &b, 2);
+        assert_eq!(product, a.multiply(&b));
     }
 
     #[test]
     fn single_worker_and_many_workers_agree() {
         let a = random_matrix(6, 5);
         let b = random_matrix(6, 6);
-        let one = run_matrix_product(ProtocolKind::PramPartial, &a, &b, 1, SimConfig::default());
-        let many = run_matrix_product(ProtocolKind::PramPartial, &a, &b, 6, SimConfig::default());
-        assert_eq!(one.product, many.product);
+        let one = multiply(ProtocolKind::PramPartial, &a, &b, 1);
+        let many = multiply(ProtocolKind::PramPartial, &a, &b, 6);
+        assert_eq!(one.0, many.0);
     }
 
     #[test]
     fn partial_replication_cuts_control_bytes() {
         let a = random_matrix(6, 7);
         let b = random_matrix(6, 8);
-        let pram = run_matrix_product(ProtocolKind::PramPartial, &a, &b, 3, SimConfig::default());
-        let full = run_matrix_product(ProtocolKind::CausalFull, &a, &b, 3, SimConfig::default());
-        assert!(
-            pram.control_bytes < full.control_bytes,
-            "pram {} vs causal-full {}",
-            pram.control_bytes,
-            full.control_bytes
-        );
+        let pram = multiply(ProtocolKind::PramPartial, &a, &b, 3)
+            .1
+            .control_bytes();
+        let full = multiply(ProtocolKind::CausalFull, &a, &b, 3)
+            .1
+            .control_bytes();
+        assert!(pram < full, "pram {pram} vs causal-full {full}");
     }
 
     #[test]

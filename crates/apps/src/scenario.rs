@@ -616,25 +616,34 @@ pub struct RunReport {
     /// Transit envelopes forwarded by intermediate nodes (0 on a direct
     /// full mesh; the overlay's relaying cost on sparse topologies).
     pub forwarded: u64,
-    /// Total simulator events (deliveries + timers) processed — the work
-    /// unit the scaling sweeps report throughput in.
+    /// Total simulator events (deliveries + timers) processed.
     pub events: u64,
-    /// Link-fabric contention counters (ring-full stalls, mailbox drain
-    /// batches) merged across workers at the last settle. All-zero on
-    /// simnet and in threaded replay mode — only free-running workers
-    /// drain whole mailboxes.
-    pub fabric: simnet::FabricStats,
-    /// Execution backend the run used.
-    pub backend: ExecBackend,
     /// The most recovery-log entries any process held for its peers'
     /// catch-up, sampled just before every settle of the script (where
     /// the logs are fullest: an all-up quiescent settle cuts them). It
     /// grows with the longest stretch between two such settles — with a
-    /// process down, across the whole outage — not with the run.
+    /// process down, across the whole outage — not with the run. The app
+    /// drivers do not sample it and report 0.
     pub max_retained: usize,
 }
 
 impl RunReport {
+    /// The report of the run `dsm` has executed so far: the one place a
+    /// report is built, for the scenario engine and the app drivers alike.
+    pub(crate) fn of(dsm: &DynDsm, max_retained: usize) -> Self {
+        RunReport {
+            protocol: dsm.kind(),
+            history: dsm.history(),
+            network: dsm.network_stats().clone(),
+            control: dsm.control_summary(),
+            operations: dsm.operation_count(),
+            virtual_time: dsm.now(),
+            forwarded: dsm.forwarded_messages(),
+            events: dsm.events_processed(),
+            max_retained,
+        }
+    }
+
     /// Total messages sent.
     pub fn messages(&self) -> u64 {
         self.network.total_messages()
@@ -697,20 +706,6 @@ pub fn run_script(
     run_script_faulted(kind, dist, ops, config, record, None)
 }
 
-/// [`run_script`] on an explicit execution backend. Scripted crashes are
-/// simnet-only, so this path takes none; the threaded backend's one
-/// remaining restriction (fault-free runs) is enforced at construction.
-pub fn run_script_backend(
-    kind: ProtocolKind,
-    dist: &Distribution,
-    ops: &[WorkloadOp],
-    config: SimConfig,
-    record: bool,
-    backend: ExecBackend,
-) -> RunReport {
-    run_script_on(kind, dist, ops, config, record, None, backend)
-}
-
 /// [`run_script`] with a scripted crash: `crash.proc` goes down before
 /// the op at `crash_before_op` (its own ops inside the window are skipped
 /// — a down process executes nothing) and restarts — snapshot restore,
@@ -745,19 +740,7 @@ fn run_script_on(
         dsm.disable_recording();
     }
     let max_retained = apply_script(&mut dsm, ops, crash);
-    RunReport {
-        protocol: kind,
-        history: dsm.history(),
-        network: dsm.network_stats().clone(),
-        control: dsm.control_summary(),
-        operations: dsm.operation_count(),
-        virtual_time: dsm.now(),
-        forwarded: dsm.forwarded_messages(),
-        events: dsm.events_processed(),
-        fabric: dsm.fabric_stats(),
-        backend,
-        max_retained,
-    }
+    RunReport::of(&dsm, max_retained)
 }
 
 /// Drive `ops` (plus an optional scripted crash) against an existing

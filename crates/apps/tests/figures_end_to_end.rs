@@ -73,7 +73,7 @@ fn figure6_classification() {
 #[test]
 fn figure7_and_8_distributed_bellman_ford() {
     let net = Network::fig8();
-    let run = run_bellman_ford(ProtocolKind::PramPartial, &net, 0, SimConfig::default());
+    let run = run_bellman_ford(ProtocolKind::PramPartial, &net, 0, SimConfig::default()).unwrap();
     assert!(run.converged);
     assert_eq!(run.distances, shortest_paths_reference(&net, 0));
     assert_eq!(run.distances, vec![0, 2, 1, 3, 4]);

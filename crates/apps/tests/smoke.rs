@@ -5,8 +5,11 @@
 //! [`ProtocolKind`] value, through the scenario engine.
 
 use apps::scenario::{run_scenario, Scenario, SettlePolicy, WorkloadFamily};
-use dsm::ProtocolKind;
-use histories::{check, Criterion};
+use apps::{run_bellman_ford, run_jacobi, run_lcs, run_matrix_product};
+use apps::{FixedPointProblem, Matrix, Network};
+use dsm::{DsmError, ProtocolKind};
+use histories::{check, Criterion, ProcId};
+use simnet::SimConfig;
 
 fn small_scenario(seed: u64) -> Scenario {
     Scenario {
@@ -101,4 +104,26 @@ fn write_ordering_protocols_are_sequential_when_settle_synchronized() {
             );
         }
     }
+}
+
+#[test]
+fn app_drivers_return_typed_errors_on_bad_input() {
+    let (kind, config) = (ProtocolKind::PramPartial, SimConfig::default);
+    let net = Network::fig8();
+    let n = net.node_count();
+    assert!(matches!(
+        run_bellman_ford(kind, &net, n, config()),
+        Err(DsmError::UnknownProcess { proc }) if proc == ProcId(n)
+    ));
+    let invalid = |r: Result<(), DsmError>| matches!(r, Err(DsmError::InvalidConfig { .. }));
+    let (square, wide) = (Matrix::zeros(2, 2), Matrix::zeros(2, 3));
+    let product = |a, b, workers| run_matrix_product(kind, a, b, workers, config()).map(drop);
+    assert!(invalid(product(&wide, &wide, 1)));
+    assert!(invalid(product(&square, &wide, 1)));
+    assert!(invalid(product(&square, &square, 0)));
+    assert!(invalid(run_lcs(kind, b"", b"AB", 1, config()).map(drop)));
+    assert!(invalid(run_lcs(kind, b"AB", b"AB", 0, config()).map(drop)));
+    let problem = FixedPointProblem::random(3, 0.5, 1);
+    let jacobi = run_jacobi(kind, &problem, 1e-7, 10, 0, config());
+    assert!(invalid(jacobi.map(drop)));
 }

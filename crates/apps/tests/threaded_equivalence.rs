@@ -12,7 +12,8 @@
 //!   race-free (single-writer-per-variable) scripts: delivery timing is
 //!   real and nondeterministic, but per-link FIFO plus a quiescence
 //!   barrier at every settle point pins what the replicas hold whenever
-//!   the application looks.
+//!   the application looks. It also issues every scripted operation: its
+//!   history is as long as the simnet run's.
 //!
 //! The same two pins then sweep each capability the ring-fabric backend
 //! gained: every swept delivery mode (multicast, batching, delta) on the
@@ -45,7 +46,7 @@ fn run_on(
 
 /// Both pins on one cell: replay is bit-identical to the simnet run under
 /// `config` (settled values, history, control records), and free-running
-/// settles to its values.
+/// issues every scripted operation and settles to its values.
 fn assert_both_pins(
     kind: ProtocolKind,
     dist: &Distribution,
@@ -65,6 +66,11 @@ fn assert_both_pins(
     assert_eq!(
         sim.settled, free.settled,
         "{cell}: free-running settled values"
+    );
+    assert_eq!(
+        sim.history.len(),
+        free.history.len(),
+        "{cell}: free-running issued operations"
     );
 }
 

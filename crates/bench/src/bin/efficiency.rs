@@ -1,42 +1,40 @@
-//! Regenerate the efficiency experiments (E1–E10) as text tables.
+//! Regenerate the efficiency experiments (E1–E8 and E10) as text tables.
 //!
 //! ```text
 //! cargo run --release -p bench --bin efficiency
 //! cargo run --release -p bench --bin efficiency -- --max-procs 32
 //! cargo run --release -p bench --bin efficiency -- --scaling-max 256
-//! cargo run --release -p bench --bin efficiency -- --threads-max 4
 //! ```
 //!
-//! `--max-procs` caps the E1 size loop; `--scaling-max` caps the E8
-//! scaling sweep (default 1024 — CI passes 64 to bound wall-clock);
-//! `--threads-max` caps the E9 threaded-backend thread count (the sweep
-//! list goes up to 64 worker threads; default cap 8 — CI passes 4 to
-//! stay inside small runners, pass 64 for the full table). Those three
-//! flags are the whole command line: an unknown flag, a flag without its
-//! value, or a value that is not a number exits with status 2 and a usage
-//! line.
+//! `--max-procs` caps the E1 and E4 size loops; `--scaling-max` caps the
+//! E8 scaling sweep (default 1024 — CI passes 64 to bound its run time).
+//! Those two flags are the whole command line: an unknown flag, a flag
+//! without its value, or a value that is not a number exits with status 2
+//! and a usage line.
 //!
-//! E1/E2 and E5–E7 and E10 print executed cells ([`bench::run_cells`]),
-//! each ratio taken against the row's reference run ([`Table::ratio`]).
+//! Every number printed is exact: the tables report wire cost, never
+//! wall-clock time. E1/E2, E5–E8 and E10 print executed cells
+//! ([`bench::run_cells`], [`bench::map_cells`]), each ratio taken against
+//! the row's reference run ([`Table::ratio`]); E4 prints Bellman-Ford runs.
 
 use bench::{
-    bellman_ford_point, distribution_families, efficiency_cells, max_relevant_nodes,
-    relevance_fraction, run_cells, scaling_sweep, threaded_throughput_sweep, Table,
+    bellman_ford_point, distribution_families, efficiency_cells, map_cells, max_relevant_nodes,
+    relevance_fraction, run_cells, scaling_cells, Table,
 };
 use dsm::ProtocolKind;
 use histories::Distribution;
 use std::process::ExitCode;
 
 /// The flags of the command line, each setting one size cap.
-const FLAGS: [&str; 3] = ["--max-procs", "--scaling-max", "--threads-max"];
+const FLAGS: [&str; 2] = ["--max-procs", "--scaling-max"];
 
-const USAGE: &str = "usage: efficiency [--max-procs N] [--scaling-max N] [--threads-max N]";
+const USAGE: &str = "usage: efficiency [--max-procs N] [--scaling-max N]";
 
 /// Parse the arguments after the program name into the caps of
 /// [`FLAGS`], in order. Rejects an unknown flag, a flag without its value,
 /// and a value that is not a number.
-fn parse_args(args: &[String]) -> Result<[usize; 3], String> {
-    let mut caps = [16, 1024, 8];
+fn parse_args(args: &[String]) -> Result<[usize; 2], String> {
+    let mut caps = [16, 1024];
     let mut args = args.iter();
     while let Some(flag) = args.next() {
         let cap = FLAGS
@@ -53,7 +51,7 @@ fn parse_args(args: &[String]) -> Result<[usize; 3], String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let [max_procs, scaling_max, threads_max] = match parse_args(&args) {
+    let [max_procs, scaling_max] = match parse_args(&args) {
         Ok(caps) => caps,
         Err(message) => {
             eprintln!("efficiency: {message}");
@@ -135,15 +133,15 @@ fn main() -> ExitCode {
     );
     let mut n = 5;
     while n <= max_procs {
-        for row in bellman_ford_point(n, 9) {
+        for (run, correct) in bellman_ford_point(n, 9) {
             println!(
                 "{:>6} {:<16} {:>10} {:>14} {:>8} {:>8}",
-                row.nodes,
-                row.protocol.name(),
-                row.messages,
-                row.control_bytes,
-                row.rounds,
-                row.correct
+                run.distances.len(),
+                run.report.protocol.name(),
+                run.report.messages(),
+                run.report.control_bytes(),
+                run.rounds,
+                correct
             );
         }
         println!();
@@ -237,69 +235,30 @@ fn main() -> ExitCode {
 
     println!(
         "E8 — scaling sweep (random(2) distribution, bulk-phase workload, 8 ops/process; \
-         wire columns deterministic, events/s is host wall-clock)"
+         wire cost per operation as the system grows)"
     );
     println!(
-        "{:>6} {:<24} {:<16} {:>10} {:>14} {:>10} {:>10} {:>12}",
-        "procs",
-        "delivery",
-        "protocol",
-        "messages",
-        "control bytes",
-        "ctl/op",
-        "events",
-        "events/s"
+        "{:>6} {:<24} {:<16} {:>10} {:>14} {:>10} {:>10}",
+        "procs", "delivery", "protocol", "messages", "control bytes", "ctl/op", "events"
     );
     let sizes: Vec<usize> = [64usize, 256, 1024]
         .into_iter()
         .filter(|&n| n <= scaling_max)
         .collect();
-    for row in scaling_sweep(&sizes, 8, 7) {
-        println!(
-            "{:>6} {:<24} {:<16} {:>10} {:>14} {:>10.1} {:>10} {:>12.0}",
-            row.processes,
-            row.delivery,
-            row.protocol.name(),
-            row.messages,
-            row.control_bytes,
-            row.control_bytes_per_op,
-            row.events,
-            row.events_per_sec()
-        );
-    }
-    println!();
-
-    println!(
-        "E9 — threaded execution backend (one OS thread per process, free-running, \
-         producer/consumer bulk phase; ops/s, ns/op and batch columns are host wall-clock)"
-    );
-    println!(
-        "{:>8} {:<16} {:>10} {:>14} {:>10} {:>10} {:>17} {:>17}",
-        "threads",
-        "protocol",
-        "ops",
-        "threaded ops/s",
-        "ns/op",
-        "mean batch",
-        "simnet ops/s",
-        "simnet events/s"
-    );
-    let thread_counts: Vec<usize> = [1usize, 2, 4, 8, 16, 64]
-        .into_iter()
-        .filter(|&t| t <= threads_max)
-        .collect();
-    for row in threaded_throughput_sweep(&thread_counts, 96, 7) {
-        println!(
-            "{:>8} {:<16} {:>10} {:>14.0} {:>10.0} {:>10.2} {:>17.0} {:>17.0}",
-            row.threads,
-            row.protocol.name(),
-            row.operations,
-            row.ops_per_sec(),
-            row.ns_per_op(),
-            row.mean_batch_len(),
-            row.simnet_ops_per_sec(),
-            row.simnet_events_per_sec()
-        );
+    let rows = map_cells(scaling_cells(&sizes, 8, 7), |cell, report| {
+        format!(
+            "{:>6} {:<24} {:<16} {:>10} {:>14} {:>10.1} {:>10}",
+            cell.dist.process_count(),
+            cell.delivery,
+            cell.kind.name(),
+            report.messages(),
+            report.control_bytes(),
+            report.control_bytes_per_op(),
+            report.events
+        )
+    });
+    for row in rows {
+        println!("{row}");
     }
     println!();
 
@@ -354,19 +313,17 @@ mod tests {
     #[test]
     fn the_three_caps_parse_and_anything_else_is_rejected() {
         let parsed = |line: &str| parse_args(&args(line));
-        assert_eq!(parsed(""), Ok([16, 1024, 8]));
-        assert_eq!(
-            parsed("--max-procs 8 --scaling-max 64 --threads-max 4"),
-            Ok([8, 64, 4])
-        );
-        assert_eq!(parsed("--threads-max 64"), Ok([16, 1024, 64]));
+        assert_eq!(parsed(""), Ok([16, 1024]));
+        assert_eq!(parsed("--max-procs 8 --scaling-max 64"), Ok([8, 64]));
+        assert_eq!(parsed("--scaling-max 256"), Ok([16, 256]));
         for line in [
             "--bogus",
             "--max-procs abc",
             "--max-procs 8 --bogus",
             "--max-procs",
             "--scaling-max -1",
-            "--threads-max 4.5",
+            "--scaling-max 4.5",
+            "--threads-max 4",
             "8",
         ] {
             parsed(line).expect_err(line);

@@ -121,7 +121,8 @@ fn fig7_8() {
     for p in 0..5 {
         println!("  X_{} = {:?}", p + 1, dist.vars_of(ProcId(p)));
     }
-    let run = run_bellman_ford(ProtocolKind::PramPartial, &net, 0, SimConfig::default());
+    let run = run_bellman_ford(ProtocolKind::PramPartial, &net, 0, SimConfig::default())
+        .expect("the Figure 8 network runs from node 1");
     println!(
         "  distances (distributed, PRAM partial): {:?}",
         run.distances
@@ -130,9 +131,13 @@ fn fig7_8() {
         "  distances (sequential reference):       {:?}",
         shortest_paths_reference(&net, 0)
     );
+    let mesh = &run.report;
     println!(
         "  converged: {}, rounds: {}, messages: {}, control bytes: {}",
-        run.converged, run.rounds, run.messages, run.control_bytes
+        run.converged,
+        run.rounds,
+        mesh.messages(),
+        mesh.control_bytes()
     );
     // The same computation on a sparse physical network: a 5-node ring
     // served by the overlay routing layer instead of the implicit mesh.
@@ -140,12 +145,14 @@ fn fig7_8() {
         topology: Some(Topology::ring(net.node_count())),
         ..SimConfig::default()
     };
-    let routed = run_bellman_ford(ProtocolKind::PramPartial, &net, 0, ring_config);
+    let routed = run_bellman_ford(ProtocolKind::PramPartial, &net, 0, ring_config)
+        .expect("the ring hosts the Figure 8 network");
+    let (mesh_bytes, ring_bytes) = (mesh.control_bytes(), routed.report.control_bytes());
     println!(
         "  control bytes, mesh (direct) vs ring (routed): {} vs {} ({:.2}x), distances match: {}",
-        run.control_bytes,
-        routed.control_bytes,
-        routed.control_bytes as f64 / run.control_bytes.max(1) as f64,
+        mesh_bytes,
+        ring_bytes,
+        ring_bytes as f64 / mesh_bytes.max(1) as f64,
         routed.distances == run.distances
     );
 }

@@ -1,30 +1,30 @@
 //! Experiment runners behind the report binaries: `efficiency` prints the
-//! paper's tables E1–E10, `figures` regenerates its figures, and
+//! paper's tables E1–E8 and E10, `figures` regenerates its figures, and
 //! `baseline` writes and checks the deterministic ledger
-//! `BENCH_baseline.json`. Wall-clock performance is measured
-//! elsewhere, by the dsmbench workloads under `benchmark/`.
+//! `BENCH_baseline.json`. Every number they print is exact; wall-clock
+//! performance is measured only by the dsmbench workloads under `benchmark/`.
 //!
 //! Every deterministic sweep is a list of [`MatrixCell`]s — a workload
 //! script under one [`ProtocolKind`] on one network — that [`run_cells`]
 //! executes through the scenario engine ([`apps::scenario`]). The ledger
 //! ([`scenario_matrix`], [`scenario_matrix_large`]) turns the executed
 //! cells into [`ScenarioMatrixRow`]s; the E-tables print them directly,
-//! pricing each row against its reference run ([`Table`]). There is no
-//! per-protocol code path anywhere in this crate.
+//! pricing each row against its reference run ([`Table`]), and E4 prints
+//! [`BellmanFordRun`]s. There is no per-protocol code path in this crate.
 
 #![warn(missing_docs)]
 
 use apps::scenario::{
-    latency_label, parallel_map, run_script_backend, run_script_faulted, standard_distributions,
-    standard_faults, standard_grid, standard_topologies, CrashSchedule, DistributionFamily,
-    FaultFamily, RunReport, Scenario, SettlePolicy, TopologyFamily, WorkloadFamily,
+    latency_label, parallel_map, run_script_faulted, standard_distributions, standard_faults,
+    standard_grid, standard_topologies, CrashSchedule, DistributionFamily, FaultFamily, RunReport,
+    Scenario, SettlePolicy, TopologyFamily, WorkloadFamily,
 };
 use apps::workload::WorkloadOp;
-use apps::{run_bellman_ford, Network};
+use apps::{run_bellman_ford, BellmanFordRun, Network};
 use dsm::ProtocolKind;
 use histories::{causal_spot_check, pram_spot_check, Distribution, VarId};
 use serde::{Deserialize, Serialize};
-use simnet::{DeliveryMode, ExecBackend, SimConfig, ThreadedMode};
+use simnet::{DeliveryMode, ExecBackend, SimConfig};
 use std::sync::Arc;
 
 /// One cell of a sweep, ready to run: a workload script under one
@@ -132,8 +132,8 @@ pub fn run_cells(cells: Vec<MatrixCell>) -> Vec<(MatrixCell, RunReport)> {
 
 /// [`run_cells`], handing each cell and its report to `f` in the worker
 /// that ran it — so a sweep that keeps one row per cell drops each report
-/// there instead of holding them all.
-fn map_cells<R: Send>(
+/// there instead of holding them all (E8's at n = 1024 triple peak memory).
+pub fn map_cells<R: Send>(
     cells: Vec<MatrixCell>,
     f: impl Fn(MatrixCell, RunReport) -> R + Sync,
 ) -> Vec<R> {
@@ -302,40 +302,19 @@ impl Table {
     }
 }
 
-/// One row of the Bellman-Ford scaling table (experiment E4).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct BellmanFordRow {
-    /// Protocol measured.
-    pub protocol: ProtocolKind,
-    /// Network size.
-    pub nodes: usize,
-    /// Messages sent during the whole computation.
-    pub messages: u64,
-    /// Control bytes sent.
-    pub control_bytes: u64,
-    /// Scheduler rounds until convergence.
-    pub rounds: usize,
-    /// Whether the distances matched the sequential reference.
-    pub correct: bool,
-}
-
-/// Run the distributed Bellman-Ford on a random reachable network of `n`
-/// nodes under every protocol.
-pub fn bellman_ford_point(n: usize, seed: u64) -> Vec<BellmanFordRow> {
+/// Run the distributed Bellman-Ford (experiment E4) on a random reachable
+/// network of `n` nodes under every protocol, each run paired with
+/// whether it converged to the sequential reference's distances.
+pub fn bellman_ford_point(n: usize, seed: u64) -> Vec<(BellmanFordRun, bool)> {
     let net = Network::random_reachable(n, 2 * n, 9, seed);
     let reference = apps::shortest_paths_reference(&net, 0);
     ProtocolKind::ALL
         .iter()
         .map(|&kind| {
-            let run = run_bellman_ford(kind, &net, 0, SimConfig::default());
-            BellmanFordRow {
-                protocol: kind,
-                nodes: net.node_count(),
-                messages: run.messages,
-                control_bytes: run.control_bytes,
-                rounds: run.rounds,
-                correct: run.converged && run.distances == reference,
-            }
+            let run = run_bellman_ford(kind, &net, 0, SimConfig::default())
+                .expect("node 0 exists in every network");
+            let correct = run.converged && run.distances == reference;
+            (run, correct)
         })
         .collect()
 }
@@ -606,228 +585,16 @@ pub fn scenario_matrix_large(
     })
 }
 
-/// One row of the scaling sweep (experiment E8): one protocol, one wire
-/// format, at one system size, with throughput (simulator events per
-/// wall-clock second) and wire cost (control bytes per operation). The
-/// wall-clock fields are the only non-deterministic numbers in this crate
-/// — they are reported, never recorded in the baseline or asserted on.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ScalingRow {
-    /// Protocol measured.
-    pub protocol: ProtocolKind,
-    /// Delivery-mode label.
-    pub delivery: String,
-    /// Number of processes.
-    pub processes: usize,
-    /// Application operations issued.
-    pub operations: u64,
-    /// Messages sent.
-    pub messages: u64,
-    /// Control bytes sent.
-    pub control_bytes: u64,
-    /// Control bytes per application operation.
-    pub control_bytes_per_op: f64,
-    /// Simulator events (deliveries + timers) processed.
-    pub events: u64,
-    /// Wall-clock nanoseconds for the whole run (host-dependent).
-    pub wall_nanos: u64,
-}
-
-impl ScalingRow {
-    /// Simulator events processed per wall-clock second (host-dependent).
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            0.0
-        } else {
-            self.events as f64 * 1e9 / self.wall_nanos as f64
-        }
-    }
-}
-
-/// The E8 scaling sweep: every protocol under the two large-tier wire
-/// formats at each system size in `ns`, on the random(2) distribution
-/// with a bulk-phase workload (all writes in flight, one settle at the
-/// end — the regime where batching and delta encoding amortize, and
-/// where the arena wire path is hot). Cells run sequentially so the
-/// wall-clock column measures an uncontended host.
-///
-/// Everything except `wall_nanos` is deterministic; the growth assertion
-/// that matters (causal-partial control bytes per op growing strictly
-/// slower than causal-full) is pinned by a tier-1 test on the
-/// `multicast-batched` rows.
-#[expect(
-    clippy::disallowed_types,
-    reason = "the E8 scaling sweep deliberately reports host wall-clock, measuring the simulator itself rather than simulated time; wall_nanos is reported only, never recorded in the baseline or asserted on"
-)]
-pub fn scaling_sweep(ns: &[usize], ops_per_process: usize, seed: u64) -> Vec<ScalingRow> {
+/// The cells of the E8 scaling sweep: every protocol under both large-tier
+/// wire formats at each size in `ns`, on the random(2) distribution with a
+/// bulk-phase workload (one settle at the end, where batching and delta
+/// encoding amortize). A tier-1 test pins causal-partial's control bytes
+/// per op growing strictly slower than causal-full's.
+pub fn scaling_cells(ns: &[usize], ops_per_process: usize, seed: u64) -> Vec<MatrixCell> {
     let random = [DistributionFamily::Random { replicas: 2 }];
-    let mut rows = Vec::new();
-    for &n in ns {
-        for cell in large_cells(n, &random, ops_per_process, seed, false) {
-            let start = std::time::Instant::now();
-            let out = cell.run();
-            let wall_nanos = start.elapsed().as_nanos() as u64;
-            rows.push(ScalingRow {
-                protocol: cell.kind,
-                delivery: cell.delivery,
-                processes: n,
-                operations: out.operations,
-                messages: out.messages(),
-                control_bytes: out.control_bytes(),
-                control_bytes_per_op: out.control_bytes_per_op(),
-                events: out.events,
-                wall_nanos,
-            });
-        }
-    }
-    rows
-}
-
-/// One row of the threaded-backend throughput table (experiment E9): one
-/// protocol at one system size, each process on its own OS thread in
-/// free-running mode, with the simnet run of the same script alongside.
-/// The threaded columns answer "what do real cores buy" (application
-/// operations per wall-clock second); the simnet columns restate the
-/// deterministic engine's cost in its own work unit (events per second).
-/// Like E8, every wall-clock field is host-dependent: reported, never
-/// recorded in the baseline or asserted on.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ThreadedThroughputRow {
-    /// Protocol measured.
-    pub protocol: ProtocolKind,
-    /// Number of processes = number of worker OS threads.
-    pub threads: usize,
-    /// Application operations issued (identical for both backends).
-    pub operations: u64,
-    /// Wall-clock nanoseconds of the threaded free-running run.
-    pub wall_nanos: u64,
-    /// Simulator events the simnet run of the same script processed.
-    pub simnet_events: u64,
-    /// Wall-clock nanoseconds of the simnet run.
-    pub simnet_wall_nanos: u64,
-    /// Ring-full stalls across all workers (the fabric's backpressure
-    /// counter; host-dependent like every free-running fabric number).
-    pub full_stalls: u64,
-    /// Mailbox drains that moved at least one message.
-    pub batches: u64,
-    /// Total messages moved by those drains.
-    pub batched_messages: u64,
-}
-
-impl ThreadedThroughputRow {
-    /// Application operations per wall-clock second on the threaded
-    /// backend (host-dependent).
-    pub fn ops_per_sec(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            0.0
-        } else {
-            self.operations as f64 * 1e9 / self.wall_nanos as f64
-        }
-    }
-
-    /// Application operations per wall-clock second on simnet
-    /// (host-dependent).
-    pub fn simnet_ops_per_sec(&self) -> f64 {
-        if self.simnet_wall_nanos == 0 {
-            0.0
-        } else {
-            self.operations as f64 * 1e9 / self.simnet_wall_nanos as f64
-        }
-    }
-
-    /// Simulator events per wall-clock second of the simnet run
-    /// (host-dependent) — comparable to the E8 throughput column.
-    pub fn simnet_events_per_sec(&self) -> f64 {
-        if self.simnet_wall_nanos == 0 {
-            0.0
-        } else {
-            self.simnet_events as f64 * 1e9 / self.simnet_wall_nanos as f64
-        }
-    }
-
-    /// Wall-clock nanoseconds per application operation on the threaded
-    /// backend (host-dependent) — the latency view of [`Self::ops_per_sec`].
-    pub fn ns_per_op(&self) -> f64 {
-        if self.operations == 0 {
-            0.0
-        } else {
-            self.wall_nanos as f64 / self.operations as f64
-        }
-    }
-
-    /// Mean messages moved per mailbox drain — how much the flat-combining
-    /// drain amortizes wakeups (1.0 means every message paid its own).
-    pub fn mean_batch_len(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.batched_messages as f64 / self.batches as f64
-        }
-    }
-}
-
-/// The E9 threaded-throughput sweep: every protocol at each thread count
-/// in `thread_counts` (one process per OS thread), running a bulk-phase
-/// producer/consumer workload free-running — writes cross real cores and a
-/// quiescence barrier at the end settles the run — with the simnet run of
-/// the identical script timed alongside as the deterministic reference
-/// (backend equivalence itself is pinned by the differential tests; here
-/// only the issued-operation counts are cross-checked). Cells run
-/// sequentially so the wall-clock columns measure an uncontended host.
-#[expect(
-    clippy::disallowed_types,
-    reason = "the E9 threaded-throughput sweep deliberately reports host wall-clock, measuring the threaded backend itself rather than simulated time; the wall_nanos columns are reported only, never recorded in the baseline or asserted on"
-)]
-pub fn threaded_throughput_sweep(
-    thread_counts: &[usize],
-    ops_per_process: usize,
-    seed: u64,
-) -> Vec<ThreadedThroughputRow> {
-    let mut rows = Vec::new();
-    for &n in thread_counts {
-        let scenario = Scenario {
-            distribution: DistributionFamily::Random { replicas: 2 },
-            processes: n,
-            variables: 2 * n,
-            workload: WorkloadFamily::ProducerConsumer,
-            ops_per_process,
-            settle: SettlePolicy::AtEnd,
-            seed,
-            ..Scenario::default()
-        };
-        for cell in cells(&scenario, &ProtocolKind::ALL, SimConfig::default()) {
-            let kind = cell.kind;
-            let sim_start = std::time::Instant::now();
-            let sim = cell.run();
-            let simnet_wall_nanos = sim_start.elapsed().as_nanos() as u64;
-            let thr_start = std::time::Instant::now();
-            let thr = run_script_backend(
-                kind,
-                &cell.dist,
-                &cell.ops,
-                cell.config,
-                false,
-                ExecBackend::Threaded(ThreadedMode::FreeRunning),
-            );
-            let wall_nanos = thr_start.elapsed().as_nanos() as u64;
-            assert_eq!(
-                sim.operations, thr.operations,
-                "{kind}/{n}: backends disagree on issued operations"
-            );
-            rows.push(ThreadedThroughputRow {
-                protocol: kind,
-                threads: n,
-                operations: thr.operations,
-                wall_nanos,
-                simnet_events: sim.events,
-                simnet_wall_nanos,
-                full_stalls: thr.fabric.full_stalls,
-                batches: thr.fabric.batches,
-                batched_messages: thr.fabric.batched_messages,
-            });
-        }
-    }
-    rows
+    ns.iter()
+        .flat_map(|&n| large_cells(n, &random, ops_per_process, seed, false))
+        .collect()
 }
 
 /// The coordinates of [`scenario_matrix`] used for the checked-in
@@ -874,9 +641,9 @@ mod tests {
 
     #[test]
     fn bellman_ford_point_is_correct_for_all_protocols() {
-        for row in bellman_ford_point(8, 3) {
-            assert!(row.correct, "{:?}", row.protocol);
-            assert!(row.messages > 0);
+        for (run, correct) in bellman_ford_point(8, 3) {
+            assert!(correct, "{}", run.report.protocol);
+            assert!(run.report.messages() > 0);
         }
     }
 
@@ -1248,19 +1015,21 @@ mod tests {
     /// point of the delta rows but erases the growth gap this test pins.
     #[test]
     fn scaling_sweep_growth_orders_the_causal_protocols() {
-        let rows = scaling_sweep(&[64, 256], 8, 11);
+        let runs = run_cells(scaling_cells(&[64, 256], 8, 11));
         assert_eq!(
-            rows.len(),
+            runs.len(),
             2 * LARGE_TIER_DELIVERIES.len() * ProtocolKind::ALL.len()
         );
         let cell = |n: usize, mode: &str, kind: ProtocolKind| {
-            rows.iter()
-                .find(|r| r.processes == n && r.delivery == mode && r.protocol == kind)
+            &runs
+                .iter()
+                .find(|(c, _)| c.dist.process_count() == n && c.delivery == mode && c.kind == kind)
                 .unwrap()
+                .1
         };
         let growth = |kind: ProtocolKind| {
-            let small = cell(64, "multicast-batched", kind).control_bytes_per_op;
-            let big = cell(256, "multicast-batched", kind).control_bytes_per_op;
+            let small = cell(64, "multicast-batched", kind).control_bytes_per_op();
+            let big = cell(256, "multicast-batched", kind).control_bytes_per_op();
             assert!(small > 0.0);
             big / small
         };
@@ -1270,17 +1039,16 @@ mod tests {
             growth(ProtocolKind::CausalPartial),
             growth(ProtocolKind::CausalFull)
         );
-        // Every cell did real work and the throughput inputs are sane.
-        for row in &rows {
-            assert!(row.operations > 0 && row.events > 0 && row.messages > 0);
-            assert!(row.events_per_sec() >= 0.0);
+        // Every cell did real work.
+        for (_, report) in &runs {
+            assert!(report.operations > 0 && report.events > 0 && report.messages() > 0);
         }
         // Delta rows never spend more wire than their dense counterparts.
         for n in [64, 256] {
             for kind in ProtocolKind::ALL {
                 assert!(
-                    cell(n, "multicast-batched-delta", kind).control_bytes
-                        <= cell(n, "multicast-batched", kind).control_bytes,
+                    cell(n, "multicast-batched-delta", kind).control_bytes()
+                        <= cell(n, "multicast-batched", kind).control_bytes(),
                     "{n}/{kind}"
                 );
             }
@@ -1298,29 +1066,5 @@ mod tests {
             render(scenario_matrix(5, 3, 9)),
             render(scenario_matrix(5, 3, 9))
         );
-    }
-
-    /// E9 smoke: the threaded sweep produces one row per (thread count,
-    /// protocol), issuing exactly `threads × ops_per_process` operations
-    /// on both backends; wall-clock columns are only required to be
-    /// nonzero.
-    #[test]
-    fn threaded_throughput_sweep_covers_every_protocol() {
-        let ops_per_process = 3;
-        let rows = threaded_throughput_sweep(&[2, 4], ops_per_process, 7);
-        assert_eq!(rows.len(), 2 * ProtocolKind::ALL.len());
-        for row in &rows {
-            assert_eq!(
-                row.operations,
-                (row.threads * ops_per_process) as u64,
-                "{}/{}",
-                row.protocol,
-                row.threads
-            );
-            assert!(row.simnet_events > 0);
-            assert!(row.wall_nanos > 0 && row.simnet_wall_nanos > 0);
-            assert!(row.ops_per_sec() > 0.0);
-            assert!(row.simnet_events_per_sec() > 0.0);
-        }
     }
 }

@@ -1,8 +1,8 @@
 //! Quickstart: a three-process partially replicated PRAM memory.
 //!
-//! Run with:
+//! Run with (any other command line exits with status 2 and a usage line):
 //! ```text
-//! cargo run --example quickstart
+//! cargo run --example quickstart                     # pram-partial
 //! cargo run --example quickstart -- causal-partial   # pick the protocol
 //! ```
 //!
@@ -14,12 +14,20 @@
 
 use dsm::{DynDsm, ProtocolKind};
 use histories::{check, Criterion, Distribution, ProcId, VarId};
+use std::process::ExitCode;
 
-fn main() {
-    let kind = std::env::args()
-        .nth(1)
-        .map(|name| ProtocolKind::parse(&name).expect("unknown protocol name"))
-        .unwrap_or(ProtocolKind::PramPartial);
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let kind = match args.as_slice() {
+        [] => Some(ProtocolKind::PramPartial),
+        [name] => ProtocolKind::parse(name),
+        _ => None,
+    };
+    let Some(kind) = kind else {
+        let names: Vec<&str> = ProtocolKind::ALL.iter().map(|k| k.name()).collect();
+        eprintln!("usage: quickstart [{}]", names.join(" | "));
+        return ExitCode::from(2);
+    };
 
     // Figure 1 of the paper: p0 shares x0 with p1 and x1 with p2.
     let mut dist = Distribution::new(3, 2);
@@ -78,4 +86,5 @@ fn main() {
         stats.total_data_bytes(),
         stats.total_control_bytes()
     );
+    ExitCode::SUCCESS
 }

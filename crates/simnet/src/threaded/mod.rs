@@ -44,8 +44,7 @@
 //!   land in [`FabricStats`]); quiescence is detected with the
 //!   [`InFlight`] counter. Message interleaving is nondeterministic, but
 //!   on race-free workloads the settled values still converge to the
-//!   simnet outcome. This is the mode the wall-clock throughput
-//!   benchmarks (E9) run.
+//!   simnet outcome. This is the mode dsmbench's `thr-*` workloads time.
 //!
 //! A sender whose destination ring is full drains its *own* rings into a
 //! local backlog while it retries, so a cycle of full rings always makes
