@@ -6,8 +6,9 @@
 //!
 //! * **Replay mode is bit-identical**: the threaded backend re-executes
 //!   the simnet delivery schedule on real threads, so the recorded
-//!   history, the per-node control-record accounting, and every settled
-//!   replica value must equal the simnet run exactly — any workload.
+//!   history, the wire counters the workers kept, the per-node
+//!   control-record accounting, and every settled replica value must
+//!   equal the simnet run exactly — any workload.
 //! * **Free-running mode converges to the same settled values** on
 //!   race-free (single-writer-per-variable) scripts: delivery timing is
 //!   real and nondeterministic, but per-link FIFO plus a quiescence
@@ -45,8 +46,9 @@ fn run_on(
 }
 
 /// Both pins on one cell: replay is bit-identical to the simnet run under
-/// `config` (settled values, history, control records), and free-running
-/// issues every scripted operation and settles to its values.
+/// `config` (settled values, history, wire counters, control records),
+/// and free-running issues every scripted operation and settles to its
+/// values.
 fn assert_both_pins(
     kind: ProtocolKind,
     dist: &Distribution,
@@ -58,6 +60,7 @@ fn assert_both_pins(
     let (sim, replay) = (run(ExecBackend::Simnet), run(REPLAY));
     assert_eq!(sim.settled, replay.settled, "{cell}: replay settled values");
     assert_eq!(sim.history, replay.history, "{cell}: replay history");
+    assert_eq!(sim.network, replay.network, "{cell}: replay wire counters");
     assert_eq!(
         sim.control, replay.control,
         "{cell}: replay control records"
@@ -114,7 +117,7 @@ proptest! {
 
     /// Replay mode: bit-identical to simnet — settled values, recorded
     /// history (every read sees the same value at the same position),
-    /// and per-node control-record counts/bytes.
+    /// wire counters, and per-node control-record counts/bytes.
     #[test]
     fn replay_mode_is_bit_identical_to_simnet((dist, ops) in mesh_setup()) {
         for kind in ProtocolKind::ALL {
@@ -122,6 +125,7 @@ proptest! {
             let thr = run_on(kind, &dist, &ops, REPLAY);
             prop_assert_eq!(&sim.settled, &thr.settled, "{} settled values", kind);
             prop_assert_eq!(&sim.history, &thr.history, "{} history", kind);
+            prop_assert_eq!(&sim.network, &thr.network, "{} wire counters", kind);
             prop_assert_eq!(&sim.control, &thr.control, "{} control records", kind);
         }
     }
@@ -247,10 +251,10 @@ fn threaded_modes_agree_on_a_fixed_producer_consumer_script() {
 /// The op-log's own deterministic pin: the fifth protocol's
 /// flat-combining lanes and shard-log replay must survive the move onto
 /// real threads exactly like the other four. Replay is bit-identical to
-/// the simnet oracle (settled values, history, control records) on a
-/// larger deployment than the `ALL` sweeps use, under both the plain
-/// wire and the full multicast+batched+delta stack; free-running
-/// converges to the same settled values.
+/// the simnet oracle (settled values, history, wire counters, control
+/// records) on a larger deployment than the `ALL` sweeps use, under both
+/// the plain wire and the full multicast+batched+delta stack;
+/// free-running converges to the same settled values.
 #[test]
 fn op_log_threaded_replay_is_bit_identical_and_free_running_converges() {
     let dist = Distribution::random(8, 12, 2, 17);

@@ -263,18 +263,19 @@ impl DynDsm {
 
     /// Total events (deliveries + timers) processed so far — the work
     /// unit the scaling sweeps report throughput in. On the threaded
-    /// backend this counts handler executions across the workers (oracle
-    /// events in replay mode, so the number matches the simnet run).
+    /// backend this counts handler executions across the workers (in
+    /// replay mode the workers run the oracle's schedule, so after a
+    /// settle the number matches the simnet run).
     pub fn events_processed(&self) -> u64 {
         self.net.core().events_processed()
     }
 
-    /// Buffer-pool hit/miss statistics of the threaded backend's sites
-    /// (their handler-context pools, merged at the last settle). All
-    /// zeros on simnet, which lends its own two buffers to every callback
-    /// and keeps no pool.
+    /// Handler-context buffer-pool statistics: all zeros on every
+    /// backend. The simulator and each threaded site lend their own two
+    /// buffers to every callback and keep no pool; this stays only for
+    /// dsmbench's `simnet.pool.*` probe.
     pub fn pool_stats(&self) -> PoolStats {
-        self.net.core().pool_stats()
+        PoolStats::default()
     }
 
     /// Link-fabric contention counters of the threaded backend (full-ring
@@ -486,9 +487,9 @@ impl DynDsm {
     }
 
     /// Network-level statistics (messages, data bytes, control bytes).
-    /// On the threaded backend the counters are synchronized at settle
-    /// boundaries (replay mode reports the oracle's simnet-identical
-    /// accounting; free-running mode merges per-worker counters).
+    /// On the threaded backend the per-worker counters are merged at
+    /// settle boundaries (in replay mode the workers send exactly what
+    /// the oracle sent, so the accounting is the simnet run's).
     pub fn network_stats(&self) -> &NetworkStats {
         self.net.core().stats()
     }

@@ -27,7 +27,7 @@
 //! Three more pieces round out the fabric:
 //!
 //! * a **control sidecar** per receiver (`Mutex<VecDeque>`) for the cold
-//!   coordinator → worker path (pipelined invokes, replay windows,
+//!   coordinator → worker path (pipelined invokes, replay schedules,
 //!   shutdown), keeping the hot rings single-producer;
 //! * a per-receiver **waker** implementing the adaptive
 //!   spin → yield → park strategy (see [`Mailbox::wait`]): producers
@@ -38,9 +38,11 @@
 //!   (flat-combining style) instead of paying one blocking receive per
 //!   message.
 //!
-//! Quiescence detection in free-running mode uses [`InFlight`], a shared
-//! atomic counter of protocol events (deliveries and timer firings) that
-//! have been accepted into the fabric but not yet fully processed. The
+//! Both threaded modes count events in [`InFlight`], a shared atomic
+//! counter of protocol events (deliveries and timer firings) that have
+//! been accepted into the fabric but not yet fully processed:
+//! free-running detects quiescence with it, and replay checks that a
+//! finished schedule left nothing the oracle did not name. The
 //! counter is incremented *before* a send and decremented only after the
 //! receiving worker has run the handler **and flushed its outbox** (each
 //! send in the flush increments before the triggering event decrements),
@@ -334,18 +336,6 @@ impl<M, C> Mailbox<M, C> {
         got
     }
 
-    /// Pop the next message from one specific lane (replay mode consumes
-    /// per-sender streams in oracle order).
-    pub fn pop_from(&self, from: NodeId) -> Option<M> {
-        let m = self.shared.rings[self.me][from.index()].pop();
-        if m.is_some() {
-            self.shared.wakers[self.me]
-                .hint
-                .fetch_sub(1, Ordering::SeqCst);
-        }
-        m
-    }
-
     /// Take the next control message, if any.
     pub fn pop_ctl(&self) -> Option<C> {
         let m = self.shared.ctl[self.me]
@@ -486,7 +476,9 @@ mod tests {
         let mut out = VecDeque::new();
         assert_eq!(mailbox.drain_into(&mut out), cap);
         assert!(post.to(NodeId(0), 0xAA).is_ok());
-        assert_eq!(mailbox.pop_from(NodeId(0)), Some(0xAA));
+        out.clear();
+        assert_eq!(mailbox.drain_into(&mut out), 1);
+        assert_eq!(out.pop_front(), Some((NodeId(0), 0xAA)));
     }
 
     #[test]

@@ -68,9 +68,8 @@ impl<P> NodeContext<P> {
     }
 
     /// Like [`NodeContext::new`], but backed by recycled (empty) buffers
-    /// — the simulator's own, a relay's, or a threaded site's
-    /// [`BufferPool`](crate::pool::BufferPool)s' — so the delivery hot
-    /// path stops allocating two fresh `Vec`s per callback.
+    /// — the simulator's own, a relay's, or a threaded site's — so the
+    /// delivery hot path stops allocating two fresh `Vec`s per callback.
     pub(crate) fn with_buffers(
         me: NodeId,
         now: SimTime,

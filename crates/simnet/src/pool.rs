@@ -1,13 +1,10 @@
-//! Recycled buffer pools for the threaded sites' handler contexts.
+//! A recycled buffer pool, kept only for dsmbench's `simnet.pool.*`
+//! probe: no backend uses it. The simulator and every threaded site run
+//! one handler at a time, so each lends its one outbox and one timer
+//! buffer to every [`NodeContext`](crate::node::NodeContext) instead.
 //!
-//! Every handler a threaded site runs needs an outbox and a timer `Vec`
-//! for its [`NodeContext`](crate::node::NodeContext); allocating and
-//! dropping two fresh ones per delivery is millions of round trips
-//! through the allocator on a large sweep. A [`BufferPool`] keeps emptied
-//! buffers on free lists keyed by capacity size class (powers of two), so
-//! steady-state delivery reuses the same handful of allocations for the
-//! whole run. (The simulator needs no pool: its callbacks never nest, so
-//! it lends its one outbox and one timer buffer to every context.)
+//! A [`BufferPool`] keeps emptied buffers on free lists keyed by
+//! capacity size class (powers of two), so reuse needs no allocation.
 //!
 //! The pool is deliberately simple and fully deterministic: free lists
 //! are plain LIFO stacks, acquisition scans upward from the requested

@@ -3,8 +3,9 @@
 //!
 //! The threaded backend hosts nodes on preemptively scheduled OS
 //! threads, where virtual time has no meaning; its blocking waits
-//! (free-running quiescence spins, replay-step stalls, shutdown) must be
-//! bounded in host time or a lost wakeup hangs the process. Everything
+//! (free-running quiescence spins, a replaying site's wait for the
+//! arrival its schedule names next, lane drains) must be bounded in
+//! host time or a lost wakeup hangs the process. Everything
 //! protocol-visible still flows through the simnet schedule — host time
 //! here only turns "hang forever" into "panic with a message".
 //!
@@ -21,8 +22,8 @@ use std::time::{Duration, Instant};
 /// instead of hanging the process.
 pub(crate) const WATCHDOG: Duration = Duration::from_secs(60);
 
-/// A deadline on host time: armed at construction, optionally re-armed
-/// when progress is observed, queried with [`Watchdog::expired`].
+/// A deadline on host time: armed at construction, queried with
+/// [`Watchdog::expired`].
 #[derive(Debug)]
 pub(crate) struct Watchdog {
     start: Instant,
@@ -38,13 +39,8 @@ impl Watchdog {
         }
     }
 
-    /// Whether the limit has elapsed since arming (or the last reset).
+    /// Whether the limit has elapsed since arming.
     pub(crate) fn expired(&self) -> bool {
         self.start.elapsed() >= self.limit
-    }
-
-    /// Re-arm the deadline; called whenever forward progress is seen.
-    pub(crate) fn reset(&mut self) {
-        self.start = Instant::now();
     }
 }

@@ -8,13 +8,15 @@
 //! and exchanges the *same* payload types over pre-allocated per-link
 //! rings. The protocol code is reused unchanged: a site drives the
 //! [`Node`] trait exactly as the simulator does (handler, then flush
-//! timers and outbox in order), with the handler contexts backed by
-//! per-site [`BufferPool`]s so steady-state delivery allocates nothing.
+//! timers and outbox in order), and like the simulator it runs one
+//! handler at a time, so every handler context borrows the site's one
+//! outbox and one timer `Vec` and steady-state delivery allocates
+//! nothing.
 //!
 //! A site sits behind one `Mutex` and is run by whichever thread holds
 //! it. Its worker thread takes it per drained batch: the deliveries and
 //! timers waiting on its rings, at most `INVOKE_BATCH` pipelined
-//! invokes, or a whole replay window. The coordinator takes it for
+//! invokes, or its whole replay schedule. The coordinator takes it for
 //! every synchronous operation ([`Net::invoke`], [`Net::inspect`],
 //! [`Net::update`], the settle-time counter merge) and runs the closure
 //! in place on the calling thread — a read is one lock on the local
@@ -26,33 +28,40 @@
 //! finished (an atomic only the worker writes): a synchronous call
 //! yields until its site's lane has drained, then locks.
 //!
-//! Two modes, chosen by [`ThreadedMode`]:
+//! A site runs one way in both modes. Sends (and timers, which ride the
+//! self-link) go straight to the destination ring; whole mailboxes are
+//! drained into the site's one arrival queue per wakeup (the batch
+//! lengths land in [`FabricStats`]); every event is counted in
+//! [`InFlight`] from its send until its handler has run and flushed. The
+//! two modes, chosen by [`ThreadedMode`], differ only in which arrival a
+//! site handles next:
 //!
-//! * **Replay** — the net embeds a [`Simulator`] oracle over the same
-//!   nodes (relays included, when routed). Every local operation is
-//!   applied to the oracle *and* to the live site; at settle time the
-//!   oracle runs to quiescence, its event trace is cut into a replay
-//!   window (one entry per delivery / timer firing, in oracle order),
-//!   and the workers execute the window step by step: a shared atomic
-//!   cursor serializes handler executions in oracle order while every
-//!   payload still crosses a real ring between real threads. Settled
-//!   values, histories, and control-record counts are therefore
-//!   bit-identical to a pure simnet run — that is what the differential
-//!   tests pin.
-//! * **FreeRunning** — no oracle. Sends go straight to the destination
-//!   ring and whole mailboxes are drained per wakeup (the batch lengths
-//!   land in [`FabricStats`]); quiescence is detected with the
-//!   [`InFlight`] counter. Message interleaving is nondeterministic, but
-//!   on race-free workloads the settled values still converge to the
-//!   simnet outcome. This is the mode dsmbench's `thr-*` workloads time.
+//! * **FreeRunning** — the oldest one. Quiescence is the in-flight count
+//!   reaching zero. Message interleaving is nondeterministic, but on
+//!   race-free workloads the settled values still converge to the simnet
+//!   outcome. This is the mode dsmbench's `thr-*` workloads time.
+//! * **Replay** — the one its own slice of an oracle's schedule names
+//!   next. The net embeds a [`Simulator`] oracle over the same nodes
+//!   (relays included, when routed), and every local operation is
+//!   applied to the oracle *and* to the live site. At settle time the
+//!   oracle runs to quiescence and the new slice of its trace is cut
+//!   into one schedule per site — the deliveries (by sender) and timer
+//!   firings that site handles, in oracle order — which its worker runs,
+//!   waiting for each arrival that has not come yet. No worker waits for
+//!   another's turn: a site's state depends only on the order of its own
+//!   events, and over FIFO links each site's slice always makes
+//!   progress. Handlers run on the workers and every payload crosses a
+//!   real ring, yet settled values, histories, wire counters and
+//!   control-record counts are bit-identical to a pure simnet run — that
+//!   is what the differential tests pin. A live handler that sends what
+//!   the oracle's copy did not is a divergence the settle reports.
 //!
-//! A sender whose destination ring is full drains its *own* rings into a
-//! local backlog while it retries, so a cycle of full rings always makes
-//! progress and total in-flight data is bounded only by the heap — the
-//! same guarantee the old unbounded-mpsc fabric gave, now with
-//! allocation-free steady state. The coordinator sending from a
-//! synchronous closure is such a sender too, and handles whatever
-//! backlog it absorbed before it lets go of the site.
+//! A sender whose destination ring is full drains its *own* rings into
+//! its arrival queue while it retries, so a cycle of full rings always
+//! makes progress and total in-flight data is bounded only by the heap.
+//! The coordinator sending from a synchronous closure is such a sender
+//! too, and (free-running) handles whatever backlog it absorbed before
+//! it lets go of the site.
 //!
 //! A worker thread that panics marks itself in a shared `DeadSet` on
 //! the way down and leaves its site's lock poisoned; the coordinator's
@@ -86,7 +95,6 @@ use crate::chan::{fabric, CtlPost, InFlight, Mailbox, Post};
 use crate::message::{NodeId, WireSize};
 use crate::network::Topology;
 use crate::node::{Node, NodeContext, Outgoing};
-use crate::pool::{BufferPool, PoolStats};
 use crate::sim::{RunOutcome, SendError, SimConfig, Simulator};
 use crate::stats::NetworkStats;
 use crate::time::{SimDuration, SimTime};
@@ -94,11 +102,11 @@ use crate::trace::TraceEntry;
 use crate::transport::{BoxedPost, Net, NetCore, NetError, Posted};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-/// Most lane messages (pipelined invokes, replay windows) a worker runs
+/// Most lane messages (pipelined invokes, replay schedules) a worker runs
 /// per hold of its site lock, each with a drain of the rings before it.
 /// Bounds how long a synchronous call that found the lane drained can
 /// then wait for the lock: one such batch.
@@ -111,9 +119,9 @@ const INVOKE_BATCH: usize = 32;
 const REPLAY_TRACE_CAPACITY: usize = 1 << 20;
 
 /// Per-fabric contention and batching counters, merged across workers at
-/// settle time. The free-running numbers are nondeterministic (they
-/// describe real scheduling), so they are reported next to — never
-/// inside — the deterministic wire accounting.
+/// settle time. The numbers are nondeterministic (they describe real
+/// scheduling), so they are reported next to — never inside — the
+/// deterministic wire accounting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FabricStats {
     /// Times a sender found a destination ring full and had to drain its
@@ -227,28 +235,20 @@ impl Drop for DeathSentinel {
     }
 }
 
-/// One step of a replay schedule: which node acts, and how.
+/// One step of a site's replay schedule: which of its arrivals it
+/// handles next.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Step {
-    /// Deliver the next buffered message from `from`.
+    /// Deliver the oldest arrival from `from`.
     Deliver {
         /// Sender whose FIFO stream supplies the payload.
         from: NodeId,
     },
-    /// Fire the pending timer with this tag.
+    /// Fire the oldest pending timer with this tag.
     Timer {
         /// Tag passed back to [`Node::on_timer`].
         tag: u64,
     },
-}
-
-/// A replay schedule plus the shared cursor that serializes it. Workers
-/// spin on `pos`; the worker named by `steps[pos]` executes the step and
-/// advances the cursor.
-#[derive(Debug)]
-struct ReplayWindow {
-    steps: Vec<(NodeId, Step)>,
-    pos: AtomicUsize,
 }
 
 /// Hot-path link messages: what travels on the SPSC rings. The sender is
@@ -256,8 +256,7 @@ struct ReplayWindow {
 enum LinkMsg<P> {
     /// A protocol payload (a real link message).
     Deliver(P),
-    /// A free-running timer firing (posted by the owning site itself on
-    /// its self-link).
+    /// A timer firing, posted by the owning site itself on its self-link.
     Timer(u64),
 }
 
@@ -269,8 +268,9 @@ enum Ctl<P, N> {
     /// repays the debt after the flush, so a settle is the barrier that
     /// observes it applied.
     InvokeAsync(BoxedPost<P, N>),
-    /// Execute a replay window; the coordinator watches its cursor.
-    Replay(Arc<ReplayWindow>),
+    /// Handle these arrivals, in this order: the site's slice of the
+    /// oracle's schedule.
+    Replay(Vec<Step>),
     /// Exit the worker loop. Not counted as a lane message.
     Stop,
 }
@@ -300,20 +300,17 @@ struct Site<P, N> {
     dead: Arc<DeadSet>,
     stats: NetworkStats,
     fabric: FabricStats,
-    /// Recycled outbox buffers for handler contexts (satisfying the
-    /// "threaded path reuses the `BufferPool`" plumbing: steady-state
-    /// delivery stops allocating two `Vec`s per callback).
-    outbox_pool: BufferPool<Outgoing<P>>,
-    timer_pool: BufferPool<(SimDuration, u64)>,
-    /// Free-running: drained but not yet handled link messages, in
-    /// arrival order (also the overflow backlog while a send stalls).
-    /// Empty whenever the lock is released.
+    /// The outbox and timer buffers of the one live handler context: a
+    /// site runs one handler at a time, so [`Site::context`] lends these
+    /// and [`Site::flush`] takes them back, emptied — the simulator's
+    /// scheme, so steady-state delivery allocates nothing.
+    outbox: Vec<Outgoing<P>>,
+    timers: Vec<(SimDuration, u64)>,
+    /// Drained but not yet handled link messages, in arrival order (also
+    /// the overflow backlog while a send stalls). Free-running, it is
+    /// empty whenever the lock is released; replaying, it holds what the
+    /// oracle has not scheduled yet.
     pending: VecDeque<(NodeId, LinkMsg<P>)>,
-    /// Replay mode: per-sender FIFO of payloads received but not yet
-    /// scheduled by the oracle.
-    buffered: Vec<VecDeque<P>>,
-    /// Replay mode: tags of timers set but not yet fired, in set order.
-    pending_timers: Vec<u64>,
 }
 
 /// A site and the one thing its two users share outside its lock.
@@ -349,15 +346,6 @@ where
     }
 }
 
-impl<P, N> Site<P, N> {
-    /// The handler-context pools' counters, merged.
-    fn pool_stats(&self) -> PoolStats {
-        let mut pool = self.outbox_pool.stats();
-        pool.merge(self.timer_pool.stats());
-        pool
-    }
-}
-
 impl<P, N> Site<P, N>
 where
     P: WireSize + fmt::Debug + Clone + Send + 'static,
@@ -382,7 +370,12 @@ where
                     }
                     self.inflight.down();
                 }
-                Some(Ctl::Replay(window)) => self.replay(&window),
+                Some(Ctl::Replay(steps)) => {
+                    for step in steps {
+                        let (from, msg) = self.take(step);
+                        self.handle(from, msg);
+                    }
+                }
                 Some(Ctl::Stop) => return Turn::Stop,
                 None if busy => return Turn::Busy,
                 None => return Turn::Idle,
@@ -405,105 +398,117 @@ where
         self.flush(ctx)
     }
 
-    /// Handle every drained link message, in arrival order.
+    /// Free-running: handle every drained link message, in arrival
+    /// order. A replaying site handles only what its schedule names.
     fn run_pending(&mut self) {
+        if self.mode == ThreadedMode::Replay {
+            return;
+        }
         while let Some((from, msg)) = self.pending.pop_front() {
-            match msg {
-                LinkMsg::Deliver(payload) => self.deliver(from, payload),
-                LinkMsg::Timer(tag) => self.fire_timer(tag),
-            }
-            self.inflight.down();
+            self.handle(from, msg);
         }
     }
 
-    /// Move everything available off the rings: into the arrival queue
-    /// in free-running mode (recording the batch length), into the
-    /// per-sender replay FIFOs otherwise.
+    /// Move everything available off the rings into the arrival queue,
+    /// recording the batch length.
     fn drain_links(&mut self) -> usize {
-        match self.mode {
-            ThreadedMode::FreeRunning => {
-                let got = self.mailbox.drain_into(&mut self.pending);
-                if got > 0 {
-                    self.fabric.record_batch(got);
-                }
-                got
-            }
-            ThreadedMode::Replay => self.buffer_arrivals(),
-        }
-    }
-
-    /// Replay mode: move ring arrivals into the per-sender FIFOs the
-    /// oracle schedule consumes from.
-    fn buffer_arrivals(&mut self) -> usize {
-        let mut got = 0;
-        for from in 0..self.buffered.len() {
-            while let Some(msg) = self.mailbox.pop_from(NodeId(from)) {
-                match msg {
-                    LinkMsg::Deliver(payload) => self.buffered[from].push_back(payload),
-                    LinkMsg::Timer(_) => {
-                        unreachable!("free-running timer message in replay mode")
-                    }
-                }
-                got += 1;
-            }
+        let got = self.mailbox.drain_into(&mut self.pending);
+        if got > 0 {
+            self.fabric.record_batch(got);
         }
         got
     }
 
-    /// A handler context backed by recycled buffers.
+    /// Remove the oldest arrival `step` names from the arrival queue,
+    /// draining the rings and waiting until it has come. A peer's message
+    /// the oracle delivered here was sent, or is about to be; a timer is
+    /// this site's own, so one still missing after a drain never will be.
+    fn take(&mut self, step: Step) -> (NodeId, LinkMsg<P>) {
+        let named = |(from, msg): &(NodeId, LinkMsg<P>)| match (msg, step) {
+            (LinkMsg::Deliver(_), Step::Deliver { from: want }) => *from == want,
+            (LinkMsg::Timer(tag), Step::Timer { tag: want }) => *tag == want,
+            _ => false,
+        };
+        let watchdog = clock::Watchdog::standard();
+        loop {
+            let found = self.pending.iter().position(named);
+            if let Some(arrival) = found.and_then(|i| self.pending.remove(i)) {
+                return arrival;
+            }
+            if self.drain_links() > 0 {
+                continue;
+            }
+            assert!(
+                !matches!(step, Step::Timer { .. }),
+                "replay on {} diverged from its oracle: {step:?} names a timer it never set",
+                self.me
+            );
+            if let Some(node) = self.dead.first_dead() {
+                panic!("worker {node} died mid-replay; aborting on {}", self.me);
+            }
+            assert!(
+                !watchdog.expired(),
+                "replay on {} timed out waiting for {step:?}",
+                self.me
+            );
+            self.mailbox.wait();
+        }
+    }
+
+    /// A handler context on the site's own buffers ([`Site::flush`]
+    /// takes them back).
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn context(&mut self) -> NodeContext<P> {
         NodeContext::with_buffers(
             self.me,
             SimTime::ZERO,
-            self.outbox_pool.acquire(0),
-            self.timer_pool.acquire(0),
+            std::mem::take(&mut self.outbox),
+            std::mem::take(&mut self.timers),
         )
     }
 
-    /// Run the message handler and flush, with delivery-side accounting.
-    fn deliver(&mut self, from: NodeId, payload: P) {
-        self.stats
-            .record_delivery(self.me, payload.data_bytes(), payload.control_bytes());
-        self.events.fetch_add(1, Ordering::Relaxed);
+    /// Run the handler an arrival calls for and flush what it sent, then
+    /// repay the arrival's in-flight debt.
+    fn handle(&mut self, from: NodeId, msg: LinkMsg<P>) {
         let mut ctx = self.context();
-        self.node.on_message(&mut ctx, from, payload);
+        match msg {
+            LinkMsg::Deliver(payload) => {
+                self.stats
+                    .record_delivery(self.me, payload.data_bytes(), payload.control_bytes());
+                self.node.on_message(&mut ctx, from, payload);
+            }
+            LinkMsg::Timer(tag) => self.node.on_timer(&mut ctx, tag),
+        }
+        self.events.fetch_add(1, Ordering::Relaxed);
         if let Err(e) = self.flush(ctx) {
             panic!("{e}");
         }
-    }
-
-    /// Run the timer handler and flush.
-    fn fire_timer(&mut self, tag: u64) {
-        self.events.fetch_add(1, Ordering::Relaxed);
-        let mut ctx = self.context();
-        self.node.on_timer(&mut ctx, tag);
-        if let Err(e) = self.flush(ctx) {
-            panic!("{e}");
-        }
+        self.inflight.down();
     }
 
     /// Schedule whatever a handler produced, mirroring the simulator's
     /// flush: timers first, then the outbox in order, with `Many`
     /// expanded to one link message per destination in target order, up
-    /// to the first send to an id outside the fabric. The context's
-    /// buffers return to the pools afterwards.
+    /// to the first send to an id outside the fabric. There is no
+    /// virtual clock, so a timer rides the self-link and fires when it
+    /// drains (every DSM timer is a zero-delay flush kick) or when the
+    /// replay schedule names it. The context's buffers return to the
+    /// site afterwards.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
     fn flush(&mut self, ctx: NodeContext<P>) -> Result<(), SendError> {
         let (mut outbox, mut timers) = ctx.into_parts();
         for (_delay, tag) in timers.drain(..) {
-            match self.mode {
-                // The oracle schedules the firing; remember the tag so
-                // the replayed firing can be matched up.
-                ThreadedMode::Replay => self.pending_timers.push(tag),
-                // No virtual clock: the timer rides the self-link and
-                // fires when it drains (all DSM timers are zero-delay
-                // flush kicks).
-                ThreadedMode::FreeRunning => {
-                    self.inflight.up();
-                    self.send_link(self.me, LinkMsg::Timer(tag));
-                }
-            }
+            self.inflight.up();
+            self.send_link(self.me, LinkMsg::Timer(tag));
         }
-        self.timer_pool.release(timers);
         let mut result = Ok(());
         for out in outbox.drain(..) {
             result = match out {
@@ -514,7 +519,8 @@ where
                 break;
             }
         }
-        self.outbox_pool.release(outbox);
+        self.outbox = outbox;
+        self.timers = timers;
         result
     }
 
@@ -538,25 +544,22 @@ where
         }
         self.stats
             .record_send(self.me, to, payload.data_bytes(), payload.control_bytes());
-        if self.mode == ThreadedMode::FreeRunning {
-            self.inflight.up();
-        }
+        self.inflight.up();
         self.send_link(to, LinkMsg::Deliver(payload));
         Ok(())
     }
 
-    /// Push a link message, absorbing our own backlog while the
-    /// destination ring is full. Messages to a dead worker are dropped
-    /// (with their in-flight debt repaid) so this send cannot stall on a
-    /// ring nobody will ever drain; the coordinator surfaces the death
-    /// as a typed error.
+    /// Push a link message, draining our own rings into the arrival
+    /// queue while the destination ring is full — without handling them:
+    /// no re-entrant handler runs mid-send. Messages to a dead worker are
+    /// dropped (with their in-flight debt repaid) so this send cannot
+    /// stall on a ring nobody will ever drain; the coordinator surfaces
+    /// the death as a typed error.
     fn send_link(&mut self, to: NodeId, msg: LinkMsg<P>) {
         let mut msg = msg;
         loop {
             if self.dead.is_dead(to.index()) {
-                if self.mode == ThreadedMode::FreeRunning {
-                    self.inflight.down();
-                }
+                self.inflight.down();
                 return;
             }
             match self.post.to(to, msg) {
@@ -568,91 +571,10 @@ where
                     // full-ring senders make progress: the peer stalled
                     // on *us* can complete its push and get back to
                     // draining.
-                    if self.absorb_backlog() == 0 {
+                    if self.mailbox.drain_into(&mut self.pending) == 0 {
                         std::thread::yield_now();
                     }
                 }
-            }
-        }
-    }
-
-    /// Drain our own rings without handling anything (no re-entrant
-    /// handler runs mid-send); the run loop processes the backlog next
-    /// iteration.
-    fn absorb_backlog(&mut self) -> usize {
-        match self.mode {
-            ThreadedMode::FreeRunning => self.mailbox.drain_into(&mut self.pending),
-            ThreadedMode::Replay => self.buffer_arrivals(),
-        }
-    }
-
-    /// Execute a replay window: spin on the shared cursor, execute the
-    /// steps assigned to this node, advance the cursor.
-    fn replay(&mut self, window: &ReplayWindow) {
-        let mut last_seen = usize::MAX;
-        let mut watchdog = clock::Watchdog::standard();
-        loop {
-            let pos = window.pos.load(Ordering::Acquire);
-            if pos >= window.steps.len() {
-                return;
-            }
-            if pos != last_seen {
-                last_seen = pos;
-                watchdog.reset();
-            }
-            let (who, step) = window.steps[pos];
-            if who != self.me {
-                // Keep draining arrivals while another node acts so the
-                // rings stay short.
-                if self.buffer_arrivals() == 0 {
-                    if let Some(node) = self.dead.first_dead() {
-                        panic!("worker {node} died mid-replay; aborting on {}", self.me);
-                    }
-                    assert!(
-                        !watchdog.expired(),
-                        "replay stalled at step {pos}/{} on {}",
-                        window.steps.len(),
-                        self.me
-                    );
-                    std::thread::yield_now();
-                }
-                continue;
-            }
-            match step {
-                Step::Deliver { from } => {
-                    let payload = self.next_delivery_from(from);
-                    self.deliver(from, payload);
-                }
-                Step::Timer { tag } => {
-                    if let Some(i) = self.pending_timers.iter().position(|&t| t == tag) {
-                        self.pending_timers.remove(i);
-                    }
-                    self.fire_timer(tag);
-                }
-            }
-            window.pos.store(pos + 1, Ordering::Release);
-        }
-    }
-
-    /// Pop (or wait for) the next payload in `from`'s FIFO stream.
-    fn next_delivery_from(&mut self, from: NodeId) -> P {
-        let watchdog = clock::Watchdog::standard();
-        loop {
-            if let Some(p) = self.buffered[from.index()].pop_front() {
-                return p;
-            }
-            // The oracle says this message exists, so it is either on a
-            // ring already or a peer is about to send it.
-            if self.buffer_arrivals() == 0 {
-                if let Some(node) = self.dead.first_dead() {
-                    panic!("worker {node} died mid-replay; aborting on {}", self.me);
-                }
-                assert!(
-                    !watchdog.expired(),
-                    "replay on {} timed out waiting for a delivery from {from}",
-                    self.me
-                );
-                self.mailbox.wait();
             }
         }
     }
@@ -680,8 +602,7 @@ where
     inflight: Arc<InFlight>,
     events: Arc<AtomicU64>,
     dead: Arc<DeadSet>,
-    /// The sites' counters as merged at the last settle; in replay mode
-    /// `stats` is a copy of the oracle's and `fabric` stays zero.
+    /// The sites' counters as merged at the last settle.
     counters: Counters,
     /// Replay mode: the simulator whose delivery order the threads
     /// follow. `None` in free-running mode.
@@ -772,11 +693,9 @@ where
                     dead: Arc::clone(&dead),
                     stats: NetworkStats::with_nodes(n),
                     fabric: FabricStats::default(),
-                    outbox_pool: BufferPool::new(),
-                    timer_pool: BufferPool::new(),
+                    outbox: Vec::new(),
+                    timers: Vec::new(),
                     pending: VecDeque::new(),
-                    buffered: std::iter::repeat_with(VecDeque::new).take(n).collect(),
-                    pending_timers: Vec::new(),
                 }),
                 lane_done: AtomicU64::new(0),
             });
@@ -917,17 +836,13 @@ where
             .collect();
         // A run can end without a final settle: fold the sites' final
         // counters into the caches instead of losing every event since
-        // the previous one. Replay mode keeps the oracle's
-        // (simnet-identical) wire accounting and takes only the pools,
-        // and a partial set (some workers died) keeps the last complete
-        // settle snapshot instead of an under-counting merge.
+        // the previous one. A partial set (some workers died) keeps the
+        // last complete settle snapshot instead of an under-counting
+        // merge.
         if sites.len() == self.n {
             let mut merged = Counters::new(self.n);
             sites.iter().for_each(|site| merged.add(site));
-            match self.oracle {
-                None => self.counters = merged,
-                Some(_) => self.counters.pool = merged.pool,
-            }
+            self.counters = merged;
         }
         sites.into_iter().map(|site| site.node).collect()
     }
@@ -1030,76 +945,75 @@ where
     N: Node<P> + Clone + Send + 'static,
 {
     /// Replay: run the oracle to quiescence, cut the new slice of its
-    /// trace into a replay window, execute it on the workers, refresh
-    /// the stats cache from the oracle. Free-running: wait for the
-    /// in-flight counter to reach zero, then merge the sites' counters.
+    /// trace into one schedule per site and post each on its site's
+    /// lane. Free-running: wait for the in-flight counter to reach zero.
+    /// Either way, then merge the sites' counters — whose lane waits are
+    /// replay's barrier.
     fn settle(&mut self) -> Result<RunOutcome, NetError> {
         self.ensure_alive()?;
-        let Some(oracle) = self.oracle.as_mut() else {
-            let watchdog = clock::Watchdog::standard();
-            while self.inflight.load() > 0 {
-                self.ensure_alive()?;
-                assert!(
-                    !watchdog.expired(),
-                    "free-running settle stalled with {} event(s) in flight",
-                    self.inflight.load()
+        let outcome = match self.oracle.as_mut() {
+            Some(oracle) => {
+                let outcome = oracle.settle()?;
+                let trace = oracle.trace();
+                assert_eq!(
+                    trace.dropped(),
+                    0,
+                    "replay oracle trace overflowed {REPLAY_TRACE_CAPACITY} entries; \
+                     this run is too large for replay mode — use free-running"
                 );
-                std::thread::yield_now();
+                let mut schedules = vec![Vec::new(); self.n];
+                for entry in &trace.entries()[self.trace_cursor..] {
+                    match *entry {
+                        TraceEntry::Delivered { from, to, .. } => {
+                            schedules[to.index()].push(Step::Deliver { from });
+                        }
+                        TraceEntry::TimerFired { node, tag, .. } => {
+                            schedules[node.index()].push(Step::Timer { tag });
+                        }
+                        TraceEntry::Sent { .. } => {}
+                    }
+                }
+                self.trace_cursor = trace.entries().len();
+                for (i, steps) in schedules.into_iter().enumerate() {
+                    if !steps.is_empty() {
+                        self.post_lane(NodeId(i), Ctl::Replay(steps));
+                    }
+                }
+                Some(outcome)
             }
-            let mut counters = Counters::new(self.n);
-            for i in 0..self.n {
-                counters.add(&*self.site(NodeId(i))?);
+            None => {
+                let watchdog = clock::Watchdog::standard();
+                while self.inflight.load() > 0 {
+                    self.ensure_alive()?;
+                    assert!(
+                        !watchdog.expired(),
+                        "free-running settle stalled with {} event(s) in flight",
+                        self.inflight.load()
+                    );
+                    std::thread::yield_now();
+                }
+                None
             }
-            self.counters = counters;
-            let total = self.events.load(Ordering::SeqCst);
-            let events = total - self.events_at_last_settle;
-            self.events_at_last_settle = total;
+        };
+        let mut counters = Counters::new(self.n);
+        for i in 0..self.n {
+            counters.add(&*self.site(NodeId(i))?);
+        }
+        self.counters = counters;
+        let total = self.events.load(Ordering::SeqCst);
+        let events = total - self.events_at_last_settle;
+        self.events_at_last_settle = total;
+        let Some(outcome) = outcome else {
             return Ok(RunOutcome::Quiescent { events });
         };
-        let outcome = oracle.settle()?;
-        let trace = oracle.trace();
-        assert_eq!(
-            trace.dropped(),
-            0,
-            "replay oracle trace overflowed {REPLAY_TRACE_CAPACITY} entries; \
-             this run is too large for replay mode — use free-running"
+        // Every site has run its whole schedule, so after a quiescent
+        // oracle run anything still in flight was sent by a live handler
+        // that the oracle's copy did not run the same way.
+        assert!(
+            !outcome.is_quiescent() || self.inflight.load() == 0,
+            "replay left {} event(s) the oracle never scheduled",
+            self.inflight.load()
         );
-        let steps: Vec<(NodeId, Step)> = trace.entries()[self.trace_cursor..]
-            .iter()
-            .filter_map(|e| match *e {
-                TraceEntry::Delivered { from, to, .. } => Some((to, Step::Deliver { from })),
-                TraceEntry::TimerFired { node, tag, .. } => Some((node, Step::Timer { tag })),
-                TraceEntry::Sent { .. } => None,
-            })
-            .collect();
-        self.trace_cursor = trace.entries().len();
-        self.counters.stats = oracle.stats().clone();
-        if !steps.is_empty() {
-            let window = Arc::new(ReplayWindow {
-                steps,
-                pos: AtomicUsize::new(0),
-            });
-            for i in 0..self.n {
-                self.post_lane(NodeId(i), Ctl::Replay(Arc::clone(&window)));
-            }
-            // The window is done when its cursor passes the end; a
-            // worker still on its way out of `replay` is what the next
-            // synchronous call's lane wait covers.
-            let watchdog = clock::Watchdog::standard();
-            while window.pos.load(Ordering::Acquire) < window.steps.len() {
-                self.ensure_alive()?;
-                assert!(
-                    !watchdog.expired(),
-                    "threaded backend stalled waiting for a replay window"
-                );
-                std::thread::yield_now();
-            }
-        }
-        let mut pool = PoolStats::default();
-        for i in 0..self.n {
-            pool.merge(self.site(NodeId(i))?.pool_stats());
-        }
-        self.counters.pool = pool;
         Ok(outcome)
     }
 
@@ -1115,20 +1029,17 @@ where
         &self.topology
     }
 
-    /// Replay mode reports the oracle's (simnet-identical) accounting;
-    /// free-running mode the per-site counters merged at the last
-    /// settle.
+    /// The per-site counters merged at the last settle, in either mode
+    /// (a replay sends exactly what the oracle sent, so its counters are
+    /// the simnet run's).
     fn stats(&self) -> &NetworkStats {
         &self.counters.stats
     }
 
-    /// Oracle events in replay mode (identical to the simnet run),
-    /// handler executions across sites otherwise.
+    /// Handler executions across sites (after a replay settle, the
+    /// oracle's count: the sites ran its schedule).
     fn events_processed(&self) -> u64 {
-        match &self.oracle {
-            Some(oracle) => oracle.events_processed(),
-            None => self.events.load(Ordering::SeqCst),
-        }
+        self.events.load(Ordering::SeqCst)
     }
 
     /// The oracle's queue length in replay mode, the in-flight counter
@@ -1140,15 +1051,8 @@ where
         }
     }
 
-    /// The sites' handler-context pools, merged as of the last settle, in
-    /// either mode.
-    fn pool_stats(&self) -> PoolStats {
-        self.counters.pool
-    }
-
     /// Full-ring stalls and drain batch lengths merged across sites as of
-    /// the last free-running settle; all zero in replay mode, whose
-    /// drains are step-paced by the oracle.
+    /// the last settle.
     fn fabric_stats(&self) -> FabricStats {
         self.counters.fabric
     }
@@ -1157,7 +1061,6 @@ where
 /// The sites' counters, merged.
 struct Counters {
     stats: NetworkStats,
-    pool: PoolStats,
     fabric: FabricStats,
 }
 
@@ -1165,14 +1068,12 @@ impl Counters {
     fn new(n: usize) -> Self {
         Counters {
             stats: NetworkStats::with_nodes(n),
-            pool: PoolStats::default(),
             fabric: FabricStats::default(),
         }
     }
 
     fn add<P, N>(&mut self, site: &Site<P, N>) {
         self.stats.merge(&site.stats);
-        self.pool.merge(site.pool_stats());
         self.fabric.merge(&site.fabric);
     }
 }
@@ -1243,67 +1144,67 @@ mod tests {
         assert_eq!(net.pending(), 0);
     }
 
+    /// Both modes drain whole mailboxes into one arrival queue, so both
+    /// report real drain batches.
     #[test]
-    fn free_running_reports_pool_and_fabric_counters() {
-        let mut net = net(ThreadedMode::FreeRunning, 3);
-        for round in 0..20 {
-            for to in 1..3usize {
-                net.with_node(NodeId(0), move |_, ctx| {
-                    ctx.send(NodeId(to), RawPayload::new(round, 0));
-                });
-            }
-        }
-        net.settle().unwrap();
-        let pool = net.pool_stats();
-        assert!(
-            pool.hits + pool.misses > 0,
-            "threaded deliveries must run on pooled contexts: {pool:?}"
-        );
-        assert!(pool.hits > 0, "steady state must recycle buffers: {pool:?}");
-        let fabric = net.fabric_stats();
-        assert!(fabric.batches > 0, "drains must be recorded: {fabric:?}");
-        assert!(fabric.batched_messages >= fabric.batches);
-        assert!(fabric.mean_batch_len() >= 1.0);
-        assert_eq!(
-            fabric.batches,
-            fabric.batch_hist.iter().sum::<u64>(),
-            "every batch lands in exactly one histogram bucket"
-        );
-    }
-
-    /// Replay mode reports the sites' pools too (its wire accounting is
-    /// the oracle's), and each settle reads them afresh.
-    #[test]
-    fn replay_settle_reports_the_sites_pools() {
-        let mut net = net(ThreadedMode::Replay, 3);
-        let mut previous = PoolStats::default();
-        for round in 0..3 {
-            for to in 1..3usize {
-                net.with_node(NodeId(0), move |_, ctx| {
-                    ctx.send(NodeId(to), RawPayload::new(round, 0));
-                });
+    fn fabric_counters_count_real_drains_in_both_modes() {
+        for mode in [ThreadedMode::FreeRunning, ThreadedMode::Replay] {
+            let mut net = net(mode, 3);
+            for round in 0..20 {
+                for to in 1..3usize {
+                    net.with_node(NodeId(0), move |_, ctx| {
+                        ctx.send(NodeId(to), RawPayload::new(round, 0));
+                    });
+                }
             }
             net.settle().unwrap();
-            let pool = net.pool_stats();
-            assert!(
-                pool.hits > 0,
-                "replayed contexts must recycle buffers: {pool:?}"
+            let fabric = net.fabric_stats();
+            // 40 pings and 40 echoes were drained, each exactly once.
+            assert_eq!(fabric.batched_messages, 80, "{mode:?}: {fabric:?}");
+            assert!(fabric.mean_batch_len() >= 1.0);
+            assert_eq!(
+                fabric.batches,
+                fabric.batch_hist.iter().sum::<u64>(),
+                "every batch lands in exactly one histogram bucket"
             );
-            assert!(
-                pool.hits > previous.hits,
-                "settle {round} must count the contexts it replayed: {previous:?} -> {pool:?}"
-            );
-            previous = pool;
         }
-        // The oracle paces replay drains: there is no contention to count.
-        assert_eq!(net.fabric_stats(), FabricStats::default());
     }
 
-    /// Regression test: a run that never settles used to lose every
-    /// stats/pool/fabric counter on teardown — the merge only happened
-    /// inside `settle()`. `shutdown()` now folds the sites' final
-    /// counters into the caches: all of them when free-running, the
-    /// pools alone in replay mode, whose wire accounting is the oracle's.
+    /// Every handler context borrows its site's one outbox and one timer
+    /// `Vec`, and the flush hands them back emptied: after fan-outs and
+    /// timers every site's buffers and arrival queue are empty, and the
+    /// sender's outbox and the receivers' timer buffers keep the capacity
+    /// they grew to.
+    #[test]
+    fn a_site_lends_its_buffers_to_every_handler() {
+        for mode in [ThreadedMode::FreeRunning, ThreadedMode::Replay] {
+            let nodes = vec![TimerKick::default(); 3];
+            let mut net = ThreadedNet::new(mode, SimConfig::default(), nodes);
+            for round in 0..5 {
+                let fan_out = move |_: &mut TimerKick, ctx: &mut NodeContext<RawPayload>| {
+                    ctx.send_multi([NodeId(1), NodeId(2)], RawPayload::new(round, 1));
+                };
+                net.try_with_node(NodeId(0), fan_out).unwrap();
+                assert!(net.try_settle().unwrap().is_quiescent(), "{mode:?}");
+            }
+            for i in 0..3 {
+                let site = net.site(NodeId(i)).unwrap();
+                assert_eq!(site.node.fired, if i == 0 { 0 } else { 5 }, "{mode:?}");
+                assert!(site.outbox.is_empty() && site.timers.is_empty(), "{mode:?}");
+                assert!(site.pending.is_empty(), "{mode:?}: n{i} left arrivals");
+                let grown = if i == 0 {
+                    site.outbox.capacity()
+                } else {
+                    site.timers.capacity()
+                };
+                assert!(grown > 0, "{mode:?}: n{i} dropped the buffer it grew");
+            }
+        }
+    }
+
+    /// A run that never settles must not lose its counters on teardown:
+    /// `shutdown()` folds the sites' final counters into the caches, in
+    /// either mode.
     #[test]
     fn teardown_merges_counters_for_a_settle_free_run() {
         for mode in [ThreadedMode::FreeRunning, ThreadedMode::Replay] {
@@ -1327,30 +1228,20 @@ mod tests {
                 std::thread::yield_now();
             }
             assert_eq!(net.fabric_stats().batches, 0, "{mode:?}: no settle ran");
-            assert_eq!(net.pool_stats(), PoolStats::default(), "{mode:?}");
+            assert_eq!(net.stats().total_messages(), 0, "{mode:?}: no settle ran");
             let nodes = net.shutdown();
             assert_eq!(nodes.len(), 3);
-            let pool = net.pool_stats();
-            assert!(
-                pool.hits > 0,
-                "{mode:?}: pooled-context accounting must survive teardown: {pool:?}"
-            );
-            if mode == ThreadedMode::Replay {
-                // Nothing was replayed, and the wire accounting stays the
-                // oracle's as of its last settle.
-                assert_eq!(nodes[1].seen + nodes[2].seen, 0);
-                assert_eq!(net.stats().total_messages(), 0);
-                continue;
-            }
-            assert_eq!(nodes[1].seen + nodes[2].seen, 40);
-            // The teardown merge carried everything the run did.
-            assert_eq!(net.stats().total_messages(), 40);
+            // The teardown merge carried the 40 sends and every drain.
+            assert_eq!(net.stats().total_messages(), 40, "{mode:?}");
             let fabric = net.fabric_stats();
             assert!(
                 fabric.batches > 0,
-                "drains must survive teardown: {fabric:?}"
+                "{mode:?}: drains must survive teardown: {fabric:?}"
             );
             assert!(fabric.batched_messages >= fabric.batches);
+            // Replay delivered nothing: the oracle scheduled nothing yet.
+            let expected = if mode == ThreadedMode::Replay { 0 } else { 40 };
+            assert_eq!(nodes[1].seen + nodes[2].seen, expected, "{mode:?}");
         }
     }
 
@@ -1463,6 +1354,40 @@ mod tests {
             assert!(net.settle().unwrap().is_quiescent());
             assert_eq!(net.query(NodeId(1), |n| n.fired).unwrap(), 1, "{mode:?}");
         }
+    }
+
+    /// Answers only the second delivery any of its clones sees: the
+    /// clones share one count, so a replay oracle's copy and the live
+    /// site disagree about which delivery that is.
+    #[derive(Clone, Debug, Default)]
+    struct SecondOnly {
+        deliveries: Arc<AtomicU64>,
+    }
+
+    impl Node<RawPayload> for SecondOnly {
+        fn on_message(&mut self, ctx: &mut NodeContext<RawPayload>, from: NodeId, msg: RawPayload) {
+            if self.deliveries.fetch_add(1, Ordering::SeqCst) == 1 {
+                ctx.send(from, msg);
+            }
+        }
+    }
+
+    /// The oracle's copy handles the message first and stays silent; the
+    /// live site then answers, and that answer is a message no schedule
+    /// names. The settle must report it, not return a quiescent outcome.
+    #[test]
+    #[should_panic(expected = "the oracle never scheduled")]
+    fn a_replay_that_diverges_from_its_oracle_fails_the_settle() {
+        let mut net = ThreadedNet::new(
+            ThreadedMode::Replay,
+            SimConfig::default(),
+            vec![SecondOnly::default(); 2],
+        );
+        let ping = |_: &mut SecondOnly, ctx: &mut NodeContext<RawPayload>| {
+            ctx.send(NodeId(1), RawPayload::new(1, 0));
+        };
+        net.try_with_node(NodeId(0), ping).unwrap();
+        let _ = net.try_settle();
     }
 
     #[test]

@@ -24,7 +24,6 @@ use crate::backend::ExecBackend;
 use crate::message::{NodeId, WireSize};
 use crate::network::Topology;
 use crate::node::{Node, NodeContext};
-use crate::pool::PoolStats;
 use crate::route::{Packet, Relay, RouteError, Router};
 use crate::sim::{RunOutcome, SendError, SimConfig, Simulator};
 use crate::stats::NetworkStats;
@@ -172,11 +171,6 @@ pub trait NetCore {
     /// destination (0 when direct; see [`Relay::misrouted`]).
     fn misrouted(&self) -> u64 {
         0
-    }
-    /// Handler-context buffer-pool counters (zero on the simulator,
-    /// which keeps no pool).
-    fn pool_stats(&self) -> PoolStats {
-        PoolStats::default()
     }
     /// Ring-fabric contention counters (zero on the simulator).
     fn fabric_stats(&self) -> FabricStats {
@@ -460,10 +454,6 @@ where
 
     fn misrouted(&self) -> u64 {
         self.sum_relays(Relay::misrouted)
-    }
-
-    fn pool_stats(&self) -> PoolStats {
-        self.0.pool_stats()
     }
 
     fn fabric_stats(&self) -> FabricStats {
