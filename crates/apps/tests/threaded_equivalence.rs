@@ -14,7 +14,10 @@
 //!   real and nondeterministic, but per-link FIFO plus a quiescence
 //!   barrier at every settle point pins what the replicas hold whenever
 //!   the application looks. It also issues every scripted operation: its
-//!   history is as long as the simnet run's.
+//!   history is as long as the simnet run's, and it passes the PRAM spot
+//!   check, the causal one under a causal protocol, and (at most 24
+//!   operations) the exhaustive check of the protocol's guaranteed
+//!   criterion.
 //!
 //! The same two pins then sweep each capability the ring-fabric backend
 //! gained: every swept delivery mode (multicast, batching, delta) on the
@@ -28,7 +31,7 @@ use apps::scenario::{generate_family_ops, SettlePolicy, WorkloadFamily};
 use apps::WorkloadOp;
 use common::{observe, Observation};
 use dsm::ProtocolKind;
-use histories::Distribution;
+use histories::{causal_spot_check, check, pram_spot_check, Criterion, Distribution, History};
 use proptest::prelude::*;
 use simnet::{DeliveryMode, ExecBackend, SimConfig, ThreadedMode, Topology};
 
@@ -75,6 +78,38 @@ fn assert_both_pins(
         free.history.len(),
         "{cell}: free-running issued operations"
     );
+    assert_history_holds(kind, &free.history, cell);
+}
+
+/// Largest history the exhaustive checker judges here.
+const EXHAUSTIVE_OPS: usize = 24;
+
+/// A free-running history keeps what its protocol guarantees: PRAM's
+/// spot check for every protocol, the causal one for the causal
+/// protocols, and the exhaustive check against the guaranteed criterion
+/// on a history small enough for it. Settled values alone would miss a
+/// read that saw a node's writes out of program order.
+fn assert_history_holds(kind: ProtocolKind, history: &History, cell: &str) {
+    assert_eq!(
+        pram_spot_check(history),
+        Ok(()),
+        "{cell}: free-running history is not PRAM"
+    );
+    if kind.guaranteed_criterion() == Criterion::Causal {
+        assert_eq!(
+            causal_spot_check(history),
+            Ok(()),
+            "{cell}: free-running history is not causal"
+        );
+    }
+    if history.len() <= EXHAUSTIVE_OPS {
+        let report = check(history, kind.guaranteed_criterion());
+        assert!(
+            report.consistent,
+            "{cell}: free-running history fails {:?}: {:?}",
+            report.criterion, report.violation
+        );
+    }
 }
 
 /// The sparse topologies the threaded backend must host via relays.
@@ -131,13 +166,15 @@ proptest! {
     }
 
     /// Free-running mode: real concurrent delivery, but race-free scripts
-    /// settle to exactly the values the simnet run settles to.
+    /// settle to exactly the values the simnet run settles to, and the
+    /// history keeps the protocol's guarantee.
     #[test]
     fn free_running_settles_to_simnet_values((dist, ops) in mesh_setup()) {
         for kind in ProtocolKind::ALL {
             let sim = run_on(kind, &dist, &ops, ExecBackend::Simnet);
             let thr = run_on(kind, &dist, &ops, FREE);
             prop_assert_eq!(&sim.settled, &thr.settled, "{} settled values", kind);
+            assert_history_holds(kind, &thr.history, kind.name());
         }
     }
 }

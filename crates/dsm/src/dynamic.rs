@@ -270,7 +270,8 @@ mod tests {
     }
 
     /// Reads run in place on the free-running backend, writes are
-    /// pipelined to the worker: program order must survive the split, at
+    /// pipelined to the worker (and run by the reader when it finds them
+    /// still queued): program order must survive the split, at
     /// every process. Each one writes and reads a variable of its own, so
     /// every process but p0 neither sequences (sequencer) nor owns
     /// (op-log) what it writes: the ordered echo or log entry of an

@@ -28,12 +28,14 @@ use crate::protocol::causal_partial::CausalPartialNode;
 use crate::protocol::op_log::OpLogNode;
 use crate::protocol::pram_partial::PramNode;
 use crate::protocol::sequential::SequentialNode;
+use crate::protocol::{replica_table, replicates};
 use crate::recorder::Recorder;
 use histories::{Distribution, History, ProcId, Value, VarId};
 use simnet::{
     DeliveryMode, ExecBackend, FabricStats, NetError, NetworkStats, NodeId, PoolStats, RunOutcome,
     SimConfig, SimTime, Topology,
 };
+use std::sync::Arc;
 
 /// A complete DSM deployment: one protocol, chosen at construction by a
 /// [`ProtocolKind`] value, on a simulated or threaded cluster. One loop
@@ -41,6 +43,10 @@ use simnet::{
 pub struct DynDsm {
     kind: ProtocolKind,
     dist: Distribution,
+    /// `dist` as the nodes see it: `replicas[x]`, the processes holding
+    /// `x` in id order, so every operation's replication check is a
+    /// lookup, not an ordered-set walk.
+    replicas: Arc<[Vec<NodeId>]>,
     delivery: DeliveryMode,
     backend: ExecBackend,
     recorder: Recorder,
@@ -197,6 +203,7 @@ impl DynDsm {
             backend,
             recorder: Recorder::new(n),
             crashed: (0..n).map(|_| None).collect(),
+            replicas: replica_table(&dist),
             dist,
             delivery,
             #[cfg(test)]
@@ -290,7 +297,7 @@ impl DynDsm {
         if self.crashed[p.index()].is_some() {
             return Err(DsmError::Crashed { proc: p });
         }
-        if !self.kind.is_fully_replicated() && !self.dist.replicates(p, var) {
+        if !self.kind.is_fully_replicated() && !replicates(&self.replicas, NodeId(p.index()), var) {
             return Err(DsmError::NotReplicated { proc: p, var });
         }
         Ok(())
@@ -415,8 +422,9 @@ impl DynDsm {
 
     /// Issue `w_p(var)value`. Writes return nothing, so on threads they
     /// pipeline: the invoke is posted on the node's FIFO lane for its
-    /// worker thread, and the next settle (or read by `p`, which waits
-    /// for that lane to drain) is the barrier. A worker death after the
+    /// worker thread, and the next settle (or read by `p`, which drains
+    /// that lane first, running it itself if the worker is not) is the
+    /// barrier. A worker death after the
     /// post surfaces there as [`DsmError::WorkerDied`].
     pub fn write(&mut self, p: ProcId, var: VarId, value: i64) -> Result<(), DsmError> {
         self.validate(p, var)?;

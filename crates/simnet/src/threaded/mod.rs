@@ -16,17 +16,27 @@
 //! A site sits behind one `Mutex` and is run by whichever thread holds
 //! it. Its worker thread takes it per drained batch: the deliveries and
 //! timers waiting on its rings, at most `INVOKE_BATCH` pipelined
-//! invokes, or its whole replay schedule. The coordinator takes it for
-//! every synchronous operation ([`Net::invoke`], [`Net::inspect`],
-//! [`Net::update`], the settle-time counter merge) and runs the closure
-//! in place on the calling thread — a read is one lock on the local
-//! replica, as in the paper, not a round trip. Writes stay pipelined:
-//! [`Net::post`] puts a boxed invoke on the site's FIFO lane for the
-//! worker, so the nodes' write-side work runs
-//! on their own cores in parallel. Program order per node is a count of
-//! lane messages posted (kept by the coordinator) against lane messages
-//! finished (an atomic only the worker writes): a synchronous call
-//! yields until its site's lane has drained, then locks.
+//! invokes, or its whole replay schedule. The worker only ever
+//! `try_lock`s: when someone else holds the site it waits on its inbox
+//! instead, so it never sleeps on a site that is already being run. The
+//! coordinator takes the site for every synchronous operation
+//! ([`Net::invoke`], [`Net::inspect`], [`Net::update`], the settle-time
+//! counter merge) and runs the closure in place on the calling thread —
+//! a read is one lock on the local replica, as in the paper, not a round
+//! trip. Writes stay pipelined: [`Net::post`] puts a boxed invoke on the
+//! site's FIFO lane, so while nobody waits for them the nodes'
+//! write-side work runs on their own cores in parallel. Program order
+//! per node is a count of lane messages posted (kept by the coordinator)
+//! against lane messages finished (an atomic written under the site
+//! lock). A synchronous call that finds its site's lane not yet drained
+//! runs the lane itself if the site is free (flat combining): it drains
+//! the rings, handles the arrivals and runs the queued invokes in FIFO
+//! order on the calling thread, and yields only while the worker holds
+//! the site. A posted closure therefore runs on whichever thread drains
+//! its lane, and must never wait on the caller. In replay mode a lane
+//! message is a schedule whose arrivals the worker waits for on its own
+//! mailbox, so there the synchronous call yields until the lane has
+//! drained, then locks.
 //!
 //! A site runs one way in both modes. Sends (and timers, which ride the
 //! self-link) go straight to the destination ring; whole mailboxes are
@@ -69,7 +79,10 @@
 //! surface a typed [`WorkerDead`] error instead of hanging, and peers
 //! drop messages addressed to the corpse so their own sends cannot stall
 //! forever. Once any worker is dead the net is poisoned: every fallible
-//! operation reports the failure. A panic inside a closure the
+//! operation reports the failure. A lane message or handler that panics
+//! while the coordinator runs the lane is caught there: it poisons the
+//! site and marks it dead just the same, so it surfaces as the same
+//! typed error whichever thread ran it. A panic inside a closure the
 //! coordinator runs in place unwinds to the caller; it poisons the site
 //! all the same, so the worker dies on its next turn and the site reports
 //! dead from then on. A handler run by a worker that sends to an id
@@ -102,8 +115,9 @@ use crate::trace::TraceEntry;
 use crate::transport::{BoxedPost, Net, NetCore, NetError, Posted};
 use std::collections::VecDeque;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 
 /// Most lane messages (pipelined invokes, replay schedules) a worker runs
@@ -316,10 +330,21 @@ struct Site<P, N> {
 /// A site and the one thing its two users share outside its lock.
 struct SiteCell<P, N> {
     site: Mutex<Site<P, N>>,
-    /// Lane messages the worker has finished, written only by the worker
-    /// (`Release`) and read by the coordinator (`Acquire`) against its
-    /// own count of messages posted.
+    /// Lane messages finished, written under the site lock by whichever
+    /// thread ran them (`Release`) and read by the coordinator
+    /// (`Acquire`) against its own count of messages posted.
     lane_done: AtomicU64,
+}
+
+/// What a synchronous call's attempt to run its site's lane came to.
+enum Combined<'a, P, N> {
+    /// The lane has drained and the site is the caller's.
+    Drained(MutexGuard<'a, Site<P, N>>),
+    /// Another thread holds the site, or the lane had nothing queued for
+    /// this thread to run: yield and look again.
+    Held,
+    /// A lane message or handler panicked, or the site was poisoned.
+    Dead,
 }
 
 impl<P, N> SiteCell<P, N>
@@ -328,21 +353,55 @@ where
     N: Node<P> + Send + 'static,
 {
     /// The worker thread: one [`Site::turn`] per hold of the lock, a wait
-    /// on `inbox` (a second handle on the site's mailbox) in between.
+    /// on `inbox` (a second handle on the site's mailbox) in between. A
+    /// site another thread holds is one it does not need to run: the
+    /// worker waits on its inbox instead of sleeping on the lock.
     fn work(&self, inbox: &Mailbox<LinkMsg<P>, Ctl<P, N>>) {
         inbox.register();
         loop {
-            let turn = self
-                .site
-                .lock()
-                .expect("a closure run in place by the coordinator panicked holding this site")
-                .turn(&self.lane_done);
+            let turn = match self.site.try_lock() {
+                Ok(mut site) => site.turn(&self.lane_done),
+                Err(TryLockError::WouldBlock) => Turn::Idle,
+                Err(TryLockError::Poisoned(_)) => {
+                    panic!("another thread panicked holding this site")
+                }
+            };
             match turn {
                 Turn::Busy => {}
                 Turn::Idle => inbox.wait(),
                 Turn::Stop => return,
             }
         }
+    }
+
+    /// Free-running: run this site's lane on the calling thread until it
+    /// has caught up with `posted`, unless another thread holds the site.
+    /// The lock is taken inside `catch_unwind`, so a lane message or
+    /// handler that panics here poisons the site as it would on the
+    /// worker; the arrivals a stalled send absorbed are handled before
+    /// the site is handed back. The lane never holds `Ctl::Stop` here:
+    /// only a teardown posts it, and a teardown holds the net.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
+    fn combine(&self, posted: u64) -> Combined<'_, P, N> {
+        let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut site = match self.site.try_lock() {
+                Ok(site) => site,
+                Err(TryLockError::WouldBlock) => return Combined::Held,
+                Err(TryLockError::Poisoned(_)) => return Combined::Dead,
+            };
+            while self.lane_done.load(Ordering::Acquire) != posted {
+                if !matches!(site.turn(&self.lane_done), Turn::Busy) {
+                    return Combined::Held;
+                }
+            }
+            site.run_pending();
+            Combined::Drained(site)
+        }));
+        ran.unwrap_or(Combined::Dead)
     }
 }
 
@@ -351,9 +410,10 @@ where
     P: WireSize + fmt::Debug + Clone + Send + 'static,
     N: Node<P> + Send + 'static,
 {
-    /// The worker's share of the work: drain the rings, handle what
-    /// arrived, run the next lane message; up to [`INVOKE_BATCH`] times
-    /// while the lane has more.
+    /// One hold of the site, by its worker or by a synchronous call
+    /// that combines ([`SiteCell::combine`]): drain the rings, handle
+    /// what arrived, run the next lane message; up to [`INVOKE_BATCH`]
+    /// times while the lane has more.
     fn turn(&mut self, lane_done: &AtomicU64) -> Turn {
         let mut busy = false;
         for _ in 0..INVOKE_BATCH {
@@ -756,11 +816,15 @@ where
         self.ctl.to(id, msg);
     }
 
-    /// Take `id`'s site for a synchronous operation. Yields until the
-    /// worker has finished every message posted on the site's lane —
-    /// program order: whatever was pipelined to this node before now has
-    /// run — and only then locks; other nodes' lanes are not waited for.
-    /// A poisoned lock is the worker's death.
+    /// Take `id`'s site for a synchronous operation once every message
+    /// posted on its lane has run — program order: whatever was
+    /// pipelined to this node before now has run; other nodes' lanes are
+    /// not waited for. Free-running, a lane not yet drained is run here
+    /// when the site is free ([`SiteCell::combine`]); the call yields
+    /// only while another thread holds the site, or, replaying, until the
+    /// worker has run the lane. The watchdog is armed and read only on
+    /// the iterations that yield. A poisoned lock, or a panic in a lane
+    /// message run here, is the site's death.
     #[deny(
         clippy::disallowed_macros,
         clippy::disallowed_methods,
@@ -777,11 +841,24 @@ where
     fn site(&self, id: NodeId) -> Result<MutexGuard<'_, Site<P, N>>, WorkerDead> {
         let cell = &self.sites[id.index()];
         let posted = self.lane_posted[id.index()];
+        let died = || {
+            self.dead.mark(id.index());
+            WorkerDead { node: id }
+        };
         let mut watchdog = None;
         loop {
             self.ensure_alive()?;
             if cell.lane_done.load(Ordering::Acquire) == posted {
                 break;
+            }
+            // Replay's lane messages are schedules whose arrivals only
+            // the worker waits for; those it must run itself.
+            if self.oracle.is_none() {
+                match cell.combine(posted) {
+                    Combined::Drained(site) => return Ok(site),
+                    Combined::Dead => return Err(died()),
+                    Combined::Held => {}
+                }
             }
             assert!(
                 !watchdog
@@ -791,10 +868,7 @@ where
             );
             std::thread::yield_now();
         }
-        cell.site.lock().map_err(|_| {
-            self.dead.mark(id.index());
-            WorkerDead { node: id }
-        })
+        cell.site.lock().map_err(|_| died())
     }
 
     /// [`Net::invoke`] returning the closure's result.
@@ -854,10 +928,11 @@ where
     N: Node<P> + Clone + Send + 'static,
 {
     /// The closure runs in place, on the calling thread, under the node's
-    /// site lock, once everything pipelined to that node has run; its
-    /// sends are flushed into the fabric (full-ring back-pressure
-    /// included) before this returns. In replay mode it runs on the
-    /// oracle's copy as well, to keep the schedule source in lock-step.
+    /// site lock, once everything pipelined to that node has run —
+    /// free-running, on this thread too if the site was free; its sends
+    /// are flushed into the fabric (full-ring back-pressure included)
+    /// before this returns. In replay mode it runs on the oracle's copy
+    /// as well, to keep the schedule source in lock-step.
     #[deny(
         clippy::disallowed_macros,
         clippy::disallowed_methods,
@@ -885,13 +960,16 @@ where
 
     /// The closure is boxed onto the node's lane and this returns without
     /// waiting for it. Program order holds — a later synchronous call on
-    /// the same node waits for the lane to drain — and a settle is the
-    /// global barrier: the invoke is counted in-flight until its flush
-    /// completes. Writes so stop paying a coordinator⇄worker round trip
-    /// each, workers drain whole batches of them per wakeup, and the
-    /// nodes' write-side work runs on their own cores in parallel. A
-    /// death after this returns `Ok` surfaces at the next settle or
-    /// synchronous call; the closure may then never run.
+    /// the same node first drains the lane, running it itself if the
+    /// worker is not — and a settle is the global barrier: the invoke is
+    /// counted in-flight until its flush completes. Writes so stop paying
+    /// a coordinator⇄worker round trip each, workers drain whole batches
+    /// of them per wakeup, and the nodes' write-side work runs on their
+    /// own cores in parallel. The closure runs on whichever thread
+    /// drains the lane, so it must never wait on the caller. A death
+    /// after this returns `Ok` surfaces at the next settle or
+    /// synchronous call as [`WorkerDead`]; the closure may then never
+    /// run.
     fn post(&mut self, id: NodeId, f: &mut dyn Posted<P, N>) -> Result<(), NetError> {
         self.check(id)?;
         self.ensure_alive()?;

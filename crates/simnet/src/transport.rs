@@ -114,6 +114,9 @@ pub trait Net<P, N>: NetCore {
     /// its oracle's copy — so `f` must not depend on its own state: the
     /// generic entry points ([`dyn Net::try_with_node`](#method.try_with_node),
     /// [`Posted`] for `Option<F>`) take `Fn` closures for that reason.
+    /// A threaded net runs `f` on the calling thread once every closure
+    /// [posted](Net::post) to `id` before it has run, and free-running it
+    /// runs those itself when the node's worker is not running them.
     fn invoke(
         &mut self,
         id: NodeId,
@@ -122,6 +125,9 @@ pub trait Net<P, N>: NetCore {
     /// [`Net::invoke`] for a closure whose result nobody reads (the write
     /// path): the simulator runs it in place, the threaded net pipelines
     /// it on the node's lane, and the next settle is its barrier there.
+    /// A pipelined closure runs on whichever thread drains the lane — the
+    /// node's worker, or a later synchronous call on the node that finds
+    /// the lane still queued — so it must never wait on the caller.
     fn post(&mut self, id: NodeId, f: &mut dyn Posted<P, N>) -> Result<(), NetError>;
     /// Run a read-only closure against node `id`'s state.
     fn inspect(&self, id: NodeId, f: &mut dyn FnMut(&N)) -> Result<(), NetError>;

@@ -1,9 +1,9 @@
 //! The threaded backend's sites under contention and death, through the
 //! public API only: program order between a node's pipelined lane and
-//! the synchronous calls that run in place, the coordinator contending
-//! with busy workers for their site locks, the coordinator as a sender
-//! against a full ring, and what a panic on either side of a site lock
-//! turns into.
+//! the synchronous calls that run in place (running the lane themselves
+//! when the worker is not), the coordinator contending with busy workers
+//! for their site locks, the coordinator as a sender against a full ring,
+//! and what a panic on either side of a site lock turns into.
 
 use simnet::chan::ring_capacity;
 use simnet::message::RawPayload;
@@ -11,7 +11,7 @@ use simnet::{
     Net, NetError, Node, NodeContext, NodeId, SimConfig, ThreadedMode, ThreadedNet, WorkerDead,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 #[expect(
     clippy::disallowed_types,
     reason = "a stall bound in host time turns a lost wakeup under contention into a failure instead of a hung test"
@@ -152,6 +152,47 @@ fn a_panicking_pipelined_invoke_surfaces_from_the_lane_wait() {
     assert_eq!(net.settle().unwrap_err(), dead);
     assert_eq!(net.query(NodeId(0), |n| n.seen).unwrap_err(), dead);
     assert_eq!(net.into_nodes().len(), 2);
+}
+
+/// A lane that is not drained when a synchronous call arrives is run by
+/// whichever thread gets the site first: the worker, or the caller
+/// itself. Either way a panicking posted invoke must come back as the
+/// same typed death. Half of the fresh nets give the worker a head start,
+/// so both runners are seen within the bound.
+#[test]
+fn a_panicking_pipelined_invoke_is_a_typed_error_on_either_runner() {
+    let caller = std::thread::current().name().map(str::to_owned);
+    let runners = Arc::new(Mutex::new(Vec::new()));
+    let dead = NetError::WorkerDead(WorkerDead { node: NodeId(1) });
+    let both_seen = |runners: &[Option<String>]| {
+        let on_worker = runners.iter().any(|name| {
+            name.as_deref()
+                .is_some_and(|n| n.starts_with("simnet-worker-"))
+        });
+        on_worker && runners.contains(&caller)
+    };
+    for round in 0..200 {
+        let mut net = net(2);
+        let record = Arc::clone(&runners);
+        post(&mut *net, NodeId(1), move |_, _| {
+            let name = std::thread::current().name().map(str::to_owned);
+            record.lock().unwrap().push(name);
+            panic!("pipelined invoke detonated");
+        });
+        if round % 2 == 1 {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(net.query(NodeId(1), |n| n.seen).unwrap_err(), dead);
+        assert_eq!(net.query(NodeId(0), |n| n.seen).unwrap_err(), dead);
+        drop(net);
+        if both_seen(&runners.lock().unwrap()) {
+            return;
+        }
+    }
+    let mut seen = runners.lock().unwrap().clone();
+    seen.sort();
+    seen.dedup();
+    panic!("200 nets never saw both runners, only {seen:?}");
 }
 
 /// A closure the coordinator runs in place panics on the caller's
