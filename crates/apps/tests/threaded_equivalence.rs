@@ -19,6 +19,11 @@
 //!   operations) the exhaustive check of the protocol's guaranteed
 //!   criterion.
 //!
+//! Every script first goes through `read_own_writes`: each write is
+//! followed by its writer's read of the same variable, so a free-running
+//! read that skipped the writes its own node pipelined would return an
+//! older value and fail the history checks.
+//!
 //! The same two pins then sweep each capability the ring-fabric backend
 //! gained: every swept delivery mode (multicast, batching, delta) on the
 //! mesh, and routed sparse topologies (ring / grid / star / line), with
@@ -112,6 +117,21 @@ fn assert_history_holds(kind: ProtocolKind, history: &History, cell: &str) {
     }
 }
 
+/// `ops` with every write followed by a read of the same variable by the
+/// same process. The scripts stay single-writer per variable, so they stay
+/// race-free, and each added read must return the write just before it.
+fn read_own_writes(ops: Vec<WorkloadOp>) -> Vec<WorkloadOp> {
+    ops.into_iter()
+        .flat_map(|op| {
+            let echo = match op {
+                WorkloadOp::Write { proc, var, .. } => Some(WorkloadOp::Read { proc, var }),
+                _ => None,
+            };
+            std::iter::once(op).chain(echo)
+        })
+        .collect()
+}
+
 /// The sparse topologies the threaded backend must host via relays.
 fn sparse_topology(pick: usize, n: usize) -> Topology {
     match pick % 4 {
@@ -136,13 +156,13 @@ fn mesh_setup() -> impl Strategy<Value = (Distribution, Vec<WorkloadOp>)> {
         .prop_map(|(size_pick, vars, replicas, dseed, wseed, settle_every)| {
             let procs = if size_pick == 0 { 4 } else { 8 };
             let dist = Distribution::random(procs, vars, replicas.min(procs), dseed);
-            let ops = generate_family_ops(
+            let ops = read_own_writes(generate_family_ops(
                 &dist,
                 &WorkloadFamily::ProducerConsumer,
                 4,
                 SettlePolicy::Every(settle_every * 3),
                 wseed,
-            );
+            ));
             (dist, ops)
         })
 }
@@ -186,13 +206,13 @@ fn small_setup() -> impl Strategy<Value = (Distribution, Vec<WorkloadOp>)> {
     (2usize..=6, 1usize..=3, any::<u64>(), any::<u64>()).prop_map(
         |(vars, replicas, dseed, wseed)| {
             let dist = Distribution::random(4, vars, replicas.min(4), dseed);
-            let ops = generate_family_ops(
+            let ops = read_own_writes(generate_family_ops(
                 &dist,
                 &WorkloadFamily::ProducerConsumer,
                 4,
                 SettlePolicy::Every(6),
                 wseed,
-            );
+            ));
             (dist, ops)
         },
     )
@@ -248,13 +268,13 @@ proptest! {
 #[test]
 fn threaded_routed_topologies_agree_on_a_fixed_script() {
     let dist = Distribution::random(4, 5, 2, 19);
-    let ops = generate_family_ops(
+    let ops = read_own_writes(generate_family_ops(
         &dist,
         &WorkloadFamily::ProducerConsumer,
         4,
         SettlePolicy::Every(5),
         31,
-    );
+    ));
     for pick in 0..4 {
         let topology = sparse_topology(pick, 4);
         let config = SimConfig {
@@ -273,13 +293,13 @@ fn threaded_routed_topologies_agree_on_a_fixed_script() {
 #[test]
 fn threaded_modes_agree_on_a_fixed_producer_consumer_script() {
     let dist = Distribution::random(4, 6, 2, 11);
-    let ops = generate_family_ops(
+    let ops = read_own_writes(generate_family_ops(
         &dist,
         &WorkloadFamily::ProducerConsumer,
         5,
         SettlePolicy::Every(4),
         23,
-    );
+    ));
     for kind in ProtocolKind::ALL {
         assert_both_pins(kind, &dist, &ops, SimConfig::default(), kind.name());
     }
@@ -295,13 +315,13 @@ fn threaded_modes_agree_on_a_fixed_producer_consumer_script() {
 #[test]
 fn op_log_threaded_replay_is_bit_identical_and_free_running_converges() {
     let dist = Distribution::random(8, 12, 2, 17);
-    let ops = generate_family_ops(
+    let ops = read_own_writes(generate_family_ops(
         &dist,
         &WorkloadFamily::ProducerConsumer,
         6,
         SettlePolicy::Every(5),
         29,
-    );
+    ));
     for delivery in [DeliveryMode::UNICAST, DeliveryMode::MULTICAST_BATCHED_DELTA] {
         let config = SimConfig {
             delivery,

@@ -17,7 +17,6 @@
 
 use crate::history::{History, OpIdx};
 use crate::op::{Value, VarId};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Why the read-from relation could not be inferred.
@@ -55,44 +54,56 @@ impl fmt::Display for ReadFromError {
 impl std::error::Error for ReadFromError {}
 
 /// The inferred read-from relation of a history.
+///
+/// A dense table indexed by operation: [`ReadFrom::source_of`] is one
+/// vector lookup, and [`ReadFrom::pairs`] walks the table in read order.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ReadFrom {
-    /// For each read (by global index), the write it reads from, if any.
-    /// Reads of `⊥` have no entry.
-    source: BTreeMap<OpIdx, OpIdx>,
+    /// For each operation (by global index), the write it reads from, if
+    /// any. Writes and reads of `⊥` hold `None`.
+    source: Vec<Option<OpIdx>>,
 }
 
 impl ReadFrom {
     /// Infer the relation from a history (see module docs for assumptions).
+    ///
+    /// Sorts the writes by `(variable, value)` once and finds each read's
+    /// writer by binary search: `O(|H| log |H|)`. On a history with
+    /// several faults it reports the same one the history-order scan
+    /// would: the first repeated write, else the first dangling read.
     pub fn infer(h: &History) -> Result<ReadFrom, ReadFromError> {
-        // Map (var, value) -> writer op.
-        let mut writer: BTreeMap<(VarId, Value), OpIdx> = BTreeMap::new();
-        for (idx, op) in h.writes() {
-            if writer.insert((op.var, op.value), idx).is_some() {
-                return Err(ReadFromError::AmbiguousWrites {
-                    var: op.var,
-                    value: op.value,
-                });
-            }
+        let mut writers: Vec<(VarId, Value, OpIdx)> = h
+            .writes()
+            .map(|(idx, op)| (op.var, op.value, idx))
+            .collect();
+        writers.sort_unstable();
+        // In each run of equal keys, the second write is the first one
+        // that repeats an earlier write; report the earliest such write.
+        let repeated = writers
+            .windows(2)
+            .filter(|pair| (pair[0].0, pair[0].1) == (pair[1].0, pair[1].1))
+            .map(|pair| pair[1])
+            .min_by_key(|&(_, _, idx)| idx);
+        if let Some((var, value, _)) = repeated {
+            return Err(ReadFromError::AmbiguousWrites { var, value });
         }
-        let mut source = BTreeMap::new();
+        let mut source = vec![None; h.len()];
         for (idx, op) in h.reads() {
             if op.value.is_bottom() {
                 continue;
             }
-            match writer.get(&(op.var, op.value)) {
-                Some(&w) => {
-                    source.insert(idx, w);
-                }
-                None => return Err(ReadFromError::DanglingRead { read: idx }),
-            }
+            let key = (op.var, op.value);
+            let at = writers
+                .binary_search_by(|&(var, value, _)| (var, value).cmp(&key))
+                .map_err(|_| ReadFromError::DanglingRead { read: idx })?;
+            source[idx.index()] = Some(writers[at].2);
         }
         Ok(ReadFrom { source })
     }
 
     /// The write `o1` such that `o1 7→ro read`, if any.
     pub fn source_of(&self, read: OpIdx) -> Option<OpIdx> {
-        self.source.get(&read).copied()
+        self.source.get(read.index()).copied().flatten()
     }
 
     /// Whether `w 7→ro r`.
@@ -100,19 +111,22 @@ impl ReadFrom {
         self.source_of(r) == Some(w)
     }
 
-    /// All `(write, read)` pairs of the relation.
+    /// All `(write, read)` pairs of the relation, in read order.
     pub fn pairs(&self) -> impl Iterator<Item = (OpIdx, OpIdx)> + '_ {
-        self.source.iter().map(|(&r, &w)| (w, r))
+        self.source
+            .iter()
+            .enumerate()
+            .filter_map(|(r, w)| w.map(|w| (w, OpIdx(r))))
     }
 
     /// Number of related pairs.
     pub fn len(&self) -> usize {
-        self.source.len()
+        self.source.iter().flatten().count()
     }
 
     /// Whether the relation is empty.
     pub fn is_empty(&self) -> bool {
-        self.source.is_empty()
+        self.source.iter().all(Option::is_none)
     }
 }
 

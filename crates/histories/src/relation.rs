@@ -6,6 +6,7 @@
 //! [`Reachability`] matrix.
 
 use crate::history::OpIdx;
+use std::ops::ControlFlow;
 
 /// A directed graph over `n` operations, stored as adjacency lists.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -75,10 +76,130 @@ impl RelationGraph {
     }
 
     /// Compute the reachability (transitive closure) of the relation.
+    ///
+    /// One pass of Tarjan's strongly-connected-components algorithm
+    /// (iterative, so deep chains cannot overflow the stack). Tarjan emits
+    /// components in reverse topological order, so when a component is
+    /// emitted every component it reaches already has its row: the
+    /// component's row is the OR of its successors' rows plus the
+    /// successors' own bits (Purdom/Nuutila), and a successor whose bit is
+    /// already set is skipped, because its row is then contained in the
+    /// row being built. Cost: `O(n + m)` for the pass plus
+    /// `O(m · ⌈n/64⌉)` word ORs, and `n` rows of `⌈n/64⌉` words.
     pub fn closure(&self) -> Reachability {
         let words = self.n.div_ceil(64).max(1);
+        let mut reach: Vec<Vec<u64>> = vec![Vec::new(); self.n];
+        let mut row = vec![0u64; words];
+        let _ = self.components(|component| {
+            row.fill(0);
+            // Every member of a cycle reaches every member, itself included;
+            // setting their bits first also skips the edges inside it.
+            if component.len() > 1 {
+                for &v in component {
+                    row[v / 64] |= 1 << (v % 64);
+                }
+            }
+            for &v in component {
+                for &u in &self.adj[v] {
+                    let (w, bit) = (u / 64, 1u64 << (u % 64));
+                    if row[w] & bit != 0 {
+                        continue;
+                    }
+                    for (acc, &word) in row.iter_mut().zip(&reach[u]) {
+                        *acc |= word;
+                    }
+                    row[w] |= bit;
+                }
+            }
+            for &v in component {
+                reach[v] = row.clone();
+            }
+            ControlFlow::Continue(())
+        });
+        Reachability { n: self.n, reach }
+    }
+
+    /// Whether the relation (viewed as a digraph) has a cycle: whether some
+    /// strongly connected component holds more than one operation (self
+    /// edges are never stored). One SCC pass, `O(n + m)`, that stops at the
+    /// first such component and builds no reachability rows.
+    pub fn has_cycle(&self) -> bool {
+        self.components(|component| {
+            if component.len() > 1 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        })
+        .is_break()
+    }
+
+    /// Tarjan's algorithm, iteratively: hand each strongly connected
+    /// component to `emit`, in reverse topological order (a component is
+    /// emitted after every component it reaches), and stop early if `emit`
+    /// breaks.
+    fn components(&self, mut emit: impl FnMut(&[usize]) -> ControlFlow<()>) -> ControlFlow<()> {
+        const UNSEEN: usize = usize::MAX;
+        let mut index = vec![UNSEEN; self.n];
+        let mut low = vec![0usize; self.n];
+        let mut on_stack = vec![false; self.n];
+        // Tarjan's stack of visited vertices whose component is still open.
+        let mut open: Vec<usize> = Vec::new();
+        // The DFS call stack: a vertex and the slot of its next successor.
+        let mut calls: Vec<(usize, usize)> = Vec::new();
+        let mut next_index = 0;
+        for root in 0..self.n {
+            if index[root] != UNSEEN {
+                continue;
+            }
+            index[root] = next_index;
+            low[root] = next_index;
+            next_index += 1;
+            open.push(root);
+            on_stack[root] = true;
+            calls.push((root, 0));
+            while let Some(frame) = calls.last_mut() {
+                let v = frame.0;
+                if let Some(&u) = self.adj[v].get(frame.1) {
+                    frame.1 += 1;
+                    if index[u] == UNSEEN {
+                        index[u] = next_index;
+                        low[u] = next_index;
+                        next_index += 1;
+                        open.push(u);
+                        on_stack[u] = true;
+                        calls.push((u, 0));
+                    } else if on_stack[u] {
+                        low[v] = low[v].min(index[u]);
+                    }
+                    continue;
+                }
+                calls.pop();
+                if let Some(&(parent, _)) = calls.last() {
+                    low[parent] = low[parent].min(low[v]);
+                }
+                if low[v] == index[v] {
+                    let start = open
+                        .iter()
+                        .rposition(|&x| x == v)
+                        .expect("a component root is on the open stack");
+                    for &x in &open[start..] {
+                        on_stack[x] = false;
+                    }
+                    emit(&open[start..])?;
+                    open.truncate(start);
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// The closure by a DFS from every operation, `O(n · (n + m))`: the
+    /// reference model `closure` and `has_cycle` are pinned against.
+    #[cfg(test)]
+    pub(crate) fn closure_by_dfs(&self) -> Reachability {
+        let words = self.n.div_ceil(64).max(1);
         let mut reach = vec![vec![0u64; words]; self.n];
-        // DFS from every vertex; fine for the history sizes we handle.
         for (start, row) in reach.iter_mut().enumerate() {
             let mut stack: Vec<usize> = self.adj[start].clone();
             while let Some(v) = stack.pop() {
@@ -91,12 +212,6 @@ impl RelationGraph {
             }
         }
         Reachability { n: self.n, reach }
-    }
-
-    /// Whether the relation (viewed as a digraph) has a cycle.
-    pub fn has_cycle(&self) -> bool {
-        let closure = self.closure();
-        (0..self.n).any(|v| closure.reaches(OpIdx(v), OpIdx(v)))
     }
 }
 
@@ -221,5 +336,69 @@ mod tests {
         assert!(g.is_empty());
         let c = g.closure();
         assert!(c.is_empty());
+    }
+
+    /// Sizes on either side of the 64-bit word boundaries.
+    const BOUNDARY_SIZES: [usize; 9] = [1, 2, 63, 64, 65, 127, 128, 129, 200];
+
+    /// A random relation: `n` from 1 to 200 (half the time a word-boundary
+    /// size), and edges that are acyclic (`a < b`), arbitrary (cycles of
+    /// every size) or a forward chain with random back edges (long paths
+    /// folded into large components). Self edges and duplicate edges are
+    /// added on purpose; the graph drops them.
+    fn random_graph(
+        (boundary, n, size_pick, shape, edges): (bool, usize, usize, usize, Vec<(u16, u16)>),
+    ) -> RelationGraph {
+        let n = if boundary {
+            BOUNDARY_SIZES[size_pick]
+        } else {
+            n
+        };
+        let mut g = RelationGraph::new(n);
+        if shape == 2 {
+            for v in 1..n {
+                g.add_edge(OpIdx(v - 1), OpIdx(v));
+            }
+        }
+        for (i, &(a, b)) in edges.iter().enumerate() {
+            let (a, b) = (a as usize % n, b as usize % n);
+            let (a, b) = match shape {
+                0 => (a.min(b), a.max(b)),
+                2 if i % 4 != 0 => continue,
+                _ => (a, b),
+            };
+            g.add_edge(OpIdx(a), OpIdx(b));
+            if i % 7 == 0 {
+                g.add_edge(OpIdx(a), OpIdx(b));
+            }
+        }
+        g
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The SCC kernel computes exactly the closure the per-operation
+        /// DFS computes, and `has_cycle` agrees with the DFS closure's
+        /// diagonal.
+        #[test]
+        fn closure_matches_the_dfs_reference(
+            spec in (
+                proptest::arbitrary::any::<bool>(),
+                1usize..=200,
+                0usize..BOUNDARY_SIZES.len(),
+                0usize..3,
+                proptest::collection::vec(
+                    (proptest::arbitrary::any::<u16>(), proptest::arbitrary::any::<u16>()),
+                    0..400,
+                ),
+            ),
+        ) {
+            let g = random_graph(spec);
+            let reference = g.closure_by_dfs();
+            proptest::prop_assert_eq!(g.closure(), reference.clone());
+            let cyclic = (0..g.len()).any(|v| reference.reaches(OpIdx(v), OpIdx(v)));
+            proptest::prop_assert_eq!(g.has_cycle(), cyclic);
+        }
     }
 }

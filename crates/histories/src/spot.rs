@@ -34,14 +34,14 @@
 //! * **`⊥` after a write** — `p` reads `⊥` from `x` although a write to
 //!   `x` is already forced before the current point.
 //!
-//! Both checks use only program orders and the read-from relation, so the
-//! whole scan is `O(n · |H|)` for `n` processes.
+//! Both checks use only program orders and the read-from relation, kept
+//! in tables indexed by operation or by variable, so the whole scan is
+//! `O(n · (|H| + m))` for `n` processes and `m` variables.
 
 use crate::history::{History, OpIdx};
-use crate::op::{ProcId, Value, VarId};
+use crate::op::{ProcId, Value};
 use crate::orders::ProgramOrder;
 use crate::read_from::{ReadFrom, ReadFromError};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A contradiction found by [`pram_spot_check`]. Every variant is a
@@ -109,60 +109,78 @@ impl std::error::Error for SpotViolation {}
 /// prove PRAM consistency (use [`crate::check`] for the complete, possibly
 /// exponential answer) — and the first [`SpotViolation`] otherwise. Any
 /// history rejected here is also rejected by the full PRAM checker.
+///
+/// Cost: the read-from inference (`O(|H| log |H|)`), then one scan per
+/// reader over tables indexed by operation or by variable —
+/// `O(n · (|H| + m))` for `n` processes and variable ids below `m`.
 pub fn pram_spot_check(h: &History) -> Result<(), SpotViolation> {
     let rf = ReadFrom::infer(h).map_err(SpotViolation::ReadFrom)?;
+    pram_scan(h, &rf)
+}
 
-    // Per writer q: q's writes in program order, and each write's index in
-    // that sequence.
+/// One past the largest variable id of `h`: the length of the tables the
+/// scans index by variable.
+fn var_count(h: &History) -> usize {
+    h.ops().map(|(_, op)| op.var.index() + 1).max().unwrap_or(0)
+}
+
+/// The PRAM scan of [`pram_spot_check`], given the history's read-from
+/// relation.
+fn pram_scan(h: &History, rf: &ReadFrom) -> Result<(), SpotViolation> {
+    const NONE: usize = usize::MAX;
     let n = h.process_count();
+    let vars = var_count(h);
+    // Per writer q: q's writes in program order. Per write (indexed by
+    // op): its position in that sequence, and the position of the same
+    // writer's next write to the same variable (NONE if there is none).
     let mut writes_of: Vec<Vec<OpIdx>> = vec![Vec::new(); n];
-    let mut write_index: BTreeMap<OpIdx, usize> = BTreeMap::new();
+    let mut write_index = vec![NONE; h.len()];
+    let mut next_same_var = vec![NONE; h.len()];
+    let mut last_write_to: Vec<Option<OpIdx>> = vec![None; vars];
     for (q, writes) in writes_of.iter_mut().enumerate() {
+        last_write_to.fill(None);
         for &idx in h.local(ProcId(q)) {
-            if h.op(idx).is_write() {
-                write_index.insert(idx, writes.len());
+            let op = h.op(idx);
+            if op.is_write() {
+                let k = writes.len();
+                write_index[idx.index()] = k;
+                if let Some(prev) = last_write_to[op.var.index()].replace(idx) {
+                    next_same_var[prev.index()] = k;
+                }
                 writes.push(idx);
             }
         }
     }
 
+    // forced[q]: how many of q's writes (a program-order prefix) are
+    // already forced before the current point of the reader's
+    // serialization. seen_var[x]: the first forced write to x, for the ⊥
+    // rule. The stale rule needs the highest forced write of q to x, which
+    // is the end of next_same_var's chain below forced[q].
+    let mut forced: Vec<usize> = vec![0; n];
+    let mut seen_var: Vec<Option<OpIdx>> = vec![None; vars];
+    let advance = |q: usize, upto: usize, forced: &mut [usize], seen_var: &mut [Option<OpIdx>]| {
+        while forced[q] < upto {
+            let w = writes_of[q][forced[q]];
+            seen_var[h.op(w).var.index()].get_or_insert(w);
+            forced[q] += 1;
+        }
+    };
+
     for p in 0..n {
         let reader = ProcId(p);
-        // forced[q]: how many of q's writes (a program-order prefix) are
-        // already forced before the current point of p's serialization.
-        let mut forced: Vec<usize> = vec![0; n];
-        // For each variable: the latest forced write to it by each writer
-        // would do, but the checks only need (a) *some* forced write — for
-        // the ⊥ rule — and (b) the highest forced write index per
-        // (writer, variable) — for the stale rule.
-        let mut seen_var: BTreeMap<VarId, OpIdx> = BTreeMap::new();
-        let mut max_forced_to: Vec<BTreeMap<VarId, usize>> = vec![BTreeMap::new(); n];
-
-        let advance = |q: usize,
-                       upto: usize,
-                       forced: &mut Vec<usize>,
-                       seen_var: &mut BTreeMap<VarId, OpIdx>,
-                       max_forced_to: &mut Vec<BTreeMap<VarId, usize>>| {
-            while forced[q] < upto {
-                let w = writes_of[q][forced[q]];
-                let var = h.op(w).var;
-                seen_var.entry(var).or_insert(w);
-                max_forced_to[q].insert(var, forced[q]);
-                forced[q] += 1;
-            }
-        };
-
+        forced.fill(0);
+        seen_var.fill(None);
         for &idx in h.local(reader) {
             let op = h.op(idx);
             if op.is_write() {
                 // p's own writes are forced at their program positions.
-                let k = write_index[&idx];
-                advance(p, k + 1, &mut forced, &mut seen_var, &mut max_forced_to);
+                advance(p, write_index[idx.index()] + 1, &mut forced, &mut seen_var);
                 continue;
             }
             match op.value {
                 Value::Bottom => {
-                    if let Some(&w) = seen_var.get(&op.var) {
+                    if let Some(w) = seen_var[op.var.index()] {
                         return Err(SpotViolation::BottomAfterWrite {
                             reader,
                             read: idx,
@@ -175,18 +193,20 @@ pub fn pram_spot_check(h: &History) -> Result<(), SpotViolation> {
                     // read-from inference.
                     let source = rf.source_of(idx).expect("inferred read has a source");
                     let q = h.op(source).proc.index();
-                    let k = write_index[&source];
-                    if let Some(&newest) = max_forced_to[q].get(&op.var) {
-                        if newest > k {
-                            return Err(SpotViolation::StaleRead {
-                                reader,
-                                read: idx,
-                                source,
-                                newer: writes_of[q][newest],
-                            });
+                    let k = write_index[source.index()];
+                    let mut newest = next_same_var[source.index()];
+                    if newest < forced[q] {
+                        while next_same_var[writes_of[q][newest].index()] < forced[q] {
+                            newest = next_same_var[writes_of[q][newest].index()];
                         }
+                        return Err(SpotViolation::StaleRead {
+                            reader,
+                            read: idx,
+                            source,
+                            newer: writes_of[q][newest],
+                        });
                     }
-                    advance(q, k + 1, &mut forced, &mut seen_var, &mut max_forced_to);
+                    advance(q, k + 1, &mut forced, &mut seen_var);
                 }
             }
         }
@@ -250,43 +270,44 @@ impl std::error::Error for CausalSpotViolation {}
 /// prove causal consistency (use [`crate::check`] for the complete,
 /// possibly exponential answer) — and the first [`CausalSpotViolation`]
 /// otherwise. Any history rejected here is also rejected by the full
-/// causal checker. Three scans, all polynomial:
+/// causal checker. The read-from relation is inferred once and shared by
+/// three scans, all polynomial:
 ///
 /// 1. the PRAM spot scan (causal ⊆ PRAM histories, so its violations
 ///    transfer);
 /// 2. cycle detection on the causal order — the transitive closure of
-///    program order ∪ the writes-into relation (`O(|H|·edges)` bitset
-///    reachability);
+///    program order ∪ the writes-into relation, built by one SCC pass
+///    ([`RelationGraph::closure`](crate::relation::RelationGraph::closure):
+///    `O(|H| + e)` plus `O(e · ⌈|H|/64⌉)` word ORs for `e` edges);
 /// 3. overwritten reads: `r` reads from `w` although a write `w'` to the
 ///    same variable satisfies `w 7→co w' 7→co r`. Every causal
 ///    serialization of the reader's view orders `w` before `w'` before
-///    `r`, so `r` can never return `w`'s value (`O(reads × writes)`
-///    lookups in the closure).
+///    `r`, so `r` can never return `w`'s value. Each read walks its
+///    variable's writes in history order (`O(reads × writes per
+///    variable)` lookups in the closure), so the first witness is the
+///    earliest such `w'`.
 pub fn causal_spot_check(h: &History) -> Result<(), CausalSpotViolation> {
-    pram_spot_check(h).map_err(CausalSpotViolation::Pram)?;
-    // The PRAM scan already inferred read-from successfully.
-    let rf = ReadFrom::infer(h).expect("read-from inference succeeded above");
+    let rf =
+        ReadFrom::infer(h).map_err(|e| CausalSpotViolation::Pram(SpotViolation::ReadFrom(e)))?;
+    pram_scan(h, &rf).map_err(CausalSpotViolation::Pram)?;
     let mut graph = ProgramOrder::graph(h);
     for (w, r) in rf.pairs() {
         graph.add_edge(w, r);
     }
     let closure = graph.closure();
-    for v in 0..h.len() {
-        if closure.reaches(OpIdx(v), OpIdx(v)) {
-            return Err(CausalSpotViolation::CyclicCausalOrder { witness: OpIdx(v) });
-        }
+    if let Some(witness) = (0..h.len()).map(OpIdx).find(|&v| closure.reaches(v, v)) {
+        return Err(CausalSpotViolation::CyclicCausalOrder { witness });
     }
-    let writes: Vec<(OpIdx, VarId)> = h.writes().map(|(idx, op)| (idx, op.var)).collect();
+    let mut writes_to: Vec<Vec<OpIdx>> = vec![Vec::new(); var_count(h)];
+    for (idx, op) in h.writes() {
+        writes_to[op.var.index()].push(idx);
+    }
     for (read, op) in h.reads() {
         let Some(source) = rf.source_of(read) else {
             continue;
         };
-        for &(w, var) in &writes {
-            if var == op.var
-                && w != source
-                && closure.reaches(source, w)
-                && closure.reaches(w, read)
-            {
+        for &w in &writes_to[op.var.index()] {
+            if w != source && closure.reaches(source, w) && closure.reaches(w, read) {
                 return Err(CausalSpotViolation::OverwrittenRead {
                     read,
                     source,
@@ -298,11 +319,158 @@ pub fn causal_spot_check(h: &History) -> Result<(), CausalSpotViolation> {
     Ok(())
 }
 
+/// The spot checkers over B-tree maps (read-from, write positions and the
+/// per-writer forced state), with a second read-from inference inside the
+/// causal scan and the DFS closure: the reference models the proptest in
+/// `tests` pins the dense versions against.
+#[cfg(test)]
+mod reference {
+    use super::{CausalSpotViolation, SpotViolation};
+    use crate::history::{History, OpIdx};
+    use crate::op::{ProcId, Value, VarId};
+    use crate::orders::ProgramOrder;
+    use crate::read_from::ReadFromError;
+    use std::collections::BTreeMap;
+
+    /// Read-from as a map from each non-`⊥` read to its write.
+    pub(super) fn infer(h: &History) -> Result<BTreeMap<OpIdx, OpIdx>, ReadFromError> {
+        let mut writer: BTreeMap<(VarId, Value), OpIdx> = BTreeMap::new();
+        for (idx, op) in h.writes() {
+            if writer.insert((op.var, op.value), idx).is_some() {
+                return Err(ReadFromError::AmbiguousWrites {
+                    var: op.var,
+                    value: op.value,
+                });
+            }
+        }
+        let mut source = BTreeMap::new();
+        for (idx, op) in h.reads() {
+            if op.value.is_bottom() {
+                continue;
+            }
+            match writer.get(&(op.var, op.value)) {
+                Some(&w) => {
+                    source.insert(idx, w);
+                }
+                None => return Err(ReadFromError::DanglingRead { read: idx }),
+            }
+        }
+        Ok(source)
+    }
+
+    pub(super) fn pram_spot_check(h: &History) -> Result<(), SpotViolation> {
+        let rf = infer(h).map_err(SpotViolation::ReadFrom)?;
+        let n = h.process_count();
+        let mut writes_of: Vec<Vec<OpIdx>> = vec![Vec::new(); n];
+        let mut write_index: BTreeMap<OpIdx, usize> = BTreeMap::new();
+        for (q, writes) in writes_of.iter_mut().enumerate() {
+            for &idx in h.local(ProcId(q)) {
+                if h.op(idx).is_write() {
+                    write_index.insert(idx, writes.len());
+                    writes.push(idx);
+                }
+            }
+        }
+        for p in 0..n {
+            let reader = ProcId(p);
+            let mut forced: Vec<usize> = vec![0; n];
+            let mut seen_var: BTreeMap<VarId, OpIdx> = BTreeMap::new();
+            let mut max_forced_to: Vec<BTreeMap<VarId, usize>> = vec![BTreeMap::new(); n];
+            let advance =
+                |q: usize,
+                 upto: usize,
+                 forced: &mut Vec<usize>,
+                 seen_var: &mut BTreeMap<VarId, OpIdx>,
+                 max_forced_to: &mut Vec<BTreeMap<VarId, usize>>| {
+                    while forced[q] < upto {
+                        let w = writes_of[q][forced[q]];
+                        let var = h.op(w).var;
+                        seen_var.entry(var).or_insert(w);
+                        max_forced_to[q].insert(var, forced[q]);
+                        forced[q] += 1;
+                    }
+                };
+            for &idx in h.local(reader) {
+                let op = h.op(idx);
+                if op.is_write() {
+                    let k = write_index[&idx];
+                    advance(p, k + 1, &mut forced, &mut seen_var, &mut max_forced_to);
+                    continue;
+                }
+                match op.value {
+                    Value::Bottom => {
+                        if let Some(&w) = seen_var.get(&op.var) {
+                            return Err(SpotViolation::BottomAfterWrite {
+                                reader,
+                                read: idx,
+                                earlier_write: w,
+                            });
+                        }
+                    }
+                    Value::Int(_) => {
+                        let source = rf[&idx];
+                        let q = h.op(source).proc.index();
+                        let k = write_index[&source];
+                        if let Some(&newest) = max_forced_to[q].get(&op.var) {
+                            if newest > k {
+                                return Err(SpotViolation::StaleRead {
+                                    reader,
+                                    read: idx,
+                                    source,
+                                    newer: writes_of[q][newest],
+                                });
+                            }
+                        }
+                        advance(q, k + 1, &mut forced, &mut seen_var, &mut max_forced_to);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    pub(super) fn causal_spot_check(h: &History) -> Result<(), CausalSpotViolation> {
+        pram_spot_check(h).map_err(CausalSpotViolation::Pram)?;
+        let rf = infer(h).expect("read-from inference succeeded above");
+        let mut graph = ProgramOrder::graph(h);
+        for (&r, &w) in &rf {
+            graph.add_edge(w, r);
+        }
+        let closure = graph.closure_by_dfs();
+        for v in 0..h.len() {
+            if closure.reaches(OpIdx(v), OpIdx(v)) {
+                return Err(CausalSpotViolation::CyclicCausalOrder { witness: OpIdx(v) });
+            }
+        }
+        let writes: Vec<(OpIdx, VarId)> = h.writes().map(|(idx, op)| (idx, op.var)).collect();
+        for (read, op) in h.reads() {
+            let Some(&source) = rf.get(&read) else {
+                continue;
+            };
+            for &(w, var) in &writes {
+                if var == op.var
+                    && w != source
+                    && closure.reaches(source, w)
+                    && closure.reaches(w, read)
+                {
+                    return Err(CausalSpotViolation::OverwrittenRead {
+                        read,
+                        source,
+                        interposed: w,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::checker::{check, Criterion};
     use crate::history::HistoryBuilder;
+    use crate::op::VarId;
 
     /// Every spot-checker rejection must be confirmed by the complete
     /// (exponential) PRAM checker — the soundness contract.
@@ -607,5 +775,95 @@ mod tests {
         assert!(cy.to_string().contains("cycle"));
         let p = CausalSpotViolation::Pram(v);
         assert!(p.to_string().contains("PRAM"));
+    }
+
+    /// Process count, variable count, whether reads may return later
+    /// writes, and per script step: process, variable, kind and pick.
+    type HistorySpec = (usize, usize, bool, Vec<(usize, usize, u8, u16)>);
+
+    /// Random small histories: one to four processes over one to three
+    /// variables. Writes store unique values, except that about one write
+    /// in sixteen repeats the first value written to its variable. A read
+    /// returns `⊥` or the value of a write to its variable: with `anywhere`
+    /// any such write, earlier or later in the script (so stale reads and
+    /// causal cycles are common), otherwise one issued earlier in the
+    /// script (so overwritten reads show up behind a clean PRAM scan).
+    /// About one read in forty returns a value never written.
+    fn small_history((procs, vars, anywhere, script): HistorySpec) -> History {
+        let is_write = |kind: u8| kind < 6;
+        let mut written: Vec<Vec<i64>> = vec![Vec::new(); vars];
+        let mut value_of = vec![0i64; script.len()];
+        // How many writes each variable has before each script step.
+        let mut earlier = vec![0usize; script.len()];
+        for (i, &(_, v, kind, pick)) in script.iter().enumerate() {
+            let seen = &mut written[v % vars];
+            earlier[i] = seen.len();
+            if is_write(kind) {
+                value_of[i] = match seen.first() {
+                    Some(&first) if pick % 16 == 0 => first,
+                    _ => i as i64 + 1,
+                };
+                seen.push(value_of[i]);
+            }
+        }
+        let mut hb = HistoryBuilder::new(procs);
+        for (i, &(p, v, kind, pick)) in script.iter().enumerate() {
+            let (p, var) = (ProcId(p % procs), VarId(v % vars));
+            let values = &written[var.index()];
+            let values = if anywhere {
+                &values[..]
+            } else {
+                &values[..earlier[i]]
+            };
+            if is_write(kind) {
+                hb.write(p, var, value_of[i]);
+            } else if kind == 6 && pick % 4 == 0 {
+                hb.read_int(p, var, -1);
+            } else {
+                match values.get(pick as usize % values.len().max(1)) {
+                    Some(&value) if pick % 8 != 1 => hb.read_int(p, var, value),
+                    _ => hb.read_bottom(p, var),
+                };
+            }
+        }
+        hb.build()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+        /// The dense read-from table and spot checkers return exactly what
+        /// the B-tree reference models return: the same relation, the same
+        /// error variant and the same witness operations.
+        #[test]
+        fn spot_checkers_match_the_btree_reference(
+            spec in (
+                1usize..=4,
+                1usize..=3,
+                proptest::arbitrary::any::<bool>(),
+                proptest::collection::vec(
+                    (0usize..4, 0usize..3, 0u8..16, proptest::arbitrary::any::<u16>()),
+                    0..24,
+                ),
+            ),
+        ) {
+            let h = small_history(spec);
+            let pairs = ReadFrom::infer(&h).map(|rf| rf.pairs().collect::<Vec<_>>());
+            let reference_pairs =
+                reference::infer(&h).map(|rf| rf.into_iter().map(|(r, w)| (w, r)).collect());
+            proptest::prop_assert_eq!(pairs, reference_pairs, "{}", h.pretty());
+            proptest::prop_assert_eq!(
+                pram_spot_check(&h),
+                reference::pram_spot_check(&h),
+                "{}",
+                h.pretty()
+            );
+            proptest::prop_assert_eq!(
+                causal_spot_check(&h),
+                reference::causal_spot_check(&h),
+                "{}",
+                h.pretty()
+            );
+        }
     }
 }
