@@ -157,9 +157,8 @@ pub enum DsmError {
     /// sparse topology with routing disabled).
     Network(simnet::SendError),
     /// The deployment configuration was rejected at construction: a
-    /// topology/distribution size mismatch, a disconnected topology under
-    /// routing, or a fault plan whose scheduled crash windows would
-    /// bypass DSM recovery.
+    /// topology/distribution size mismatch or a disconnected topology
+    /// under routing.
     InvalidConfig {
         /// Human-readable reason the configuration was rejected.
         reason: String,

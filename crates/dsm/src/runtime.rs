@@ -92,14 +92,11 @@ impl DynDsm {
     /// any strongly connected topology works for every protocol.
     ///
     /// Panics if the topology's node count disagrees with the
-    /// distribution, if routing is required but the topology is not
-    /// strongly connected, or if the fault plan schedules crash windows:
-    /// a scheduled window would take a node down without ever running
-    /// its snapshot restore or catch-up handshake (those are driven by
-    /// [`DynDsm::crash`] / [`DynDsm::restart`]), silently leaving the
-    /// replica behind — so the DSM runtime rejects such plans loudly.
-    /// Link faults (drops/duplicates) are fine: they live below the
-    /// protocols and need no recovery.
+    /// distribution, or if routing is required but the topology is not
+    /// strongly connected. The fault plan's link faults (drops and
+    /// duplicates) live below the protocols and need no recovery;
+    /// crashes are driven by [`DynDsm::crash`] / [`DynDsm::restart`],
+    /// which run the snapshot restore and catch-up handshake.
     pub fn with_config(kind: ProtocolKind, dist: Distribution, config: SimConfig) -> Self {
         Self::try_with_config(kind, dist, config).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -167,21 +164,14 @@ impl DynDsm {
         backend: ExecBackend,
         build: fn(&Distribution, DeliveryMode) -> Vec<N>,
     ) -> Result<Self, DsmError> {
-        if backend.is_threaded() && !config.faults.is_trivial() {
+        if backend.is_threaded() && config.faults.has_link_faults() {
             return Err(DsmError::Unsupported {
-                reason: "fault injection on the threaded backend (drops, duplicates, \
-                         and crash windows are simnet-only)"
+                reason: "fault injection on the threaded backend (drops and duplicates \
+                         are simnet-only)"
                     .to_string(),
             });
         }
         let invalid = |reason: String| DsmError::InvalidConfig { reason };
-        if !config.faults.crashes.is_empty() {
-            return Err(invalid(
-                "scheduled FaultPlan crash windows bypass DSM recovery; drive crashes \
-                 with DynDsm::crash/restart (or a scenario CrashSchedule) instead"
-                    .to_string(),
-            ));
-        }
         let n = dist.process_count();
         let topology = config
             .topology
@@ -850,24 +840,6 @@ mod tests {
         // …and the catch-up handshake paid control bytes to re-fetch it.
         assert!(sys.network_stats().total_control_bytes() > before);
         assert_eq!(sys.peek(ProcId(2), VarId(0)), Value::Int(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "bypass DSM recovery")]
-    fn scheduled_crash_windows_are_rejected_by_the_runtime() {
-        use simnet::{CrashWindow, FaultPlan, SimDuration};
-        let config = SimConfig {
-            faults: FaultPlan {
-                crashes: vec![CrashWindow {
-                    node: NodeId(1),
-                    at: SimTime::ZERO,
-                    restart_after: Some(SimDuration::from_micros(10)),
-                }],
-                ..FaultPlan::default()
-            },
-            ..SimConfig::default()
-        };
-        let _sys = DynDsm::with_config(ProtocolKind::PramPartial, partial_dist(), config);
     }
 
     #[test]

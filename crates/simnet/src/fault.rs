@@ -1,5 +1,5 @@
 //! The fault layer: deterministic message drop/duplication schedules and
-//! node crash windows beneath the protocols.
+//! the down-node policy beneath the protocols.
 //!
 //! The paper's system model assumes reliable FIFO channels. This module
 //! relaxes that assumption *without* changing what the protocols observe
@@ -26,59 +26,31 @@
 //!   additionally carry their own idempotence guards (stale sequence
 //!   numbers and already-covered vector clocks are discarded), which the
 //!   crash-recovery path exercises for real.
-//! * **Crashes** take a node down for a window. What happens to traffic
+//! * **Crashes** take a node down at runtime
+//!   ([`crate::transport::NetCore::set_down`]) until it is brought back
+//!   ([`crate::transport::NetCore::set_up`]). What happens to traffic
 //!   addressed to a down node is the node's own policy
 //!   ([`crate::node::Node::while_down`]): protocol deliveries are **lost**
 //!   (the MCS process is dead; its catch-up handshake re-requests them on
 //!   restart), while a [`crate::route::Relay`] **parks** transit traffic
 //!   for redelivery at restart — third-party envelopes are never dropped
-//!   on the floor. If a parked envelope's host is crashed with no
-//!   scheduled restart, the simulator surfaces a typed [`FaultError`]
-//!   instead of losing it silently.
+//!   on the floor. Timers pending at a down node are lost with it.
 //!
 //! All fault randomness is drawn from a dedicated per-link RNG seeded
 //! from `(FaultPlan::seed, from, to)` — the latency RNG is untouched, so
 //! a trivial plan is bit-identical to the pre-fault simulator, and the
 //! same plan seed reproduces the same fault schedule run after run.
 
-use crate::message::NodeId;
-use crate::time::{SimDuration, SimTime};
-use std::fmt;
+use crate::time::SimDuration;
 
 /// Upper bound on consecutive drops of one transmission: a safety valve
 /// so a pathological drop rate cannot loop forever (2^-16 residual odds
 /// at rate 0.5).
 pub const MAX_CONSECUTIVE_DROPS: u32 = 16;
 
-/// One scheduled node outage: `node` is down during
-/// `[at, at + restart_after)`, or forever when `restart_after` is `None`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CrashWindow {
-    /// The node that crashes.
-    pub node: NodeId,
-    /// Virtual time at which the node goes down.
-    pub at: SimTime,
-    /// How long the outage lasts; `None` means the node never restarts.
-    pub restart_after: Option<SimDuration>,
-}
-
-impl CrashWindow {
-    /// The virtual time at which the node comes back (`None` for a
-    /// permanent crash).
-    pub fn restart_at(&self) -> Option<SimTime> {
-        self.restart_after.map(|d| self.at + d)
-    }
-
-    /// Whether the window covers virtual time `at`.
-    pub fn covers(&self, at: SimTime) -> bool {
-        at >= self.at && self.restart_at().is_none_or(|end| at < end)
-    }
-}
-
 /// A deterministic fault schedule for a simulation run: seeded per-link
-/// drop/duplicate rates and per-node crash windows. The default plan is
-/// trivial (no faults) and leaves the simulator bit-identical to the
-/// reliable-channel model.
+/// drop/duplicate rates. The default plan is trivial (no faults) and
+/// leaves the simulator bit-identical to the reliable-channel model.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Probability that a transmission is dropped (and retransmitted),
@@ -93,8 +65,6 @@ pub struct FaultPlan {
     /// Seed of the per-link fault RNGs (mixed with the link endpoints, so
     /// distinct links draw independent but reproducible schedules).
     pub seed: u64,
-    /// Scheduled node outages, enforced in the simulator's delivery path.
-    pub crashes: Vec<CrashWindow>,
 }
 
 impl Default for FaultPlan {
@@ -104,7 +74,6 @@ impl Default for FaultPlan {
             duplicate_rate: 0.0,
             retransmit_delay: SimDuration::from_micros(25),
             seed: 0xFA_17,
-            crashes: Vec::new(),
         }
     }
 }
@@ -134,16 +103,6 @@ impl FaultPlan {
     pub fn has_link_faults(&self) -> bool {
         self.drop_rate > 0.0 || self.duplicate_rate > 0.0
     }
-
-    /// Whether the plan is a no-op (the reliable-channel model).
-    pub fn is_trivial(&self) -> bool {
-        !self.has_link_faults() && self.crashes.is_empty()
-    }
-
-    /// The crash window covering `node` at virtual time `at`, if any.
-    pub fn window_covering(&self, node: NodeId, at: SimTime) -> Option<&CrashWindow> {
-        self.crashes.iter().find(|w| w.node == node && w.covers(at))
-    }
 }
 
 /// What to do with a message delivered to a node that is down.
@@ -161,37 +120,13 @@ pub enum DownAction {
     Park,
 }
 
-/// A message had to be parked at a node that is crashed with no scheduled
-/// restart — delivering it is impossible, and dropping it would silently
-/// lose third-party (transit) traffic.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultError {
-    /// The permanently crashed node.
-    pub node: NodeId,
-}
-
-impl fmt::Display for FaultError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "node {} is crashed with no scheduled restart; traffic parked at it can never be delivered",
-            self.node
-        )
-    }
-}
-
-impl std::error::Error for FaultError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn default_plan_is_trivial() {
-        let plan = FaultPlan::default();
-        assert!(plan.is_trivial());
-        assert!(!plan.has_link_faults());
-        assert_eq!(plan.window_covering(NodeId(0), SimTime::ZERO), None);
+        assert!(!FaultPlan::default().has_link_faults());
     }
 
     #[test]
@@ -204,49 +139,6 @@ mod tests {
         let dup = FaultPlan::duplicating(0.5, 9);
         assert_eq!(dup.drop_rate, 0.0);
         assert_eq!(dup.duplicate_rate, 0.5);
-        assert!(!dup.is_trivial());
-    }
-
-    #[test]
-    fn crash_windows_cover_their_interval() {
-        let w = CrashWindow {
-            node: NodeId(2),
-            at: SimTime::from_micros(10),
-            restart_after: Some(SimDuration::from_micros(5)),
-        };
-        assert!(!w.covers(SimTime::from_micros(9)));
-        assert!(w.covers(SimTime::from_micros(10)));
-        assert!(w.covers(SimTime::from_micros(14)));
-        assert!(!w.covers(SimTime::from_micros(15)));
-        assert_eq!(w.restart_at(), Some(SimTime::from_micros(15)));
-    }
-
-    #[test]
-    fn permanent_crashes_never_end() {
-        let w = CrashWindow {
-            node: NodeId(1),
-            at: SimTime::from_micros(3),
-            restart_after: None,
-        };
-        assert!(w.covers(SimTime::from_micros(1_000_000)));
-        assert_eq!(w.restart_at(), None);
-        let plan = FaultPlan {
-            crashes: vec![w],
-            ..FaultPlan::default()
-        };
-        assert!(!plan.is_trivial());
-        assert!(plan
-            .window_covering(NodeId(1), SimTime::from_micros(99))
-            .is_some());
-        assert!(plan
-            .window_covering(NodeId(0), SimTime::from_micros(99))
-            .is_none());
-    }
-
-    #[test]
-    fn fault_error_names_the_node() {
-        let e = FaultError { node: NodeId(4) };
-        assert!(e.to_string().contains("n4"));
-        assert!(e.to_string().contains("no scheduled restart"));
+        assert!(dup.has_link_faults());
     }
 }

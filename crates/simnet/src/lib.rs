@@ -17,7 +17,9 @@
 //!   mesh, ring, grid, star, line, or arbitrary directed link sets).
 //! * [`node::Node`] — the trait protocol state machines implement.
 //! * [`sim::Simulator`] — the event-driven driver (run to quiescence,
-//!   bounded runs, deterministic tie-breaking).
+//!   bounded runs, deterministic tie-breaking). As the threaded net's
+//!   replay oracle it also logs, per node, the order in which that node
+//!   handles its deliveries and timers.
 //! * [`route::Router`] / [`route::Relay`] — overlay routing: BFS
 //!   shortest-path tables and relay envelopes that let any-to-any
 //!   protocols run on sparse topologies.
@@ -27,7 +29,6 @@
 //!   routed delivery per [`transport::RoutingMode`].
 //! * [`stats::NetworkStats`] — per-link and per-node counters used by the
 //!   benchmark harness to quantify "control information" overhead.
-//! * [`trace::EventTrace`] — optional structured trace of every delivery.
 //!
 //! Determinism: given the same nodes, the same latency model seed, and the
 //! same sequence of external injections, a simulation run is bit-for-bit
@@ -50,13 +51,12 @@ pub mod sim;
 pub mod stats;
 pub mod threaded;
 pub mod time;
-pub mod trace;
 pub mod transport;
 
 pub use backend::{ExecBackend, ThreadedMode};
 pub use channel::{Channel, LatencyModel, Transmission};
 pub use event::{Event, EventKind, EventQueue};
-pub use fault::{CrashWindow, DownAction, FaultError, FaultPlan};
+pub use fault::{DownAction, FaultPlan};
 pub use message::{NodeId, WireSize};
 pub use network::Topology;
 pub use node::{Node, NodeContext, Outgoing};
@@ -66,7 +66,6 @@ pub use sim::{RunOutcome, SendError, SimConfig, Simulator};
 pub use stats::{LinkStats, NetworkStats, NodeStats};
 pub use threaded::{FabricStats, ThreadedNet, WorkerDead};
 pub use time::{SimDuration, SimTime};
-pub use trace::{EventTrace, TraceEntry};
 pub use transport::{
     deploy, BoxedPost, DeliveryMode, Net, NetCore, NetError, Posted, RoutingMode, Transport,
 };

@@ -176,11 +176,12 @@ impl<P> NodeContext<P> {
 
 /// A protocol state machine hosted on a simulated node.
 ///
-/// `P` is the message payload type exchanged between nodes.
+/// `P` is the message payload type exchanged between nodes. A node acts
+/// only when called: on a delivery, on a timer it set, or when a driver
+/// runs a closure on it ([`Net::invoke`](crate::transport::Net::invoke)),
+/// which is how application operations — and any traffic a run starts
+/// with — enter the protocol.
 pub trait Node<P> {
-    /// Called once before the simulation starts delivering events.
-    fn on_start(&mut self, _ctx: &mut NodeContext<P>) {}
-
     /// Called when a message from `from` is delivered.
     fn on_message(&mut self, ctx: &mut NodeContext<P>, from: NodeId, payload: P);
 
@@ -272,7 +273,6 @@ mod tests {
     fn node_trait_default_hooks_are_noops() {
         let mut e = Echo { got: vec![] };
         let mut ctx = NodeContext::new(NodeId(0), SimTime::ZERO);
-        e.on_start(&mut ctx);
         e.on_timer(&mut ctx, 0);
         assert!(ctx.outbox.is_empty());
         e.on_message(&mut ctx, NodeId(1), 5);

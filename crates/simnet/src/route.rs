@@ -733,10 +733,6 @@ where
     P: WireSize + fmt::Debug + Clone,
     N: Node<P>,
 {
-    fn on_start(&mut self, ctx: &mut NodeContext<Packet<P>>) {
-        self.with_inner(ctx, |inner, inner_ctx| inner.on_start(inner_ctx));
-    }
-
     fn on_message(&mut self, ctx: &mut NodeContext<Packet<P>>, _from: NodeId, packet: Packet<P>) {
         match packet {
             Packet::One(env) => {
@@ -793,9 +789,7 @@ where
     /// at restart instead. A multicast envelope that serves any other
     /// destination is transit too (its local copy then arrives late, and
     /// the protocols' idempotence guards absorb the overlap with
-    /// catch-up). Parking at a node that never restarts surfaces a typed
-    /// [`FaultError`](crate::fault::FaultError) — the fix for the old
-    /// silent assumption that every received packet is deliverable.
+    /// catch-up).
     fn while_down(&self, packet: &Packet<P>) -> DownAction {
         match packet {
             Packet::One(env) if env.dst == self.me => DownAction::Lose,

@@ -9,13 +9,12 @@
 
 use crate::channel::{Channel, LatencyModel, Transmission};
 use crate::event::{Event, EventKind, EventQueue};
-use crate::fault::{DownAction, FaultError, FaultPlan};
+use crate::fault::{DownAction, FaultPlan};
 use crate::message::{NodeId, WireSize};
 use crate::network::Topology;
 use crate::node::{Node, NodeContext, Outgoing};
 use crate::stats::NetworkStats;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{EventTrace, TraceEntry};
 use crate::transport::{DeliveryMode, Net, NetCore, NetError, Posted, RoutingMode};
 use std::fmt;
 
@@ -26,10 +25,7 @@ use std::fmt;
 /// infallible entry points). The routing layer ([`crate::route`]) is the
 /// only place that converts a missing link into a routing decision —
 /// a routed net from [`deploy`](crate::transport::deploy) never sees
-/// that variant on a connected topology. [`SendError::Fault`] is
-/// the fault layer's loud failure: a message had to be parked at a node
-/// that is crashed with no scheduled restart (see
-/// [`crate::fault::FaultError`]).
+/// that variant on a connected topology.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SendError {
     /// A send was addressed to a node pair the topology does not link.
@@ -39,8 +35,6 @@ pub enum SendError {
         /// The unreachable destination.
         to: NodeId,
     },
-    /// A message required a node that is permanently crashed.
-    Fault(FaultError),
     /// An operation named a node id the simulator does not host. The
     /// public constructors make this unreachable for ids obtained from
     /// the topology; it exists so the delivery hot path can report a
@@ -58,7 +52,6 @@ impl fmt::Display for SendError {
                 f,
                 "node {from} attempted to send to {to} but the topology has no such link"
             ),
-            SendError::Fault(e) => e.fmt(f),
             SendError::UnknownNode { node } => {
                 write!(
                     f,
@@ -71,12 +64,6 @@ impl fmt::Display for SendError {
 
 impl std::error::Error for SendError {}
 
-impl From<FaultError> for SendError {
-    fn from(e: FaultError) -> Self {
-        SendError::Fault(e)
-    }
-}
-
 /// Configuration of a simulation run.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -84,8 +71,6 @@ pub struct SimConfig {
     pub latency: LatencyModel,
     /// Seed for all channel RNGs.
     pub seed: u64,
-    /// If `Some(n)`, keep a trace of up to `n` entries.
-    pub trace_capacity: Option<usize>,
     /// Safety valve: abort the run after this many events (0 = unlimited).
     pub max_events: u64,
     /// Topology requested by the client. Drivers that build their own
@@ -105,9 +90,9 @@ pub struct SimConfig {
     /// and the direct transport always fan out per destination.
     pub delivery: DeliveryMode,
     /// The fault schedule: seeded per-link drop/duplicate rates enforced
-    /// by every channel, and per-node crash windows enforced in the
-    /// delivery path. The default plan is trivial and reproduces the
-    /// reliable-channel model bit for bit.
+    /// by every channel. The default plan is trivial and reproduces the
+    /// reliable-channel model bit for bit; crashes are driven at runtime
+    /// through [`NetCore::set_down`] and [`NetCore::set_up`].
     pub faults: FaultPlan,
 }
 
@@ -116,7 +101,6 @@ impl Default for SimConfig {
         SimConfig {
             latency: LatencyModel::default(),
             seed: 0xD5_0C0DE,
-            trace_capacity: None,
             max_events: 0,
             topology: None,
             routing: RoutingMode::Auto,
@@ -124,6 +108,23 @@ impl Default for SimConfig {
             faults: FaultPlan::default(),
         }
     }
+}
+
+/// One arrival a node handled, in the per-node log a simulator keeps
+/// once [`Simulator::log_steps`] switches it on. The threaded net's
+/// replay runs each site's log as that site's schedule.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// The oldest undelivered message from `from` was delivered.
+    Deliver {
+        /// Sender whose FIFO stream supplied the payload.
+        from: NodeId,
+    },
+    /// The oldest pending timer with this tag fired.
+    Timer {
+        /// Tag passed back to [`Node::on_timer`].
+        tag: u64,
+    },
 }
 
 /// How a call to [`NetCore::settle`] ended.
@@ -170,12 +171,11 @@ pub struct Simulator<P, N> {
     queue: EventQueue<P>,
     now: SimTime,
     stats: NetworkStats,
-    trace: EventTrace,
     events_processed: u64,
-    started: bool,
-    /// Nodes taken down at runtime via [`NetCore::set_down`] (the
-    /// scripted crash path; scheduled outages live in
-    /// `config.faults.crashes`).
+    /// Each node's steps since they were last taken; `None` (the
+    /// default) logs nothing.
+    steps: Option<Vec<Vec<Step>>>,
+    /// Nodes taken down via [`NetCore::set_down`].
     manual_down: Vec<bool>,
     /// Envelopes parked at runtime-crashed nodes, redelivered in order by
     /// [`NetCore::set_up`].
@@ -215,10 +215,6 @@ where
                 "SimConfig.topology disagrees with the topology passed to Simulator::new"
             );
         }
-        let trace = match config.trace_capacity {
-            Some(cap) => EventTrace::with_capacity(cap),
-            None => EventTrace::disabled(),
-        };
         let n = topology.node_count();
         Simulator {
             topology,
@@ -228,9 +224,8 @@ where
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             stats: NetworkStats::with_nodes(n),
-            trace,
             events_processed: 0,
-            started: false,
+            steps: None,
             manual_down: vec![false; n],
             parked: (0..n).map(|_| Vec::new()).collect(),
             outbox: Vec::new(),
@@ -239,17 +234,14 @@ where
         }
     }
 
-    /// Whether `node` is down at virtual time `at` — either taken down at
-    /// runtime ([`NetCore::set_down`]) or inside a scheduled crash window of
-    /// the fault plan.
+    /// Whether `node` was taken down by [`NetCore::set_down`].
     #[deny(
         clippy::disallowed_macros,
         clippy::disallowed_methods,
         clippy::indexing_slicing
     )]
-    fn is_down(&self, node: NodeId, at: SimTime) -> bool {
+    fn is_down(&self, node: NodeId) -> bool {
         self.manual_down.get(node.index()).copied().unwrap_or(false)
-            || self.config.faults.window_covering(node, at).is_some()
     }
 
     /// A [`NodeContext`] for `me` at the current time, on the
@@ -269,39 +261,26 @@ where
         )
     }
 
-    /// The event trace (empty if tracing is disabled).
-    pub fn trace(&self) -> &EventTrace {
-        &self.trace
+    /// Log each node's steps from now on, for [`Simulator::take_steps`].
+    pub(crate) fn log_steps(&mut self) {
+        let n = self.nodes.len();
+        self.steps.get_or_insert_with(|| vec![Vec::new(); n]);
     }
 
-    /// Invoke `on_start` on every node (in id order) if not already done.
-    /// Called automatically by the run methods; exposed for tests that want
-    /// to inspect the state between start-up and the first delivery.
-    ///
-    /// Panics if a start-up send targets a missing link (see
-    /// [`Net::invoke`] for the error contract).
-    pub fn start(&mut self) {
-        self.try_start().unwrap_or_else(|e| panic!("{e}"));
+    /// Node `id`'s steps logged since the last take, in the order it
+    /// handled them (empty while the log is off).
+    pub(crate) fn take_steps(&mut self, id: NodeId) -> Vec<Step> {
+        self.log_of(id).map(std::mem::take).unwrap_or_default()
     }
 
+    /// Node `id`'s step log, if the log is on.
     #[deny(
         clippy::disallowed_macros,
         clippy::disallowed_methods,
         clippy::indexing_slicing
     )]
-    fn try_start(&mut self) -> Result<(), SendError> {
-        if self.started {
-            return Ok(());
-        }
-        self.started = true;
-        for i in 0..self.nodes.len() {
-            let mut ctx = self.lend_context(NodeId(i));
-            if let Some(node) = self.nodes.get_mut(i) {
-                node.on_start(&mut ctx);
-            }
-            self.flush_context(NodeId(i), ctx)?;
-        }
-        Ok(())
+    fn log_of(&mut self, id: NodeId) -> Option<&mut Vec<Step>> {
+        self.steps.as_mut()?.get_mut(id.index())
     }
 
     /// Run `f` against node `id`'s state machine with a messaging context,
@@ -355,17 +334,12 @@ where
                 control_bytes,
                 payload,
             } => {
-                if self.is_down(to, self.now) {
+                if self.is_down(to) {
                     return self.handle_down_delivery(from, to, seq, payload);
                 }
                 self.stats.record_delivery(to, data_bytes, control_bytes);
-                if self.trace.is_enabled() {
-                    self.trace.record(TraceEntry::Delivered {
-                        at: self.now,
-                        from,
-                        to,
-                        label: format!("{payload:?}"),
-                    });
+                if let Some(log) = self.log_of(to) {
+                    log.push(Step::Deliver { from });
                 }
                 let mut ctx = self.lend_context(to);
                 let node = self
@@ -376,16 +350,12 @@ where
                 self.flush_context(to, ctx)?;
             }
             EventKind::Timer { node, tag } => {
-                if self.is_down(node, self.now) {
+                if self.is_down(node) {
                     // A crashed node's timers are volatile state: lost.
                     return Ok(());
                 }
-                if self.trace.is_enabled() {
-                    self.trace.record(TraceEntry::TimerFired {
-                        at: self.now,
-                        node,
-                        tag,
-                    });
+                if let Some(log) = self.log_of(node) {
+                    log.push(Step::Timer { tag });
                 }
                 let mut ctx = self.lend_context(node);
                 let state = self
@@ -427,37 +397,11 @@ where
                 self.stats.record_crash_loss(to);
             }
             DownAction::Park => {
-                if self.manual_down.get(to.index()).copied().unwrap_or(false) {
-                    // Runtime crash: restart time unknown; hold the
-                    // envelope until set_up redelivers it.
-                    self.parked
-                        .get_mut(to.index())
-                        .ok_or(SendError::UnknownNode { node: to })?
-                        .push((from, seq, payload));
-                } else {
-                    // Scheduled crash window: redeliver at the restart
-                    // boundary, or fail loudly if there is none — parked
-                    // transit traffic is never dropped on the floor.
-                    let restart = self
-                        .config
-                        .faults
-                        .window_covering(to, self.now)
-                        .and_then(|w| w.restart_at());
-                    match restart {
-                        Some(at) => self.queue.push(
-                            at,
-                            EventKind::Deliver {
-                                from,
-                                to,
-                                seq,
-                                data_bytes: payload.data_bytes(),
-                                control_bytes: payload.control_bytes(),
-                                payload,
-                            },
-                        ),
-                        None => return Err(SendError::Fault(FaultError { node: to })),
-                    }
-                }
+                // Held until set_up redelivers it.
+                self.parked
+                    .get_mut(to.index())
+                    .ok_or(SendError::UnknownNode { node: to })?
+                    .push((from, seq, payload));
             }
         }
         Ok(())
@@ -529,7 +473,7 @@ where
         let mut at = self.now;
         let mut result = Ok(());
         for &to in targets {
-            let (sent, seq) = match self.transmit(from, to, data, control, &payload) {
+            let (sent, seq) = match self.transmit(from, to, data, control) {
                 Ok(sent) => sent,
                 Err(e) => {
                     result = Err(e);
@@ -559,7 +503,7 @@ where
 
     /// Put one copy of a `data` + `control`-byte payload on the channel
     /// `from → to`: the channel's draws and sequence number, the
-    /// send-side counters and the trace's `Sent` entry. The caller
+    /// send-side counters. The caller
     /// schedules the delivery and the fault plan's duplicate, if any.
     #[deny(
         clippy::disallowed_macros,
@@ -572,7 +516,6 @@ where
         to: NodeId,
         data: usize,
         control: usize,
-        payload: &P,
     ) -> Result<(Transmission, u64), SendError> {
         let n = self.topology.node_count();
         let no_link = SendError::NoLink { from, to };
@@ -604,15 +547,6 @@ where
         if transmission.duplicate_at.is_some() {
             self.stats.record_duplicate(from, to, data, control);
         }
-        if self.trace.is_enabled() {
-            self.trace.record(TraceEntry::Sent {
-                at: self.now,
-                from,
-                to,
-                bytes: data + control,
-                label: format!("{payload:?}"),
-            });
-        }
         Ok((transmission, seq))
     }
 }
@@ -635,7 +569,6 @@ where
         id: NodeId,
         f: &mut dyn FnMut(&mut N, &mut NodeContext<P>),
     ) -> Result<(), NetError> {
-        self.try_start()?;
         let mut ctx = self.lend_context(id);
         let node = self
             .nodes
@@ -684,7 +617,6 @@ where
         clippy::indexing_slicing
     )]
     fn settle(&mut self) -> Result<RunOutcome, NetError> {
-        self.try_start()?;
         let mut processed = 0u64;
         while !self.queue.is_empty() {
             if self.config.max_events > 0 && processed >= self.config.max_events {
@@ -706,7 +638,6 @@ where
         clippy::indexing_slicing
     )]
     fn step(&mut self) -> Result<bool, NetError> {
-        self.try_start()?;
         let Some(event) = self.queue.pop() else {
             return Ok(false);
         };
@@ -808,12 +739,6 @@ mod tests {
     }
 
     impl Node<RawPayload> for RingRelay {
-        fn on_start(&mut self, ctx: &mut NodeContext<RawPayload>) {
-            if self.id == 0 && self.remaining > 0 {
-                ctx.send(NodeId(1 % self.n), RawPayload::new(8, 4));
-            }
-        }
-
         fn on_message(&mut self, ctx: &mut NodeContext<RawPayload>, _from: NodeId, p: RawPayload) {
             self.hops_seen += 1;
             if self.id == 0 {
@@ -829,7 +754,9 @@ mod tests {
         }
     }
 
-    fn ring_sim(n: usize, laps: u64) -> Simulator<RawPayload, RingRelay> {
+    /// A ring of `n` relays under `config` whose node 0 has sent the
+    /// token off for `laps` laps.
+    fn ring(n: usize, laps: u64, config: SimConfig) -> Simulator<RawPayload, RingRelay> {
         let nodes = (0..n)
             .map(|id| RingRelay {
                 id,
@@ -838,7 +765,17 @@ mod tests {
                 remaining: if id == 0 { laps } else { 0 },
             })
             .collect();
-        Simulator::new(Topology::ring(n), SimConfig::default(), nodes)
+        let mut sim = Simulator::new(Topology::ring(n), config, nodes);
+        if laps > 0 {
+            sim.with_node(NodeId(0), |_, ctx| {
+                ctx.send(NodeId(1 % n), RawPayload::new(8, 4));
+            });
+        }
+        sim
+    }
+
+    fn ring_sim(n: usize, laps: u64) -> Simulator<RawPayload, RingRelay> {
+        ring(n, laps, SimConfig::default())
     }
 
     #[test]
@@ -853,6 +790,8 @@ mod tests {
         assert_eq!(sim.stats().total_control_bytes(), 15 * 4);
         for i in 0..5 {
             assert_eq!(sim.node(NodeId(i)).hops_seen, 3, "node {i}");
+            // The step log is off by default.
+            assert!(sim.take_steps(NodeId(i)).is_empty());
         }
     }
 
@@ -862,15 +801,7 @@ mod tests {
             max_events: 7,
             ..SimConfig::default()
         };
-        let nodes = (0..5)
-            .map(|id| RingRelay {
-                id,
-                n: 5,
-                hops_seen: 0,
-                remaining: if id == 0 { 100 } else { 0 },
-            })
-            .collect();
-        let mut sim = Simulator::new(Topology::ring(5), config, nodes);
+        let mut sim = ring(5, 100, config);
         let outcome = sim.run_until_quiescent();
         assert_eq!(outcome, RunOutcome::Exhausted { events: 7 });
         assert!(sim.pending() > 0);
@@ -901,12 +832,6 @@ mod tests {
     }
 
     impl Node<RawPayload> for Flood {
-        fn on_start(&mut self, ctx: &mut NodeContext<RawPayload>) {
-            if self.id < 2 {
-                self.broadcast(ctx, RawPayload::new(self.id, 2));
-            }
-        }
-
         fn on_message(&mut self, ctx: &mut NodeContext<RawPayload>, from: NodeId, p: RawPayload) {
             self.got.push((from, p));
             if p.control > 0 {
@@ -926,16 +851,19 @@ mod tests {
         }
     }
 
-    /// Everything a run shows: trace, wire counters, what each node
-    /// received and how many timers it saw, time, events processed.
+    /// Everything a run shows: each node's step log, wire counters, what
+    /// each node received and how many timers it saw, time, events
+    /// processed.
     type Observed = (
-        Vec<TraceEntry>,
+        Vec<Vec<Step>>,
         NetworkStats,
         Vec<(Vec<(NodeId, RawPayload)>, u64)>,
         SimTime,
         u64,
     );
 
+    /// A five-node flood under `config` with the step log on, whose
+    /// nodes 0 and 1 have broadcast.
     fn flood(config: &SimConfig, multi: bool, budget: u64) -> Simulator<RawPayload, Flood> {
         let n = 5;
         let nodes = (0..n)
@@ -948,24 +876,36 @@ mod tests {
             })
             .collect();
         let config = SimConfig {
-            trace_capacity: Some(1 << 16),
             max_events: budget,
             ..config.clone()
         };
-        Simulator::new(Topology::full_mesh(n), config, nodes)
+        let mut sim = Simulator::new(Topology::full_mesh(n), config, nodes);
+        sim.log_steps();
+        for id in 0..2 {
+            sim.with_node(NodeId(id), |node, ctx| {
+                node.broadcast(ctx, RawPayload::new(id, 2));
+            });
+        }
+        sim
     }
 
-    fn observe(sim: Simulator<RawPayload, Flood>) -> Observed {
+    fn take_all_steps(sim: &mut Simulator<RawPayload, Flood>) -> Vec<Vec<Step>> {
+        (0..sim.nodes.len())
+            .map(|i| sim.take_steps(NodeId(i)))
+            .collect()
+    }
+
+    fn observe(mut sim: Simulator<RawPayload, Flood>) -> Observed {
         let (now, events) = (sim.now(), sim.events_processed());
-        let (trace, stats) = (sim.trace().entries().to_vec(), sim.stats().clone());
+        let (steps, stats) = (take_all_steps(&mut sim), sim.stats().clone());
         let nodes = Box::new(sim).into_nodes();
         let states = nodes.into_iter().map(|node| (node.got, node.timers));
-        (trace, stats, states.collect(), now, events)
+        (steps, stats, states.collect(), now, events)
     }
 
-    #[test]
-    fn send_multi_equals_a_send_loop_under_every_latency_and_budget() {
-        let configs = [
+    /// The three latency and fault configurations the flood runs under.
+    fn flood_configs() -> [SimConfig; 3] {
+        [
             SimConfig::default(),
             SimConfig {
                 latency: LatencyModel::Uniform {
@@ -978,8 +918,12 @@ mod tests {
                 faults: FaultPlan::duplicating(0.5, 7),
                 ..SimConfig::default()
             },
-        ];
-        for config in &configs {
+        ]
+    }
+
+    #[test]
+    fn send_multi_equals_a_send_loop_under_every_latency_and_budget() {
+        for config in &flood_configs() {
             let run = |multi: bool| {
                 let mut sim = flood(config, multi, 0);
                 assert!(sim.run_until_quiescent().is_quiescent());
@@ -992,7 +936,6 @@ mod tests {
             // `(time, order)` with the same action.
             let popped = |multi: bool| {
                 let mut sim = flood(config, multi, 0);
-                sim.start();
                 let mut log = Vec::new();
                 while let Some(event) = sim.queue.pop() {
                     log.push((event.at, event.order, format!("{:?}", event.kind)));
@@ -1023,6 +966,51 @@ mod tests {
                 }
                 assert_eq!(observe(multi), reference, "k = {k}");
                 assert_eq!(observe(looped), reference, "k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn each_nodes_step_log_is_what_it_handled_and_each_take_only_the_new_steps() {
+        for config in &flood_configs() {
+            for multi in [true, false] {
+                let (steps, stats, states, _, events) = {
+                    let mut sim = flood(config, multi, 0);
+                    sim.run_until_quiescent();
+                    observe(sim)
+                };
+                // Every event but the discarded duplicates is a step.
+                let logged: usize = steps.iter().map(Vec::len).sum();
+                assert_eq!(logged as u64 + stats.total_duplicates(), events);
+                for (log, (got, timers)) in steps.iter().zip(&states) {
+                    let senders: Vec<NodeId> = log
+                        .iter()
+                        .filter_map(|step| match *step {
+                            Step::Deliver { from } => Some(from),
+                            Step::Timer { .. } => None,
+                        })
+                        .collect();
+                    assert_eq!(
+                        senders,
+                        got.iter().map(|&(from, _)| from).collect::<Vec<_>>()
+                    );
+                    let fired = log.iter().filter(|s| matches!(s, Step::Timer { .. }));
+                    assert_eq!(fired.count() as u64, *timers);
+                }
+                // Stopped halfway, then resumed: the second take holds
+                // only the steps since the first, and a third none.
+                let mut sim = flood(config, multi, events / 2);
+                sim.run_until_quiescent();
+                let first = take_all_steps(&mut sim);
+                sim.run_until_quiescent();
+                let second = take_all_steps(&mut sim);
+                assert!(take_all_steps(&mut sim).iter().all(Vec::is_empty));
+                let joined: Vec<Vec<Step>> = first
+                    .into_iter()
+                    .zip(second)
+                    .map(|(a, b)| [a, b].concat())
+                    .collect();
+                assert_eq!(joined, steps, "{:?}, multi = {multi}", config.latency);
             }
         }
     }
@@ -1100,62 +1088,60 @@ mod tests {
         assert!(sim.settle().is_ok());
     }
 
-    #[test]
-    fn trace_records_sends_and_deliveries() {
-        let config = SimConfig {
-            trace_capacity: Some(100),
-            ..SimConfig::default()
-        };
-        let nodes = (0..3)
-            .map(|id| RingRelay {
-                id,
-                n: 3,
-                hops_seen: 0,
-                remaining: if id == 0 { 1 } else { 0 },
-            })
-            .collect();
-        let mut sim = Simulator::new(Topology::ring(3), config, nodes);
-        sim.run_until_quiescent();
-        let sent = sim
-            .trace()
-            .entries()
-            .iter()
-            .filter(|e| matches!(e, TraceEntry::Sent { .. }))
-            .count();
-        let delivered = sim
-            .trace()
-            .entries()
-            .iter()
-            .filter(|e| matches!(e, TraceEntry::Delivered { .. }))
-            .count();
-        assert_eq!(sent, 3);
-        assert_eq!(delivered, 3);
+    /// A node that records the tags of the timers that fire at it.
+    #[derive(Debug, Default)]
+    struct TimerNode {
+        fired: Vec<u64>,
+    }
+
+    impl Node<RawPayload> for TimerNode {
+        fn on_message(&mut self, _: &mut NodeContext<RawPayload>, _: NodeId, _: RawPayload) {}
+        fn on_timer(&mut self, _: &mut NodeContext<RawPayload>, tag: u64) {
+            self.fired.push(tag);
+        }
+    }
+
+    fn timer_sim(n: usize) -> Simulator<RawPayload, TimerNode> {
+        let nodes = (0..n).map(|_| TimerNode::default()).collect();
+        Simulator::new(Topology::full_mesh(n), SimConfig::default(), nodes)
     }
 
     #[test]
     fn timers_fire_at_requested_delay() {
-        #[derive(Debug, Default)]
-        struct TimerNode {
-            fired: Vec<u64>,
-        }
-        impl Node<RawPayload> for TimerNode {
-            fn on_start(&mut self, ctx: &mut NodeContext<RawPayload>) {
-                ctx.set_timer(SimDuration::from_micros(5), 1);
-                ctx.set_timer(SimDuration::from_micros(2), 2);
-            }
-            fn on_message(&mut self, _: &mut NodeContext<RawPayload>, _: NodeId, _: RawPayload) {}
-            fn on_timer(&mut self, _: &mut NodeContext<RawPayload>, tag: u64) {
-                self.fired.push(tag);
-            }
-        }
-        let mut sim = Simulator::new(
-            Topology::full_mesh(1),
-            SimConfig::default(),
-            vec![TimerNode::default()],
-        );
+        let mut sim = timer_sim(1);
+        sim.with_node(NodeId(0), |_, ctx| {
+            ctx.set_timer(SimDuration::from_micros(5), 1);
+            ctx.set_timer(SimDuration::from_micros(2), 2);
+        });
         sim.run_until_quiescent();
         assert_eq!(sim.node(NodeId(0)).fired, vec![2, 1]);
         assert_eq!(sim.now(), SimTime::from_micros(5));
+    }
+
+    #[test]
+    fn a_node_set_down_loses_the_timers_pending_at_it() {
+        let mut sim = timer_sim(2);
+        for id in [0, 1] {
+            sim.with_node(NodeId(id), |_, ctx| {
+                ctx.set_timer(SimDuration::from_micros(5), 1);
+            });
+        }
+        sim.set_down(NodeId(1)).unwrap();
+        sim.run_until_quiescent();
+        assert_eq!(sim.node(NodeId(0)).fired, vec![1]);
+        assert!(sim.node(NodeId(1)).fired.is_empty());
+        // Lost, not parked: a restart brings none of them back.
+        sim.set_up(NodeId(1)).unwrap();
+        assert_eq!(sim.pending(), 0);
+        sim.run_until_quiescent();
+        assert!(sim.node(NodeId(1)).fired.is_empty());
+        assert_eq!(sim.stats().total_crash_losses(), 0);
+        // Timers set after the restart fire again.
+        sim.with_node(NodeId(1), |_, ctx| {
+            ctx.set_timer(SimDuration::from_micros(1), 2);
+        });
+        sim.run_until_quiescent();
+        assert_eq!(sim.node(NodeId(1)).fired, vec![2]);
     }
 
     #[test]
@@ -1169,15 +1155,7 @@ mod tests {
                 seed,
                 ..SimConfig::default()
             };
-            let nodes = (0..6)
-                .map(|id| RingRelay {
-                    id,
-                    n: 6,
-                    hops_seen: 0,
-                    remaining: if id == 0 { 4 } else { 0 },
-                })
-                .collect();
-            let mut sim = Simulator::new(Topology::ring(6), config, nodes);
+            let mut sim = ring(6, 4, config);
             sim.run_until_quiescent();
             sim.now()
         };
@@ -1193,22 +1171,12 @@ mod tests {
         assert_eq!(Box::new(sim).into_nodes().len(), 3);
     }
 
-    use crate::fault::{CrashWindow, FaultPlan};
-
     fn faulted_ring(n: usize, laps: u64, faults: FaultPlan) -> Simulator<RawPayload, RingRelay> {
         let config = SimConfig {
             faults,
             ..SimConfig::default()
         };
-        let nodes = (0..n)
-            .map(|id| RingRelay {
-                id,
-                n,
-                hops_seen: 0,
-                remaining: if id == 0 { laps } else { 0 },
-            })
-            .collect();
-        Simulator::new(Topology::ring(n), config, nodes)
+        ring(n, laps, config)
     }
 
     #[test]
@@ -1273,32 +1241,10 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_crash_window_loses_deliveries() {
-        // Node 2 is down for the second lap's pass; the token it loses
-        // breaks the ring (RingRelay has no recovery), so the run goes
-        // quiescent early with the loss counted.
-        let plan = FaultPlan {
-            crashes: vec![CrashWindow {
-                node: NodeId(2),
-                at: SimTime::from_micros(15),
-                restart_after: Some(SimDuration::from_micros(100)),
-            }],
-            ..FaultPlan::default()
-        };
-        let mut sim = faulted_ring(5, 3, plan);
-        sim.run_until_quiescent();
-        assert_eq!(sim.stats().total_crash_losses(), 1);
-        // The token reached n1 at 10µs, then died at n2 (down at 20µs).
-        assert_eq!(sim.node(NodeId(1)).hops_seen, 1);
-        assert_eq!(sim.node(NodeId(2)).hops_seen, 0);
-        assert_eq!(sim.node(NodeId(3)).hops_seen, 0);
-    }
-
-    #[test]
     fn manual_down_parks_nothing_by_default_and_counts_losses() {
         let mut sim = ring_sim(4, 0);
         sim.set_down(NodeId(1)).unwrap();
-        assert!(sim.is_down(NodeId(1), SimTime::ZERO));
+        assert!(sim.is_down(NodeId(1)));
         sim.with_node(NodeId(0), |_n, ctx| {
             ctx.send(NodeId(1), RawPayload::new(8, 0));
         });
@@ -1308,7 +1254,7 @@ mod tests {
         assert_eq!(sim.stats().total_crash_losses(), 1);
         assert_eq!(sim.parked(NodeId(1)), 0);
         sim.set_up(NodeId(1)).unwrap();
-        assert!(!sim.is_down(NodeId(1), sim.now()));
+        assert!(!sim.is_down(NodeId(1)));
         // The lost message stays lost; the node works again.
         sim.with_node(NodeId(0), |_n, ctx| {
             ctx.send(NodeId(1), RawPayload::new(8, 0));
@@ -1352,61 +1298,5 @@ mod tests {
         assert_eq!(sim.parked(NodeId(2)), 0);
         sim.run_until_quiescent();
         assert_eq!(sim.node(NodeId(2)).got, 2);
-    }
-
-    #[test]
-    fn parking_at_a_permanently_crashed_node_is_a_typed_fault() {
-        let plan = FaultPlan {
-            crashes: vec![CrashWindow {
-                node: NodeId(1),
-                at: SimTime::ZERO,
-                restart_after: None,
-            }],
-            ..FaultPlan::default()
-        };
-        let config = SimConfig {
-            faults: plan,
-            ..SimConfig::default()
-        };
-        let mut sim = Simulator::new(
-            Topology::full_mesh(2),
-            config,
-            vec![Parker::default(), Parker::default()],
-        );
-        sim.with_node(NodeId(0), |_n, ctx| {
-            ctx.send(NodeId(1), RawPayload::new(1, 0));
-        });
-        let err = sim.settle().unwrap_err();
-        assert_eq!(err, SendError::Fault(FaultError { node: NodeId(1) }).into());
-        assert!(err.to_string().contains("no scheduled restart"));
-    }
-
-    #[test]
-    fn scheduled_crash_with_restart_redelivers_parked_traffic() {
-        let plan = FaultPlan {
-            crashes: vec![CrashWindow {
-                node: NodeId(1),
-                at: SimTime::ZERO,
-                restart_after: Some(SimDuration::from_micros(50)),
-            }],
-            ..FaultPlan::default()
-        };
-        let config = SimConfig {
-            faults: plan,
-            ..SimConfig::default()
-        };
-        let mut sim = Simulator::new(
-            Topology::full_mesh(2),
-            config,
-            vec![Parker::default(), Parker::default()],
-        );
-        sim.with_node(NodeId(0), |_n, ctx| {
-            ctx.send(NodeId(1), RawPayload::new(1, 0));
-        });
-        sim.run_until_quiescent();
-        // Delivered at the restart boundary, not lost.
-        assert_eq!(sim.node(NodeId(1)).got, 1);
-        assert_eq!(sim.now(), SimTime::from_micros(50));
-        assert_eq!(sim.stats().total_crash_losses(), 0);
     }
 }

@@ -53,14 +53,14 @@
 //! * **Replay** — the one its own slice of an oracle's schedule names
 //!   next. The net embeds a [`Simulator`] oracle over the same nodes
 //!   (relays included, when routed), and every local operation is
-//!   applied to the oracle *and* to the live site. At settle time the
-//!   oracle runs to quiescence and the new slice of its trace is cut
-//!   into one schedule per site — the deliveries (by sender) and timer
-//!   firings that site handles, in oracle order — which its worker runs,
-//!   waiting for each arrival that has not come yet. No worker waits for
-//!   another's turn: a site's state depends only on the order of its own
-//!   events, and over FIFO links each site's slice always makes
-//!   progress. Handlers run on the workers and every payload crosses a
+//!   applied to the oracle *and* to the live site. The oracle logs, per
+//!   node, the deliveries (by sender) and timer firings that node
+//!   handles, in oracle order. At settle time it runs to quiescence and
+//!   each site's new steps become that site's schedule, which its worker
+//!   runs, waiting for each arrival that has not come yet. No worker
+//!   waits for another's turn: a site's state depends only on the order
+//!   of its own events, and over FIFO links each site's slice always
+//!   makes progress. Handlers run on the workers and every payload crosses a
 //!   real ring, yet settled values, histories, wire counters and
 //!   control-record counts are bit-identical to a pure simnet run — that
 //!   is what the differential tests pin. A live handler that sends what
@@ -89,12 +89,10 @@
 //! outside the fabric dies the same way, with the send's error as its
 //! message; a closure the coordinator runs gets that error back instead.
 //!
-//! Remaining scope limits (the DSM layer turns these into typed errors):
-//! no fault injection, and no `on_start` hooks that emit messages or
-//! timers (none of the DSM protocols use them), and no crash/restart
-//! ([`NetError::Unsupported`]). Sparse topologies are supported by
-//! hosting [`Relay`](crate::route::Relay) nodes on the sites — see
-//! [`deploy`](crate::transport::deploy).
+//! Scope limits (the DSM layer turns these into typed errors): no fault
+//! injection, and no crash/restart ([`NetError::Unsupported`]). Sparse
+//! topologies are supported by hosting [`Relay`](crate::route::Relay)
+//! nodes on the sites — see [`deploy`](crate::transport::deploy).
 //!
 //! Host time is confined to the `clock` watchdog module, the sole
 //! holder of an `#[expect(clippy::disallowed_types)]` for `Instant`.
@@ -108,10 +106,9 @@ use crate::chan::{fabric, CtlPost, InFlight, Mailbox, Post};
 use crate::message::{NodeId, WireSize};
 use crate::network::Topology;
 use crate::node::{Node, NodeContext, Outgoing};
-use crate::sim::{RunOutcome, SendError, SimConfig, Simulator};
+use crate::sim::{RunOutcome, SendError, SimConfig, Simulator, Step};
 use crate::stats::NetworkStats;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::TraceEntry;
 use crate::transport::{BoxedPost, Net, NetCore, NetError, Posted};
 use std::collections::VecDeque;
 use std::fmt;
@@ -125,12 +122,6 @@ use std::thread::JoinHandle;
 /// Bounds how long a synchronous call that found the lane drained can
 /// then wait for the lock: one such batch.
 const INVOKE_BATCH: usize = 32;
-
-/// Trace capacity the replay oracle is configured with. The oracle's
-/// trace must hold every delivery of the run (the replay schedule is cut
-/// from it); overflow panics with a clear message rather than replaying
-/// a truncated schedule.
-const REPLAY_TRACE_CAPACITY: usize = 1 << 20;
 
 /// Per-fabric contention and batching counters, merged across workers at
 /// settle time. The numbers are nondeterministic (they describe real
@@ -247,22 +238,6 @@ impl Drop for DeathSentinel {
             self.dead.mark(self.me);
         }
     }
-}
-
-/// One step of a site's replay schedule: which of its arrivals it
-/// handles next.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Step {
-    /// Deliver the oldest arrival from `from`.
-    Deliver {
-        /// Sender whose FIFO stream supplies the payload.
-        from: NodeId,
-    },
-    /// Fire the oldest pending timer with this tag.
-    Timer {
-        /// Tag passed back to [`Node::on_timer`].
-        tag: u64,
-    },
 }
 
 /// Hot-path link messages: what travels on the SPSC rings. The sender is
@@ -664,11 +639,9 @@ where
     dead: Arc<DeadSet>,
     /// The sites' counters as merged at the last settle.
     counters: Counters,
-    /// Replay mode: the simulator whose delivery order the threads
-    /// follow. `None` in free-running mode.
+    /// Replay mode: the simulator, its step log on, whose per-node
+    /// arrival order the sites follow. `None` in free-running mode.
     oracle: Option<Simulator<P, N>>,
-    /// Index of the first oracle trace entry not yet replayed.
-    trace_cursor: usize,
     /// Worker event count at the end of the previous settle, so settle
     /// outcomes report per-call deltas like the simulator does.
     events_at_last_settle: u64,
@@ -698,15 +671,11 @@ where
     /// caller is responsible for rejecting configurations the threaded
     /// backend does not support (fault injection) — the DSM layer maps
     /// them to typed errors before getting here.
-    ///
-    /// Panics if an `on_start` hook emits messages or timers: the
-    /// threaded backend supports only passive starts (all DSM protocol
-    /// nodes qualify).
     pub(crate) fn with_topology(
         mode: ThreadedMode,
         topology: Topology,
         config: SimConfig,
-        mut nodes: Vec<N>,
+        nodes: Vec<N>,
     ) -> Self {
         let n = nodes.len();
         assert_eq!(topology.node_count(), n, "topology size mismatch");
@@ -714,24 +683,12 @@ where
             ThreadedMode::Replay => {
                 let mut cfg = config;
                 cfg.topology = None;
-                cfg.trace_capacity =
-                    Some(cfg.trace_capacity.unwrap_or(0).max(REPLAY_TRACE_CAPACITY));
-                // The oracle runs `on_start` on its own copies lazily;
-                // clone before the local `on_start` pass so every copy
-                // sees the hook exactly once.
-                Some(Simulator::new(topology.clone(), cfg, nodes.clone()))
+                let mut oracle = Simulator::new(topology.clone(), cfg, nodes.clone());
+                oracle.log_steps();
+                Some(oracle)
             }
             ThreadedMode::FreeRunning => None,
         };
-        for (i, node) in nodes.iter_mut().enumerate() {
-            let mut ctx = NodeContext::new(NodeId(i), SimTime::ZERO);
-            node.on_start(&mut ctx);
-            let (outbox, timers) = ctx.into_parts();
-            assert!(
-                outbox.is_empty() && timers.is_empty(),
-                "threaded backend requires passive on_start hooks (node {i} emitted output)"
-            );
-        }
         let (ctl, ends) = fabric::<LinkMsg<P>, Ctl<P, N>>(n);
         let inflight = Arc::new(InFlight::default());
         let events = Arc::new(AtomicU64::new(0));
@@ -786,7 +743,6 @@ where
             dead,
             counters: Counters::new(n),
             oracle,
-            trace_cursor: 0,
             events_at_last_settle: 0,
         }
     }
@@ -1022,9 +978,8 @@ where
     P: WireSize + fmt::Debug + Clone + Send + 'static,
     N: Node<P> + Clone + Send + 'static,
 {
-    /// Replay: run the oracle to quiescence, cut the new slice of its
-    /// trace into one schedule per site and post each on its site's
-    /// lane. Free-running: wait for the in-flight counter to reach zero.
+    /// Replay: run the oracle to quiescence, take each site's new steps
+    /// from its log and post them on the site's lane as its schedule. Free-running: wait for the in-flight counter to reach zero.
     /// Either way, then merge the sites' counters — whose lane waits are
     /// replay's barrier.
     fn settle(&mut self) -> Result<RunOutcome, NetError> {
@@ -1032,26 +987,8 @@ where
         let outcome = match self.oracle.as_mut() {
             Some(oracle) => {
                 let outcome = oracle.settle()?;
-                let trace = oracle.trace();
-                assert_eq!(
-                    trace.dropped(),
-                    0,
-                    "replay oracle trace overflowed {REPLAY_TRACE_CAPACITY} entries; \
-                     this run is too large for replay mode — use free-running"
-                );
-                let mut schedules = vec![Vec::new(); self.n];
-                for entry in &trace.entries()[self.trace_cursor..] {
-                    match *entry {
-                        TraceEntry::Delivered { from, to, .. } => {
-                            schedules[to.index()].push(Step::Deliver { from });
-                        }
-                        TraceEntry::TimerFired { node, tag, .. } => {
-                            schedules[node.index()].push(Step::Timer { tag });
-                        }
-                        TraceEntry::Sent { .. } => {}
-                    }
-                }
-                self.trace_cursor = trace.entries().len();
+                let schedules: Vec<Vec<Step>> =
+                    (0..self.n).map(|i| oracle.take_steps(NodeId(i))).collect();
                 for (i, steps) in schedules.into_iter().enumerate() {
                     if !steps.is_empty() {
                         self.post_lane(NodeId(i), Ctl::Replay(steps));

@@ -1008,7 +1008,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// Simulator only: threaded sites require a passive `on_start`.
     #[test]
     fn timers_pass_through_the_relay() {
         #[derive(Clone, Debug, Default)]
@@ -1016,24 +1015,24 @@ pub(crate) mod tests {
             fired: Vec<u64>,
         }
         impl Node<RawPayload> for TimerEcho {
-            fn on_start(&mut self, ctx: &mut NodeContext<RawPayload>) {
-                ctx.set_timer(crate::time::SimDuration::from_micros(3), 7);
-            }
             fn on_message(&mut self, _: &mut NodeContext<RawPayload>, _: NodeId, _: RawPayload) {}
             fn on_timer(&mut self, _: &mut NodeContext<RawPayload>, tag: u64) {
                 self.fired.push(tag);
             }
         }
-        let mut t = Transport::new(
-            Topology::ring(4),
-            SimConfig::default(),
-            vec![TimerEcho::default(); 4],
-        )
-        .unwrap();
-        t.run_until_quiescent();
-        assert!(t.is_routed());
-        for node in t.into_nodes() {
-            assert_eq!(node.fired, vec![7]);
+        for backend in ExecBackend::ALL {
+            let nodes = vec![TimerEcho::default(); 4];
+            let mut net = deploy(backend, Topology::ring(4), SimConfig::default(), nodes).unwrap();
+            assert!(net.is_routed());
+            for i in 0..4 {
+                net.with_node(NodeId(i), |_, ctx| {
+                    ctx.set_timer(crate::time::SimDuration::from_micros(3), 7);
+                });
+            }
+            net.run_until_quiescent();
+            for node in net.into_nodes() {
+                assert_eq!(node.fired, vec![7], "{backend}");
+            }
         }
     }
 }
