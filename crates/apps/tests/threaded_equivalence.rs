@@ -24,7 +24,7 @@
 //! read that skipped the writes its own node pipelined would return an
 //! older value and fail the history checks.
 //!
-//! The same two pins then sweep each capability the ring-fabric backend
+//! The same two pins then sweep each capability the inbox-fabric backend
 //! gained: every swept delivery mode (multicast, batching, delta) on the
 //! mesh, and routed sparse topologies (ring / grid / star / line), with
 //! multicast also exercised *on* the sparse topologies, where broadcast

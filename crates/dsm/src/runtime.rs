@@ -11,7 +11,7 @@
 //! crash/restart lifecycle and the recovery-log cut, and exposes the
 //! network and control-information statistics the benchmarks report.
 //! Which scheduler delivers the messages — the simulator or the threaded
-//! ring fabric — is the net's business; every operation here is one call
+//! inbox fabric — is the net's business; every operation here is one call
 //! on it.
 //!
 //! The MCS protocols assume any process can message any other. On a full
@@ -275,9 +275,9 @@ impl DynDsm {
         PoolStats::default()
     }
 
-    /// Link-fabric contention counters of the threaded backend (full-ring
-    /// stalls, drain batch-length histogram), merged across workers at
-    /// the last settle. All zeros on simnet, which has no ring fabric.
+    /// Link-fabric counters of the threaded backend (the drain
+    /// batch-length histogram), merged across workers at the last
+    /// settle. All zeros on simnet, which has no inbox fabric.
     pub fn fabric_stats(&self) -> FabricStats {
         self.net.core().fabric_stats()
     }
@@ -993,7 +993,7 @@ mod tests {
         assert!(!sys.step());
     }
 
-    /// The ring fabric links every pair, so unrouted threads on a sparse
+    /// The inbox fabric links every pair, so unrouted threads on a sparse
     /// topology could not refuse a missing link: the deployment is
     /// refused instead, while the simulator refuses the send itself.
     #[test]

@@ -12,7 +12,7 @@
 //! * [`ExecBackend::Simnet`] — the discrete-event simulator. Virtual
 //!   time, full fault/topology/routing support, deterministic.
 //! * [`ExecBackend::Threaded`] — one OS thread per process, linked by
-//!   the SPSC ring fabric of [`chan`](crate::chan), with one lock per
+//!   the inbox fabric of [`chan`](crate::chan), with one lock per
 //!   site (see [`threaded`](crate::threaded)). Two sub-modes:
 //!   * [`ThreadedMode::Replay`] — an embedded simnet oracle decides the
 //!     delivery order and the threads replay it step by step, so the run
@@ -54,7 +54,7 @@ pub enum ExecBackend {
     /// The deterministic discrete-event simulator (the default).
     #[default]
     Simnet,
-    /// One OS thread per process over the SPSC ring fabric, one lock per
+    /// One OS thread per process over the inbox fabric, one lock per
     /// site.
     Threaded(ThreadedMode),
 }

@@ -1,42 +1,26 @@
-//! Bounded SPSC ring-buffer link fabric for the threaded backend.
+//! One inbox per receiver: the link fabric of the threaded backend.
 //!
-//! PR 8 ran the threaded backend over `std::sync::mpsc`: one shared
-//! multi-producer channel per mailbox, one heap allocation per send, one
-//! blocking `recv` per message. This module replaces that with a link
-//! *matrix*: every directed pair (i → j) owns a fixed-capacity
-//! single-producer/single-consumer ring buffer, pre-allocated at
-//! construction, so a steady-state send is two atomic index updates and a
-//! slot write — no allocation, no shared channel head to contend on, and
-//! per-link FIFO (the paper's reliable-FIFO-link model) holds by
-//! construction instead of by `mpsc`'s per-sender promise.
-//!
-//! The design stays inside `forbid(unsafe_code)`. A classical lock-free
-//! ring keeps its payloads in `UnsafeCell` slots; safe Rust cannot move a
-//! value out of a shared slot without a cell type that hands out `&mut`,
-//! so each slot here is a `Mutex<Option<M>>` used purely as that cell.
-//! The `AtomicUsize` head/tail cursors enforce the SPSC discipline: the
-//! producer writes a slot only after observing it consumed, the consumer
-//! reads it only after observing it published, so every `lock()` is
-//! uncontended by construction (the two sides can only ever touch
-//! *different* slots; on today's std a never-contended `Mutex` lock is a
-//! single CAS — the same cost as the sequence counters a crossbeam-style
-//! ring pays). The fabric is therefore obstruction-free in practice while
-//! remaining entirely safe: no slot is ever blocked on, and the hot-path
-//! ordering guarantees come from the cursor atomics, not the locks.
+//! The paper's model is reliable FIFO point-to-point links. Here every
+//! receiver owns one unbounded inbox, a `Mutex<VecDeque>` of
+//! `(sender, message)` pairs that every sender pushes into. Per-link FIFO
+//! holds because each message is one push under the receiver's lock, in
+//! the sender's send order, and a drain takes a prefix of the queue. A
+//! push never fails: in-flight data is bounded only by the heap.
 //!
 //! Three more pieces round out the fabric:
 //!
-//! * a **control sidecar** per receiver (`Mutex<VecDeque>`) for the cold
-//!   coordinator → worker path (pipelined invokes, replay schedules,
-//!   shutdown), keeping the hot rings single-producer;
+//! * a **control sidecar** per receiver (another `Mutex<VecDeque>`) for
+//!   the coordinator → worker path (pipelined invokes, replay schedules,
+//!   shutdown);
 //! * a per-receiver **waker** implementing the adaptive
-//!   spin → yield → park strategy (see [`Mailbox::wait`]): producers
-//!   `unpark` a sleeping consumer exactly when its inbox hint goes
-//!   non-empty, replacing the old fixed `recv_timeout` poll;
-//! * **batched drains**: [`Mailbox::drain_into`] moves everything
-//!   available in one sweep, so one wakeup processes a whole burst
-//!   (flat-combining style) instead of paying one blocking receive per
-//!   message.
+//!   spin → yield → park strategy (see [`Mailbox::wait`]). Its hint counts
+//!   the messages waiting in both queues: a sender raises it *before* the
+//!   push and `unpark`s a sleeping consumer after it, and a drain lowers
+//!   it only after the messages are taken, so a non-zero hint is a
+//!   reliable "do not park" signal and never underflows;
+//! * **batched drains**: [`Mailbox::drain_into`] takes the whole inbox in
+//!   one hold of its lock, so one wakeup processes a whole burst
+//!   (flat-combining style) instead of paying one receive per message.
 //!
 //! Both threaded modes count events in [`InFlight`], a shared atomic
 //! counter of protocol events (deliveries and timer firings) that have
@@ -52,7 +36,7 @@
 use crate::message::NodeId;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// Shared count of protocol events in flight (sent but not fully
@@ -62,7 +46,7 @@ pub struct InFlight(AtomicU64);
 
 impl InFlight {
     /// Record one event entering the fabric. Must happen *before* the
-    /// corresponding link push.
+    /// corresponding push.
     pub fn up(&self) {
         self.0.fetch_add(1, Ordering::SeqCst);
     }
@@ -79,15 +63,6 @@ impl InFlight {
     }
 }
 
-/// Ring capacity per directed link for an `n`-node fabric. The matrix has
-/// `n²` rings, so per-link depth shrinks as the fabric grows to keep the
-/// pre-allocated footprint bounded; senders that outrun a full link drain
-/// their own inbox while they wait (see the threaded worker loop), so a
-/// shallow ring costs stalls, never deadlock.
-pub fn ring_capacity(n: usize) -> usize {
-    (4096 / n.max(1)).clamp(4, 128)
-}
-
 /// How long a parked consumer sleeps before re-checking on its own. The
 /// waker protocol makes lost wakeups impossible in the steady state; the
 /// bounded park is defence in depth so a missed edge degrades to a short
@@ -102,62 +77,10 @@ const PARK_INTERVAL: Duration = Duration::from_millis(1);
 /// case between back-to-back coordinator calls.
 const YIELD_ROUNDS: usize = 32;
 
-/// One bounded SPSC ring: the directed link from one producer lane to one
-/// consumer. `head` is written only by the consumer, `tail` only by the
-/// producer; each `Mutex` slot is locked only by the side the cursors say
-/// owns it, so the locks are uncontended cells, not synchronization.
-#[derive(Debug)]
-struct Ring<M> {
-    slots: Box<[Mutex<Option<M>>]>,
-    /// Next slot to read (consumer cursor).
-    head: AtomicUsize,
-    /// Next slot to write (producer cursor).
-    tail: AtomicUsize,
-}
-
-impl<M> Ring<M> {
-    fn new(capacity: usize) -> Self {
-        Ring {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(0),
-        }
-    }
-
-    /// Producer side: publish `msg`, or hand it back if the ring is full.
-    fn try_push(&self, msg: M) -> Result<(), M> {
-        let tail = self.tail.load(Ordering::Relaxed);
-        let head = self.head.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) >= self.slots.len() {
-            return Err(msg);
-        }
-        let slot = &self.slots[tail % self.slots.len()];
-        // Uncontended by the SPSC discipline; a poisoned lock is
-        // impossible to reach with one (never panicking between lock and
-        // unlock) but recovered from anyway rather than unwrapped.
-        *slot
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(msg);
-        self.tail.store(tail.wrapping_add(1), Ordering::Release);
-        Ok(())
-    }
-
-    /// Consumer side: take the oldest published message, if any.
-    fn pop(&self) -> Option<M> {
-        let head = self.head.load(Ordering::Relaxed);
-        let tail = self.tail.load(Ordering::Acquire);
-        if head == tail {
-            return None;
-        }
-        let slot = &self.slots[head % self.slots.len()];
-        let msg = slot
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take();
-        self.head.store(head.wrapping_add(1), Ordering::Release);
-        debug_assert!(msg.is_some(), "published slot was empty");
-        msg
-    }
+/// Lock a queue. No code panics while holding one, but a poisoned lock is
+/// recovered from anyway rather than unwrapped.
+fn lock<T>(queue: &Mutex<T>) -> MutexGuard<'_, T> {
+    queue.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Per-receiver wake state for the spin → yield → park strategy.
@@ -169,21 +92,18 @@ struct Waker {
     /// The consumer's thread handle, registered by the consumer itself
     /// before its first wait.
     thread: OnceLock<std::thread::Thread>,
-    /// Count of published-but-unconsumed messages (hot rings + control
+    /// Count of published-but-unconsumed messages (inbox + control
     /// sidecar). Incremented *before* publication, decremented after
-    /// consumption, so a non-zero hint is a reliable "do not park" signal
-    /// and the count can never underflow.
+    /// consumption.
     hint: AtomicUsize,
 }
 
 /// Everything both sides of the fabric share.
 #[derive(Debug)]
 struct Shared<M, C> {
-    n: usize,
-    /// `rings[to][from]`: the ring carrying lane `from`'s messages to
-    /// consumer `to`.
-    rings: Vec<Vec<Ring<M>>>,
-    /// Cold coordinator → worker lane, one per receiver.
+    /// One inbox per receiver, of `(sender, message)` in push order.
+    inbox: Vec<Mutex<VecDeque<(NodeId, M)>>>,
+    /// Coordinator → worker lane, one per receiver.
     ctl: Vec<Mutex<VecDeque<C>>>,
     wakers: Vec<Waker>,
     /// Spin budget before yielding. Zero when the host cannot actually
@@ -193,6 +113,12 @@ struct Shared<M, C> {
 }
 
 impl<M, C> Shared<M, C> {
+    /// Raise `to`'s hint before a push (the push follows at once).
+    fn announce(&self, to: usize) {
+        self.wakers[to].hint.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Unpark `to`'s consumer after a push, if it may be parked.
     fn wake(&self, to: usize) {
         let w = &self.wakers[to];
         if w.parked.swap(false, Ordering::SeqCst) {
@@ -203,16 +129,7 @@ impl<M, C> Shared<M, C> {
     }
 }
 
-/// A producer handle: one lane of the ring matrix. Not `Clone` — the SPSC
-/// contract is one producer per lane *at a time*: the holder of the site
-/// that owns the `Post`. The threaded backend keeps each `Post` (and the
-/// matching [`Mailbox`]) inside a `Mutex`-guarded site that its worker
-/// thread and the coordinator take turns holding. That is sound because
-/// the lock hand-off is a happens-before edge: the `Relaxed` loads a side
-/// makes of its *own* cursor (`tail` in `try_push`, `head` in `pop`) see
-/// the previous holder's last store to it, exactly as if one thread had
-/// done both, and the `Acquire`/`Release` pairs on the *other* side's
-/// cursor never depended on which thread runs a side.
+/// A producer handle: sends as one node (its *lane*) to any receiver.
 #[derive(Debug)]
 pub struct Post<M, C> {
     shared: Arc<Shared<M, C>>,
@@ -220,64 +137,36 @@ pub struct Post<M, C> {
 }
 
 impl<M, C> Post<M, C> {
-    /// Number of consumers the fabric connects.
-    pub fn len(&self) -> usize {
-        self.shared.n
-    }
-
-    /// Whether the fabric has no consumers.
-    pub fn is_empty(&self) -> bool {
-        self.shared.n == 0
-    }
-
-    /// Publish `msg` on the link to `node`. `Err` hands the message back
-    /// when the ring is full — the caller decides how to make progress
-    /// (the threaded worker drains its own inbox and retries).
+    /// Push `msg` onto `node`'s inbox, behind everything sent to it
+    /// before. Never fails: the inbox is unbounded. The `Result` is kept
+    /// only for callers that already bind it; it is always `Ok`.
     pub fn to(&self, node: NodeId, msg: M) -> Result<(), M> {
-        let w = &self.shared.wakers[node.index()];
-        w.hint.fetch_add(1, Ordering::SeqCst);
-        match self.shared.rings[node.index()][self.lane].try_push(msg) {
-            Ok(()) => {
-                self.shared.wake(node.index());
-                Ok(())
-            }
-            Err(msg) => {
-                w.hint.fetch_sub(1, Ordering::SeqCst);
-                Err(msg)
-            }
-        }
+        let idx = node.index();
+        self.shared.announce(idx);
+        lock(&self.shared.inbox[idx]).push_back((NodeId(self.lane), msg));
+        self.shared.wake(idx);
+        Ok(())
     }
 }
 
-/// The coordinator's handle: pushes control messages on the cold sidecar
-/// lanes. Unlike [`Post`] this side is mutual-exclusion protected, so the
-/// coordinator needs no lane of its own in the ring matrix.
+/// The coordinator's handle: pushes control messages on the sidecar
+/// lanes. It needs no lane of its own among the senders.
 #[derive(Debug)]
 pub struct CtlPost<M, C> {
     shared: Arc<Shared<M, C>>,
 }
 
 impl<M, C> CtlPost<M, C> {
-    /// Number of consumers the fabric connects.
-    pub fn node_count(&self) -> usize {
-        self.shared.n
-    }
-
     /// Enqueue a control message for `node`.
     pub fn to(&self, node: NodeId, msg: C) {
         let idx = node.index();
-        self.shared.wakers[idx].hint.fetch_add(1, Ordering::SeqCst);
-        self.shared.ctl[idx]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push_back(msg);
+        self.shared.announce(idx);
+        lock(&self.shared.ctl[idx]).push_back(msg);
         self.shared.wake(idx);
     }
 }
 
-/// A consumer's receiving end: its row of rings plus its control sidecar.
-/// One consumer at a time: the holder of the owning site (see [`Post`]
-/// for why handing the end from thread to thread under a lock is sound).
+/// A consumer's receiving end: its inbox plus its control sidecar.
 #[derive(Debug)]
 pub struct Mailbox<M, C> {
     shared: Arc<Shared<M, C>>,
@@ -288,7 +177,6 @@ impl<M, C> Mailbox<M, C> {
     /// A second handle on this inbox, for its worker thread to
     /// [`register`](Mailbox::register) and [`wait`](Mailbox::wait) on
     /// while the mailbox itself sits in a site someone else may hold.
-    /// Consuming through it is subject to the same one-at-a-time rule.
     pub fn handle(&self) -> Mailbox<M, C> {
         Mailbox {
             shared: Arc::clone(&self.shared),
@@ -304,30 +192,27 @@ impl<M, C> Mailbox<M, C> {
             .set(std::thread::current());
     }
 
-    /// Whether anything (hot or control) is waiting.
+    /// Whether anything (inbox or control) is waiting.
     pub fn has_pending(&self) -> bool {
         self.shared.wakers[self.me].hint.load(Ordering::SeqCst) > 0
     }
 
-    /// Drain every available hot message, in lane order and per-lane FIFO,
-    /// appending `(sender, message)` pairs to `out`. Returns how many
-    /// messages were moved — the batch length one wakeup amortizes. Each
-    /// lane is bounded to one full ring per sweep so a producer refilling
-    /// mid-drain cannot starve the lanes after it.
+    /// Move the whole inbox, in push order, behind the contents of `out`,
+    /// as `(sender, message)` pairs. Returns how many messages were moved
+    /// — the batch length one wakeup amortizes. Into an empty `out` the
+    /// drain is one swap under the lock: `out`'s buffer, and its
+    /// capacity, become the new inbox.
     pub fn drain_into(&self, out: &mut VecDeque<(NodeId, M)>) -> usize {
-        let mut got = 0usize;
-        for from in 0..self.shared.n {
-            let ring = &self.shared.rings[self.me][from];
-            for _ in 0..ring.slots.len() {
-                match ring.pop() {
-                    Some(m) => {
-                        out.push_back((NodeId(from), m));
-                        got += 1;
-                    }
-                    None => break,
-                }
+        let got = {
+            let mut inbox = lock(&self.shared.inbox[self.me]);
+            let got = inbox.len();
+            if out.is_empty() {
+                std::mem::swap(&mut *inbox, out);
+            } else {
+                out.append(&mut inbox);
             }
-        }
+            got
+        };
         if got > 0 {
             self.shared.wakers[self.me]
                 .hint
@@ -338,10 +223,7 @@ impl<M, C> Mailbox<M, C> {
 
     /// Take the next control message, if any.
     pub fn pop_ctl(&self) -> Option<C> {
-        let m = self.shared.ctl[self.me]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pop_front();
+        let m = lock(&self.shared.ctl[self.me]).pop_front();
         if m.is_some() {
             self.shared.wakers[self.me]
                 .hint
@@ -382,22 +264,18 @@ impl<M, C> Mailbox<M, C> {
 /// One worker's ends of the fabric: its producer lane and its inbox.
 pub type WorkerEnd<M, C> = (Post<M, C>, Mailbox<M, C>);
 
-/// Build a full link matrix over `n` consumers: `n²` pre-allocated SPSC
-/// rings (self-links included — free-running timers ride on them), `n`
-/// control sidecars, and the wake state. Returns the coordinator's
-/// control handle plus one `(Post, Mailbox)` pair per worker, where the
-/// `Post` is that worker's producer lane.
+/// Build the fabric over `n` nodes: one inbox each (a node may send to
+/// itself — free-running timers ride on that), one control sidecar each,
+/// and the wake state. Returns the coordinator's control handle plus one
+/// `(Post, Mailbox)` pair per worker, where the `Post` sends as that
+/// worker.
 pub fn fabric<M, C>(n: usize) -> (CtlPost<M, C>, Vec<WorkerEnd<M, C>>) {
-    let capacity = ring_capacity(n);
     let spin = match std::thread::available_parallelism() {
         Ok(p) if p.get() > n => 64,
         _ => 0,
     };
     let shared = Arc::new(Shared {
-        n,
-        rings: (0..n)
-            .map(|_to| (0..n).map(|_from| Ring::new(capacity)).collect())
-            .collect(),
+        inbox: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
         ctl: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
         wakers: (0..n)
             .map(|_| Waker {
@@ -450,6 +328,24 @@ mod tests {
         assert!(!box1.has_pending());
     }
 
+    /// A drain into a buffer that still holds arrivals (a replaying site
+    /// keeps what its schedule has not named yet) appends behind them.
+    #[test]
+    fn a_drain_into_a_non_empty_buffer_appends_behind_it() {
+        let (_ctl, mut ends) = fabric::<u32, ()>(2);
+        let (post0, box0) = ends.remove(0);
+        let (post1, _box1) = ends.remove(0);
+        let mut out = VecDeque::from([(NodeId(1), 7)]);
+        post1.to(NodeId(0), 1).unwrap();
+        post0.to(NodeId(0), 2).unwrap();
+        assert_eq!(box0.drain_into(&mut out), 2);
+        assert_eq!(
+            Vec::from(out),
+            [(NodeId(1), 7), (NodeId(1), 1), (NodeId(0), 2)]
+        );
+        assert!(!box0.has_pending());
+    }
+
     #[test]
     fn inflight_counts_up_and_down() {
         let f = InFlight::default();
@@ -461,24 +357,6 @@ mod tests {
         assert_eq!(f.load(), 1);
         f.down();
         assert_eq!(f.load(), 0);
-    }
-
-    #[test]
-    fn full_ring_hands_the_message_back() {
-        let (_ctl, mut ends) = fabric::<u8, ()>(1);
-        let (post, mailbox) = ends.remove(0);
-        let cap = ring_capacity(1);
-        for k in 0..cap {
-            assert!(post.to(NodeId(0), k as u8).is_ok(), "push {k}");
-        }
-        assert_eq!(post.to(NodeId(0), 0xFF), Err(0xFF));
-        // Draining frees the whole ring again.
-        let mut out = VecDeque::new();
-        assert_eq!(mailbox.drain_into(&mut out), cap);
-        assert!(post.to(NodeId(0), 0xAA).is_ok());
-        out.clear();
-        assert_eq!(mailbox.drain_into(&mut out), 1);
-        assert_eq!(out.pop_front(), Some((NodeId(0), 0xAA)));
     }
 
     #[test]
@@ -501,18 +379,58 @@ mod tests {
             got
         });
         for k in 0..100u64 {
-            let mut msg = k;
-            loop {
-                match post0.to(NodeId(1), msg) {
-                    Ok(()) => break,
-                    Err(back) => {
-                        msg = back;
-                        std::thread::yield_now();
-                    }
-                }
-            }
+            post0.to(NodeId(1), k).unwrap();
         }
         assert_eq!(h.join().unwrap(), (0..100).collect::<Vec<_>>());
+    }
+
+    /// Three senders push into one inbox while its consumer drains: each
+    /// sender's messages arrive once each, in the order it sent them.
+    #[test]
+    fn many_senders_keep_per_sender_fifo_into_one_inbox() {
+        const SENDERS: usize = 3;
+        const EACH: u32 = 1_000;
+        let (_ctl, mut ends) = fabric::<u32, ()>(SENDERS + 1);
+        let (_post, inbox) = ends.pop().unwrap();
+        let done = Arc::new(AtomicBool::new(false));
+        let sent = Arc::clone(&done);
+        let consumer = std::thread::spawn(move || {
+            inbox.register();
+            let mut out = VecDeque::new();
+            let mut next = [0u32; SENDERS];
+            loop {
+                // Read before the drain: once every push is done, a drain
+                // that comes back empty means nothing is left.
+                let finished = sent.load(Ordering::SeqCst);
+                if inbox.drain_into(&mut out) == 0 {
+                    if finished {
+                        break;
+                    }
+                    inbox.wait();
+                }
+                for (from, k) in out.drain(..) {
+                    assert_eq!(k, next[from.index()], "from {from}");
+                    next[from.index()] += 1;
+                }
+            }
+            assert!(!inbox.has_pending());
+            next
+        });
+        let senders: Vec<_> = ends
+            .into_iter()
+            .map(|(post, _)| {
+                std::thread::spawn(move || {
+                    for k in 0..EACH {
+                        post.to(NodeId(SENDERS), k).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for sender in senders {
+            sender.join().unwrap();
+        }
+        done.store(true, Ordering::SeqCst);
+        assert_eq!(consumer.join().unwrap(), [EACH; SENDERS]);
     }
 
     #[test]
@@ -526,13 +444,5 @@ mod tests {
         assert_eq!(mailbox.pop_ctl(), Some(2));
         assert_eq!(mailbox.pop_ctl(), None);
         assert!(!mailbox.has_pending());
-    }
-
-    #[test]
-    fn capacity_scales_down_with_fabric_size() {
-        assert_eq!(ring_capacity(1), 128);
-        assert_eq!(ring_capacity(8), 128);
-        assert_eq!(ring_capacity(64), 64);
-        assert_eq!(ring_capacity(1024), 4);
     }
 }

@@ -61,7 +61,7 @@ pub enum RouteError {
         to: NodeId,
     },
     /// Direct sends were asked of the threaded backend on a topology
-    /// sparser than a full mesh: its ring fabric links every pair, so it
+    /// sparser than a full mesh: its inbox fabric links every pair, so it
     /// could not refuse a send over a missing link.
     DirectOnSparseThreads,
 }

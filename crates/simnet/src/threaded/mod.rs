@@ -1,12 +1,12 @@
-//! Threaded execution backend: one OS thread per node over the SPSC
-//! ring-buffer link fabric of [`chan`](crate::chan), pinned (optionally)
-//! to a simnet oracle.
+//! Threaded execution backend: one OS thread per node over the
+//! one-inbox-per-node link fabric of [`chan`](crate::chan), pinned
+//! (optionally) to a simnet oracle.
 //!
 //! The discrete-event simulator gives bit-identical runs and exact wire
 //! accounting; this module gives real cores. Each protocol node lives in
 //! a *site* — the node plus its fabric ends, counters and buffers —
-//! and exchanges the *same* payload types over pre-allocated per-link
-//! rings. The protocol code is reused unchanged: a site drives the
+//! and exchanges the *same* payload types through per-node inboxes.
+//! The protocol code is reused unchanged: a site drives the
 //! [`Node`] trait exactly as the simulator does (handler, then flush
 //! timers and outbox in order), and like the simulator it runs one
 //! handler at a time, so every handler context borrows the site's one
@@ -15,7 +15,7 @@
 //!
 //! A site sits behind one `Mutex` and is run by whichever thread holds
 //! it. Its worker thread takes it per drained batch: the deliveries and
-//! timers waiting on its rings, at most `INVOKE_BATCH` pipelined
+//! timers waiting in its inbox, at most `INVOKE_BATCH` pipelined
 //! invokes, or its whole replay schedule. The worker only ever
 //! `try_lock`s: when someone else holds the site it waits on its inbox
 //! instead, so it never sleeps on a site that is already being run. The
@@ -30,7 +30,7 @@
 //! against lane messages finished (an atomic written under the site
 //! lock). A synchronous call that finds its site's lane not yet drained
 //! runs the lane itself if the site is free (flat combining): it drains
-//! the rings, handles the arrivals and runs the queued invokes in FIFO
+//! the inbox, handles the arrivals and runs the queued invokes in FIFO
 //! order on the calling thread, and yields only while the worker holds
 //! the site. A posted closure therefore runs on whichever thread drains
 //! its lane, and must never wait on the caller. In replay mode a lane
@@ -39,11 +39,11 @@
 //! drained, then locks.
 //!
 //! A site runs one way in both modes. Sends (and timers, which ride the
-//! self-link) go straight to the destination ring; whole mailboxes are
-//! drained into the site's one arrival queue per wakeup (the batch
-//! lengths land in [`FabricStats`]); every event is counted in
-//! [`InFlight`] from its send until its handler has run and flushed. The
-//! two modes, chosen by [`ThreadedMode`], differ only in which arrival a
+//! self-link) go straight into the destination's inbox, which never
+//! refuses a push; whole inboxes are drained into the site's one arrival
+//! queue per wakeup (the batch lengths land in [`FabricStats`]); every
+//! event is counted in [`InFlight`] from its send until its handler has
+//! run and flushed. The two modes, chosen by [`ThreadedMode`], differ only in which arrival a
 //! site handles next:
 //!
 //! * **FreeRunning** — the oldest one. Quiescence is the in-flight count
@@ -61,25 +61,18 @@
 //!   waits for another's turn: a site's state depends only on the order
 //!   of its own events, and over FIFO links each site's slice always
 //!   makes progress. Handlers run on the workers and every payload crosses a
-//!   real ring, yet settled values, histories, wire counters and
+//!   real inbox, yet settled values, histories, wire counters and
 //!   control-record counts are bit-identical to a pure simnet run — that
 //!   is what the differential tests pin. A live handler that sends what
 //!   the oracle's copy did not is a divergence the settle reports.
-//!
-//! A sender whose destination ring is full drains its *own* rings into
-//! its arrival queue while it retries, so a cycle of full rings always
-//! makes progress and total in-flight data is bounded only by the heap.
-//! The coordinator sending from a synchronous closure is such a sender
-//! too, and (free-running) handles whatever backlog it absorbed before
-//! it lets go of the site.
 //!
 //! A worker thread that panics marks itself in a shared `DeadSet` on
 //! the way down and leaves its site's lock poisoned; the coordinator's
 //! waits poll that set (and a poisoned lock reads as the same death) and
 //! surface a typed [`WorkerDead`] error instead of hanging, and peers
-//! drop messages addressed to the corpse so their own sends cannot stall
-//! forever. Once any worker is dead the net is poisoned: every fallible
-//! operation reports the failure. A lane message or handler that panics
+//! drop messages addressed to the corpse, repaying their in-flight debt.
+//! Once any worker is dead the net is poisoned: every fallible operation
+//! reports the failure. A lane message or handler that panics
 //! while the coordinator runs the lane is caught there: it poisons the
 //! site and marks it dead just the same, so it surfaces as the same
 //! typed error whichever thread ran it. A panic inside a closure the
@@ -118,7 +111,7 @@ use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 
 /// Most lane messages (pipelined invokes, replay schedules) a worker runs
-/// per hold of its site lock, each with a drain of the rings before it.
+/// per hold of its site lock, each with a drain of the inbox before it.
 /// Bounds how long a synchronous call that found the lane drained can
 /// then wait for the lock: one such batch.
 const INVOKE_BATCH: usize = 32;
@@ -129,8 +122,8 @@ const INVOKE_BATCH: usize = 32;
 /// deterministic wire accounting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FabricStats {
-    /// Times a sender found a destination ring full and had to drain its
-    /// own inbox before retrying.
+    /// Always 0: a push into an inbox never fails, so no sender stalls.
+    /// Kept only because dsmbench reads it.
     pub full_stalls: u64,
     /// Mailbox drains that moved at least one message.
     pub batches: u64,
@@ -153,7 +146,6 @@ impl FabricStats {
 
     /// Accumulate another worker's counters into this one.
     pub fn merge(&mut self, other: &FabricStats) {
-        self.full_stalls += other.full_stalls;
         self.batches += other.batches;
         self.batched_messages += other.batched_messages;
         for (mine, theirs) in self.batch_hist.iter_mut().zip(other.batch_hist) {
@@ -240,8 +232,8 @@ impl Drop for DeathSentinel {
     }
 }
 
-/// Hot-path link messages: what travels on the SPSC rings. The sender is
-/// implied by the ring's lane, so no per-message sender field is paid.
+/// Hot-path link messages: what travels through the inboxes, each next to
+/// its sender's id.
 enum LinkMsg<P> {
     /// A protocol payload (a real link message).
     Deliver(P),
@@ -295,10 +287,9 @@ struct Site<P, N> {
     /// scheme, so steady-state delivery allocates nothing.
     outbox: Vec<Outgoing<P>>,
     timers: Vec<(SimDuration, u64)>,
-    /// Drained but not yet handled link messages, in arrival order (also
-    /// the overflow backlog while a send stalls). Free-running, it is
-    /// empty whenever the lock is released; replaying, it holds what the
-    /// oracle has not scheduled yet.
+    /// Drained but not yet handled link messages, in arrival order.
+    /// Free-running, it is empty whenever the lock is released;
+    /// replaying, it holds what the oracle has not scheduled yet.
     pending: VecDeque<(NodeId, LinkMsg<P>)>,
 }
 
@@ -353,9 +344,8 @@ where
     /// has caught up with `posted`, unless another thread holds the site.
     /// The lock is taken inside `catch_unwind`, so a lane message or
     /// handler that panics here poisons the site as it would on the
-    /// worker; the arrivals a stalled send absorbed are handled before
-    /// the site is handed back. The lane never holds `Ctl::Stop` here:
-    /// only a teardown posts it, and a teardown holds the net.
+    /// worker. The lane never holds `Ctl::Stop` here: only a teardown
+    /// posts it, and a teardown holds the net.
     #[deny(
         clippy::disallowed_macros,
         clippy::disallowed_methods,
@@ -373,7 +363,6 @@ where
                     return Combined::Held;
                 }
             }
-            site.run_pending();
             Combined::Drained(site)
         }));
         ran.unwrap_or(Combined::Dead)
@@ -386,7 +375,7 @@ where
     N: Node<P> + Send + 'static,
 {
     /// One hold of the site, by its worker or by a synchronous call
-    /// that combines ([`SiteCell::combine`]): drain the rings, handle
+    /// that combines ([`SiteCell::combine`]): drain the inbox, handle
     /// what arrived, run the next lane message; up to [`INVOKE_BATCH`]
     /// times while the lane has more.
     fn turn(&mut self, lane_done: &AtomicU64) -> Turn {
@@ -444,8 +433,8 @@ where
         }
     }
 
-    /// Move everything available off the rings into the arrival queue,
-    /// recording the batch length.
+    /// Move the whole inbox into the arrival queue, recording the batch
+    /// length.
     fn drain_links(&mut self) -> usize {
         let got = self.mailbox.drain_into(&mut self.pending);
         if got > 0 {
@@ -455,7 +444,7 @@ where
     }
 
     /// Remove the oldest arrival `step` names from the arrival queue,
-    /// draining the rings and waiting until it has come. A peer's message
+    /// draining the inbox and waiting until it has come. A peer's message
     /// the oracle delivered here was sent, or is about to be; a timer is
     /// this site's own, so one still missing after a drain never will be.
     fn take(&mut self, step: Step) -> (NodeId, LinkMsg<P>) {
@@ -584,39 +573,21 @@ where
         Ok(())
     }
 
-    /// Push a link message, draining our own rings into the arrival
-    /// queue while the destination ring is full — without handling them:
-    /// no re-entrant handler runs mid-send. Messages to a dead worker are
-    /// dropped (with their in-flight debt repaid) so this send cannot
-    /// stall on a ring nobody will ever drain; the coordinator surfaces
-    /// the death as a typed error.
-    fn send_link(&mut self, to: NodeId, msg: LinkMsg<P>) {
-        let mut msg = msg;
-        loop {
-            if self.dead.is_dead(to.index()) {
-                self.inflight.down();
-                return;
-            }
-            match self.post.to(to, msg) {
-                Ok(()) => return,
-                Err(back) => {
-                    msg = back;
-                    self.fabric.full_stalls += 1;
-                    // Freeing our own rings is what lets a cycle of
-                    // full-ring senders make progress: the peer stalled
-                    // on *us* can complete its push and get back to
-                    // draining.
-                    if self.mailbox.drain_into(&mut self.pending) == 0 {
-                        std::thread::yield_now();
-                    }
-                }
-            }
+    /// Push a link message into `to`'s inbox. Messages to a dead worker
+    /// are dropped, with their in-flight debt repaid, since nobody will
+    /// ever drain its inbox; the coordinator surfaces the death as a
+    /// typed error.
+    fn send_link(&self, to: NodeId, msg: LinkMsg<P>) {
+        if self.dead.is_dead(to.index()) {
+            self.inflight.down();
+        } else {
+            let _ = self.post.to(to, msg);
         }
     }
 }
 
 /// A set of protocol nodes running on real OS threads, linked by the
-/// SPSC ring fabric, optionally pinned to a simnet oracle. See the
+/// inbox fabric, optionally pinned to a simnet oracle. See the
 /// module docs for the execution model; its operations are those of
 /// [`Net`].
 pub struct ThreadedNet<P, N>
@@ -661,10 +632,10 @@ where
     }
 
     /// Spawn one worker thread per node, with the replay oracle (if any)
-    /// built over `topology`. The ring fabric itself is always a full
-    /// matrix — unused links cost idle pre-allocated rings, nothing more
-    /// — so sparse deployments are realized by the *nodes* (relays that
-    /// only send to topology neighbours), exactly as in the simulator.
+    /// built over `topology`. The fabric itself lets every node send to
+    /// every other — a link costs nothing until it is used — so sparse
+    /// deployments are realized by the *nodes* (relays that only send to
+    /// topology neighbours), exactly as in the simulator.
     ///
     /// `config` parameterizes the replay oracle (latency model, seed,
     /// event budget); free-running mode only uses it for sizing. The
@@ -886,9 +857,9 @@ where
     /// The closure runs in place, on the calling thread, under the node's
     /// site lock, once everything pipelined to that node has run —
     /// free-running, on this thread too if the site was free; its sends
-    /// are flushed into the fabric (full-ring back-pressure included)
-    /// before this returns. In replay mode it runs on the oracle's copy
-    /// as well, to keep the schedule source in lock-step.
+    /// are flushed into the fabric before this returns. In replay mode it
+    /// runs on the oracle's copy as well, to keep the schedule source in
+    /// lock-step.
     #[deny(
         clippy::disallowed_macros,
         clippy::disallowed_methods,
@@ -900,12 +871,7 @@ where
         f: &mut dyn FnMut(&mut N, &mut NodeContext<P>),
     ) -> Result<(), NetError> {
         self.check(id)?;
-        let mut site = self.site(id)?;
-        let live = site.invoke(&mut *f);
-        // A send that stalled on a full ring absorbed this site's own
-        // rings into the backlog; handle it before letting go.
-        site.run_pending();
-        drop(site);
+        let live = self.site(id)?.invoke(&mut *f);
         let mirrored = match &mut self.oracle {
             Some(oracle) => oracle.invoke(id, f),
             None => Ok(()),
@@ -1039,7 +1005,7 @@ where
             .map_or(SimTime::ZERO, |oracle| oracle.now())
     }
 
-    /// The ring fabric itself is always a full matrix.
+    /// The topology deployed over; the fabric itself links every pair.
     fn topology(&self) -> &Topology {
         &self.topology
     }
@@ -1066,8 +1032,7 @@ where
         }
     }
 
-    /// Full-ring stalls and drain batch lengths merged across sites as of
-    /// the last settle.
+    /// Drain batch lengths merged across sites as of the last settle.
     fn fabric_stats(&self) -> FabricStats {
         self.counters.fabric
     }

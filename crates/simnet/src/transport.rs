@@ -285,7 +285,7 @@ where
     if !routed {
         return match backend {
             ExecBackend::Simnet => Ok(Box::new(Simulator::new(topology, config, nodes))),
-            // The ring fabric links every pair, so it cannot refuse the
+            // The inbox fabric links every pair, so it cannot refuse the
             // missing links of a sparse topology.
             ExecBackend::Threaded(_) if !topology.is_full_mesh() => {
                 Err(RouteError::DirectOnSparseThreads)
@@ -840,7 +840,7 @@ pub(crate) mod tests {
     }
 
     /// Direct mode keeps a sparse topology's missing links: the simulator
-    /// refuses the send, and threads, whose ring fabric links every
+    /// refuses the send, and threads, whose inbox fabric links every
     /// pair, refuse the deployment.
     #[test]
     fn direct_mode_still_rejects_missing_links() {
