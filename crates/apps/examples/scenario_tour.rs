@@ -40,6 +40,11 @@
 //! race-free (producer/consumer) workloads are pinned **equal** to their
 //! fault-free sibling cell: link faults may change what the wire pays,
 //! never what the protocols deliver.
+//!
+//! The last column is each cell's [`apps::scenario::RunReport::digest`]
+//! (its history and every replica's settled values), so a diff of two
+//! commits' output shows a change in behaviour, not only in counts.
+//! Free-running threaded cells print `-`: their interleaving varies.
 
 use apps::scenario::{
     parallel_map, run_all, standard_grid, FaultFamily, RunReport, Scenario, SettlePolicy,
@@ -86,7 +91,7 @@ fn main() -> ExitCode {
     });
 
     println!(
-        "{:<66} {:<16} {:>9} {:>7} {:>6} {:>5} {:>13} {:>12} {:>6}",
+        "{:<66} {:<16} {:>9} {:>7} {:>6} {:>5} {:>13} {:>12} {:>6} {:>16}",
         "scenario",
         "protocol",
         "messages",
@@ -95,7 +100,8 @@ fn main() -> ExitCode {
         "dups",
         "ctl bytes",
         "virt time",
-        "ok"
+        "ok",
+        "digest"
     );
 
     // Fault-free sibling histories, keyed by the label of the fault-free
@@ -178,8 +184,15 @@ fn main() -> ExitCode {
                 );
                 replay_pinned += 1;
             }
+            // A free-running cell's interleaving, and with it its digest,
+            // varies from run to run; every other backend's is fixed.
+            let digest = if backend == ExecBackend::Threaded(ThreadedMode::FreeRunning) {
+                "-".to_owned()
+            } else {
+                format!("{:016x}", report.digest)
+            };
             println!(
-                "{:<66} {:<16} {:>9} {:>7} {:>6} {:>5} {:>13} {:>12?} {:>6}",
+                "{:<66} {:<16} {:>9} {:>7} {:>6} {:>5} {:>13} {:>12?} {:>6} {:>16}",
                 label,
                 report.protocol.name(),
                 report.messages(),
@@ -188,7 +201,8 @@ fn main() -> ExitCode {
                 report.duplicates(),
                 report.control_bytes(),
                 report.virtual_time,
-                ok
+                ok,
+                digest
             );
             cells += 1;
         }

@@ -19,7 +19,7 @@
 
 use crate::workload::WorkloadOp;
 use dsm::{ControlSummary, DynDsm, ProtocolKind};
-use histories::{Distribution, History, ProcId, VarId};
+use histories::{Distribution, History, OpKind, ProcId, Value, VarId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -625,15 +625,23 @@ pub struct RunReport {
     /// process down, across the whole outage — not with the run. The app
     /// drivers do not sample it and report 0.
     pub max_retained: usize,
+    /// A 64-bit FNV-1a digest of [`RunReport::history`] and of every
+    /// replica's settled contents (each process's value of every variable
+    /// it holds), so two runs that print the same counts but deliver
+    /// differently tell apart. Deterministic on simnet and on threaded
+    /// replay; a free-running run's digest varies with its interleaving.
+    pub digest: u64,
 }
 
 impl RunReport {
     /// The report of the run `dsm` has executed so far: the one place a
     /// report is built, for the scenario engine and the app drivers alike.
     pub(crate) fn of(dsm: &DynDsm, max_retained: usize) -> Self {
+        let history = dsm.history();
         RunReport {
             protocol: dsm.kind(),
-            history: dsm.history(),
+            digest: behaviour_digest(dsm, &history),
+            history,
             network: dsm.network_stats().clone(),
             control: dsm.control_summary(),
             operations: dsm.operation_count(),
@@ -690,6 +698,57 @@ impl RunReport {
     /// Deliveries lost because their destination was crashed.
     pub fn crash_losses(&self) -> u64 {
         self.network.total_crash_losses()
+    }
+}
+
+/// [`RunReport::digest`]: FNV-1a over the history's operations in
+/// recording order, then every held replica's value, process-major.
+fn behaviour_digest(dsm: &DynDsm, history: &History) -> u64 {
+    let mut hash = Fnv1a::default();
+    for (_, op) in history.ops() {
+        hash.word(op.proc.index() as u64);
+        hash.word(op.pos as u64);
+        hash.word(u64::from(op.kind == OpKind::Write));
+        hash.word(op.var.index() as u64);
+        hash.value(op.value);
+    }
+    let dist = dsm.distribution();
+    for p in (0..dist.process_count()).map(ProcId) {
+        for x in (0..dist.var_count()).map(VarId) {
+            if dsm.kind().is_fully_replicated() || dist.replicates(p, x) {
+                hash.word(p.index() as u64);
+                hash.word(x.index() as u64);
+                hash.value(dsm.peek(p, x));
+            }
+        }
+    }
+    hash.0
+}
+
+/// The 64-bit FNV-1a hash, fed one little-endian word at a time.
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    fn word(&mut self, word: u64) {
+        for byte in word.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn value(&mut self, value: Value) {
+        match value {
+            Value::Bottom => self.word(0),
+            Value::Int(i) => {
+                self.word(1);
+                self.word(i as u64);
+            }
+        }
     }
 }
 

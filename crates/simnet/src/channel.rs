@@ -68,6 +68,7 @@ impl LatencyModel {
     /// Sample the latency for a message of `bytes` payload bytes travelling
     /// `distance` units (the absolute difference of the endpoint indices;
     /// only the [`LatencyModel::Distance`] variant looks at it).
+    #[inline]
     pub fn sample(&self, rng: &mut SmallRng, bytes: usize, distance: usize) -> SimDuration {
         match *self {
             LatencyModel::Constant(d) => d,
@@ -187,18 +188,6 @@ impl Channel {
         channel
     }
 
-    /// Schedule a message of `bytes` payload bytes sent at `now`; returns
-    /// the virtual time at which it will be delivered. Successive calls
-    /// return non-decreasing times (FIFO guarantee).
-    #[deny(
-        clippy::disallowed_macros,
-        clippy::disallowed_methods,
-        clippy::indexing_slicing
-    )]
-    pub fn schedule(&mut self, now: SimTime, bytes: usize) -> SimTime {
-        self.transmit(now, bytes).delivery
-    }
-
     /// Schedule a message of `bytes` payload bytes sent at `now`, applying
     /// the channel's fault schedule: each drop retransmits after the plan's
     /// delay plus a fresh latency sample, and a duplicate (if drawn) is
@@ -256,7 +245,7 @@ mod tests {
     #[test]
     fn constant_latency_is_exact() {
         let mut c = chan(LatencyModel::Constant(SimDuration::from_micros(5)));
-        let d = c.schedule(SimTime::from_micros(1), 100);
+        let d = c.transmit(SimTime::from_micros(1), 100).delivery;
         assert_eq!(d, SimTime::from_micros(6));
     }
 
@@ -268,7 +257,7 @@ mod tests {
         });
         let mut last = SimTime::ZERO;
         for i in 0..200 {
-            let d = c.schedule(SimTime::from_micros(i), 16);
+            let d = c.transmit(SimTime::from_micros(i), 16).delivery;
             assert!(d >= last, "FIFO violated: {d:?} < {last:?}");
             last = d;
         }
@@ -281,12 +270,12 @@ mod tests {
             base: SimDuration::from_micros(1),
             nanos_per_byte: 10,
         });
-        let small = c.schedule(SimTime::ZERO, 10);
+        let small = c.transmit(SimTime::ZERO, 10).delivery;
         let mut c2 = chan(LatencyModel::PerByte {
             base: SimDuration::from_micros(1),
             nanos_per_byte: 10,
         });
-        let big = c2.schedule(SimTime::ZERO, 1000);
+        let big = c2.transmit(SimTime::ZERO, 1000).delivery;
         assert!(big > small);
         assert_eq!(small.as_nanos(), 1_000 + 100);
         assert_eq!(big.as_nanos(), 1_000 + 10_000);
@@ -298,7 +287,10 @@ mod tests {
             min: SimDuration::from_micros(3),
             max: SimDuration::from_micros(3),
         });
-        assert_eq!(c.schedule(SimTime::ZERO, 1), SimTime::from_micros(3));
+        assert_eq!(
+            c.transmit(SimTime::ZERO, 1).delivery,
+            SimTime::from_micros(3)
+        );
     }
 
     #[test]
@@ -311,8 +303,8 @@ mod tests {
         let mut b = Channel::new(NodeId(2), NodeId(5), model, 7);
         for i in 0..50 {
             assert_eq!(
-                a.schedule(SimTime::from_micros(i), 64),
-                b.schedule(SimTime::from_micros(i), 64)
+                a.transmit(SimTime::from_micros(i), 64).delivery,
+                b.transmit(SimTime::from_micros(i), 64).delivery
             );
         }
     }
@@ -325,8 +317,12 @@ mod tests {
         };
         let mut a = Channel::new(NodeId(0), NodeId(1), model.clone(), 7);
         let mut b = Channel::new(NodeId(1), NodeId(0), model, 7);
-        let seq_a: Vec<_> = (0..20).map(|_| a.schedule(SimTime::ZERO, 1)).collect();
-        let seq_b: Vec<_> = (0..20).map(|_| b.schedule(SimTime::ZERO, 1)).collect();
+        let seq_a: Vec<_> = (0..20)
+            .map(|_| a.transmit(SimTime::ZERO, 1).delivery)
+            .collect();
+        let seq_b: Vec<_> = (0..20)
+            .map(|_| b.transmit(SimTime::ZERO, 1).delivery)
+            .collect();
         assert_ne!(seq_a, seq_b);
     }
 
@@ -338,9 +334,12 @@ mod tests {
         };
         let mut near = Channel::new(NodeId(4), NodeId(5), model.clone(), 1);
         let mut far = Channel::new(NodeId(0), NodeId(7), model, 1);
-        assert_eq!(near.schedule(SimTime::ZERO, 8), SimTime::from_micros(2 + 3));
         assert_eq!(
-            far.schedule(SimTime::ZERO, 8),
+            near.transmit(SimTime::ZERO, 8).delivery,
+            SimTime::from_micros(2 + 3)
+        );
+        assert_eq!(
+            far.transmit(SimTime::ZERO, 8).delivery,
             SimTime::from_micros(2 + 3 * 7)
         );
     }
@@ -364,7 +363,10 @@ mod tests {
             Channel::with_faults(NodeId(1), NodeId(3), model, 7, &FaultPlan::default());
         for i in 0..50 {
             let t = faulted.transmit(SimTime::from_micros(i), 64);
-            assert_eq!(t.delivery, plain.schedule(SimTime::from_micros(i), 64));
+            assert_eq!(
+                t.delivery,
+                plain.transmit(SimTime::from_micros(i), 64).delivery
+            );
             assert_eq!(t.drops, 0);
             assert_eq!(t.duplicate_at, None);
         }

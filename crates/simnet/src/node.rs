@@ -39,7 +39,9 @@ impl<P> Outgoing<P> {
 /// A `NodeContext` is passed to every [`Node`] callback; sends and timer
 /// requests are buffered and materialized by the simulator after the
 /// callback returns, which keeps callbacks free of borrow conflicts with
-/// the simulator state.
+/// the simulator state. Each runner (the simulator, a relay's hosted
+/// node, a threaded site) keeps one context resident, lends it to every
+/// callback by `&mut`, and empties it when it flushes.
 #[derive(Debug)]
 pub struct NodeContext<P> {
     /// Identity of the node being invoked.
@@ -67,22 +69,30 @@ impl<P> NodeContext<P> {
         }
     }
 
-    /// Like [`NodeContext::new`], but backed by recycled (empty) buffers
-    /// — the simulator's own, a relay's, or a threaded site's — so the
-    /// delivery hot path stops allocating two fresh `Vec`s per callback.
-    pub(crate) fn with_buffers(
-        me: NodeId,
-        now: SimTime,
-        outbox: Vec<Outgoing<P>>,
-        timers: Vec<(SimDuration, u64)>,
-    ) -> Self {
-        debug_assert!(outbox.is_empty() && timers.is_empty());
-        NodeContext {
-            me,
-            now,
-            outbox,
-            timers,
-        }
+    /// Re-point this context at node `me` and virtual time `now` for the
+    /// next callback. A runner keeps one resident context and its flush
+    /// empties it, so every callback starts with no sends or timers and
+    /// steady-state delivery allocates no buffers.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
+    #[inline]
+    pub(crate) fn reset(&mut self, me: NodeId, now: SimTime) {
+        self.me = me;
+        self.now = now;
+    }
+
+    /// Whether the callback so far requested neither a send nor a timer.
+    #[deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::indexing_slicing
+    )]
+    #[inline]
+    pub(crate) fn is_idle(&self) -> bool {
+        self.outbox.is_empty() && self.timers.is_empty()
     }
 
     /// The node this context belongs to.
@@ -165,12 +175,6 @@ impl<P> NodeContext<P> {
     /// spinning up a simulator).
     pub fn outgoing(&self) -> &[Outgoing<P>] {
         &self.outbox
-    }
-
-    /// Consume the context, returning the buffered transmissions and timer
-    /// requests (used by the routing layer to re-address sends).
-    pub(crate) fn into_parts(self) -> (Vec<Outgoing<P>>, Vec<(SimDuration, u64)>) {
-        (self.outbox, self.timers)
     }
 }
 

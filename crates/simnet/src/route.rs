@@ -45,7 +45,7 @@ use crate::fault::DownAction;
 use crate::message::{NodeId, WireSize};
 use crate::network::Topology;
 use crate::node::{Node, NodeContext, Outgoing};
-use crate::time::SimDuration;
+use crate::time::SimTime;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -564,7 +564,7 @@ impl<P: WireSize> WireSize for Packet<P> {
 /// relays: where the raw simulator would reject a send with a
 /// [`SendError`](crate::sim::SendError), the relay instead forwards the
 /// envelope to [`Router::next_hop`].
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Relay<P, N> {
     inner: N,
     me: NodeId,
@@ -575,12 +575,28 @@ pub struct Relay<P, N> {
     multicast: bool,
     forwarded: u64,
     misrouted: u64,
-    /// The buffers of the inner node's context, kept between callbacks
-    /// (and empty then) so a delivery that sends allocates no outbox.
-    outbox: Vec<Outgoing<P>>,
-    timers: Vec<(SimDuration, u64)>,
+    /// The inner node's resident context, empty between callbacks, so a
+    /// delivery that sends allocates no outbox.
+    ctx: NodeContext<P>,
     /// Scratch for sorting a multicast's destinations, kept likewise.
     keys: Vec<(u32, NodeId)>,
+}
+
+/// A clone starts with empty scratch of its own: between callbacks the
+/// resident context and the sort keys hold nothing.
+impl<P, N: Clone> Clone for Relay<P, N> {
+    fn clone(&self) -> Self {
+        Relay {
+            inner: self.inner.clone(),
+            me: self.me,
+            router: Arc::clone(&self.router),
+            multicast: self.multicast,
+            forwarded: self.forwarded,
+            misrouted: self.misrouted,
+            ctx: NodeContext::new(self.me, SimTime::ZERO),
+            keys: Vec::new(),
+        }
+    }
 }
 
 impl<P, N> Relay<P, N> {
@@ -596,8 +612,7 @@ impl<P, N> Relay<P, N> {
             multicast,
             forwarded: 0,
             misrouted: 0,
-            outbox: Vec::new(),
-            timers: Vec::new(),
+            ctx: NodeContext::new(me, SimTime::ZERO),
             keys: Vec::new(),
         }
     }
@@ -662,14 +677,11 @@ impl<P: Clone, N> Relay<P, N> {
         outer: &mut NodeContext<Packet<P>>,
         f: impl FnOnce(&mut N, &mut NodeContext<P>) -> R,
     ) -> R {
-        let mut ctx = NodeContext::with_buffers(
-            self.me,
-            outer.now(),
-            std::mem::take(&mut self.outbox),
-            std::mem::take(&mut self.timers),
-        );
-        let result = f(&mut self.inner, &mut ctx);
-        let (mut outbox, mut timers) = ctx.into_parts();
+        self.ctx.reset(self.me, outer.now());
+        let result = f(&mut self.inner, &mut self.ctx);
+        if self.ctx.is_idle() {
+            return result;
+        }
         let (me, router) = (self.me, &*self.router);
         let covered = |to: NodeId| to.index() < router.node_count();
         let unicast = |outer: &mut NodeContext<Packet<P>>, to: NodeId, payload: P| {
@@ -687,7 +699,7 @@ impl<P: Clone, N> Relay<P, N> {
                 }),
             );
         };
-        for out in outbox.drain(..) {
+        for out in self.ctx.outbox.drain(..) {
             match out {
                 Outgoing::One(to, payload) => unicast(outer, to, payload),
                 Outgoing::Many(targets, payload) if !self.multicast => {
@@ -714,11 +726,9 @@ impl<P: Clone, N> Relay<P, N> {
                 }
             }
         }
-        for (delay, tag) in timers.drain(..) {
+        for (delay, tag) in self.ctx.timers.drain(..) {
             outer.set_timer(delay, tag);
         }
-        self.outbox = outbox;
-        self.timers = timers;
         result
     }
 }
@@ -804,7 +814,6 @@ where
 mod tests {
     use super::*;
     use crate::message::RawPayload;
-    use crate::time::SimTime;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -1317,8 +1326,7 @@ mod tests {
         assert_eq!(relay.inner().received, vec![NodeId(0)]);
         assert_eq!(relay.misrouted(), 1);
         assert_eq!(relay.forwarded(), 0);
-        let (outbox, _) = ctx.into_parts();
-        assert!(outbox.is_empty());
+        assert!(ctx.outgoing().is_empty());
     }
 
     /// A transit envelope bound for an id the router does not cover has

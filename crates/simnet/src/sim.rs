@@ -14,7 +14,7 @@ use crate::message::{NodeId, WireSize};
 use crate::network::Topology;
 use crate::node::{Node, NodeContext, Outgoing};
 use crate::stats::NetworkStats;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use crate::transport::{DeliveryMode, Net, NetCore, NetError, Posted, RoutingMode};
 use std::fmt;
 
@@ -180,11 +180,10 @@ pub struct Simulator<P, N> {
     /// Envelopes parked at runtime-crashed nodes, redelivered in order by
     /// [`NetCore::set_up`].
     parked: Vec<Vec<(NodeId, u64, P)>>,
-    /// The outbox and timer buffers of the one live [`NodeContext`]:
-    /// callbacks never nest, so [`Simulator::lend_context`] lends these
-    /// and [`Simulator::flush_context`] takes them back, emptied.
-    outbox: Vec<Outgoing<P>>,
-    timers: Vec<(SimDuration, u64)>,
+    /// The one resident [`NodeContext`]: callbacks never nest, so each
+    /// one borrows it, re-pointed at its node and time, and
+    /// [`Simulator::flush_context`] empties it.
+    ctx: NodeContext<P>,
     /// Scratch for [`Simulator::send_many`]: the receivers, with their
     /// sequence numbers, of the fan-out entry being assembled.
     fan: Vec<(NodeId, u64)>,
@@ -228,8 +227,7 @@ where
             steps: None,
             manual_down: vec![false; n],
             parked: (0..n).map(|_| Vec::new()).collect(),
-            outbox: Vec::new(),
-            timers: Vec::new(),
+            ctx: NodeContext::new(NodeId(0), SimTime::ZERO),
             fan: Vec::new(),
         }
     }
@@ -242,23 +240,6 @@ where
     )]
     fn is_down(&self, node: NodeId) -> bool {
         self.manual_down.get(node.index()).copied().unwrap_or(false)
-    }
-
-    /// A [`NodeContext`] for `me` at the current time, on the
-    /// simulator's own buffers ([`Simulator::flush_context`] takes them
-    /// back).
-    #[deny(
-        clippy::disallowed_macros,
-        clippy::disallowed_methods,
-        clippy::indexing_slicing
-    )]
-    fn lend_context(&mut self, me: NodeId) -> NodeContext<P> {
-        NodeContext::with_buffers(
-            me,
-            self.now,
-            std::mem::take(&mut self.outbox),
-            std::mem::take(&mut self.timers),
-        )
     }
 
     /// Log each node's steps from now on, for [`Simulator::take_steps`].
@@ -341,13 +322,13 @@ where
                 if let Some(log) = self.log_of(to) {
                     log.push(Step::Deliver { from });
                 }
-                let mut ctx = self.lend_context(to);
+                self.ctx.reset(to, self.now);
                 let node = self
                     .nodes
                     .get_mut(to.index())
                     .ok_or(SendError::UnknownNode { node: to })?;
-                node.on_message(&mut ctx, from, payload);
-                self.flush_context(to, ctx)?;
+                node.on_message(&mut self.ctx, from, payload);
+                self.flush_context()?;
             }
             EventKind::Timer { node, tag } => {
                 if self.is_down(node) {
@@ -357,13 +338,13 @@ where
                 if let Some(log) = self.log_of(node) {
                     log.push(Step::Timer { tag });
                 }
-                let mut ctx = self.lend_context(node);
+                self.ctx.reset(node, self.now);
                 let state = self
                     .nodes
                     .get_mut(node.index())
                     .ok_or(SendError::UnknownNode { node })?;
-                state.on_timer(&mut ctx, tag);
-                self.flush_context(node, ctx)?;
+                state.on_timer(&mut self.ctx, tag);
+                self.flush_context()?;
             }
             EventKind::Duplicate { from: _, to: _ } => {
                 // Discarded by the receiver's link layer (sequence-number
@@ -412,22 +393,29 @@ where
         self.settle().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Schedule what a callback requested — its timers, then its sends
-    /// in order — and take the lent buffers back.
+    /// Schedule what the callback just run on the resident context
+    /// requested — its timers, then its sends in order — and leave the
+    /// context empty, also when a send fails: the sends after the failed
+    /// one are dropped with their buffer entries.
     #[deny(
         clippy::disallowed_macros,
         clippy::disallowed_methods,
         clippy::indexing_slicing
     )]
-    fn flush_context(&mut self, origin: NodeId, ctx: NodeContext<P>) -> Result<(), SendError> {
-        let (mut outbox, mut timers) = ctx.into_parts();
+    fn flush_context(&mut self) -> Result<(), SendError> {
+        if self.ctx.is_idle() {
+            return Ok(());
+        }
+        let origin = self.ctx.me();
         // Timers cannot fail; schedule them first so a SendError on a later
         // send never silently drops a timer the same callback requested.
-        for (delay, tag) in timers.drain(..) {
+        for (delay, tag) in self.ctx.timers.drain(..) {
             self.queue
                 .push(self.now + delay, EventKind::Timer { node: origin, tag });
         }
-        self.timers = timers;
+        // The sends need the whole simulator, so the outbox leaves the
+        // context while they go out; its buffer stays the same.
+        let mut outbox = std::mem::take(&mut self.ctx.outbox);
         let mut result = Ok(());
         for out in outbox.drain(..) {
             result = match out {
@@ -440,7 +428,7 @@ where
                 break;
             }
         }
-        self.outbox = outbox;
+        self.ctx.outbox = outbox;
         result
     }
 
@@ -569,13 +557,13 @@ where
         id: NodeId,
         f: &mut dyn FnMut(&mut N, &mut NodeContext<P>),
     ) -> Result<(), NetError> {
-        let mut ctx = self.lend_context(id);
+        self.ctx.reset(id, self.now);
         let node = self
             .nodes
             .get_mut(id.index())
             .ok_or(SendError::UnknownNode { node: id })?;
-        f(node, &mut ctx);
-        Ok(self.flush_context(id, ctx)?)
+        f(node, &mut self.ctx);
+        Ok(self.flush_context()?)
     }
 
     #[deny(

@@ -50,15 +50,20 @@ pub struct NodeStats {
 /// Aggregated statistics for a whole simulation run.
 ///
 /// Storage is dense: one [`LinkStats`] slot per ordered node pair and one
-/// [`NodeStats`] slot per node, indexed directly by node id. Recording a
-/// send or a delivery is therefore a couple of array writes on the
-/// simulator's hot path (no map lookups). The capacity grows on demand, so
-/// a default-constructed value still accepts any node id.
+/// receive-side slot per node, indexed directly by node id. A send, a
+/// retransmission or a duplicate touches its link slot only; a node's
+/// `sent_*` totals are its link row's sums, computed when
+/// [`NetworkStats::node`], [`NetworkStats::nodes`], [`NetworkStats::merge`]
+/// or `==` asks. Recording is therefore one slot update on the
+/// simulator's hot path (no map lookups). The capacity grows on demand,
+/// so a default-constructed value still accepts any node id.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct NetworkStats {
     n: usize,
     links: Vec<LinkStats>,
-    nodes: Vec<NodeStats>,
+    /// The receive side of each node: only `received_*` and
+    /// `lost_to_crash` are recorded here, the `sent_*` fields stay zero.
+    received: Vec<NodeStats>,
 }
 
 impl NetworkStats {
@@ -73,51 +78,58 @@ impl NetworkStats {
         NetworkStats {
             n,
             links: vec![LinkStats::default(); n * n],
-            nodes: vec![NodeStats::default(); n],
+            received: vec![NodeStats::default(); n],
         }
     }
 
     /// Grow the dense storage so node id `idx` is addressable.
-    fn ensure(&mut self, idx: usize) {
-        if idx < self.n {
-            return;
-        }
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, idx: usize) {
         let new_n = idx + 1;
         let mut links = vec![LinkStats::default(); new_n * new_n];
-        for f in 0..self.n {
-            for t in 0..self.n {
-                links[f * new_n + t] = self.links[f * self.n + t];
-            }
+        for from in 0..self.n {
+            links[from * new_n..][..self.n].copy_from_slice(&self.links[from * self.n..][..self.n]);
         }
         self.links = links;
-        self.nodes.resize(new_n, NodeStats::default());
+        self.received.resize(new_n, NodeStats::default());
         self.n = new_n;
     }
 
+    /// The slot of link `from → to`, growing the storage first if either
+    /// id is past it.
     #[inline]
-    fn link_slot(&self, from: usize, to: usize) -> usize {
-        from * self.n + to
+    fn link_mut(&mut self, from: NodeId, to: NodeId) -> &mut LinkStats {
+        let (from, to) = (from.index(), to.index());
+        if from.max(to) >= self.n {
+            self.grow(from.max(to));
+        }
+        &mut self.links[from * self.n + to]
+    }
+
+    /// The receive-side slot of `node`, growing the storage first if the
+    /// id is past it.
+    #[inline]
+    fn received_mut(&mut self, node: NodeId) -> &mut NodeStats {
+        if node.index() >= self.n {
+            self.grow(node.index());
+        }
+        &mut self.received[node.index()]
     }
 
     /// Record a message of `data`/`control` bytes sent from `from` to `to`.
+    #[inline]
     pub fn record_send(&mut self, from: NodeId, to: NodeId, data: usize, control: usize) {
-        self.ensure(from.index().max(to.index()));
-        let slot = self.link_slot(from.index(), to.index());
-        let link = &mut self.links[slot];
+        let link = self.link_mut(from, to);
         link.messages += 1;
         link.data_bytes += data as u64;
         link.control_bytes += control as u64;
-
-        let sender = &mut self.nodes[from.index()];
-        sender.sent_messages += 1;
-        sender.sent_data_bytes += data as u64;
-        sender.sent_control_bytes += control as u64;
     }
 
     /// Record delivery of a message of `data`/`control` bytes at `to`.
+    #[inline]
     pub fn record_delivery(&mut self, to: NodeId, data: usize, control: usize) {
-        self.ensure(to.index());
-        let recv = &mut self.nodes[to.index()];
+        let recv = self.received_mut(to);
         recv.received_messages += 1;
         recv.received_data_bytes += data as u64;
         recv.received_control_bytes += control as u64;
@@ -126,6 +138,7 @@ impl NetworkStats {
     /// Record `count` dropped-and-retransmitted attempts of a message of
     /// `data`/`control` bytes on `from → to`. Each retransmission pays the
     /// payload bytes again; the logical message count is unchanged.
+    #[inline]
     pub fn record_retransmits(
         &mut self,
         from: NodeId,
@@ -137,35 +150,25 @@ impl NetworkStats {
         if count == 0 {
             return;
         }
-        self.ensure(from.index().max(to.index()));
-        let slot = self.link_slot(from.index(), to.index());
-        let link = &mut self.links[slot];
+        let link = self.link_mut(from, to);
         link.drops += count as u64;
         link.data_bytes += count as u64 * data as u64;
         link.control_bytes += count as u64 * control as u64;
-        let sender = &mut self.nodes[from.index()];
-        sender.sent_data_bytes += count as u64 * data as u64;
-        sender.sent_control_bytes += count as u64 * control as u64;
     }
 
     /// Record a duplicate copy of a message of `data`/`control` bytes on
     /// `from → to` (delivered and discarded by the receiver's link layer).
+    #[inline]
     pub fn record_duplicate(&mut self, from: NodeId, to: NodeId, data: usize, control: usize) {
-        self.ensure(from.index().max(to.index()));
-        let slot = self.link_slot(from.index(), to.index());
-        let link = &mut self.links[slot];
+        let link = self.link_mut(from, to);
         link.duplicates += 1;
         link.data_bytes += data as u64;
         link.control_bytes += control as u64;
-        let sender = &mut self.nodes[from.index()];
-        sender.sent_data_bytes += data as u64;
-        sender.sent_control_bytes += control as u64;
     }
 
     /// Record a delivery lost because `to` was crashed when it arrived.
     pub fn record_crash_loss(&mut self, to: NodeId) {
-        self.ensure(to.index());
-        self.nodes[to.index()].lost_to_crash += 1;
+        self.received_mut(to).lost_to_crash += 1;
     }
 
     /// Stats for one directed link (zeroes if it never carried traffic).
@@ -173,12 +176,22 @@ impl NetworkStats {
         if from.index() >= self.n || to.index() >= self.n {
             return LinkStats::default();
         }
-        self.links[self.link_slot(from.index(), to.index())]
+        self.links[from.index() * self.n + to.index()]
     }
 
-    /// Stats for one node (zeroes if it never sent or received).
+    /// Stats for one node (zeroes if it never sent or received): its
+    /// receive side as recorded, its send side summed over its link row.
     pub fn node(&self, node: NodeId) -> NodeStats {
-        self.nodes.get(node.index()).copied().unwrap_or_default()
+        let Some(&received) = self.received.get(node.index()) else {
+            return NodeStats::default();
+        };
+        let row = &self.links[node.index() * self.n..][..self.n];
+        row.iter().fold(received, |mut sum, link| {
+            sum.sent_messages += link.messages;
+            sum.sent_data_bytes += link.data_bytes;
+            sum.sent_control_bytes += link.control_bytes;
+            sum
+        })
     }
 
     /// Total messages sent in the run.
@@ -214,7 +227,7 @@ impl NetworkStats {
 
     /// Total deliveries lost because their destination was crashed.
     pub fn total_crash_losses(&self) -> u64 {
-        self.nodes.iter().map(|n| n.lost_to_crash).sum()
+        self.received.iter().map(|n| n.lost_to_crash).sum()
     }
 
     /// Fraction of all sent bytes that are control bytes, in `[0, 1]`.
@@ -239,33 +252,29 @@ impl NetworkStats {
 
     /// Iterate over all nodes that sent or received traffic.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, NodeStats)> + '_ {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s != NodeStats::default())
-            .map(|(i, &s)| (NodeId(i), s))
+        (0..self.n)
+            .map(|i| (NodeId(i), self.node(NodeId(i))))
+            .filter(|(_, s)| *s != NodeStats::default())
     }
 
     /// Merge another stats object into this one (summing counters).
     pub fn merge(&mut self, other: &NetworkStats) {
-        if other.n > 0 {
-            self.ensure(other.n - 1);
+        if other.n > self.n {
+            self.grow(other.n - 1);
         }
-        for (from, to, v) in other.links() {
-            let slot = self.link_slot(from.index(), to.index());
-            let e = &mut self.links[slot];
-            e.messages += v.messages;
-            e.data_bytes += v.data_bytes;
-            e.control_bytes += v.control_bytes;
-            e.drops += v.drops;
-            e.duplicates += v.duplicates;
+        for from in 0..other.n {
+            let theirs = &other.links[from * other.n..][..other.n];
+            let mine = &mut self.links[from * self.n..][..other.n];
+            for (e, v) in mine.iter_mut().zip(theirs) {
+                e.messages += v.messages;
+                e.data_bytes += v.data_bytes;
+                e.control_bytes += v.control_bytes;
+                e.drops += v.drops;
+                e.duplicates += v.duplicates;
+            }
         }
-        for (node, v) in other.nodes() {
-            let e = &mut self.nodes[node.index()];
-            e.sent_messages += v.sent_messages;
+        for (e, v) in self.received.iter_mut().zip(&other.received) {
             e.received_messages += v.received_messages;
-            e.sent_data_bytes += v.sent_data_bytes;
-            e.sent_control_bytes += v.sent_control_bytes;
             e.received_data_bytes += v.received_data_bytes;
             e.received_control_bytes += v.received_control_bytes;
             e.lost_to_crash += v.lost_to_crash;
@@ -278,17 +287,7 @@ impl NetworkStats {
 /// compare equal.
 impl PartialEq for NetworkStats {
     fn eq(&self, other: &Self) -> bool {
-        self.links().eq(other.links())
-            && self
-                .nodes
-                .iter()
-                .chain(std::iter::repeat(&NodeStats::default()))
-                .take(self.n.max(other.n))
-                .eq(other
-                    .nodes
-                    .iter()
-                    .chain(std::iter::repeat(&NodeStats::default()))
-                    .take(self.n.max(other.n)))
+        self.links().eq(other.links()) && self.nodes().eq(other.nodes())
     }
 }
 
@@ -297,6 +296,193 @@ impl Eq for NetworkStats {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The reference model: eager per-node counters, as `NetworkStats`
+    /// kept them before the send side was derived from the link rows.
+    /// Every send, retransmission and duplicate bumps the sender's node
+    /// slot as well as the link's; maps make every id addressable.
+    #[derive(Clone, Debug, Default)]
+    struct Eager {
+        links: BTreeMap<(usize, usize), LinkStats>,
+        nodes: BTreeMap<usize, NodeStats>,
+    }
+
+    impl Eager {
+        /// What the simulator records for one transmission: the send,
+        /// its retransmitted attempts, and a duplicate copy if one was
+        /// drawn.
+        fn transmit(&mut self, from: usize, to: usize, bytes: (u64, u64), drops: u64, dup: bool) {
+            let (data, control) = bytes;
+            let copies = 1 + drops + u64::from(dup);
+            let link = self.links.entry((from, to)).or_default();
+            link.messages += 1;
+            link.drops += drops;
+            link.duplicates += u64::from(dup);
+            link.data_bytes += copies * data;
+            link.control_bytes += copies * control;
+            let sender = self.nodes.entry(from).or_default();
+            sender.sent_messages += 1;
+            sender.sent_data_bytes += copies * data;
+            sender.sent_control_bytes += copies * control;
+        }
+
+        fn deliver(&mut self, to: usize, data: u64, control: u64) {
+            let recv = self.nodes.entry(to).or_default();
+            recv.received_messages += 1;
+            recv.received_data_bytes += data;
+            recv.received_control_bytes += control;
+        }
+
+        fn lose(&mut self, to: usize) {
+            self.nodes.entry(to).or_default().lost_to_crash += 1;
+        }
+
+        fn merge(&mut self, other: &Eager) {
+            for (&k, v) in &other.links {
+                let e = self.links.entry(k).or_default();
+                e.messages += v.messages;
+                e.data_bytes += v.data_bytes;
+                e.control_bytes += v.control_bytes;
+                e.drops += v.drops;
+                e.duplicates += v.duplicates;
+            }
+            for (&k, v) in &other.nodes {
+                let e = self.nodes.entry(k).or_default();
+                e.sent_messages += v.sent_messages;
+                e.received_messages += v.received_messages;
+                e.sent_data_bytes += v.sent_data_bytes;
+                e.sent_control_bytes += v.sent_control_bytes;
+                e.received_data_bytes += v.received_data_bytes;
+                e.received_control_bytes += v.received_control_bytes;
+                e.lost_to_crash += v.lost_to_crash;
+            }
+        }
+
+        fn node(&self, id: usize) -> NodeStats {
+            self.nodes.get(&id).copied().unwrap_or_default()
+        }
+
+        fn links(&self) -> Vec<(NodeId, NodeId, LinkStats)> {
+            let carried = self.links.iter().filter(|(_, l)| l.messages > 0);
+            carried
+                .map(|(&(f, t), &l)| (NodeId(f), NodeId(t), l))
+                .collect()
+        }
+
+        fn nodes(&self) -> Vec<(NodeId, NodeStats)> {
+            let active = self
+                .nodes
+                .iter()
+                .filter(|(_, s)| **s != NodeStats::default());
+            active.map(|(&i, &s)| (NodeId(i), s)).collect()
+        }
+
+        /// Link totals, in `NetworkStats::total_*` order, then the crash
+        /// losses.
+        fn totals(&self) -> [u64; 6] {
+            let sum = |f: fn(&LinkStats) -> u64| self.links.values().map(f).sum::<u64>();
+            let losses = self.nodes.values().map(|n| n.lost_to_crash).sum();
+            [
+                sum(|l| l.messages),
+                sum(|l| l.data_bytes),
+                sum(|l| l.control_bytes),
+                sum(|l| l.drops),
+                sum(|l| l.duplicates),
+                losses,
+            ]
+        }
+    }
+
+    /// One recorded event, `((kind, from, to), (data, control, drops,
+    /// dup))`: kind 0–2 is a transmission, 3 a delivery at `to` and 4 a
+    /// crash loss at `to`. Ids run past every capacity the test presizes.
+    type Op = ((u8, usize, usize), (u64, u64, u32, bool));
+
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        let event = (0u8..5, 0usize..9, 0usize..9);
+        let load = (0u64..40, 0u64..40, 0u32..3, any::<bool>());
+        proptest::collection::vec((event, load), 0..40)
+    }
+
+    fn record(capacity: usize, ops: &[Op]) -> (NetworkStats, Eager) {
+        let (mut stats, mut model) = (NetworkStats::with_nodes(capacity), Eager::default());
+        for &((kind, from, to), (data, control, drops, dup)) in ops {
+            let (f, t, d, c) = (NodeId(from), NodeId(to), data as usize, control as usize);
+            match kind {
+                0..=2 => {
+                    stats.record_send(f, t, d, c);
+                    stats.record_retransmits(f, t, drops, d, c);
+                    if dup {
+                        stats.record_duplicate(f, t, d, c);
+                    }
+                    model.transmit(from, to, (data, control), u64::from(drops), dup);
+                }
+                3 => {
+                    stats.record_delivery(t, d, c);
+                    model.deliver(to, data, control);
+                }
+                _ => {
+                    stats.record_crash_loss(t);
+                    model.lose(to);
+                }
+            }
+        }
+        (stats, model)
+    }
+
+    fn agree(stats: &NetworkStats, model: &Eager) -> Result<(), String> {
+        let check = |what: &str, ok: bool| if ok { Ok(()) } else { Err(what.to_owned()) };
+        for id in 0..12 {
+            check("node", stats.node(NodeId(id)) == model.node(id))?;
+        }
+        check("nodes", stats.nodes().eq(model.nodes()))?;
+        check("links", stats.links().eq(model.links()))?;
+        let totals = [
+            stats.total_messages(),
+            stats.total_data_bytes(),
+            stats.total_control_bytes(),
+            stats.total_drops(),
+            stats.total_duplicates(),
+            stats.total_crash_losses(),
+        ];
+        check("totals", totals == model.totals())?;
+        check(
+            "total_bytes",
+            stats.total_bytes() == model.totals()[1] + model.totals()[2],
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Deriving each node's sent totals from its link row reads the
+        /// same as the eager per-node counters, before and after a
+        /// merge, at any presized capacity; and `==` holds exactly when
+        /// the models' links and nodes agree.
+        #[test]
+        fn derived_node_counters_equal_the_eager_model(
+            a in ops(),
+            b in ops(),
+            caps in (0usize..6, 0usize..6),
+            tail in 0usize..3,
+        ) {
+            let (mut x, mut mx) = record(caps.0, &a);
+            let (y, my) = record(caps.1, &b);
+            prop_assert_eq!(agree(&x, &mx), Ok(()));
+            prop_assert_eq!(agree(&y, &my), Ok(()));
+            // The same events at another capacity, less up to `tail` of
+            // the last ones: equal exactly when the models are.
+            let (z, mz) = record(caps.1, &a[..a.len().saturating_sub(tail)]);
+            let models_equal = mx.links() == mz.links() && mx.nodes() == mz.nodes();
+            prop_assert_eq!(x == z, models_equal);
+            prop_assert_eq!(z == x, models_equal);
+            x.merge(&y);
+            mx.merge(&my);
+            prop_assert_eq!(agree(&x, &mx), Ok(()));
+        }
+    }
 
     #[test]
     fn send_and_delivery_counters() {

@@ -9,9 +9,8 @@
 //! The protocol code is reused unchanged: a site drives the
 //! [`Node`] trait exactly as the simulator does (handler, then flush
 //! timers and outbox in order), and like the simulator it runs one
-//! handler at a time, so every handler context borrows the site's one
-//! outbox and one timer `Vec` and steady-state delivery allocates
-//! nothing.
+//! handler at a time, so every handler borrows the site's one resident
+//! [`NodeContext`] and steady-state delivery allocates nothing.
 //!
 //! A site sits behind one `Mutex` and is run by whichever thread holds
 //! it. Its worker thread takes it per drained batch: the deliveries and
@@ -101,7 +100,7 @@ use crate::network::Topology;
 use crate::node::{Node, NodeContext, Outgoing};
 use crate::sim::{RunOutcome, SendError, SimConfig, Simulator, Step};
 use crate::stats::NetworkStats;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use crate::transport::{BoxedPost, Net, NetCore, NetError, Posted};
 use std::collections::VecDeque;
 use std::fmt;
@@ -281,12 +280,12 @@ struct Site<P, N> {
     dead: Arc<DeadSet>,
     stats: NetworkStats,
     fabric: FabricStats,
-    /// The outbox and timer buffers of the one live handler context: a
-    /// site runs one handler at a time, so [`Site::context`] lends these
-    /// and [`Site::flush`] takes them back, emptied — the simulator's
-    /// scheme, so steady-state delivery allocates nothing.
-    outbox: Vec<Outgoing<P>>,
-    timers: Vec<(SimDuration, u64)>,
+    /// The one resident handler context: a site runs one handler at a
+    /// time, so each borrows it and [`Site::flush`] empties it — the
+    /// simulator's scheme, so steady-state delivery allocates nothing.
+    /// It is this node's at time zero (a site keeps no virtual clock),
+    /// so it never needs re-pointing.
+    ctx: NodeContext<P>,
     /// Drained but not yet handled link messages, in arrival order.
     /// Free-running, it is empty whenever the lock is released;
     /// replaying, it holds what the oracle has not scheduled yet.
@@ -417,9 +416,8 @@ where
         clippy::indexing_slicing
     )]
     fn invoke(&mut self, f: impl FnOnce(&mut N, &mut NodeContext<P>)) -> Result<(), SendError> {
-        let mut ctx = self.context();
-        f(&mut self.node, &mut ctx);
-        self.flush(ctx)
+        f(&mut self.node, &mut self.ctx);
+        self.flush()
     }
 
     /// Free-running: handle every drained link message, in arrival
@@ -479,36 +477,19 @@ where
         }
     }
 
-    /// A handler context on the site's own buffers ([`Site::flush`]
-    /// takes them back).
-    #[deny(
-        clippy::disallowed_macros,
-        clippy::disallowed_methods,
-        clippy::indexing_slicing
-    )]
-    fn context(&mut self) -> NodeContext<P> {
-        NodeContext::with_buffers(
-            self.me,
-            SimTime::ZERO,
-            std::mem::take(&mut self.outbox),
-            std::mem::take(&mut self.timers),
-        )
-    }
-
     /// Run the handler an arrival calls for and flush what it sent, then
     /// repay the arrival's in-flight debt.
     fn handle(&mut self, from: NodeId, msg: LinkMsg<P>) {
-        let mut ctx = self.context();
         match msg {
             LinkMsg::Deliver(payload) => {
                 self.stats
                     .record_delivery(self.me, payload.data_bytes(), payload.control_bytes());
-                self.node.on_message(&mut ctx, from, payload);
+                self.node.on_message(&mut self.ctx, from, payload);
             }
-            LinkMsg::Timer(tag) => self.node.on_timer(&mut ctx, tag),
+            LinkMsg::Timer(tag) => self.node.on_timer(&mut self.ctx, tag),
         }
         self.events.fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = self.flush(ctx) {
+        if let Err(e) = self.flush() {
             panic!("{e}");
         }
         self.inflight.down();
@@ -520,15 +501,23 @@ where
     /// to the first send to an id outside the fabric. There is no
     /// virtual clock, so a timer rides the self-link and fires when it
     /// drains (every DSM timer is a zero-delay flush kick) or when the
-    /// replay schedule names it. The context's buffers return to the
-    /// site afterwards.
+    /// replay schedule names it. The resident context is left empty, also
+    /// when a send fails: the sends after it are dropped.
     #[deny(
         clippy::disallowed_macros,
         clippy::disallowed_methods,
         clippy::indexing_slicing
     )]
-    fn flush(&mut self, ctx: NodeContext<P>) -> Result<(), SendError> {
-        let (mut outbox, mut timers) = ctx.into_parts();
+    fn flush(&mut self) -> Result<(), SendError> {
+        if self.ctx.is_idle() {
+            return Ok(());
+        }
+        // The sends need the whole site, so the buffers leave the context
+        // while they go out; they keep their allocations.
+        let (mut outbox, mut timers) = (
+            std::mem::take(&mut self.ctx.outbox),
+            std::mem::take(&mut self.ctx.timers),
+        );
         for (_delay, tag) in timers.drain(..) {
             self.inflight.up();
             self.send_link(self.me, LinkMsg::Timer(tag));
@@ -543,8 +532,7 @@ where
                 break;
             }
         }
-        self.outbox = outbox;
-        self.timers = timers;
+        (self.ctx.outbox, self.ctx.timers) = (outbox, timers);
         result
     }
 
@@ -681,8 +669,7 @@ where
                     dead: Arc::clone(&dead),
                     stats: NetworkStats::with_nodes(n),
                     fabric: FabricStats::default(),
-                    outbox: Vec::new(),
-                    timers: Vec::new(),
+                    ctx: NodeContext::new(NodeId(i), SimTime::ZERO),
                     pending: VecDeque::new(),
                 }),
                 lane_done: AtomicU64::new(0),
@@ -1150,11 +1137,10 @@ mod tests {
         }
     }
 
-    /// Every handler context borrows its site's one outbox and one timer
-    /// `Vec`, and the flush hands them back emptied: after fan-outs and
-    /// timers every site's buffers and arrival queue are empty, and the
-    /// sender's outbox and the receivers' timer buffers keep the capacity
-    /// they grew to.
+    /// Every handler borrows its site's one resident context, and the
+    /// flush empties it: after fan-outs and timers every site's context
+    /// and arrival queue are empty, and the sender's outbox and the
+    /// receivers' timer buffers keep the capacity they grew to.
     #[test]
     fn a_site_lends_its_buffers_to_every_handler() {
         for mode in [ThreadedMode::FreeRunning, ThreadedMode::Replay] {
@@ -1170,12 +1156,12 @@ mod tests {
             for i in 0..3 {
                 let site = net.site(NodeId(i)).unwrap();
                 assert_eq!(site.node.fired, if i == 0 { 0 } else { 5 }, "{mode:?}");
-                assert!(site.outbox.is_empty() && site.timers.is_empty(), "{mode:?}");
+                assert!(site.ctx.is_idle(), "{mode:?}");
                 assert!(site.pending.is_empty(), "{mode:?}: n{i} left arrivals");
                 let grown = if i == 0 {
-                    site.outbox.capacity()
+                    site.ctx.outbox.capacity()
                 } else {
-                    site.timers.capacity()
+                    site.ctx.timers.capacity()
                 };
                 assert!(grown > 0, "{mode:?}: n{i} dropped the buffer it grew");
             }

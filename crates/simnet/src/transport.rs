@@ -987,6 +987,92 @@ pub(crate) mod tests {
         }
     }
 
+    /// A send to an id outside the topology fails the flush of the
+    /// context it was buffered on, and that flush still empties the
+    /// context: on the simulator, on relays over `ring(4)` and on a
+    /// threaded site in either mode, the same node's next callback starts
+    /// with nothing queued, at its own node and time, sends exactly its
+    /// own message, and every timer fires once.
+    #[test]
+    fn a_failed_flush_leaves_the_resident_context_empty() {
+        #[derive(Clone, Debug, Default)]
+        struct Probe {
+            got: Vec<(NodeId, usize)>,
+            fired: Vec<u64>,
+        }
+        impl Node<RawPayload> for Probe {
+            fn on_message(&mut self, _: &mut NodeContext<RawPayload>, from: NodeId, p: RawPayload) {
+                self.got.push((from, p.data));
+            }
+            fn on_timer(&mut self, _: &mut NodeContext<RawPayload>, tag: u64) {
+                self.fired.push(tag);
+            }
+        }
+        let us = crate::time::SimDuration::from_micros;
+        let cells = [
+            (Topology::full_mesh(4), RoutingMode::Direct),
+            (Topology::ring(4), RoutingMode::ForceRouted),
+        ];
+        for backend in ExecBackend::ALL {
+            for (topology, routing) in cells.clone() {
+                let config = SimConfig {
+                    routing,
+                    ..SimConfig::default()
+                };
+                let label = format!("{backend} {topology:?}");
+                let nodes = vec![Probe::default(); 4];
+                let mut net = deploy(backend, topology, config, nodes).unwrap();
+                // Move virtual time on, so a context left at its last
+                // callback's time shows.
+                net.with_node(NodeId(3), |_, ctx| {
+                    ctx.send(NodeId(2), RawPayload::new(5, 0))
+                });
+                net.run_until_quiescent();
+                let failed = net.invoke(NodeId(0), &mut |_, ctx| {
+                    ctx.set_timer(us(1), 1);
+                    ctx.send(NodeId(1), RawPayload::new(10, 0));
+                    ctx.send(NodeId(9), RawPayload::new(99, 0));
+                    ctx.send(NodeId(2), RawPayload::new(11, 0));
+                });
+                let no_link = SendError::NoLink {
+                    from: NodeId(0),
+                    to: NodeId(9),
+                };
+                assert_eq!(failed, Err(NetError::Send(no_link)), "{label}");
+                net.run_until_quiescent();
+                let (now, mut seen) = (net.now(), Vec::new());
+                net.invoke(NodeId(0), &mut |_, ctx| {
+                    seen.push((ctx.me(), ctx.now(), ctx.queued_messages()));
+                    ctx.send(NodeId(3), RawPayload::new(20, 0));
+                    ctx.set_timer(us(1), 2);
+                })
+                .unwrap();
+                // A simulator's context is at the net's time; a threaded
+                // site keeps no virtual clock. Replay runs the closure on
+                // the site, then on its oracle.
+                let (site, sim) = ((NodeId(0), SimTime::ZERO, 0), (NodeId(0), now, 0));
+                let contexts = match backend {
+                    ExecBackend::Simnet => vec![sim],
+                    ExecBackend::Threaded(ThreadedMode::Replay) => vec![site, sim],
+                    ExecBackend::Threaded(ThreadedMode::FreeRunning) => vec![site],
+                };
+                assert_eq!(seen, contexts, "{label}");
+                net.run_until_quiescent();
+                let nodes = net.into_nodes();
+                let got: Vec<_> = nodes.iter().map(|n| n.got.clone()).collect();
+                let expected = [
+                    vec![],
+                    vec![(NodeId(0), 10)],
+                    vec![(NodeId(3), 5)],
+                    vec![(NodeId(0), 20)],
+                ];
+                assert_eq!(got, expected, "{label}");
+                let fired: Vec<_> = nodes.iter().map(|n| n.fired.clone()).collect();
+                assert_eq!(fired, [vec![1, 2], vec![], vec![], vec![]], "{label}");
+            }
+        }
+    }
+
     #[test]
     fn delivery_mode_labels_round_trip() {
         for mode in DeliveryMode::ALL {
