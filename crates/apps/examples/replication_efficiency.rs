@@ -13,7 +13,7 @@
 //! about a given variable, per protocol. All five protocols run through
 //! the one scenario engine; no per-protocol code path exists.
 
-use apps::scenario::{run_all, DistributionFamily, Scenario, SettlePolicy, WorkloadFamily};
+use apps::{run_all, DistributionFamily, Scenario, SettlePolicy, WorkloadFamily};
 use histories::VarId;
 use std::process::ExitCode;
 

@@ -8,13 +8,13 @@
 //! cargo run --release --example scenario_tour -- 12   # 12 processes
 //! ```
 //!
-//! The sweep is [`apps::scenario::standard_grid`] over every execution
+//! The sweep is [`apps::standard_grid`] over every execution
 //! backend: the grid's rules decide which axis combinations run. The one
 //! optional argument is the process count; anything else exits with
 //! status 2 and a usage line.
 //!
 //! Every cell of the sweep goes through the same runtime-dispatched
-//! execution path ([`apps::scenario::run_scenario`]); there is no
+//! execution path ([`apps::run_scenario`]); there is no
 //! per-protocol code anywhere in this file. Sparse topologies (ring, grid,
 //! star) run over the overlay routing layer — every logical send is
 //! relayed along BFS shortest paths — so all five protocols complete on
@@ -24,7 +24,7 @@
 //! retransmission), duplication (discarded by the link layer), and a
 //! scripted crash-restart with snapshot recovery. Cells are independent
 //! deterministic simulations, so they execute on a scoped thread fan-out
-//! ([`apps::scenario::parallel_map`]) and print in sweep order.
+//! ([`apps::parallel_map`]) and print in sweep order.
 //!
 //! Histories are recorded and checked against each protocol's *settled*
 //! criterion ([`dsm::ProtocolKind::settled_criterion`]): the tour settles
@@ -41,12 +41,12 @@
 //! fault-free sibling cell: link faults may change what the wire pays,
 //! never what the protocols deliver.
 //!
-//! The last column is each cell's [`apps::scenario::RunReport::digest`]
+//! The last column is each cell's [`apps::RunReport::digest`]
 //! (its history and every replica's settled values), so a diff of two
 //! commits' output shows a change in behaviour, not only in counts.
 //! Free-running threaded cells print `-`: their interleaving varies.
 
-use apps::scenario::{
+use apps::{
     parallel_map, run_all, standard_grid, FaultFamily, RunReport, Scenario, SettlePolicy,
     WorkloadFamily,
 };

@@ -13,8 +13,10 @@ use dsm::{DsmError, DynDsm, ProtocolKind};
 use histories::{Distribution, ProcId, VarId};
 use simnet::SimConfig;
 
-/// Sequential reference LCS length.
-pub fn lcs_reference(a: &[u8], b: &[u8]) -> i64 {
+/// Sequential reference LCS length, which the tests hold the distributed
+/// runs to.
+#[cfg(test)]
+fn lcs_reference(a: &[u8], b: &[u8]) -> i64 {
     let mut prev = vec![0i64; b.len() + 1];
     let mut cur = vec![0i64; b.len() + 1];
     for &ca in a {
@@ -44,7 +46,7 @@ fn row_done_var(rows: usize, cols: usize, row: usize) -> VarId {
 
 /// The distribution: row `r` (and its completion flag) lives on its writer
 /// (process `(r-1) mod p`) and on the writer of row `r + 1`.
-pub fn lcs_distribution(rows: usize, cols: usize, procs: usize) -> Distribution {
+pub(crate) fn lcs_distribution(rows: usize, cols: usize, procs: usize) -> Distribution {
     let mut dist = Distribution::new(procs, rows * (cols + 1) + rows);
     for row in 1..=rows {
         let owner = ProcId((row - 1) % procs);

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Effectively-infinite distance used before a node has been reached.
-pub const INFINITY: i64 = i64::MAX / 4;
+pub(crate) const INFINITY: i64 = i64::MAX / 4;
 
 /// A weighted directed graph with non-negative edge costs.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -23,7 +23,7 @@ pub struct Network {
 
 impl Network {
     /// An edgeless network over `n` nodes.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Network {
             n,
             weights: BTreeMap::new(),
@@ -35,16 +35,11 @@ impl Network {
         self.n
     }
 
-    /// Number of directed edges.
-    pub fn edge_count(&self) -> usize {
-        self.weights.len()
-    }
-
     /// Add (or overwrite) the directed edge `from → to` with cost `w`.
     ///
     /// Panics on out-of-range endpoints, self-loops, or negative costs
     /// (the paper's setting assumes non-negative link costs).
-    pub fn add_edge(&mut self, from: usize, to: usize, w: i64) {
+    pub(crate) fn add_edge(&mut self, from: usize, to: usize, w: i64) {
         assert!(from < self.n && to < self.n, "edge endpoint out of range");
         assert_ne!(from, to, "self loops are not allowed");
         assert!(w >= 0, "link costs are non-negative");
@@ -53,7 +48,7 @@ impl Network {
 
     /// The cost of edge `from → to` (`INFINITY` when absent, 0 when
     /// `from == to`), matching the paper's `w(i, j)` convention.
-    pub fn weight(&self, from: usize, to: usize) -> i64 {
+    pub(crate) fn weight(&self, from: usize, to: usize) -> i64 {
         if from == to {
             0
         } else {
@@ -67,15 +62,6 @@ impl Network {
             .keys()
             .filter(|&&(_, to)| to == i)
             .map(|&(from, _)| from)
-            .collect()
-    }
-
-    /// The successor set: nodes `i` has an edge to.
-    pub fn successors(&self, i: usize) -> Vec<usize> {
-        self.weights
-            .keys()
-            .filter(|&&(from, _)| from == i)
-            .map(|&(_, to)| to)
             .collect()
     }
 
@@ -106,8 +92,10 @@ impl Network {
         g
     }
 
-    /// A directed ring `0 → 1 → … → n-1 → 0` with unit costs.
-    pub fn ring(n: usize) -> Self {
+    /// A directed ring `0 → 1 → … → n-1 → 0` with unit costs: a test
+    /// input.
+    #[cfg(test)]
+    pub(crate) fn ring(n: usize) -> Self {
         let mut g = Network::new(n);
         for i in 0..n {
             let j = (i + 1) % n;
@@ -175,7 +163,7 @@ mod tests {
     fn fig8_structure_matches_the_papers_distribution() {
         let g = Network::fig8();
         assert_eq!(g.node_count(), 5);
-        assert_eq!(g.edge_count(), 8);
+        assert_eq!(g.edges().count(), 8);
         let mut p1 = g.predecessors(1);
         p1.sort_unstable();
         assert_eq!(p1, vec![0, 2]);
@@ -225,7 +213,13 @@ mod tests {
         let g = Network::ring(6);
         let d = shortest_paths_reference(&g, 0);
         assert_eq!(d, vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(g.successors(5), vec![0]);
+        assert_eq!(
+            g.edges()
+                .filter(|e| e.0 == 5)
+                .map(|e| e.1)
+                .collect::<Vec<_>>(),
+            vec![0]
+        );
     }
 
     #[test]
@@ -235,7 +229,7 @@ mod tests {
         assert_eq!(a, b);
         let d = shortest_paths_reference(&a, 0);
         assert!(d.iter().all(|&x| x < INFINITY), "all nodes reachable");
-        assert!(a.edge_count() >= 11);
+        assert!(a.edges().count() >= 11);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use histories::{Distribution, ProcId, VarId};
 use simnet::SimConfig;
 
 /// Fixed-point scale for representing reals in shared `i64` variables.
-pub const SCALE: i64 = 1_000_000;
+pub(crate) const SCALE: i64 = 1_000_000;
 
 /// A fixed-point iteration problem `x = M·x + b` with `‖M‖∞ < 1`.
 #[derive(Clone, Debug, PartialEq)]
@@ -33,7 +33,7 @@ pub struct FixedPointProblem {
 
 impl FixedPointProblem {
     /// Number of unknowns.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.b.len()
     }
 
@@ -63,8 +63,10 @@ impl FixedPointProblem {
         FixedPointProblem { m, b }
     }
 
-    /// Sequential reference solution by synchronous iteration to tolerance.
-    pub fn reference_solution(&self, tolerance: f64, max_iters: usize) -> Vec<f64> {
+    /// Sequential reference solution by synchronous iteration to
+    /// tolerance, which the tests hold the distributed runs to.
+    #[cfg(test)]
+    fn reference_solution(&self, tolerance: f64, max_iters: usize) -> Vec<f64> {
         let n = self.size();
         let mut x = vec![0.0; n];
         for _ in 0..max_iters {
@@ -105,7 +107,7 @@ pub struct JacobiRun {
 
 /// The distribution: component `x_j` is replicated on its owner `p_j` and
 /// on every process `p_i` whose row has a non-zero coefficient `M[i][j]`.
-pub fn jacobi_distribution(problem: &FixedPointProblem) -> Distribution {
+pub(crate) fn jacobi_distribution(problem: &FixedPointProblem) -> Distribution {
     let n = problem.size();
     let mut dist = Distribution::new(n, n);
     for i in 0..n {

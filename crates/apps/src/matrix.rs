@@ -34,34 +34,38 @@ impl Matrix {
         }
     }
 
-    /// Build from a row-major vector (must have `rows * cols` entries).
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<i64>) -> Self {
+    /// Build from a row-major vector (must have `rows * cols` entries):
+    /// the tests' inputs.
+    #[cfg(test)]
+    fn from_vec(rows: usize, cols: usize, data: Vec<i64>) -> Self {
         assert_eq!(data.len(), rows * cols, "dimension mismatch");
         Matrix { rows, cols, data }
     }
 
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// Read entry `(i, j)`.
-    pub fn get(&self, i: usize, j: usize) -> i64 {
+    pub(crate) fn get(&self, i: usize, j: usize) -> i64 {
         self.data[i * self.cols + j]
     }
 
     /// Write entry `(i, j)`.
-    pub fn set(&mut self, i: usize, j: usize, v: i64) {
+    pub(crate) fn set(&mut self, i: usize, j: usize, v: i64) {
         self.data[i * self.cols + j] = v;
     }
 
-    /// Sequential reference product.
-    pub fn multiply(&self, other: &Matrix) -> Matrix {
+    /// Sequential reference product, which the tests hold the distributed
+    /// runs to.
+    #[cfg(test)]
+    fn multiply(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "inner dimensions must agree");
         let mut out = Matrix::zeros(self.rows, other.cols);
         for i in 0..self.rows {
@@ -109,7 +113,7 @@ fn worker_rows(n: usize, workers: usize, w: usize) -> std::ops::Range<usize> {
 /// The variable distribution: the producer (process 0) replicates `A`, `B`
 /// and the ready flag; worker `w` (process `w + 1`) additionally replicates
 /// the rows of `A` it needs, all of `B`, the flag, and its block of `C`.
-pub fn matrix_distribution(n: usize, workers: usize) -> Distribution {
+pub(crate) fn matrix_distribution(n: usize, workers: usize) -> Distribution {
     let layout = Layout { n };
     let mut dist = Distribution::new(workers + 1, 2 * n * n + 1 + n * n);
     let producer = ProcId(0);

@@ -7,17 +7,15 @@
     reason = "each suite compiles this module on its own and uses a subset of it, so which items are dead differs per suite"
 )]
 
-use apps::scenario::{
-    apply_script, generate_family_ops, CrashSchedule, SettlePolicy, WorkloadFamily,
-};
-use apps::workload::WorkloadOp;
+use apps::WorkloadOp;
+use apps::{apply_script, generate_family_ops, CrashSchedule, SettlePolicy, WorkloadFamily};
 use dsm::{ControlSummary, DynDsm, ProtocolKind};
 use histories::{Distribution, History, ProcId, Value, VarId};
 use proptest::prelude::*;
 use simnet::{ExecBackend, NetworkStats, SimConfig};
 
 /// Everything the differential pins compare about one run.
-pub struct Observation {
+pub(crate) struct Observation {
     pub history: History,
     pub network: NetworkStats,
     pub control: ControlSummary,
@@ -33,7 +31,7 @@ impl Observation {
     /// [`Observation::settled`] restricted to the distribution's own
     /// replicas — what a fully and a partially replicated protocol can
     /// both be compared on.
-    pub fn settled_on(&self, dist: &Distribution) -> Vec<(ProcId, VarId, Value)> {
+    pub(crate) fn settled_on(&self, dist: &Distribution) -> Vec<(ProcId, VarId, Value)> {
         self.settled
             .iter()
             .copied()
@@ -45,7 +43,7 @@ impl Observation {
 /// Drive `ops` (with an optional scripted crash) on `backend` under
 /// `config` through the engine's own driver loop ([`apply_script`], the
 /// one every sweep uses) and observe the result.
-pub fn observe(
+pub(crate) fn observe(
     kind: ProtocolKind,
     dist: &Distribution,
     ops: &[WorkloadOp],
@@ -74,14 +72,14 @@ pub fn observe(
 
 /// Per-node control facts no wire change may move: the tracked variables
 /// and, per variable, the (sent, received) record counts.
-pub type NodeSignature = (Vec<VarId>, Vec<(VarId, u64, u64)>);
+pub(crate) type NodeSignature = (Vec<VarId>, Vec<(VarId, u64, u64)>);
 
 /// The projection of a control summary that delivery modes and link
 /// faults leave alone: which variables each node tracks, and how many
 /// control records it sent and received about each. Bytes are absent —
 /// they are exactly what wire formats, retransmissions and recovery
 /// traffic are allowed to change.
-pub fn control_signature(control: &ControlSummary) -> Vec<NodeSignature> {
+pub(crate) fn control_signature(control: &ControlSummary) -> Vec<NodeSignature> {
     (0..control.node_count())
         .map(|p| {
             let node = control.node(ProcId(p));
@@ -112,7 +110,7 @@ fn deployment() -> impl Strategy<Value = (Distribution, u64)> {
 
 /// A [`deployment`] and a racy script over it: 5 ops per process, half
 /// of them writes, a settle every 3.
-pub fn small_setup() -> impl Strategy<Value = (Distribution, Vec<WorkloadOp>)> {
+pub(crate) fn small_setup() -> impl Strategy<Value = (Distribution, Vec<WorkloadOp>)> {
     deployment().prop_map(|(dist, seed)| {
         let family = WorkloadFamily::Uniform { write_ratio: 0.5 };
         let ops = generate_family_ops(&dist, &family, 5, SettlePolicy::Every(3), seed);
@@ -122,7 +120,7 @@ pub fn small_setup() -> impl Strategy<Value = (Distribution, Vec<WorkloadOp>)> {
 
 /// Like [`small_setup`], but the script is race-free: each variable is
 /// only ever written by its owner (smallest-id replica).
-pub fn single_writer_setup() -> impl Strategy<Value = (Distribution, Vec<WorkloadOp>)> {
+pub(crate) fn single_writer_setup() -> impl Strategy<Value = (Distribution, Vec<WorkloadOp>)> {
     deployment().prop_map(|(dist, seed)| {
         let family = WorkloadFamily::ProducerConsumer;
         let ops = generate_family_ops(&dist, &family, 5, SettlePolicy::Every(3), seed);

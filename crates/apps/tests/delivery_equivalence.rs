@@ -40,8 +40,8 @@
 
 mod common;
 
-use apps::scenario::{generate_family_ops, SettlePolicy, WorkloadFamily};
-use apps::workload::WorkloadOp;
+use apps::WorkloadOp;
+use apps::{generate_family_ops, SettlePolicy, WorkloadFamily};
 use common::{control_signature, observe, single_writer_setup, small_setup, Observation};
 use dsm::ProtocolKind;
 use histories::{pram_spot_check, Distribution, ProcId, VarId};

@@ -27,10 +27,10 @@
 
 mod common;
 
-use apps::scenario::{
+use apps::WorkloadOp;
+use apps::{
     apply_script, generate_family_ops, CrashSchedule, FaultFamily, SettlePolicy, WorkloadFamily,
 };
-use apps::workload::WorkloadOp;
 use common::{control_signature, single_writer_setup, Observation};
 use dsm::{DynDsm, ProtocolKind};
 use histories::{check, pram_spot_check, Criterion, Distribution, ProcId, Value, VarId};

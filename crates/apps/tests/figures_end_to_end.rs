@@ -7,10 +7,10 @@ use apps::{
     shortest_paths_reference, Network,
 };
 use dsm::{DynDsm, ProtocolKind};
-use histories::checker::{check, Criterion};
-use histories::dependency::{has_dependency_chain, ChainOrder};
+use histories::enumerate_hoops;
 use histories::figures;
-use histories::hoop::enumerate_hoops;
+use histories::{check, Criterion};
+use histories::{has_dependency_chain, ChainOrder};
 use histories::{Distribution, ProcId, ReadFrom, ShareGraph, VarId};
 use simnet::SimConfig;
 use std::collections::BTreeSet;
@@ -194,7 +194,7 @@ fn figure_distributions_induce_the_expected_relevance_sets() {
     // Figure 6's distribution: [p1, p2, p3] is an x-hoop, so p2 is
     // x-relevant although it does not replicate x; p4 is in C(x).
     let d = figures::fig6_distribution();
-    let relevant = histories::relevance::relevant_processes(&d, VarId(0), 6);
+    let relevant = histories::relevant_processes(&d, VarId(0), 6);
     assert!(
         relevant.contains(&ProcId(1)),
         "p2 is x-relevant via the hoop"
@@ -206,6 +206,6 @@ fn figure_distributions_induce_the_expected_relevance_sets() {
     // Under full replication of x the hoop disappears.
     let mut full = Distribution::full(4, 3);
     full.assign(ProcId(0), VarId(0));
-    let rel_full = histories::relevance::relevant_processes(&full, VarId(0), 6);
+    let rel_full = histories::relevant_processes(&full, VarId(0), 6);
     assert_eq!(rel_full.len(), 4);
 }

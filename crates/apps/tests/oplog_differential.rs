@@ -23,11 +23,11 @@
 
 mod common;
 
-use apps::scenario::{
+use apps::WorkloadOp;
+use apps::{
     generate_family_ops, standard_faults, standard_topologies, FaultFamily, SettlePolicy,
     TopologyFamily, WorkloadFamily,
 };
-use apps::WorkloadOp;
 use common::observe;
 use dsm::ProtocolKind;
 use histories::Distribution;

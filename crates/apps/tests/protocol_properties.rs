@@ -4,7 +4,7 @@
 //! the control-information locality invariants hold. All runs go through
 //! the scenario engine's runtime-dispatched execution path.
 
-use apps::scenario::apply_script;
+use apps::apply_script;
 use apps::{generate_family_ops, run_script, SettlePolicy, WorkloadFamily, WorkloadOp};
 use dsm::ProtocolKind;
 use histories::{check, Criterion, Distribution, VarId};

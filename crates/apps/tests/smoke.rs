@@ -4,8 +4,8 @@
 //! as the judge. The protocol under test is selected at runtime from its
 //! [`ProtocolKind`] value, through the scenario engine.
 
-use apps::scenario::{run_scenario, Scenario, SettlePolicy, WorkloadFamily};
 use apps::{run_bellman_ford, run_jacobi, run_lcs, run_matrix_product};
+use apps::{run_scenario, Scenario, SettlePolicy, WorkloadFamily};
 use apps::{FixedPointProblem, Matrix, Network};
 use dsm::{DsmError, ProtocolKind};
 use histories::{check, Criterion, ProcId};

@@ -2,13 +2,13 @@
 //! of x-relevant processes (histories crate) matches what the executable
 //! protocols (dsm crate) actually do on the wire.
 
-use apps::scenario::{generate_family_ops, run_script, SettlePolicy, WorkloadFamily};
+use apps::{generate_family_ops, run_script, SettlePolicy, WorkloadFamily};
 use dsm::ProtocolKind;
-use histories::hoop::hoop_intermediaries;
-use histories::relevance::{
+use histories::hoop_intermediaries;
+use histories::{check, enumerate_hoops, Criterion, Distribution, ProcId, ShareGraph, VarId};
+use histories::{
     pram_chain_violations, relevant_processes, witness_has_causal_chain, witness_history,
 };
-use histories::{check, enumerate_hoops, Criterion, Distribution, ProcId, ShareGraph, VarId};
 use simnet::SimConfig;
 use std::collections::BTreeSet;
 
@@ -175,12 +175,12 @@ fn full_replication_makes_every_process_relevant_in_theory_and_practice() {
     // Practice: the causal-full protocol sends metadata about a written
     // variable to every node.
     let ops = vec![
-        apps::workload::WorkloadOp::Write {
+        apps::WorkloadOp::Write {
             proc: ProcId(0),
             var: VarId(0),
             value: 1,
         },
-        apps::workload::WorkloadOp::Settle,
+        apps::WorkloadOp::Settle,
     ];
     let out = run_script(
         ProtocolKind::CausalFull,

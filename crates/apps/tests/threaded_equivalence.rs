@@ -32,8 +32,8 @@
 
 mod common;
 
-use apps::scenario::{generate_family_ops, SettlePolicy, WorkloadFamily};
 use apps::WorkloadOp;
+use apps::{generate_family_ops, SettlePolicy, WorkloadFamily};
 use common::{observe, Observation};
 use dsm::ProtocolKind;
 use histories::{causal_spot_check, check, pram_spot_check, Criterion, Distribution, History};

@@ -24,7 +24,7 @@
 
 mod common;
 
-use apps::workload::WorkloadOp;
+use apps::WorkloadOp;
 use common::{observe, single_writer_setup, small_setup, Observation};
 use dsm::ProtocolKind;
 use histories::{pram_spot_check, Distribution};

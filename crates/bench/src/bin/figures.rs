@@ -13,12 +13,12 @@ use apps::{
     shortest_paths_reference, Network,
 };
 use dsm::{DynDsm, ProtocolKind};
-use histories::checker::check_all;
-use histories::dependency::{has_dependency_chain, ChainOrder};
+use histories::check_all;
+use histories::enumerate_hoops;
 use histories::figures;
-use histories::hoop::enumerate_hoops;
-use histories::relevance::{relevant_processes, witness_history};
 use histories::{check, Criterion, Distribution, History, ProcId, ReadFrom, ShareGraph, VarId};
+use histories::{has_dependency_chain, ChainOrder};
+use histories::{relevant_processes, witness_history};
 use simnet::{SimConfig, Topology};
 use std::process::ExitCode;
 

@@ -6,7 +6,7 @@
 //!
 //! Every deterministic sweep is a list of [`MatrixCell`]s — a workload
 //! script under one [`ProtocolKind`] on one network — that [`run_cells`]
-//! executes through the scenario engine ([`apps::scenario`]). The ledger
+//! executes through the scenario engine ([`apps::Scenario`]). The ledger
 //! ([`scenario_matrix`], [`scenario_matrix_large`]) turns the executed
 //! cells into [`ScenarioMatrixRow`]s; the E-tables print them directly,
 //! pricing each row against its reference run ([`Table`]), and E4 prints
@@ -14,12 +14,12 @@
 
 #![warn(missing_docs)]
 
-use apps::scenario::{
+use apps::WorkloadOp;
+use apps::{
     latency_label, parallel_map, run_script_faulted, standard_distributions, standard_faults,
     standard_grid, standard_topologies, CrashSchedule, DistributionFamily, FaultFamily, RunReport,
     Scenario, SettlePolicy, TopologyFamily, WorkloadFamily,
 };
-use apps::workload::WorkloadOp;
 use apps::{run_bellman_ford, BellmanFordRun, Network};
 use dsm::ProtocolKind;
 use histories::{causal_spot_check, pram_spot_check, Distribution, VarId};
@@ -124,7 +124,7 @@ fn seeded_cells(scenario: &Scenario, kinds: &[ProtocolKind]) -> Vec<MatrixCell> 
 }
 
 /// Run every cell through the scenario engine on the scoped-thread
-/// fan-out ([`apps::scenario::parallel_map`]). Each cell comes back with
+/// fan-out ([`apps::parallel_map`]). Each cell comes back with
 /// its report, in input order, bit-identical to a sequential run.
 pub fn run_cells(cells: Vec<MatrixCell>) -> Vec<(MatrixCell, RunReport)> {
     map_cells(cells, |cell, report| (cell, report))
@@ -327,7 +327,7 @@ pub fn relevance_fraction(dist: &Distribution, max_hoop_len: usize) -> f64 {
         return 0.0;
     }
     let total: usize = (0..dist.var_count())
-        .map(|x| histories::relevance::relevant_processes(dist, VarId(x), max_hoop_len).len())
+        .map(|x| histories::relevant_processes(dist, VarId(x), max_hoop_len).len())
         .sum();
     total as f64 / (n * dist.var_count()) as f64
 }
@@ -465,7 +465,7 @@ fn matrix_rows(
 }
 
 /// The standard scenario matrix: every protocol at every simnet
-/// coordinate of [`apps::scenario::standard_grid`], at `n` processes over
+/// coordinate of [`apps::standard_grid`], at `n` processes over
 /// `2n` variables with a settle every 6 ops. This is the sweep space the
 /// paper's efficiency argument lives in.
 ///
@@ -613,7 +613,7 @@ pub const BASELINE_LARGE_TIERS: [(usize, usize); 2] = [(64, 2), (256, 2)];
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apps::scenario::{standard_latencies, standard_workloads};
+    use apps::{standard_latencies, standard_workloads};
 
     #[test]
     fn efficiency_sweep_orders_protocols_as_the_paper_predicts() {

@@ -29,13 +29,8 @@ impl VectorClock {
     }
 
     /// Number of entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether the clock has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// The component for process `i`.
@@ -210,7 +205,7 @@ impl DeltaVc {
     /// What a protocol charges for shipping `next` to a peer that holds
     /// `prev`: [`DeltaVc::encoded_bytes`] under a delta delivery mode, the
     /// dense clock otherwise.
-    pub fn charged_bytes(delta: bool, prev: &VectorClock, next: &VectorClock) -> usize {
+    pub(crate) fn charged_bytes(delta: bool, prev: &VectorClock, next: &VectorClock) -> usize {
         if delta {
             Self::encoded_bytes(prev, next)
         } else {
@@ -250,20 +245,20 @@ impl DeltaVc {
 /// Per-writer FIFO sequence numbers: the only ordering metadata the PRAM
 /// protocol needs.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SequenceTracker {
+pub(crate) struct SequenceTracker {
     next_expected: Vec<u64>,
 }
 
 impl SequenceTracker {
     /// Tracker over `n` writers, all starting at sequence 1.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         SequenceTracker {
             next_expected: vec![1; n],
         }
     }
 
     /// The next sequence number expected from `writer`.
-    pub fn expected(&self, writer: usize) -> u64 {
+    pub(crate) fn expected(&self, writer: usize) -> u64 {
         self.next_expected[writer]
     }
 
@@ -271,7 +266,7 @@ impl SequenceTracker {
     /// the sequence was monotonically non-decreasing (gaps are allowed —
     /// under partial replication a node only sees the subsequence of a
     /// writer's updates that concern variables it replicates).
-    pub fn observe(&mut self, writer: usize, seq: u64) -> bool {
+    pub(crate) fn observe(&mut self, writer: usize, seq: u64) -> bool {
         let ok = seq >= self.next_expected[writer];
         if ok {
             self.next_expected[writer] = seq + 1;
@@ -283,6 +278,7 @@ impl SequenceTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn increment_and_get() {
@@ -293,7 +289,6 @@ mod tests {
         assert_eq!(vc.get(1), 2);
         assert_eq!(vc.total(), 2);
         assert_eq!(vc.len(), 3);
-        assert!(!vc.is_empty());
     }
 
     #[test]
@@ -402,5 +397,27 @@ mod tests {
         assert_eq!(t.expected(0), 6);
         assert!(!t.observe(0, 3)); // reordering would violate FIFO
         assert!(t.observe(1, 2));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Sequence trackers accept monotonically increasing (possibly gappy)
+        /// sequences and reject regressions.
+        #[test]
+        fn sequence_tracker_monotonicity(seqs in proptest::collection::vec(1u64..50, 1..20)) {
+            let mut t = SequenceTracker::new(1);
+            let mut highest = 0u64;
+            for s in seqs {
+                let accepted = t.observe(0, s);
+                if s > highest {
+                    prop_assert!(accepted);
+                    highest = s;
+                } else {
+                    prop_assert!(!accepted, "regression to {s} after {highest} must be rejected");
+                }
+                prop_assert_eq!(t.expected(0), highest + 1);
+            }
+        }
     }
 }

@@ -106,7 +106,7 @@ impl ControlStats {
         clippy::disallowed_methods,
         clippy::indexing_slicing
     )]
-    pub fn charge_sent_n(&mut self, x: VarId, bytes: usize, count: usize) {
+    pub(crate) fn charge_sent_n(&mut self, x: VarId, bytes: usize, count: usize) {
         let Some(slot) = self.slot_mut(x) else {
             return;
         };
@@ -235,15 +235,6 @@ impl ControlSummary {
     pub fn total_control_entries(&self) -> u64 {
         self.per_node.iter().map(|s| s.total_sent_entries()).sum()
     }
-
-    /// Mean number of variables tracked per node.
-    pub fn mean_tracked_vars(&self) -> f64 {
-        if self.per_node.is_empty() {
-            return 0.0;
-        }
-        let total: usize = self.per_node.iter().map(|s| s.tracked_count()).sum();
-        total as f64 / self.per_node.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -310,14 +301,16 @@ mod tests {
         assert!(summary.relevant_nodes(VarId(9)).is_empty());
         assert_eq!(summary.total_control_bytes(), 10);
         assert_eq!(summary.total_control_entries(), 1);
-        assert!((summary.mean_tracked_vars() - 1.0).abs() < 1e-12);
+        // One variable tracked per node on average.
+        let tracked: usize = summary.per_node.iter().map(|s| s.tracked_count()).sum();
+        assert_eq!(tracked, summary.node_count());
         assert_eq!(summary.node(ProcId(0)).sent_bytes(VarId(0)), 10);
     }
 
     #[test]
     fn empty_summary_statistics() {
         let s = ControlSummary::default();
-        assert_eq!(s.mean_tracked_vars(), 0.0);
+        assert!(s.per_node.is_empty());
         assert_eq!(s.total_control_bytes(), 0);
     }
 }

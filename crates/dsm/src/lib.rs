@@ -33,13 +33,13 @@
 //! [`DynDsm`] is one system for every protocol: the protocol is a
 //! [`ProtocolKind`] value, and only the node state machines differ.
 //!
-//! | kind | node | criterion | replication | per-update control info |
+//! | kind | criterion | replication | per-update control info | retained for a restarted peer's catch-up, until the next all-up settle cuts it |
 //! |---|---|---|---|---|
-//! | [`ProtocolKind::CausalFull`] | [`CausalFullNode`] | causal | full | `O(n)` vector clock, broadcast to all |
-//! | [`ProtocolKind::CausalPartial`] | [`CausalPartialNode`] | causal | partial (data) | `O(n)` vector clock to replicas **plus** control-only records to everyone else |
-//! | [`ProtocolKind::PramPartial`] | [`PramNode`] | PRAM | partial | per-writer sequence number, replicas only |
-//! | [`ProtocolKind::Sequential`] | [`SequentialNode`] | sequential (baseline) | full | sequencer round trip + global sequence number |
-//! | [`ProtocolKind::OpLog`] | [`OpLogNode`] | sequential at settle (PRAM always) | partial | per-shard flat-combining append/echo + shard sequence number, replicas only |
+//! | [`ProtocolKind::CausalFull`] | causal | full | `O(n)` vector clock, broadcast to all | own writes with their clock stamp, served by index from the requester's clock |
+//! | [`ProtocolKind::CausalPartial`] | causal | partial (data) | `O(n)` vector clock to replicas **plus** control-only records to everyone else | as causal-full; resent as update or record |
+//! | [`ProtocolKind::PramPartial`] | PRAM | partial | per-writer sequence number, replicas only | own writes, served by index from the requester's next expected number, filtered to its variables |
+//! | [`ProtocolKind::Sequential`] | sequential (baseline) | full | sequencer round trip + global sequence number | the ordered stream at the sequencer, served by index |
+//! | [`ProtocolKind::OpLog`] | sequential at settle (PRAM always) | partial | per-shard flat-combining append/echo + shard sequence number, replicas only | the last sequenced entry per owned variable (a winners table) |
 //!
 //! The asymmetry between causal-partial and PRAM-partial is the paper's
 //! result made measurable: causal consistency forces every node to handle
@@ -48,28 +48,20 @@
 
 #![deny(missing_docs)]
 
-pub mod api;
-pub mod clock;
-pub mod control;
-pub mod dynamic;
-pub mod protocol;
-pub mod recorder;
-pub mod runtime;
+mod api;
+mod clock;
+mod control;
+mod dynamic;
+mod protocol;
+mod recorder;
+mod runtime;
 
 #[cfg(test)]
 mod recovery_tests;
 
 pub use api::{DsmError, ProtocolKind};
-pub use clock::{DeltaVc, SequenceTracker, VectorClock};
+pub use clock::{DeltaVc, VectorClock};
 pub use control::{ControlStats, ControlSummary};
 pub use dynamic::ReplicaSnapshot;
-pub use protocol::causal_full::{CausalFullMsg, CausalFullNode, CausalMsg};
-pub use protocol::causal_partial::{
-    CausalPartialMsg, CausalPartialNode, ControlRecord, MAX_BATCH, RECORD_DELTA_BYTES,
-};
-pub use protocol::op_log::{OpLogMsg, OpLogNode};
-pub use protocol::pram_partial::{PramMsg, PramNode, PramPartialMsg};
-pub use protocol::sequential::{SeqMsg, SequentialNode};
-pub use protocol::{McsNode, RecoveryLog, RecoveryState, Stamp};
 pub use recorder::Recorder;
 pub use runtime::DynDsm;

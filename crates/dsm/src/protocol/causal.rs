@@ -39,7 +39,7 @@ use std::sync::Arc;
 /// stamped once and shared by every copy of the write (each update, control
 /// record, relay fork and recovery-log entry).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Stamp {
+pub(crate) struct Stamp {
     vc: VectorClock,
     /// The writer applied nothing since its previous write: `vc` is the
     /// previous stamp with the writer's own entry incremented.
@@ -49,7 +49,7 @@ pub struct Stamp {
 impl Stamp {
     /// A stamp claiming nothing about the writer's previous write, so
     /// receivers check it by the full scan.
-    pub fn new(vc: VectorClock) -> Self {
+    pub(crate) fn new(vc: VectorClock) -> Self {
         Stamp {
             vc,
             own_step: false,
@@ -57,14 +57,8 @@ impl Stamp {
     }
 
     /// The writer's vector clock after the write.
-    pub fn clock(&self) -> &VectorClock {
+    pub(crate) fn clock(&self) -> &VectorClock {
         &self.vc
-    }
-
-    /// Whether the writer applied nothing between its previous write (the
-    /// zero clock for its first) and this one.
-    pub fn own_step(&self) -> bool {
-        self.own_step
     }
 
     /// Whether this stamp of `writer`'s write is deliverable at a node whose
@@ -77,7 +71,7 @@ impl Stamp {
         clippy::disallowed_methods,
         clippy::indexing_slicing
     )]
-    pub fn deliverable_at(&self, local: &VectorClock, writer: usize) -> bool {
+    pub(crate) fn deliverable_at(&self, local: &VectorClock, writer: usize) -> bool {
         if !self.own_step {
             return local.deliverable_from(&self.vc, writer);
         }
@@ -120,9 +114,6 @@ pub(crate) struct CausalReplica {
     prev: Arc<Stamp>,
     /// Whether a delivery was applied since this node's last write.
     merged: bool,
-    updates: u64,
-    records: u64,
-    in_order: u64,
 }
 
 impl CausalReplica {
@@ -134,9 +125,6 @@ impl CausalReplica {
             pending: Vec::new(),
             prev: Arc::new(Stamp::new(VectorClock::new(n))),
             merged: false,
-            updates: 0,
-            records: 0,
-            in_order: 0,
         }
     }
 
@@ -150,24 +138,11 @@ impl CausalReplica {
         &self.vc
     }
 
-    /// Received writes parked until deliverable.
+    /// Received writes parked until deliverable: what the tests of both
+    /// causal protocols watch drain.
+    #[cfg(test)]
     pub(crate) fn pending_count(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Updates applied (values stored), excluding own writes.
-    pub(crate) fn updates(&self) -> u64 {
-        self.updates
-    }
-
-    /// Control records applied (clock advanced, nothing stored).
-    pub(crate) fn records(&self) -> u64 {
-        self.records
-    }
-
-    /// Deliveries of own-step stamps: those the O(1) check decided.
-    pub(crate) fn in_order(&self) -> u64 {
-        self.in_order
     }
 
     /// Apply this node's own write and stamp it: the stamp, shared by every
@@ -254,13 +229,8 @@ impl CausalReplica {
     fn apply(&mut self, writer: usize, var: VarId, value: Option<i64>, stamp: &Stamp) {
         self.vc.deliver(&stamp.vc, writer);
         self.merged = true;
-        self.in_order += u64::from(stamp.own_step);
-        match value {
-            Some(v) => {
-                self.store.insert(var, Value::Int(v));
-                self.updates += 1;
-            }
-            None => self.records += 1,
+        if let Some(v) = value {
+            self.store.insert(var, Value::Int(v));
         }
     }
 
@@ -301,13 +271,12 @@ mod tests {
         let (mut p0, mut p1) = (CausalReplica::new(2), CausalReplica::new(2));
         let (first, _) = p0.write(0, VarId(0), 1, false);
         let (second, _) = p0.write(0, VarId(0), 2, false);
-        assert!(first.own_step() && second.own_step(), "nothing applied");
+        assert!(first.own_step && second.own_step, "nothing applied");
         deliver_all(&mut p1, 0, &[first, second]);
         let (merged, _) = p1.write(1, VarId(0), 3, false);
-        assert!(!merged.own_step(), "p1 applied p0's writes first");
+        assert!(!merged.own_step, "p1 applied p0's writes first");
         let (next, _) = p1.write(1, VarId(0), 4, false);
-        assert!(next.own_step(), "nothing applied since the previous write");
-        assert_eq!(p1.in_order(), 2);
+        assert!(next.own_step, "nothing applied since the previous write");
         // The merged stamp is checked by the scan, and agrees with it.
         assert!(merged.deliverable_at(p0.clock(), 1));
         assert!(!next.deliverable_at(p0.clock(), 1), "a gap in p1's writes");
@@ -320,11 +289,13 @@ mod tests {
         let (w2, _) = p0.write(0, VarId(1), 2, false);
         // The second write overtakes the first: parked, then both apply.
         assert!(p2.receive(0, VarId(1), Some(2), &w2));
-        assert_eq!(p2.pending_count(), 1);
+        assert_eq!(p2.pending.len(), 1);
         assert_eq!(p2.read(VarId(1)), Value::Bottom);
         assert!(p2.receive(0, VarId(0), None, &w1));
-        assert_eq!(p2.pending_count(), 0);
-        assert_eq!((p2.updates(), p2.records(), p2.in_order()), (1, 1, 2));
+        assert_eq!(p2.pending.len(), 0);
+        // Both applied (one stored, one a record), each an own step.
+        assert_eq!(p2.clock().get(0), 2);
+        assert!(w1.own_step && w2.own_step);
         assert_eq!(p2.read(VarId(1)), Value::Int(2));
         assert_eq!(p2.read(VarId(0)), Value::Bottom, "a record stores nothing");
         // Both are now duplicates.
@@ -337,7 +308,7 @@ mod tests {
         let mut p = CausalReplica::new(16);
         for _ in 0..3 {
             let (stamp, encoded) = p.write(3, VarId(0), 7, true);
-            assert!(stamp.own_step());
+            assert!(stamp.own_step);
             assert_eq!(encoded, 4 + 12);
         }
         assert_eq!(p.write(3, VarId(0), 7, false).1, 16 * 8);

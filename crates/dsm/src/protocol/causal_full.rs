@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 /// A causally timestamped update.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CausalMsg {
+pub(crate) struct CausalMsg {
     /// The writing process.
     pub writer: usize,
     /// The written variable.
@@ -54,22 +54,9 @@ pub struct CausalMsg {
 }
 
 impl CausalMsg {
-    /// An update charged at the classical dense clock size, its stamp
-    /// checked by the full scan.
-    pub fn dense(writer: usize, var: VarId, value: i64, vc: VectorClock) -> Self {
-        let encoded = vc.wire_bytes();
-        CausalMsg {
-            writer,
-            var,
-            value,
-            stamp: Arc::new(Stamp::new(vc)),
-            encoded,
-        }
-    }
-
     /// Control bytes: the (possibly delta-encoded) vector clock plus
     /// writer and variable ids.
-    pub fn control_size(&self) -> usize {
+    pub(crate) fn control_size(&self) -> usize {
         self.encoded + 8
     }
 }
@@ -89,7 +76,7 @@ impl WireSize for CausalMsg {
 /// peer answers from its persisted log of *own* writes, with the original
 /// timestamps, so causal delivery at the requester is untouched).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CausalFullMsg {
+pub(crate) enum CausalFullMsg {
     /// A broadcast update (the only message of the fault-free protocol).
     Update(CausalMsg),
     /// One flush window's updates, in write order (batching only).
@@ -124,7 +111,7 @@ impl WireSize for CausalFullMsg {
 
 /// The fully replicated causal MCS process.
 #[derive(Clone, Debug, PartialEq)]
-pub struct CausalFullNode {
+pub(crate) struct CausalFullNode {
     me: ProcId,
     /// Clock, store and parked updates (the shared causal kernel).
     replica: CausalReplica,
@@ -147,14 +134,9 @@ pub struct CausalFullNode {
 
 impl CausalFullNode {
     /// Build the node for process `me` in a system of `n` processes,
-    /// charging clocks at their classical dense size.
-    pub fn new(me: ProcId, n: usize) -> Self {
-        Self::with_delta(me, n, false)
-    }
-
-    /// Like [`CausalFullNode::new`], optionally charging broadcast clocks
-    /// at their [`DeltaVc`] size (`delta = true`).
-    pub fn with_delta(me: ProcId, n: usize, delta: bool) -> Self {
+    /// charging broadcast clocks at their classical dense size, or at their
+    /// [`DeltaVc`] size when `delta` is set.
+    pub(crate) fn with_delta(me: ProcId, n: usize, delta: bool) -> Self {
         CausalFullNode {
             me,
             replica: CausalReplica::new(n),
@@ -168,24 +150,8 @@ impl CausalFullNode {
     }
 
     /// The node's current vector clock.
-    pub fn clock(&self) -> &VectorClock {
+    pub(crate) fn clock(&self) -> &VectorClock {
         self.replica.clock()
-    }
-
-    /// Updates applied (excluding the node's own writes).
-    pub fn delivered_count(&self) -> u64 {
-        self.replica.updates()
-    }
-
-    /// Updates applied whose stamp was an own step of its writer, so the
-    /// O(1) in-order check decided them (see [`Stamp::own_step`]).
-    pub fn in_order_deliveries(&self) -> u64 {
-        self.replica.in_order()
-    }
-
-    /// Messages buffered awaiting causal delivery.
-    pub fn pending_count(&self) -> usize {
-        self.replica.pending_count()
     }
 
     /// Discard a duplicate uncharged; apply in order, else park.
@@ -343,7 +309,7 @@ impl CausalFullNode {
     /// One node per process of `dist`, in process-id order. Honours
     /// `delivery.batching` (a flush window's updates go as one batch) and
     /// `delivery.delta` (each clock charged at its [`DeltaVc`] size).
-    pub fn build_nodes(dist: &Distribution, delivery: DeliveryMode) -> Vec<Self> {
+    pub(crate) fn build_nodes(dist: &Distribution, delivery: DeliveryMode) -> Vec<Self> {
         let n = dist.process_count();
         (0..n)
             .map(|i| CausalFullNode {
@@ -358,11 +324,26 @@ impl CausalFullNode {
 mod tests {
     use super::*;
     use crate::protocol::window::FLUSH_TAG;
+    use proptest::prelude::*;
+    use simnet::{Outgoing, SimTime};
+
+    /// An update charged at the classical dense clock size, its stamp
+    /// checked by the full scan.
+    fn dense(writer: usize, var: VarId, value: i64, vc: VectorClock) -> CausalMsg {
+        let encoded = vc.wire_bytes();
+        CausalMsg {
+            writer,
+            var,
+            value,
+            stamp: Arc::new(Stamp::new(vc)),
+            encoded,
+        }
+    }
 
     #[test]
     fn control_bytes_scale_with_system_size() {
-        let small = CausalMsg::dense(0, VarId(0), 1, VectorClock::new(3));
-        let big = CausalMsg::dense(0, VarId(0), 1, VectorClock::new(30));
+        let small = dense(0, VarId(0), 1, VectorClock::new(3));
+        let big = dense(0, VarId(0), 1, VectorClock::new(30));
         assert_eq!(small.data_bytes(), 8);
         assert_eq!(small.control_bytes(), 3 * 8 + 8);
         assert_eq!(big.control_bytes(), 30 * 8 + 8);
@@ -371,12 +352,12 @@ mod tests {
 
     #[test]
     fn node_replicates_everything_and_starts_empty() {
-        let node = CausalFullNode::new(ProcId(1), 4);
+        let node = CausalFullNode::with_delta(ProcId(1), 4, false);
         assert!(node.replicates(VarId(99)));
         assert_eq!(node.local_read(VarId(0)), Value::Bottom);
         assert_eq!(node.clock().total(), 0);
-        assert_eq!(node.pending_count(), 0);
-        assert_eq!(node.delivered_count(), 0);
+        assert_eq!(node.replica.pending_count(), 0);
+        assert_eq!(node.clock().total(), 0);
     }
 
     fn write_msg(writer: usize, n: usize, writes: u64, var: VarId, value: i64) -> CausalMsg {
@@ -384,30 +365,30 @@ mod tests {
         for _ in 0..writes {
             vc.increment(writer);
         }
-        CausalMsg::dense(writer, var, value, vc)
+        dense(writer, var, value, vc)
     }
 
     #[test]
     fn out_of_order_messages_wait_for_dependencies() {
-        let mut node = CausalFullNode::new(ProcId(2), 3);
+        let mut node = CausalFullNode::with_delta(ProcId(2), 3, false);
         // Writer 0's second write (depends on its first, unseen here).
         let m2 = write_msg(0, 3, 2, VarId(0), 2);
         // Deliver the dependent message first: it must be buffered.
         let mut ctx_unused = NodeContext::new(NodeId(2), simnet::SimTime::ZERO);
         node.on_message(&mut ctx_unused, NodeId(0), CausalFullMsg::Update(m2));
-        assert_eq!(node.pending_count(), 1);
+        assert_eq!(node.replica.pending_count(), 1);
         assert_eq!(node.local_read(VarId(0)), Value::Bottom);
         // Now the first write arrives; both become deliverable in order.
         let m1 = write_msg(0, 3, 1, VarId(0), 1);
         node.on_message(&mut ctx_unused, NodeId(0), CausalFullMsg::Update(m1));
-        assert_eq!(node.pending_count(), 0);
-        assert_eq!(node.delivered_count(), 2);
+        assert_eq!(node.replica.pending_count(), 0);
+        assert_eq!(node.clock().total(), 2);
         assert_eq!(node.local_read(VarId(0)), Value::Int(2));
     }
 
     #[test]
     fn duplicate_deliveries_are_idempotent() {
-        let mut node = CausalFullNode::new(ProcId(1), 2);
+        let mut node = CausalFullNode::with_delta(ProcId(1), 2, false);
         let mut ctx = NodeContext::new(NodeId(1), simnet::SimTime::ZERO);
         let m1 = write_msg(0, 2, 1, VarId(0), 1);
         let m2 = write_msg(0, 2, 2, VarId(0), 2);
@@ -418,25 +399,25 @@ mod tests {
         node.on_message(&mut ctx, NodeId(0), CausalFullMsg::Update(m2));
         node.on_message(&mut ctx, NodeId(0), CausalFullMsg::Update(m1));
         assert_eq!(node, settled);
-        assert_eq!(node.delivered_count(), 2);
+        assert_eq!(node.clock().total(), 2);
         assert_eq!(node.local_read(VarId(0)), Value::Int(2));
     }
 
     #[test]
     fn stale_pending_duplicates_are_purged_on_apply() {
-        let mut node = CausalFullNode::new(ProcId(1), 2);
+        let mut node = CausalFullNode::with_delta(ProcId(1), 2, false);
         let mut ctx = NodeContext::new(NodeId(1), simnet::SimTime::ZERO);
         let m2 = write_msg(0, 2, 2, VarId(0), 2);
         // Two copies of write 2 arrive before write 1: both go pending.
         node.on_message(&mut ctx, NodeId(0), CausalFullMsg::Update(m2.clone()));
         node.on_message(&mut ctx, NodeId(0), CausalFullMsg::Update(m2));
-        assert_eq!(node.pending_count(), 2);
+        assert_eq!(node.replica.pending_count(), 2);
         // Write 1 arrives: one copy of write 2 applies, the other is
         // purged rather than lingering forever.
         let m1 = write_msg(0, 2, 1, VarId(0), 1);
         node.on_message(&mut ctx, NodeId(0), CausalFullMsg::Update(m1));
-        assert_eq!(node.pending_count(), 0);
-        assert_eq!(node.delivered_count(), 2);
+        assert_eq!(node.replica.pending_count(), 0);
+        assert_eq!(node.clock().total(), 2);
     }
 
     #[test]
@@ -474,7 +455,7 @@ mod tests {
 
     #[test]
     fn on_restart_broadcasts_a_catchup_request() {
-        let mut node = CausalFullNode::new(ProcId(1), 4);
+        let mut node = CausalFullNode::with_delta(ProcId(1), 4, false);
         let mut ctx = NodeContext::new(NodeId(1), simnet::SimTime::ZERO);
         node.on_restart(&mut ctx);
         assert_eq!(ctx.queued_messages(), 3);
@@ -655,7 +636,7 @@ mod tests {
         };
         let mut rx_ctx = NodeContext::new(NodeId(1), simnet::SimTime::ZERO);
         nodes[1].on_message(&mut rx_ctx, NodeId(0), batch.clone());
-        assert_eq!(nodes[1].delivered_count(), 3);
+        assert_eq!(nodes[1].clock().total(), 3);
         assert_eq!(nodes[1].local_read(VarId(0)), Value::Int(3));
         assert_eq!(nodes[1].control().received_entries(VarId(0)), 3);
         let settled = nodes[1].clone();
@@ -692,5 +673,126 @@ mod tests {
         let mut flush_ctx = NodeContext::new(NodeId(2), simnet::SimTime::ZERO);
         restored.on_timer(&mut flush_ctx, FLUSH_TAG);
         assert_eq!(batches(flush_ctx.outgoing()), vec![(vec![0, 1], vec![9])]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The O(1) in-order check on own-step stamps agrees with the full
+        /// delivery condition on every stamp a causal node receives: random
+        /// interleavings of writes and out-of-order deliveries, so writers
+        /// merge between writes, and crashes whose restart restores a snapshot
+        /// and catches up. Afterwards every replica converges.
+        #[test]
+        fn the_own_step_check_agrees_with_the_full_scan(
+            n in 2usize..5,
+            steps in proptest::collection::vec((0u8..10, 0usize..8, 0usize..64), 0..80),
+        ) {
+            let mut run = CausalRun::new(n);
+            for (kind, p, k) in steps {
+                match kind {
+                    0..=3 => run.write(p % n, k),
+                    4..=8 => run.deliver(k),
+                    _ => run.crash_or_restart(p % n),
+                }
+            }
+            run.quiesce();
+            for node in &run.nodes {
+                prop_assert_eq!(node.replica.pending_count(), 0);
+                prop_assert_eq!(node.clock(), run.nodes[0].clock(), "replicas converge");
+            }
+        }
+    }
+
+    /// A hand-driven system of fully replicated causal nodes: the network is
+    /// a bag of in-flight messages delivered in any order, and at most one
+    /// node is down at a time (its snapshot waits for the restart).
+    struct CausalRun {
+        nodes: Vec<CausalFullNode>,
+        down: Option<(usize, CausalFullNode)>,
+        in_flight: Vec<(usize, CausalFullMsg)>,
+    }
+
+    impl CausalRun {
+        fn new(n: usize) -> Self {
+            let dist = Distribution::full(n, 3);
+            CausalRun {
+                nodes: CausalFullNode::build_nodes(&dist, DeliveryMode::DELTA),
+                down: None,
+                in_flight: Vec::new(),
+            }
+        }
+
+        fn is_down(&self, p: usize) -> bool {
+            self.down.as_ref().is_some_and(|(d, _)| *d == p)
+        }
+
+        /// Queue what `p` sent in `ctx`, one copy per destination.
+        fn post(&mut self, ctx: NodeContext<CausalFullMsg>) {
+            for out in ctx.outgoing() {
+                match out {
+                    Outgoing::One(to, m) => self.in_flight.push((to.index(), m.clone())),
+                    Outgoing::Many(tos, m) => {
+                        (self.in_flight).extend(tos.iter().map(|to| (to.index(), m.clone())))
+                    }
+                }
+            }
+        }
+
+        fn write(&mut self, p: usize, value: usize) {
+            if self.is_down(p) {
+                return;
+            }
+            let mut ctx = NodeContext::new(NodeId(p), SimTime::ZERO);
+            self.nodes[p].local_write(&mut ctx, VarId(value % 3), value as i64);
+            self.post(ctx);
+        }
+
+        /// Deliver the `k`-th in-flight message (lost if its destination is
+        /// down), checking both delivery conditions on the stamp it carries.
+        fn deliver(&mut self, k: usize) {
+            if self.in_flight.is_empty() {
+                return;
+            }
+            let (to, msg) = self.in_flight.swap_remove(k % self.in_flight.len());
+            if self.is_down(to) {
+                return;
+            }
+            if let CausalFullMsg::Update(m) = &msg {
+                let local = self.nodes[to].clock();
+                let scan = local.deliverable_from(m.stamp.clock(), m.writer);
+                assert_eq!(m.stamp.deliverable_at(local, m.writer), scan, "{m:?}");
+            }
+            let mut ctx = NodeContext::new(NodeId(to), SimTime::ZERO);
+            self.nodes[to].on_message(&mut ctx, NodeId(0), msg);
+            self.post(ctx);
+        }
+
+        /// Crash `p` if nobody is down; otherwise restore the crashed node's
+        /// snapshot and run its catch-up to quiescence, as the runtime does
+        /// (a catch-up request lost to a second crash would be lost for good).
+        fn crash_or_restart(&mut self, p: usize) {
+            match self.down.take() {
+                None => self.down = Some((p, self.nodes[p].clone())),
+                Some((d, snapshot)) => {
+                    self.nodes[d] = snapshot;
+                    let mut ctx = NodeContext::new(NodeId(d), SimTime::ZERO);
+                    self.nodes[d].on_restart(&mut ctx);
+                    self.post(ctx);
+                    self.quiesce();
+                }
+            }
+        }
+
+        /// Restart whoever is down, then deliver everything, in a scrambled
+        /// order.
+        fn quiesce(&mut self) {
+            if self.down.is_some() {
+                return self.crash_or_restart(0);
+            }
+            while !self.in_flight.is_empty() {
+                self.deliver(self.in_flight.len() / 2 + 1);
+            }
+        }
     }
 }

@@ -77,15 +77,15 @@ use std::sync::Arc;
 /// Incremental wire cost of a control record that rides with a carrier
 /// already bearing a full vector clock (writer id + variable id + clock
 /// delta).
-pub const RECORD_DELTA_BYTES: usize = 16;
+pub(crate) const RECORD_DELTA_BYTES: usize = 16;
 
 /// Records owed to one destination at which they are flushed immediately,
 /// without waiting for a piggyback opportunity or the timer.
-pub const MAX_BATCH: usize = 16;
+pub(crate) const MAX_BATCH: usize = 16;
 
 /// A dependency control record: everything about a write except its data.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ControlRecord {
+pub(crate) struct ControlRecord {
     /// The writing process.
     pub writer: usize,
     /// The written variable.
@@ -102,22 +102,10 @@ pub struct ControlRecord {
 }
 
 impl ControlRecord {
-    /// A record charged at the classical dense clock size, its stamp
-    /// checked by the full scan.
-    pub fn dense(writer: usize, var: VarId, vc: VectorClock) -> Self {
-        let encoded = vc.wire_bytes();
-        ControlRecord {
-            writer,
-            var,
-            stamp: Arc::new(Stamp::new(vc)),
-            encoded,
-        }
-    }
-
     /// Wire cost of this record as a standalone control message (or as the
     /// first record of a batch): the (possibly delta-encoded) vector
     /// clock plus ids.
-    pub fn full_bytes(&self) -> usize {
+    pub(crate) fn full_bytes(&self) -> usize {
         self.encoded + 8
     }
 
@@ -134,7 +122,7 @@ impl ControlRecord {
 
 /// Messages of the partially replicated causal protocol.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CausalPartialMsg {
+pub(crate) enum CausalPartialMsg {
     /// A full update: data value plus causal timestamp. Sent to the
     /// replicas of the written variable. Under a batching delivery mode it
     /// may carry piggybacked control records buffered for the same
@@ -215,7 +203,7 @@ impl WireSize for CausalPartialMsg {
 
 /// The partially replicated causal MCS process.
 #[derive(Clone, Debug, PartialEq)]
-pub struct CausalPartialNode {
+pub(crate) struct CausalPartialNode {
     me: ProcId,
     /// `replicas[x]`: the processes replicating variable `x`, in id order
     /// — one table shared by all nodes of a deployment.
@@ -244,12 +232,6 @@ pub struct CausalPartialNode {
 }
 
 impl CausalPartialNode {
-    /// Build the node for process `me` under the given distribution, with
-    /// control-record batching per `delivery`.
-    pub fn new(me: ProcId, dist: &Distribution, delivery: DeliveryMode) -> Self {
-        Self::with_replicas(me, dist.process_count(), replica_table(dist), delivery)
-    }
-
     fn with_replicas(
         me: ProcId,
         n: usize,
@@ -270,37 +252,8 @@ impl CausalPartialNode {
     }
 
     /// The node's current vector clock.
-    pub fn clock(&self) -> &VectorClock {
+    pub(crate) fn clock(&self) -> &VectorClock {
         self.replica.clock()
-    }
-
-    /// Data updates applied so far.
-    pub fn delivered_updates(&self) -> u64 {
-        self.replica.updates()
-    }
-
-    /// Control records processed so far — each one is metadata about a
-    /// variable this node does not replicate.
-    pub fn delivered_control(&self) -> u64 {
-        self.replica.records()
-    }
-
-    /// Updates and records applied whose stamp was an own step of its
-    /// writer, so the O(1) in-order check decided them (see
-    /// [`Stamp::own_step`]).
-    pub fn in_order_deliveries(&self) -> u64 {
-        self.replica.in_order()
-    }
-
-    /// Writes (updates or records) buffered awaiting causal delivery.
-    pub fn pending_count(&self) -> usize {
-        self.replica.pending_count()
-    }
-
-    /// Control records owed for later sending, counted once per
-    /// destination owed each (0 unless batching).
-    pub fn buffered_records(&self) -> usize {
-        self.owed.owed_total()
     }
 
     /// Receive one control record, charging `bytes` of received control
@@ -607,7 +560,7 @@ impl CausalPartialNode {
     /// `delivery.batching` (control records buffered per destination,
     /// piggybacked and flushed in batches) and `delivery.delta` (clocks
     /// charged at their [`DeltaVc`] size).
-    pub fn build_nodes(dist: &Distribution, delivery: DeliveryMode) -> Vec<Self> {
+    pub(crate) fn build_nodes(dist: &Distribution, delivery: DeliveryMode) -> Vec<Self> {
         let n = dist.process_count();
         let replicas = replica_table(dist);
         (0..n)
@@ -624,6 +577,32 @@ mod tests {
     use crate::protocol::window::FLUSH_TAG;
     use proptest::prelude::*;
     use simnet::SimTime;
+
+    /// The node of process `me` under `dist`, with control-record batching
+    /// per `delivery`.
+    fn new_node(me: ProcId, dist: &Distribution, delivery: DeliveryMode) -> CausalPartialNode {
+        CausalPartialNode::with_replicas(me, dist.process_count(), replica_table(dist), delivery)
+    }
+
+    /// A record charged at the classical dense clock size, its stamp
+    /// checked by the full scan.
+    fn dense_record(writer: usize, var: VarId, vc: VectorClock) -> ControlRecord {
+        let encoded = vc.wire_bytes();
+        ControlRecord {
+            writer,
+            var,
+            stamp: Arc::new(Stamp::new(vc)),
+            encoded,
+        }
+    }
+
+    /// Control records `node` owes, counted once per destination owed
+    /// each: what per-destination buffers would hold.
+    fn buffered_records(node: &CausalPartialNode) -> usize {
+        (0..node.clock().len())
+            .map(|d| node.owed.owed(d).len())
+            .sum()
+    }
 
     fn control_msg(writer: usize, var: VarId, vc: VectorClock) -> CausalPartialMsg {
         let encoded = vc.wire_bytes();
@@ -659,7 +638,7 @@ mod tests {
 
     #[test]
     fn batches_and_piggybacks_delta_encode_their_records() {
-        let record = |w: usize| ControlRecord::dense(w, VarId(1), VectorClock::new(4));
+        let record = |w: usize| dense_record(w, VarId(1), VectorClock::new(4));
         let single = CausalPartialMsg::ControlBatch {
             records: [record(0)].into(),
         };
@@ -716,12 +695,12 @@ mod tests {
         nodes[0].local_write(&mut ctx, VarId(0), 5);
         // Only the update leaves immediately; the two records wait.
         assert_eq!(ctx.queued_messages(), 1);
-        assert_eq!(nodes[0].buffered_records(), 2);
+        assert_eq!(buffered_records(&nodes[0]), 2);
         // The flush timer drains both buffers as one batch each.
         let mut flush_ctx = NodeContext::new(NodeId(0), SimTime::ZERO);
         nodes[0].on_timer(&mut flush_ctx, FLUSH_TAG);
         assert_eq!(flush_ctx.queued_messages(), 2);
-        assert_eq!(nodes[0].buffered_records(), 0);
+        assert_eq!(buffered_records(&nodes[0]), 0);
         // Unknown timer tags are ignored.
         let mut other = NodeContext::new(NodeId(0), SimTime::ZERO);
         nodes[0].on_timer(&mut other, 99);
@@ -741,11 +720,11 @@ mod tests {
         let mut ctx = NodeContext::new(NodeId(0), SimTime::ZERO);
         // Writing x0 buffers records for p2 and p3.
         nodes[0].local_write(&mut ctx, VarId(0), 5);
-        assert_eq!(nodes[0].buffered_records(), 2);
+        assert_eq!(buffered_records(&nodes[0]), 2);
         // Writing x1 piggybacks p2's record on its update; p1 (not a
         // replica of x1) and p3 keep waiting.
         nodes[0].local_write(&mut ctx, VarId(1), 6);
-        assert_eq!(nodes[0].buffered_records(), 3); // p1(x1) + p3(x0, x1)
+        assert_eq!(buffered_records(&nodes[0]), 3); // p1(x1) + p3(x0, x1)
         let piggybacked = ctx.outgoing().iter().any(|out| {
             matches!(
                 out,
@@ -762,13 +741,13 @@ mod tests {
     fn a_full_buffer_flushes_without_waiting() {
         let mut dist = Distribution::new(2, 1);
         dist.assign(ProcId(0), VarId(0));
-        let mut node = CausalPartialNode::new(ProcId(0), &dist, DeliveryMode::BATCHED);
+        let mut node = new_node(ProcId(0), &dist, DeliveryMode::BATCHED);
         let mut ctx = NodeContext::new(NodeId(0), SimTime::ZERO);
         for i in 0..MAX_BATCH as i64 {
             node.local_write(&mut ctx, VarId(0), i);
         }
         // The cap flushed p1's buffer exactly once.
-        assert_eq!(node.buffered_records(), 0);
+        assert_eq!(buffered_records(&node), 0);
         let batches = ctx
             .outgoing()
             .iter()
@@ -828,7 +807,7 @@ mod tests {
             vec![(vec![1], vec![1]), (vec![3, 4, 5, 6, 7], vec![0, 1])]
         );
         assert_eq!(flush_ctx.outgoing().len(), 2);
-        assert_eq!(nodes[0].buffered_records(), 0);
+        assert_eq!(buffered_records(&nodes[0]), 0);
         // The logical charges are the per-destination ones: a full record
         // (8·8 + 8 bytes) first in each destination's own list, a delta after.
         let (full, delta) = (72, RECORD_DELTA_BYTES as u64);
@@ -876,7 +855,7 @@ mod tests {
                 (vec![1], vec![1; MAX_BATCH])
             ]
         );
-        assert_eq!(nodes[0].buffered_records(), 5);
+        assert_eq!(buffered_records(&nodes[0]), 5);
         // A crash kills the timer; the restart flushes what is still owed,
         // grouped, before it asks for catch-up.
         let mut restart_ctx = NodeContext::new(NodeId(0), SimTime::ZERO);
@@ -892,7 +871,7 @@ mod tests {
                 simnet::Outgoing::Many(_, CausalPartialMsg::CatchupReq { .. })
             ]
         ));
-        assert_eq!(nodes[0].buffered_records(), 0);
+        assert_eq!(buffered_records(&nodes[0]), 0);
     }
 
     #[test]
@@ -900,7 +879,7 @@ mod tests {
         let mut dist = Distribution::new(3, 1);
         dist.assign(ProcId(0), VarId(0));
         dist.assign(ProcId(1), VarId(0));
-        let mut node = CausalPartialNode::new(ProcId(2), &dist, DeliveryMode::BATCHED);
+        let mut node = new_node(ProcId(2), &dist, DeliveryMode::BATCHED);
         let mut vc1 = VectorClock::new(3);
         vc1.increment(0);
         let mut vc2 = vc1.clone();
@@ -911,13 +890,12 @@ mod tests {
             NodeId(0),
             CausalPartialMsg::ControlBatch {
                 records: [
-                    ControlRecord::dense(0, VarId(0), vc1),
-                    ControlRecord::dense(0, VarId(0), vc2),
+                    dense_record(0, VarId(0), vc1),
+                    dense_record(0, VarId(0), vc2),
                 ]
                 .into(),
             },
         );
-        assert_eq!(node.delivered_control(), 2);
         assert_eq!(node.clock().get(0), 2);
         // Same record count as two standalone messages, fewer bytes.
         assert_eq!(
@@ -931,13 +909,12 @@ mod tests {
         let mut dist = Distribution::new(3, 1);
         dist.assign(ProcId(0), VarId(0));
         dist.assign(ProcId(1), VarId(0));
-        let mut node = CausalPartialNode::new(ProcId(2), &dist, DeliveryMode::UNICAST);
+        let mut node = new_node(ProcId(2), &dist, DeliveryMode::UNICAST);
         let mut vc = VectorClock::new(3);
         vc.increment(0);
         let mut ctx = NodeContext::new(NodeId(2), SimTime::ZERO);
         node.on_message(&mut ctx, NodeId(0), control_msg(0, VarId(0), vc));
-        assert_eq!(node.delivered_control(), 1);
-        assert_eq!(node.delivered_updates(), 0);
+        assert_eq!(node.clock().total(), 1);
         assert_eq!(node.local_read(VarId(0)), Value::Bottom);
         assert_eq!(node.clock().get(0), 1);
         // p2 does not replicate x0 yet had to process metadata about it.
@@ -948,18 +925,18 @@ mod tests {
     #[test]
     fn out_of_order_control_waits_for_dependencies() {
         let dist = Distribution::new(2, 1);
-        let mut node = CausalPartialNode::new(ProcId(1), &dist, DeliveryMode::UNICAST);
+        let mut node = new_node(ProcId(1), &dist, DeliveryMode::UNICAST);
         let mut vc2 = VectorClock::new(2);
         vc2.increment(0);
         vc2.increment(0);
         let mut ctx = NodeContext::new(NodeId(1), SimTime::ZERO);
         node.on_message(&mut ctx, NodeId(0), control_msg(0, VarId(0), vc2));
-        assert_eq!(node.pending_count(), 1);
+        assert_eq!(node.replica.pending_count(), 1);
         let mut vc1 = VectorClock::new(2);
         vc1.increment(0);
         node.on_message(&mut ctx, NodeId(0), control_msg(0, VarId(0), vc1));
-        assert_eq!(node.pending_count(), 0);
-        assert_eq!(node.delivered_control(), 2);
+        assert_eq!(node.replica.pending_count(), 0);
+        assert_eq!(node.clock().get(0), 2);
     }
 
     #[test]
@@ -1247,7 +1224,7 @@ mod tests {
             }
             let delta = delta == 1;
             let mode = DeliveryMode { delta, ..DeliveryMode::BATCHED };
-            let mut node = CausalPartialNode::new(ProcId(me), &dist, mode);
+            let mut node = new_node(ProcId(me), &dist, mode);
             let mut model = PerDestination {
                 me: NodeId(me),
                 replicas: replica_table(&dist),
@@ -1288,7 +1265,7 @@ mod tests {
                     prop_assert!(same_writes(node.owed.owed(d), buffer), "owed to p{}", d);
                 }
                 let buffered: usize = model.buffers.iter().map(Vec::len).sum();
-                prop_assert_eq!(node.buffered_records(), buffered);
+                prop_assert_eq!(buffered_records(&node), buffered);
             }
         }
     }

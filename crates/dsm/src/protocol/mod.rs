@@ -29,26 +29,25 @@
 //!   fan-out walks `table[x]`, and `replicates` answers membership by
 //!   binary search.
 //! * **Causal delivery** is one kernel (`causal.rs`) for both causal
-//!   protocols: clock, store, parked writes, and the [`Stamp`] that lets
+//!   protocols: clock, store, parked writes, and the `Stamp` that lets
 //!   a receiver find an in-order write in O(1).
 //! * **Recovery and batching**: [`RecoveryLog`], `FlushWindow`, and the
 //!   `OwedLog` of control records a causal-partial writer still owes its
 //!   peers (`owed.rs`: each record logged once, a cursor per destination).
 
 mod causal;
-pub mod causal_full;
-pub mod causal_partial;
-pub mod op_log;
+pub(crate) mod causal_full;
+pub(crate) mod causal_partial;
+pub(crate) mod op_log;
 mod owed;
-pub mod pram_partial;
+pub(crate) mod pram_partial;
 mod recovery;
-pub mod sequential;
+pub(crate) mod sequential;
 mod store;
 mod window;
 
-pub use causal::Stamp;
 pub(crate) use owed::OwedLog;
-pub use recovery::{RecoveryLog, RecoveryState};
+pub(crate) use recovery::{RecoveryLog, RecoveryState};
 pub(crate) use store::Store;
 pub(crate) use window::FlushWindow;
 
@@ -116,7 +115,7 @@ impl Slot {
 /// without any communication (this is the defining performance property of
 /// the causal/PRAM family the paper builds on). Writes update the local
 /// replica and hand propagation messages to the provided context.
-pub trait McsNode: Node<<Self as McsNode>::Msg> {
+pub(crate) trait McsNode: Node<<Self as McsNode>::Msg> {
     /// The message type exchanged between nodes of this protocol.
     /// `Send + 'static` because the threaded execution backend moves
     /// payloads across OS threads; every message type here is plain data,

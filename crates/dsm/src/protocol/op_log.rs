@@ -74,7 +74,7 @@ const RESTARTED_BYTES: usize = 8;
 
 /// Messages of the shared-operation-log protocol.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum OpLogMsg {
+pub(crate) enum OpLogMsg {
     /// A writer's batched append to a shard owner: one or more writes,
     /// in the writer's program order, to variables of the owner's shard.
     Append {
@@ -176,7 +176,7 @@ struct Lane {
 /// owner (log sequencer) for the variables whose smallest-id replica it
 /// is.
 #[derive(Clone, Debug, PartialEq)]
-pub struct OpLogNode {
+pub(crate) struct OpLogNode {
     me: ProcId,
     /// `replicas[x]`: the processes replicating `x`, in id order — the
     /// first owns `x`'s shard (shared).
@@ -204,16 +204,9 @@ pub struct OpLogNode {
     /// Owner state: the writers whose append reached this node since its
     /// last restart (`None`: it never restarted).
     heard: Option<Vec<usize>>,
-    /// Log entries applied to the visible store so far.
-    applied: u64,
 }
 
 impl OpLogNode {
-    /// Build the node for process `me` under `dist`.
-    pub fn new(me: ProcId, dist: Distribution) -> Self {
-        Self::with_replicas(me, replica_table(&dist))
-    }
-
     fn with_replicas(me: ProcId, replicas: Arc<[Vec<NodeId>]>) -> Self {
         OpLogNode {
             me,
@@ -228,30 +221,19 @@ impl OpLogNode {
             winners: Store::default(),
             cuts: 0,
             heard: None,
-            applied: 0,
         }
     }
 
     /// The shard owner (log sequencer) of `var`: its smallest-id replica.
-    pub fn owner_of(&self, var: VarId) -> usize {
+    pub(crate) fn owner_of(&self, var: VarId) -> usize {
         (self.replicas.get(var.index()))
             .and_then(|r| r.first())
             .map_or(self.me.index(), |p| p.index())
     }
 
     /// Whether this node sequences the shard `var` belongs to.
-    pub fn is_owner_of(&self, var: VarId) -> bool {
+    pub(crate) fn is_owner_of(&self, var: VarId) -> bool {
         self.owner_of(var) == self.me.index()
-    }
-
-    /// Log entries applied to the visible store so far.
-    pub fn applied_count(&self) -> u64 {
-        self.applied
-    }
-
-    /// Writes still awaiting their sequencing echo or broadcast slot.
-    pub fn pending_writes(&self) -> usize {
-        self.outstanding.len()
     }
 
     /// Owner role: assign `ops` consecutive shard sequence numbers and
@@ -276,7 +258,6 @@ impl OpLogNode {
         let (cur, winner) = self.committed.get(var).copied().unwrap_or((0, value));
         let winner = if seq > cur {
             self.committed.insert(var, (seq, value));
-            self.applied += 1;
             value
         } else {
             winner
@@ -665,7 +646,7 @@ impl OpLogNode {
     /// One node per process of `dist`, in process-id order. The
     /// flat-combining lane is the protocol's batching, so the delivery
     /// mode changes nothing here.
-    pub fn build_nodes(dist: &Distribution, _delivery: DeliveryMode) -> Vec<Self> {
+    pub(crate) fn build_nodes(dist: &Distribution, _delivery: DeliveryMode) -> Vec<Self> {
         let replicas = replica_table(dist);
         (0..dist.process_count())
             .map(|i| OpLogNode::with_replicas(ProcId(i), Arc::clone(&replicas)))
@@ -744,8 +725,8 @@ mod tests {
         assert_eq!(ctx.queued_messages(), 1);
         assert_eq!(nodes[0].local_read(VarId(0)), Value::Int(7));
         assert_eq!(nodes[0].recovery().retained, 1);
-        assert_eq!(nodes[0].pending_writes(), 0);
-        assert_eq!(nodes[0].applied_count(), 1);
+        assert_eq!(nodes[0].outstanding.len(), 0);
+        assert_eq!(nodes[0].committed.get(VarId(0)), Some(&(1, 7)));
     }
 
     #[test]
@@ -760,7 +741,7 @@ mod tests {
         nodes[2].local_write(&mut ctx, VarId(1), 6);
         nodes[2].local_write(&mut ctx, VarId(1), 7);
         assert_eq!(ctx.queued_messages(), 1);
-        assert_eq!(nodes[2].pending_writes(), 3);
+        assert_eq!(nodes[2].outstanding.len(), 3);
         // Read-your-writes.
         assert_eq!(nodes[2].local_read(VarId(1)), Value::Int(7));
         // The echo releases the head write's broadcast and flushes the
@@ -778,7 +759,7 @@ mod tests {
         // the combined append also goes to 1: two sends, one of which is
         // the combined Append{len 2}.
         assert_eq!(ctx2.queued_messages(), 2);
-        assert_eq!(nodes[2].pending_writes(), 2);
+        assert_eq!(nodes[2].outstanding.len(), 2);
     }
 
     #[test]
@@ -808,7 +789,7 @@ mod tests {
             },
         );
         assert_eq!(nodes[1].local_read(VarId(0)), Value::Int(30));
-        assert_eq!(nodes[1].applied_count(), 1);
+        assert_eq!(nodes[1].committed.get(VarId(0)), Some(&(3, 30)));
     }
 
     #[test]
@@ -840,7 +821,7 @@ mod tests {
             },
         );
         assert_eq!(nodes[2].local_read(VarId(1)), Value::Int(9));
-        assert_eq!(nodes[2].pending_writes(), 0);
+        assert_eq!(nodes[2].outstanding.len(), 0);
     }
 
     #[test]
@@ -869,8 +850,8 @@ mod tests {
         // Our second write is sequenced last: it wins and stays visible.
         nodes[2].on_message(&mut ctx, NodeId(1), committed(3));
         assert_eq!(nodes[2].local_read(VarId(1)), Value::Int(2));
-        assert_eq!(nodes[2].pending_writes(), 0);
-        assert_eq!(nodes[2].applied_count(), 3);
+        assert_eq!(nodes[2].outstanding.len(), 0);
+        assert_eq!(nodes[2].committed.get(VarId(1)), Some(&(3, 2)));
     }
 
     #[test]
@@ -934,13 +915,13 @@ mod tests {
         let mut nodes = OpLogNode::build_nodes(&two_shard_dist(), simnet::DeliveryMode::UNICAST);
         let mut ctx = NodeContext::new(NodeId(2), SimTime::ZERO);
         nodes[2].local_write(&mut ctx, VarId(1), 5);
-        assert_eq!(nodes[2].pending_writes(), 1);
+        assert_eq!(nodes[2].outstanding.len(), 1);
         // Crash loses the append; restart re-sends it and asks owner 1
         // for x1's winner: one combined Append + one CatchupReq.
         let mut ctx2 = NodeContext::new(NodeId(2), SimTime::ZERO);
         nodes[2].on_restart(&mut ctx2);
         assert_eq!(ctx2.queued_messages(), 2);
-        assert_eq!(nodes[2].pending_writes(), 1);
+        assert_eq!(nodes[2].outstanding.len(), 1);
     }
 
     /// The one message `ctx` queued for `to`.
@@ -988,7 +969,7 @@ mod tests {
             );
             let mut ctx2 = NodeContext::new(NodeId(2), SimTime::ZERO);
             nodes[2].on_message(&mut ctx2, NodeId(1), echo);
-            assert_eq!(nodes[2].pending_writes(), 0, "lost={lost}");
+            assert_eq!(nodes[2].outstanding.len(), 0, "lost={lost}");
         }
     }
 }

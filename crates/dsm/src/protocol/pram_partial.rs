@@ -24,7 +24,7 @@ use crate::clock::SequenceTracker;
 
 /// An update message: the written value plus the writer's sequence number.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PramMsg {
+pub(crate) struct PramMsg {
     /// The writing process.
     pub writer: usize,
     /// The writer's per-process sequence number for this write.
@@ -37,9 +37,9 @@ pub struct PramMsg {
 
 impl PramMsg {
     /// Control bytes: sequence number (8) + writer id (4) + variable id (4).
-    pub const CONTROL_BYTES: usize = 16;
+    pub(crate) const CONTROL_BYTES: usize = 16;
     /// Data bytes: the 8-byte value.
-    pub const DATA_BYTES: usize = 8;
+    pub(crate) const DATA_BYTES: usize = 8;
 }
 
 impl WireSize for PramMsg {
@@ -58,7 +58,7 @@ impl WireSize for PramMsg {
 /// variables the requester replicates, so even recovery metadata never
 /// leaves `C(x)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PramPartialMsg {
+pub(crate) enum PramPartialMsg {
     /// A sequence-numbered update (the only fault-free message).
     Update(PramMsg),
     /// "Resend me your writes from these sequence numbers on", sent to
@@ -89,7 +89,7 @@ impl WireSize for PramPartialMsg {
 
 /// The PRAM MCS process.
 #[derive(Clone, Debug, PartialEq)]
-pub struct PramNode {
+pub(crate) struct PramNode {
     me: ProcId,
     /// `replicas[x]`: the processes replicating `x`, in id order (shared).
     replicas: Arc<[Vec<NodeId>]>,
@@ -114,11 +114,6 @@ pub struct PramNode {
 }
 
 impl PramNode {
-    /// Build the node for process `me` under the given distribution.
-    pub fn new(me: ProcId, dist: &Distribution) -> Self {
-        Self::with_replicas(me, dist, replica_table(dist))
-    }
-
     fn with_replicas(me: ProcId, dist: &Distribution, replicas: Arc<[Vec<NodeId>]>) -> Self {
         let n = dist.process_count();
         PramNode {
@@ -133,13 +128,9 @@ impl PramNode {
         }
     }
 
-    /// The writer's own sequence counter (number of writes issued so far).
-    pub fn writes_issued(&self) -> u64 {
-        self.seq
-    }
-
-    /// The per-writer FIFO tracker (exposed for tests).
-    pub fn sequence_tracker(&self) -> &SequenceTracker {
+    /// The per-writer FIFO tracker, for the recovery tests.
+    #[cfg(test)]
+    pub(crate) fn sequence_tracker(&self) -> &SequenceTracker {
         &self.seen
     }
 }
@@ -291,7 +282,7 @@ impl McsNode for PramNode {
 impl PramNode {
     /// One node per process of `dist`, in process-id order. Each write
     /// goes to a few replicas, so the delivery mode changes nothing here.
-    pub fn build_nodes(dist: &Distribution, _delivery: DeliveryMode) -> Vec<Self> {
+    pub(crate) fn build_nodes(dist: &Distribution, _delivery: DeliveryMode) -> Vec<Self> {
         let replicas = replica_table(dist);
         (0..dist.process_count())
             .map(|i| PramNode::with_replicas(ProcId(i), dist, Arc::clone(&replicas)))
@@ -319,10 +310,10 @@ mod tests {
     #[test]
     fn local_read_defaults_to_bottom() {
         let dist = Distribution::full(2, 2);
-        let node = PramNode::new(ProcId(0), &dist);
+        let node = PramNode::with_replicas(ProcId(0), &dist, replica_table(&dist));
         assert_eq!(node.local_read(VarId(0)), Value::Bottom);
         assert!(node.replicates(VarId(1)));
-        assert_eq!(node.writes_issued(), 0);
+        assert_eq!(node.seq, 0);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 /// What a node holds for its peers' recovery right now, and how many
 /// times that has been cut (see [`McsNode::recovery`](super::McsNode)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryState {
+pub(crate) struct RecoveryState {
     /// Entries currently retained.
     pub retained: usize,
     /// Cuts taken so far; a replica image carries the count it was taken
@@ -27,7 +27,7 @@ pub struct RecoveryState {
 
 /// Consecutively numbered entries retained since the last cut.
 #[derive(Clone, Debug, PartialEq)]
-pub struct RecoveryLog<E> {
+pub(crate) struct RecoveryLog<E> {
     entries: Vec<E>,
     /// The number of the last entry dropped by a cut: `entries[i]` is
     /// entry `base + 1 + i`.
@@ -47,12 +47,12 @@ impl<E> Default for RecoveryLog<E> {
 
 impl<E> RecoveryLog<E> {
     /// An empty log whose first entry will be number 1.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Append the next entry.
-    pub fn push(&mut self, entry: E) {
+    pub(crate) fn push(&mut self, entry: E) {
         self.entries.push(entry);
     }
 
@@ -60,7 +60,7 @@ impl<E> RecoveryLog<E> {
     /// its number. A `seq` below the last cut yields everything retained:
     /// whatever lies between was cut because the requester already held
     /// it, or — under gap-tolerant numbering — was never addressed to it.
-    pub fn after(&self, seq: u64) -> impl Iterator<Item = (u64, &E)> + '_ {
+    pub(crate) fn after(&self, seq: u64) -> impl Iterator<Item = (u64, &E)> + '_ {
         let skip = usize::try_from(seq.saturating_sub(self.base))
             .map_or(self.entries.len(), |s| s.min(self.entries.len()));
         let first = self.base + skip as u64 + 1;
@@ -74,14 +74,14 @@ impl<E> RecoveryLog<E> {
         clippy::disallowed_methods,
         clippy::indexing_slicing
     )]
-    pub fn cut(&mut self) {
+    pub(crate) fn cut(&mut self) {
         self.base += self.entries.len() as u64;
         self.entries.clear();
         self.cuts += 1;
     }
 
     /// Retained length and cut count.
-    pub fn state(&self) -> RecoveryState {
+    pub(crate) fn state(&self) -> RecoveryState {
         RecoveryState {
             retained: self.entries.len(),
             cuts: self.cuts,

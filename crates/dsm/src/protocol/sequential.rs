@@ -36,7 +36,7 @@ use std::collections::BTreeMap;
 
 /// Messages of the sequencer protocol.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SeqMsg {
+pub(crate) enum SeqMsg {
     /// A write forwarded to the sequencer for ordering.
     Request {
         /// The originating writer.
@@ -103,7 +103,7 @@ impl WireSize for SeqMsg {
 
 /// A node of the sequencer protocol. Node 0 doubles as the sequencer.
 #[derive(Clone, Debug, PartialEq)]
-pub struct SequentialNode {
+pub(crate) struct SequentialNode {
     me: ProcId,
     /// Every other process: the destinations of each ordered broadcast.
     peers: Vec<NodeId>,
@@ -115,7 +115,6 @@ pub struct SequentialNode {
     /// Ordered (writer, variable, value) received out of order, by seq.
     pending: BTreeMap<u64, (usize, VarId, i64)>,
     control: ControlStats,
-    applied: u64,
     /// Sequencer state: the ordered writes since the last cut (entry `k`
     /// is the write with global sequence number `k`) — the material
     /// catch-up responses are served from.
@@ -127,7 +126,7 @@ pub struct SequentialNode {
 
 impl SequentialNode {
     /// Build the node for process `me` in a system of `n` processes.
-    pub fn new(me: ProcId, n: usize) -> Self {
+    pub(crate) fn new(me: ProcId, n: usize) -> Self {
         SequentialNode {
             me,
             peers: (0..n).filter(|&i| i != me.index()).map(NodeId).collect(),
@@ -136,7 +135,6 @@ impl SequentialNode {
             next_apply: 1,
             pending: BTreeMap::new(),
             control: ControlStats::new(),
-            applied: 0,
             log: RecoveryLog::new(),
             window: FlushWindow::default(),
             unsent: None,
@@ -144,13 +142,8 @@ impl SequentialNode {
     }
 
     /// Whether this node is the sequencer.
-    pub fn is_sequencer(&self) -> bool {
+    pub(crate) fn is_sequencer(&self) -> bool {
         self.me.index() == 0
-    }
-
-    /// Ordered writes applied so far.
-    pub fn applied_count(&self) -> u64 {
-        self.applied
     }
 
     fn sequence_and_broadcast(
@@ -242,7 +235,6 @@ impl SequentialNode {
         while let Some((writer, var, value)) = next {
             let own = writer == me;
             self.store.update(var, |slot| slot.order(value, own));
-            self.applied += 1;
             self.next_apply += 1;
             next = self.pending.remove(&self.next_apply);
         }
@@ -370,7 +362,7 @@ impl SequentialNode {
     /// One node per process of `dist`, in process-id order. Honours
     /// `delivery.batching`: each flush window's requests and ordered
     /// writes go as one envelope.
-    pub fn build_nodes(dist: &Distribution, delivery: DeliveryMode) -> Vec<Self> {
+    pub(crate) fn build_nodes(dist: &Distribution, delivery: DeliveryMode) -> Vec<Self> {
         let n = dist.process_count();
         (0..n)
             .map(|i| SequentialNode {
@@ -415,7 +407,7 @@ mod tests {
         nodes[0].local_write(&mut ctx, VarId(0), 7);
         // Broadcast to the two other nodes.
         assert_eq!(ctx.queued_messages(), 2);
-        assert_eq!(nodes[0].applied_count(), 1);
+        assert_eq!((nodes[0].next_apply - 1), 1);
         assert_eq!(nodes[0].local_read(VarId(0)), Value::Int(7));
     }
 
@@ -428,7 +420,7 @@ mod tests {
         assert_eq!(ctx.queued_messages(), 1);
         // Optimistic local apply.
         assert_eq!(nodes[2].local_read(VarId(0)), Value::Int(5));
-        assert_eq!(nodes[2].applied_count(), 0);
+        assert_eq!((nodes[2].next_apply - 1), 0);
     }
 
     #[test]
@@ -446,7 +438,7 @@ mod tests {
             },
         );
         // seq 1 not yet seen: nothing applied.
-        assert_eq!(node.applied_count(), 0);
+        assert_eq!((node.next_apply - 1), 0);
         assert_eq!(node.local_read(VarId(0)), Value::Bottom);
         node.on_message(
             &mut ctx,
@@ -458,7 +450,7 @@ mod tests {
                 value: 10,
             },
         );
-        assert_eq!(node.applied_count(), 2);
+        assert_eq!((node.next_apply - 1), 2);
         // Applied in order 10 then 20, so the final value is 20.
         assert_eq!(node.local_read(VarId(0)), Value::Int(20));
     }
@@ -490,7 +482,7 @@ mod tests {
         // …and from then on the order shows through again.
         node.on_message(&mut ctx, NodeId(0), ordered(4, 2, 5));
         assert_eq!(node.local_read(VarId(0)), Value::Int(5));
-        assert_eq!(node.applied_count(), 4);
+        assert_eq!((node.next_apply - 1), 4);
     }
 
     /// The batches among `out`, as (destinations, messages), in send order.
@@ -565,7 +557,7 @@ mod tests {
         let batch = SeqMsg::Batch((1..=3).map(|v| request(2, v)).collect());
         nodes[0].on_message(&mut ctx, NodeId(2), batch);
         assert_eq!(ctx.queued_messages(), 0);
-        assert_eq!(nodes[0].applied_count(), 4);
+        assert_eq!((nodes[0].next_apply - 1), 4);
         assert_eq!(nodes[0].local_read(VarId(0)), Value::Int(3));
         let mut flush_ctx = NodeContext::new(NodeId(0), SimTime::ZERO);
         nodes[0].on_timer(&mut flush_ctx, FLUSH_TAG);
@@ -586,7 +578,7 @@ mod tests {
         let mut ctx = NodeContext::new(NodeId(2), SimTime::ZERO);
         let batch = SeqMsg::Batch((1..=3).map(|v| ordered(v, 1, v as i64)).collect());
         node.on_message(&mut ctx, NodeId(0), batch.clone());
-        assert_eq!(node.applied_count(), 3);
+        assert_eq!((node.next_apply - 1), 3);
         assert_eq!(node.local_read(VarId(0)), Value::Int(3));
         let settled = node.clone();
         node.on_message(&mut ctx, NodeId(0), batch);

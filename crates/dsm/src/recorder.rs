@@ -31,18 +31,13 @@ impl Recorder {
 
     /// A recorder that drops everything (for long benchmark runs where the
     /// history is not needed).
-    pub fn disabled(n: usize) -> Self {
+    pub(crate) fn disabled(n: usize) -> Self {
         Recorder {
             builder: HistoryBuilder::new(n),
             reads: 0,
             writes: 0,
             enabled: false,
         }
-    }
-
-    /// Whether operations are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Record a write.
@@ -54,7 +49,7 @@ impl Recorder {
     }
 
     /// Record a read and the value it returned.
-    pub fn record_read(&mut self, p: ProcId, var: VarId, value: Value) {
+    pub(crate) fn record_read(&mut self, p: ProcId, var: VarId, value: Value) {
         self.reads += 1;
         if self.enabled {
             self.builder.read(p, var, value);
@@ -62,7 +57,7 @@ impl Recorder {
     }
 
     /// Number of reads issued (recorded or not).
-    pub fn read_count(&self) -> u64 {
+    pub(crate) fn read_count(&self) -> u64 {
         self.reads
     }
 
@@ -72,7 +67,7 @@ impl Recorder {
     }
 
     /// Export the recorded operations as a history.
-    pub fn history(&self) -> History {
+    pub(crate) fn history(&self) -> History {
         self.builder.clone().build()
     }
 }
@@ -92,7 +87,7 @@ mod tests {
         assert_eq!(h.local(ProcId(1)).len(), 2);
         assert_eq!(r.read_count(), 2);
         assert_eq!(r.write_count(), 1);
-        assert!(r.is_enabled());
+        assert!(r.enabled);
     }
 
     #[test]
@@ -103,6 +98,6 @@ mod tests {
         assert_eq!(r.history().len(), 0);
         assert_eq!(r.write_count(), 1);
         assert_eq!(r.read_count(), 1);
-        assert!(!r.is_enabled());
+        assert!(!r.enabled);
     }
 }

@@ -4,7 +4,8 @@
 
 use crate::api::{DsmError, ProtocolKind};
 use crate::control::ControlSummary;
-use crate::dynamic::ReplicaSnapshot;
+use crate::dynamic::{Image, ReplicaSnapshot};
+use crate::protocol::McsNode;
 use crate::runtime::DynDsm;
 use histories::{Distribution, History, ProcId, Value, VarId};
 use proptest::prelude::*;
@@ -24,6 +25,19 @@ fn max_retained(sys: &DynDsm) -> usize {
         .map(|p| sys.recovery_retained(ProcId(p)))
         .max()
         .unwrap_or(0)
+}
+
+/// Recovery-log cuts taken so far (one per all-up quiescent settle), by
+/// process 0's count: every node counts them.
+fn recovery_cuts(sys: &DynDsm) -> u64 {
+    let recovery = match sys.snapshot(ProcId(0)).0 {
+        Image::CausalFull(node) => node.recovery(),
+        Image::CausalPartial(node) => node.recovery(),
+        Image::PramPartial(node) => node.recovery(),
+        Image::Sequential(node) => node.recovery(),
+        Image::OpLog(node) => node.recovery(),
+    };
+    recovery.cuts
 }
 
 #[test]
@@ -55,7 +69,7 @@ fn retained_entries_are_bounded_by_the_round_not_the_run() {
         }
         sys.settle();
         assert_eq!(max_retained(&sys), 0, "{kind}");
-        assert_eq!(sys.recovery_cuts(), (WRITES / ROUND + 1) as u64, "{kind}");
+        assert_eq!(recovery_cuts(&sys), (WRITES / ROUND + 1) as u64, "{kind}");
         assert_eq!(sys.peek(ProcId(2), VarId(1)), Value::Int(WRITES), "{kind}");
     }
 }
@@ -67,7 +81,7 @@ fn nothing_is_cut_while_a_process_is_down() {
         let mut sys = DynDsm::new(kind, Distribution::full(4, 2));
         sys.write(ProcId(0), VarId(0), 1).unwrap();
         sys.settle();
-        let cuts = sys.recovery_cuts();
+        let cuts = recovery_cuts(&sys);
         assert_eq!(cuts, 1, "{kind}");
         if crash {
             sys.crash(q).unwrap();
@@ -77,7 +91,7 @@ fn nothing_is_cut_while_a_process_is_down() {
         sys.settle();
         if crash {
             // The settle was quiescent, but q will ask for these writes.
-            assert_eq!(sys.recovery_cuts(), cuts, "{kind}: no cut while q is down");
+            assert_eq!(recovery_cuts(&sys), cuts, "{kind}: no cut while q is down");
             assert!(max_retained(&sys) > 0, "{kind}: the writers still retain");
             sys.restart(q).unwrap();
             assert!(
@@ -149,7 +163,7 @@ fn both_threaded_modes_cut_and_refuse_like_simnet() {
             assert_eq!(sys.recovery_retained(ProcId(0)), 1, "{kind} {mode:?}");
             sys.settle();
             assert_eq!(max_retained(&sys), 0, "{kind} {mode:?}");
-            assert_eq!(sys.recovery_cuts(), 1, "{kind} {mode:?}");
+            assert_eq!(recovery_cuts(&sys), 1, "{kind} {mode:?}");
             assert!(
                 matches!(
                     sys.try_restore(ProcId(1), old),
@@ -186,7 +200,7 @@ fn the_panicking_restore_reports_the_stale_image() {
 fn a_pram_replica_expecting_a_number_below_the_cut_is_not_stale() {
     let mut sys = DynDsm::new(ProtocolKind::PramPartial, partial_dist());
     let expected_from_p1 = |sys: &DynDsm| match sys.snapshot(ProcId(0)) {
-        ReplicaSnapshot::PramPartial(node) => node.sequence_tracker().expected(1),
+        ReplicaSnapshot(Image::PramPartial(node)) => node.sequence_tracker().expected(1),
         other => panic!("a {} image", other.kind()),
     };
     // p1 writes x1 (not replicated by p0) across several cuts.
@@ -194,7 +208,7 @@ fn a_pram_replica_expecting_a_number_below_the_cut_is_not_stale() {
         sys.write(ProcId(1), VarId(1), v).unwrap();
         sys.settle();
     }
-    assert_eq!(sys.recovery_cuts(), 5);
+    assert_eq!(recovery_cuts(&sys), 5);
     assert_eq!(expected_from_p1(&sys), 1);
     sys.crash(ProcId(0)).unwrap();
     sys.write(ProcId(1), VarId(0), 60).unwrap();
@@ -304,7 +318,7 @@ fn observe(kind: ProtocolKind, script: &Script, keep_logs: bool) -> Observation 
     }
     sys.settle();
     if keep_logs {
-        assert_eq!(sys.recovery_cuts(), 0);
+        assert_eq!(recovery_cuts(&sys), 0);
     } else {
         assert_eq!(max_retained(&sys), 0);
     }

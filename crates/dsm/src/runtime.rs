@@ -47,8 +47,6 @@ pub struct DynDsm {
     /// `x` in id order, so every operation's replication check is a
     /// lookup, not an ordered-set walk.
     replicas: Arc<[Vec<NodeId>]>,
-    delivery: DeliveryMode,
-    backend: ExecBackend,
     recorder: Recorder,
     /// Per-process persisted snapshot, present while that process is
     /// crashed (`None` = live).
@@ -183,27 +181,19 @@ impl DynDsm {
                 topology.node_count()
             )));
         }
-        let delivery = config.delivery;
-        let nodes = build(&dist, delivery);
+        let nodes = build(&dist, config.delivery);
         let net =
             simnet::deploy(backend, topology, config, nodes).map_err(|e| invalid(e.to_string()))?;
         Ok(DynDsm {
             kind,
             net: Box::new(net),
-            backend,
             recorder: Recorder::new(n),
             crashed: (0..n).map(|_| None).collect(),
             replicas: replica_table(&dist),
             dist,
-            delivery,
             #[cfg(test)]
             keep_logs: false,
         })
-    }
-
-    /// The execution backend this system runs on.
-    pub fn backend(&self) -> ExecBackend {
-        self.backend
     }
 
     /// Disable operation recording (useful for large benchmark runs).
@@ -233,23 +223,12 @@ impl DynDsm {
         self.net.core().now()
     }
 
-    /// The network topology the deployment runs over.
-    pub fn topology(&self) -> &Topology {
-        self.net.core().topology()
-    }
-
     /// Whether sends are relayed over shortest paths (sparse topology or
     /// forced routing) rather than delivered on direct links. On the
     /// threaded backend a routed deployment hosts relay nodes on the
     /// worker threads.
     pub fn is_routed(&self) -> bool {
         self.net.core().is_routed()
-    }
-
-    /// The wire delivery mode (multicast / batching) this deployment runs
-    /// under.
-    pub fn delivery(&self) -> DeliveryMode {
-        self.delivery
     }
 
     /// Transit envelopes forwarded by intermediate nodes — the extra hops
@@ -313,8 +292,8 @@ impl DynDsm {
     /// synchronous persistence: everything a node applied is on stable
     /// storage, so the only thing a crash loses is the messages delivered
     /// while the node was down. The image carries the recovery-log cut
-    /// count it was taken at; [`DynDsm::try_restore`] refuses it once a
-    /// later cut has dropped what its catch-up would need.
+    /// count it was taken at; [`DynDsm::restore`] refuses it once a later
+    /// cut has dropped what its catch-up would need.
     pub fn snapshot(&self, p: ProcId) -> ReplicaSnapshot {
         live(self.net.snapshot(NodeId(p.index())))
     }
@@ -323,8 +302,10 @@ impl DynDsm {
     /// taken from a system of the same protocol (the restore half of the
     /// persistence round trip; normally driven by [`DynDsm::restart`]).
     /// Panics if the snapshot's protocol disagrees with this system's (a
-    /// snapshot is not portable across protocols), and where
-    /// [`DynDsm::try_restore`] would return an error.
+    /// snapshot is not portable across protocols), if `p` is crashed (its
+    /// restart restores the crash image), and if the image was taken
+    /// before the latest recovery-log cut (see [`DynDsm::try_settle`]):
+    /// its peers have dropped what its catch-up would need.
     pub fn restore(&mut self, p: ProcId, snapshot: ReplicaSnapshot) {
         self.try_restore(p, snapshot)
             .unwrap_or_else(|e| panic!("{e}"))
@@ -340,7 +321,11 @@ impl DynDsm {
     /// well expect a number below a peer's cut. A snapshot of another
     /// protocol still panics — that is a programming error, not a
     /// run-time fault.
-    pub fn try_restore(&mut self, p: ProcId, snapshot: ReplicaSnapshot) -> Result<(), DsmError> {
+    pub(crate) fn try_restore(
+        &mut self,
+        p: ProcId,
+        snapshot: ReplicaSnapshot,
+    ) -> Result<(), DsmError> {
         self.check_process(p)?;
         if self.is_crashed(p) {
             return Err(DsmError::Crashed { proc: p });
@@ -355,15 +340,6 @@ impl DynDsm {
     /// threaded backend.
     pub fn recovery_retained(&self, p: ProcId) -> usize {
         live(self.net.recovery(NodeId(p.index()))).retained
-    }
-
-    /// Recovery-log cuts taken so far (one per all-up quiescent settle).
-    /// Every node counts them; this reads process 0's copy.
-    pub fn recovery_cuts(&self) -> u64 {
-        if self.process_count() == 0 {
-            return 0;
-        }
-        live(self.net.recovery(NodeId(0))).cuts
     }
 
     /// Crash process `p`: persist its snapshot and take its node down.
@@ -386,7 +362,7 @@ impl DynDsm {
     /// Restart a crashed process from its persisted snapshot: bring the
     /// node back up (releasing parked transit traffic), restore the
     /// snapshot, run the protocol's catch-up handshake
-    /// ([`McsNode::on_restart`](crate::McsNode::on_restart)), and drive
+    /// (`McsNode::on_restart`), and drive
     /// the network to quiescence so recovery completes before the
     /// process resumes service (the PRAM protocol's gap-tolerant sequence
     /// numbers require catch-up traffic not to race with new writes).
@@ -401,13 +377,6 @@ impl DynDsm {
         self.net.on_restart(id)?;
         self.net.core_mut().settle()?;
         Ok(())
-    }
-
-    /// Envelopes currently parked at a crashed process (transit traffic
-    /// awaiting its restart; 0 on direct transports and on the threaded
-    /// backend, which has no crashes).
-    pub fn parked_messages(&self, p: ProcId) -> usize {
-        self.net.core().parked(NodeId(p.index()))
     }
 
     /// Issue `w_p(var)value`. Writes return nothing, so on threads they
@@ -446,8 +415,7 @@ impl DynDsm {
     /// Fallible variant of [`DynDsm::settle`].
     ///
     /// A settle that ends quiescent with every process up also cuts the
-    /// recovery logs ([`McsNode::checkpoint`](crate::McsNode::checkpoint)
-    /// on every node): each write issued so far has then been delivered
+    /// recovery logs (`McsNode::checkpoint` on every node): each write issued so far has then been delivered
     /// to every live peer, hence sits in every image a restart could
     /// restore, hence will never be asked for again. While a process is
     /// down nothing is cut — its peers keep everything it will ask for at
@@ -477,11 +445,6 @@ impl DynDsm {
     /// [`DynDsm::settle`] there).
     pub fn step(&mut self) -> bool {
         live(self.net.core_mut().step())
-    }
-
-    /// Number of messages still in flight.
-    pub fn pending_messages(&self) -> usize {
-        self.net.core().pending()
     }
 
     /// Network-level statistics (messages, data bytes, control bytes).
@@ -657,7 +620,7 @@ mod tests {
             ..SimConfig::default()
         };
         let mut sys = DynDsm::with_config(ProtocolKind::PramPartial, partial_dist(), config);
-        assert_eq!(sys.topology().link_count(), 8);
+        assert_eq!(sys.net.core().topology().link_count(), 8);
         assert!(sys.is_routed());
         sys.write(ProcId(0), VarId(0), 3).unwrap();
         sys.settle();
@@ -903,9 +866,9 @@ mod tests {
         sys.write(ProcId(0), VarId(0), 42).unwrap();
         sys.settle();
         assert_eq!(sys.peek(ProcId(3), VarId(0)), Value::Bottom);
-        assert_eq!(sys.parked_messages(ProcId(2)), 1);
+        assert_eq!(sys.net.core().parked(NodeId(2)), 1);
         sys.restart(ProcId(2)).unwrap();
-        assert_eq!(sys.parked_messages(ProcId(2)), 0);
+        assert_eq!(sys.net.core().parked(NodeId(2)), 0);
         sys.settle();
         assert_eq!(sys.peek(ProcId(3), VarId(0)), Value::Int(42));
     }
@@ -920,10 +883,11 @@ mod tests {
                 SimConfig::default(),
                 backend,
             );
-            assert_eq!(sys.backend(), backend);
             sys.write(ProcId(0), VarId(0), 7).unwrap();
             sys.write(ProcId(1), VarId(1), 9).unwrap();
             sys.settle();
+            // Only a threaded run drains inboxes.
+            assert_eq!(sys.fabric_stats().batches > 0, backend.is_threaded());
             let _ = sys.read(ProcId(2), VarId(0)).unwrap();
             sys.write(ProcId(2), VarId(0), 11).unwrap();
             sys.settle();
@@ -989,7 +953,7 @@ mod tests {
         ));
         assert!(!sys.is_routed());
         assert_eq!(sys.forwarded_messages(), 0);
-        assert_eq!(sys.parked_messages(ProcId(0)), 0);
+        assert_eq!(sys.net.core().parked(NodeId(0)), 0);
         assert!(!sys.step());
     }
 
@@ -1063,7 +1027,7 @@ mod tests {
         use simnet::{Node, NodeContext, WireSize};
 
         #[derive(Clone, Debug, PartialEq, Eq)]
-        pub struct BombMsg(pub i64);
+        pub(super) struct BombMsg(pub i64);
 
         impl WireSize for BombMsg {
             fn data_bytes(&self) -> usize {
@@ -1075,7 +1039,7 @@ mod tests {
         }
 
         #[derive(Clone, Debug)]
-        pub struct BombNode {
+        pub(super) struct BombNode {
             peers: usize,
             value: Value,
             control: ControlStats,
@@ -1117,7 +1081,7 @@ mod tests {
             }
         }
 
-        pub fn build_nodes(dist: &Distribution, _delivery: DeliveryMode) -> Vec<BombNode> {
+        pub(super) fn build_nodes(dist: &Distribution, _delivery: DeliveryMode) -> Vec<BombNode> {
             (0..dist.process_count())
                 .map(|_| BombNode {
                     peers: dist.process_count(),
@@ -1169,8 +1133,8 @@ mod tests {
         let _ = sys.read(ProcId(0), VarId(0)).unwrap();
         assert_eq!(sys.history().len(), 0);
         assert_eq!(sys.operation_count(), 2);
-        assert!(sys.pending_messages() > 0);
+        assert!(sys.net.core().pending() > 0);
         sys.settle();
-        assert_eq!(sys.pending_messages(), 0);
+        assert_eq!(sys.net.core().pending(), 0);
     }
 }

@@ -1,14 +1,10 @@
 //! Property tests for the protocol metadata types: vector clocks, the
-//! causal-broadcast delivery condition, FIFO sequence tracking, and the
+//! causal-broadcast delivery condition, delta encoding, and the
 //! control-information accounting.
 
-use dsm::{
-    CausalFullMsg, CausalFullNode, ControlStats, ControlSummary, DeltaVc, McsNode, SequenceTracker,
-    VectorClock,
-};
-use histories::{Distribution, ProcId, VarId};
+use dsm::{ControlStats, ControlSummary, DeltaVc, VectorClock};
+use histories::{ProcId, VarId};
 use proptest::prelude::*;
-use simnet::{DeliveryMode, Node, NodeContext, NodeId, Outgoing, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 
 fn clock(entries: Vec<u64>) -> VectorClock {
@@ -216,24 +212,6 @@ proptest! {
         prop_assert!(shape != 1 || by_definition(s), "one ahead at the sender is deliverable");
     }
 
-    /// Sequence trackers accept monotonically increasing (possibly gappy)
-    /// sequences and reject regressions.
-    #[test]
-    fn sequence_tracker_monotonicity(seqs in proptest::collection::vec(1u64..50, 1..20)) {
-        let mut t = SequenceTracker::new(1);
-        let mut highest = 0u64;
-        for s in seqs {
-            let accepted = t.observe(0, s);
-            if s > highest {
-                prop_assert!(accepted);
-                highest = s;
-            } else {
-                prop_assert!(!accepted, "regression to {s} after {highest} must be rejected");
-            }
-            prop_assert_eq!(t.expected(0), highest + 1);
-        }
-    }
-
     /// Delta encoding is lossless and never dearer than the dense wire:
     /// `decode(prev)` of `encode(prev, next)` reproduces `next` exactly
     /// (so compare/merge semantics on the decoded clock are identical to
@@ -435,122 +413,5 @@ proptest! {
         prop_assert_eq!(&probe, &ledger);
         probe.charge_sent(VarId(40), 0);
         prop_assert!(probe != ledger, "a charge, even of 0 bytes, is an entry");
-    }
-
-    /// The O(1) in-order check on own-step stamps agrees with the full
-    /// delivery condition on every stamp a causal node receives: random
-    /// interleavings of writes and out-of-order deliveries, so writers
-    /// merge between writes, and crashes whose restart restores a snapshot
-    /// and catches up. Afterwards every replica converges.
-    #[test]
-    fn the_own_step_check_agrees_with_the_full_scan(
-        n in 2usize..5,
-        steps in proptest::collection::vec((0u8..10, 0usize..8, 0usize..64), 0..80),
-    ) {
-        let mut run = CausalRun::new(n);
-        for (kind, p, k) in steps {
-            match kind {
-                0..=3 => run.write(p % n, k),
-                4..=8 => run.deliver(k),
-                _ => run.crash_or_restart(p % n),
-            }
-        }
-        run.quiesce();
-        for node in &run.nodes {
-            prop_assert_eq!(node.pending_count(), 0);
-            prop_assert_eq!(node.clock(), run.nodes[0].clock(), "replicas converge");
-        }
-    }
-}
-
-/// A hand-driven system of fully replicated causal nodes: the network is
-/// a bag of in-flight messages delivered in any order, and at most one
-/// node is down at a time (its snapshot waits for the restart).
-struct CausalRun {
-    nodes: Vec<CausalFullNode>,
-    down: Option<(usize, CausalFullNode)>,
-    in_flight: Vec<(usize, CausalFullMsg)>,
-}
-
-impl CausalRun {
-    fn new(n: usize) -> Self {
-        let dist = Distribution::full(n, 3);
-        CausalRun {
-            nodes: CausalFullNode::build_nodes(&dist, DeliveryMode::DELTA),
-            down: None,
-            in_flight: Vec::new(),
-        }
-    }
-
-    fn is_down(&self, p: usize) -> bool {
-        self.down.as_ref().is_some_and(|(d, _)| *d == p)
-    }
-
-    /// Queue what `p` sent in `ctx`, one copy per destination.
-    fn post(&mut self, ctx: NodeContext<CausalFullMsg>) {
-        for out in ctx.outgoing() {
-            match out {
-                Outgoing::One(to, m) => self.in_flight.push((to.index(), m.clone())),
-                Outgoing::Many(tos, m) => {
-                    (self.in_flight).extend(tos.iter().map(|to| (to.index(), m.clone())))
-                }
-            }
-        }
-    }
-
-    fn write(&mut self, p: usize, value: usize) {
-        if self.is_down(p) {
-            return;
-        }
-        let mut ctx = NodeContext::new(NodeId(p), SimTime::ZERO);
-        self.nodes[p].local_write(&mut ctx, VarId(value % 3), value as i64);
-        self.post(ctx);
-    }
-
-    /// Deliver the `k`-th in-flight message (lost if its destination is
-    /// down), checking both delivery conditions on the stamp it carries.
-    fn deliver(&mut self, k: usize) {
-        if self.in_flight.is_empty() {
-            return;
-        }
-        let (to, msg) = self.in_flight.swap_remove(k % self.in_flight.len());
-        if self.is_down(to) {
-            return;
-        }
-        if let CausalFullMsg::Update(m) = &msg {
-            let local = self.nodes[to].clock();
-            let scan = local.deliverable_from(m.stamp.clock(), m.writer);
-            assert_eq!(m.stamp.deliverable_at(local, m.writer), scan, "{m:?}");
-        }
-        let mut ctx = NodeContext::new(NodeId(to), SimTime::ZERO);
-        self.nodes[to].on_message(&mut ctx, NodeId(0), msg);
-        self.post(ctx);
-    }
-
-    /// Crash `p` if nobody is down; otherwise restore the crashed node's
-    /// snapshot and run its catch-up to quiescence, as the runtime does
-    /// (a catch-up request lost to a second crash would be lost for good).
-    fn crash_or_restart(&mut self, p: usize) {
-        match self.down.take() {
-            None => self.down = Some((p, self.nodes[p].clone())),
-            Some((d, snapshot)) => {
-                self.nodes[d] = snapshot;
-                let mut ctx = NodeContext::new(NodeId(d), SimTime::ZERO);
-                self.nodes[d].on_restart(&mut ctx);
-                self.post(ctx);
-                self.quiesce();
-            }
-        }
-    }
-
-    /// Restart whoever is down, then deliver everything, in a scrambled
-    /// order.
-    fn quiesce(&mut self) {
-        if self.down.is_some() {
-            return self.crash_or_restart(0);
-        }
-        while !self.in_flight.is_empty() {
-            self.deliver(self.in_flight.len() / 2 + 1);
-        }
     }
 }

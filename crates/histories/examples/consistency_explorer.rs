@@ -7,11 +7,11 @@
 //! cargo run --example consistency_explorer
 //! ```
 
-use histories::checker::check_all;
-use histories::dependency::{has_dependency_chain, ChainOrder};
+use histories::check_all;
+use histories::enumerate_hoops;
 use histories::figures;
-use histories::hoop::enumerate_hoops;
-use histories::relevance::relevant_processes;
+use histories::relevant_processes;
+use histories::{has_dependency_chain, ChainOrder};
 use histories::{Distribution, History, ReadFrom, ShareGraph, VarId};
 
 fn classify(name: &str, h: &History, dist: &Distribution) {

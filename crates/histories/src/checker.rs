@@ -50,7 +50,7 @@ impl Criterion {
     ];
 
     /// Short display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Criterion::Sequential => "sequential",
             Criterion::Causal => "causal",
@@ -134,7 +134,7 @@ impl ConsistencyReport {
 ///
 /// Returns one such serialization, or `None` if none exists. `op_set` must
 /// not contain duplicates.
-pub fn find_serialization(
+pub(crate) fn find_serialization(
     h: &History,
     op_set: &[OpIdx],
     rel: &dyn OrderRelation,

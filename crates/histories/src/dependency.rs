@@ -44,7 +44,7 @@ pub enum ChainOrder {
 
 impl ChainOrder {
     /// The direct-edge derivation graph of the relation over `h`'s operations.
-    pub fn base_graph(self, h: &History, rf: &ReadFrom) -> RelationGraph {
+    pub(crate) fn base_graph(self, h: &History, rf: &ReadFrom) -> RelationGraph {
         match self {
             ChainOrder::Causal | ChainOrder::Pram => {
                 let mut g = ProgramOrder::graph(h);
@@ -67,7 +67,7 @@ impl ChainOrder {
     }
 
     /// Whether multi-edge derivations imply the relation (transitivity).
-    pub fn is_transitive(self) -> bool {
+    pub(crate) fn is_transitive(self) -> bool {
         !matches!(self, ChainOrder::Pram)
     }
 }

@@ -5,7 +5,6 @@
 //! variables its application process accesses (paper §3). The distribution
 //! is the sole input of the share graph and hoop analysis.
 
-use crate::history::History;
 use crate::op::{ProcId, VarId};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -81,17 +80,6 @@ impl Distribution {
         d
     }
 
-    /// The distribution induced by a history: `X_i` is exactly the set of
-    /// variables process `i` reads or writes.
-    pub fn from_history(h: &History) -> Self {
-        let n_vars = h.vars().iter().map(|v| v.index() + 1).max().unwrap_or(0);
-        let mut d = Distribution::new(h.process_count(), n_vars);
-        for (_, op) in h.ops() {
-            d.assign(op.proc, op.var);
-        }
-        d
-    }
-
     /// Declare that process `p` replicates variable `x`.
     pub fn assign(&mut self, p: ProcId, x: VarId) {
         assert!(p.index() < self.per_proc.len(), "process out of range");
@@ -131,21 +119,8 @@ impl Distribution {
             .collect()
     }
 
-    /// Variables replicated on both `a` and `b`.
-    pub fn shared_vars(&self, a: ProcId, b: ProcId) -> BTreeSet<VarId> {
-        self.per_proc[a.index()]
-            .intersection(&self.per_proc[b.index()])
-            .copied()
-            .collect()
-    }
-
-    /// Whether every process replicates every variable.
-    pub fn is_full(&self) -> bool {
-        self.per_proc.iter().all(|s| s.len() == self.n_vars)
-    }
-
     /// Total number of (process, variable) replica pairs.
-    pub fn replica_count(&self) -> usize {
+    pub(crate) fn replica_count(&self) -> usize {
         self.per_proc.iter().map(|s| s.len()).sum()
     }
 
@@ -162,12 +137,11 @@ impl Distribution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::HistoryBuilder;
 
     #[test]
     fn full_distribution_replicates_everything() {
         let d = Distribution::full(3, 4);
-        assert!(d.is_full());
+        assert!((0..3).all(|p| d.vars_of(ProcId(p)).len() == 4));
         assert_eq!(d.replica_count(), 12);
         assert_eq!(d.replicas_of(VarId(2)).len(), 3);
         assert!((d.mean_replication_factor() - 3.0).abs() < 1e-12);
@@ -180,7 +154,7 @@ mod tests {
         for a in 0..3 {
             for b in 0..3 {
                 if a != b {
-                    assert!(d.shared_vars(ProcId(a), ProcId(b)).is_empty());
+                    assert!(d.vars_of(ProcId(a)).is_disjoint(d.vars_of(ProcId(b))));
                 }
             }
         }
@@ -193,8 +167,13 @@ mod tests {
     fn ring_overlap_shares_one_var_between_neighbours() {
         let d = Distribution::ring_overlap(5);
         assert_eq!(d.var_count(), 5);
-        assert_eq!(d.shared_vars(ProcId(0), ProcId(1)).len(), 1);
-        assert_eq!(d.shared_vars(ProcId(0), ProcId(2)).len(), 0);
+        let shared = |a, b| {
+            d.vars_of(ProcId(a))
+                .intersection(d.vars_of(ProcId(b)))
+                .count()
+        };
+        assert_eq!(shared(0, 1), 1);
+        assert_eq!(shared(0, 2), 0);
         assert_eq!(d.vars_of(ProcId(3)).len(), 2);
         // Every variable has exactly two replicas.
         for x in 0..5 {
@@ -221,26 +200,12 @@ mod tests {
     }
 
     #[test]
-    fn from_history_collects_accessed_vars() {
-        let mut hb = HistoryBuilder::new(2);
-        hb.write(ProcId(0), VarId(0), 1);
-        hb.read_bottom(ProcId(1), VarId(2));
-        let h = hb.build();
-        let d = Distribution::from_history(&h);
-        assert_eq!(d.process_count(), 2);
-        assert_eq!(d.var_count(), 3);
-        assert!(d.replicates(ProcId(0), VarId(0)));
-        assert!(d.replicates(ProcId(1), VarId(2)));
-        assert!(!d.replicates(ProcId(1), VarId(0)));
-    }
-
-    #[test]
     fn assign_grows_variable_space() {
         let mut d = Distribution::new(2, 1);
         d.assign(ProcId(0), VarId(5));
         assert_eq!(d.var_count(), 6);
         assert!(d.replicates(ProcId(0), VarId(5)));
-        assert!(!d.is_full());
+        assert!(d.vars_of(ProcId(1)).is_empty());
     }
 
     #[test]

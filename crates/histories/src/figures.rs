@@ -216,7 +216,7 @@ mod tests {
         let sg = ShareGraph::new(&fig1_distribution());
         assert_eq!(sg.clique(VarId(0)), BTreeSet::from([ProcId(0), ProcId(1)]));
         assert_eq!(sg.clique(VarId(1)), BTreeSet::from([ProcId(0), ProcId(2)]));
-        assert_eq!(sg.edge_count(), 2);
+        assert_eq!(sg.edges().count(), 2);
         assert!(!sg.has_edge(ProcId(1), ProcId(2)));
     }
 

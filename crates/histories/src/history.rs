@@ -20,7 +20,7 @@ pub struct OpIdx(pub usize);
 
 impl OpIdx {
     /// The underlying index.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0
     }
 }
@@ -72,7 +72,7 @@ impl History {
     }
 
     /// All write operations of the history.
-    pub fn writes(&self) -> impl Iterator<Item = (OpIdx, &Operation)> {
+    pub(crate) fn writes(&self) -> impl Iterator<Item = (OpIdx, &Operation)> {
         self.ops().filter(|(_, o)| o.is_write())
     }
 
@@ -83,7 +83,7 @@ impl History {
 
     /// The operation set `H_{i+w}`: all operations of `h_i` plus all writes
     /// of the whole history, as a sorted, de-duplicated list of indices.
-    pub fn h_i_plus_w(&self, p: ProcId) -> Vec<OpIdx> {
+    pub(crate) fn h_i_plus_w(&self, p: ProcId) -> Vec<OpIdx> {
         let mut set: Vec<OpIdx> = self
             .ops()
             .filter(|(idx, o)| o.proc == p || o.is_write() || self.local(p).contains(idx))
@@ -92,26 +92,6 @@ impl History {
         set.sort();
         set.dedup();
         set
-    }
-
-    /// The set of variables accessed by process `p` in this history.
-    pub fn vars_accessed_by(&self, p: ProcId) -> Vec<VarId> {
-        let mut v: Vec<VarId> = self
-            .ops()
-            .filter(|(_, o)| o.proc == p)
-            .map(|(_, o)| o.var)
-            .collect();
-        v.sort();
-        v.dedup();
-        v
-    }
-
-    /// The set of variables accessed anywhere in the history.
-    pub fn vars(&self) -> Vec<VarId> {
-        let mut v: Vec<VarId> = self.ops.iter().map(|o| o.var).collect();
-        v.sort();
-        v.dedup();
-        v
     }
 
     /// Render the history in the paper's per-process notation, one line per
@@ -210,6 +190,7 @@ impl HistoryBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn sample() -> History {
         // p1: w(x)1, w(y)2   p2: r(y)2, w(y)3   p3: r(x)⊥, r(y)3
@@ -270,9 +251,12 @@ mod tests {
     #[test]
     fn vars_accessed_by_process() {
         let h = sample();
-        assert_eq!(h.vars_accessed_by(ProcId(0)), vec![VarId(0), VarId(1)]);
-        assert_eq!(h.vars_accessed_by(ProcId(1)), vec![VarId(1)]);
-        assert_eq!(h.vars(), vec![VarId(0), VarId(1)]);
+        let vars_of = |p| {
+            let vars: BTreeSet<VarId> = h.local(ProcId(p)).iter().map(|&i| h.op(i).var).collect();
+            Vec::from_iter(vars)
+        };
+        assert_eq!(vars_of(0), vec![VarId(0), VarId(1)]);
+        assert_eq!(vars_of(1), vec![VarId(1)]);
     }
 
     #[test]
@@ -298,6 +282,5 @@ mod tests {
         let h = HistoryBuilder::new(0).build();
         assert!(h.is_empty());
         assert_eq!(h.len(), 0);
-        assert_eq!(h.vars(), vec![]);
     }
 }

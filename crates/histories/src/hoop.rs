@@ -47,17 +47,6 @@ impl Hoop {
     pub fn intermediates(&self) -> &[ProcId] {
         &self.path[1..self.path.len() - 1]
     }
-
-    /// Number of edges in the hoop.
-    pub fn len(&self) -> usize {
-        self.edge_vars.len()
-    }
-
-    /// Hoops always have at least two edges, so this is always false; kept
-    /// for API symmetry with `len`.
-    pub fn is_empty(&self) -> bool {
-        self.edge_vars.is_empty()
-    }
 }
 
 /// Enumerate all x-hoops of the share graph with at most `max_len` edges.
@@ -150,11 +139,6 @@ pub fn hoop_intermediaries(sg: &ShareGraph, x: VarId, max_len: usize) -> BTreeSe
         .collect()
 }
 
-/// Whether the share graph contains any x-hoop at all.
-pub fn has_hoop(sg: &ShareGraph, x: VarId, max_len: usize) -> bool {
-    !enumerate_hoops(sg, x, max_len).is_empty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,8 +171,7 @@ mod tests {
         assert_eq!(h.path, vec![ProcId(0), ProcId(1), ProcId(2), ProcId(3)]);
         assert_eq!(h.edge_vars, vec![VarId(1), VarId(2), VarId(3)]);
         assert_eq!(h.intermediates(), &[ProcId(1), ProcId(2)]);
-        assert_eq!(h.len(), 3);
-        assert!(!h.is_empty());
+        assert_eq!(h.edge_vars.len(), 3);
     }
 
     #[test]
@@ -196,14 +179,13 @@ mod tests {
         let sg = ShareGraph::new(&chain_distribution());
         let inter = hoop_intermediaries(&sg, VarId(0), 8);
         assert_eq!(inter, BTreeSet::from([ProcId(1), ProcId(2)]));
-        assert!(has_hoop(&sg, VarId(0), 8));
+        assert!(!enumerate_hoops(&sg, VarId(0), 8).is_empty());
     }
 
     #[test]
     fn max_len_cuts_off_long_hoops() {
         let sg = ShareGraph::new(&chain_distribution());
         assert!(enumerate_hoops(&sg, VarId(0), 2).is_empty());
-        assert!(!has_hoop(&sg, VarId(0), 2));
         assert_eq!(enumerate_hoops(&sg, VarId(0), 3).len(), 1);
     }
 

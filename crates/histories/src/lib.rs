@@ -4,31 +4,29 @@
 //! *"About the efficiency of partial replication to implement Distributed
 //! Shared Memory"* (Hélary & Milani, 2005/2006):
 //!
-//! * [`op`], [`history`] — operations, local histories, global histories and
-//!   the `H_{i+w}` projections used by the consistency definitions (§2).
-//! * [`read_from`] — the read-from (writes-into) relation `7→ro`.
-//! * [`relation`] — a small directed-relation toolkit (edges, transitive
-//!   closure, reachability) shared by all the order relations.
-//! * [`orders`] — program order `7→i`, causal order `7→co` (§2), lazy
-//!   program order `→li` and lazy causal order `7→lco` (§4.1), lazy
-//!   writes-before `→lwb` and lazy semi-causal order `7→lsc` (§4.2), and the
-//!   PRAM relation `7→pram` (§5).
-//! * [`serialization`] — Definition 1 (legal serializations) and
-//!   order-respecting checks.
-//! * [`checker`] — per-criterion consistency checkers (Causal, Lazy Causal,
-//!   Lazy Semi-Causal, PRAM, Sequential) implemented as explicit searches
-//!   for the per-process serializations the definitions require.
-//! * [`spot`] — polynomial PRAM and causal spot-checkers (sound for
-//!   violations, incomplete) for histories too large for the exponential
-//!   search.
-//! * [`distribution`], [`share_graph`] — variable distributions `X_i`, the
-//!   share graph `SG = ∪_x C(x)` and its cliques (§3.1).
-//! * [`hoop`] — x-hoop enumeration (Definition 3).
-//! * [`dependency`] — x-dependency chains along hoops (Definition 4),
-//!   parameterized by the order relation.
-//! * [`relevance`] — the x-relevant process characterization of Theorem 1,
-//!   the witness-history construction used in its necessity proof, and the
-//!   Theorem 2 check for PRAM.
+//! * Operations, local and global histories, and the `H_{i+w}`
+//!   projections the consistency definitions use (§2): [`Operation`],
+//!   [`History`], [`HistoryBuilder`].
+//! * The read-from (writes-into) relation `7→ro`: [`ReadFrom`].
+//! * The order relations behind [`OrderRelation`]: program order `7→i`
+//!   and causal order `7→co` (§2), lazy causal order `7→lco` (§4.1), lazy
+//!   semi-causal order `7→lsc` (§4.2), and the PRAM relation `7→pram`
+//!   (§5).
+//! * Per-criterion consistency checkers ([`check`], [`check_all`]) for
+//!   Causal, Lazy Causal, Lazy Semi-Causal, PRAM and Sequential, run as
+//!   explicit searches for the per-process legal serializations
+//!   (Definition 1) the definitions require.
+//! * Polynomial PRAM and causal spot-checkers ([`pram_spot_check`],
+//!   [`causal_spot_check`]; sound for violations, incomplete) for
+//!   histories too large for the exponential search.
+//! * Variable distributions `X_i` ([`Distribution`]), the share graph
+//!   `SG = ∪_x C(x)` and its cliques ([`ShareGraph`], §3.1).
+//! * x-hoops ([`enumerate_hoops`], Definition 3) and x-dependency chains
+//!   along them ([`has_dependency_chain`], Definition 4), parameterized by
+//!   the order relation.
+//! * The x-relevant processes of Theorem 1 ([`relevant_processes`]), the
+//!   witness history of its necessity proof ([`witness_history`]), and
+//!   the Theorem 2 check for PRAM ([`pram_chain_violations`]).
 //! * [`figures`] — the concrete share graphs and histories of Figures 1–6.
 //!
 //! The crate is purely combinatorial/deterministic: no I/O, no clocks, no
@@ -36,31 +34,38 @@
 
 #![deny(missing_docs)]
 
-pub mod checker;
-pub mod dependency;
-pub mod distribution;
+mod checker;
+mod dependency;
+mod distribution;
+// Public as a module on purpose: the paper's figures, one function each.
 pub mod figures;
-pub mod history;
-pub mod hoop;
-pub mod op;
-pub mod orders;
-pub mod read_from;
-pub mod relation;
-pub mod relevance;
-pub mod serialization;
-pub mod share_graph;
-pub mod spot;
+mod history;
+mod hoop;
+mod op;
+mod orders;
+#[cfg(test)]
+mod properties;
+mod read_from;
+mod relation;
+mod relevance;
+#[cfg(test)]
+mod serialization;
+mod share_graph;
+mod spot;
 
-pub use checker::{check, ConsistencyReport, Criterion, Violation};
-pub use dependency::{has_dependency_chain, DependencyChain};
+pub use checker::{check, check_all, ConsistencyReport, Criterion, Violation};
+pub use dependency::{has_dependency_chain, ChainOrder, DependencyChain};
 pub use distribution::Distribution;
 pub use history::{History, HistoryBuilder, OpIdx};
-pub use hoop::{enumerate_hoops, Hoop};
+pub use hoop::{enumerate_hoops, hoop_intermediaries, Hoop};
 pub use op::{OpKind, Operation, ProcId, Value, VarId};
-pub use orders::{
-    CausalOrder, LazyCausalOrder, LazySemiCausalOrder, OrderRelation, PramRelation, ProgramOrder,
-};
+pub use orders::{CausalOrder, OrderRelation, PramRelation, ProgramOrder};
 pub use read_from::ReadFrom;
-pub use relevance::{relevant_processes, witness_history, RelevanceError};
+/// `pram_chain_violations` and `witness_has_causal_chain`: the Theorem 2
+/// and Theorem 1 end-to-end tests in `apps` call them.
+pub use relevance::{
+    pram_chain_violations, relevant_processes, witness_has_causal_chain, witness_history,
+    RelevanceError,
+};
 pub use share_graph::ShareGraph;
 pub use spot::{causal_spot_check, pram_spot_check, CausalSpotViolation, SpotViolation};

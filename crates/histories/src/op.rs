@@ -138,7 +138,7 @@ impl Operation {
     }
 
     /// `w_i(x)v` / `r_i(x)v` notation used throughout the paper.
-    pub fn notation(&self) -> String {
+    pub(crate) fn notation(&self) -> String {
         let k = match self.kind {
             OpKind::Read => "r",
             OpKind::Write => "w",

@@ -49,7 +49,7 @@ impl ProgramOrder {
     }
 
     /// The direct-edge graph (each op to its immediate program-order successor).
-    pub fn graph(h: &History) -> RelationGraph {
+    pub(crate) fn graph(h: &History) -> RelationGraph {
         let mut g = RelationGraph::new(h.len());
         for p in 0..h.process_count() {
             let local = h.local(crate::op::ProcId(p));
@@ -89,11 +89,6 @@ impl CausalOrder {
             closure: g.closure(),
         }
     }
-
-    /// Direct access to the reachability matrix.
-    pub fn reachability(&self) -> &Reachability {
-        &self.closure
-    }
 }
 
 impl OrderRelation for CausalOrder {
@@ -111,7 +106,7 @@ impl OrderRelation for CausalOrder {
 /// * `o1` is a read and `o2` is a read on the same variable or a write
 ///   (on any variable), or
 /// * `o1` is a write and `o2` is an operation on the same variable.
-pub fn lazy_program_order_graph(h: &History) -> RelationGraph {
+pub(crate) fn lazy_program_order_graph(h: &History) -> RelationGraph {
     let mut g = RelationGraph::new(h.len());
     for p in 0..h.process_count() {
         let local = h.local(crate::op::ProcId(p));
@@ -137,29 +132,20 @@ pub fn lazy_program_order_graph(h: &History) -> RelationGraph {
 /// Lazy causal order `7→lco` (Definition 6): transitive closure of lazy
 /// program order ∪ read-from.
 #[derive(Clone, Debug)]
-pub struct LazyCausalOrder {
+pub(crate) struct LazyCausalOrder {
     closure: Reachability,
-    lazy_po: Reachability,
 }
 
 impl LazyCausalOrder {
     /// Build from a history and its read-from relation.
-    pub fn new(h: &History, rf: &ReadFrom) -> Self {
-        let li = lazy_program_order_graph(h);
-        let lazy_po = li.closure();
-        let mut g = li;
+    pub(crate) fn new(h: &History, rf: &ReadFrom) -> Self {
+        let mut g = lazy_program_order_graph(h);
         for (w, r) in rf.pairs() {
             g.add_edge(w, r);
         }
         LazyCausalOrder {
             closure: g.closure(),
-            lazy_po,
         }
-    }
-
-    /// Whether `a →li b` (lazy *program* order, including its transitivity).
-    pub fn lazy_po(&self, a: OpIdx, b: OpIdx) -> bool {
-        self.lazy_po.reaches(a, b)
     }
 }
 
@@ -179,7 +165,7 @@ impl OrderRelation for LazyCausalOrder {
 /// Under the data-independence assumption, `o'` is exactly the write that
 /// `o2` reads from (they write the same value to the same variable), so the
 /// edges are found by walking the read-from pairs.
-pub fn lazy_writes_before_graph(h: &History, rf: &ReadFrom) -> RelationGraph {
+pub(crate) fn lazy_writes_before_graph(h: &History, rf: &ReadFrom) -> RelationGraph {
     let li = lazy_program_order_graph(h).closure();
     let mut g = RelationGraph::new(h.len());
     for (w_prime, read) in rf.pairs() {
@@ -200,13 +186,13 @@ pub fn lazy_writes_before_graph(h: &History, rf: &ReadFrom) -> RelationGraph {
 /// Lazy semi-causal order `7→lsc` (Definition 9): transitive closure of lazy
 /// program order ∪ lazy writes-before.
 #[derive(Clone, Debug)]
-pub struct LazySemiCausalOrder {
+pub(crate) struct LazySemiCausalOrder {
     closure: Reachability,
 }
 
 impl LazySemiCausalOrder {
     /// Build from a history and its read-from relation.
-    pub fn new(h: &History, rf: &ReadFrom) -> Self {
+    pub(crate) fn new(h: &History, rf: &ReadFrom) -> Self {
         let g = lazy_program_order_graph(h).union(&lazy_writes_before_graph(h, rf));
         LazySemiCausalOrder {
             closure: g.closure(),
@@ -295,14 +281,14 @@ mod tests {
     #[test]
     fn lazy_program_order_omits_read_then_read_different_var() {
         // p3: r(z)3 then r(x)⊥ — reads on different variables are unrelated.
-        let (h, rf, ops) = chain_history();
-        let lco = LazyCausalOrder::new(&h, &rf);
-        assert!(!lco.lazy_po(ops[4], ops[5]));
+        let (h, _, ops) = chain_history();
+        let li = lazy_program_order_graph(&h).closure();
+        assert!(!li.reaches(ops[4], ops[5]));
         // But read then write is related: p2's r(y)2 →li w(z)3.
-        assert!(lco.lazy_po(ops[2], ops[3]));
+        assert!(li.reaches(ops[2], ops[3]));
         // And write then same-variable op: not present here for p1
         // (w(x)1 then w(y)2 are different variables).
-        assert!(!lco.lazy_po(ops[0], ops[1]));
+        assert!(!li.reaches(ops[0], ops[1]));
     }
 
     #[test]

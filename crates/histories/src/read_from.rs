@@ -118,16 +118,6 @@ impl ReadFrom {
             .enumerate()
             .filter_map(|(r, w)| w.map(|w| (w, OpIdx(r))))
     }
-
-    /// Number of related pairs.
-    pub fn len(&self) -> usize {
-        self.source.iter().flatten().count()
-    }
-
-    /// Whether the relation is empty.
-    pub fn is_empty(&self) -> bool {
-        self.source.iter().all(Option::is_none)
-    }
 }
 
 #[cfg(test)]
@@ -151,8 +141,7 @@ mod tests {
         assert_eq!(rf.source_of(rb), None);
         assert!(rf.relates(w1, r1));
         assert!(!rf.relates(w2, r1));
-        assert_eq!(rf.len(), 2);
-        assert!(!rf.is_empty());
+        assert_eq!(rf.pairs().count(), 2);
     }
 
     #[test]
@@ -161,7 +150,7 @@ mod tests {
         hb.read_bottom(ProcId(0), VarId(0));
         let h = hb.build();
         let rf = ReadFrom::infer(&h).unwrap();
-        assert!(rf.is_empty());
+        assert_eq!(rf.pairs().count(), 0);
     }
 
     #[test]

@@ -6,36 +6,25 @@
 //! [`Reachability`] matrix.
 
 use crate::history::OpIdx;
-use std::ops::ControlFlow;
 
 /// A directed graph over `n` operations, stored as adjacency lists.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RelationGraph {
+pub(crate) struct RelationGraph {
     n: usize,
     adj: Vec<Vec<usize>>,
 }
 
 impl RelationGraph {
     /// An empty relation over `n` operations.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         RelationGraph {
             n,
             adj: vec![Vec::new(); n],
         }
     }
 
-    /// Number of operations.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the relation covers zero operations.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// Add the edge `a → b` (idempotent).
-    pub fn add_edge(&mut self, a: OpIdx, b: OpIdx) {
+    pub(crate) fn add_edge(&mut self, a: OpIdx, b: OpIdx) {
         assert!(
             a.index() < self.n && b.index() < self.n,
             "edge out of range"
@@ -49,22 +38,17 @@ impl RelationGraph {
     }
 
     /// Whether the direct edge `a → b` exists.
-    pub fn has_edge(&self, a: OpIdx, b: OpIdx) -> bool {
+    pub(crate) fn has_edge(&self, a: OpIdx, b: OpIdx) -> bool {
         self.adj[a.index()].contains(&b.index())
     }
 
     /// Direct successors of `a`.
-    pub fn successors(&self, a: OpIdx) -> impl Iterator<Item = OpIdx> + '_ {
+    pub(crate) fn successors(&self, a: OpIdx) -> impl Iterator<Item = OpIdx> + '_ {
         self.adj[a.index()].iter().copied().map(OpIdx)
     }
 
-    /// Number of direct edges.
-    pub fn edge_count(&self) -> usize {
-        self.adj.iter().map(|v| v.len()).sum()
-    }
-
     /// Union with another relation over the same operation set.
-    pub fn union(&self, other: &RelationGraph) -> RelationGraph {
+    pub(crate) fn union(&self, other: &RelationGraph) -> RelationGraph {
         assert_eq!(self.n, other.n, "relations cover different op sets");
         let mut out = self.clone();
         for a in 0..other.n {
@@ -86,11 +70,11 @@ impl RelationGraph {
     /// already set is skipped, because its row is then contained in the
     /// row being built. Cost: `O(n + m)` for the pass plus
     /// `O(m · ⌈n/64⌉)` word ORs, and `n` rows of `⌈n/64⌉` words.
-    pub fn closure(&self) -> Reachability {
+    pub(crate) fn closure(&self) -> Reachability {
         let words = self.n.div_ceil(64).max(1);
         let mut reach: Vec<Vec<u64>> = vec![Vec::new(); self.n];
         let mut row = vec![0u64; words];
-        let _ = self.components(|component| {
+        self.components(|component| {
             row.fill(0);
             // Every member of a cycle reaches every member, itself included;
             // setting their bits first also skips the edges inside it.
@@ -114,31 +98,14 @@ impl RelationGraph {
             for &v in component {
                 reach[v] = row.clone();
             }
-            ControlFlow::Continue(())
         });
         Reachability { n: self.n, reach }
     }
 
-    /// Whether the relation (viewed as a digraph) has a cycle: whether some
-    /// strongly connected component holds more than one operation (self
-    /// edges are never stored). One SCC pass, `O(n + m)`, that stops at the
-    /// first such component and builds no reachability rows.
-    pub fn has_cycle(&self) -> bool {
-        self.components(|component| {
-            if component.len() > 1 {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        })
-        .is_break()
-    }
-
     /// Tarjan's algorithm, iteratively: hand each strongly connected
     /// component to `emit`, in reverse topological order (a component is
-    /// emitted after every component it reaches), and stop early if `emit`
-    /// breaks.
-    fn components(&self, mut emit: impl FnMut(&[usize]) -> ControlFlow<()>) -> ControlFlow<()> {
+    /// emitted after every component it reaches).
+    fn components(&self, mut emit: impl FnMut(&[usize])) {
         const UNSEEN: usize = usize::MAX;
         let mut index = vec![UNSEEN; self.n];
         let mut low = vec![0usize; self.n];
@@ -186,16 +153,15 @@ impl RelationGraph {
                     for &x in &open[start..] {
                         on_stack[x] = false;
                     }
-                    emit(&open[start..])?;
+                    emit(&open[start..]);
                     open.truncate(start);
                 }
             }
         }
-        ControlFlow::Continue(())
     }
 
     /// The closure by a DFS from every operation, `O(n · (n + m))`: the
-    /// reference model `closure` and `has_cycle` are pinned against.
+    /// reference model `closure` is pinned against.
     #[cfg(test)]
     pub(crate) fn closure_by_dfs(&self) -> Reachability {
         let words = self.n.div_ceil(64).max(1);
@@ -218,37 +184,27 @@ impl RelationGraph {
 /// Reachability matrix: `reaches(a, b)` means `a →+ b` (non-reflexive unless
 /// the graph has a cycle through `a`).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Reachability {
+pub(crate) struct Reachability {
     n: usize,
     reach: Vec<Vec<u64>>,
 }
 
 impl Reachability {
     /// Whether `a` reaches `b` through one or more edges.
-    pub fn reaches(&self, a: OpIdx, b: OpIdx) -> bool {
+    pub(crate) fn reaches(&self, a: OpIdx, b: OpIdx) -> bool {
         let (w, bit) = (b.index() / 64, b.index() % 64);
         self.reach[a.index()][w] & (1 << bit) != 0
-    }
-
-    /// Whether `a` and `b` are unrelated in both directions (concurrent).
-    pub fn concurrent(&self, a: OpIdx, b: OpIdx) -> bool {
-        a != b && !self.reaches(a, b) && !self.reaches(b, a)
-    }
-
-    /// Number of operations covered.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the matrix covers zero operations.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of direct edges.
+    fn edge_count(g: &RelationGraph) -> usize {
+        g.adj.iter().map(Vec::len).sum()
+    }
 
     #[test]
     fn add_and_query_edges() {
@@ -258,7 +214,7 @@ mod tests {
         g.add_edge(OpIdx(1), OpIdx(2));
         assert!(g.has_edge(OpIdx(0), OpIdx(1)));
         assert!(!g.has_edge(OpIdx(1), OpIdx(0)));
-        assert_eq!(g.edge_count(), 2);
+        assert_eq!(edge_count(&g), 2);
         assert_eq!(g.successors(OpIdx(0)).collect::<Vec<_>>(), vec![OpIdx(1)]);
     }
 
@@ -266,8 +222,8 @@ mod tests {
     fn self_edges_are_ignored() {
         let mut g = RelationGraph::new(2);
         g.add_edge(OpIdx(0), OpIdx(0));
-        assert_eq!(g.edge_count(), 0);
-        assert!(!g.has_cycle());
+        assert_eq!(edge_count(&g), 0);
+        assert!(!g.closure().reaches(OpIdx(0), OpIdx(0)));
     }
 
     #[test]
@@ -281,7 +237,6 @@ mod tests {
         assert!(c.reaches(OpIdx(1), OpIdx(3)));
         assert!(!c.reaches(OpIdx(3), OpIdx(0)));
         assert!(!c.reaches(OpIdx(0), OpIdx(0)));
-        assert!(!c.concurrent(OpIdx(0), OpIdx(0)));
     }
 
     #[test]
@@ -290,9 +245,9 @@ mod tests {
         g.add_edge(OpIdx(0), OpIdx(1));
         g.add_edge(OpIdx(2), OpIdx(3));
         let c = g.closure();
-        assert!(c.concurrent(OpIdx(0), OpIdx(2)));
-        assert!(c.concurrent(OpIdx(1), OpIdx(3)));
-        assert!(!c.concurrent(OpIdx(0), OpIdx(1)));
+        assert!(!c.reaches(OpIdx(0), OpIdx(2)) && !c.reaches(OpIdx(2), OpIdx(0)));
+        assert!(!c.reaches(OpIdx(1), OpIdx(3)) && !c.reaches(OpIdx(3), OpIdx(1)));
+        assert!(c.reaches(OpIdx(0), OpIdx(1)));
     }
 
     #[test]
@@ -300,9 +255,9 @@ mod tests {
         let mut g = RelationGraph::new(3);
         g.add_edge(OpIdx(0), OpIdx(1));
         g.add_edge(OpIdx(1), OpIdx(2));
-        assert!(!g.has_cycle());
+        assert!(!g.closure().reaches(OpIdx(0), OpIdx(0)));
         g.add_edge(OpIdx(2), OpIdx(0));
-        assert!(g.has_cycle());
+        assert!(g.closure().reaches(OpIdx(0), OpIdx(0)));
     }
 
     #[test]
@@ -314,7 +269,7 @@ mod tests {
         let u = a.union(&b);
         assert!(u.has_edge(OpIdx(0), OpIdx(1)));
         assert!(u.has_edge(OpIdx(1), OpIdx(2)));
-        assert_eq!(u.edge_count(), 2);
+        assert_eq!(edge_count(&u), 2);
     }
 
     #[test]
@@ -327,15 +282,15 @@ mod tests {
         let c = g.closure();
         assert!(c.reaches(OpIdx(0), OpIdx(n - 1)));
         assert!(!c.reaches(OpIdx(n - 1), OpIdx(0)));
-        assert_eq!(c.len(), n);
+        assert_eq!(c.n, n);
     }
 
     #[test]
     fn empty_relation() {
         let g = RelationGraph::new(0);
-        assert!(g.is_empty());
+        assert_eq!(g.n, 0);
         let c = g.closure();
-        assert!(c.is_empty());
+        assert_eq!(c.n, 0);
     }
 
     /// Sizes on either side of the 64-bit word boundaries.
@@ -379,8 +334,7 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
         /// The SCC kernel computes exactly the closure the per-operation
-        /// DFS computes, and `has_cycle` agrees with the DFS closure's
-        /// diagonal.
+        /// DFS computes.
         #[test]
         fn closure_matches_the_dfs_reference(
             spec in (
@@ -396,9 +350,7 @@ mod tests {
         ) {
             let g = random_graph(spec);
             let reference = g.closure_by_dfs();
-            proptest::prop_assert_eq!(g.closure(), reference.clone());
-            let cyclic = (0..g.len()).any(|v| reference.reaches(OpIdx(v), OpIdx(v)));
-            proptest::prop_assert_eq!(g.has_cycle(), cyclic);
+            proptest::prop_assert_eq!(g.closure(), reference);
         }
     }
 }

@@ -1,4 +1,6 @@
-//! Serializations (paper Definition 1).
+//! Serializations (paper Definition 1): the checks the tests hold the
+//! checkers' witness serializations to. The checkers search for
+//! serializations themselves and never call these.
 //!
 //! A *serialization* `S` of a set of operations is a sequence containing
 //! exactly those operations such that each read of a variable `x` returns
@@ -14,7 +16,7 @@ use std::collections::BTreeMap;
 /// Check that `seq` is a legal serialization of exactly the operations it
 /// contains (Definition 1): every read returns the value of the most recent
 /// preceding write to the same variable, or `⊥` if there is none.
-pub fn is_legal(h: &History, seq: &[OpIdx]) -> bool {
+pub(crate) fn is_legal(h: &History, seq: &[OpIdx]) -> bool {
     let mut last_write: BTreeMap<usize, Value> = BTreeMap::new();
     for &idx in seq {
         let op = h.op(idx);
@@ -35,7 +37,7 @@ pub fn is_legal(h: &History, seq: &[OpIdx]) -> bool {
 
 /// Check that `seq` contains each operation of `expected` exactly once and
 /// nothing else.
-pub fn is_permutation_of(seq: &[OpIdx], expected: &[OpIdx]) -> bool {
+pub(crate) fn is_permutation_of(seq: &[OpIdx], expected: &[OpIdx]) -> bool {
     if seq.len() != expected.len() {
         return false;
     }
@@ -50,7 +52,7 @@ pub fn is_permutation_of(seq: &[OpIdx], expected: &[OpIdx]) -> bool {
 
 /// Check that `seq` respects `rel`: whenever `rel.constrains(a, b)` and both
 /// appear in `seq`, `a` appears before `b`.
-pub fn respects(seq: &[OpIdx], rel: &dyn OrderRelation) -> bool {
+pub(crate) fn respects(seq: &[OpIdx], rel: &dyn OrderRelation) -> bool {
     for (i, &a) in seq.iter().enumerate() {
         for &b in &seq[..i] {
             // b appears before a; a violation is a constraint a → b.
@@ -60,17 +62,6 @@ pub fn respects(seq: &[OpIdx], rel: &dyn OrderRelation) -> bool {
         }
     }
     true
-}
-
-/// Check that `seq` is a serialization of `expected` that respects `rel`
-/// (the full obligation the consistency definitions place on each process).
-pub fn is_valid_serialization(
-    h: &History,
-    seq: &[OpIdx],
-    expected: &[OpIdx],
-    rel: &dyn OrderRelation,
-) -> bool {
-    is_permutation_of(seq, expected) && is_legal(h, seq) && respects(seq, rel)
 }
 
 #[cfg(test)]
@@ -139,19 +130,11 @@ mod tests {
         let (h, ops) = wrw();
         let rf = ReadFrom::infer(&h).unwrap();
         let co = crate::orders::CausalOrder::new(&h, &rf);
+        let valid =
+            |seq: &[OpIdx]| is_permutation_of(seq, &ops) && is_legal(&h, seq) && respects(seq, &co);
         // w(x)1, r(x)1, w(x)2 is a permutation, legal, and respects co.
-        assert!(is_valid_serialization(
-            &h,
-            &[ops[0], ops[2], ops[1]],
-            &ops,
-            &co
-        ));
+        assert!(valid(&[ops[0], ops[2], ops[1]]));
         // w(x)1, w(x)2, r(x)1 violates legality.
-        assert!(!is_valid_serialization(
-            &h,
-            &[ops[0], ops[1], ops[2]],
-            &ops,
-            &co
-        ));
+        assert!(!valid(&[ops[0], ops[1], ops[2]]));
     }
 }

@@ -48,11 +48,6 @@ impl ShareGraph {
         self.n
     }
 
-    /// Number of undirected edges.
-    pub fn edge_count(&self) -> usize {
-        self.labels.len()
-    }
-
     /// Whether an edge exists between `a` and `b`.
     pub fn has_edge(&self, a: ProcId, b: ProcId) -> bool {
         a != b
@@ -62,7 +57,7 @@ impl ShareGraph {
     }
 
     /// The label (shared variables) of the edge between `a` and `b`.
-    pub fn edge_label(&self, a: ProcId, b: ProcId) -> BTreeSet<VarId> {
+    pub(crate) fn edge_label(&self, a: ProcId, b: ProcId) -> BTreeSet<VarId> {
         self.labels
             .get(&(a.index().min(b.index()), a.index().max(b.index())))
             .cloned()
@@ -74,22 +69,9 @@ impl ShareGraph {
         self.cliques.get(&x).cloned().unwrap_or_default()
     }
 
-    /// All variables that induce a non-empty clique.
-    pub fn variables(&self) -> impl Iterator<Item = VarId> + '_ {
-        self.cliques.keys().copied()
-    }
-
-    /// Neighbours of `p` in the share graph.
-    pub fn neighbours(&self, p: ProcId) -> BTreeSet<ProcId> {
-        (0..self.n)
-            .map(ProcId)
-            .filter(|&q| self.has_edge(p, q))
-            .collect()
-    }
-
     /// Neighbours of `p` reachable through an edge whose label contains a
     /// variable different from `x` (the edges usable inside an x-hoop).
-    pub fn neighbours_avoiding(&self, p: ProcId, x: VarId) -> BTreeSet<ProcId> {
+    pub(crate) fn neighbours_avoiding(&self, p: ProcId, x: VarId) -> BTreeSet<ProcId> {
         (0..self.n)
             .map(ProcId)
             .filter(|&q| self.has_edge(p, q) && self.edge_label(p, q).iter().any(|&v| v != x))
@@ -108,6 +90,14 @@ impl ShareGraph {
 mod tests {
     use super::*;
 
+    /// Neighbours of `p` in the share graph.
+    fn neighbours(sg: &ShareGraph, p: ProcId) -> BTreeSet<ProcId> {
+        (0..sg.n)
+            .map(ProcId)
+            .filter(|&q| sg.has_edge(p, q))
+            .collect()
+    }
+
     /// The Figure 1 distribution: X_i = {x1, x2}, X_j = {x1}, X_k = {x2}
     /// with p_i = p0, p_j = p1, p_k = p2, x1 = VarId(0), x2 = VarId(1).
     fn fig1() -> Distribution {
@@ -123,7 +113,7 @@ mod tests {
     fn figure1_share_graph_structure() {
         let sg = ShareGraph::new(&fig1());
         assert_eq!(sg.process_count(), 3);
-        assert_eq!(sg.edge_count(), 2);
+        assert_eq!(sg.edges().count(), 2);
         assert!(sg.has_edge(ProcId(0), ProcId(1)));
         assert!(sg.has_edge(ProcId(0), ProcId(2)));
         assert!(!sg.has_edge(ProcId(1), ProcId(2)));
@@ -143,7 +133,7 @@ mod tests {
         assert_eq!(sg.clique(VarId(0)), BTreeSet::from([ProcId(0), ProcId(1)]));
         assert_eq!(sg.clique(VarId(1)), BTreeSet::from([ProcId(0), ProcId(2)]));
         assert_eq!(sg.clique(VarId(9)), BTreeSet::new());
-        assert_eq!(sg.variables().count(), 2);
+        assert_eq!(sg.cliques.len(), 2, "variables with a non-empty clique");
     }
 
     #[test]
@@ -164,17 +154,17 @@ mod tests {
     #[test]
     fn full_replication_yields_complete_graph() {
         let sg = ShareGraph::new(&Distribution::full(4, 2));
-        assert_eq!(sg.edge_count(), 6);
+        assert_eq!(sg.edges().count(), 6);
         for p in 0..4 {
-            assert_eq!(sg.neighbours(ProcId(p)).len(), 3);
+            assert_eq!(neighbours(&sg, ProcId(p)).len(), 3);
         }
     }
 
     #[test]
     fn disjoint_blocks_yield_empty_graph() {
         let sg = ShareGraph::new(&Distribution::disjoint_blocks(4, 8));
-        assert_eq!(sg.edge_count(), 0);
-        assert!(sg.neighbours(ProcId(0)).is_empty());
+        assert_eq!(sg.edges().count(), 0);
+        assert!(neighbours(&sg, ProcId(0)).is_empty());
     }
 
     #[test]
@@ -190,7 +180,7 @@ mod tests {
         let avoid = sg.neighbours_avoiding(ProcId(0), VarId(0));
         assert_eq!(avoid, BTreeSet::from([ProcId(2)]));
         assert_eq!(
-            sg.neighbours(ProcId(0)),
+            neighbours(&sg, ProcId(0)),
             BTreeSet::from([ProcId(1), ProcId(2)])
         );
     }

@@ -277,8 +277,8 @@ impl std::error::Error for CausalSpotViolation {}
 ///    transfer);
 /// 2. cycle detection on the causal order — the transitive closure of
 ///    program order ∪ the writes-into relation, built by one SCC pass
-///    ([`RelationGraph::closure`](crate::relation::RelationGraph::closure):
-///    `O(|H| + e)` plus `O(e · ⌈|H|/64⌉)` word ORs for `e` edges);
+///    (`RelationGraph::closure`: `O(|H| + e)` plus `O(e · ⌈|H|/64⌉)`
+///    word ORs for `e` edges);
 /// 3. overwritten reads: `r` reads from `w` although a write `w'` to the
 ///    same variable satisfies `w 7→co w' 7→co r`. Every causal
 ///    serialization of the reader's view orders `w` before `w'` before

@@ -2,14 +2,10 @@
 //! criterion hierarchy, serialization-search soundness, share-graph / hoop
 //! invariants, and the Theorem 1 / Theorem 2 statements on random inputs.
 
-use histories::checker::{check, find_serialization, Criterion};
-use histories::dependency::{has_dependency_chain, ChainOrder};
-use histories::hoop::{enumerate_hoops, hoop_intermediaries};
-use histories::orders::CausalOrder;
-use histories::relevance::{relevant_processes, witness_history};
-use histories::serialization::{is_legal, is_permutation_of, respects};
 use histories::{
-    Distribution, History, HistoryBuilder, ProcId, ReadFrom, ShareGraph, Value, VarId,
+    check, enumerate_hoops, has_dependency_chain, hoop_intermediaries, relevant_processes,
+    witness_history, ChainOrder, Criterion, Distribution, History, HistoryBuilder, ProcId,
+    ReadFrom, ShareGraph, Value, VarId,
 };
 use proptest::prelude::*;
 
@@ -106,33 +102,6 @@ proptest! {
         if causal { prop_assert!(lazy, "causal but not lazy causal:\n{}", h.pretty()); }
         if lazy { prop_assert!(lazy_semi, "lazy causal but not lazy semi-causal:\n{}", h.pretty()); }
         if causal { prop_assert!(pram, "causal but not PRAM:\n{}", h.pretty()); }
-    }
-
-    #[test]
-    fn witness_serializations_are_sound(h in atomic_history()) {
-        let report = check(&h, Criterion::Causal);
-        prop_assert!(report.consistent);
-        let rf = ReadFrom::infer(&h).unwrap();
-        let co = CausalOrder::new(&h, &rf);
-        for (p, seq) in &report.serializations {
-            let expected = h.h_i_plus_w(ProcId(*p));
-            prop_assert!(is_permutation_of(seq, &expected));
-            prop_assert!(is_legal(&h, seq));
-            prop_assert!(respects(seq, &co));
-        }
-    }
-
-    #[test]
-    fn find_serialization_output_is_always_legal(h in arbitrary_history()) {
-        if let Ok(rf) = ReadFrom::infer(&h) {
-            let co = CausalOrder::new(&h, &rf);
-            let all: Vec<_> = h.ops().map(|(i, _)| i).collect();
-            if let Some(seq) = find_serialization(&h, &all, &co) {
-                prop_assert!(is_permutation_of(&seq, &all));
-                prop_assert!(is_legal(&h, &seq));
-                prop_assert!(respects(&seq, &co));
-            }
-        }
     }
 
     #[test]

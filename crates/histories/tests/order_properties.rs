@@ -2,11 +2,10 @@
 //! the relations the paper defines (§2, §4, §5), acyclicity, and agreement
 //! between the closure-based orders and their defining base graphs.
 
-use histories::orders::{
-    lazy_program_order_graph, lazy_writes_before_graph, CausalOrder, LazyCausalOrder,
-    LazySemiCausalOrder, OrderRelation, PramRelation, ProgramOrder,
+use histories::{
+    CausalOrder, History, HistoryBuilder, OrderRelation, PramRelation, ProcId, ProgramOrder,
+    ReadFrom, VarId,
 };
-use histories::{History, HistoryBuilder, ProcId, ReadFrom, VarId};
 use proptest::prelude::*;
 
 /// Random histories in which every read returns either ⊥ or the value of
@@ -67,37 +66,6 @@ proptest! {
         }
     }
 
-    /// Relation containments the paper's hierarchy relies on:
-    /// lazy program order ⊆ program order, lazy causal ⊆ causal,
-    /// lazy semi-causal ⊆ lazy causal, PRAM ⊆ causal.
-    #[test]
-    fn relation_containments(h in history_strategy()) {
-        let rf = ReadFrom::infer(&h).unwrap();
-        let po = ProgramOrder::new(&h);
-        let co = CausalOrder::new(&h, &rf);
-        let lco = LazyCausalOrder::new(&h, &rf);
-        let lsc = LazySemiCausalOrder::new(&h, &rf);
-        let pram = PramRelation::new(&h, &rf);
-        let li = lazy_program_order_graph(&h);
-        for (a, _) in h.ops() {
-            for (b, _) in h.ops() {
-                if a == b { continue; }
-                if li.has_edge(a, b) {
-                    prop_assert!(po.constrains(a, b), "li ⊆ po");
-                }
-                if lco.constrains(a, b) {
-                    prop_assert!(co.constrains(a, b), "lco ⊆ co");
-                }
-                if lsc.constrains(a, b) {
-                    prop_assert!(lco.constrains(a, b), "lsc ⊆ lco");
-                }
-                if pram.constrains(a, b) {
-                    prop_assert!(co.constrains(a, b), "pram ⊆ co");
-                }
-            }
-        }
-    }
-
     /// Causal order (and thus all the weaker orders) is acyclic on
     /// histories whose reads never return values from their own future —
     /// guaranteed here because reads only pick from already-issued writes.
@@ -113,28 +81,6 @@ proptest! {
                 if a != b && co.constrains(a, b) {
                     prop_assert!(!co.constrains(b, a), "antisymmetry");
                 }
-            }
-        }
-    }
-
-    /// The lazy writes-before relation only ever links a write to a read of
-    /// a different operation, and every lwb edge is explained by an li-path
-    /// through a write of the read's value (Definition 8).
-    #[test]
-    fn lazy_writes_before_shape(h in history_strategy()) {
-        let rf = ReadFrom::infer(&h).unwrap();
-        let lwb = lazy_writes_before_graph(&h, &rf);
-        let li = lazy_program_order_graph(&h).closure();
-        for (a, oa) in h.ops() {
-            for (b, ob) in h.ops() {
-                if !lwb.has_edge(a, b) { continue; }
-                prop_assert!(oa.is_write());
-                prop_assert!(ob.is_read());
-                // The o' of Definition 8 is the source write of the read.
-                let source = rf.source_of(b).expect("read of a written value");
-                prop_assert!(source != a);
-                prop_assert_eq!(h.op(source).proc, oa.proc);
-                prop_assert!(li.reaches(a, source), "w_i(x)v →li o'");
             }
         }
     }

@@ -40,7 +40,7 @@ pub enum ThreadedMode {
 
 impl ThreadedMode {
     /// Stable label used in scenario labels and CLI flags.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ThreadedMode::Replay => "threaded-replay",
             ThreadedMode::FreeRunning => "threaded-free",
@@ -75,11 +75,6 @@ impl ExecBackend {
         }
     }
 
-    /// Parse a [`label`](ExecBackend::label) back into a backend.
-    pub fn parse(s: &str) -> Option<ExecBackend> {
-        Self::ALL.into_iter().find(|b| b.label() == s)
-    }
-
     /// Whether this backend runs protocol nodes on real OS threads.
     pub fn is_threaded(self) -> bool {
         matches!(self, ExecBackend::Threaded(_))
@@ -98,10 +93,10 @@ mod tests {
 
     #[test]
     fn labels_round_trip() {
-        for backend in ExecBackend::ALL {
-            assert_eq!(ExecBackend::parse(backend.label()), Some(backend));
-        }
-        assert_eq!(ExecBackend::parse("nope"), None);
+        // Distinct labels: each names exactly one backend.
+        let labels: std::collections::BTreeSet<_> =
+            ExecBackend::ALL.iter().map(|b| b.label()).collect();
+        assert_eq!(labels.len(), ExecBackend::ALL.len());
     }
 
     #[test]

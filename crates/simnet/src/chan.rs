@@ -47,18 +47,18 @@ pub struct InFlight(AtomicU64);
 impl InFlight {
     /// Record one event entering the fabric. Must happen *before* the
     /// corresponding push.
-    pub fn up(&self) {
+    pub(crate) fn up(&self) {
         self.0.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Record one event fully processed (handler run and outbox flushed).
-    pub fn down(&self) {
+    pub(crate) fn down(&self) {
         let prev = self.0.fetch_sub(1, Ordering::SeqCst);
         debug_assert!(prev > 0, "InFlight underflow");
     }
 
     /// Current number of in-flight events.
-    pub fn load(&self) -> u64 {
+    pub(crate) fn load(&self) -> u64 {
         self.0.load(Ordering::SeqCst)
     }
 }
@@ -158,7 +158,7 @@ pub struct CtlPost<M, C> {
 
 impl<M, C> CtlPost<M, C> {
     /// Enqueue a control message for `node`.
-    pub fn to(&self, node: NodeId, msg: C) {
+    pub(crate) fn to(&self, node: NodeId, msg: C) {
         let idx = node.index();
         self.shared.announce(idx);
         lock(&self.shared.ctl[idx]).push_back(msg);
@@ -177,7 +177,7 @@ impl<M, C> Mailbox<M, C> {
     /// A second handle on this inbox, for its worker thread to
     /// [`register`](Mailbox::register) and [`wait`](Mailbox::wait) on
     /// while the mailbox itself sits in a site someone else may hold.
-    pub fn handle(&self) -> Mailbox<M, C> {
+    pub(crate) fn handle(&self) -> Mailbox<M, C> {
         Mailbox {
             shared: Arc::clone(&self.shared),
             me: self.me,
@@ -190,11 +190,6 @@ impl<M, C> Mailbox<M, C> {
         let _ = self.shared.wakers[self.me]
             .thread
             .set(std::thread::current());
-    }
-
-    /// Whether anything (inbox or control) is waiting.
-    pub fn has_pending(&self) -> bool {
-        self.shared.wakers[self.me].hint.load(Ordering::SeqCst) > 0
     }
 
     /// Move the whole inbox, in push order, behind the contents of `out`,
@@ -222,7 +217,7 @@ impl<M, C> Mailbox<M, C> {
     }
 
     /// Take the next control message, if any.
-    pub fn pop_ctl(&self) -> Option<C> {
+    pub(crate) fn pop_ctl(&self) -> Option<C> {
         let m = lock(&self.shared.ctl[self.me]).pop_front();
         if m.is_some() {
             self.shared.wakers[self.me]
@@ -307,6 +302,14 @@ pub fn fabric<M, C>(n: usize) -> (CtlPost<M, C>, Vec<WorkerEnd<M, C>>) {
 mod tests {
     use super::*;
 
+    /// Whether anything (inbox or control) is waiting, by the wake hint.
+    fn has_pending<M, C>(mailbox: &Mailbox<M, C>) -> bool {
+        mailbox.shared.wakers[mailbox.me]
+            .hint
+            .load(Ordering::SeqCst)
+            > 0
+    }
+
     #[test]
     fn per_lane_fifo_is_preserved() {
         let (_ctl, mut ends) = fabric::<(usize, u32), ()>(2);
@@ -325,7 +328,7 @@ mod tests {
             })
             .collect();
         assert_eq!(got, (0..10).collect::<Vec<_>>());
-        assert!(!box1.has_pending());
+        assert!(!has_pending(&box1));
     }
 
     /// A drain into a buffer that still holds arrivals (a replaying site
@@ -343,7 +346,7 @@ mod tests {
             Vec::from(out),
             [(NodeId(1), 7), (NodeId(1), 1), (NodeId(0), 2)]
         );
-        assert!(!box0.has_pending());
+        assert!(!has_pending(&box0));
     }
 
     #[test]
@@ -413,7 +416,7 @@ mod tests {
                     next[from.index()] += 1;
                 }
             }
-            assert!(!inbox.has_pending());
+            assert!(!has_pending(&inbox));
             next
         });
         let senders: Vec<_> = ends
@@ -439,10 +442,10 @@ mod tests {
         let (_post, mailbox) = ends.remove(0);
         ctl.to(NodeId(0), 1);
         ctl.to(NodeId(0), 2);
-        assert!(mailbox.has_pending());
+        assert!(has_pending(&mailbox));
         assert_eq!(mailbox.pop_ctl(), Some(1));
         assert_eq!(mailbox.pop_ctl(), Some(2));
         assert_eq!(mailbox.pop_ctl(), None);
-        assert!(!mailbox.has_pending());
+        assert!(!has_pending(&mailbox));
     }
 }

@@ -69,7 +69,7 @@ impl LatencyModel {
     /// `distance` units (the absolute difference of the endpoint indices;
     /// only the [`LatencyModel::Distance`] variant looks at it).
     #[inline]
-    pub fn sample(&self, rng: &mut SmallRng, bytes: usize, distance: usize) -> SimDuration {
+    pub(crate) fn sample(&self, rng: &mut SmallRng, bytes: usize, distance: usize) -> SimDuration {
         match *self {
             LatencyModel::Constant(d) => d,
             LatencyModel::Uniform { min, max } => {
@@ -165,7 +165,7 @@ impl Channel {
     /// schedule. The fault RNG is seeded from `(plan.seed, from, to)` —
     /// independent of the latency RNG, so a trivial plan draws exactly the
     /// sequence [`Channel::new`] would.
-    pub fn with_faults(
+    pub(crate) fn with_faults(
         from: NodeId,
         to: NodeId,
         latency: LatencyModel,
@@ -229,7 +229,7 @@ impl Channel {
     }
 
     /// Messages scheduled on this channel so far.
-    pub fn sent_count(&self) -> u64 {
+    pub(crate) fn sent_count(&self) -> u64 {
         self.sent
     }
 }

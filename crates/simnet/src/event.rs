@@ -210,7 +210,12 @@ impl<P> EventQueue<P> {
         clippy::disallowed_methods,
         clippy::indexing_slicing
     )]
-    pub fn push_fan_out(&mut self, at: SimTime, first: EventKind<P>, rest: &[(NodeId, u64)]) {
+    pub(crate) fn push_fan_out(
+        &mut self,
+        at: SimTime,
+        first: EventKind<P>,
+        rest: &[(NodeId, u64)],
+    ) {
         #[expect(
             clippy::disallowed_macros,
             reason = "debug_assert! documents an invariant and compiles out of release builds"
@@ -268,7 +273,7 @@ impl<P> EventQueue<P> {
     }
 
     /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         match self.walking {
             Some((at, _)) => Some(at),
             None => self.runs.peek().map(|Reverse((at, ..))| *at),
@@ -277,19 +282,13 @@ impl<P> EventQueue<P> {
 
     /// Number of pending events (a fan-out entry counts once per receiver
     /// still to be handed out).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Total number of events ever scheduled (a fan-out entry counts once
-    /// per receiver).
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_order
     }
 }
 
@@ -302,7 +301,7 @@ impl<P: Clone> EventQueue<P> {
     /// Remove and return the earliest event, if any. A fan-out entry with
     /// receivers left hands out a copy addressed to the receiver whose
     /// turn it is; its last receiver gets the stored payload itself.
-    pub fn pop(&mut self) -> Option<Event<P>> {
+    pub(crate) fn pop(&mut self) -> Option<Event<P>> {
         let (at, index) = match self.walking.take() {
             Some(walking) => walking,
             None => {
@@ -476,7 +475,7 @@ mod tests {
             assert_eq!(queue.len(), model.heap.len());
             assert_eq!(queue.is_empty(), model.heap.is_empty());
             assert_eq!(queue.peek_time(), model.heap.peek().map(|Reverse(e)| e.0));
-            assert_eq!(queue.scheduled_total(), model.next_order);
+            assert_eq!(queue.next_order, model.next_order);
         }
         // Whatever is left pops in the model's order.
         while let Some(expected) = model.pop() {
@@ -568,7 +567,7 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime(3)));
         q.pop();
         assert_eq!(q.peek_time(), Some(SimTime(5)));
-        assert_eq!(q.scheduled_total(), 2);
+        assert_eq!(q.next_order, 2);
     }
 
     #[test]
@@ -632,7 +631,7 @@ mod tests {
         q.push(SimTime(10), timer(0, 99));
         let tags: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| tag_of(&e)).collect();
         assert_eq!(tags, vec![2, 3, 4, 99]);
-        assert_eq!(q.scheduled_total(), 6);
+        assert_eq!(q.next_order, 6);
     }
 
     /// A payload that counts its clones.
@@ -661,7 +660,7 @@ mod tests {
         );
         // One order number and one pending event per receiver.
         assert_eq!(q.len(), 4);
-        assert_eq!(q.scheduled_total(), 4);
+        assert_eq!(q.next_order, 4);
         let popped: Vec<(u64, usize, u64)> = std::iter::from_fn(|| q.pop())
             .map(|e| match e.kind {
                 EventKind::Deliver { to, seq, .. } => (e.order, to.index(), seq),

@@ -46,7 +46,7 @@ use crate::time::SimDuration;
 /// Upper bound on consecutive drops of one transmission: a safety valve
 /// so a pathological drop rate cannot loop forever (2^-16 residual odds
 /// at rate 0.5).
-pub const MAX_CONSECUTIVE_DROPS: u32 = 16;
+pub(crate) const MAX_CONSECUTIVE_DROPS: u32 = 16;
 
 /// A deterministic fault schedule for a simulation run: seeded per-link
 /// drop/duplicate rates. The default plan is trivial (no faults) and

@@ -9,25 +9,23 @@
 //! This crate provides that substrate as a *deterministic discrete-event
 //! simulator*:
 //!
-//! * [`time::SimTime`] — a virtual clock (nanosecond granularity).
-//! * [`message::WireSize`] — payload and control-metadata byte accounting.
-//! * [`channel::Channel`] and [`channel::LatencyModel`] — reliable FIFO
-//!   links with constant or seeded-jitter latency.
-//! * [`network::Topology`] — which pairs of nodes may communicate (full
-//!   mesh, ring, grid, star, line, or arbitrary directed link sets).
-//! * [`node::Node`] — the trait protocol state machines implement.
-//! * [`sim::Simulator`] — the event-driven driver (run to quiescence,
-//!   bounded runs, deterministic tie-breaking). As the threaded net's
-//!   replay oracle it also logs, per node, the order in which that node
-//!   handles its deliveries and timers.
-//! * [`route::Router`] / [`route::Relay`] — overlay routing: BFS
-//!   shortest-path tables and relay envelopes that let any-to-any
-//!   protocols run on sparse topologies.
-//! * [`transport::Net`] — the one network surface drivers hold, which
-//!   the simulator and the threaded net ([`threaded::ThreadedNet`])
-//!   implement; [`transport::deploy`] picks the backend and direct or
-//!   routed delivery per [`transport::RoutingMode`].
-//! * [`stats::NetworkStats`] — per-link and per-node counters used by the
+//! * [`SimTime`] — a virtual clock (nanosecond granularity).
+//! * [`WireSize`] — payload and control-metadata byte accounting.
+//! * [`Channel`] and [`LatencyModel`] — reliable FIFO links with constant
+//!   or seeded-jitter latency.
+//! * [`Topology`] — which pairs of nodes may communicate (full mesh, ring,
+//!   grid, star, line, or arbitrary directed link sets).
+//! * [`Node`] — the trait protocol state machines implement.
+//! * [`Simulator`] — the event-driven driver (run to quiescence, bounded
+//!   runs, deterministic tie-breaking). As the threaded net's replay
+//!   oracle it also logs, per node, the order in which that node handles
+//!   its deliveries and timers.
+//! * [`Router`] — overlay routing: BFS shortest-path tables, whose relay
+//!   envelopes let any-to-any protocols run on sparse topologies.
+//! * [`Net`] — the one network surface drivers hold, which the simulator
+//!   and the threaded net ([`ThreadedNet`]) implement; [`deploy`] picks
+//!   the backend and direct or routed delivery per [`RoutingMode`].
+//! * [`NetworkStats`] — per-link and per-node counters used by the
 //!   benchmark harness to quantify "control information" overhead.
 //!
 //! Determinism: given the same nodes, the same latency model seed, and the
@@ -37,21 +35,22 @@
 
 #![deny(missing_docs)]
 
-pub mod backend;
+mod backend;
+// Public as a module on purpose: dsmbench times `chan::fabric` directly.
 pub mod chan;
-pub mod channel;
-pub mod event;
-pub mod fault;
-pub mod message;
-pub mod network;
-pub mod node;
-pub mod pool;
-pub mod route;
-pub mod sim;
-pub mod stats;
-pub mod threaded;
-pub mod time;
-pub mod transport;
+mod channel;
+mod event;
+mod fault;
+mod message;
+mod network;
+mod node;
+mod pool;
+mod route;
+mod sim;
+mod stats;
+mod threaded;
+mod time;
+mod transport;
 
 pub use backend::{ExecBackend, ThreadedMode};
 pub use channel::{Channel, LatencyModel, Transmission};
@@ -61,11 +60,9 @@ pub use message::{NodeId, WireSize};
 pub use network::Topology;
 pub use node::{Node, NodeContext, Outgoing};
 pub use pool::{BufferPool, PoolStats};
-pub use route::{Multicast, Packet, Relay, RouteError, Routed, Router};
+pub use route::{RouteError, Router};
 pub use sim::{RunOutcome, SendError, SimConfig, Simulator};
 pub use stats::{LinkStats, NetworkStats, NodeStats};
 pub use threaded::{FabricStats, ThreadedNet, WorkerDead};
 pub use time::{SimDuration, SimTime};
-pub use transport::{
-    deploy, BoxedPost, DeliveryMode, Net, NetCore, NetError, Posted, RoutingMode, Transport,
-};
+pub use transport::{deploy, DeliveryMode, Net, NetCore, NetError, Posted, RoutingMode, Transport};

@@ -69,23 +69,26 @@ pub trait WireSize {
     }
 }
 
-/// A trivial payload with explicit sizes; useful for tests and for traffic
-/// generators that only care about volume.
+/// A trivial payload with explicit sizes, for tests that only care about
+/// volume.
+#[cfg(test)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct RawPayload {
+pub(crate) struct RawPayload {
     /// Declared data bytes.
     pub data: usize,
     /// Declared control bytes.
     pub control: usize,
 }
 
+#[cfg(test)]
 impl RawPayload {
     /// A payload of `data` data bytes and `control` control bytes.
-    pub fn new(data: usize, control: usize) -> Self {
+    pub(crate) fn new(data: usize, control: usize) -> Self {
         RawPayload { data, control }
     }
 }
 
+#[cfg(test)]
 impl WireSize for RawPayload {
     fn data_bytes(&self) -> usize {
         self.data

@@ -26,7 +26,7 @@ pub enum Outgoing<P> {
 
 impl<P> Outgoing<P> {
     /// Number of logical deliveries this entry produces.
-    pub fn fan_out(&self) -> usize {
+    pub(crate) fn fan_out(&self) -> usize {
         match self {
             Outgoing::One(..) => 1,
             Outgoing::Many(targets, _) => targets.len(),
@@ -101,7 +101,7 @@ impl<P> NodeContext<P> {
     }
 
     /// Current virtual time.
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.now
     }
 
@@ -144,18 +144,6 @@ impl<P> NodeContext<P> {
             0 => {}
             1 => self.outbox.push(Outgoing::One(targets[0], payload)),
             _ => self.outbox.push(Outgoing::Many(targets, payload)),
-        }
-    }
-
-    /// Broadcast `payload` to every node in `targets` as independent
-    /// unicast sends (cloning it). Unlike [`NodeContext::send_multi`] the
-    /// copies stay independent on the wire even under multicast delivery.
-    pub fn multicast(&mut self, targets: impl IntoIterator<Item = NodeId>, payload: P)
-    where
-        P: Clone,
-    {
-        for t in targets {
-            self.outbox.push(Outgoing::One(t, payload.clone()));
         }
     }
 
@@ -213,7 +201,8 @@ mod tests {
         assert_eq!(ctx.me(), NodeId(3));
         assert_eq!(ctx.now(), SimTime::from_micros(7));
         ctx.send(NodeId(1), 10);
-        ctx.multicast([NodeId(0), NodeId(2)], 99);
+        ctx.send(NodeId(0), 99);
+        ctx.send(NodeId(2), 99);
         ctx.set_timer(SimDuration::from_micros(5), 42);
         assert_eq!(ctx.queued_messages(), 3);
         assert_eq!(

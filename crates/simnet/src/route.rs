@@ -7,9 +7,8 @@
 //! decision* instead:
 //!
 //! * [`Router`] — per-source BFS shortest-path trees over the topology,
-//!   exposing next-hop lookup ([`Router::next_hop`]), hop counts, and the
-//!   per-source broadcast tree ([`Router::tree_parent`],
-//!   [`Router::tree_children`]).
+//!   exposing next-hop lookup ([`Router::next_hop`]) and the per-source
+//!   broadcast trees that multicast envelopes follow.
 //! * [`Routed`] — the relay envelope: the protocol payload plus its logical
 //!   source and destination, so intermediate nodes can forward it hop by
 //!   hop. Its [`WireSize`] delegates to the payload, so a one-hop routed
@@ -93,11 +92,6 @@ pub struct Router {
     /// `next_hop[src * n + dst]`: first hop on the shortest path src → dst.
     /// `next_hop[src * n + src] = src`.
     next_hop: Vec<NodeId>,
-    /// `parent[src * n + dst]`: predecessor of `dst` in `src`'s BFS
-    /// broadcast tree (`None` for the root itself).
-    parent: Vec<Option<NodeId>>,
-    /// `hops[src * n + dst]`: path length in links (0 for src → src).
-    hops: Vec<u32>,
     /// `span[src * n + v]`: the half-open range of Euler-tour (preorder,
     /// children in id order) positions that `v`'s subtree occupies in
     /// `src`'s broadcast tree; its start is `v`'s own position.
@@ -117,7 +111,6 @@ impl Router {
         let n = topology.node_count();
         let mut next_hop = vec![NodeId(0); n * n];
         let mut parent = vec![None; n * n];
-        let mut hops = vec![0u32; n * n];
         let mut span = vec![(0u32, 0u32); n * n];
         let mut child_from = vec![0u32; n * (n + 1)];
         let mut children = vec![NodeId(0); n * n.saturating_sub(1)];
@@ -141,7 +134,6 @@ impl Router {
                     if !seen[v.index()] {
                         seen[v.index()] = true;
                         parent[base + v.index()] = Some(u);
-                        hops[base + v.index()] = hops[base + u.index()] + 1;
                         // First hop: u's own first hop, unless u is the
                         // source (then v itself is the first hop).
                         next_hop[base + v.index()] = if u.index() == src {
@@ -199,8 +191,6 @@ impl Router {
         Ok(Router {
             n,
             next_hop,
-            parent,
-            hops,
             span,
             child_from,
             children,
@@ -208,7 +198,7 @@ impl Router {
     }
 
     /// Number of nodes routed over.
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.n
     }
 
@@ -223,43 +213,8 @@ impl Router {
         clippy::indexing_slicing,
         reason = "dense n*n table sized at construction from the topology; the relay asks only for ids it has checked against node_count() (Relay::with_inner hands a destination the router does not cover to the simulator addressed to itself, which refuses it as the direct transport does, and on_message drops a transit envelope bound for one as misrouted), and .get() here would hide real router-construction bugs behind a silent None"
     )]
-    pub fn next_hop(&self, from: NodeId, to: NodeId) -> NodeId {
+    pub(crate) fn next_hop(&self, from: NodeId, to: NodeId) -> NodeId {
         self.next_hop[from.index() * self.n + to.index()]
-    }
-
-    /// Length in links of the shortest path from `from` to `to`.
-    #[deny(
-        clippy::disallowed_macros,
-        clippy::disallowed_methods,
-        clippy::indexing_slicing
-    )]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "dense n*n table sized at construction from the topology; no delivery path calls hop_count (reports and tests ask about ids of the topology they routed over), and .get() here would hide real router-construction bugs behind a silent None"
-    )]
-    pub fn hop_count(&self, from: NodeId, to: NodeId) -> u32 {
-        self.hops[from.index() * self.n + to.index()]
-    }
-
-    /// Parent of `node` in `src`'s broadcast tree (`None` for `src`).
-    #[deny(
-        clippy::disallowed_macros,
-        clippy::disallowed_methods,
-        clippy::indexing_slicing
-    )]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "dense n*n table sized at construction from the topology; no delivery path calls tree_parent (the relay splits multicasts by Euler spans, which check their ids; tree_next_hop and path serve reports and tests on ids of the topology they routed over), and .get() here would hide real router-construction bugs behind a silent None"
-    )]
-    pub fn tree_parent(&self, src: NodeId, node: NodeId) -> Option<NodeId> {
-        self.parent[src.index() * self.n + node.index()]
-    }
-
-    /// Children of `node` in `src`'s BFS broadcast tree, in id order. A
-    /// broadcast from `src` forwarded along these edges reaches every node
-    /// exactly once over shortest paths.
-    pub fn tree_children(&self, src: NodeId, node: NodeId) -> Vec<NodeId> {
-        self.children_of(src, node).to_vec()
     }
 
     /// The row of `node`'s children in `src`'s broadcast tree (empty for
@@ -386,50 +341,12 @@ impl Router {
         }
         (here, strays)
     }
-
-    /// The next node after `at` on `src`'s broadcast-tree path to `dst`
-    /// (`None` when `at` is not a proper ancestor of `dst` in `src`'s
-    /// tree). At the root this agrees with [`Router::next_hop`], since the
-    /// next-hop tables are derived from the same BFS trees — so unicast
-    /// envelopes and multicast envelopes leave the source on the same
-    /// link.
-    #[deny(
-        clippy::disallowed_macros,
-        clippy::disallowed_methods,
-        clippy::indexing_slicing
-    )]
-    pub fn tree_next_hop(&self, src: NodeId, at: NodeId, dst: NodeId) -> Option<NodeId> {
-        let mut cur = dst;
-        loop {
-            match self.tree_parent(src, cur) {
-                Some(p) if p == at => return Some(cur),
-                Some(p) => cur = p,
-                None => return None,
-            }
-        }
-    }
-
-    /// The full shortest path `from → … → to` (excluding `from`, including
-    /// `to`; empty when `from == to`).
-    pub fn path(&self, from: NodeId, to: NodeId) -> Vec<NodeId> {
-        let mut rev = Vec::new();
-        let mut cur = to;
-        while cur != from {
-            rev.push(cur);
-            match self.tree_parent(from, cur) {
-                Some(p) => cur = p,
-                None => break,
-            }
-        }
-        rev.reverse();
-        rev
-    }
 }
 
 /// The relay envelope: a protocol payload in transit from `src` to `dst`,
 /// possibly through intermediate nodes.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Routed<P> {
+pub(crate) struct Routed<P> {
     /// The logical sender (the protocol node that issued the send).
     pub src: NodeId,
     /// The logical destination (where the payload will be delivered).
@@ -467,7 +384,7 @@ impl<P: WireSize> WireSize for Routed<P> {
 /// Euler-tour order of `src`'s broadcast tree; a copy serves a contiguous
 /// range of it, so forking a copy clones a handle and narrows the range.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Multicast<P> {
+pub(crate) struct Multicast<P> {
     /// The logical sender (whose broadcast tree the envelope follows).
     pub src: NodeId,
     /// Every destination of the fan-out, in the Euler-tour order of
@@ -480,14 +397,6 @@ pub struct Multicast<P> {
 }
 
 impl<P> Multicast<P> {
-    /// An envelope carrying `payload` from `src` to every node of `dsts`,
-    /// put into the order `router` splits them in.
-    pub fn new(router: &Router, src: NodeId, mut dsts: Vec<NodeId>, payload: P) -> Self {
-        router.sort_for_multicast(src, &mut dsts, &mut Vec::new());
-        let all = dsts.into();
-        Self::part(src, &all, 0..all.len(), payload)
-    }
-
     /// The copy of a fan-out to `all` that serves `all[range]`.
     fn part(src: NodeId, all: &Arc<[NodeId]>, range: Range<usize>, payload: P) -> Self {
         Multicast {
@@ -499,7 +408,7 @@ impl<P> Multicast<P> {
     }
 
     /// The destinations still to be served by this copy.
-    pub fn dsts(&self) -> &[NodeId] {
+    pub(crate) fn dsts(&self) -> &[NodeId] {
         self.all
             .get(self.serves.start as usize..self.serves.end as usize)
             .unwrap_or_default()
@@ -535,7 +444,7 @@ impl<P: WireSize> WireSize for Multicast<P> {
 /// What travels the wire of a routed network: a unicast relay envelope or
 /// a tree-deduplicated multicast one.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Packet<P> {
+pub(crate) enum Packet<P> {
     /// A point-to-point envelope relayed hop by hop.
     One(Routed<P>),
     /// A shared-payload envelope forwarded along the source's broadcast
@@ -565,7 +474,7 @@ impl<P: WireSize> WireSize for Packet<P> {
 /// [`SendError`](crate::sim::SendError), the relay instead forwards the
 /// envelope to [`Router::next_hop`].
 #[derive(Debug)]
-pub struct Relay<P, N> {
+pub(crate) struct Relay<P, N> {
     inner: N,
     me: NodeId,
     router: Arc<Router>,
@@ -604,7 +513,7 @@ impl<P, N> Relay<P, N> {
     /// `router`. When `multicast` is set, multi-destination sends are
     /// deduplicated along `me`'s broadcast tree; otherwise they fan out
     /// as independent unicast envelopes (the classical behaviour).
-    pub fn new(inner: N, me: NodeId, router: Arc<Router>, multicast: bool) -> Self {
+    pub(crate) fn new(inner: N, me: NodeId, router: Arc<Router>, multicast: bool) -> Self {
         Relay {
             inner,
             me,
@@ -618,22 +527,17 @@ impl<P, N> Relay<P, N> {
     }
 
     /// The wrapped protocol node.
-    pub fn inner(&self) -> &N {
+    pub(crate) fn inner(&self) -> &N {
         &self.inner
     }
 
     /// Mutable access to the wrapped protocol node.
-    pub fn inner_mut(&mut self) -> &mut N {
+    pub(crate) fn inner_mut(&mut self) -> &mut N {
         &mut self.inner
     }
 
-    /// The routing tables this relay forwards with.
-    pub fn router(&self) -> &Router {
-        &self.router
-    }
-
     /// Number of transit envelopes this node forwarded for other pairs.
-    pub fn forwarded(&self) -> u64 {
+    pub(crate) fn forwarded(&self) -> u64 {
         self.forwarded
     }
 
@@ -645,12 +549,12 @@ impl<P, N> Relay<P, N> {
     /// injected out-of-band, and the delivery path drops the stray
     /// destination (counting it here) instead of tearing the whole
     /// simulation down.
-    pub fn misrouted(&self) -> u64 {
+    pub(crate) fn misrouted(&self) -> u64 {
         self.misrouted
     }
 
     /// Consume the relay, returning the wrapped node.
-    pub fn into_inner(self) -> N {
+    pub(crate) fn into_inner(self) -> N {
         self.inner
     }
 }
@@ -817,6 +721,63 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
+    /// Parent of `node` in `src`'s broadcast tree (`None` for `src`).
+    fn tree_parent(r: &Router, src: NodeId, node: NodeId) -> Option<NodeId> {
+        (0..r.n)
+            .map(NodeId)
+            .find(|&u| r.children_of(src, u).contains(&node))
+    }
+
+    /// The next node after `at` on `src`'s broadcast-tree path to `dst`
+    /// (`None` when `at` is not a proper ancestor of `dst` in `src`'s
+    /// tree): the reference model of the multicast split. At the root this
+    /// agrees with [`Router::next_hop`], since the next-hop tables are
+    /// derived from the same BFS trees.
+    fn tree_next_hop(r: &Router, src: NodeId, at: NodeId, dst: NodeId) -> Option<NodeId> {
+        let mut cur = dst;
+        loop {
+            match tree_parent(r, src, cur) {
+                Some(p) if p == at => return Some(cur),
+                Some(p) => cur = p,
+                None => return None,
+            }
+        }
+    }
+
+    /// The full shortest path `from → … → to` (excluding `from`, including
+    /// `to`; empty when `from == to`).
+    fn path(r: &Router, from: NodeId, to: NodeId) -> Vec<NodeId> {
+        let mut rev = Vec::new();
+        let mut cur = to;
+        while cur != from {
+            rev.push(cur);
+            match tree_parent(r, from, cur) {
+                Some(p) => cur = p,
+                None => break,
+            }
+        }
+        rev.reverse();
+        rev
+    }
+
+    /// Length in links of the shortest path from `from` to `to`.
+    fn hops(r: &Router, from: NodeId, to: NodeId) -> usize {
+        path(r, from, to).len()
+    }
+
+    /// An envelope carrying `payload` from `src` to every node of `dsts`,
+    /// put into the order `router` splits them in.
+    fn multicast<P>(
+        router: &Router,
+        src: NodeId,
+        mut dsts: Vec<NodeId>,
+        payload: P,
+    ) -> Multicast<P> {
+        router.sort_for_multicast(src, &mut dsts, &mut Vec::new());
+        let all = dsts.into();
+        Multicast::part(src, &all, 0..all.len(), payload)
+    }
+
     /// The reference model of the multicast split: the map-based rule the
     /// range partition replaced. Destinations are grouped by their next
     /// hop (input order kept within a group), one envelope is emitted per
@@ -848,7 +809,7 @@ mod tests {
             if at == src {
                 Some(r.next_hop(src, d))
             } else {
-                r.tree_next_hop(src, at, d)
+                tree_next_hop(r, src, at, d)
             }
         });
         (groups.into_iter().collect(), here, lost)
@@ -954,7 +915,7 @@ mod tests {
             let (forwards, here, strays) = split_emission(&r, src, at, &dsts);
             prop_assert_eq!(here, dsts.contains(&at));
             let hop = |d: NodeId| {
-                (d.index() < n).then(|| r.tree_next_hop(src, at, d)).flatten()
+                (d.index() < n).then(|| tree_next_hop(&r, src, at, d)).flatten()
             };
             let unreachable = dsts.iter().filter(|&&d| d != at && hop(d).is_none()).count();
             prop_assert_eq!(strays, unreachable as u64);
@@ -1003,7 +964,7 @@ mod tests {
             // is served and every other one counted.
             let mut relay = Relay::new(Sink::default(), src, Arc::clone(&router), true);
             let mut ctx = NodeContext::new(src, SimTime::ZERO);
-            let env = Multicast::new(&router, src, dsts.clone(), RawPayload::new(8, 4));
+            let env = multicast(&router, src, dsts.clone(), RawPayload::new(8, 4));
             prop_assert_eq!(env.dsts(), &keyed[..]);
             relay.on_message(&mut ctx, src, Packet::Many(env));
             prop_assert_eq!(relay.misrouted(), (dsts.len() - covered) as u64);
@@ -1028,7 +989,7 @@ mod tests {
                 assert_eq!(all[0], src, "the root opens its own tour");
                 for v in (0..n).map(NodeId) {
                     // v's subtree: everything whose tree path passes v.
-                    let inside = |d: NodeId| d == v || r.tree_next_hop(src, v, d).is_some();
+                    let inside = |d: NodeId| d == v || tree_next_hop(&r, src, v, d).is_some();
                     let first = all.iter().position(|&d| inside(d)).unwrap();
                     let count = all.iter().filter(|&&d| inside(d)).count();
                     assert_eq!(all[first], v, "a subtree's run starts at its root");
@@ -1045,11 +1006,11 @@ mod tests {
             for j in 0..5 {
                 if i != j {
                     assert_eq!(r.next_hop(NodeId(i), NodeId(j)), NodeId(j));
-                    assert_eq!(r.hop_count(NodeId(i), NodeId(j)), 1);
+                    assert_eq!(hops(&r, NodeId(i), NodeId(j)), 1);
                 }
             }
         }
-        assert_eq!(r.hop_count(NodeId(2), NodeId(2)), 0);
+        assert_eq!(hops(&r, NodeId(2), NodeId(2)), 0);
     }
 
     #[test]
@@ -1057,15 +1018,15 @@ mod tests {
         let r = Router::new(&Topology::ring(6)).unwrap();
         // 0 → 2: via 1, two hops.
         assert_eq!(r.next_hop(NodeId(0), NodeId(2)), NodeId(1));
-        assert_eq!(r.hop_count(NodeId(0), NodeId(2)), 2);
+        assert_eq!(hops(&r, NodeId(0), NodeId(2)), 2);
         // 0 → 5 is a direct ring edge.
         assert_eq!(r.next_hop(NodeId(0), NodeId(5)), NodeId(5));
         // 0 → 3 is distance 3 either way; BFS visits neighbours in id
         // order, so the id-1 side wins deterministically.
-        assert_eq!(r.hop_count(NodeId(0), NodeId(3)), 3);
+        assert_eq!(hops(&r, NodeId(0), NodeId(3)), 3);
         assert_eq!(r.next_hop(NodeId(0), NodeId(3)), NodeId(1));
         assert_eq!(
-            r.path(NodeId(0), NodeId(3)),
+            path(&r, NodeId(0), NodeId(3)),
             vec![NodeId(1), NodeId(2), NodeId(3)]
         );
     }
@@ -1077,7 +1038,7 @@ mod tests {
             for other in 1..5 {
                 if leaf != other {
                     assert_eq!(r.next_hop(NodeId(leaf), NodeId(other)), NodeId(0));
-                    assert_eq!(r.hop_count(NodeId(leaf), NodeId(other)), 2);
+                    assert_eq!(hops(&r, NodeId(leaf), NodeId(other)), 2);
                 }
             }
         }
@@ -1095,14 +1056,14 @@ mod tests {
             let r = Router::new(&topo).unwrap();
             for src in 0..n {
                 let src = NodeId(src);
-                assert_eq!(r.tree_parent(src, src), None);
+                assert_eq!(tree_parent(&r, src, src), None);
                 let mut reached = 1usize;
                 let mut frontier = vec![src];
                 while let Some(u) = frontier.pop() {
-                    for child in r.tree_children(src, u) {
+                    for &child in r.children_of(src, u) {
                         assert_eq!(
-                            r.hop_count(src, child),
-                            r.hop_count(src, u) + 1,
+                            hops(&r, src, child),
+                            hops(&r, src, u) + 1,
                             "tree edges follow BFS levels"
                         );
                         reached += 1;
@@ -1152,27 +1113,27 @@ mod tests {
                 for dst in 0..n {
                     let dst = NodeId(dst);
                     if src == dst {
-                        assert_eq!(r.tree_next_hop(src, src, dst), None);
+                        assert_eq!(tree_next_hop(&r, src, src, dst), None);
                         continue;
                     }
                     // At the root, the tree child agrees with the unicast
                     // next hop (same BFS trees).
-                    assert_eq!(r.tree_next_hop(src, src, dst), Some(r.next_hop(src, dst)));
+                    assert_eq!(tree_next_hop(&r, src, src, dst), Some(r.next_hop(src, dst)));
                     // Walking tree_next_hop from the root traces exactly
                     // the parent-chain path.
                     let mut at = src;
                     let mut walked = Vec::new();
                     while at != dst {
-                        let next = r.tree_next_hop(src, at, dst).unwrap();
+                        let next = tree_next_hop(&r, src, at, dst).unwrap();
                         walked.push(next);
                         at = next;
                     }
-                    assert_eq!(walked, r.path(src, dst));
+                    assert_eq!(walked, path(&r, src, dst));
                     // A node off the path is not an ancestor.
                     for other in 0..n {
                         let other = NodeId(other);
                         if other != dst && !walked.contains(&other) && other != src {
-                            assert_eq!(r.tree_next_hop(src, other, dst), None);
+                            assert_eq!(tree_next_hop(&r, src, other, dst), None);
                         }
                     }
                 }
@@ -1242,7 +1203,7 @@ mod tests {
                     }
                     assert_eq!(
                         hop_by_hop,
-                        r.path(src, dst),
+                        path(&r, src, dst),
                         "unicast route and tree path diverged for {src}->{dst} on {topo:?}"
                     );
                 }
@@ -1252,7 +1213,7 @@ mod tests {
 
     #[test]
     fn multicast_envelope_bytes_delegate_to_the_payload_once() {
-        let env = Multicast::new(
+        let env = multicast(
             &Router::new(&Topology::ring(4)).unwrap(),
             NodeId(0),
             vec![NodeId(1), NodeId(2), NodeId(3)],
@@ -1282,8 +1243,8 @@ mod tests {
     fn singleton_topology_routes_trivially() {
         let r = Router::new(&Topology::full_mesh(1)).unwrap();
         assert_eq!(r.node_count(), 1);
-        assert_eq!(r.hop_count(NodeId(0), NodeId(0)), 0);
-        assert!(r.path(NodeId(0), NodeId(0)).is_empty());
+        assert_eq!(hops(&r, NodeId(0), NodeId(0)), 0);
+        assert!(path(&r, NodeId(0), NodeId(0)).is_empty());
     }
 
     /// A no-op protocol node that records what reached it.
@@ -1308,13 +1269,16 @@ mod tests {
         let router = Arc::new(Router::new(&topo).unwrap());
         // On ring(4), node 0's broadcast tree reaches 3 via the direct
         // edge 0→3, so node 2 is not an ancestor of 3 in that tree.
-        assert_eq!(router.tree_next_hop(NodeId(0), NodeId(2), NodeId(3)), None);
+        assert_eq!(
+            tree_next_hop(&router, NodeId(0), NodeId(2), NodeId(3)),
+            None
+        );
         let mut relay = Relay::new(Sink::default(), NodeId(2), Arc::clone(&router), true);
         let mut ctx = NodeContext::new(NodeId(2), SimTime::ZERO);
         relay.on_message(
             &mut ctx,
             NodeId(1),
-            Packet::Many(Multicast::new(
+            Packet::Many(multicast(
                 &router,
                 NodeId(0),
                 vec![NodeId(2), NodeId(3)],

@@ -22,9 +22,9 @@ use std::fmt;
 ///
 /// The raw [`Simulator`] never relays: a send over a missing link
 /// surfaces [`SendError::NoLink`] (or panics with its message, in the
-/// infallible entry points). The routing layer ([`crate::route`]) is the
-/// only place that converts a missing link into a routing decision —
-/// a routed net from [`deploy`](crate::transport::deploy) never sees
+/// infallible entry points). The routing layer is the only place that
+/// converts a missing link into a routing decision — a routed net from
+/// [`deploy`](crate::transport::deploy) never sees
 /// that variant on a connected topology.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SendError {
@@ -826,7 +826,7 @@ mod tests {
                 self.broadcast(ctx, RawPayload::new(p.data + self.id, p.control - 1));
             }
             if p.data.is_multiple_of(2) {
-                ctx.set_timer(SimDuration::ZERO, p.data as u64);
+                ctx.set_timer(SimDuration::default(), p.data as u64);
             }
         }
 

@@ -21,13 +21,6 @@ pub struct LinkStats {
     pub duplicates: u64,
 }
 
-impl LinkStats {
-    /// Total bytes (data + control).
-    pub fn total_bytes(&self) -> u64 {
-        self.data_bytes + self.control_bytes
-    }
-}
-
 /// Counters for a single node (aggregated over all its links).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NodeStats {
@@ -52,9 +45,8 @@ pub struct NodeStats {
 /// Storage is dense: one [`LinkStats`] slot per ordered node pair and one
 /// receive-side slot per node, indexed directly by node id. A send, a
 /// retransmission or a duplicate touches its link slot only; a node's
-/// `sent_*` totals are its link row's sums, computed when
-/// [`NetworkStats::node`], [`NetworkStats::nodes`], [`NetworkStats::merge`]
-/// or `==` asks. Recording is therefore one slot update on the
+/// `sent_*` totals are its link row's sums, computed when a per-node
+/// total, a merge or `==` asks. Recording is therefore one slot update on the
 /// simulator's hot path (no map lookups). The capacity grows on demand,
 /// so a default-constructed value still accepts any node id.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
@@ -67,14 +59,9 @@ pub struct NetworkStats {
 }
 
 impl NetworkStats {
-    /// Empty statistics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Empty statistics pre-sized for `n` nodes, so no reallocation happens
     /// while recording.
-    pub fn with_nodes(n: usize) -> Self {
+    pub(crate) fn with_nodes(n: usize) -> Self {
         NetworkStats {
             n,
             links: vec![LinkStats::default(); n * n],
@@ -119,7 +106,7 @@ impl NetworkStats {
 
     /// Record a message of `data`/`control` bytes sent from `from` to `to`.
     #[inline]
-    pub fn record_send(&mut self, from: NodeId, to: NodeId, data: usize, control: usize) {
+    pub(crate) fn record_send(&mut self, from: NodeId, to: NodeId, data: usize, control: usize) {
         let link = self.link_mut(from, to);
         link.messages += 1;
         link.data_bytes += data as u64;
@@ -128,7 +115,7 @@ impl NetworkStats {
 
     /// Record delivery of a message of `data`/`control` bytes at `to`.
     #[inline]
-    pub fn record_delivery(&mut self, to: NodeId, data: usize, control: usize) {
+    pub(crate) fn record_delivery(&mut self, to: NodeId, data: usize, control: usize) {
         let recv = self.received_mut(to);
         recv.received_messages += 1;
         recv.received_data_bytes += data as u64;
@@ -139,7 +126,7 @@ impl NetworkStats {
     /// `data`/`control` bytes on `from → to`. Each retransmission pays the
     /// payload bytes again; the logical message count is unchanged.
     #[inline]
-    pub fn record_retransmits(
+    pub(crate) fn record_retransmits(
         &mut self,
         from: NodeId,
         to: NodeId,
@@ -159,7 +146,13 @@ impl NetworkStats {
     /// Record a duplicate copy of a message of `data`/`control` bytes on
     /// `from → to` (delivered and discarded by the receiver's link layer).
     #[inline]
-    pub fn record_duplicate(&mut self, from: NodeId, to: NodeId, data: usize, control: usize) {
+    pub(crate) fn record_duplicate(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        data: usize,
+        control: usize,
+    ) {
         let link = self.link_mut(from, to);
         link.duplicates += 1;
         link.data_bytes += data as u64;
@@ -167,21 +160,13 @@ impl NetworkStats {
     }
 
     /// Record a delivery lost because `to` was crashed when it arrived.
-    pub fn record_crash_loss(&mut self, to: NodeId) {
+    pub(crate) fn record_crash_loss(&mut self, to: NodeId) {
         self.received_mut(to).lost_to_crash += 1;
-    }
-
-    /// Stats for one directed link (zeroes if it never carried traffic).
-    pub fn link(&self, from: NodeId, to: NodeId) -> LinkStats {
-        if from.index() >= self.n || to.index() >= self.n {
-            return LinkStats::default();
-        }
-        self.links[from.index() * self.n + to.index()]
     }
 
     /// Stats for one node (zeroes if it never sent or received): its
     /// receive side as recorded, its send side summed over its link row.
-    pub fn node(&self, node: NodeId) -> NodeStats {
+    pub(crate) fn node(&self, node: NodeId) -> NodeStats {
         let Some(&received) = self.received.get(node.index()) else {
             return NodeStats::default();
         };
@@ -230,19 +215,8 @@ impl NetworkStats {
         self.received.iter().map(|n| n.lost_to_crash).sum()
     }
 
-    /// Fraction of all sent bytes that are control bytes, in `[0, 1]`.
-    /// Returns 0 when nothing was sent.
-    pub fn control_overhead_ratio(&self) -> f64 {
-        let total = self.total_bytes();
-        if total == 0 {
-            0.0
-        } else {
-            self.total_control_bytes() as f64 / total as f64
-        }
-    }
-
     /// Iterate over all links that carried traffic.
-    pub fn links(&self) -> impl Iterator<Item = (NodeId, NodeId, LinkStats)> + '_ {
+    pub(crate) fn links(&self) -> impl Iterator<Item = (NodeId, NodeId, LinkStats)> + '_ {
         self.links
             .iter()
             .enumerate()
@@ -251,14 +225,14 @@ impl NetworkStats {
     }
 
     /// Iterate over all nodes that sent or received traffic.
-    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, NodeStats)> + '_ {
+    pub(crate) fn nodes(&self) -> impl Iterator<Item = (NodeId, NodeStats)> + '_ {
         (0..self.n)
             .map(|i| (NodeId(i), self.node(NodeId(i))))
             .filter(|(_, s)| *s != NodeStats::default())
     }
 
     /// Merge another stats object into this one (summing counters).
-    pub fn merge(&mut self, other: &NetworkStats) {
+    pub(crate) fn merge(&mut self, other: &NetworkStats) {
         if other.n > self.n {
             self.grow(other.n - 1);
         }
@@ -298,6 +272,14 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
+
+    /// Stats for one directed link (zeroes if it never carried traffic).
+    fn link(s: &NetworkStats, from: NodeId, to: NodeId) -> LinkStats {
+        if from.index() >= s.n || to.index() >= s.n {
+            return LinkStats::default();
+        }
+        s.links[from.index() * s.n + to.index()]
+    }
 
     /// The reference model: eager per-node counters, as `NetworkStats`
     /// kept them before the send side was derived from the link rows.
@@ -486,17 +468,17 @@ mod tests {
 
     #[test]
     fn send_and_delivery_counters() {
-        let mut s = NetworkStats::new();
+        let mut s = NetworkStats::default();
         s.record_send(NodeId(0), NodeId(1), 8, 24);
         s.record_send(NodeId(0), NodeId(1), 8, 24);
         s.record_send(NodeId(1), NodeId(0), 4, 0);
         s.record_delivery(NodeId(1), 8, 24);
 
-        let l01 = s.link(NodeId(0), NodeId(1));
+        let l01 = link(&s, NodeId(0), NodeId(1));
         assert_eq!(l01.messages, 2);
         assert_eq!(l01.data_bytes, 16);
         assert_eq!(l01.control_bytes, 48);
-        assert_eq!(l01.total_bytes(), 64);
+        assert_eq!(l01.data_bytes + l01.control_bytes, 64);
 
         let n0 = s.node(NodeId(0));
         assert_eq!(n0.sent_messages, 2);
@@ -514,40 +496,41 @@ mod tests {
 
     #[test]
     fn control_overhead_ratio_bounds() {
-        let mut s = NetworkStats::new();
-        assert_eq!(s.control_overhead_ratio(), 0.0);
+        // The control share of all bytes sent: 0 of 0, 10 of 10, 10 of 20.
+        let mut s = NetworkStats::default();
+        assert_eq!((s.total_control_bytes(), s.total_bytes()), (0, 0));
         s.record_send(NodeId(0), NodeId(1), 0, 10);
-        assert!((s.control_overhead_ratio() - 1.0).abs() < 1e-12);
+        assert_eq!((s.total_control_bytes(), s.total_bytes()), (10, 10));
         s.record_send(NodeId(0), NodeId(1), 10, 0);
-        assert!((s.control_overhead_ratio() - 0.5).abs() < 1e-12);
+        assert_eq!((s.total_control_bytes(), s.total_bytes()), (10, 20));
     }
 
     #[test]
     fn unknown_links_and_nodes_are_zero() {
-        let s = NetworkStats::new();
-        assert_eq!(s.link(NodeId(5), NodeId(6)), LinkStats::default());
+        let s = NetworkStats::default();
+        assert_eq!(link(&s, NodeId(5), NodeId(6)), LinkStats::default());
         assert_eq!(s.node(NodeId(5)), NodeStats::default());
     }
 
     #[test]
     fn merge_sums_counters() {
-        let mut a = NetworkStats::new();
+        let mut a = NetworkStats::default();
         a.record_send(NodeId(0), NodeId(1), 1, 2);
         a.record_delivery(NodeId(1), 1, 2);
-        let mut b = NetworkStats::new();
+        let mut b = NetworkStats::default();
         b.record_send(NodeId(0), NodeId(1), 3, 4);
         b.record_send(NodeId(2), NodeId(1), 5, 6);
         a.merge(&b);
         assert_eq!(a.total_messages(), 3);
-        assert_eq!(a.link(NodeId(0), NodeId(1)).data_bytes, 4);
-        assert_eq!(a.link(NodeId(2), NodeId(1)).control_bytes, 6);
+        assert_eq!(link(&a, NodeId(0), NodeId(1)).data_bytes, 4);
+        assert_eq!(link(&a, NodeId(2), NodeId(1)).control_bytes, 6);
         assert_eq!(a.node(NodeId(1)).received_messages, 1);
     }
 
     #[test]
     fn equality_ignores_reserved_capacity() {
         let mut a = NetworkStats::with_nodes(8);
-        let mut b = NetworkStats::new();
+        let mut b = NetworkStats::default();
         a.record_send(NodeId(0), NodeId(1), 3, 4);
         b.record_send(NodeId(0), NodeId(1), 3, 4);
         assert_eq!(a, b);
@@ -560,14 +543,14 @@ mod tests {
         let mut s = NetworkStats::with_nodes(2);
         s.record_send(NodeId(0), NodeId(5), 1, 1);
         s.record_delivery(NodeId(7), 1, 1);
-        assert_eq!(s.link(NodeId(0), NodeId(5)).messages, 1);
+        assert_eq!(link(&s, NodeId(0), NodeId(5)).messages, 1);
         assert_eq!(s.node(NodeId(7)).received_messages, 1);
         assert_eq!(s.total_messages(), 1);
     }
 
     #[test]
     fn iterators_cover_recorded_entries() {
-        let mut s = NetworkStats::new();
+        let mut s = NetworkStats::default();
         s.record_send(NodeId(0), NodeId(1), 1, 1);
         s.record_send(NodeId(1), NodeId(2), 1, 1);
         assert_eq!(s.links().count(), 2);

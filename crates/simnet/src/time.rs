@@ -21,9 +21,6 @@ impl SimTime {
     /// The origin of virtual time.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// Largest representable instant; used as an "infinitely far" deadline.
-    pub const MAX: SimTime = SimTime(u64::MAX);
-
     /// Nanoseconds since the origin.
     pub fn as_nanos(self) -> u64 {
         self.0
@@ -38,24 +35,11 @@ impl SimTime {
     pub fn from_millis(ms: u64) -> Self {
         SimTime(ms * 1_000_000)
     }
-
-    /// Saturating difference `self - earlier`.
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Saturating addition of a duration (never overflows past `MAX`).
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
-    }
 }
 
 impl SimDuration {
-    /// Zero-length duration.
-    pub const ZERO: SimDuration = SimDuration(0);
-
     /// Nanoseconds in this duration.
-    pub fn as_nanos(self) -> u64 {
+    pub(crate) fn as_nanos(self) -> u64 {
         self.0
     }
 
@@ -69,19 +53,9 @@ impl SimDuration {
         SimDuration(us * 1_000)
     }
 
-    /// Construct from integer milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
-        SimDuration(ms * 1_000_000)
-    }
-
     /// Saturating addition.
-    pub fn saturating_add(self, other: SimDuration) -> SimDuration {
+    pub(crate) fn saturating_add(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(other.0))
-    }
-
-    /// Multiply by an integer factor (saturating).
-    pub fn saturating_mul(self, k: u64) -> SimDuration {
-        SimDuration(self.0.saturating_mul(k))
     }
 }
 
@@ -163,26 +137,14 @@ mod tests {
 
     #[test]
     fn duration_constructors_are_consistent() {
-        assert_eq!(SimDuration::from_millis(1), SimDuration::from_micros(1_000));
         assert_eq!(SimDuration::from_micros(1), SimDuration::from_nanos(1_000));
         assert_eq!(SimTime::from_millis(2).as_nanos(), 2_000_000);
     }
 
     #[test]
     fn saturating_operations_do_not_overflow() {
-        let t = SimTime::MAX;
-        assert_eq!(t.saturating_add(SimDuration::from_nanos(10)), SimTime::MAX);
         let d = SimDuration(u64::MAX);
         assert_eq!(d.saturating_add(SimDuration(1)).as_nanos(), u64::MAX);
-        assert_eq!(d.saturating_mul(2).as_nanos(), u64::MAX);
-    }
-
-    #[test]
-    fn saturating_since_clamps_to_zero() {
-        let a = SimTime::from_micros(5);
-        let b = SimTime::from_micros(7);
-        assert_eq!(a.saturating_since(b), SimDuration::ZERO);
-        assert_eq!(b.saturating_since(a), SimDuration::from_micros(2));
     }
 
     #[test]
@@ -196,6 +158,6 @@ mod tests {
     #[test]
     fn default_is_zero() {
         assert_eq!(SimTime::default(), SimTime::ZERO);
-        assert_eq!(SimDuration::default(), SimDuration::ZERO);
+        assert_eq!(SimDuration::default(), SimDuration::from_nanos(0));
     }
 }

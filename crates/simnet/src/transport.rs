@@ -71,7 +71,7 @@ impl From<WorkerDead> for NetError {
 }
 
 /// A closure moved to a worker thread by [`Net::post`].
-pub type BoxedPost<P, N> = Box<dyn FnOnce(&mut N, &mut NodeContext<P>) + Send>;
+pub(crate) type BoxedPost<P, N> = Box<dyn FnOnce(&mut N, &mut NodeContext<P>) + Send>;
 
 /// A pipelined closure as [`Net::post`] receives it: the simulator runs
 /// it in place, the threaded net boxes it for the node's worker. An
@@ -174,7 +174,7 @@ pub trait NetCore {
         0
     }
     /// Envelopes a relay dropped because the router does not cover their
-    /// destination (0 when direct; see [`Relay::misrouted`]).
+    /// destination (0 when direct; see `Relay::misrouted`).
     fn misrouted(&self) -> u64 {
         0
     }
@@ -263,7 +263,7 @@ impl<'a, P, N> dyn Net<P, N> + 'a {
 
 /// Build the net `nodes` run on: `backend` over `topology`, honouring
 /// `config.routing` and `config.delivery`. Routed nets host each node in
-/// a [`Relay`]. Fails with [`RouteError::Disconnected`] when routing is
+/// a relay that forwards along the [`Router`]'s tables. Fails with [`RouteError::Disconnected`] when routing is
 /// required on a topology that is not strongly connected, and with
 /// [`RouteError::DirectOnSparseThreads`] for direct sends on threads
 /// over a topology sparser than a full mesh.
@@ -503,9 +503,8 @@ pub enum RoutingMode {
 /// wire-efficiency layer this crate measures:
 ///
 /// * `multicast` — a [`NodeContext::send_multi`] group travels as one
-///   [`Multicast`](crate::route::Multicast) envelope per broadcast-tree
-///   edge instead of one [`Routed`](crate::route::Routed) envelope per
-///   destination per hop. Only routed transports can share edges; the
+///   multicast envelope per broadcast-tree edge instead of one relay
+///   envelope per destination per hop. Only routed transports can share edges; the
 ///   direct full mesh degrades to the unicast fan-out (every destination
 ///   is one private link away, so there is nothing to share).
 /// * `batching` — protocols hold their propagation traffic for a flush
@@ -603,27 +602,6 @@ impl DeliveryMode {
             (false, true, true) => "batched-delta",
             (true, true, true) => "multicast-batched-delta",
         }
-    }
-
-    /// Parse a [`DeliveryMode::label`] back into a mode (any of the eight
-    /// knob combinations, not just the swept [`DeliveryMode::ALL`] set).
-    pub fn parse(label: &str) -> Option<DeliveryMode> {
-        let unswept = [
-            DeliveryMode {
-                multicast: true,
-                batching: false,
-                delta: true,
-            },
-            DeliveryMode {
-                multicast: false,
-                batching: true,
-                delta: true,
-            },
-        ];
-        DeliveryMode::ALL
-            .into_iter()
-            .chain(unswept)
-            .find(|m| m.label() == label)
     }
 }
 
@@ -1075,10 +1053,17 @@ pub(crate) mod tests {
 
     #[test]
     fn delivery_mode_labels_round_trip() {
-        for mode in DeliveryMode::ALL {
-            assert_eq!(DeliveryMode::parse(mode.label()), Some(mode));
-        }
-        assert_eq!(DeliveryMode::parse("nonsense"), None);
+        // Distinct labels over all eight knob combinations, not just the
+        // swept `DeliveryMode::ALL` set.
+        let labels: std::collections::BTreeSet<_> = (0..8)
+            .map(|k| DeliveryMode {
+                multicast: k & 1 != 0,
+                batching: k & 2 != 0,
+                delta: k & 4 != 0,
+            })
+            .map(DeliveryMode::label)
+            .collect();
+        assert_eq!(labels.len(), 8);
         assert_eq!(DeliveryMode::default(), DeliveryMode::UNICAST);
         assert_eq!(DeliveryMode::MULTICAST_BATCHED.label(), "multicast-batched");
         assert_eq!(DeliveryMode::DELTA.label(), "delta");
@@ -1086,12 +1071,14 @@ pub(crate) mod tests {
             DeliveryMode::MULTICAST_BATCHED_DELTA.label(),
             "multicast-batched-delta"
         );
-        // The two knob combinations outside the sweep still round-trip.
-        for label in ["multicast-delta", "batched-delta"] {
-            let mode = DeliveryMode::parse(label).unwrap();
-            assert_eq!(mode.label(), label);
-            assert!(mode.delta);
-        }
+        // The two knob combinations outside the sweep have labels too.
+        let delta = |multicast, batching| DeliveryMode {
+            multicast,
+            batching,
+            delta: true,
+        };
+        assert_eq!(delta(true, false).label(), "multicast-delta");
+        assert_eq!(delta(false, true).label(), "batched-delta");
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! for their site locks, the coordinator as the sender of a burst, and
 //! what a panic on either side of a site lock turns into.
 
-use simnet::message::RawPayload;
 use simnet::{
-    Net, NetError, Node, NodeContext, NodeId, SimConfig, ThreadedMode, ThreadedNet, WorkerDead,
+    Net, NetError, Node, NodeContext, NodeId, SimConfig, ThreadedMode, ThreadedNet, WireSize,
+    WorkerDead,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -16,6 +16,29 @@ use std::sync::{Arc, Mutex};
     reason = "a stall bound in host time turns a lost wakeup under contention into a failure instead of a hung test"
 )]
 use std::time::{Duration, Instant};
+
+/// A payload with explicit sizes; a `Bouncer` reads `data` as the number
+/// of bounces left.
+#[derive(Clone, Copy, Debug)]
+struct RawPayload {
+    data: usize,
+    control: usize,
+}
+
+impl RawPayload {
+    fn new(data: usize, control: usize) -> Self {
+        RawPayload { data, control }
+    }
+}
+
+impl WireSize for RawPayload {
+    fn data_bytes(&self) -> usize {
+        self.data
+    }
+    fn control_bytes(&self) -> usize {
+        self.control
+    }
+}
 
 /// Counts arrivals and passes a token back until its count runs out.
 #[derive(Clone, Debug, Default)]
